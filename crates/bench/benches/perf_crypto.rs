@@ -1,6 +1,7 @@
 //! Crypto kernel benchmark: per-backend (scalar/sse2/avx2) throughput
-//! of the three SIMD-dispatched kernels plus batched keywrap, written
-//! to `BENCH_crypto.json` at the workspace root.
+//! of the three SIMD-dispatched kernels plus the two key-wrap shapes
+//! the rekey engine produces, written to `BENCH_crypto.json` at the
+//! workspace root.
 //!
 //! The headline metric is **encrypted keys per second** — the
 //! denominator of every cost model in the repo (the paper counts
@@ -8,6 +9,15 @@
 //! second of CPU buys). Bulk kernels additionally report MB/sec, and
 //! keywrap reports the equivalent wire MB/sec (keys/sec × the 60-byte
 //! wire size).
+//!
+//! Key wrap is measured in both shapes a batch takes: `keywrap_batch`
+//! wraps 4 096 payloads under **one** KEK (set-up amortized away — a
+//! joiner's path, or a member unwrapping), `kek_setup` wraps 4 096
+//! payloads each under a **distinct** KEK (group-oriented rekeying: a
+//! refreshed key goes out once under each child key, so every entry
+//! pays `WrapKek::new`). The second is what a leave batch costs.
+//! The host block records which SHA-256 compression kernel (`scalar`
+//! or `sha_ni`) each swept backend resolved to on this host.
 //!
 //! Backends are swept with the explicit `*_with` kernel entry points
 //! (and `rekey_crypto::simd::force` for the whole-stack keywrap path),
@@ -29,7 +39,8 @@ use std::time::Instant;
 /// lanes and the GF(256) vector loop dominate setup cost.
 const BUF_LEN: usize = 16 * 1024;
 
-/// Keys wrapped per keywrap rep (one batch through a cached KEK).
+/// Keys wrapped per rep of either key-wrap kernel (`keywrap_batch`:
+/// one batch through a cached KEK; `kek_setup`: as many KEKs).
 const WRAP_KEYS: usize = 4096;
 
 const REPS: usize = 5;
@@ -38,8 +49,26 @@ struct Row {
     kernel: &'static str,
     backend: Backend,
     mb_per_s: f64,
-    /// Encrypted keys per second; only for the keywrap kernel.
+    /// Encrypted keys per second; only for the key-wrap kernels.
     keys_per_s: Option<f64>,
+}
+
+impl Row {
+    fn keywrap(kernel: &'static str, backend: Backend, secs: f64) -> Row {
+        let keys_per_s = WRAP_KEYS as f64 / secs;
+        Row {
+            kernel,
+            backend,
+            mb_per_s: keys_per_s * WRAPPED_LEN as f64 / 1e6,
+            keys_per_s: Some(keys_per_s),
+        }
+    }
+}
+
+fn nonce_for(i: usize) -> [u8; 12] {
+    (i as u128).to_le_bytes()[..12]
+        .try_into()
+        .expect("12 bytes")
 }
 
 /// Minimum wall-clock of `REPS` runs of `f` (seconds).
@@ -121,20 +150,30 @@ fn bench_keywrap(backend: Backend, rows: &mut Vec<Row>) {
     let secs = time_min(|| {
         let cached = WrapKek::new(&kek);
         for (i, payload) in payloads.iter().enumerate() {
-            let nonce = (i as u128).to_le_bytes()[..12]
-                .try_into()
-                .expect("12 bytes");
-            sink ^= cached.wrap_with_nonce(payload, nonce).to_bytes()[0];
+            sink ^= cached.wrap_with_nonce(payload, nonce_for(i)).to_bytes()[0];
         }
     });
     std::hint::black_box(sink);
-    let keys_per_s = WRAP_KEYS as f64 / secs;
-    rows.push(Row {
-        kernel: "keywrap_batch",
-        backend,
-        mb_per_s: keys_per_s * WRAPPED_LEN as f64 / 1e6,
-        keys_per_s: Some(keys_per_s),
+    rows.push(Row::keywrap("keywrap_batch", backend, secs));
+}
+
+/// One wrap per KEK — the group-oriented batch shape, where the
+/// planner's `WrapKek::new` (HKDF sub-keys + HMAC schedule) is paid
+/// for every entry and dominates it.
+fn bench_kek_setup(backend: Backend, rows: &mut Vec<Row>) {
+    simd::force(backend);
+    let mut rng = StdRng::seed_from_u64(0x5E7);
+    let keks: Vec<Key> = (0..WRAP_KEYS).map(|_| Key::generate(&mut rng)).collect();
+    let payload = Key::generate(&mut rng);
+    let mut sink = 0u8;
+    let secs = time_min(|| {
+        for (i, kek) in keks.iter().enumerate() {
+            let prepared = WrapKek::new(std::hint::black_box(kek));
+            sink ^= prepared.wrap_with_nonce(&payload, nonce_for(i)).to_bytes()[0];
+        }
     });
+    std::hint::black_box(sink);
+    rows.push(Row::keywrap("kek_setup", backend, secs));
 }
 
 fn main() {
@@ -152,8 +191,8 @@ fn main() {
     }
 
     println!(
-        "crypto kernel bench ({cores} core(s), sse2={} ssse3={} avx2={}, selected backend {selected}, {})",
-        feats.sse2, feats.ssse3, feats.avx2, host.rustc
+        "crypto kernel bench ({cores} core(s), sse2={} ssse3={} avx2={} sha_ni={}, selected backend {selected}, {})",
+        feats.sse2, feats.ssse3, feats.avx2, feats.sha_ni, host.rustc
     );
 
     let mut rows: Vec<Row> = Vec::new();
@@ -162,6 +201,7 @@ fn main() {
         bench_sha256(backend, &mut rows);
         bench_gf256(backend, &mut rows);
         bench_keywrap(backend, &mut rows);
+        bench_kek_setup(backend, &mut rows);
     }
     // Leave the process-wide selection as the environment dictates.
     simd::force(selected);
@@ -191,6 +231,7 @@ fn main() {
         "sha256",
         "gf256_mul_acc",
         "keywrap_batch",
+        "kek_setup",
     ];
     let ratio_for = |kernel: &str| -> f64 {
         let scalar = rows
@@ -216,10 +257,21 @@ fn main() {
         &mut json,
         &[
             format!(
-                "    \"cpu_features\": {{\"sse2\": {}, \"ssse3\": {}, \"avx2\": {}}},",
-                feats.sse2, feats.ssse3, feats.avx2
+                "    \"cpu_features\": {{\"sse2\": {}, \"ssse3\": {}, \"avx2\": {}, \"sha_ni\": {}}},",
+                feats.sse2, feats.ssse3, feats.avx2, feats.sha_ni
             ),
             format!("    \"selected_backend\": \"{selected}\","),
+            // The SHA-256 compression kernel is a function of the
+            // backend (and this CPU), not of the row: one map covers
+            // every sha256/keywrap_batch/kek_setup result below.
+            format!(
+                "    \"sha256_kernel\": {{{}}},",
+                backends
+                    .iter()
+                    .map(|&b| format!("\"{b}\": \"{}\"", sha256::kernel_name(b)))
+                    .collect::<Vec<_>>()
+                    .join(", ")
+            ),
         ],
     );
     let _ = writeln!(json, "  \"reps_per_point\": {REPS},");

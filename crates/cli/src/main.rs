@@ -317,14 +317,19 @@ fn cmd_trace_check(args: &Args) -> CliResult {
 fn cmd_simd() -> CliResult {
     let feats = rekey_crypto::simd::detect();
     println!(
-        "cpu features:     sse2={} ssse3={} avx2={}",
-        feats.sse2, feats.ssse3, feats.avx2
+        "cpu features:     sse2={} ssse3={} avx2={} sha_ni={}",
+        feats.sse2, feats.ssse3, feats.avx2, feats.sha_ni
     );
     match std::env::var("REKEY_SIMD") {
         Ok(v) => println!("REKEY_SIMD:       {v}"),
         Err(_) => println!("REKEY_SIMD:       (unset — auto)"),
     }
-    println!("selected backend: {}", rekey_crypto::simd::active());
+    let selected = rekey_crypto::simd::active();
+    println!("selected backend: {selected}");
+    println!(
+        "sha256 kernel:    {}",
+        rekey_crypto::sha256::kernel_name(selected)
+    );
     Ok(())
 }
 

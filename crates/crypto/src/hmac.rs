@@ -4,16 +4,16 @@
 //!
 //! Keying HMAC costs two SHA-256 compressions (one per pad block)
 //! before the first message byte is absorbed. [`HmacKey`] performs
-//! them once and stores the post-pad inner and outer hash states;
-//! every MAC started from it ([`HmacKey::mac`]) is then a pair of
-//! cheap state clones. [`crate::keywrap`] relies on this to amortize
+//! them once and stores the post-pad inner and outer chaining values
+//! (2 × 32 bytes); every MAC started from it ([`HmacKey::mac`]) just
+//! resumes hashing from those. [`crate::keywrap`] relies on this to amortize
 //! MAC setup across all entries wrapped under the same key-encryption
 //! key in a rekey batch.
 
 use crate::sha256::{self, Sha256, BLOCK_LEN, DIGEST_LEN};
 
-/// A reusable HMAC-SHA256 key: the inner (ipad) and outer (opad) hash
-/// states, precomputed once.
+/// A reusable HMAC-SHA256 key: the inner (ipad) and outer (opad)
+/// chaining values, precomputed once.
 ///
 /// # Example
 ///
@@ -27,8 +27,8 @@ use crate::sha256::{self, Sha256, BLOCK_LEN, DIGEST_LEN};
 /// ```
 #[derive(Clone)]
 pub struct HmacKey {
-    inner: Sha256,
-    outer: Sha256,
+    inner: [u32; 8],
+    outer: [u32; 8],
 }
 
 impl std::fmt::Debug for HmacKey {
@@ -57,18 +57,17 @@ impl HmacKey {
             opad_key[i] = block_key[i] ^ 0x5c;
         }
 
-        let mut inner = Sha256::new();
-        inner.update(&ipad_key);
-        let mut outer = Sha256::new();
-        outer.update(&opad_key);
-        HmacKey { inner, outer }
+        HmacKey {
+            inner: Sha256::first_block_state(&ipad_key),
+            outer: Sha256::first_block_state(&opad_key),
+        }
     }
 
     /// Starts a MAC computation from the precomputed pad states.
     pub fn mac(&self) -> HmacSha256 {
         HmacSha256 {
-            inner: self.inner.clone(),
-            outer: self.outer.clone(),
+            inner: Sha256::after_first_block(self.inner),
+            outer: self.outer,
         }
     }
 }
@@ -88,7 +87,9 @@ impl HmacKey {
 #[derive(Clone)]
 pub struct HmacSha256 {
     inner: Sha256,
-    outer: Sha256,
+    /// Chaining value after the opad block; hashing resumes from it
+    /// once the inner digest is known.
+    outer: [u32; 8],
 }
 
 impl std::fmt::Debug for HmacSha256 {
@@ -115,7 +116,7 @@ impl HmacSha256 {
     pub fn finalize(self) -> [u8; DIGEST_LEN] {
         rekey_obs::count("crypto.hmac", 1);
         let inner_digest = self.inner.finalize();
-        let mut outer = self.outer;
+        let mut outer = Sha256::after_first_block(self.outer);
         outer.update(&inner_digest);
         outer.finalize()
     }

@@ -1,7 +1,10 @@
 //! The [`Key`] type: a 256-bit symmetric key.
 
+use crate::hkdf;
+use crate::hmac::HmacKey;
 use rand::RngCore;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Length of a [`Key`] in bytes.
 pub const KEY_LEN: usize = 32;
@@ -55,9 +58,29 @@ impl Key {
     /// Used e.g. to split a key-encryption key into independent
     /// encryption and MAC sub-keys, and by the OFT scheme to compute
     /// blinded keys.
+    ///
+    /// Byte-for-byte `hkdf::derive(b"rekey-key-derive", key, label)`.
     pub fn derive(&self, label: &[u8]) -> Key {
+        Key::derive_from(&self.derivation_prk(), label)
+    }
+
+    /// HKDF-Extract of this key under the fixed `"rekey-key-derive"`
+    /// salt, returned scheduled for [`Key::derive_from`]. The salt's
+    /// pad states are the same for every key, so they are computed
+    /// once per process; one PRK serves any number of labels.
+    pub(crate) fn derivation_prk(&self) -> HmacKey {
+        static SALT: OnceLock<HmacKey> = OnceLock::new();
+        let mut mac = SALT.get_or_init(|| HmacKey::new(b"rekey-key-derive")).mac();
+        mac.update(&self.0);
+        HmacKey::new(&mac.finalize())
+    }
+
+    /// HKDF-Expand of one label from a [`Key::derivation_prk`]. Counts
+    /// one `crypto.hkdf` per derived key, however the PRK is shared.
+    pub(crate) fn derive_from(prk: &HmacKey, label: &[u8]) -> Key {
+        rekey_obs::count("crypto.hkdf", 1);
         let mut out = [0u8; KEY_LEN];
-        crate::hkdf::derive(b"rekey-key-derive", &self.0, label, &mut out);
+        hkdf::expand(prk, label, &mut out);
         Key(out)
     }
 
@@ -120,6 +143,18 @@ mod tests {
         assert_eq!(k.derive(b"enc"), k.derive(b"enc"));
         assert_ne!(k.derive(b"enc"), k.derive(b"mac"));
         assert_ne!(k.derive(b"enc"), k);
+    }
+
+    #[test]
+    fn derive_is_rfc5869_under_the_fixed_salt() {
+        // The cached salt schedule and shared PRK are an optimisation
+        // of exactly this one-shot derivation.
+        let k = Key::from_bytes([7; KEY_LEN]);
+        for label in [&b"wrap-enc"[..], b"wrap-mac", b"oft-blind", b""] {
+            let mut expected = [0u8; KEY_LEN];
+            hkdf::derive(b"rekey-key-derive", k.as_bytes(), label, &mut expected);
+            assert_eq!(k.derive(label).as_bytes(), &expected);
+        }
     }
 
     #[test]

@@ -18,11 +18,11 @@
 //!
 //! # Batching
 //!
-//! Step 1 (sub-key derivation, two HKDF expands) and the HMAC key
-//! schedule are pure functions of the KEK alone, yet a rekey batch
-//! wraps many entries under the *same* KEK — every entry of a node's
-//! sibling set, and every entry along a joining member's path. A
-//! [`WrapKek`] performs that setup once; `wrap`/`unwrap` through it
+//! Step 1 (sub-key derivation: one HKDF extract, two expands) and the
+//! HMAC key schedule are pure functions of the KEK alone, and a
+//! pure-join batch wraps every key along a joining member's path under
+//! that member's *same* individual key. A [`WrapKek`] performs that
+//! setup once; `wrap`/`unwrap` through it
 //! cost only the per-entry cipher + MAC work. The output is a pure
 //! function of (KEK, payload, nonce), so wrapping through a cached
 //! [`WrapKek`] is byte-identical to the one-shot free functions.
@@ -87,10 +87,12 @@ impl WrappedKey {
 /// A key-encryption key with its wrap setup done: derived encryption
 /// sub-key plus a scheduled HMAC key.
 ///
-/// Construction costs two HKDF expands and the HMAC pad compressions;
-/// each subsequent [`wrap`](WrapKek::wrap) / [`unwrap`](WrapKek::unwrap)
-/// skips all of it. The key server's batch scratch caches one of these
-/// per (node, key version) so sibling entries share the setup.
+/// Construction costs one HKDF extract, two expands and the HMAC pad
+/// compressions; each subsequent [`wrap`](WrapKek::wrap) /
+/// [`unwrap`](WrapKek::unwrap) skips all of it. A member holds one per
+/// key on its path; the key server prepares one per wrapping key of a
+/// batch (group-oriented batches wrap under each child key exactly
+/// once, so there the setup *is* the per-entry cost).
 ///
 /// # Example
 ///
@@ -118,10 +120,17 @@ impl std::fmt::Debug for WrapKek {
 
 impl WrapKek {
     /// Derives the wrap sub-keys from `kek` and schedules the MAC key.
+    ///
+    /// Ten SHA-256 compressions: one HKDF-Extract from the cached salt
+    /// schedule (2), the PRK's pads (2), a one-block Expand per
+    /// sub-key (2 + 2), and the MAC key's pads (2). Deriving the two
+    /// sub-keys independently (`kek.derive(..)` twice) gives the same
+    /// bytes for 18.
     pub fn new(kek: &Key) -> Self {
+        let prk = kek.derivation_prk();
         WrapKek {
-            enc_key: *kek.derive(b"wrap-enc").as_bytes(),
-            mac: HmacKey::new(kek.derive(b"wrap-mac").as_bytes()),
+            enc_key: *Key::derive_from(&prk, b"wrap-enc").as_bytes(),
+            mac: HmacKey::new(Key::derive_from(&prk, b"wrap-mac").as_bytes()),
         }
     }
 

@@ -2,8 +2,8 @@
 //! hot crypto kernels.
 //!
 //! The three throughput-critical kernels of the workspace — multi-block
-//! ChaCha20 keystream generation ([`crate::chacha20`]), the SHA-256
-//! message schedule ([`crate::sha256`]), and the GF(256) bulk routines
+//! ChaCha20 keystream generation ([`crate::chacha20`]), SHA-256
+//! compression ([`crate::sha256`]), and the GF(256) bulk routines
 //! in `rekey-transport` — each carry one scalar reference
 //! implementation plus `std::arch` fast paths. This module owns the
 //! *selection*: which tier runs is decided once per process, from CPU
@@ -16,8 +16,13 @@
 //! | [`Backend`] | requires | used for |
 //! |-------------|----------|----------|
 //! | `Scalar`    | nothing  | reference implementations, always available |
-//! | `Sse2`      | SSE2     | 4-lane ChaCha20, SIMD SHA-256 schedule, GF(256) nibble tables (needs SSSE3 `pshufb`, else scalar) |
+//! | `Sse2`      | SSE2     | 4-lane ChaCha20, GF(256) nibble tables (needs SSSE3 `pshufb`, else scalar) |
 //! | `Avx2`      | AVX2     | 8-lane ChaCha20, 32-byte GF(256) nibble tables |
+//!
+//! SHA-256 is not tiered by vector width: on either x86 tier it runs
+//! the SHA-NI compression function when [`CpuFeatures::sha_ni`] is set
+//! and the scalar reference otherwise (same pattern as the GF(256)
+//! SSSE3 check — a call-site feature test under a non-scalar tier).
 //!
 //! Every fast path is pinned **byte-identical** to the scalar
 //! reference by the proptest equivalence harness
@@ -100,6 +105,9 @@ pub struct CpuFeatures {
     pub ssse3: bool,
     /// 256-bit integer SIMD.
     pub avx2: bool,
+    /// Everything the SHA-NI SHA-256 kernel executes: the SHA
+    /// extensions plus the SSSE3 and SSE4.1 shuffles around them.
+    pub sha_ni: bool,
 }
 
 impl CpuFeatures {
@@ -108,6 +116,7 @@ impl CpuFeatures {
         sse2: false,
         ssse3: false,
         avx2: false,
+        sha_ni: false,
     };
 }
 
@@ -115,10 +124,14 @@ impl CpuFeatures {
 pub fn detect() -> CpuFeatures {
     #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
     {
+        let ssse3 = std::arch::is_x86_feature_detected!("ssse3");
         CpuFeatures {
             sse2: std::arch::is_x86_feature_detected!("sse2"),
-            ssse3: std::arch::is_x86_feature_detected!("ssse3"),
+            ssse3,
             avx2: std::arch::is_x86_feature_detected!("avx2"),
+            sha_ni: ssse3
+                && std::arch::is_x86_feature_detected!("sse4.1")
+                && std::arch::is_x86_feature_detected!("sha"),
         }
     }
     #[cfg(not(any(target_arch = "x86_64", target_arch = "x86")))]
@@ -177,11 +190,13 @@ mod tests {
         sse2: true,
         ssse3: true,
         avx2: true,
+        sha_ni: true,
     };
     const SSE2_ONLY: CpuFeatures = CpuFeatures {
         sse2: true,
         ssse3: false,
         avx2: false,
+        sha_ni: false,
     };
 
     #[test]

@@ -3,6 +3,57 @@
 use proptest::prelude::*;
 use rekey_crypto::{chacha20, hkdf, hmac, keywrap, sha256, Key};
 
+/// Key wrap spelled out from its specification with the one-shot
+/// primitives only — RFC 5869 extract/expand per sub-key, `hmac()`,
+/// raw ChaCha20 — sharing nothing with `WrapKek`'s cached salt
+/// schedule, shared PRK or scheduled MAC key. 18 set-up compressions
+/// where `WrapKek::new` spends 10; the bytes must not differ.
+fn reference_wrap(
+    kek: &[u8; 32],
+    payload: &[u8; 32],
+    nonce: [u8; 12],
+) -> [u8; keywrap::WRAPPED_LEN] {
+    let subkey = |label: &[u8]| {
+        let prk = hkdf::extract(b"rekey-key-derive", kek);
+        let mut out = [0u8; 32];
+        hkdf::expand(&hmac::HmacKey::new(&prk), label, &mut out);
+        out
+    };
+    let mut ciphertext = *payload;
+    chacha20::xor_in_place_with(
+        rekey_crypto::simd::Backend::Scalar,
+        &subkey(b"wrap-enc"),
+        &nonce,
+        1,
+        &mut ciphertext,
+    );
+    let tag = hmac::hmac(&subkey(b"wrap-mac"), &[&nonce[..], &ciphertext].concat());
+    let mut out = [0u8; keywrap::WRAPPED_LEN];
+    out[..12].copy_from_slice(&nonce);
+    out[12..44].copy_from_slice(&ciphertext);
+    out[44..].copy_from_slice(&tag[..keywrap::TAG_LEN]);
+    out
+}
+
+/// Known answer computed outside this crate (Python `hmac`/`hashlib`
+/// plus a from-the-RFC ChaCha20 block): pins the wrap construction,
+/// its labels and its salt — the bytes every WAL, trace and golden
+/// digest in the workspace depends on.
+#[test]
+fn keywrap_known_answer() {
+    let kek: [u8; 32] = std::array::from_fn(|i| i as u8);
+    let payload: [u8; 32] = std::array::from_fn(|i| 0x80 + i as u8);
+    let nonce: [u8; 12] = std::array::from_fn(|i| 0xf0 + i as u8);
+    let expected = "f0f1f2f3f4f5f6f7f8f9fafb\
+                    289682ee26e81bdf8c3e2b7ef6d9f3e78285caa85466b28e0cc25ad356f64689\
+                    47144cf2e872472446dd3eaaf51899a4";
+    let hex = |bytes: &[u8]| bytes.iter().map(|b| format!("{b:02x}")).collect::<String>();
+    let wrapped = keywrap::WrapKek::new(&Key::from_bytes(kek))
+        .wrap_with_nonce(&Key::from_bytes(payload), nonce);
+    assert_eq!(hex(&wrapped.to_bytes()), expected);
+    assert_eq!(hex(&reference_wrap(&kek, &payload, nonce)), expected);
+}
+
 proptest! {
     /// Incremental hashing over arbitrary chunk splits matches the
     /// one-shot digest.
@@ -77,6 +128,21 @@ proptest! {
         let wrapped = keywrap::wrap_with_nonce(&kek, &payload, nonce);
         prop_assert_eq!(keywrap::unwrap(&kek, &wrapped).unwrap(), payload);
         prop_assert!(keywrap::unwrap(&other, &wrapped).is_err());
+    }
+
+    /// The amortized `WrapKek` set-up is byte-identical to the
+    /// spelled-out reference construction, and so is the one-shot API.
+    #[test]
+    fn keywrap_matches_reference(kek in any::<[u8; 32]>(),
+                                 payload in any::<[u8; 32]>(),
+                                 nonce in any::<[u8; 12]>()) {
+        let expected = reference_wrap(&kek, &payload, nonce);
+        let (kek, payload) = (Key::from_bytes(kek), Key::from_bytes(payload));
+        let cached = keywrap::WrapKek::new(&kek);
+        prop_assert_eq!(cached.wrap_with_nonce(&payload, nonce).to_bytes(), expected);
+        prop_assert_eq!(keywrap::wrap_with_nonce(&kek, &payload, nonce).to_bytes(), expected);
+        let parsed = keywrap::WrappedKey::from_bytes(&expected).unwrap();
+        prop_assert_eq!(cached.unwrap(&parsed).unwrap(), payload);
     }
 
     /// Serialized wrapped keys survive a parse roundtrip.

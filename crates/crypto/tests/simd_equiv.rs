@@ -7,6 +7,9 @@
 //! unaligned buffers (random offset into an overallocated buffer),
 //! lengths straddling every lane boundary (0..=4×lane+3 for the widest
 //! 8-block AVX2 ChaCha20 lane of 512 bytes), and counters near wrap.
+//! SHA-256 has two compression kernels (scalar, SHA-NI); the SHA-NI
+//! one runs under either x86 backend when the CPU has it, and these
+//! tests say so out loud when the host cannot exercise it.
 //!
 //! Also covers the `REKEY_SIMD` override surface: `Backend::resolve`
 //! is pure, so the env-var → backend mapping and the fallback chain
@@ -30,6 +33,18 @@ fn supported_backends() -> Vec<Backend> {
         v.push(Backend::Avx2);
     }
     v
+}
+
+/// Whether a non-scalar backend really reaches the SHA-NI kernel on
+/// this host; prints a note (once per calling test) when it cannot, so
+/// a green run on such a host is not mistaken for coverage.
+fn sha_ni_under_test(test: &str) -> bool {
+    let on = sha256::kernel_name(Backend::Sse2) == "sha_ni";
+    assert_eq!(on, simd::detect().sha_ni);
+    if !on {
+        eprintln!("note: {test}: host lacks sha/ssse3/sse4.1 — SHA-NI kernel not exercised");
+    }
+    on
 }
 
 /// Widest ChaCha20 lane: 8 blocks × 64 bytes (AVX2 path).
@@ -69,14 +84,27 @@ proptest! {
     }
 
     /// SHA-256 digests are identical across backends for arbitrary
-    /// lengths including every padding boundary (55/56/64).
+    /// lengths including every padding boundary (55/56/64), fed in one
+    /// piece or split at two arbitrary points (buffered tail, then a
+    /// multi-block run, then another tail).
     #[test]
-    fn sha256_backends_agree(data in proptest::collection::vec(any::<u8>(), 0..4 * 64 + 4)) {
+    fn sha256_backends_agree(data in proptest::collection::vec(any::<u8>(), 0..4 * 64 + 5),
+                             cut_a in any::<prop::sample::Index>(),
+                             cut_b in any::<prop::sample::Index>()) {
         let reference = sha256::digest_with(Backend::Scalar, &data);
+        let (a, b) = (cut_a.index(data.len() + 1), cut_b.index(data.len() + 1));
+        let (a, b) = (a.min(b), a.max(b));
         for backend in supported_backends() {
             prop_assert_eq!(
                 sha256::digest_with(backend, &data), reference,
                 "backend {} diverged", backend);
+            let mut split = sha256::Sha256::new_with(backend);
+            split.update(&data[..a]);
+            split.update(&data[a..b]);
+            split.update(&data[b..]);
+            prop_assert_eq!(
+                split.finalize(), reference,
+                "backend {} diverged on split {}/{}", backend, a, b);
         }
     }
 
@@ -87,6 +115,7 @@ proptest! {
     fn resolve_never_exceeds_features(sse2 in any::<bool>(),
                                       ssse3 in any::<bool>(),
                                       avx2 in any::<bool>(),
+                                      sha_ni in any::<bool>(),
                                       req_idx in 0usize..7) {
         // Covers every recognized `REKEY_SIMD` value plus garbage.
         let request = [
@@ -98,7 +127,7 @@ proptest! {
             Some("avx2"),
             Some("no-such-backend"),
         ][req_idx];
-        let feats = CpuFeatures { sse2, ssse3, avx2 };
+        let feats = CpuFeatures { sse2, ssse3, avx2, sha_ni };
         let best = if avx2 {
             Backend::Avx2
         } else if sse2 {
@@ -110,12 +139,67 @@ proptest! {
         prop_assert!(resolved <= best,
                      "resolved {} above supported {}", resolved, best);
         match request {
-            Some("off") | Some("scalar") => prop_assert_eq!(resolved, Backend::Scalar),
+            // `off` means the scalar reference everywhere: whatever the
+            // CPU reports, SHA-256 stays out of the SHA-NI kernel too.
+            Some("off") | Some("scalar") => {
+                prop_assert_eq!(resolved, Backend::Scalar);
+                prop_assert_eq!(sha256::kernel_name(resolved), "scalar");
+            }
             Some("sse2") => prop_assert_eq!(resolved, Backend::Sse2.min(best)),
             Some("avx2") => prop_assert_eq!(resolved, Backend::Avx2.min(best)),
             // auto / unset / unrecognized: best supported tier.
             _ => prop_assert_eq!(resolved, best),
         }
+    }
+}
+
+/// Every length `0..=4·64+4` exhaustively (the proptest samples the
+/// same range), each also as byte-at-a-time updates: scalar reference
+/// against every backend, i.e. against SHA-NI where the host has it.
+#[test]
+fn sha256_every_short_length_matches_scalar() {
+    sha_ni_under_test("sha256_every_short_length_matches_scalar");
+    let data: Vec<u8> = (0..4 * 64 + 4).map(|i| (i * 197 + 11) as u8).collect();
+    for len in 0..=data.len() {
+        let reference = sha256::digest_with(Backend::Scalar, &data[..len]);
+        for backend in supported_backends() {
+            assert_eq!(
+                sha256::digest_with(backend, &data[..len]),
+                reference,
+                "len={len} {backend}"
+            );
+            let mut bytewise = sha256::Sha256::new_with(backend);
+            for byte in &data[..len] {
+                bytewise.update(std::slice::from_ref(byte));
+            }
+            assert_eq!(
+                bytewise.finalize(),
+                reference,
+                "bytewise len={len} {backend}"
+            );
+        }
+    }
+}
+
+/// The NIST million-`a` vector on every backend: 15 625 blocks through
+/// the multi-block loop in one `update`, and again in odd-sized pieces.
+#[test]
+fn sha256_million_a_on_every_backend() {
+    sha_ni_under_test("sha256_million_a_on_every_backend");
+    const EXPECTED: &str = "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0";
+    let hex = |bytes: &[u8]| bytes.iter().map(|b| format!("{b:02x}")).collect::<String>();
+    let data = vec![b'a'; 1_000_000];
+    for backend in supported_backends() {
+        assert_eq!(
+            hex(&sha256::digest_with(backend, &data)),
+            EXPECTED,
+            "{backend}"
+        );
+        let mut pieces = sha256::Sha256::new_with(backend);
+        for piece in data.chunks(1021) {
+            pieces.update(piece);
+        }
+        assert_eq!(hex(&pieces.finalize()), EXPECTED, "{backend} in pieces");
     }
 }
 
@@ -125,6 +209,15 @@ proptest! {
 #[test]
 fn forced_backend_is_transparent_through_active_dispatch() {
     let original = simd::active();
+    // CI runs the whole suite under `REKEY_SIMD=off`: there the
+    // process must start on the scalar tier with SHA-NI out of reach.
+    if matches!(
+        std::env::var("REKEY_SIMD").as_deref(),
+        Ok("off") | Ok("scalar")
+    ) {
+        assert_eq!(original, Backend::Scalar);
+    }
+    assert_eq!(sha256::kernel_name(Backend::Scalar), "scalar");
     let key = [0x42u8; 32];
     let nonce = [7u8; 12];
     let data: Vec<u8> = (0..MAX_LANE + 17).map(|i| i as u8).collect();

@@ -117,9 +117,10 @@ struct EntryMeta {
 /// payload key is held inline (32-byte copy) so workers never chase
 /// pointers into the tree; the KEK is an index into
 /// [`RekeyScratch::keks`], where its derived sub-keys and scheduled MAC
-/// state live once per (node, version) rather than once per entry —
-/// all sibling entries of a node and all entries along a joiner's path
-/// share one setup.
+/// state are prepared during planning. Join batches share one slot
+/// among all entries along a joiner's path; group-oriented batches
+/// wrap under each child key exactly once, so there every entry has a
+/// slot (and a set-up) of its own.
 #[derive(Debug, Clone)]
 struct PlannedWrap {
     kek_slot: usize,
@@ -164,13 +165,19 @@ pub struct RekeyScratch {
     old_versions: Vec<(NodeId, u64, Key)>,
     /// Tree slots vacated by this batch's departures.
     vacancies: VecDeque<NodeId>,
-    /// Interior nodes created by leaf splits in this batch.
+    /// Interior nodes created by leaf splits in this batch, in
+    /// creation order (which is emission order for their entries).
     created: Vec<NodeId>,
-    /// Flattened leaf-to-root paths of this batch's joiners.
+    /// One joiner's leaf-to-root path, refilled per joiner.
     path_nodes: Vec<NodeId>,
-    /// `(offset, len)` spans into `path_nodes`, parallel to the
-    /// batch's `joined_leaves`.
-    path_spans: Vec<(usize, usize)>,
+    /// `(index into dirty, index into joined_leaves)` for every dirty
+    /// node on a joiner's path, sorted: the joiners beneath each dirty
+    /// node, in batch order.
+    joiner_hits: Vec<(usize, usize)>,
+    /// Sorted lookup sets for the join planner: `created`, and the
+    /// leaves of this batch's joiners.
+    created_sorted: Vec<NodeId>,
+    joined_leaf_ids: Vec<NodeId>,
     /// The encryption plan for the current batch.
     plan: Vec<PlannedWrap>,
     /// Per-plan-slot results written by the worker pool.
@@ -179,8 +186,9 @@ pub struct RekeyScratch {
     /// distinct wrapping key of the batch; [`PlannedWrap::kek_slot`]
     /// indexes here.
     keks: Vec<WrapKek>,
-    /// Dedup map for `keks`: the `(node, key version)` identity of a
-    /// wrapping key → its slot.
+    /// Dedup map for `keks` on the join path, where one individual key
+    /// wraps every node of its joiner's path: the `(node, key version)`
+    /// identity of a wrapping key → its slot.
     kek_slots: HashMap<(NodeId, u64), usize>,
 }
 
@@ -191,7 +199,9 @@ impl RekeyScratch {
         self.vacancies.clear();
         self.created.clear();
         self.path_nodes.clear();
-        self.path_spans.clear();
+        self.joiner_hits.clear();
+        self.created_sorted.clear();
+        self.joined_leaf_ids.clear();
         self.plan.clear();
         self.wrapped.clear();
         self.keks.clear();
@@ -538,7 +548,8 @@ impl LkhServer {
 
     /// Plans group-oriented rekeying (mixed or leave batches): every
     /// refreshed key is encrypted under the current key of each of its
-    /// children.
+    /// children. A child has one parent, so no wrapping key repeats
+    /// within the batch and each goes straight into the KEK arena.
     fn plan_group_oriented_entries(&mut self) {
         let scratch = &mut self.scratch;
         let tree = &self.tree;
@@ -546,15 +557,9 @@ impl LkhServer {
             let (new_key, new_version) = tree.key_of(node).expect("dirty node is alive");
             let depth = tree.depth_of(node).expect("dirty node is alive") as u32;
             for child in tree.children_of(node).expect("dirty node is alive") {
-                let kek_slot = kek_slot_for(
-                    &mut scratch.keks,
-                    &mut scratch.kek_slots,
-                    child.id,
-                    child.version,
-                    child.key,
-                );
+                scratch.keks.push(WrapKek::new(child.key));
                 scratch.plan.push(PlannedWrap {
-                    kek_slot,
+                    kek_slot: scratch.keks.len() - 1,
                     payload: new_key.clone(),
                     nonce: [0; NONCE_LEN],
                     meta: EntryMeta {
@@ -579,17 +584,27 @@ impl LkhServer {
         let scratch = &mut self.scratch;
         let tree = &self.tree;
 
-        // Paths of the new members, computed once into the arena.
-        for (member, _) in joined_leaves {
-            let start = scratch.path_nodes.len();
+        // Walk each joiner's path once, noting which dirty nodes it
+        // crosses. Sorted, the hits list the joiners beneath each dirty
+        // node in batch order — the order their entries are emitted in.
+        for (joiner, (member, leaf)) in joined_leaves.iter().enumerate() {
+            scratch.path_nodes.clear();
             tree.path_of_into(*member, &mut scratch.path_nodes)
                 .expect("member just joined");
-            scratch
-                .path_spans
-                .push((start, scratch.path_nodes.len() - start));
+            for node in &scratch.path_nodes {
+                if let Ok(dirty_idx) = scratch.dirty.binary_search(node) {
+                    scratch.joiner_hits.push((dirty_idx, joiner));
+                }
+            }
+            scratch.joined_leaf_ids.push(*leaf);
         }
+        scratch.joiner_hits.sort_unstable();
+        scratch.joined_leaf_ids.sort_unstable();
+        scratch.created_sorted.extend_from_slice(&scratch.created);
+        scratch.created_sorted.sort_unstable();
 
-        for &node in &scratch.dirty {
+        let mut hits = scratch.joiner_hits.iter().peekable();
+        for (dirty_idx, &node) in scratch.dirty.iter().enumerate() {
             let (new_key, new_version) = tree.key_of(node).expect("dirty node is alive");
             let depth = tree.depth_of(node).expect("dirty node is alive") as u32;
             let audience = tree.leaf_count_under(node) as u32;
@@ -602,7 +617,8 @@ impl LkhServer {
                 .old_version_of(node)
                 .map(|&(_, v, ref k)| (v, k.clone()));
             if let Some((old_version, old_key)) = old {
-                if old_version < new_version && !scratch.created.contains(&node) {
+                if old_version < new_version && scratch.created_sorted.binary_search(&node).is_err()
+                {
                     let kek_slot = kek_slot_for(
                         &mut scratch.keks,
                         &mut scratch.kek_slots,
@@ -629,32 +645,26 @@ impl LkhServer {
             }
 
             // One entry per joining member whose path contains `node`.
-            for ((member, leaf), &(start, len)) in joined_leaves.iter().zip(&scratch.path_spans) {
-                if scratch.path_nodes[start..start + len].contains(&node) {
-                    let (leaf_key, _) = tree.key_of(*leaf).expect("fresh leaf is alive");
-                    let kek_slot = kek_slot_for(
-                        &mut scratch.keks,
-                        &mut scratch.kek_slots,
-                        *leaf,
-                        0,
-                        leaf_key,
-                    );
-                    scratch.plan.push(PlannedWrap {
-                        kek_slot,
-                        payload: new_key.clone(),
-                        nonce: [0; NONCE_LEN],
-                        meta: EntryMeta {
-                            target: node,
-                            target_version: new_version,
-                            under: *leaf,
-                            under_version: 0,
-                            under_is_leaf: true,
-                            recipient: Some(*member),
-                            audience: 1,
-                            target_depth: depth,
-                        },
-                    });
-                }
+            while let Some(&(_, joiner)) = hits.next_if(|&&(idx, _)| idx == dirty_idx) {
+                let (member, leaf) = joined_leaves[joiner];
+                let (leaf_key, _) = tree.key_of(leaf).expect("fresh leaf is alive");
+                let kek_slot =
+                    kek_slot_for(&mut scratch.keks, &mut scratch.kek_slots, leaf, 0, leaf_key);
+                scratch.plan.push(PlannedWrap {
+                    kek_slot,
+                    payload: new_key.clone(),
+                    nonce: [0; NONCE_LEN],
+                    meta: EntryMeta {
+                        target: node,
+                        target_version: new_version,
+                        under: leaf,
+                        under_version: 0,
+                        under_is_leaf: true,
+                        recipient: Some(member),
+                        audience: 1,
+                        target_depth: depth,
+                    },
+                });
             }
         }
 
@@ -665,7 +675,7 @@ impl LkhServer {
             let (new_key, new_version) = tree.key_of(node).expect("created node is alive");
             let depth = tree.depth_of(node).expect("created node is alive") as u32;
             for child in tree.children_of(node).expect("created node is alive") {
-                if joined_leaves.iter().any(|&(_, l)| l == child.id) {
+                if scratch.joined_leaf_ids.binary_search(&child.id).is_ok() {
                     continue; // already covered by per-joiner entries
                 }
                 let kek_slot = kek_slot_for(

@@ -1,0 +1,81 @@
+//! Pins the pure-join planner's output bytes at a size where its cost
+//! shape matters.
+//!
+//! The §2.1 join procedure emits, per refreshed node, one entry under
+//! the node's previous key followed by one entry per joiner beneath it
+//! in batch order. The planner used to find "joiners beneath it" by
+//! scanning every joiner's path for every dirty node; it now walks each
+//! path once and buckets by dirty node. The digests below were recorded
+//! from the scanning planner, so any change to entry order, nonce
+//! order or KEK choice fails here — on a batch large enough (4 096
+//! joiners, the shape of a bulk bootstrap) that the small conformance
+//! scenarios' 10–20-joiner batches cannot stand in for it.
+
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use rekey_crypto::{sha256, Key};
+use rekey_keytree::member::GroupMember;
+use rekey_keytree::message::codec::encode_message;
+use rekey_keytree::server::LkhServer;
+use rekey_keytree::MemberId;
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+fn joiners(ids: std::ops::Range<u64>, rng: &mut StdRng) -> Vec<(MemberId, Key)> {
+    ids.map(|i| (MemberId(i), Key::generate(rng))).collect()
+}
+
+#[test]
+fn bulk_pure_join_bytes_match_the_scanning_planner() {
+    let mut rng = StdRng::seed_from_u64(0x4096);
+    let mut server = LkhServer::new(4, 3);
+
+    // Bootstrap into an empty tree: every interior is freshly created,
+    // so the created-interior branch of the join plan carries weight.
+    let founders = joiners(0..300, &mut rng);
+    let bootstrap = server.apply_batch(&founders, &[], &mut rng);
+    assert_eq!(
+        hex(&sha256::digest(&encode_message(&bootstrap.message))),
+        "f8f433cfd7b17f12ab6b9c848f15769ea7152e9516eebced441a3c8bf0fba010"
+    );
+
+    // A mixed batch in between leaves holes, so the big join below
+    // fills an irregular tree rather than a freshly balanced one.
+    let leavers: Vec<MemberId> = (0..300).step_by(7).map(MemberId).collect();
+    let replacements = joiners(300..310, &mut rng);
+    let mixed = server.apply_batch(&replacements, &leavers, &mut rng);
+
+    // The batch under test: 4 096 joiners, no leaves — previous-key
+    // entries for existing interiors, leaf splits, and thousands of
+    // joiners sharing the upper path nodes.
+    let newcomers = joiners(1_000..1_000 + 4_096, &mut rng);
+    let bulk = server.apply_batch(&newcomers, &[], &mut rng);
+    assert_eq!(bulk.stats.joins, 4_096);
+    assert_eq!(
+        (
+            bulk.stats.encrypted_keys,
+            hex(&sha256::digest(&encode_message(&bulk.message)))
+        ),
+        (
+            26_417,
+            "f25191f86176ca59e73965b81676e832c30480e29f39f58d6c809d10cc024196".to_owned()
+        )
+    );
+    server.tree().check_invariants();
+
+    // The pinned bytes are also *useful* bytes: a founder who stayed
+    // and the last newcomer both reach the new group key.
+    let (stayer_id, stayer_key) = founders[1].clone();
+    let mut stayer = GroupMember::new(stayer_id, stayer_key);
+    for message in [&bootstrap.message, &mixed.message, &bulk.message] {
+        stayer.process(message).unwrap();
+    }
+    let (last_id, last_key) = newcomers.last().unwrap().clone();
+    let mut last = GroupMember::new(last_id, last_key);
+    last.process(&bulk.message).unwrap();
+    for member in [&stayer, &last] {
+        assert_eq!(member.key_for(server.root_node()), Some(server.root_key()));
+    }
+}

@@ -144,7 +144,11 @@ fn tracing_does_not_change_reported_numbers() {
 #[test]
 fn message_bytes_accompany_encrypted_keys() {
     // No recorder needed: the wire-size stat is part of the normal
-    // report and must be consistent with the key count.
+    // report and must be consistent with the key count. The lock is
+    // still taken: a sibling's process-global recorder installed or
+    // removed halfway through one of this run's spans would see an end
+    // without a begin and fail *its* balanced-trace check.
+    let _guard = global_lock();
     let report = run(&SimConfig {
         intervals: 6,
         warmup: 2,
