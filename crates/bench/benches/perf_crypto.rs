@@ -1,7 +1,7 @@
 //! Crypto kernel benchmark: per-backend (scalar/sse2/avx2) throughput
-//! of the three SIMD-dispatched kernels plus the two key-wrap shapes
-//! the rekey engine produces, written to `BENCH_crypto.json` at the
-//! workspace root.
+//! of the two SIMD-dispatched bulk kernels (SHA-256, GF(256)) plus the
+//! two key-wrap shapes the rekey engine produces, written to
+//! `BENCH_crypto.json` at the workspace root.
 //!
 //! The headline metric is **encrypted keys per second** — the
 //! denominator of every cost model in the repo (the paper counts
@@ -22,21 +22,18 @@
 //! Backends are swept with the explicit `*_with` kernel entry points
 //! (and `rekey_crypto::simd::force` for the whole-stack keywrap path),
 //! so one process measures every tier the CPU supports back to back.
-//! The `scalar_vs_best` block records the speedup of the best
-//! supported tier over scalar per kernel; on hosts with no SIMD it
-//! honestly records 1.0.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rekey_crypto::keywrap::{WrapKek, WRAPPED_LEN};
 use rekey_crypto::simd::{self, Backend};
-use rekey_crypto::{chacha20, sha256, Key};
+use rekey_crypto::{sha256, Key};
 use rekey_transport::gf256;
 use std::fmt::Write as _;
 use std::time::Instant;
 
-/// Bulk-kernel buffer size: large enough that the multi-block ChaCha20
-/// lanes and the GF(256) vector loop dominate setup cost.
+/// Bulk-kernel buffer size: large enough that the SHA-256 block loop
+/// and the GF(256) vector loop dominate setup cost.
 const BUF_LEN: usize = 16 * 1024;
 
 /// Keys wrapped per rep of either key-wrap kernel (`keywrap_batch`:
@@ -80,25 +77,6 @@ fn time_min<F: FnMut()>(mut f: F) -> f64 {
         min = min.min(start.elapsed().as_secs_f64());
     }
     min
-}
-
-fn bench_chacha20(backend: Backend, rows: &mut Vec<Row>) {
-    let key = [7u8; 32];
-    let nonce = [9u8; 12];
-    let mut buf = vec![0x5Au8; BUF_LEN];
-    const ITERS: usize = 64;
-    let secs = time_min(|| {
-        for i in 0..ITERS {
-            chacha20::xor_in_place_with(backend, &key, &nonce, i as u32, &mut buf);
-        }
-    });
-    std::hint::black_box(&buf);
-    rows.push(Row {
-        kernel: "chacha20_multiblock",
-        backend,
-        mb_per_s: (ITERS * BUF_LEN) as f64 / secs / 1e6,
-        keys_per_s: None,
-    });
 }
 
 fn bench_sha256(backend: Backend, rows: &mut Vec<Row>) {
@@ -197,7 +175,6 @@ fn main() {
 
     let mut rows: Vec<Row> = Vec::new();
     for &backend in &backends {
-        bench_chacha20(backend, &mut rows);
         bench_sha256(backend, &mut rows);
         bench_gf256(backend, &mut rows);
         bench_keywrap(backend, &mut rows);
@@ -222,32 +199,6 @@ fn main() {
                 row.mb_per_s
             ),
         }
-    }
-
-    // Best-supported-tier vs scalar ratio per kernel (1.0 when only
-    // scalar is available).
-    let kernels = [
-        "chacha20_multiblock",
-        "sha256",
-        "gf256_mul_acc",
-        "keywrap_batch",
-        "kek_setup",
-    ];
-    let ratio_for = |kernel: &str| -> f64 {
-        let scalar = rows
-            .iter()
-            .find(|r| r.kernel == kernel && r.backend == Backend::Scalar)
-            .map(|r| r.mb_per_s)
-            .unwrap_or(f64::NAN);
-        let best = rows
-            .iter()
-            .filter(|r| r.kernel == kernel)
-            .map(|r| r.mb_per_s)
-            .fold(f64::NAN, f64::max);
-        best / scalar
-    };
-    for kernel in kernels {
-        println!("{kernel}: best/scalar = {:.2}x", ratio_for(kernel));
     }
 
     let mut json = String::new();
@@ -292,13 +243,7 @@ fn main() {
             r.mb_per_s
         );
     }
-    json.push_str("  ],\n");
-    json.push_str("  \"scalar_vs_best\": {\n");
-    for (i, kernel) in kernels.iter().enumerate() {
-        let sep = if i + 1 == kernels.len() { "" } else { "," };
-        let _ = writeln!(json, "    \"{kernel}\": {:.3}{sep}", ratio_for(kernel));
-    }
-    json.push_str("  }\n}\n");
+    json.push_str("  ]\n}\n");
 
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_crypto.json");
     std::fs::write(path, &json).expect("write BENCH_crypto.json");

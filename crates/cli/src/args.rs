@@ -7,8 +7,14 @@
 //!   `--`, which the two-argument form would swallow as a flag);
 //! - `--key` followed by another flag or the end of the line — a bare
 //!   boolean switch, read back with [`Args::get_bool_or`].
+//!
+//! [`Args`] remembers which flags the subcommand looked up; once it has
+//! read everything it understands it calls [`Args::finish`], which
+//! rejects any flag given on the command line but never read — a typo
+//! or a flag of another subcommand — instead of silently ignoring it.
 
-use std::collections::BTreeMap;
+use std::cell::RefCell;
+use std::collections::{BTreeMap, BTreeSet};
 use std::error::Error;
 use std::fmt;
 
@@ -18,6 +24,8 @@ pub struct Args {
     /// First positional argument.
     pub command: Option<String>,
     options: BTreeMap<String, String>,
+    /// Every flag name an accessor has looked up, given or not.
+    read: RefCell<BTreeSet<String>>,
 }
 
 /// Argument-parsing errors.
@@ -34,6 +42,8 @@ pub enum ArgsError {
     },
     /// An unexpected positional argument.
     UnexpectedPositional(String),
+    /// A flag the subcommand does not read (in this invocation).
+    UnknownFlag(String),
 }
 
 impl fmt::Display for ArgsError {
@@ -45,6 +55,9 @@ impl fmt::Display for ArgsError {
             }
             ArgsError::UnexpectedPositional(arg) => {
                 write!(f, "unexpected argument {arg:?}")
+            }
+            ArgsError::UnknownFlag(flag) => {
+                write!(f, "unknown flag --{flag} for this command")
             }
         }
     }
@@ -92,7 +105,23 @@ impl Args {
 
     /// Raw string option.
     pub fn get(&self, flag: &str) -> Option<&str> {
+        self.read.borrow_mut().insert(flag.to_string());
         self.options.get(flag).map(String::as_str)
+    }
+
+    /// Call once the subcommand has looked up every flag it
+    /// understands, before it does any work.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ArgsError::UnknownFlag`] naming the first flag that
+    /// was given but that no accessor has read.
+    pub fn finish(&self) -> Result<(), ArgsError> {
+        let read = self.read.borrow();
+        match self.options.keys().find(|flag| !read.contains(*flag)) {
+            Some(flag) => Err(ArgsError::UnknownFlag(flag.clone())),
+            None => Ok(()),
+        }
     }
 
     /// String option with a default.
@@ -233,6 +262,35 @@ mod tests {
             Args::parse(["a", "b"]),
             Err(ArgsError::UnexpectedPositional(_))
         ));
+    }
+
+    #[test]
+    fn finish_rejects_a_flag_nobody_read() {
+        let args = Args::parse(["simulate", "--n", "64", "--threads", "8"]).unwrap();
+        assert_eq!(args.get_parsed_or("n", 1u64).unwrap(), 64);
+        assert_eq!(
+            args.finish().unwrap_err(),
+            ArgsError::UnknownFlag("threads".into())
+        );
+        // Reading it — through any accessor, in any form — clears it.
+        let args = Args::parse(["x", "--a=1", "--b", "--c", "v"]).unwrap();
+        assert!(args.finish().is_err());
+        args.get("a");
+        args.get_bool_or("b", false).unwrap();
+        assert_eq!(
+            args.finish().unwrap_err(),
+            ArgsError::UnknownFlag("c".into())
+        );
+        args.get_or("c", "");
+        assert_eq!(args.finish(), Ok(()));
+    }
+
+    #[test]
+    fn finish_accepts_absent_and_defaulted_flags() {
+        let args = Args::parse(["model"]).unwrap();
+        assert_eq!(args.get_parsed_or("k", 10u32).unwrap(), 10);
+        assert_eq!(args.finish(), Ok(()));
+        assert_eq!(Args::parse(Vec::<String>::new()).unwrap().finish(), Ok(()));
     }
 
     #[test]

@@ -9,12 +9,10 @@
 //! rekey simulate  [--scheme one|tt|qt|pt|forest|combined|adaptive]
 //!                 [--n 2048] [--k 10]
 //!                 [--alpha 0.8] [--intervals 40] [--warmup 15]
-//!                 [--seed 42] [--verify] [--threads 1]
+//!                 [--seed 42] [--verify]
 //!                 [--trace out.trace.json] [--metrics out.prom]
 //!     Run the executable key server over a synthetic two-class
-//!     workload and report measured bandwidth. `--threads` sets the
-//!     worker count for the encryption phase; it changes wall-clock
-//!     time only, never the emitted messages or reported metrics.
+//!     workload and report measured bandwidth.
 //!     `--trace` writes a Chrome `trace_event` JSON profile of the
 //!     run (load it in about:tracing or Perfetto) and `--metrics`
 //!     writes a Prometheus-style text dump of counters and latency
@@ -36,7 +34,7 @@
 //!
 //! rekey fuzz      [--scheme one|tt|qt|pt|forest|combined|adaptive|all]
 //!                 [--seed 1 | --seed 1..=20] [--intervals 50]
-//!                 [--loss lossless|bernoulli|wka] [--workers 1]
+//!                 [--loss lossless|bernoulli|wka]
 //!                 [--d 4] [--k 3]
 //!     Run the seed-driven churn fuzzer: generate a replayable
 //!     scenario per seed, drive real `GroupMember`s with the encoded
@@ -50,7 +48,7 @@
 //!                  regional-loss|all|g1,g2,...]
 //!                 [--scheme one|tt|qt|pt|forest|combined|adaptive|all|s1,s2,...]
 //!                 [--seed 1] [--intervals 200]
-//!                 [--loss lossless|bernoulli|wka] [--workers 1]
+//!                 [--loss lossless|bernoulli|wka]
 //!                 [--d 4] [--k 3] [--sweep] [--out BENCH_workloads.json]
 //!                 [--dump-dir DIR] [--trace FILE]
 //!     Run named trace-driven workloads (diurnal curves, flash crowds,
@@ -126,6 +124,9 @@
 //!     override (if any), and the crypto-kernel backend this process
 //!     selected (avx2 → sse2 → scalar).
 //! ```
+//!
+//! A flag the chosen subcommand does not read is an error, not a
+//! silently ignored switch.
 
 mod args;
 
@@ -174,7 +175,7 @@ fn main() -> ExitCode {
         Some("top") => cmd_top(&args),
         Some("metrics-check") => cmd_metrics_check(&args),
         Some("snapshot") => cmd_snapshot(&args),
-        Some("simd") => cmd_simd(),
+        Some("simd") => cmd_simd(&args),
         Some("help") | None => {
             println!("{USAGE}");
             Ok(())
@@ -217,6 +218,7 @@ fn model_params(args: &Args) -> Result<PartitionParams, args::ArgsError> {
 
 fn cmd_model(args: &Args) -> CliResult {
     let p = model_params(args)?;
+    args.finish()?;
     let ss = p.steady_state();
     let c = p.costs();
     println!(
@@ -251,10 +253,10 @@ fn cmd_simulate(args: &Args) -> CliResult {
         warmup: args.get_parsed_or("warmup", 15usize)?,
         verify_members: verify,
         oracle_hints: scheme == Scheme::Pt,
-        parallelism: args.get_parsed_or("threads", 1usize)?,
         trace: path_flag(args, "trace")?,
         metrics: path_flag(args, "metrics")?,
     };
+    args.finish()?;
 
     let mut manager = scheme.build(&SchemeConfig::new().degree(degree).s_period(k));
 
@@ -300,6 +302,7 @@ fn cmd_trace_check(args: &Args) -> CliResult {
         .get("file")
         .filter(|p| !p.is_empty())
         .ok_or("trace-check requires --file <path>")?;
+    args.finish()?;
     let text = std::fs::read_to_string(path)?;
     let summary = rekey_obs::chrome::validate_trace(&text)?;
     println!(
@@ -314,7 +317,8 @@ fn cmd_trace_check(args: &Args) -> CliResult {
 
 /// Report CPU features and the selected crypto-kernel backend — the
 /// fast way to confirm what `REKEY_SIMD` resolves to on a given host.
-fn cmd_simd() -> CliResult {
+fn cmd_simd(args: &Args) -> CliResult {
+    args.finish()?;
     let feats = rekey_crypto::simd::detect();
     println!(
         "cpu features:     sse2={} ssse3={} avx2={} sha_ni={}",
@@ -336,6 +340,7 @@ fn cmd_simd() -> CliResult {
 fn cmd_recommend(args: &Args) -> CliResult {
     let p = model_params(args)?;
     let max_k: u32 = args.get_parsed_or("max-k", 20u32)?;
+    args.finish()?;
     let estimate = MixtureEstimate {
         mean_short: p.mean_short,
         mean_long: p.mean_long,
@@ -382,7 +387,6 @@ fn cmd_fuzz(args: &Args) -> CliResult {
 
     let (seed_lo, seed_hi) = parse_seed_range(&args.get_or("seed", "1"))?;
     let intervals: usize = args.get_parsed_or("intervals", 50usize)?;
-    let workers: usize = args.get_parsed_or("workers", 1usize)?;
     let scheme_flag = args.get_or("scheme", "all");
     let loss = args.get_or("loss", "wka");
     let delivery =
@@ -392,6 +396,7 @@ fn cmd_fuzz(args: &Args) -> CliResult {
         k: args.get_parsed_or("k", 3u16)?,
         ..GenParams::default()
     };
+    args.finish()?;
 
     let schemes: Vec<Scheme> = if scheme_flag == "all" {
         Scheme::ALL.to_vec()
@@ -399,7 +404,7 @@ fn cmd_fuzz(args: &Args) -> CliResult {
         vec![scheme_flag.parse()?]
     };
 
-    let opts = RunOptions { delivery, workers };
+    let opts = RunOptions { delivery };
     let mut failures = 0usize;
     for seed in seed_lo..=seed_hi {
         let scenario = Scenario::generate(seed, intervals, &params);
@@ -423,7 +428,7 @@ fn cmd_fuzz(args: &Args) -> CliResult {
                     );
                     println!(
                         "  replay: {}",
-                        report.replay_command(scheme.name(), delivery, workers)
+                        report.replay_command(scheme.name(), delivery)
                     );
                 }
             }
@@ -502,14 +507,12 @@ fn run_workload_cells(
 /// Serializes sweep cells (plus host and run config) as
 /// `BENCH_workloads.json`, in the same shape as the other `BENCH_*`
 /// artifacts.
-#[allow(clippy::too_many_arguments)]
 fn write_workload_report(
     path: &str,
     cells: &[WorkloadCell],
     seed: u64,
     intervals: usize,
     delivery: rekey_testkit::Delivery,
-    workers: usize,
     degree: u8,
     k: u16,
 ) -> CliResult {
@@ -522,7 +525,7 @@ fn write_workload_report(
     HostContext::detect().push_json(&mut json, &[]);
     let _ = writeln!(
         json,
-        "  \"config\": {{\"seed\": {seed}, \"intervals\": {intervals}, \"delivery\": \"{}\", \"workers\": {workers}, \"degree\": {degree}, \"k\": {k}}},",
+        "  \"config\": {{\"seed\": {seed}, \"intervals\": {intervals}, \"delivery\": \"{}\", \"degree\": {degree}, \"k\": {k}}},",
         delivery.name()
     );
     json.push_str("  \"results\": [\n");
@@ -563,7 +566,6 @@ fn cmd_workload(args: &Args) -> CliResult {
 
     let seed: u64 = args.get_parsed_or("seed", 1u64)?;
     let intervals: usize = args.get_parsed_or("intervals", 200usize)?;
-    let workers: usize = args.get_parsed_or("workers", 1usize)?;
     let sweep: bool = args.get_bool_or("sweep", false)?;
     let loss = args.get_or("loss", "lossless");
     let delivery =
@@ -575,7 +577,7 @@ fn cmd_workload(args: &Args) -> CliResult {
         k,
         ..GenParams::default()
     };
-    let opts = RunOptions { delivery, workers };
+    let opts = RunOptions { delivery };
     let schemes = parse_scheme_list(&args.get_or("scheme", "all"))?;
     let out = args.get_or("out", "BENCH_workloads.json");
     let mut cells: Vec<WorkloadCell> = Vec::new();
@@ -586,6 +588,7 @@ fn cmd_workload(args: &Args) -> CliResult {
     // like a leave of an already-departed member) instead of silently
     // repaired.
     if let Some(path) = path_flag(args, "trace")? {
+        args.finish()?;
         let bytes = std::fs::read(&path)?;
         let trace = Trace::decode(&bytes).map_err(|e| format!("{path}: {e}"))?;
         trace
@@ -607,7 +610,7 @@ fn cmd_workload(args: &Args) -> CliResult {
             &mut cells,
         )?;
         if sweep {
-            write_workload_report(&out, &cells, seed, intervals, delivery, workers, degree, k)?;
+            write_workload_report(&out, &cells, seed, intervals, delivery, degree, k)?;
         }
         return Ok(());
     }
@@ -628,6 +631,7 @@ fn cmd_workload(args: &Args) -> CliResult {
         None if sweep => Some("target/workloads".to_string()),
         None => None,
     };
+    args.finish()?;
     if let Some(dir) = &dump_dir {
         std::fs::create_dir_all(dir)?;
     }
@@ -667,7 +671,7 @@ fn cmd_workload(args: &Args) -> CliResult {
     }
 
     if sweep {
-        write_workload_report(&out, &cells, seed, intervals, delivery, workers, degree, k)?;
+        write_workload_report(&out, &cells, seed, intervals, delivery, degree, k)?;
     }
     Ok(())
 }
@@ -734,6 +738,7 @@ fn cmd_serve(args: &Args) -> CliResult {
     let data_dir = path_flag(args, "data-dir")?;
     let snapshot_every: u64 = args.get_parsed_or("snapshot-every", 8u64)?;
     let churn: bool = args.get_bool_or("churn", false)?;
+    args.finish()?;
     if data_dir.is_some() && scheme == Scheme::Adaptive {
         return Err(
             "the adaptive scheme cannot serialize its state; --data-dir requires a \
@@ -959,6 +964,7 @@ fn cmd_client(args: &Args) -> CliResult {
     let key_seed: u64 = args.get_parsed_or("key-seed", 7u64)?;
     let from: u64 = args.get_parsed_or("from", 1u64)?;
     let idle_ms: u64 = args.get_parsed_or("idle-ms", 3000u64)?;
+    args.finish()?;
 
     let key = demo_member_key(key_seed, member);
     let mut client = RekeyClient::new(addr, member, key, from, ClientConfig::default());
@@ -1062,6 +1068,7 @@ fn cmd_top(args: &Args) -> CliResult {
     let addr = admin_addr_flag(args)?;
     let period_ms: u64 = args.get_parsed_or("period-ms", 1000u64)?;
     let iters: u64 = args.get_parsed_or("iters", 0u64)?;
+    args.finish()?;
 
     let mut previous: Option<(std::time::Instant, f64)> = None;
     let mut frame_no = 0u64;
@@ -1119,9 +1126,13 @@ fn cmd_top(args: &Args) -> CliResult {
 fn cmd_metrics_check(args: &Args) -> CliResult {
     let file = path_flag(args, "file")?;
     let (source, text) = match file {
-        Some(path) => (path.clone(), std::fs::read_to_string(&path)?),
+        Some(path) => {
+            args.finish()?;
+            (path.clone(), std::fs::read_to_string(&path)?)
+        }
         None => {
             let addr = admin_addr_flag(args)?;
+            args.finish()?;
             let health = rekey_obs::admin::http_get(addr, "/healthz", Duration::from_secs(2))?;
             println!(
                 "{addr} /healthz: HTTP {} ({})",
@@ -1154,6 +1165,7 @@ fn cmd_snapshot(args: &Args) -> CliResult {
     use rekey_storage::{DirStorage, Storage};
 
     let dir = path_flag(args, "data-dir")?.ok_or("snapshot requires --data-dir <dir>")?;
+    args.finish()?;
     let mut storage = DirStorage::open(&dir)?;
 
     let mut snapshot_epoch: Option<u64> = None;
@@ -1212,6 +1224,7 @@ fn cmd_transport(args: &Args) -> CliResult {
     let pl: f64 = args.get_parsed_or("pl", 0.02f64)?;
     let seed: u64 = args.get_parsed_or("seed", 1u64)?;
     let protocol = args.get_or("protocol", "wka");
+    args.finish()?;
 
     let mut rng = StdRng::seed_from_u64(seed);
     let mut server = LkhServer::new(4, 0);

@@ -277,7 +277,6 @@ pub struct AdaptiveManager {
     registry: BTreeMap<MemberId, (Key, JoinHint)>,
     intervals: u64,
     generation: u32,
-    parallelism: usize,
 }
 
 impl AdaptiveManager {
@@ -298,7 +297,6 @@ impl AdaptiveManager {
             registry: BTreeMap::new(),
             intervals: 0,
             generation: 0,
-            parallelism: 1,
         }
     }
 
@@ -322,7 +320,7 @@ impl AdaptiveManager {
     /// namespace block.
     fn build(&self, choice: SchemeChoice, generation: u32) -> Box<dyn GroupKeyManager> {
         let base = NS_GEN_BASE + generation * NS_GEN_STRIDE;
-        let mut mgr: Box<dyn GroupKeyManager> = match choice {
+        match choice {
             SchemeChoice::OneKeytree => Box::new(OneTreeManager::with_namespace(self.degree, base)),
             SchemeChoice::Tt { k } => {
                 Box::new(TtManager::with_namespace_base(self.degree, k as u64, base))
@@ -330,9 +328,7 @@ impl AdaptiveManager {
             SchemeChoice::Qt { k } => {
                 Box::new(QtManager::with_namespace_base(self.degree, k as u64, base))
             }
-        };
-        mgr.set_parallelism(self.parallelism);
-        mgr
+        }
     }
 }
 
@@ -416,11 +412,6 @@ impl GroupKeyManager for AdaptiveManager {
         }
         self.intervals += 1;
         Ok(outcome)
-    }
-
-    fn set_parallelism(&mut self, workers: usize) {
-        self.parallelism = workers;
-        self.inner.set_parallelism(workers);
     }
 
     fn dek_node(&self) -> NodeId {

@@ -22,18 +22,14 @@
 //!    the source tree and a join into the destination tree.
 //! 3. **Route joins** — [`PlacementPolicy::route_join`] picks the
 //!    destination tree (or internal structure) for each joiner.
-//! 4. **Plan every tree** — sequentially, in tree order, against the
-//!    caller's RNG ([`LkhServer::plan_batch`]). Sequential planning
-//!    pins the RNG draw order, which pins every emitted byte.
+//! 4. **Rekey every tree** — [`LkhServer::try_apply_batch`], in tree
+//!    order, against the caller's RNG, each under a
+//!    `rekey.tree.<name>` span; the messages are merged in the same
+//!    order. Tree order pins the RNG draw order, which pins every
+//!    emitted byte.
 //! 5. **Record joins** — [`PlacementPolicy::record_joins`] updates
 //!    policy bookkeeping (ages, keys, queues).
-//! 6. **Execute every tree** — [`LkhServer::execute_planned`] is pure,
-//!    so the engine fans the trees out across scoped threads when the
-//!    batch is large enough ([`RekeyEngine::set_parallelism`]), each
-//!    under a `rekey.tree.<name>` span. Output bytes are identical at
-//!    every worker count.
-//! 7. **Merge** — tree messages are merged in tree order.
-//! 8. **Refresh + distribute the DEK** — the engine refreshes the DEK
+//! 6. **Refresh + distribute the DEK** — the engine refreshes the DEK
 //!    and [`PlacementPolicy::dek_entries`] appends the entries that
 //!    deliver it (default: once under every occupied tree root).
 //!
@@ -46,16 +42,11 @@ use rand::RngCore;
 use rekey_crypto::Key;
 use rekey_keytree::message::codec::{get_u32, get_u64, get_u8, put_u32, put_u64};
 use rekey_keytree::message::{RekeyEntry, RekeyMessage};
-use rekey_keytree::server::{BatchOutcome, LkhServer, PlannedBatch};
+use rekey_keytree::server::LkhServer;
 use rekey_keytree::{KeyTreeError, MemberId, NodeId};
 
 /// Version byte leading a serialized [`RekeyEngine`] state blob.
 pub const ENGINE_WIRE_VERSION: u8 = 1;
-
-/// Below this many planned encryptions (summed over all trees) the
-/// engine executes trees inline even when parallelism is enabled:
-/// cross-tree thread fan-out would cost more than it saves.
-const CROSS_TREE_MIN_JOBS: usize = 64;
 
 /// One tree's join batch for an interval.
 type TreeBatchJoins = Vec<(MemberId, Key)>;
@@ -216,8 +207,8 @@ impl DekCtx<'_> {
 ///
 /// The engine calls the methods in pipeline order (see the module
 /// docs); implementations hold only scheme bookkeeping (ages, queues,
-/// estimators) — trees, message assembly, parallelism, and DEK state
-/// live in [`RekeyEngine`].
+/// estimators) — trees, message assembly, and DEK state live in
+/// [`RekeyEngine`].
 pub trait PlacementPolicy {
     /// Short human-readable scheme name for reports.
     fn scheme_name(&self) -> &'static str;
@@ -243,12 +234,12 @@ pub trait PlacementPolicy {
 
     /// Routes one joining member. Pure routing — bookkeeping happens
     /// in [`PlacementPolicy::record_joins`] after the trees are
-    /// planned.
+    /// rekeyed.
     fn route_join(&self, join: &Join, trees: &Trees) -> Placement;
 
     /// Records this interval's joins in policy bookkeeping (join
     /// epochs, individual keys, queue slots). Runs after every tree
-    /// planned its batch and before the DEK is refreshed.
+    /// rekeyed its batch and before the DEK is refreshed.
     ///
     /// # Errors
     ///
@@ -339,16 +330,14 @@ struct TreeSlot {
 /// The concrete schemes are type aliases over this engine (e.g.
 /// [`crate::partition::TtManager`]); all of them implement
 /// [`GroupKeyManager`] through the single blanket `impl` below, and
-/// all inherit the engine's guarantees: byte-identical output at
-/// every worker count, deterministic message order, per-tree obs
-/// spans.
+/// all inherit the engine's guarantees: deterministic message order
+/// and per-tree obs spans.
 #[derive(Debug, Clone)]
 pub struct RekeyEngine<P> {
     policy: P,
     trees: Vec<TreeSlot>,
     dek: Option<DekState>,
     epoch: u64,
-    parallelism: usize,
 }
 
 impl<P: PlacementPolicy> RekeyEngine<P> {
@@ -383,7 +372,6 @@ impl<P: PlacementPolicy> RekeyEngine<P> {
             trees,
             dek: dek_namespace.map(DekState::new),
             epoch: 0,
-            parallelism: 1,
         }
     }
 
@@ -446,51 +434,6 @@ impl<P: PlacementPolicy> RekeyEngine<P> {
         }
         Ok((tree_joins, tree_leaves, migrations.len()))
     }
-
-    /// Executes every tree's planned batch (phase 6). When the
-    /// combined batch is large enough and more than one tree has work,
-    /// trees execute concurrently on scoped threads; execution draws
-    /// no randomness, so the output is byte-identical either way.
-    fn execute_all(&mut self, planned: Vec<PlannedBatch>) -> Vec<BatchOutcome> {
-        let busy = self
-            .trees
-            .iter()
-            .filter(|slot| slot.server.planned_encryptions() > 0)
-            .count();
-        let total: usize = self
-            .trees
-            .iter()
-            .map(|slot| slot.server.planned_encryptions())
-            .sum();
-        if self.parallelism > 1 && busy >= 2 && total >= CROSS_TREE_MIN_JOBS {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .trees
-                    .iter_mut()
-                    .zip(planned)
-                    .map(|(slot, plan)| {
-                        scope.spawn(move || {
-                            let _span = rekey_obs::span!(slot.span_name);
-                            slot.server.execute_planned(plan)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|handle| handle.join().expect("tree execution thread"))
-                    .collect()
-            })
-        } else {
-            self.trees
-                .iter_mut()
-                .zip(planned)
-                .map(|(slot, plan)| {
-                    let _span = rekey_obs::span!(slot.span_name);
-                    slot.server.execute_planned(plan)
-                })
-                .collect()
-        }
-    }
 }
 
 impl<P: PlacementPolicy> GroupKeyManager for RekeyEngine<P> {
@@ -506,33 +449,27 @@ impl<P: PlacementPolicy> GroupKeyManager for RekeyEngine<P> {
         // Phases 1–3: routing.
         let (tree_joins, tree_leaves, migrations) = self.route_interval(joins, leaves)?;
 
-        // Phase 4: plan every tree sequentially against the caller's
-        // RNG — tree order fixes the draw order, which fixes every
-        // output byte. Empty batches still run (tree epochs advance in
-        // lockstep) but draw nothing.
-        let mut planned = Vec::with_capacity(self.trees.len());
+        // Phase 4: rekey every tree against the caller's RNG and merge
+        // the messages — tree order fixes the draw order, which fixes
+        // every output byte. Empty batches still run (tree epochs
+        // advance in lockstep) but draw nothing.
+        let mut message = RekeyMessage::new(self.epoch);
         for (slot, (joins_in, leaves_out)) in self
             .trees
             .iter_mut()
             .zip(tree_joins.iter().zip(&tree_leaves))
         {
             let _span = rekey_obs::span!(slot.span_name);
-            planned.push(slot.server.plan_batch(joins_in, leaves_out, &mut rng)?);
+            let outcome = slot
+                .server
+                .try_apply_batch(joins_in, leaves_out, &mut rng)?;
+            message.merge(outcome.message);
         }
 
         // Phase 5: policy bookkeeping for this interval's joins.
         self.policy.record_joins(joins, self.epoch)?;
 
-        // Phase 6: execute — pure, parallel across trees.
-        let outcomes = self.execute_all(planned);
-
-        // Phase 7: merge in tree order.
-        let mut message = RekeyMessage::new(self.epoch);
-        for outcome in outcomes {
-            message.merge(outcome.message);
-        }
-
-        // Phase 8: DEK rotation + distribution.
+        // Phase 6: DEK rotation + distribution.
         if let Some(dek) = &mut self.dek {
             let (previous_key, previous_version) = dek.refresh(rng);
             let ctx = DekCtx {
@@ -550,17 +487,6 @@ impl<P: PlacementPolicy> GroupKeyManager for RekeyEngine<P> {
                 .dek_entries(&ctx, &interval, &trees, &mut message, rng);
         }
 
-        // Per-backend throughput counter: lets traces attribute this
-        // interval's encryption work to the SIMD tier that ran it.
-        rekey_obs::count(
-            match rekey_crypto::simd::active() {
-                rekey_crypto::simd::Backend::Scalar => "engine.encrypted_keys.scalar",
-                rekey_crypto::simd::Backend::Sse2 => "engine.encrypted_keys.sse2",
-                rekey_crypto::simd::Backend::Avx2 => "engine.encrypted_keys.avx2",
-            },
-            message.encrypted_key_count() as u64,
-        );
-
         Ok(IntervalOutcome {
             stats: IntervalStats {
                 joins: joins.len(),
@@ -571,13 +497,6 @@ impl<P: PlacementPolicy> GroupKeyManager for RekeyEngine<P> {
             },
             message,
         })
-    }
-
-    fn set_parallelism(&mut self, workers: usize) {
-        self.parallelism = workers.max(1);
-        for slot in &mut self.trees {
-            slot.server.set_parallelism(workers);
-        }
     }
 
     fn dek_node(&self) -> NodeId {
@@ -708,9 +627,7 @@ impl<P: PlacementPolicy> GroupKeyManager for RekeyEngine<P> {
             return Err(bad("tree count"));
         }
         for slot in &mut self.trees {
-            let mut server = LkhServer::decode(&mut buf).ok_or(bad("tree"))?;
-            server.set_parallelism(self.parallelism);
-            slot.server = server;
+            slot.server = LkhServer::decode(&mut buf).ok_or(bad("tree"))?;
         }
         self.policy
             .load_policy_state(&mut buf)

@@ -26,8 +26,8 @@
 //!
 //! All of these schemes are built as [`engine::PlacementPolicy`]
 //! implementations over the shared [`engine::RekeyEngine`] pipeline
-//! (route → plan each tree → execute trees in parallel → merge →
-//! refresh the DEK), and all managers implement [`GroupKeyManager`],
+//! (route → rekey each tree → merge → refresh the DEK), and all
+//! managers implement [`GroupKeyManager`],
 //! so simulations and applications can switch schemes freely.
 //!
 //! # Example
@@ -218,11 +218,9 @@ pub trait GroupKeyManager {
         Ok(outcome)
     }
 
-    /// Sets the worker count used for the encryption phase of batch
-    /// rekeying (see `rekey_keytree::server::LkhServer::set_parallelism`).
-    /// Rekey messages are byte-identical for every setting; workers
-    /// only change wall-clock time. Managers without a parallel
-    /// encryption phase ignore the setting (the default).
+    /// No-op: every manager rekeys on the calling thread and none
+    /// overrides this. It stays in the trait because the end-to-end
+    /// benchmark (`benchmark/`) implements and calls it.
     fn set_parallelism(&mut self, workers: usize) {
         let _ = workers;
     }

@@ -43,8 +43,8 @@
 //! Do not use them to protect real traffic.
 
 // Unsafe is denied crate-wide and allowed back in only inside the
-// `x86` intrinsic submodules of `chacha20` and `sha256`, whose safety
-// arguments live next to the code (see DESIGN.md §3h).
+// `x86` intrinsic submodule of `sha256`, whose safety argument lives
+// next to the code (see DESIGN.md §3h).
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

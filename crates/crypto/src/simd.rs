@@ -1,11 +1,11 @@
 //! Runtime CPU-feature detection and SIMD backend selection for the
 //! hot crypto kernels.
 //!
-//! The three throughput-critical kernels of the workspace — multi-block
-//! ChaCha20 keystream generation ([`crate::chacha20`]), SHA-256
-//! compression ([`crate::sha256`]), and the GF(256) bulk routines
-//! in `rekey-transport` — each carry one scalar reference
-//! implementation plus `std::arch` fast paths. This module owns the
+//! The two bulk kernels of the workspace — SHA-256 compression
+//! ([`crate::sha256`]) and the GF(256) routines in `rekey-transport` —
+//! each carry one scalar reference implementation plus `std::arch`
+//! fast paths. (ChaCha20 is called one block per wrapped key and has
+//! a single implementation.) This module owns the
 //! *selection*: which tier runs is decided once per process, from CPU
 //! feature detection plus an optional `REKEY_SIMD` environment
 //! override, and cached behind an atomic so the per-call cost of
@@ -16,8 +16,8 @@
 //! | [`Backend`] | requires | used for |
 //! |-------------|----------|----------|
 //! | `Scalar`    | nothing  | reference implementations, always available |
-//! | `Sse2`      | SSE2     | 4-lane ChaCha20, GF(256) nibble tables (needs SSSE3 `pshufb`, else scalar) |
-//! | `Avx2`      | AVX2     | 8-lane ChaCha20, 32-byte GF(256) nibble tables |
+//! | `Sse2`      | SSE2     | GF(256) nibble tables (needs SSSE3 `pshufb`, else scalar) |
+//! | `Avx2`      | AVX2     | 32-byte GF(256) nibble tables |
 //!
 //! SHA-256 is not tiered by vector width: on either x86 tier it runs
 //! the SHA-NI compression function when [`CpuFeatures::sha_ni`] is set
@@ -25,8 +25,9 @@
 //! SSSE3 check — a call-site feature test under a non-scalar tier).
 //!
 //! Every fast path is pinned **byte-identical** to the scalar
-//! reference by the proptest equivalence harness
-//! (`crates/crypto/tests/simd_equiv.rs`), so backend selection can
+//! reference by proptest equivalence harnesses
+//! (`crates/crypto/tests/simd_equiv.rs`, `rekey-transport`'s
+//! proptests), so backend selection can
 //! never change an output byte — only wall-clock time.
 //!
 //! # Override

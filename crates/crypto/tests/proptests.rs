@@ -20,13 +20,7 @@ fn reference_wrap(
         out
     };
     let mut ciphertext = *payload;
-    chacha20::xor_in_place_with(
-        rekey_crypto::simd::Backend::Scalar,
-        &subkey(b"wrap-enc"),
-        &nonce,
-        1,
-        &mut ciphertext,
-    );
+    chacha20::xor_in_place(&subkey(b"wrap-enc"), &nonce, 1, &mut ciphertext);
     let tag = hmac::hmac(&subkey(b"wrap-mac"), &[&nonce[..], &ciphertext].concat());
     let mut out = [0u8; keywrap::WRAPPED_LEN];
     out[..12].copy_from_slice(&nonce);

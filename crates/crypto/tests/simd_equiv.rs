@@ -2,14 +2,11 @@
 //!
 //! Every SIMD backend must be byte-identical to the scalar reference
 //! for all inputs — the dispatch tier is a pure throughput choice and
-//! must never be observable in output. These properties sweep every
-//! backend the host supports against scalar over adversarial shapes:
-//! unaligned buffers (random offset into an overallocated buffer),
-//! lengths straddling every lane boundary (0..=4×lane+3 for the widest
-//! 8-block AVX2 ChaCha20 lane of 512 bytes), and counters near wrap.
-//! SHA-256 has two compression kernels (scalar, SHA-NI); the SHA-NI
-//! one runs under either x86 backend when the CPU has it, and these
-//! tests say so out loud when the host cannot exercise it.
+//! must never be observable in output. In this crate that is SHA-256,
+//! which has two compression kernels (scalar, SHA-NI); the SHA-NI one
+//! runs under either x86 backend when the CPU has it, and these tests
+//! say so out loud when the host cannot exercise it. (The GF(256)
+//! tiers are swept in `rekey-transport`.)
 //!
 //! Also covers the `REKEY_SIMD` override surface: `Backend::resolve`
 //! is pure, so the env-var → backend mapping and the fallback chain
@@ -18,8 +15,8 @@
 //! spawning processes.
 
 use proptest::prelude::*;
+use rekey_crypto::sha256;
 use rekey_crypto::simd::{self, Backend, CpuFeatures};
-use rekey_crypto::{chacha20, sha256};
 
 /// Backends the current host can actually run (scalar always; SIMD
 /// tiers only when the CPU advertises them).
@@ -47,42 +44,7 @@ fn sha_ni_under_test(test: &str) -> bool {
     on
 }
 
-/// Widest ChaCha20 lane: 8 blocks × 64 bytes (AVX2 path).
-const MAX_LANE: usize = 512;
-
 proptest! {
-    /// ChaCha20 keystream XOR is byte-identical across backends for
-    /// arbitrary (possibly unaligned) buffers, lengths covering every
-    /// partial-lane tail, and counters near the u32 wrap.
-    #[test]
-    fn chacha20_backends_agree(key in any::<[u8; 32]>(),
-                               nonce in any::<[u8; 12]>(),
-                               raw_counter in any::<u32>(),
-                               near_wrap in any::<bool>(),
-                               len in 0usize..4 * MAX_LANE + 4,
-                               offset in 0usize..32,
-                               seed in any::<u64>()) {
-        // Bias some cases to the 32-bit counter wrap, where the
-        // per-lane counter vectors must wrap exactly like scalar.
-        let counter = if near_wrap { u32::MAX - 3 } else { raw_counter };
-        // Fill deterministically from the seed; an offset into an
-        // overallocated buffer exercises unaligned loads/stores.
-        let mut backing = vec![0u8; offset + len];
-        let mut s = seed;
-        for b in backing.iter_mut() {
-            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            *b = (s >> 56) as u8;
-        }
-        let mut reference = backing.clone();
-        chacha20::xor_in_place_with(
-            Backend::Scalar, &key, &nonce, counter, &mut reference[offset..]);
-        for backend in supported_backends() {
-            let mut buf = backing.clone();
-            chacha20::xor_in_place_with(backend, &key, &nonce, counter, &mut buf[offset..]);
-            prop_assert_eq!(&buf, &reference, "backend {} diverged", backend);
-        }
-    }
-
     /// SHA-256 digests are identical across backends for arbitrary
     /// lengths including every padding boundary (55/56/64), fed in one
     /// piece or split at two arbitrary points (buffered tail, then a
@@ -218,23 +180,12 @@ fn forced_backend_is_transparent_through_active_dispatch() {
         assert_eq!(original, Backend::Scalar);
     }
     assert_eq!(sha256::kernel_name(Backend::Scalar), "scalar");
-    let key = [0x42u8; 32];
-    let nonce = [7u8; 12];
-    let data: Vec<u8> = (0..MAX_LANE + 17).map(|i| i as u8).collect();
-
-    let mut reference = data.clone();
-    chacha20::xor_in_place_with(Backend::Scalar, &key, &nonce, 1, &mut reference);
+    let data: Vec<u8> = (0..512 + 17).map(|i| i as u8).collect();
     let ref_digest = sha256::digest_with(Backend::Scalar, &data);
 
     for backend in supported_backends() {
         simd::force(backend);
         assert_eq!(simd::active(), backend);
-        let mut buf = data.clone();
-        chacha20::xor_in_place(&key, &nonce, 1, &mut buf);
-        assert_eq!(
-            buf, reference,
-            "active-dispatch chacha20 diverged on {backend}"
-        );
         assert_eq!(
             sha256::digest(&data),
             ref_digest,

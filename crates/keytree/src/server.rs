@@ -31,31 +31,28 @@
 //!    buffers live in a reusable scratch arena, so steady-state
 //!    batches perform no per-epoch heap allocation beyond the output
 //!    message itself.
-//! 3. **Execution** (parallel): the planned wraps are pure functions
-//!    of their inputs, so they are fanned out across a scoped worker
-//!    pool ([`LkhServer::set_parallelism`]) with results written into
-//!    pre-indexed slots. The output is **byte-identical** to the
-//!    sequential build for every worker count, because all ordering
-//!    and randomness was fixed during planning.
+//! 3. **Execution** (sequential): the planned wraps are pure
+//!    functions of their inputs — all ordering and randomness was
+//!    fixed during planning — and are run in plan order into the
+//!    output message.
+//!
+//! The plan → sort → draw nonces → execute order is what fixes the
+//! emitted bytes (the golden digests pin it), so it stays even though
+//! nothing runs concurrently.
 //!
 //! Each phase runs under a `rekey_obs` span (`rekey.mutate`,
-//! `rekey.plan`, `rekey.execute`, plus one `rekey.execute.worker` span
-//! per pool worker and a `rekey.batch` umbrella), so per-phase wall
-//! clock shows up in traces whenever a recorder is installed — and
-//! costs one atomic load per phase when none is.
+//! `rekey.plan`, `rekey.execute`), so per-phase wall clock shows up in
+//! traces whenever a recorder is installed — and costs one atomic load
+//! per phase when none is.
 
 use crate::message::codec::{get_u64, get_u8, put_u64};
 use crate::message::{RekeyEntry, RekeyMessage};
 use crate::tree::KeyTree;
 use crate::{KeyTreeError, MemberId, NodeId};
 use rand::RngCore;
-use rekey_crypto::keywrap::{self, WrapKek, WrappedKey, NONCE_LEN};
+use rekey_crypto::keywrap::{WrapKek, NONCE_LEN};
 use rekey_crypto::Key;
 use std::collections::{HashMap, VecDeque};
-
-/// Below this many planned encryptions a batch is executed inline:
-/// thread spawn/join overhead would dominate the crypto work.
-const PARALLEL_MIN_JOBS: usize = 64;
 
 /// Statistics about one batched rekey operation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -81,24 +78,6 @@ pub struct BatchOutcome {
     pub stats: BatchStats,
 }
 
-/// Proof that a batch was planned on a server, returned by
-/// [`LkhServer::plan_batch`] and consumed by
-/// [`LkhServer::execute_planned`].
-///
-/// Splitting planning from execution lets a multi-tree engine plan
-/// every tree sequentially (planning draws from the shared RNG, so its
-/// order is semantically significant) and then execute all trees'
-/// plans in parallel (execution is pure). The token owns this batch's
-/// leaf assignments and churn counts; the encryption plan itself stays
-/// in the server's scratch arena.
-#[derive(Debug)]
-#[must_use = "a planned batch produces no message until executed"]
-pub struct PlannedBatch {
-    joined_leaves: Vec<(MemberId, NodeId)>,
-    joins: usize,
-    leaves: usize,
-}
-
 /// Everything a [`RekeyEntry`] carries except the ciphertext.
 #[derive(Debug, Clone, Copy)]
 struct EntryMeta {
@@ -113,14 +92,13 @@ struct EntryMeta {
 }
 
 /// One planned key encryption: a pure function of its fields (plus the
-/// batch's shared KEK arena), ready to execute on any worker. The
-/// payload key is held inline (32-byte copy) so workers never chase
-/// pointers into the tree; the KEK is an index into
-/// [`RekeyScratch::keks`], where its derived sub-keys and scheduled MAC
-/// state are prepared during planning. Join batches share one slot
-/// among all entries along a joiner's path; group-oriented batches
-/// wrap under each child key exactly once, so there every entry has a
-/// slot (and a set-up) of its own.
+/// batch's shared KEK arena). The payload key is held inline (32-byte
+/// copy); the KEK is an index into [`RekeyScratch::keks`], where its
+/// derived sub-keys and scheduled MAC state are prepared during
+/// planning. Join batches share one slot among all entries along a
+/// joiner's path; group-oriented batches wrap under each child key
+/// exactly once, so there every entry has a slot (and a set-up) of its
+/// own.
 #[derive(Debug, Clone)]
 struct PlannedWrap {
     kek_slot: usize,
@@ -130,11 +108,8 @@ struct PlannedWrap {
 }
 
 impl PlannedWrap {
-    fn execute(&self, keks: &[WrapKek]) -> WrappedKey {
-        keks[self.kek_slot].wrap_with_nonce(&self.payload, self.nonce)
-    }
-
-    fn into_entry(self, wrapped: WrappedKey) -> RekeyEntry {
+    fn execute(self, keks: &[WrapKek]) -> RekeyEntry {
+        let wrapped = keks[self.kek_slot].wrap_with_nonce(&self.payload, self.nonce);
         RekeyEntry {
             target: self.meta.target,
             target_version: self.meta.target_version,
@@ -180,8 +155,6 @@ pub struct RekeyScratch {
     joined_leaf_ids: Vec<NodeId>,
     /// The encryption plan for the current batch.
     plan: Vec<PlannedWrap>,
-    /// Per-plan-slot results written by the worker pool.
-    wrapped: Vec<Option<WrappedKey>>,
     /// Prepared KEKs (derived sub-keys + scheduled MAC state), one per
     /// distinct wrapping key of the batch; [`PlannedWrap::kek_slot`]
     /// indexes here.
@@ -203,7 +176,6 @@ impl RekeyScratch {
         self.created_sorted.clear();
         self.joined_leaf_ids.clear();
         self.plan.clear();
-        self.wrapped.clear();
         self.keks.clear();
         self.kek_slots.clear();
     }
@@ -239,7 +211,6 @@ fn kek_slot_for(
 pub struct LkhServer {
     tree: KeyTree,
     epoch: u64,
-    parallelism: usize,
     scratch: RekeyScratch,
 }
 
@@ -261,7 +232,6 @@ impl LkhServer {
         LkhServer {
             tree: KeyTree::new(degree, namespace, &mut boot),
             epoch: 0,
-            parallelism: 1,
             scratch: RekeyScratch::default(),
         }
     }
@@ -269,9 +239,8 @@ impl LkhServer {
     /// Serializes the server's durable state — epoch plus the full
     /// logical tree — onto `buf` (see [`KeyTree::encode_into`]).
     ///
-    /// Parallelism and the scratch arena are runtime tuning, not
-    /// state: a decoded server at any worker count emits the same
-    /// bytes, so neither is serialized.
+    /// The scratch arena is working memory, not state, and is not
+    /// serialized.
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
         buf.push(SERVER_WIRE_VERSION);
         put_u64(buf, self.epoch);
@@ -290,23 +259,8 @@ impl LkhServer {
         Some(LkhServer {
             tree,
             epoch,
-            parallelism: 1,
             scratch: RekeyScratch::default(),
         })
-    }
-
-    /// Sets the worker count for the encryption phase of batch
-    /// rekeying (`0` is treated as `1`). The emitted message is
-    /// byte-identical for every setting; workers only change wall-clock
-    /// time. Returns `self` for builder-style chaining.
-    pub fn set_parallelism(&mut self, workers: usize) -> &mut Self {
-        self.parallelism = workers.max(1);
-        self
-    }
-
-    /// Current worker count for the encryption phase.
-    pub fn parallelism(&self) -> usize {
-        self.parallelism
     }
 
     /// Read access to the underlying tree.
@@ -356,16 +310,13 @@ impl LkhServer {
         self.tree.members_under_into(node, out);
     }
 
-    /// Number of encryptions currently planned in the scratch arena
-    /// (non-zero only between [`LkhServer::plan_batch`] and
-    /// [`LkhServer::execute_planned`]). Multi-tree engines use this to
-    /// decide whether cross-tree fan-out is worth spawning threads.
-    pub fn planned_encryptions(&self) -> usize {
-        self.scratch.plan.len()
-    }
-
     /// Applies a batch of joins and leaves and returns the rekey
     /// message.
+    ///
+    /// All randomness (fresh keys, then one nonce per entry in final
+    /// entry order) is drawn from `rng` in a fixed order, so callers
+    /// composing several trees fix every emitted byte by fixing the
+    /// order in which they call their trees.
     ///
     /// # Errors
     ///
@@ -379,31 +330,6 @@ impl LkhServer {
         leaves: &[MemberId],
         rng: &mut R,
     ) -> Result<BatchOutcome, KeyTreeError> {
-        let _batch_span = rekey_obs::span!("rekey.batch");
-        let planned = self.plan_batch(joins, leaves, rng)?;
-        Ok(self.execute_planned(planned))
-    }
-
-    /// Phases 1–2 of batch rekeying: mutates the tree and plans every
-    /// encryption, drawing all randomness (fresh keys, nonces) from
-    /// `rng` in a fixed order. The returned token is passed to
-    /// [`LkhServer::execute_planned`] to produce the message.
-    ///
-    /// Callers composing several trees (see `rekey_core`'s engine)
-    /// plan all trees sequentially against the shared RNG, then
-    /// execute the plans in parallel — [`LkhServer::execute_planned`]
-    /// draws no randomness, so cross-tree execution order cannot
-    /// change a single output byte.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`LkhServer::try_apply_batch`].
-    pub fn plan_batch<R: RngCore>(
-        &mut self,
-        joins: &[(MemberId, Key)],
-        leaves: &[MemberId],
-        rng: &mut R,
-    ) -> Result<PlannedBatch, KeyTreeError> {
         self.epoch += 1;
         self.scratch.begin_batch();
 
@@ -434,46 +360,40 @@ impl LkhServer {
             self.scratch
                 .plan
                 .sort_by_key(|job| std::cmp::Reverse(job.meta.target_depth));
-            // Nonces are drawn sequentially in final plan order: the
-            // execution phase is then a pure data-parallel map,
-            // identical for every worker count.
+            // Nonces are drawn in final plan order, after every fresh
+            // key: execution then draws nothing.
             for job in &mut self.scratch.plan {
                 rng.fill_bytes(&mut job.nonce);
             }
         }
 
-        Ok(PlannedBatch {
-            joined_leaves,
-            joins: joins.len(),
-            leaves: leaves.len(),
-        })
-    }
-
-    /// Phase 3 of batch rekeying: executes a plan produced by
-    /// [`LkhServer::plan_batch`] on the worker pool and assembles the
-    /// rekey message. Pure — no randomness, no tree mutation — so
-    /// composed trees may execute concurrently.
-    pub fn execute_planned(&mut self, planned: PlannedBatch) -> BatchOutcome {
-        let entries = {
+        // ---- Phase 3: run the plan into the output entries --------
+        let entries: Vec<RekeyEntry> = {
             let _span = rekey_obs::span!("rekey.execute");
-            self.execute_plan()
+            let scratch = &mut self.scratch;
+            let keks = &scratch.keks;
+            scratch
+                .plan
+                .drain(..)
+                .map(|job| job.execute(keks))
+                .collect()
         };
         rekey_obs::count("rekey.encrypted_keys", entries.len() as u64);
 
         let stats = BatchStats {
-            joins: planned.joins,
-            leaves: planned.leaves,
+            joins: joins.len(),
+            leaves: leaves.len(),
             refreshed_keys: self.scratch.dirty.len(),
             encrypted_keys: entries.len(),
         };
-        BatchOutcome {
+        Ok(BatchOutcome {
             message: RekeyMessage {
                 epoch: self.epoch,
                 entries,
             },
-            joined_leaves: planned.joined_leaves,
+            joined_leaves,
             stats,
-        }
+        })
     }
 
     /// Phase 1: applies the membership changes to the tree, recording
@@ -704,49 +624,6 @@ impl LkhServer {
         }
     }
 
-    /// Phase 3: turns the plan into the output entries, fanning the
-    /// encryption work across up to `parallelism` scoped workers.
-    /// Output order (and bytes) is fixed by the plan regardless of the
-    /// worker count.
-    fn execute_plan(&mut self) -> Vec<RekeyEntry> {
-        let scratch = &mut self.scratch;
-        let jobs = scratch.plan.len();
-        let workers = self.parallelism.min(jobs.max(1));
-
-        if workers <= 1 || jobs < PARALLEL_MIN_JOBS {
-            let keks = &scratch.keks;
-            return scratch
-                .plan
-                .drain(..)
-                .map(|job| {
-                    let wrapped = job.execute(keks);
-                    job.into_entry(wrapped)
-                })
-                .collect();
-        }
-
-        scratch.wrapped.resize(jobs, None);
-        let chunk = jobs.div_ceil(workers);
-        let plan = &scratch.plan;
-        let keks = &scratch.keks;
-        std::thread::scope(|scope| {
-            for (in_chunk, out_chunk) in plan.chunks(chunk).zip(scratch.wrapped.chunks_mut(chunk)) {
-                scope.spawn(move || {
-                    let _span = rekey_obs::span!("rekey.execute.worker");
-                    for (job, slot) in in_chunk.iter().zip(out_chunk) {
-                        *slot = Some(job.execute(keks));
-                    }
-                });
-            }
-        });
-        scratch
-            .plan
-            .drain(..)
-            .zip(scratch.wrapped.drain(..))
-            .map(|(job, wrapped)| job.into_entry(wrapped.expect("worker filled its slots")))
-            .collect()
-    }
-
     /// Infallible wrapper around [`LkhServer::try_apply_batch`].
     ///
     /// # Panics
@@ -789,64 +666,6 @@ impl LkhServer {
         rng: &mut R,
     ) -> Result<RekeyMessage, KeyTreeError> {
         Ok(self.try_apply_batch(&[], &[member], rng)?.message)
-    }
-
-    /// Refreshes only the root key, encrypting the new root key under
-    /// the previous root key (1 entry). Safe only when no member has
-    /// departed since the previous root key was issued — used by the
-    /// QT-scheme's join phase (§3.2 phase 1).
-    pub fn rekey_root_only<R: RngCore>(&mut self, rng: &mut R) -> RekeyMessage {
-        self.epoch += 1;
-        let root = self.tree.root_id();
-        let (old_key, old_version) = {
-            let (k, v) = self.tree.key_of(root).expect("root always exists");
-            (k.clone(), v)
-        };
-        let new_version = self.tree.refresh_key(root, rng);
-        let wrapped = keywrap::wrap(&old_key, self.tree.root_key(), rng);
-        RekeyMessage {
-            epoch: self.epoch,
-            entries: vec![RekeyEntry {
-                target: root,
-                target_version: new_version,
-                under: root,
-                under_version: old_version,
-                under_is_leaf: false,
-                recipient: None,
-                audience: self.tree.member_count() as u32,
-                target_depth: 0,
-                wrapped,
-            }],
-        }
-    }
-
-    /// Produces the entries delivering this tree's *current* root key
-    /// to a set of foreign key holders — used by managers to wrap a
-    /// group DEK under partition roots, or to deliver the root to
-    /// queue members. Exposed for composition; most callers want
-    /// [`LkhServer::apply_batch`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn wrap_root_under<R: RngCore>(
-        &self,
-        under: NodeId,
-        under_version: u64,
-        under_key: &Key,
-        under_is_leaf: bool,
-        recipient: Option<MemberId>,
-        audience: u32,
-        rng: &mut R,
-    ) -> RekeyEntry {
-        RekeyEntry {
-            target: self.tree.root_id(),
-            target_version: self.tree.root_version(),
-            under,
-            under_version,
-            under_is_leaf,
-            recipient,
-            audience,
-            target_depth: 0,
-            wrapped: keywrap::wrap(under_key, self.tree.root_key(), rng),
-        }
     }
 }
 
@@ -1004,17 +823,6 @@ mod tests {
     }
 
     #[test]
-    fn rekey_root_only_reaches_existing_members() {
-        let (mut server, mut members, mut rng) = build_group(4, 8);
-        let msg = server.rekey_root_only(&mut rng);
-        assert_eq!(msg.encrypted_key_count(), 1);
-        for m in &mut members {
-            m.process(&msg).unwrap();
-        }
-        assert_all_have_root(&server, &members, &[]);
-    }
-
-    #[test]
     fn entries_sorted_deepest_first() {
         let (mut server, _, mut rng) = build_group(4, 64);
         let outcome = server.apply_batch(&[], &[MemberId(0), MemberId(32)], &mut rng);
@@ -1049,31 +857,6 @@ mod tests {
                 "entry under {}",
                 entry.under
             );
-        }
-    }
-
-    /// The tentpole guarantee: for the same seed and batch, every
-    /// worker count yields a byte-identical message (mixed batch large
-    /// enough to cross the parallel threshold).
-    #[test]
-    fn parallel_output_is_byte_identical() {
-        let build_msg = |workers: usize| {
-            let mut rng = StdRng::seed_from_u64(77);
-            let mut server = LkhServer::new(4, 0);
-            server.set_parallelism(workers);
-            let joins: Vec<(MemberId, Key)> = (0..512)
-                .map(|i| (MemberId(i), Key::generate(&mut rng)))
-                .collect();
-            server.apply_batch(&joins, &[], &mut rng);
-            let leavers: Vec<MemberId> = (0..64).map(|i| MemberId(i * 7)).collect();
-            let out = server.apply_batch(&[], &leavers, &mut rng);
-            (out.message, out.stats)
-        };
-        let (seq_msg, seq_stats) = build_msg(1);
-        for workers in [2, 4, 8] {
-            let (par_msg, par_stats) = build_msg(workers);
-            assert_eq!(seq_msg, par_msg, "divergence at {workers} workers");
-            assert_eq!(seq_stats, par_stats);
         }
     }
 

@@ -112,62 +112,6 @@ proptest! {
                 "departed member {} still holds the group key", states[i].id());
         }
     }
-
-    /// The parallel encryption engine is an implementation detail:
-    /// for any membership script, any degree, and any worker count the
-    /// emitted rekey messages are byte-identical to the sequential
-    /// (1-worker) build, epoch by epoch.
-    #[test]
-    fn parallel_rekey_is_byte_identical(
-        ops in script(),
-        degree in 2usize..6,
-        workers in 2usize..10,
-        seed in any::<u64>(),
-    ) {
-        let run = |worker_count: usize| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut server = LkhServer::new(degree, 0);
-            server.set_parallelism(worker_count);
-            let mut present: Vec<MemberId> = Vec::new();
-            let mut next = 0u64;
-            let mut messages = Vec::new();
-            // A large pure-join bootstrap pushes the plan size past
-            // the engine's inline-execution threshold, so the worker
-            // pool actually runs.
-            let bootstrap: Vec<(MemberId, Key)> = (0..96)
-                .map(|_| {
-                    let m = MemberId(next);
-                    next += 1;
-                    present.push(m);
-                    (m, Key::generate(&mut rng))
-                })
-                .collect();
-            messages.push(server.apply_batch(&bootstrap, &[], &mut rng).message);
-            for chunk in ops.chunks(6) {
-                let mut joins = Vec::new();
-                let mut leaves = Vec::new();
-                for &op in chunk {
-                    if op || present.len() <= leaves.len() {
-                        let m = MemberId(next);
-                        next += 1;
-                        joins.push((m, Key::generate(&mut rng)));
-                    } else {
-                        leaves.push(present[leaves.len()]);
-                    }
-                }
-                present.retain(|m| !leaves.contains(m));
-                present.extend(joins.iter().map(|&(m, _)| m));
-                messages.push(server.apply_batch(&joins, &leaves, &mut rng).message);
-            }
-            messages
-        };
-        let sequential = run(1);
-        let parallel = run(workers);
-        prop_assert_eq!(sequential.len(), parallel.len());
-        for (epoch, (s, p)) in sequential.iter().zip(&parallel).enumerate() {
-            prop_assert_eq!(s, p, "messages diverged at epoch {} with {} workers", epoch, workers);
-        }
-    }
 }
 
 proptest! {

@@ -30,6 +30,7 @@
 use crate::error::{NetError, RejectReason};
 use rekey_crypto::hmac::HmacSha256;
 use rekey_crypto::Key;
+use rekey_keytree::message::codec::{get_u32, get_u64};
 use rekey_keytree::MemberId;
 
 /// Protocol version spoken by this build. Bumped on any wire change.
@@ -205,12 +206,6 @@ pub fn encode(frame: &Frame) -> Vec<u8> {
     }
 }
 
-fn take_u64(buf: &mut &[u8]) -> Option<u64> {
-    let (head, rest) = buf.split_first_chunk::<8>()?;
-    *buf = rest;
-    Some(u64::from_be_bytes(*head))
-}
-
 fn take_array<const N: usize>(buf: &mut &[u8]) -> Option<[u8; N]> {
     let (head, rest) = buf.split_first_chunk::<N>()?;
     *buf = rest;
@@ -249,7 +244,7 @@ pub fn decode(payload: &[u8]) -> Result<Frame, NetError> {
             if version != PROTO_VERSION {
                 return Err(malformed("hello protocol version mismatch"));
             }
-            let member = take_u64(&mut body).ok_or(malformed("hello truncated"))?;
+            let member = get_u64(&mut body).ok_or(malformed("hello truncated"))?;
             let tag = take_array::<TAG_LEN>(&mut body).ok_or(malformed("hello truncated"))?;
             rest = body;
             Frame::Hello {
@@ -258,7 +253,7 @@ pub fn decode(payload: &[u8]) -> Result<Frame, NetError> {
             }
         }
         T_WELCOME => {
-            let latest_epoch = take_u64(&mut rest).ok_or(malformed("welcome truncated"))?;
+            let latest_epoch = get_u64(&mut rest).ok_or(malformed("welcome truncated"))?;
             Frame::Welcome { latest_epoch }
         }
         T_REJECT => {
@@ -269,7 +264,7 @@ pub fn decode(payload: &[u8]) -> Result<Frame, NetError> {
             Frame::Reject { reason }
         }
         T_REKEY => {
-            let stamp_unix_ns = take_u64(&mut rest).ok_or(malformed("rekey truncated"))?;
+            let stamp_unix_ns = get_u64(&mut rest).ok_or(malformed("rekey truncated"))?;
             if rest.is_empty() {
                 return Err(malformed("rekey frame with no payload"));
             }
@@ -281,28 +276,24 @@ pub fn decode(payload: &[u8]) -> Result<Frame, NetError> {
             }
         }
         T_NACK => {
-            let (head, mut body) = rest
-                .split_first_chunk::<4>()
-                .ok_or(malformed("nack truncated"))?;
-            let count = u32::from_be_bytes(*head) as usize;
+            let count = get_u32(&mut rest).ok_or(malformed("nack truncated"))? as usize;
             if count > MAX_NACK_EPOCHS {
                 return Err(malformed("nack epoch list too long"));
             }
             let mut epochs = Vec::with_capacity(count);
             for _ in 0..count {
-                epochs.push(take_u64(&mut body).ok_or(malformed("nack truncated"))?);
+                epochs.push(get_u64(&mut rest).ok_or(malformed("nack truncated"))?);
             }
-            rest = body;
             Frame::Nack { epochs }
         }
         T_GAP => {
-            let oldest = take_u64(&mut rest).ok_or(malformed("gap truncated"))?;
-            let requested = take_u64(&mut rest).ok_or(malformed("gap truncated"))?;
+            let oldest = get_u64(&mut rest).ok_or(malformed("gap truncated"))?;
+            let requested = get_u64(&mut rest).ok_or(malformed("gap truncated"))?;
             Frame::Gap { oldest, requested }
         }
         T_ACK => {
-            let epoch = take_u64(&mut rest).ok_or(malformed("ack truncated"))?;
-            let lag_ns = take_u64(&mut rest).ok_or(malformed("ack truncated"))?;
+            let epoch = get_u64(&mut rest).ok_or(malformed("ack truncated"))?;
+            let lag_ns = get_u64(&mut rest).ok_or(malformed("ack truncated"))?;
             Frame::Ack { epoch, lag_ns }
         }
         T_BYE => Frame::Bye,

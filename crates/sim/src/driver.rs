@@ -27,10 +27,6 @@ pub struct SimConfig {
     /// Attach ground-truth duration-class hints to joins (for the
     /// oracle PT-scheme).
     pub oracle_hints: bool,
-    /// Worker threads for the manager's encryption phase (`0`/`1` =
-    /// sequential). Rekey messages and all reported metrics are
-    /// identical for every setting; only wall-clock time changes.
-    pub parallelism: usize,
     /// Write a Chrome `trace_event` JSON trace of the run to this
     /// path (load it in `about:tracing` or Perfetto). `None` disables
     /// tracing; the run's reported metrics are identical either way.
@@ -48,7 +44,6 @@ impl SimConfig {
             warmup: 5,
             verify_members: false,
             oracle_hints: false,
-            parallelism: 1,
             trace: None,
             metrics: None,
         }
@@ -64,7 +59,7 @@ pub struct PhaseBreakdown {
     pub mutate_s: f64,
     /// Encryption planning (sequential, allocation-free).
     pub plan_s: f64,
-    /// Encryption execution (parallel), as seen by the caller.
+    /// Encryption execution (sequential).
     pub execute_s: f64,
 }
 
@@ -166,7 +161,6 @@ pub fn run_scheme<R: Rng>(
 ) -> SimReport {
     let mut states: BTreeMap<MemberId, GroupMember> = BTreeMap::new();
     let mut measured: Vec<IntervalStats> = Vec::with_capacity(config.intervals);
-    manager.set_parallelism(config.parallelism);
     let obs = ObsRun::start(config);
 
     // Admit the pre-populated steady-state members in one bootstrap
@@ -324,7 +318,6 @@ where
     use rekey_transport::loss::Population;
     use rekey_transport::wka_bkr::{self, WkaBkrConfig};
 
-    manager.set_parallelism(config.parallelism);
     let obs = ObsRun::start(config);
     let mut losses: BTreeMap<MemberId, f64> = BTreeMap::new();
     let assign = |losses: &mut BTreeMap<MemberId, f64>, m: MemberId, rng: &mut R| {
@@ -506,28 +499,6 @@ mod tests {
         assert!(report.mean_rounds >= 1.0);
         // The feedback loop placed migrated members into both classes.
         assert!(mgr.l_class_size(0) + mgr.l_class_size(1) > 0);
-    }
-
-    #[test]
-    fn bandwidth_metrics_invariant_under_parallelism() {
-        // The worker pool must never change what is measured: the same
-        // seeded workload must produce identical SimReports at 1 and 8
-        // threads.
-        let run = |threads: usize| {
-            let mut rng = StdRng::seed_from_u64(99);
-            let mut gen = MembershipGenerator::new(params(400), &mut rng);
-            let mut mgr = TtManager::new(4, 5);
-            let cfg = SimConfig {
-                parallelism: threads,
-                ..SimConfig::quick()
-            };
-            run_scheme(&mut mgr, &mut gen, &cfg, &mut rng)
-        };
-        let seq = run(1);
-        let par = run(8);
-        assert_eq!(seq.intervals, par.intervals);
-        assert_eq!(seq.mean_keys_per_interval, par.mean_keys_per_interval);
-        assert_eq!(seq.final_size, par.final_size);
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Integration tests for the observability pipeline: a real simulation
 //! run must export a valid, balanced Chrome trace and a metrics dump,
 //! and turning the recorder on must not change a single reported
-//! number (the determinism guard, mirroring the engine's byte-identical
-//! parallelism property).
+//! number (the determinism guard).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -45,7 +44,6 @@ fn sim_run_exports_valid_trace_and_metrics() {
     let config = SimConfig {
         intervals: 8,
         warmup: 2,
-        parallelism: 2,
         trace: Some(trace_path.to_string_lossy().into_owned()),
         metrics: Some(metrics_path.to_string_lossy().into_owned()),
         ..SimConfig::quick()
@@ -59,14 +57,8 @@ fn sim_run_exports_valid_trace_and_metrics() {
     assert_eq!(summary.begin_events, summary.end_events);
     assert!(summary.begin_events > 0, "trace has no spans");
 
-    // Every engine phase shows up, including the parallel workers.
-    for phase in [
-        "rekey.batch",
-        "rekey.mutate",
-        "rekey.plan",
-        "rekey.execute",
-        "rekey.execute.worker",
-    ] {
+    // Every engine phase shows up.
+    for phase in ["rekey.batch", "rekey.mutate", "rekey.plan", "rekey.execute"] {
         assert!(
             summary.span_names.contains(phase),
             "span {phase:?} missing from trace (have {:?})",

@@ -54,10 +54,6 @@ impl<M: GroupKeyManager> GroupKeyManager for SkipOneLeave<M> {
         self.inner.process_interval(joins, leaves, rng)
     }
 
-    fn set_parallelism(&mut self, workers: usize) {
-        self.inner.set_parallelism(workers);
-    }
-
     fn dek_node(&self) -> NodeId {
         self.inner.dek_node()
     }

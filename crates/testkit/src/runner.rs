@@ -5,8 +5,7 @@
 //! bytes*, decoded back, folded into the [`KnowledgeOracle`],
 //! delivered to the [`MemberFarm`], and the full invariant suite runs.
 //! Churn and network randomness come from two independent seeded
-//! streams, so the verdict and the run digest are identical regardless
-//! of the manager's worker count.
+//! streams, so the run digest does not depend on the delivery model.
 //!
 //! [`shrink`] bisects a failing scenario down to a minimal prefix and
 //! then greedily deletes whole intervals and individual operations
@@ -32,15 +31,12 @@ pub type ManagerFactory<'a> = dyn Fn(&Scenario) -> Box<dyn GroupKeyManager> + 'a
 pub struct RunOptions {
     /// Delivery model between server and present members.
     pub delivery: Delivery,
-    /// Worker count handed to [`GroupKeyManager::set_parallelism`].
-    pub workers: usize,
 }
 
 impl Default for RunOptions {
     fn default() -> Self {
         RunOptions {
             delivery: Delivery::Lossless,
-            workers: 1,
         }
     }
 }
@@ -72,8 +68,7 @@ pub struct RunStats {
     /// Total wire bytes multicast.
     pub total_bytes: usize,
     /// SHA-256 over the concatenated wire bytes of every interval —
-    /// the determinism fingerprint (same seed, any worker count ⇒ same
-    /// digest).
+    /// the determinism fingerprint (same seed ⇒ same digest).
     pub digest: [u8; 32],
 }
 
@@ -117,10 +112,8 @@ pub fn run_scenario_with(
     observer: &mut dyn FnMut(IntervalObservation),
 ) -> Result<RunStats, Violation> {
     let mut manager = factory(scenario);
-    manager.set_parallelism(opts.workers.max(1));
 
-    // Independent streams: worker count must not perturb the churn
-    // keys, and delivery draws must not perturb the server.
+    // Independent streams: delivery draws must not perturb the server.
     let mut churn_rng = StdRng::seed_from_u64(scenario.seed ^ 0x9E37_79B9_7F4A_7C15);
     let mut net_rng = StdRng::seed_from_u64(scenario.seed ^ 0x6A09_E667_F3BC_C908);
 
@@ -207,9 +200,9 @@ impl ShrinkReport {
     /// A `rekey-cli` command line replaying the *original* seed (the
     /// shrunk scenario itself travels as ops, but the seed reproduces
     /// the ancestor run end to end).
-    pub fn replay_command(&self, scheme: &str, delivery: Delivery, workers: usize) -> String {
+    pub fn replay_command(&self, scheme: &str, delivery: Delivery) -> String {
         format!(
-            "rekey fuzz --scheme {scheme} --seed {} --intervals {} --loss {} --workers {workers}",
+            "rekey fuzz --scheme {scheme} --seed {} --intervals {} --loss {}",
             self.scenario.seed,
             self.scenario.intervals.len().saturating_sub(1),
             delivery.name(),

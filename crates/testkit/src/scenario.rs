@@ -11,6 +11,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rekey_core::DurationClass;
+use rekey_keytree::message::codec::{get_u32, get_u64, get_u8};
 
 /// One join operation: the member, an optional duration-class hint
 /// (exercises oracle placement), and its network loss rate (exercises
@@ -207,14 +208,15 @@ impl Scenario {
     /// Returns `None` on a bad magic/version, truncation, or trailing
     /// bytes.
     pub fn decode(bytes: &[u8]) -> Option<Scenario> {
-        let mut buf = bytes;
-        let magic = take(&mut buf, MAGIC.len())?;
-        if magic != MAGIC || *take(&mut buf, 1)?.first()? != VERSION {
+        let mut buf = bytes.strip_prefix(MAGIC)?;
+        if get_u8(&mut buf)? != VERSION {
             return None;
         }
         let seed = get_u64(&mut buf)?;
-        let degree = *take(&mut buf, 1)?.first()?;
-        let k = u16::from_be_bytes(take(&mut buf, 2)?.try_into().ok()?);
+        let degree = get_u8(&mut buf)?;
+        let (k, rest) = buf.split_first_chunk::<2>()?;
+        let k = u16::from_be_bytes(*k);
+        buf = rest;
         let n_intervals = get_u32(&mut buf)? as usize;
         let mut intervals = Vec::with_capacity(n_intervals.min(buf.len()));
         for _ in 0..n_intervals {
@@ -222,7 +224,7 @@ impl Scenario {
             for _ in 0..get_u32(&mut buf)? {
                 iv.joins.push(JoinOp {
                     member: get_u64(&mut buf)?,
-                    class: match *take(&mut buf, 1)?.first()? {
+                    class: match get_u8(&mut buf)? {
                         0 => None,
                         1 => Some(DurationClass::Short),
                         2 => Some(DurationClass::Long),
@@ -384,23 +386,6 @@ impl std::error::Error for ScenarioError {}
 
 const MAGIC: &[u8] = b"RKSC";
 const VERSION: u8 = 1;
-
-fn take<'a>(buf: &mut &'a [u8], n: usize) -> Option<&'a [u8]> {
-    if buf.len() < n {
-        return None;
-    }
-    let (head, rest) = buf.split_at(n);
-    *buf = rest;
-    Some(head)
-}
-
-fn get_u64(buf: &mut &[u8]) -> Option<u64> {
-    take(buf, 8).map(|b| u64::from_be_bytes(b.try_into().unwrap()))
-}
-
-fn get_u32(buf: &mut &[u8]) -> Option<u32> {
-    take(buf, 4).map(|b| u32::from_be_bytes(b.try_into().unwrap()))
-}
 
 #[cfg(test)]
 mod tests {

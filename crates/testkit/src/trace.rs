@@ -9,6 +9,7 @@
 //! instead of panicking.
 
 use crate::scenario::Scenario;
+use rekey_keytree::message::codec::{get_u32, get_u8};
 use std::fmt;
 
 const MAGIC: &[u8] = b"RKWT";
@@ -88,30 +89,24 @@ impl Trace {
     /// Returns a [`TraceError`] pinning what is wrong with the input;
     /// never panics, whatever the bytes.
     pub fn decode(bytes: &[u8]) -> Result<Trace, TraceError> {
-        let mut buf = bytes;
-        let magic = take(&mut buf, MAGIC.len()).ok_or(TraceError::BadMagic)?;
-        if magic != MAGIC {
-            return Err(TraceError::BadMagic);
-        }
-        let version = *take(&mut buf, 1)
-            .and_then(|b| b.first())
-            .ok_or(TraceError::Truncated)?;
+        let mut buf = bytes.strip_prefix(MAGIC).ok_or(TraceError::BadMagic)?;
+        let version = get_u8(&mut buf).ok_or(TraceError::Truncated)?;
         if version != VERSION {
             return Err(TraceError::UnsupportedVersion(version));
         }
-        let name_len = *take(&mut buf, 1)
-            .and_then(|b| b.first())
-            .ok_or(TraceError::Truncated)? as usize;
-        let name = take(&mut buf, name_len).ok_or(TraceError::Truncated)?;
+        let name_len = get_u8(&mut buf).ok_or(TraceError::Truncated)? as usize;
+        let (name, mut buf) = buf
+            .split_at_checked(name_len)
+            .ok_or(TraceError::Truncated)?;
         let generator = std::str::from_utf8(name)
             .map_err(|_| TraceError::BadGeneratorName)?
             .to_string();
-        let scenario_len = take(&mut buf, 4)
-            .map(|b| u32::from_be_bytes(b.try_into().expect("4 bytes")) as usize)
+        let scenario_len = get_u32(&mut buf).ok_or(TraceError::Truncated)? as usize;
+        let (scenario_bytes, trailing) = buf
+            .split_at_checked(scenario_len)
             .ok_or(TraceError::Truncated)?;
-        let scenario_bytes = take(&mut buf, scenario_len).ok_or(TraceError::Truncated)?;
-        if !buf.is_empty() {
-            return Err(TraceError::TrailingBytes(buf.len()));
+        if !trailing.is_empty() {
+            return Err(TraceError::TrailingBytes(trailing.len()));
         }
         let scenario = Scenario::decode(scenario_bytes).ok_or(TraceError::BadScenario)?;
         Ok(Trace {
@@ -119,15 +114,6 @@ impl Trace {
             scenario,
         })
     }
-}
-
-fn take<'a>(buf: &mut &'a [u8], n: usize) -> Option<&'a [u8]> {
-    if buf.len() < n {
-        return None;
-    }
-    let (head, rest) = buf.split_at(n);
-    *buf = rest;
-    Some(head)
 }
 
 #[cfg(test)]

@@ -1,7 +1,6 @@
 //! End-to-end tests of the fuzz harness itself: honest schemes
-//! survive churn under every delivery model, an injected
-//! forgot-to-rekey bug is caught and shrunk, and verdicts are
-//! independent of the worker count.
+//! survive churn under every delivery model, and an injected
+//! forgot-to-rekey bug is caught and shrunk.
 
 use rekey_core::partition::TtManager;
 use rekey_core::{GroupKeyManager, Scheme};
@@ -19,7 +18,6 @@ fn honest_schemes_pass_lossless_churn() {
         let factory = factory_for(scheme);
         let opts = RunOptions {
             delivery: Delivery::Lossless,
-            workers: 1,
         };
         let stats =
             run_scenario(&factory, &scenario, &opts).unwrap_or_else(|v| panic!("{scheme}: {v}"));
@@ -40,7 +38,6 @@ fn honest_schemes_pass_bernoulli_loss() {
         let factory = factory_for(scheme);
         let opts = RunOptions {
             delivery: Delivery::Bernoulli,
-            workers: 1,
         };
         run_scenario(&factory, &scenario, &opts).unwrap_or_else(|v| panic!("{scheme}: {v}"));
     }
@@ -53,30 +50,8 @@ fn honest_schemes_pass_wka_transport() {
         let factory = factory_for(scheme);
         let opts = RunOptions {
             delivery: Delivery::WkaBkr,
-            workers: 1,
         };
         run_scenario(&factory, &scenario, &opts).unwrap_or_else(|v| panic!("{scheme}: {v}"));
-    }
-}
-
-#[test]
-fn verdict_and_digest_identical_across_worker_counts() {
-    let scenario = generate(4, 20);
-    for scheme in [Scheme::OneTree, Scheme::Tt, Scheme::Qt] {
-        let factory = factory_for(scheme);
-        let run = |workers| {
-            run_scenario(
-                &factory,
-                &scenario,
-                &RunOptions {
-                    delivery: Delivery::WkaBkr,
-                    workers,
-                },
-            )
-        };
-        let solo = run(1).unwrap_or_else(|v| panic!("{scheme}: {v}"));
-        let wide = run(8).unwrap_or_else(|v| panic!("{scheme}: {v}"));
-        assert_eq!(solo, wide, "{scheme}: worker count changed the run");
     }
 }
 
@@ -122,7 +97,7 @@ fn skipped_leave_rekey_is_caught_and_shrunk() {
         1,
         "minimal counterexample needs exactly one leave"
     );
-    let replay = report.replay_command("tt", opts.delivery, opts.workers);
+    let replay = report.replay_command("tt", opts.delivery);
     assert!(replay.contains("--seed 5"), "replay line: {replay}");
 }
 

@@ -7,8 +7,6 @@
 //!   every interval;
 //! - **member-count bookkeeping**: `member_count` / `contains` agree
 //!   with the script's ground-truth membership after every interval;
-//! - **parallelism transparency**: the rekey messages are
-//!   byte-identical at 1 and 8 encryption workers;
 //! - **golden digests**: the sha256 of all serialized rekey messages
 //!   (versioned `codec::encode_message` envelope) is pinned per
 //!   scheme, so any refactor that changes a single emitted byte fails
@@ -146,11 +144,10 @@ impl Script {
 
 /// Runs the shared script against one manager and returns the
 /// serialized rekey message of every interval (bootstrap included).
-fn run_script(mut mgr: Box<dyn GroupKeyManager>, workers: usize) -> Vec<Vec<u8>> {
+fn run_script(mut mgr: Box<dyn GroupKeyManager>) -> Vec<Vec<u8>> {
     let scheme = mgr.scheme_name();
     let mut rng = StdRng::seed_from_u64(0x5EED);
     let mut script = Script::new();
-    mgr.set_parallelism(workers);
     let mut wires = Vec::with_capacity(1 + INTERVALS);
 
     let joins = script.make_joins(BOOTSTRAP, &mut rng);
@@ -251,20 +248,7 @@ fn digest_of(wires: &[Vec<u8>]) -> String {
 fn all_schemes_satisfy_the_conformance_contract() {
     for mgr in managers() {
         // run_script asserts secrecy + bookkeeping internally.
-        run_script(mgr, 1);
-    }
-}
-
-#[test]
-fn rekey_messages_are_byte_identical_across_worker_counts() {
-    for (seq_mgr, par_mgr) in managers().into_iter().zip(managers()) {
-        let scheme = seq_mgr.scheme_name();
-        let seq = run_script(seq_mgr, 1);
-        let par = run_script(par_mgr, 8);
-        assert_eq!(
-            seq, par,
-            "[{scheme}] messages diverged between 1 and 8 workers"
-        );
+        run_script(mgr);
     }
 }
 
@@ -273,7 +257,7 @@ fn golden_digests_pin_every_scheme_byte_exactly() {
     let golden: BTreeMap<&str, &str> = GOLDEN_DIGESTS.into_iter().collect();
     for mgr in managers() {
         let scheme = mgr.scheme_name();
-        let digest = digest_of(&run_script(mgr, 1));
+        let digest = digest_of(&run_script(mgr));
         let expected = golden
             .get(scheme)
             .unwrap_or_else(|| panic!("no golden digest for scheme {scheme}"));
