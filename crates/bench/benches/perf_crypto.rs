@@ -1,7 +1,7 @@
-//! Crypto kernel benchmark: per-backend (scalar/sse2/avx2) throughput
-//! of the two SIMD-dispatched bulk kernels (SHA-256, GF(256)) plus the
-//! two key-wrap shapes the rekey engine produces, written to
-//! `BENCH_crypto.json` at the workspace root.
+//! Crypto kernel benchmark: throughput of SHA-256 on both backends
+//! (scalar reference, SHA-NI), of the two key-wrap shapes the rekey
+//! engine produces on both, and of the single GF(256) bulk routine,
+//! written to `BENCH_crypto.json` at the workspace root.
 //!
 //! The headline metric is **encrypted keys per second** — the
 //! denominator of every cost model in the repo (the paper counts
@@ -16,12 +16,11 @@
 //! payloads each under a **distinct** KEK (group-oriented rekeying: a
 //! refreshed key goes out once under each child key, so every entry
 //! pays `WrapKek::new`). The second is what a leave batch costs.
-//! The host block records which SHA-256 compression kernel (`scalar`
-//! or `sha_ni`) each swept backend resolved to on this host.
 //!
-//! Backends are swept with the explicit `*_with` kernel entry points
-//! (and `rekey_crypto::simd::force` for the whole-stack keywrap path),
-//! so one process measures every tier the CPU supports back to back.
+//! SHA-256 is swept with `sha256::digest_with`, the whole-stack
+//! keywrap paths with `rekey_crypto::simd::force`, so one process
+//! measures both backends back to back; `sha_ni` rows appear only on a
+//! CPU that has the instructions.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -33,7 +32,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 /// Bulk-kernel buffer size: large enough that the SHA-256 block loop
-/// and the GF(256) vector loop dominate setup cost.
+/// and the GF(256) table walk dominate setup cost.
 const BUF_LEN: usize = 16 * 1024;
 
 /// Keys wrapped per rep of either key-wrap kernel (`keywrap_batch`:
@@ -97,19 +96,21 @@ fn bench_sha256(backend: Backend, rows: &mut Vec<Row>) {
     });
 }
 
-fn bench_gf256(backend: Backend, rows: &mut Vec<Row>) {
+/// GF(256) has one implementation, a scalar table walk that does not
+/// consult the backend: one row, labelled `scalar`.
+fn bench_gf256(rows: &mut Vec<Row>) {
     let src: Vec<u8> = (0..BUF_LEN).map(|i| (i * 37 + 5) as u8).collect();
     let mut dst = vec![0xC3u8; BUF_LEN];
     const ITERS: usize = 128;
     let secs = time_min(|| {
         for i in 0..ITERS {
-            gf256::mul_acc_with(backend, &mut dst, &src, (i % 254 + 2) as u8);
+            gf256::mul_acc(&mut dst, &src, (i % 254 + 2) as u8);
         }
     });
     std::hint::black_box(&dst);
     rows.push(Row {
         kernel: "gf256_mul_acc",
-        backend,
+        backend: Backend::Scalar,
         mb_per_s: (ITERS * BUF_LEN) as f64 / secs / 1e6,
         keys_per_s: None,
     });
@@ -161,25 +162,22 @@ fn main() {
     let selected = simd::active();
 
     let mut backends = vec![Backend::Scalar];
-    if feats.sse2 {
-        backends.push(Backend::Sse2);
-    }
-    if feats.avx2 {
-        backends.push(Backend::Avx2);
+    if feats.sha_ni {
+        backends.push(Backend::ShaNi);
     }
 
     println!(
-        "crypto kernel bench ({cores} core(s), sse2={} ssse3={} avx2={} sha_ni={}, selected backend {selected}, {})",
-        feats.sse2, feats.ssse3, feats.avx2, feats.sha_ni, host.rustc
+        "crypto kernel bench ({cores} core(s), sha_ni={}, selected backend {selected}, {})",
+        feats.sha_ni, host.rustc
     );
 
     let mut rows: Vec<Row> = Vec::new();
     for &backend in &backends {
         bench_sha256(backend, &mut rows);
-        bench_gf256(backend, &mut rows);
         bench_keywrap(backend, &mut rows);
         bench_kek_setup(backend, &mut rows);
     }
+    bench_gf256(&mut rows);
     // Leave the process-wide selection as the environment dictates.
     simd::force(selected);
 
@@ -207,22 +205,8 @@ fn main() {
     host.push_json(
         &mut json,
         &[
-            format!(
-                "    \"cpu_features\": {{\"sse2\": {}, \"ssse3\": {}, \"avx2\": {}, \"sha_ni\": {}}},",
-                feats.sse2, feats.ssse3, feats.avx2, feats.sha_ni
-            ),
+            format!("    \"cpu_features\": {{\"sha_ni\": {}}},", feats.sha_ni),
             format!("    \"selected_backend\": \"{selected}\","),
-            // The SHA-256 compression kernel is a function of the
-            // backend (and this CPU), not of the row: one map covers
-            // every sha256/keywrap_batch/kek_setup result below.
-            format!(
-                "    \"sha256_kernel\": {{{}}},",
-                backends
-                    .iter()
-                    .map(|&b| format!("\"{b}\": \"{}\"", sha256::kernel_name(b)))
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            ),
         ],
     );
     let _ = writeln!(json, "  \"reps_per_point\": {REPS},");

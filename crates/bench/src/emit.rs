@@ -10,24 +10,9 @@
 
 use std::fmt::Write as _;
 
-/// Escapes a string for embedding in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
+/// Escapes a string for embedding in a JSON string literal (the
+/// workspace's one escaper, under the name the benches import).
+pub use rekey_obs::json::escape as json_escape;
 
 /// The `rustc --version` line of the toolchain on `PATH`, or
 /// `"unknown"`.

@@ -120,9 +120,10 @@
 //!     stream goes idle.
 //!
 //! rekey simd
-//!     Report the detected CPU SIMD features, the `REKEY_SIMD`
-//!     override (if any), and the crypto-kernel backend this process
-//!     selected (avx2 → sse2 → scalar).
+//!     Report whether the CPU has the SHA extensions, the `REKEY_SIMD`
+//!     override (if any), and the SHA-256 backend this process
+//!     selected (`sha_ni` or `scalar`; `REKEY_SIMD=off` forces the
+//!     latter).
 //! ```
 //!
 //! A flag the chosen subcommand does not read is an error, not a
@@ -315,25 +316,17 @@ fn cmd_trace_check(args: &Args) -> CliResult {
     Ok(())
 }
 
-/// Report CPU features and the selected crypto-kernel backend — the
-/// fast way to confirm what `REKEY_SIMD` resolves to on a given host.
+/// Report CPU features and the selected SHA-256 backend — the fast
+/// way to confirm what `REKEY_SIMD` resolves to on a given host.
 fn cmd_simd(args: &Args) -> CliResult {
     args.finish()?;
     let feats = rekey_crypto::simd::detect();
-    println!(
-        "cpu features:     sse2={} ssse3={} avx2={} sha_ni={}",
-        feats.sse2, feats.ssse3, feats.avx2, feats.sha_ni
-    );
+    println!("cpu features:     sha_ni={}", feats.sha_ni);
     match std::env::var("REKEY_SIMD") {
         Ok(v) => println!("REKEY_SIMD:       {v}"),
         Err(_) => println!("REKEY_SIMD:       (unset — auto)"),
     }
-    let selected = rekey_crypto::simd::active();
-    println!("selected backend: {selected}");
-    println!(
-        "sha256 kernel:    {}",
-        rekey_crypto::sha256::kernel_name(selected)
-    );
+    println!("selected backend: {}", rekey_crypto::simd::active());
     Ok(())
 }
 
@@ -1216,6 +1209,23 @@ fn cmd_snapshot(args: &Args) -> CliResult {
     Ok(())
 }
 
+/// The `l` members `rekey transport` removes from a group of
+/// `0..n`: distinct ids below `n`, spread over the whole tree. The
+/// stride is odd on purpose — at degree 4 an even stride such as 32
+/// removes whole subtrees, and a 512-leave batch at n = 16 384
+/// collapses to 10 encrypted keys instead of 4 948.
+fn pick_leavers(n: u64, l: u64) -> Result<Vec<MemberId>, args::ArgsError> {
+    if l == 0 || l > n {
+        return Err(args::ArgsError::BadValue {
+            flag: "l".to_string(),
+            value: l.to_string(),
+        });
+    }
+    // Largest odd stride ≤ n / l, so the last id (l − 1)·stride < n.
+    let stride = (n / l - 1) | 1;
+    Ok((0..l).map(|i| MemberId(i * stride)).collect())
+}
+
 fn cmd_transport(args: &Args) -> CliResult {
     let n: u64 = args.get_parsed_or("n", 1024u64)?;
     let l: u64 = args.get_parsed_or("l", 16u64)?;
@@ -1225,6 +1235,7 @@ fn cmd_transport(args: &Args) -> CliResult {
     let seed: u64 = args.get_parsed_or("seed", 1u64)?;
     let protocol = args.get_or("protocol", "wka");
     args.finish()?;
+    let leavers = pick_leavers(n, l)?;
 
     let mut rng = StdRng::seed_from_u64(seed);
     let mut server = LkhServer::new(4, 0);
@@ -1232,8 +1243,6 @@ fn cmd_transport(args: &Args) -> CliResult {
         .map(|i| (MemberId(i), Key::generate(&mut rng)))
         .collect();
     server.apply_batch(&joins, &[], &mut rng);
-    let stride = (n / l.max(1)) | 1;
-    let leavers: Vec<MemberId> = (0..l).map(|i| MemberId(i * stride)).collect();
     let out = server.apply_batch(&[], &leavers, &mut rng);
     let present: Vec<MemberId> = (0..n)
         .map(MemberId)
@@ -1285,4 +1294,33 @@ fn cmd_transport(args: &Args) -> CliResult {
         report.complete, report.rounds, report.packets, report.keys_transmitted
     );
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn transport_leavers_are_distinct_members() {
+        for (n, l) in [(1024, 16), (16_384, 512), (16_384, 16_384), (7, 3)] {
+            let leavers = pick_leavers(n, l).expect("1 <= l <= n");
+            assert_eq!(leavers.len() as u64, l, "n={n} l={l}");
+            assert!(leavers.iter().all(|m| m.0 < n), "n={n} l={l}");
+            let distinct: std::collections::BTreeSet<_> = leavers.iter().collect();
+            assert_eq!(distinct.len(), leavers.len(), "n={n} l={l}");
+        }
+    }
+
+    #[test]
+    fn transport_rejects_leaver_counts_outside_the_group() {
+        for (n, l) in [(16, 0), (16, 17), (0, 1)] {
+            assert!(
+                matches!(
+                    pick_leavers(n, l),
+                    Err(args::ArgsError::BadValue { ref flag, .. }) if flag == "l"
+                ),
+                "n={n} l={l}"
+            );
+        }
+    }
 }

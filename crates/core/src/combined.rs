@@ -16,8 +16,8 @@
 
 use crate::engine::{Migration, Placement, PlacementPolicy, RekeyEngine, Trees};
 use crate::loss_forest::{check_boundaries, class_of_loss, LossEstimator};
+use crate::partition::SPeriod;
 use crate::Join;
-use rekey_crypto::Key;
 use rekey_keytree::server::LkhServer;
 use rekey_keytree::{KeyTreeError, MemberId};
 use std::collections::BTreeMap;
@@ -35,14 +35,12 @@ const S: usize = 0;
 #[derive(Debug, Clone)]
 pub struct CombinedPolicy {
     boundaries: Vec<f64>,
-    s_ages: BTreeMap<MemberId, u64>,
-    s_keys: BTreeMap<MemberId, Key>,
+    s_period: SPeriod,
     /// Loss hints provided at join time (fallback when no feedback has
     /// accumulated yet).
     join_hints: BTreeMap<MemberId, f64>,
     estimator: LossEstimator,
     min_samples: u64,
-    k: u64,
 }
 
 impl CombinedPolicy {
@@ -63,8 +61,7 @@ impl PlacementPolicy for CombinedPolicy {
 
     fn route_leave(&mut self, member: MemberId, trees: &Trees) -> Result<Placement, KeyTreeError> {
         if trees.server(S).contains(member) {
-            self.s_ages.remove(&member);
-            self.s_keys.remove(&member);
+            self.s_period.forget(member);
             self.join_hints.remove(&member);
             return Ok(Placement::Tree(S));
         }
@@ -79,23 +76,14 @@ impl PlacementPolicy for CombinedPolicy {
 
     fn plan_migrations(&mut self, epoch: u64, _trees: &Trees) -> Vec<Migration> {
         // S-period survivors, placed by estimated loss.
-        let deadline = epoch.saturating_sub(self.k);
-        let migrating: Vec<MemberId> = self
-            .s_ages
-            .iter()
-            .filter(|&(_, &joined)| joined <= deadline)
-            .map(|(&m, _)| m)
-            .collect();
-        migrating
+        self.s_period
+            .take_survivors(epoch)
             .into_iter()
-            .map(|m| {
-                self.s_ages.remove(&m);
-                Migration {
-                    member: m,
-                    individual_key: self.s_keys.remove(&m).expect("S-member has a key"),
-                    from: Some(S),
-                    to: 1 + self.class_for(m),
-                }
+            .map(|(member, individual_key)| Migration {
+                member,
+                individual_key,
+                from: Some(S),
+                to: 1 + self.class_for(member),
             })
             .collect()
     }
@@ -105,9 +93,8 @@ impl PlacementPolicy for CombinedPolicy {
     }
 
     fn record_joins(&mut self, joins: &[Join], epoch: u64) -> Result<(), KeyTreeError> {
+        self.s_period.admit(joins, epoch);
         for j in joins {
-            self.s_ages.insert(j.member, epoch);
-            self.s_keys.insert(j.member, j.individual_key.clone());
             if let Some(loss) = j.hint.loss_rate {
                 self.join_hints.insert(j.member, loss);
             }
@@ -117,13 +104,7 @@ impl PlacementPolicy for CombinedPolicy {
 
     fn save_policy_state(&self, buf: &mut Vec<u8>) {
         use rekey_keytree::message::codec::{put_u32, put_u64};
-        // S-partition bookkeeping (same shape as the TT policy's).
-        put_u32(buf, self.s_ages.len() as u32);
-        for (&member, &joined) in &self.s_ages {
-            put_u64(buf, member.0);
-            put_u64(buf, joined);
-            buf.extend_from_slice(self.s_keys[&member].as_bytes());
-        }
+        self.s_period.encode(buf);
         // Join-time loss hints (f64 bit patterns, big-endian).
         put_u32(buf, self.join_hints.len() as u32);
         for (&member, &loss) in &self.join_hints {
@@ -136,17 +117,7 @@ impl PlacementPolicy for CombinedPolicy {
 
     fn load_policy_state(&mut self, buf: &mut &[u8]) -> Option<()> {
         use rekey_keytree::message::codec::{get_u32, get_u64};
-        let count = get_u32(buf)?;
-        self.s_ages.clear();
-        self.s_keys.clear();
-        for _ in 0..count {
-            let member = MemberId(get_u64(buf)?);
-            let joined = get_u64(buf)?;
-            let (key, rest) = buf.split_first_chunk::<32>()?;
-            *buf = rest;
-            self.s_ages.insert(member, joined);
-            self.s_keys.insert(member, Key::from_bytes(*key));
-        }
+        self.s_period.decode(buf)?;
         let count = get_u32(buf)?;
         self.join_hints.clear();
         for _ in 0..count {
@@ -184,12 +155,10 @@ impl CombinedManager {
         RekeyEngine::with_trees(
             CombinedPolicy {
                 boundaries: boundaries.to_vec(),
-                s_ages: BTreeMap::new(),
-                s_keys: BTreeMap::new(),
+                s_period: SPeriod::new(k),
                 join_hints: BTreeMap::new(),
                 estimator: LossEstimator::new(),
                 min_samples: 20,
-                k,
             },
             trees,
             Some(NS_DEK),
@@ -234,6 +203,7 @@ mod tests {
     use crate::GroupKeyManager;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use rekey_crypto::Key;
     use rekey_keytree::member::GroupMember;
 
     fn joins(ids: std::ops::Range<u64>, rng: &mut StdRng) -> (Vec<Join>, Vec<GroupMember>) {

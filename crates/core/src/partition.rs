@@ -41,6 +41,78 @@ const S: usize = 0;
 const L: usize = 1;
 
 // ---------------------------------------------------------------------
+// S-period ledger
+// ---------------------------------------------------------------------
+
+/// Who is serving an S-period: for each current S-tree member the
+/// epoch it joined at and the individual key it registered (needed
+/// again when it migrates). Shared by the TT and combined policies,
+/// which differ only in where survivors go.
+#[derive(Debug, Clone)]
+pub(crate) struct SPeriod {
+    members: BTreeMap<MemberId, (u64, Key)>,
+    /// S-period length in rekey intervals — configuration, not state.
+    k: u64,
+}
+
+impl SPeriod {
+    pub(crate) fn new(k: u64) -> Self {
+        SPeriod {
+            members: BTreeMap::new(),
+            k,
+        }
+    }
+
+    /// Starts the S-period of everyone who joined at `epoch`.
+    pub(crate) fn admit(&mut self, joins: &[Join], epoch: u64) {
+        for j in joins {
+            self.members
+                .insert(j.member, (epoch, j.individual_key.clone()));
+        }
+    }
+
+    /// Drops a member that left before its S-period ended.
+    pub(crate) fn forget(&mut self, member: MemberId) {
+        self.members.remove(&member);
+    }
+
+    /// Removes and returns, in member order, everyone whose S-period
+    /// has elapsed by `epoch`: they migrate in this interval's batch,
+    /// before this interval's joins are added.
+    pub(crate) fn take_survivors(&mut self, epoch: u64) -> Vec<(MemberId, Key)> {
+        let deadline = epoch.saturating_sub(self.k);
+        self.members
+            .extract_if(.., |_, (joined, _)| *joined <= deadline)
+            .map(|(member, (_, key))| (member, key))
+            .collect()
+    }
+
+    /// One record per S-member: id, join epoch, individual key.
+    pub(crate) fn encode(&self, buf: &mut Vec<u8>) {
+        put_u32(buf, self.members.len() as u32);
+        for (&member, (joined, key)) in &self.members {
+            put_u64(buf, member.0);
+            put_u64(buf, *joined);
+            buf.extend_from_slice(key.as_bytes());
+        }
+    }
+
+    /// Replaces the ledger with the one [`SPeriod::encode`] wrote.
+    pub(crate) fn decode(&mut self, buf: &mut &[u8]) -> Option<()> {
+        let count = get_u32(buf)?;
+        self.members.clear();
+        for _ in 0..count {
+            let member = MemberId(get_u64(buf)?);
+            let joined = get_u64(buf)?;
+            let (key, rest) = buf.split_first_chunk::<32>()?;
+            *buf = rest;
+            self.members.insert(member, (joined, Key::from_bytes(*key)));
+        }
+        Some(())
+    }
+}
+
+// ---------------------------------------------------------------------
 // TT-scheme
 // ---------------------------------------------------------------------
 
@@ -48,11 +120,7 @@ const L: usize = 1;
 /// survivors migrate to the L-tree.
 #[derive(Debug, Clone)]
 pub struct TtPolicy {
-    /// Epoch at which each current S-member joined.
-    s_ages: BTreeMap<MemberId, u64>,
-    /// Registered individual keys of S-members (needed at migration).
-    s_keys: BTreeMap<MemberId, Key>,
-    k: u64,
+    s_period: SPeriod,
 }
 
 impl PlacementPolicy for TtPolicy {
@@ -62,8 +130,7 @@ impl PlacementPolicy for TtPolicy {
 
     fn route_leave(&mut self, member: MemberId, trees: &Trees) -> Result<Placement, KeyTreeError> {
         if trees.server(S).contains(member) {
-            self.s_ages.remove(&member);
-            self.s_keys.remove(&member);
+            self.s_period.forget(member);
             Ok(Placement::Tree(S))
         } else if trees.server(L).contains(member) {
             Ok(Placement::Tree(L))
@@ -73,25 +140,14 @@ impl PlacementPolicy for TtPolicy {
     }
 
     fn plan_migrations(&mut self, epoch: u64, _trees: &Trees) -> Vec<Migration> {
-        // Members whose S-period elapsed migrate in this interval's
-        // batch (before this interval's joins are added).
-        let deadline = epoch.saturating_sub(self.k);
-        let migrating: Vec<MemberId> = self
-            .s_ages
-            .iter()
-            .filter(|&(_, &joined)| joined <= deadline)
-            .map(|(&m, _)| m)
-            .collect();
-        migrating
+        self.s_period
+            .take_survivors(epoch)
             .into_iter()
-            .map(|m| {
-                self.s_ages.remove(&m);
-                Migration {
-                    member: m,
-                    individual_key: self.s_keys.remove(&m).expect("S-member has a key"),
-                    from: Some(S),
-                    to: L,
-                }
+            .map(|(member, individual_key)| Migration {
+                member,
+                individual_key,
+                from: Some(S),
+                to: L,
             })
             .collect()
     }
@@ -101,38 +157,16 @@ impl PlacementPolicy for TtPolicy {
     }
 
     fn record_joins(&mut self, joins: &[Join], epoch: u64) -> Result<(), KeyTreeError> {
-        for j in joins {
-            self.s_ages.insert(j.member, epoch);
-            self.s_keys.insert(j.member, j.individual_key.clone());
-        }
+        self.s_period.admit(joins, epoch);
         Ok(())
     }
 
     fn save_policy_state(&self, buf: &mut Vec<u8>) {
-        // One record per S-member: join epoch + individual key.
-        // `s_ages` and `s_keys` always share a keyset (inserted and
-        // removed together); `k` is configuration, not state.
-        put_u32(buf, self.s_ages.len() as u32);
-        for (&member, &joined) in &self.s_ages {
-            put_u64(buf, member.0);
-            put_u64(buf, joined);
-            buf.extend_from_slice(self.s_keys[&member].as_bytes());
-        }
+        self.s_period.encode(buf);
     }
 
     fn load_policy_state(&mut self, buf: &mut &[u8]) -> Option<()> {
-        let count = get_u32(buf)?;
-        self.s_ages.clear();
-        self.s_keys.clear();
-        for _ in 0..count {
-            let member = MemberId(get_u64(buf)?);
-            let joined = get_u64(buf)?;
-            let (key, rest) = buf.split_first_chunk::<32>()?;
-            *buf = rest;
-            self.s_ages.insert(member, joined);
-            self.s_keys.insert(member, Key::from_bytes(*key));
-        }
-        Some(())
+        self.s_period.decode(buf)
     }
 }
 
@@ -155,9 +189,7 @@ impl TtManager {
     pub fn with_namespace_base(degree: usize, k: u64, base: u32) -> Self {
         RekeyEngine::with_trees(
             TtPolicy {
-                s_ages: BTreeMap::new(),
-                s_keys: BTreeMap::new(),
-                k,
+                s_period: SPeriod::new(k),
             },
             vec![
                 ("s", LkhServer::new(degree, base + 1)),

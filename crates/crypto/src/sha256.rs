@@ -9,12 +9,13 @@
 //! There are exactly two compression functions: the portable scalar
 //! reference, and one built on the x86 SHA extensions
 //! (`sha256rnds2`/`sha256msg1`/`sha256msg2`), which runs two rounds
-//! per instruction and expands the message schedule in hardware. The
-//! SHA-NI kernel is used whenever the backend resolved by
-//! [`crate::simd`] is not [`Backend::Scalar`] and the CPU reports
-//! `sha` + `ssse3` + `sse4.1` ([`crate::simd::CpuFeatures::sha_ni`]);
-//! `REKEY_SIMD=off` therefore still forces the scalar reference. The
-//! two are pinned identical by `tests/simd_equiv.rs`.
+//! per instruction and expands the message schedule in hardware.
+//! Which one runs is the one bit [`crate::simd`] resolves:
+//! [`Backend::ShaNi`] when the CPU reports `sha` + `ssse3` + `sse4.1`
+//! ([`crate::simd::CpuFeatures::sha_ni`]) and `REKEY_SIMD` is not
+//! `off`, [`Backend::Scalar`] otherwise. A hasher asked for `ShaNi`
+//! on a CPU without it runs the reference. The two are pinned
+//! identical by `tests/simd_equiv.rs`.
 
 use crate::simd::{self, Backend};
 
@@ -53,19 +54,9 @@ impl Kernel {
         match backend {
             Backend::Scalar => Kernel::Scalar,
             #[cfg(target_arch = "x86_64")]
-            Backend::Sse2 | Backend::Avx2 => {
-                x86::ShaNi::detect().map_or(Kernel::Scalar, Kernel::ShaNi)
-            }
+            Backend::ShaNi => x86::ShaNi::detect().map_or(Kernel::Scalar, Kernel::ShaNi),
             #[cfg(not(target_arch = "x86_64"))]
-            _ => Kernel::Scalar,
-        }
-    }
-
-    fn name(self) -> &'static str {
-        match self {
-            Kernel::Scalar => "scalar",
-            #[cfg(target_arch = "x86_64")]
-            Kernel::ShaNi(_) => "sha_ni",
+            Backend::ShaNi => Kernel::Scalar,
         }
     }
 
@@ -82,13 +73,6 @@ impl Kernel {
             Kernel::ShaNi(sha_ni) => sha_ni.compress(state, blocks),
         }
     }
-}
-
-/// Name of the compression kernel hashers on `backend` run on this
-/// machine: `"sha_ni"` or `"scalar"` (diagnostics, benches, and the
-/// equivalence tests' "is the fast path really on / really off" checks).
-pub fn kernel_name(backend: Backend) -> &'static str {
-    Kernel::for_backend(backend).name()
 }
 
 /// Incremental SHA-256 hasher.
@@ -135,8 +119,8 @@ impl Sha256 {
     }
 
     /// Creates a hasher pinned to an explicit backend — entry point
-    /// for the SIMD equivalence tests and per-backend benches. The
-    /// digest is byte-identical for every backend.
+    /// for the equivalence tests and per-backend benches. The digest
+    /// is byte-identical for both backends.
     pub fn new_with(backend: Backend) -> Self {
         Sha256 {
             state: H0,
@@ -375,7 +359,7 @@ pub fn digest(data: &[u8]) -> [u8; DIGEST_LEN] {
     h.finalize()
 }
 
-/// [`digest`] on an explicit backend (SIMD equivalence tests and
+/// [`digest`] on an explicit backend (equivalence tests and
 /// per-backend benches).
 pub fn digest_with(backend: Backend, data: &[u8]) -> [u8; DIGEST_LEN] {
     let mut h = Sha256::new_with(backend);
@@ -455,23 +439,31 @@ mod tests {
         assert!(!format!("{:?}", Sha256::new()).is_empty());
     }
 
-    /// Every backend — whichever compression kernel it resolves to on
-    /// this host — is byte-identical to the scalar reference across
-    /// padding boundaries. (`tests/simd_equiv.rs` sweeps far wider.)
+    /// Both backends — whichever compression kernel `ShaNi` resolves
+    /// to on this host — are byte-identical across padding boundaries.
+    /// (`tests/simd_equiv.rs` sweeps far wider.)
     #[test]
     fn backends_match_scalar_reference() {
-        assert_eq!(kernel_name(Backend::Scalar), "scalar");
         for len in [0usize, 1, 55, 56, 63, 64, 65, 127, 128, 1000] {
             let data: Vec<u8> = (0..len).map(|i| (i * 131 + 17) as u8).collect();
-            let reference = digest_with(Backend::Scalar, &data);
-            for backend in [Backend::Sse2, Backend::Avx2] {
-                assert_eq!(
-                    digest_with(backend, &data),
-                    reference,
-                    "len={len} {backend} ({})",
-                    kernel_name(backend)
-                );
-            }
+            assert_eq!(
+                digest_with(Backend::ShaNi, &data),
+                digest_with(Backend::Scalar, &data),
+                "len={len}"
+            );
         }
+    }
+
+    /// The intrinsics are reachable only where the CPU has them: a
+    /// hasher asked for `ShaNi` elsewhere runs the reference, and
+    /// `Scalar` never leaves it.
+    #[test]
+    fn sha_ni_kernel_only_where_the_cpu_has_it() {
+        assert!(matches!(
+            Kernel::for_backend(Backend::Scalar),
+            Kernel::Scalar
+        ));
+        let on_reference = matches!(Kernel::for_backend(Backend::ShaNi), Kernel::Scalar);
+        assert_eq!(on_reference, !simd::detect().sha_ni);
     }
 }

@@ -1,91 +1,71 @@
-//! Runtime CPU-feature detection and SIMD backend selection for the
-//! hot crypto kernels.
+//! Runtime CPU-feature detection and kernel selection.
 //!
-//! The two bulk kernels of the workspace — SHA-256 compression
-//! ([`crate::sha256`]) and the GF(256) routines in `rekey-transport` —
-//! each carry one scalar reference implementation plus `std::arch`
-//! fast paths. (ChaCha20 is called one block per wrapped key and has
-//! a single implementation.) This module owns the
-//! *selection*: which tier runs is decided once per process, from CPU
+//! Exactly one kernel in the workspace is dispatched at run time:
+//! SHA-256 compression ([`crate::sha256`]), which carries the scalar
+//! reference plus one `std::arch` path built on the x86 SHA
+//! extensions. (ChaCha20 is called one block per wrapped key and
+//! `rekey-transport`'s GF(256) routines are off every rekey interval's
+//! path; each has a single implementation.) This module owns the
+//! *selection*, which is one bit: decided once per process from CPU
 //! feature detection plus an optional `REKEY_SIMD` environment
 //! override, and cached behind an atomic so the per-call cost of
 //! dispatch is a single relaxed load and a jump.
 //!
-//! # Tiers
+//! | [`Backend`] | requires                 | SHA-256 compression runs on |
+//! |-------------|--------------------------|-----------------------------|
+//! | `Scalar`    | nothing                  | the portable reference |
+//! | `ShaNi`     | `sha`, `ssse3`, `sse4.1` | `sha256rnds2`/`sha256msg1`/`sha256msg2` |
 //!
-//! | [`Backend`] | requires | used for |
-//! |-------------|----------|----------|
-//! | `Scalar`    | nothing  | reference implementations, always available |
-//! | `Sse2`      | SSE2     | GF(256) nibble tables (needs SSSE3 `pshufb`, else scalar) |
-//! | `Avx2`      | AVX2     | 32-byte GF(256) nibble tables |
-//!
-//! SHA-256 is not tiered by vector width: on either x86 tier it runs
-//! the SHA-NI compression function when [`CpuFeatures::sha_ni`] is set
-//! and the scalar reference otherwise (same pattern as the GF(256)
-//! SSSE3 check — a call-site feature test under a non-scalar tier).
-//!
-//! Every fast path is pinned **byte-identical** to the scalar
-//! reference by proptest equivalence harnesses
-//! (`crates/crypto/tests/simd_equiv.rs`, `rekey-transport`'s
-//! proptests), so backend selection can
+//! The SHA-NI path is pinned **byte-identical** to the scalar
+//! reference by `crates/crypto/tests/simd_equiv.rs`, so selection can
 //! never change an output byte — only wall-clock time.
 //!
 //! # Override
 //!
-//! `REKEY_SIMD=off|scalar|sse2|avx2|auto` forces a tier (`off` and
-//! `scalar` are synonyms). Requesting a tier the CPU cannot run falls
-//! back to the best *supported* tier at or below the request — the
-//! dispatcher never selects an unsupported instruction set (see
-//! [`Backend::resolve`], which is pure and unit-tested for exactly
-//! this).
+//! `REKEY_SIMD=off` (or `scalar`) forces the reference. Every other
+//! value — unset, `auto`, the retired tier names `sse2`/`avx2`,
+//! garbage — selects `ShaNi` exactly when the CPU has it: the
+//! dispatcher never selects an unsupported instruction set and never
+//! aborts a server over a misspelt variable (see [`Backend::resolve`],
+//! which is pure and unit-tested for exactly this).
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
-/// The instruction-set tiers a kernel can dispatch to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// Which SHA-256 compression function the process runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
     /// Portable reference implementation.
     Scalar,
-    /// 128-bit `std::arch` x86 path (SSE2 baseline; kernels that need
-    /// SSSE3 `pshufb` check [`CpuFeatures::ssse3`] and fall back to
-    /// scalar internally).
-    Sse2,
-    /// 256-bit `std::arch` x86 path (AVX2).
-    Avx2,
+    /// The x86 SHA-extensions kernel. Hashers asked for it on a CPU
+    /// without the instructions run the reference instead (the
+    /// intrinsics are reachable only through a feature-checked token,
+    /// see [`crate::sha256`]).
+    ShaNi,
 }
 
 impl Backend {
-    /// Short lowercase name (`"scalar"`, `"sse2"`, `"avx2"`), as used
-    /// in `REKEY_SIMD`, bench JSON, and obs counter suffixes.
+    /// Short lowercase name (`"scalar"`, `"sha_ni"`), as used in bench
+    /// JSON, diagnostics and obs counter suffixes.
     pub fn name(self) -> &'static str {
         match self {
             Backend::Scalar => "scalar",
-            Backend::Sse2 => "sse2",
-            Backend::Avx2 => "avx2",
+            Backend::ShaNi => "sha_ni",
         }
     }
 
-    /// Resolves a requested tier (usually from `REKEY_SIMD`) against
-    /// the detected CPU features. Pure — the fallback chain
-    /// (AVX2 → SSE2 → scalar) is unit-tested without touching global
-    /// state.
+    /// Resolves a request (usually from `REKEY_SIMD`) against the
+    /// detected CPU features. Pure, so it is unit-tested without
+    /// touching global state.
     ///
-    /// `None` and `"auto"` pick the best supported tier; an explicit
-    /// request is capped at what the CPU supports; unknown strings are
-    /// treated as `auto` (selection must never abort a server).
+    /// `"off"` and `"scalar"` force the reference on any CPU; anything
+    /// else — `None`, `"auto"`, a retired tier name, an unknown string
+    /// — picks `ShaNi` iff the CPU supports it (selection must never
+    /// abort a server).
     pub fn resolve(request: Option<&str>, features: CpuFeatures) -> Backend {
-        let best = if features.avx2 {
-            Backend::Avx2
-        } else if features.sse2 {
-            Backend::Sse2
-        } else {
-            Backend::Scalar
-        };
         match request {
             Some("off") | Some("scalar") => Backend::Scalar,
-            Some("sse2") => best.min(Backend::Sse2),
-            Some("avx2") => best.min(Backend::Avx2),
-            _ => best,
+            _ if features.sha_ni => Backend::ShaNi,
+            _ => Backend::Scalar,
         }
     }
 }
@@ -99,13 +79,6 @@ impl std::fmt::Display for Backend {
 /// The CPU features the kernels care about.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CpuFeatures {
-    /// 128-bit integer SIMD (baseline on x86_64).
-    pub sse2: bool,
-    /// `pshufb` — required by the GF(256) nibble-table kernel's
-    /// 128-bit form.
-    pub ssse3: bool,
-    /// 256-bit integer SIMD.
-    pub avx2: bool,
     /// Everything the SHA-NI SHA-256 kernel executes: the SHA
     /// extensions plus the SSSE3 and SSE4.1 shuffles around them.
     pub sha_ni: bool,
@@ -113,24 +86,15 @@ pub struct CpuFeatures {
 
 impl CpuFeatures {
     /// Everything off — what non-x86 targets report.
-    pub const NONE: CpuFeatures = CpuFeatures {
-        sse2: false,
-        ssse3: false,
-        avx2: false,
-        sha_ni: false,
-    };
+    pub const NONE: CpuFeatures = CpuFeatures { sha_ni: false };
 }
 
 /// Detects the CPU features of the running machine.
 pub fn detect() -> CpuFeatures {
     #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
     {
-        let ssse3 = std::arch::is_x86_feature_detected!("ssse3");
         CpuFeatures {
-            sse2: std::arch::is_x86_feature_detected!("sse2"),
-            ssse3,
-            avx2: std::arch::is_x86_feature_detected!("avx2"),
-            sha_ni: ssse3
+            sha_ni: std::arch::is_x86_feature_detected!("ssse3")
                 && std::arch::is_x86_feature_detected!("sse4.1")
                 && std::arch::is_x86_feature_detected!("sha"),
         }
@@ -151,8 +115,7 @@ fn encode(backend: Backend) -> u8 {
 fn decode(raw: u8) -> Option<Backend> {
     match raw {
         1 => Some(Backend::Scalar),
-        2 => Some(Backend::Sse2),
-        3 => Some(Backend::Avx2),
+        2 => Some(Backend::ShaNi),
         _ => None,
     }
 }
@@ -174,11 +137,12 @@ pub fn active() -> Backend {
 
 /// Forces the active backend for the rest of the process.
 ///
-/// For benches and diagnostics that sweep backends in one process
-/// (`perf_crypto` measures scalar/sse2/avx2 back to back). Callers
-/// must pass a tier the CPU supports and must not race concurrent
-/// crypto work; tests that only need per-call control should use the
-/// explicit `*_with` kernel entry points instead.
+/// For benches and diagnostics that sweep both backends in one process
+/// (`perf_crypto` measures them back to back). Forcing `ShaNi` on a
+/// CPU without it is harmless — hashers fall back to the reference —
+/// but callers must not race concurrent crypto work; tests that only
+/// need per-call control should use [`crate::sha256::Sha256::new_with`]
+/// instead.
 pub fn force(backend: Backend) {
     ACTIVE.store(encode(backend), Ordering::Relaxed);
 }
@@ -187,79 +151,65 @@ pub fn force(backend: Backend) {
 mod tests {
     use super::*;
 
-    const ALL: CpuFeatures = CpuFeatures {
-        sse2: true,
-        ssse3: true,
-        avx2: true,
-        sha_ni: true,
-    };
-    const SSE2_ONLY: CpuFeatures = CpuFeatures {
-        sse2: true,
-        ssse3: false,
-        avx2: false,
-        sha_ni: false,
-    };
+    const SHA_NI: CpuFeatures = CpuFeatures { sha_ni: true };
 
-    #[test]
-    fn auto_picks_best_supported() {
-        assert_eq!(Backend::resolve(None, ALL), Backend::Avx2);
-        assert_eq!(Backend::resolve(Some("auto"), ALL), Backend::Avx2);
-        assert_eq!(Backend::resolve(None, SSE2_ONLY), Backend::Sse2);
-        assert_eq!(Backend::resolve(None, CpuFeatures::NONE), Backend::Scalar);
-    }
+    /// Each feature set with the backend an un-forced request gets.
+    const HOSTS: [(CpuFeatures, Backend); 2] = [
+        (SHA_NI, Backend::ShaNi),
+        (CpuFeatures::NONE, Backend::Scalar),
+    ];
+
+    // The three tests below are the whole `REKEY_SIMD` table: two
+    // values force the reference on any CPU, everything else follows
+    // the CPU.
 
     #[test]
     fn off_always_forces_scalar() {
-        assert_eq!(Backend::resolve(Some("off"), ALL), Backend::Scalar);
-        assert_eq!(Backend::resolve(Some("scalar"), ALL), Backend::Scalar);
+        for (features, _) in HOSTS {
+            assert_eq!(Backend::resolve(Some("off"), features), Backend::Scalar);
+            assert_eq!(Backend::resolve(Some("scalar"), features), Backend::Scalar);
+        }
     }
 
     #[test]
-    fn explicit_request_is_capped_at_supported() {
-        // The dispatcher must fall back cleanly when a feature is
-        // absent: avx2 on an sse2-only host runs the sse2 tier, and
-        // any x86 request on a featureless host runs scalar.
-        assert_eq!(Backend::resolve(Some("avx2"), SSE2_ONLY), Backend::Sse2);
-        assert_eq!(
-            Backend::resolve(Some("avx2"), CpuFeatures::NONE),
-            Backend::Scalar
-        );
-        assert_eq!(
-            Backend::resolve(Some("sse2"), CpuFeatures::NONE),
-            Backend::Scalar
-        );
+    fn auto_picks_best_supported() {
+        for (features, follows_cpu) in HOSTS {
+            assert_eq!(Backend::resolve(None, features), follows_cpu);
+            assert_eq!(Backend::resolve(Some("auto"), features), follows_cpu);
+        }
     }
 
-    #[test]
-    fn sse2_request_never_escalates() {
-        assert_eq!(Backend::resolve(Some("sse2"), ALL), Backend::Sse2);
-    }
-
+    /// Retired tier names and garbage alike.
     #[test]
     fn unknown_request_behaves_like_auto() {
-        assert_eq!(Backend::resolve(Some("quantum"), ALL), Backend::Avx2);
-        assert_eq!(Backend::resolve(Some(""), SSE2_ONLY), Backend::Sse2);
+        for (features, follows_cpu) in HOSTS {
+            for request in ["sse2", "avx2", "", "quantum"] {
+                assert_eq!(
+                    Backend::resolve(Some(request), features),
+                    follows_cpu,
+                    "{request:?} {features:?}"
+                );
+            }
+        }
     }
 
     #[test]
     fn names_round_trip_through_resolve() {
-        for backend in [Backend::Scalar, Backend::Sse2, Backend::Avx2] {
-            assert_eq!(Backend::resolve(Some(backend.name()), ALL), backend);
+        for backend in [Backend::Scalar, Backend::ShaNi] {
+            assert_eq!(Backend::resolve(Some(backend.name()), SHA_NI), backend);
         }
     }
 
     #[test]
     fn active_is_a_supported_tier() {
-        let feats = detect();
-        match active() {
-            Backend::Avx2 => assert!(feats.avx2),
-            Backend::Sse2 => assert!(feats.sse2),
-            Backend::Scalar => {}
+        if active() == Backend::ShaNi {
+            assert!(detect().sha_ni);
         }
     }
 
     #[test]
     fn display_matches_name() {
-        assert_eq!(Backend::Avx2.to_string(), "avx2");
+        assert_eq!(Backend::Scalar.to_string(), "scalar");
+        assert_eq!(Backend::ShaNi.to_string(), "sha_ni");
     }
 }

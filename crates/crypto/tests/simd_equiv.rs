@@ -1,43 +1,28 @@
-//! SIMD-vs-scalar equivalence harness.
+//! SHA-NI-vs-scalar equivalence harness.
 //!
-//! Every SIMD backend must be byte-identical to the scalar reference
-//! for all inputs — the dispatch tier is a pure throughput choice and
-//! must never be observable in output. In this crate that is SHA-256,
-//! which has two compression kernels (scalar, SHA-NI); the SHA-NI one
-//! runs under either x86 backend when the CPU has it, and these tests
-//! say so out loud when the host cannot exercise it. (The GF(256)
-//! tiers are swept in `rekey-transport`.)
+//! The one runtime-dispatched kernel, SHA-256 compression, must be
+//! byte-identical on both backends for all inputs — the selection is a
+//! pure throughput choice and must never be observable in output.
+//! `Backend::ShaNi` runs the reference on a CPU without the
+//! instructions, so every sweep below iterates both backends on every
+//! host, and says so out loud when the host cannot exercise the fast
+//! path.
 //!
 //! Also covers the `REKEY_SIMD` override surface: `Backend::resolve`
-//! is pure, so the env-var → backend mapping and the fallback chain
-//! (request above what the CPU supports degrades to the best available
-//! tier, never to an illegal one) are tested exhaustively here without
-//! spawning processes.
+//! is pure, so the env-var → backend mapping is tested here over every
+//! feature set without spawning processes.
 
 use proptest::prelude::*;
 use rekey_crypto::sha256;
 use rekey_crypto::simd::{self, Backend, CpuFeatures};
 
-/// Backends the current host can actually run (scalar always; SIMD
-/// tiers only when the CPU advertises them).
-fn supported_backends() -> Vec<Backend> {
-    let feats = simd::detect();
-    let mut v = vec![Backend::Scalar];
-    if feats.sse2 {
-        v.push(Backend::Sse2);
-    }
-    if feats.avx2 {
-        v.push(Backend::Avx2);
-    }
-    v
-}
+const BACKENDS: [Backend; 2] = [Backend::Scalar, Backend::ShaNi];
 
-/// Whether a non-scalar backend really reaches the SHA-NI kernel on
-/// this host; prints a note (once per calling test) when it cannot, so
-/// a green run on such a host is not mistaken for coverage.
+/// Whether `Backend::ShaNi` really reaches the SHA-NI kernel on this
+/// host; prints a note (once per calling test) when it cannot, so a
+/// green run on such a host is not mistaken for coverage.
 fn sha_ni_under_test(test: &str) -> bool {
-    let on = sha256::kernel_name(Backend::Sse2) == "sha_ni";
-    assert_eq!(on, simd::detect().sha_ni);
+    let on = simd::detect().sha_ni;
     if !on {
         eprintln!("note: {test}: host lacks sha/ssse3/sse4.1 — SHA-NI kernel not exercised");
     }
@@ -56,7 +41,7 @@ proptest! {
         let reference = sha256::digest_with(Backend::Scalar, &data);
         let (a, b) = (cut_a.index(data.len() + 1), cut_b.index(data.len() + 1));
         let (a, b) = (a.min(b), a.max(b));
-        for backend in supported_backends() {
+        for backend in BACKENDS {
             prop_assert_eq!(
                 sha256::digest_with(backend, &data), reference,
                 "backend {} diverged", backend);
@@ -69,62 +54,46 @@ proptest! {
                 "backend {} diverged on split {}/{}", backend, a, b);
         }
     }
+}
 
-    /// `Backend::resolve` degrades cleanly: the resolved backend never
-    /// exceeds what the CPU supports nor what the request caps it to,
-    /// and with full features an explicit request is honored exactly.
-    #[test]
-    fn resolve_never_exceeds_features(sse2 in any::<bool>(),
-                                      ssse3 in any::<bool>(),
-                                      avx2 in any::<bool>(),
-                                      sha_ni in any::<bool>(),
-                                      req_idx in 0usize..7) {
-        // Covers every recognized `REKEY_SIMD` value plus garbage.
-        let request = [
+/// `Backend::resolve` never selects an instruction set the CPU lacks,
+/// `off`/`scalar` force the reference whatever the CPU reports, and
+/// every other request — the retired tier names and garbage included —
+/// follows the CPU.
+#[test]
+fn resolve_never_exceeds_features() {
+    for sha_ni in [false, true] {
+        for request in [
             None,
             Some("auto"),
             Some("off"),
             Some("scalar"),
             Some("sse2"),
             Some("avx2"),
+            Some(""),
             Some("no-such-backend"),
-        ][req_idx];
-        let feats = CpuFeatures { sse2, ssse3, avx2, sha_ni };
-        let best = if avx2 {
-            Backend::Avx2
-        } else if sse2 {
-            Backend::Sse2
-        } else {
-            Backend::Scalar
-        };
-        let resolved = Backend::resolve(request, feats);
-        prop_assert!(resolved <= best,
-                     "resolved {} above supported {}", resolved, best);
-        match request {
-            // `off` means the scalar reference everywhere: whatever the
-            // CPU reports, SHA-256 stays out of the SHA-NI kernel too.
-            Some("off") | Some("scalar") => {
-                prop_assert_eq!(resolved, Backend::Scalar);
-                prop_assert_eq!(sha256::kernel_name(resolved), "scalar");
-            }
-            Some("sse2") => prop_assert_eq!(resolved, Backend::Sse2.min(best)),
-            Some("avx2") => prop_assert_eq!(resolved, Backend::Avx2.min(best)),
-            // auto / unset / unrecognized: best supported tier.
-            _ => prop_assert_eq!(resolved, best),
+        ] {
+            let resolved = Backend::resolve(request, CpuFeatures { sha_ni });
+            let forced_off = matches!(request, Some("off") | Some("scalar"));
+            assert_eq!(
+                resolved == Backend::ShaNi,
+                sha_ni && !forced_off,
+                "{request:?} sha_ni={sha_ni}"
+            );
         }
     }
 }
 
 /// Every length `0..=4·64+4` exhaustively (the proptest samples the
 /// same range), each also as byte-at-a-time updates: scalar reference
-/// against every backend, i.e. against SHA-NI where the host has it.
+/// against `ShaNi`, i.e. against the SHA-NI kernel where the host has it.
 #[test]
 fn sha256_every_short_length_matches_scalar() {
     sha_ni_under_test("sha256_every_short_length_matches_scalar");
     let data: Vec<u8> = (0..4 * 64 + 4).map(|i| (i * 197 + 11) as u8).collect();
     for len in 0..=data.len() {
         let reference = sha256::digest_with(Backend::Scalar, &data[..len]);
-        for backend in supported_backends() {
+        for backend in BACKENDS {
             assert_eq!(
                 sha256::digest_with(backend, &data[..len]),
                 reference,
@@ -151,7 +120,7 @@ fn sha256_million_a_on_every_backend() {
     const EXPECTED: &str = "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0";
     let hex = |bytes: &[u8]| bytes.iter().map(|b| format!("{b:02x}")).collect::<String>();
     let data = vec![b'a'; 1_000_000];
-    for backend in supported_backends() {
+    for backend in BACKENDS {
         assert_eq!(
             hex(&sha256::digest_with(backend, &data)),
             EXPECTED,
@@ -167,23 +136,27 @@ fn sha256_million_a_on_every_backend() {
 
 /// The process-wide selection honors `simd::force` and the forced
 /// backend produces output identical to scalar through the implicit
-/// (`active()`-dispatched) entry points.
+/// (`active()`-dispatched) entry points — including `force(ShaNi)` on
+/// a host without `sha`, where hashers must stay on the reference
+/// (reaching the intrinsics there would be an illegal instruction).
 #[test]
 fn forced_backend_is_transparent_through_active_dispatch() {
     let original = simd::active();
     // CI runs the whole suite under `REKEY_SIMD=off`: there the
-    // process must start on the scalar tier with SHA-NI out of reach.
+    // process must start on the scalar reference.
     if matches!(
         std::env::var("REKEY_SIMD").as_deref(),
         Ok("off") | Ok("scalar")
     ) {
         assert_eq!(original, Backend::Scalar);
     }
-    assert_eq!(sha256::kernel_name(Backend::Scalar), "scalar");
+    if !sha_ni_under_test("forced_backend_is_transparent_through_active_dispatch") {
+        assert_eq!(original, Backend::Scalar);
+    }
     let data: Vec<u8> = (0..512 + 17).map(|i| i as u8).collect();
     let ref_digest = sha256::digest_with(Backend::Scalar, &data);
 
-    for backend in supported_backends() {
+    for backend in BACKENDS {
         simd::force(backend);
         assert_eq!(simd::active(), backend);
         assert_eq!(

@@ -114,7 +114,7 @@ pub(crate) fn render(snapshot: &MetricsSnapshot) -> String {
                 let _ = writeln!(
                     out,
                     "    {{\"name\": \"{}\", \"cat\": \"rekey\", \"ph\": \"{ph}\", \"ts\": {ts_us:.3}, \"pid\": 1, \"tid\": {}}}{sep}",
-                    escape(&event.name),
+                    json::escape(&event.name),
                     event.tid
                 );
             }
@@ -122,7 +122,7 @@ pub(crate) fn render(snapshot: &MetricsSnapshot) -> String {
                 let _ = writeln!(
                     out,
                     "    {{\"name\": \"{}\", \"cat\": \"rekey\", \"ph\": \"C\", \"ts\": {ts_us:.3}, \"pid\": 1, \"tid\": 0, \"args\": {{\"value\": {}}}}}{sep}",
-                    escape(&event.name),
+                    json::escape(&event.name),
                     fmt_f64(event.value.unwrap_or(0.0))
                 );
             }
@@ -147,21 +147,6 @@ fn fmt_f64(v: f64) -> String {
     } else {
         "0".to_string()
     }
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// What [`validate_trace`] found in a trace file.

@@ -2,12 +2,35 @@
 //! parse admin-endpoint responses (`/vars`, flight-recorder lines)
 //! without external dependencies. Supports the full JSON grammar
 //! (objects, arrays, strings with escapes, numbers, booleans, null).
+//! Beside it, [`escape`]: the one string escaper every JSON writer in
+//! the workspace uses.
 //!
 //! All failures are reported as [`ObsError::Json`] carrying the byte
 //! offset where parsing stopped.
 
 use crate::ObsError;
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
+
+/// Escapes `s` for embedding between the quotes of a JSON string
+/// literal; [`parse`] reads the result back as `s`.
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out
+}
 
 /// A JSON syntax error at a byte offset.
 fn err(offset: usize, detail: impl Into<String>) -> ObsError {
@@ -294,5 +317,22 @@ mod tests {
     fn empty_containers() {
         assert_eq!(parse("[]").unwrap(), Value::Arr(vec![]));
         assert_eq!(parse("{}").unwrap(), Value::Obj(BTreeMap::new()));
+    }
+
+    /// `escape` is per-character, so walking every Unicode scalar
+    /// value (controls, quote, backslash, BMP, non-BMP) through
+    /// `parse` covers every string; the literal cases are text that
+    /// itself looks like escapes.
+    #[test]
+    fn escape_round_trips_every_char_through_parse() {
+        let all: Vec<char> = (0..=char::MAX as u32).filter_map(char::from_u32).collect();
+        let mut cases: Vec<String> = all.chunks(4096).map(|c| c.iter().collect()).collect();
+        cases.extend(
+            ["", "\\u0041", "\\\"", "\\\\n\\", "\"\"\\\"", "\u{1F511}\\"].map(String::from),
+        );
+        for s in &cases {
+            let parsed = parse(&format!("\"{}\"", escape(s))).unwrap();
+            assert_eq!(parsed.as_str(), Some(s.as_str()));
+        }
     }
 }

@@ -271,153 +271,6 @@ fn verify(
     }
 }
 
-/// Result of a simulation that also delivers every rekey message over
-/// a lossy channel with the WKA-BKR protocol.
-#[derive(Debug, Clone)]
-pub struct TransportSimReport {
-    /// The key-server report.
-    pub server: SimReport,
-    /// Mean encrypted-key transmissions per interval (replication and
-    /// retransmission included) — the §4 metric.
-    pub mean_transport_keys: f64,
-    /// Mean delivery rounds per interval.
-    pub mean_rounds: f64,
-}
-
-/// Like [`run_scheme`], but additionally delivers every interval's
-/// rekey message with the executable WKA-BKR protocol over a two-point
-/// loss population, feeding the per-member NACK feedback to
-/// `feedback` (managers that learn loss rates — e.g.
-/// `rekey_core::combined::CombinedManager` — hook in here; others pass
-/// `|_, _, _| {}`).
-///
-/// Member loss rates are assigned at join time: high (`p_high`) with
-/// probability `high_fraction`, else `p_low`.
-///
-/// # Panics
-///
-/// Panics if a delivery fails to complete within the protocol's round
-/// budget, or on the same conditions as [`run_scheme`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_scheme_with_transport<M, R, F>(
-    manager: &mut M,
-    generator: &mut MembershipGenerator,
-    config: &SimConfig,
-    high_fraction: f64,
-    p_high: f64,
-    p_low: f64,
-    mut feedback: F,
-    rng: &mut R,
-) -> TransportSimReport
-where
-    M: GroupKeyManager,
-    R: Rng,
-    F: FnMut(&mut M, MemberId, u64, u64),
-{
-    use rekey_transport::interest::interest_map;
-    use rekey_transport::loss::Population;
-    use rekey_transport::wka_bkr::{self, WkaBkrConfig};
-
-    let obs = ObsRun::start(config);
-    let mut losses: BTreeMap<MemberId, f64> = BTreeMap::new();
-    let assign = |losses: &mut BTreeMap<MemberId, f64>, m: MemberId, rng: &mut R| {
-        let p = if rng.gen::<f64>() < high_fraction {
-            p_high
-        } else {
-            p_low
-        };
-        losses.insert(m, p);
-    };
-
-    // Bootstrap.
-    let joins: Vec<Join> = (0..generator.population() as u64)
-        .map(|i| {
-            assign(&mut losses, MemberId(i), rng);
-            Join::new(MemberId(i), Key::generate(rng))
-        })
-        .collect();
-    manager
-        .process_interval(&joins, &[], rng)
-        .expect("bootstrap batch");
-
-    let mut measured: Vec<IntervalStats> = Vec::new();
-    let (mut transport_keys, mut rounds) = (0u64, 0u64);
-    for step in 0..(config.warmup + config.intervals) {
-        let events = generator.next_interval(rng);
-        let joins: Vec<Join> = events
-            .joins
-            .iter()
-            .map(|&(m, _)| {
-                assign(&mut losses, m, rng);
-                Join::new(m, Key::generate(rng))
-            })
-            .collect();
-        let out = manager
-            .process_interval(&joins, &events.leaves, rng)
-            .expect("generated batch is consistent");
-        for m in &events.leaves {
-            losses.remove(m);
-        }
-
-        sample_interval(&out.stats);
-        let interest = interest_map(&out.message, |node, out| {
-            manager.members_under_into(node, out)
-        });
-        let pop = Population::from_map(
-            interest
-                .keys()
-                .map(|m| (*m, losses.get(m).copied().unwrap_or(p_low)))
-                .collect(),
-        );
-        let delivery =
-            wka_bkr::deliver(&out.message, &interest, &pop, &WkaBkrConfig::default(), rng);
-        assert!(delivery.report.complete, "rekey delivery incomplete");
-        for (&m, &(lost, seen)) in &delivery.lost_packets {
-            feedback(manager, m, lost, seen);
-        }
-
-        if step >= config.warmup {
-            measured.push(out.stats);
-            transport_keys += delivery.report.keys_transmitted as u64;
-            rounds += delivery.report.rounds as u64;
-        }
-    }
-
-    let phases = obs.finish(config);
-    let series: Vec<f64> = measured.iter().map(|s| s.encrypted_keys as f64).collect();
-    let keys_summary = Summary::of(&series);
-    let n = measured.len().max(1) as f64;
-    TransportSimReport {
-        server: SimReport {
-            mean_keys_per_interval: keys_summary.mean,
-            intervals: measured,
-            keys_summary,
-            final_size: manager.member_count(),
-            phases,
-        },
-        mean_transport_keys: transport_keys as f64 / n,
-        mean_rounds: rounds as f64 / n,
-    }
-}
-
-/// Compares the measured mean rekey cost of several managers on the
-/// *same* workload (same seed), returning `(name, mean keys)` pairs.
-pub fn compare_schemes<R: Rng + rand::SeedableRng + Clone>(
-    managers: Vec<Box<dyn GroupKeyManager>>,
-    params: crate::membership::MembershipParams,
-    config: &SimConfig,
-    seed: u64,
-) -> Vec<(&'static str, f64)> {
-    let mut results = Vec::new();
-    for mut manager in managers {
-        let mut rng = R::seed_from_u64(seed);
-        let mut generator = MembershipGenerator::new(params, &mut rng);
-        let report = run_scheme(manager.as_mut(), &mut generator, config, &mut rng);
-        results.push((manager.scheme_name(), report.mean_keys_per_interval));
-    }
-    results
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -477,43 +330,5 @@ mod tests {
             ..SimConfig::quick()
         };
         run_scheme(&mut mgr, &mut gen, &cfg, &mut rng);
-    }
-
-    #[test]
-    fn transport_in_the_loop_runs() {
-        use rekey_core::combined::CombinedManager;
-        let mut rng = StdRng::seed_from_u64(7);
-        let mut gen = MembershipGenerator::new(params(300), &mut rng);
-        let mut mgr = CombinedManager::two_loss_classes(4, 3);
-        let report = run_scheme_with_transport(
-            &mut mgr,
-            &mut gen,
-            &SimConfig::quick(),
-            0.3,
-            0.2,
-            0.02,
-            |m, member, lost, seen| m.record_feedback(member, lost, seen),
-            &mut rng,
-        );
-        assert!(report.mean_transport_keys >= report.server.mean_keys_per_interval);
-        assert!(report.mean_rounds >= 1.0);
-        // The feedback loop placed migrated members into both classes.
-        assert!(mgr.l_class_size(0) + mgr.l_class_size(1) > 0);
-    }
-
-    #[test]
-    fn compare_runs_same_workload() {
-        let results = compare_schemes::<StdRng>(
-            vec![
-                Box::new(OneTreeManager::new(4)),
-                Box::new(TtManager::new(4, 5)),
-            ],
-            params(300),
-            &SimConfig::quick(),
-            7,
-        );
-        assert_eq!(results.len(), 2);
-        assert_eq!(results[0].0, "one-keytree");
-        assert!(results.iter().all(|&(_, cost)| cost > 0.0));
     }
 }

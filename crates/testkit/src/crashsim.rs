@@ -18,10 +18,9 @@ use crate::runner::ManagerFactory;
 use crate::scenario::Scenario;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rekey_core::{Join, Journal};
+use rekey_core::Journal;
 use rekey_crypto::sha256::Sha256;
 use rekey_keytree::message::codec;
-use rekey_keytree::MemberId;
 use rekey_storage::MemStorage;
 
 /// Aggregates of a crash/recovery-equivalence run.
@@ -38,29 +37,6 @@ pub struct CrashSimReport {
     /// SHA-256 over the concatenated wire bytes of every interval —
     /// equals the uninterrupted run's digest by construction.
     pub digest: [u8; 32],
-}
-
-/// The per-interval churn batch of `scenario`, drawing join keys from
-/// `churn_rng` exactly as [`crate::runner::run_scenario`] does. The
-/// draws ride the same RNG the engine consumes, so a recovered RNG
-/// position regenerates the identical keys.
-fn batch(
-    scenario: &Scenario,
-    interval: usize,
-    churn_rng: &mut StdRng,
-) -> (Vec<Join>, Vec<MemberId>) {
-    let ops = &scenario.intervals[interval];
-    let mut joins = Vec::with_capacity(ops.joins.len());
-    for op in &ops.joins {
-        let key = rekey_crypto::Key::generate(churn_rng);
-        let mut join = Join::new(MemberId(op.member), key).with_loss_rate(op.loss);
-        if let Some(class) = op.class {
-            join = join.with_class(class);
-        }
-        joins.push(join);
-    }
-    let leaves: Vec<MemberId> = ops.leaves.iter().map(|&m| MemberId(m)).collect();
-    (joins, leaves)
 }
 
 /// Runs `scenario` with a journaled manager, crashing and recovering
@@ -84,7 +60,7 @@ pub fn run_with_crashes(
         let mut manager = factory(scenario);
         let mut churn_rng = StdRng::seed_from_u64(scenario.seed ^ 0x9E37_79B9_7F4A_7C15);
         for interval in 0..scenario.intervals.len() {
-            let (joins, leaves) = batch(scenario, interval, &mut churn_rng);
+            let (joins, leaves) = scenario.intervals[interval].batch(&mut churn_rng);
             let out = manager
                 .process_interval(&joins, &leaves, &mut churn_rng)
                 .map_err(|e| format!("reference interval {interval}: {e}"))?;
@@ -102,7 +78,7 @@ pub fn run_with_crashes(
 
     for interval in 0..scenario.intervals.len() {
         let epoch = interval as u64 + 1;
-        let (joins, leaves) = batch(scenario, interval, &mut churn_rng);
+        let (joins, leaves) = scenario.intervals[interval].batch(&mut churn_rng);
         let mut published = Vec::new();
         journal
             .durable_interval(

@@ -17,7 +17,7 @@ use crate::oracle::KnowledgeOracle;
 use crate::scenario::Scenario;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rekey_core::{GroupKeyManager, Join};
+use rekey_core::GroupKeyManager;
 use rekey_crypto::sha256::Sha256;
 use rekey_keytree::message::codec;
 use rekey_keytree::MemberId;
@@ -126,17 +126,10 @@ pub fn run_scenario_with(
     for (interval, ops) in scenario.intervals.iter().enumerate() {
         let fail = |detail: String| Violation { interval, detail };
 
-        let mut joins = Vec::with_capacity(ops.joins.len());
-        for op in &ops.joins {
-            let key = rekey_crypto::Key::generate(&mut churn_rng);
-            farm.admit(MemberId(op.member), key.clone(), op.loss);
-            let mut join = Join::new(MemberId(op.member), key).with_loss_rate(op.loss);
-            if let Some(class) = op.class {
-                join = join.with_class(class);
-            }
-            joins.push(join);
+        let (joins, leaves) = ops.batch(&mut churn_rng);
+        for (join, op) in joins.iter().zip(&ops.joins) {
+            farm.admit(join.member, join.individual_key.clone(), op.loss);
         }
-        let leaves: Vec<MemberId> = ops.leaves.iter().map(|&m| MemberId(m)).collect();
         for &m in &leaves {
             farm.depart(m);
         }

@@ -10,8 +10,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rekey_core::DurationClass;
+use rekey_core::{DurationClass, Join};
 use rekey_keytree::message::codec::{get_u32, get_u64, get_u8};
+use rekey_keytree::MemberId;
 
 /// One join operation: the member, an optional duration-class hint
 /// (exercises oracle placement), and its network loss rate (exercises
@@ -42,6 +43,28 @@ impl IntervalOps {
     /// Total operations in this interval.
     pub fn op_count(&self) -> usize {
         self.joins.len() + self.leaves.len() + self.loss_changes.len()
+    }
+
+    /// The batch a manager is handed for this interval: one [`Join`]
+    /// per join op, in op order, each individual key drawn from
+    /// `churn_rng`, plus the leavers. The draws ride the same RNG the
+    /// engine consumes afterwards, so every driver of a scenario (and
+    /// a recovered RNG position) regenerates the identical keys.
+    pub fn batch(&self, churn_rng: &mut StdRng) -> (Vec<Join>, Vec<MemberId>) {
+        let joins = self
+            .joins
+            .iter()
+            .map(|op| {
+                let key = rekey_crypto::Key::generate(churn_rng);
+                let join = Join::new(MemberId(op.member), key).with_loss_rate(op.loss);
+                match op.class {
+                    Some(class) => join.with_class(class),
+                    None => join,
+                }
+            })
+            .collect();
+        let leaves = self.leaves.iter().map(|&m| MemberId(m)).collect();
+        (joins, leaves)
     }
 }
 

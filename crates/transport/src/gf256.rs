@@ -5,19 +5,14 @@
 //! Substrate for the Reed–Solomon erasure codes used by the
 //! proactive-FEC rekey transport ([`crate::rs`]).
 //!
-//! # SIMD bulk routines
+//! # Bulk routines
 //!
-//! The RS hot loops ([`mul_acc`], [`scale`]) dispatch via
-//! [`rekey_crypto::simd`] to `pshufb` nibble-table kernels: the
-//! 256-byte product row for a constant `c` compresses to two 16-byte
-//! tables (`lo[n] = c·n`, `hi[n] = c·(n·16)`), and
-//! `c·x = lo[x & 0xF] ⊕ hi[x >> 4]` becomes two byte shuffles per
-//! 16-byte (SSE) or 32-byte (AVX2) vector. The 128-bit form needs
-//! SSSE3 (`pshufb` is not in SSE2), so the `Sse2` tier silently runs
-//! the scalar table loop on CPUs without SSSE3 — counted as scalar in
-//! the per-backend obs counters.
-
-use rekey_crypto::simd::{self, Backend};
+//! The RS hot loops ([`mul_acc`], [`scale`]) walk the 256-byte product
+//! row of the constant, eight branch-free table loads per pass. That is
+//! the only implementation: no rekey interval runs Reed–Solomon coding
+//! (DESIGN §3h records the measurement and the condition under which a
+//! vector kernel would return — behind these two functions, in this
+//! file).
 
 /// The reduction polynomial (without the x⁸ term).
 const POLY: u16 = 0x11d;
@@ -54,7 +49,7 @@ fn tables() -> &'static Tables {
 
 /// Full 256×256 product table (64 KiB): row `c` maps `s → c·s`.
 /// Turning the log/exp/zero-check dance of a scalar multiply into a
-/// single indexed load is what makes the wide bulk routines below
+/// single indexed load is what makes the bulk routines below
 /// branch-free.
 fn mul_table() -> &'static [[u8; 256]; 256] {
     use std::sync::OnceLock;
@@ -137,11 +132,10 @@ fn xor_acc_wide(dst: &mut [u8], src: &[u8]) {
     }
 }
 
-/// Scalar general path of [`mul_acc`]: eight branch-free table loads
-/// per pass. Compared to the log/exp formulation this removes the
-/// per-byte zero check and the two dependent lookups from the hot
-/// loop.
-fn mul_acc_row_scalar(dst: &mut [u8], src: &[u8], row: &[u8; 256]) {
+/// General path of [`mul_acc`]: eight branch-free table loads per
+/// pass. Compared to the log/exp formulation this removes the per-byte
+/// zero check and the two dependent lookups from the hot loop.
+fn mul_acc_row(dst: &mut [u8], src: &[u8], row: &[u8; 256]) {
     let mut d = dst.chunks_exact_mut(8);
     let mut s = src.chunks_exact(8);
     for (d8, s8) in (&mut d).zip(&mut s) {
@@ -159,8 +153,8 @@ fn mul_acc_row_scalar(dst: &mut [u8], src: &[u8], row: &[u8; 256]) {
     }
 }
 
-/// Scalar general path of [`scale`].
-fn scale_row_scalar(dst: &mut [u8], row: &[u8; 256]) {
+/// General path of [`scale`].
+fn scale_row(dst: &mut [u8], row: &[u8; 256]) {
     let mut d = dst.chunks_exact_mut(8);
     for d8 in &mut d {
         d8[0] = row[d8[0] as usize];
@@ -177,250 +171,29 @@ fn scale_row_scalar(dst: &mut [u8], row: &[u8; 256]) {
     }
 }
 
-/// The tier the GF(256) kernels actually run for `backend`: the
-/// 128-bit nibble kernel needs SSSE3 `pshufb`, so `Sse2` degrades to
-/// scalar on CPUs without it (AVX2 brings its own shuffle).
-fn gf_effective(backend: Backend) -> Backend {
-    #[cfg(target_arch = "x86_64")]
-    {
-        match backend {
-            Backend::Avx2 => Backend::Avx2,
-            Backend::Sse2 if simd::detect().ssse3 => Backend::Sse2,
-            _ => Backend::Scalar,
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = backend;
-        Backend::Scalar
-    }
-}
-
-fn count_gf_bytes(effective: Backend, bytes: usize) {
-    rekey_obs::count(
-        match effective {
-            Backend::Scalar => "transport.gf256_bytes.scalar",
-            Backend::Sse2 => "transport.gf256_bytes.sse2",
-            Backend::Avx2 => "transport.gf256_bytes.avx2",
-        },
-        bytes as u64,
-    );
-}
-
-/// `dst[i] ^= c * src[i]` — the inner loop of RS encoding/decoding —
-/// on the process-wide SIMD backend.
+/// `dst[i] ^= c * src[i]` — the inner loop of RS encoding/decoding.
 pub fn mul_acc(dst: &mut [u8], src: &[u8], c: u8) {
-    mul_acc_with(simd::active(), dst, src, c)
-}
-
-/// [`mul_acc`] on an explicit backend.
-///
-/// Entry point for the SIMD equivalence tests and per-backend benches;
-/// production callers use [`mul_acc`].
-pub fn mul_acc_with(backend: Backend, dst: &mut [u8], src: &[u8], c: u8) {
     debug_assert_eq!(dst.len(), src.len());
     match c {
         0 => {}
         1 => xor_acc_wide(dst, src),
         _ => {
-            let row = mul_row(c);
-            let effective = gf_effective(backend);
-            #[cfg(target_arch = "x86_64")]
-            let done = match effective {
-                Backend::Avx2 => x86::mul_acc_avx2(dst, src, row),
-                Backend::Sse2 => x86::mul_acc_ssse3(dst, src, row),
-                Backend::Scalar => 0,
-            };
-            #[cfg(not(target_arch = "x86_64"))]
-            let done = 0;
-            mul_acc_row_scalar(&mut dst[done..], &src[done..], row);
-            count_gf_bytes(effective, dst.len());
+            mul_acc_row(dst, src, mul_row(c));
+            rekey_obs::count("transport.gf256_bytes", dst.len() as u64);
         }
     }
 }
 
 /// `dst[i] = c * dst[i]` in place — the row-normalization step of RS
-/// decoding — on the process-wide SIMD backend.
+/// decoding.
 pub fn scale(dst: &mut [u8], c: u8) {
-    scale_with(simd::active(), dst, c)
-}
-
-/// [`scale`] on an explicit backend.
-pub fn scale_with(backend: Backend, dst: &mut [u8], c: u8) {
     match c {
         0 => dst.fill(0),
         1 => {}
         _ => {
-            let row = mul_row(c);
-            let effective = gf_effective(backend);
-            #[cfg(target_arch = "x86_64")]
-            let done = match effective {
-                Backend::Avx2 => x86::scale_avx2(dst, row),
-                Backend::Sse2 => x86::scale_ssse3(dst, row),
-                Backend::Scalar => 0,
-            };
-            #[cfg(not(target_arch = "x86_64"))]
-            let done = 0;
-            scale_row_scalar(&mut dst[done..], row);
-            count_gf_bytes(effective, dst.len());
+            scale_row(dst, mul_row(c));
+            rekey_obs::count("transport.gf256_bytes", dst.len() as u64);
         }
-    }
-}
-
-/// `pshufb` nibble-table kernels. A 256-entry product row collapses to
-/// two 16-byte tables indexed by the low/high nibble; one multiply =
-/// two byte shuffles + one XOR per vector.
-#[cfg(target_arch = "x86_64")]
-#[allow(unsafe_code)]
-mod x86 {
-    use core::arch::x86_64::*;
-
-    /// Splits a product row into its low-/high-nibble tables:
-    /// `lo[n] = c·n`, `hi[n] = c·(n·16)`; by linearity of GF(256)
-    /// multiplication over XOR, `c·x = lo[x & 0xF] ⊕ hi[x >> 4]`.
-    fn nibble_tables(row: &[u8; 256]) -> ([u8; 16], [u8; 16]) {
-        let mut lo = [0u8; 16];
-        let mut hi = [0u8; 16];
-        for n in 0..16 {
-            lo[n] = row[n];
-            hi[n] = row[n << 4];
-        }
-        (lo, hi)
-    }
-
-    /// Safe entries. Each checks the required CPU feature itself and
-    /// returns 0 (no bytes processed; the caller's scalar path covers
-    /// everything) when it is absent, so the internal `unsafe` blocks
-    /// are sound unconditionally: the `target_feature` kernels are only
-    /// entered after `is_x86_feature_detected!` confirms the feature.
-    pub fn mul_acc_ssse3(dst: &mut [u8], src: &[u8], row: &[u8; 256]) -> usize {
-        if !std::arch::is_x86_feature_detected!("ssse3") {
-            return 0;
-        }
-        // SAFETY: SSSE3 confirmed above.
-        unsafe { mul_acc_ssse3_impl(dst, src, row) }
-    }
-
-    /// See [`mul_acc_ssse3`].
-    pub fn mul_acc_avx2(dst: &mut [u8], src: &[u8], row: &[u8; 256]) -> usize {
-        if !std::arch::is_x86_feature_detected!("avx2") {
-            return 0;
-        }
-        // SAFETY: AVX2 confirmed above.
-        unsafe { mul_acc_avx2_impl(dst, src, row) }
-    }
-
-    /// See [`mul_acc_ssse3`].
-    pub fn scale_ssse3(dst: &mut [u8], row: &[u8; 256]) -> usize {
-        if !std::arch::is_x86_feature_detected!("ssse3") {
-            return 0;
-        }
-        // SAFETY: SSSE3 confirmed above.
-        unsafe { scale_ssse3_impl(dst, row) }
-    }
-
-    /// See [`mul_acc_ssse3`].
-    pub fn scale_avx2(dst: &mut [u8], row: &[u8; 256]) -> usize {
-        if !std::arch::is_x86_feature_detected!("avx2") {
-            return 0;
-        }
-        // SAFETY: AVX2 confirmed above.
-        unsafe { scale_avx2_impl(dst, row) }
-    }
-
-    /// `c·x` for one 128-bit vector via two nibble shuffles.
-    #[inline]
-    #[target_feature(enable = "ssse3")]
-    unsafe fn mul128(x: __m128i, lo: __m128i, hi: __m128i, mask: __m128i) -> __m128i {
-        _mm_xor_si128(
-            _mm_shuffle_epi8(lo, _mm_and_si128(x, mask)),
-            _mm_shuffle_epi8(hi, _mm_and_si128(_mm_srli_epi16(x, 4), mask)),
-        )
-    }
-
-    #[target_feature(enable = "ssse3")]
-    unsafe fn mul_acc_ssse3_impl(dst: &mut [u8], src: &[u8], row: &[u8; 256]) -> usize {
-        let (lo_t, hi_t) = nibble_tables(row);
-        let lo = _mm_loadu_si128(lo_t.as_ptr() as *const __m128i);
-        let hi = _mm_loadu_si128(hi_t.as_ptr() as *const __m128i);
-        let mask = _mm_set1_epi8(0x0f);
-        let n = dst.len().min(src.len()) & !15;
-        let mut i = 0;
-        while i < n {
-            let x = _mm_loadu_si128(src.as_ptr().add(i) as *const __m128i);
-            let d = _mm_loadu_si128(dst.as_ptr().add(i) as *const __m128i);
-            let p = mul128(x, lo, hi, mask);
-            _mm_storeu_si128(dst.as_mut_ptr().add(i) as *mut __m128i, _mm_xor_si128(d, p));
-            i += 16;
-        }
-        n
-    }
-
-    #[target_feature(enable = "ssse3")]
-    unsafe fn scale_ssse3_impl(dst: &mut [u8], row: &[u8; 256]) -> usize {
-        let (lo_t, hi_t) = nibble_tables(row);
-        let lo = _mm_loadu_si128(lo_t.as_ptr() as *const __m128i);
-        let hi = _mm_loadu_si128(hi_t.as_ptr() as *const __m128i);
-        let mask = _mm_set1_epi8(0x0f);
-        let n = dst.len() & !15;
-        let mut i = 0;
-        while i < n {
-            let x = _mm_loadu_si128(dst.as_ptr().add(i) as *const __m128i);
-            let p = mul128(x, lo, hi, mask);
-            _mm_storeu_si128(dst.as_mut_ptr().add(i) as *mut __m128i, p);
-            i += 16;
-        }
-        n
-    }
-
-    /// `c·x` for one 256-bit vector; `_mm256_shuffle_epi8` shuffles
-    /// within each 128-bit lane, which is exactly right for a 16-entry
-    /// table broadcast to both lanes.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn mul256(x: __m256i, lo: __m256i, hi: __m256i, mask: __m256i) -> __m256i {
-        _mm256_xor_si256(
-            _mm256_shuffle_epi8(lo, _mm256_and_si256(x, mask)),
-            _mm256_shuffle_epi8(hi, _mm256_and_si256(_mm256_srli_epi16(x, 4), mask)),
-        )
-    }
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn mul_acc_avx2_impl(dst: &mut [u8], src: &[u8], row: &[u8; 256]) -> usize {
-        let (lo_t, hi_t) = nibble_tables(row);
-        let lo = _mm256_broadcastsi128_si256(_mm_loadu_si128(lo_t.as_ptr() as *const __m128i));
-        let hi = _mm256_broadcastsi128_si256(_mm_loadu_si128(hi_t.as_ptr() as *const __m128i));
-        let mask = _mm256_set1_epi8(0x0f);
-        let n = dst.len().min(src.len()) & !31;
-        let mut i = 0;
-        while i < n {
-            let x = _mm256_loadu_si256(src.as_ptr().add(i) as *const __m256i);
-            let d = _mm256_loadu_si256(dst.as_ptr().add(i) as *const __m256i);
-            let p = mul256(x, lo, hi, mask);
-            _mm256_storeu_si256(
-                dst.as_mut_ptr().add(i) as *mut __m256i,
-                _mm256_xor_si256(d, p),
-            );
-            i += 32;
-        }
-        n
-    }
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn scale_avx2_impl(dst: &mut [u8], row: &[u8; 256]) -> usize {
-        let (lo_t, hi_t) = nibble_tables(row);
-        let lo = _mm256_broadcastsi128_si256(_mm_loadu_si128(lo_t.as_ptr() as *const __m128i));
-        let hi = _mm256_broadcastsi128_si256(_mm_loadu_si128(hi_t.as_ptr() as *const __m128i));
-        let mask = _mm256_set1_epi8(0x0f);
-        let n = dst.len() & !31;
-        let mut i = 0;
-        while i < n {
-            let x = _mm256_loadu_si256(dst.as_ptr().add(i) as *const __m256i);
-            let p = mul256(x, lo, hi, mask);
-            _mm256_storeu_si256(dst.as_mut_ptr().add(i) as *mut __m256i, p);
-            i += 32;
-        }
-        n
     }
 }
 
@@ -561,37 +334,5 @@ mod tests {
     #[should_panic(expected = "zero has no inverse")]
     fn inv_zero_panics() {
         inv(0);
-    }
-
-    /// Every backend the CPU supports produces the scalar bytes, at
-    /// lengths straddling the 16- and 32-byte vector boundaries.
-    #[test]
-    fn simd_backends_match_scalar_reference() {
-        let feats = simd::detect();
-        let mut backends = vec![Backend::Scalar];
-        if feats.sse2 {
-            backends.push(Backend::Sse2);
-        }
-        if feats.avx2 {
-            backends.push(Backend::Avx2);
-        }
-        for len in [0usize, 1, 15, 16, 17, 31, 32, 33, 64, 100, 257] {
-            let src: Vec<u8> = (0..len).map(|i| (i * 37 + 5) as u8).collect();
-            let base: Vec<u8> = (0..len).map(|i| (i * 11 + 3) as u8).collect();
-            for c in [0u8, 1, 2, 29, 142, 255] {
-                let mut acc_ref = base.clone();
-                mul_acc_with(Backend::Scalar, &mut acc_ref, &src, c);
-                let mut scale_ref = base.clone();
-                scale_with(Backend::Scalar, &mut scale_ref, c);
-                for &backend in &backends[1..] {
-                    let mut acc = base.clone();
-                    mul_acc_with(backend, &mut acc, &src, c);
-                    assert_eq!(acc, acc_ref, "mul_acc len={len} c={c} {backend}");
-                    let mut scaled = base.clone();
-                    scale_with(backend, &mut scaled, c);
-                    assert_eq!(scaled, scale_ref, "scale len={len} c={c} {backend}");
-                }
-            }
-        }
     }
 }

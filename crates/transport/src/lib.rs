@@ -24,10 +24,7 @@
 //! to the analytic predictions in `rekey-analytic::appendix_b`; the
 //! integration tests cross-validate the two.
 
-// Unsafe is denied crate-wide and allowed back in only inside the
-// `x86` intrinsic submodule of `gf256`, whose safety argument lives
-// next to the code (see DESIGN.md §3h).
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod fec;
