@@ -153,16 +153,6 @@ impl LossEstimator {
         e.1 += seen;
     }
 
-    /// Records a whole delivery's feedback.
-    pub fn record_all<'a, I>(&mut self, feedback: I)
-    where
-        I: IntoIterator<Item = (&'a MemberId, &'a (u64, u64))>,
-    {
-        for (&m, &(lost, seen)) in feedback {
-            self.record(m, lost, seen);
-        }
-    }
-
     /// The member's estimated loss rate, if at least `min_samples`
     /// packets were observed.
     pub fn estimate(&self, member: MemberId, min_samples: u64) -> Option<f64> {

@@ -179,16 +179,6 @@ impl SchemeConfig {
         self.s_period = k;
         self
     }
-
-    /// The configured degree.
-    pub fn degree_value(&self) -> usize {
-        self.degree
-    }
-
-    /// The configured S-period.
-    pub fn s_period_value(&self) -> u64 {
-        self.s_period
-    }
 }
 
 impl Default for SchemeConfig {

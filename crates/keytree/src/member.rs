@@ -164,17 +164,6 @@ impl GroupMember {
     pub fn forget(&mut self, node: NodeId) {
         self.keys.remove(&node);
     }
-
-    /// Whether this member can decrypt at least one entry of the
-    /// message — i.e. whether the message is "of interest" to it.
-    pub fn is_interested(&self, message: &RekeyMessage) -> bool {
-        message.entries.iter().any(|e| {
-            self.keys
-                .get(&e.under)
-                .is_some_and(|(v, _)| *v == e.under_version)
-                || (e.under_is_leaf && e.recipient == Some(self.id))
-        })
-    }
 }
 
 #[cfg(test)]
@@ -220,20 +209,6 @@ mod tests {
         assert!(m.key_for(root).is_some());
         m.forget(root);
         assert!(m.key_for(root).is_none());
-    }
-
-    #[test]
-    fn interest_respects_recipient_addressing() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let mut server = LkhServer::new(3, 0);
-        let ik = Key::generate(&mut rng);
-        let msg = server.join(MemberId(1), ik.clone(), &mut rng);
-        // The addressee is interested; a stranger with a different id
-        // and key is not.
-        let m = GroupMember::new(MemberId(1), ik);
-        assert!(m.is_interested(&msg));
-        let stranger = GroupMember::new(MemberId(2), Key::generate(&mut rng));
-        assert!(!stranger.is_interested(&msg));
     }
 
     #[test]

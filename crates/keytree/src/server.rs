@@ -27,10 +27,10 @@
 //!    the caller's RNG and is inherently ordered.
 //! 2. **Planning** (sequential): every encryption the batch needs is
 //!    recorded as a planned wrap — KEK, payload, per-entry metadata
-//!    and a nonce pre-drawn from the caller's RNG in plan order. All
-//!    buffers live in a reusable scratch arena, so steady-state
-//!    batches perform no per-epoch heap allocation beyond the output
-//!    message itself.
+//!    and a nonce pre-drawn from the caller's RNG in plan order. The
+//!    batch owns its working memory: every buffer is a local of
+//!    [`LkhServer::try_apply_batch`] and is freed when the message is
+//!    handed back, so the server holds its state and nothing else.
 //! 3. **Execution** (sequential): the planned wraps are pure
 //!    functions of their inputs — all ordering and randomness was
 //!    fixed during planning — and are run in plan order into the
@@ -52,7 +52,7 @@ use crate::{KeyTreeError, MemberId, NodeId};
 use rand::RngCore;
 use rekey_crypto::keywrap::{WrapKek, NONCE_LEN};
 use rekey_crypto::Key;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Statistics about one batched rekey operation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -91,25 +91,35 @@ struct EntryMeta {
     target_depth: u32,
 }
 
-/// One planned key encryption: a pure function of its fields (plus the
-/// batch's shared KEK arena). The payload key is held inline (32-byte
-/// copy); the KEK is an index into [`RekeyScratch::keks`], where its
-/// derived sub-keys and scheduled MAC state are prepared during
-/// planning. Join batches share one slot among all entries along a
-/// joiner's path; group-oriented batches wrap under each child key
-/// exactly once, so there every entry has a slot (and a set-up) of its
-/// own.
+/// One planned key encryption: a pure function of its fields plus the
+/// batch's prepared KEKs. The payload key is held inline (32-byte
+/// copy); `kek` indexes the batch's `Vec<WrapKek>`, where the derived
+/// sub-keys and scheduled MAC state are prepared during planning. A
+/// join batch shares one KEK among all entries along a joiner's path;
+/// every other wrapping key wraps exactly one entry and has a KEK (and
+/// a set-up) of its own.
 #[derive(Debug, Clone)]
 struct PlannedWrap {
-    kek_slot: usize,
+    kek: usize,
     payload: Key,
     nonce: [u8; NONCE_LEN],
     meta: EntryMeta,
 }
 
 impl PlannedWrap {
+    /// A wrap of `payload` under `keks[kek]`; the nonce is drawn later,
+    /// in final plan order.
+    fn new(kek: usize, payload: &Key, meta: EntryMeta) -> Self {
+        PlannedWrap {
+            kek,
+            payload: payload.clone(),
+            nonce: [0; NONCE_LEN],
+            meta,
+        }
+    }
+
     fn execute(self, keks: &[WrapKek]) -> RekeyEntry {
-        let wrapped = keks[self.kek_slot].wrap_with_nonce(&self.payload, self.nonce);
+        let wrapped = keks[self.kek].wrap_with_nonce(&self.payload, self.nonce);
         RekeyEntry {
             target: self.meta.target,
             target_version: self.meta.target_version,
@@ -124,86 +134,15 @@ impl PlannedWrap {
     }
 }
 
-/// Reusable per-batch working memory for the rekey engine.
-///
-/// Every buffer is cleared (capacity retained) at the start of a batch,
-/// so a warmed-up server performs no per-epoch heap allocation in the
-/// planning phase; the only allocation per batch is the output
-/// [`RekeyMessage`] handed to the caller.
-#[derive(Debug, Clone, Default)]
-pub struct RekeyScratch {
-    /// Dirty node ids, sorted ascending and deduplicated.
+/// What the mutation phase hands to planning.
+struct Mutation {
+    /// Nodes whose keys must be refreshed, ascending and deduplicated.
     dirty: Vec<NodeId>,
-    /// Pre-refresh `(node, version, key)` snapshots, sorted by node —
-    /// populated only for pure-join batches (the only mode that wraps
-    /// under previous keys).
-    old_versions: Vec<(NodeId, u64, Key)>,
-    /// Tree slots vacated by this batch's departures.
-    vacancies: VecDeque<NodeId>,
-    /// Interior nodes created by leaf splits in this batch, in
-    /// creation order (which is emission order for their entries).
+    /// Interior nodes created by leaf splits in this batch, in creation
+    /// order (which is emission order for their entries).
     created: Vec<NodeId>,
-    /// One joiner's leaf-to-root path, refilled per joiner.
-    path_nodes: Vec<NodeId>,
-    /// `(index into dirty, index into joined_leaves)` for every dirty
-    /// node on a joiner's path, sorted: the joiners beneath each dirty
-    /// node, in batch order.
-    joiner_hits: Vec<(usize, usize)>,
-    /// Sorted lookup sets for the join planner: `created`, and the
-    /// leaves of this batch's joiners.
-    created_sorted: Vec<NodeId>,
-    joined_leaf_ids: Vec<NodeId>,
-    /// The encryption plan for the current batch.
-    plan: Vec<PlannedWrap>,
-    /// Prepared KEKs (derived sub-keys + scheduled MAC state), one per
-    /// distinct wrapping key of the batch; [`PlannedWrap::kek_slot`]
-    /// indexes here.
-    keks: Vec<WrapKek>,
-    /// Dedup map for `keks` on the join path, where one individual key
-    /// wraps every node of its joiner's path: the `(node, key version)`
-    /// identity of a wrapping key → its slot.
-    kek_slots: HashMap<(NodeId, u64), usize>,
-}
-
-impl RekeyScratch {
-    fn begin_batch(&mut self) {
-        self.dirty.clear();
-        self.old_versions.clear();
-        self.vacancies.clear();
-        self.created.clear();
-        self.path_nodes.clear();
-        self.joiner_hits.clear();
-        self.created_sorted.clear();
-        self.joined_leaf_ids.clear();
-        self.plan.clear();
-        self.keks.clear();
-        self.kek_slots.clear();
-    }
-
-    fn old_version_of(&self, node: NodeId) -> Option<&(NodeId, u64, Key)> {
-        self.old_versions
-            .binary_search_by_key(&node, |&(n, _, _)| n)
-            .ok()
-            .map(|i| &self.old_versions[i])
-    }
-}
-
-/// Slot of the prepared [`WrapKek`] for the wrapping key identified by
-/// `(under, version)`, running the (HKDF + HMAC-schedule) setup only on
-/// the first entry planned under it. A free function over the two
-/// scratch fields so planning loops can call it while iterating other
-/// scratch buffers.
-fn kek_slot_for(
-    keks: &mut Vec<WrapKek>,
-    slots: &mut HashMap<(NodeId, u64), usize>,
-    under: NodeId,
-    version: u64,
-    key: &Key,
-) -> usize {
-    *slots.entry((under, version)).or_insert_with(|| {
-        keks.push(WrapKek::new(key));
-        keks.len() - 1
-    })
+    /// Leaf node assigned to each joiner, in batch order.
+    joined_leaves: Vec<(MemberId, NodeId)>,
 }
 
 /// The key server for one logical key tree.
@@ -211,7 +150,6 @@ fn kek_slot_for(
 pub struct LkhServer {
     tree: KeyTree,
     epoch: u64,
-    scratch: RekeyScratch,
 }
 
 /// Version byte leading a serialized [`LkhServer`].
@@ -232,15 +170,12 @@ impl LkhServer {
         LkhServer {
             tree: KeyTree::new(degree, namespace, &mut boot),
             epoch: 0,
-            scratch: RekeyScratch::default(),
         }
     }
 
     /// Serializes the server's durable state — epoch plus the full
-    /// logical tree — onto `buf` (see [`KeyTree::encode_into`]).
-    ///
-    /// The scratch arena is working memory, not state, and is not
-    /// serialized.
+    /// logical tree — onto `buf` (see [`KeyTree::encode_into`]). That
+    /// is everything a server holds between batches.
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
         buf.push(SERVER_WIRE_VERSION);
         put_u64(buf, self.epoch);
@@ -256,11 +191,7 @@ impl LkhServer {
         }
         let epoch = get_u64(buf)?;
         let tree = KeyTree::decode(buf)?;
-        Some(LkhServer {
-            tree,
-            epoch,
-            scratch: RekeyScratch::default(),
-        })
+        Some(LkhServer { tree, epoch })
     }
 
     /// Read access to the underlying tree.
@@ -322,8 +253,10 @@ impl LkhServer {
     ///
     /// [`KeyTreeError::DuplicateMember`] / [`KeyTreeError::UnknownMember`]
     /// if the batch references members inconsistently; the tree is left
-    /// with all changes up to the offending one applied, so callers
-    /// should treat this as a programming error.
+    /// with all changes up to the offending one applied (and the epoch
+    /// bumped), so direct callers should treat this as a programming
+    /// error. `rekey_core`'s engine validates a whole interval before it
+    /// reaches any tree, so a batch it rejects changes nothing.
     pub fn try_apply_batch<R: RngCore>(
         &mut self,
         joins: &[(MemberId, Key)],
@@ -331,59 +264,55 @@ impl LkhServer {
         rng: &mut R,
     ) -> Result<BatchOutcome, KeyTreeError> {
         self.epoch += 1;
-        self.scratch.begin_batch();
 
         // ---- Phase 1: tree mutation + fresh key generation --------
-        let joined_leaves = {
+        let Mutation {
+            dirty,
+            created,
+            joined_leaves,
+        } = {
             let _span = rekey_obs::span!("rekey.mutate");
             self.mutate_tree(joins, leaves, rng)?
         };
 
         // ---- Phase 2: plan every encryption this batch needs ------
-        {
+        let mut keks = Vec::new();
+        let plan = {
             let _span = rekey_obs::span!("rekey.plan");
-            let pure_join = leaves.is_empty();
-            if pure_join {
-                self.snapshot_old_versions();
-            }
-            for &node in &self.scratch.dirty {
-                self.tree.refresh_key(node, rng);
-            }
-            if pure_join {
-                self.plan_join_entries(&joined_leaves);
+            // Index-aligned with `dirty`; only a pure-join batch wraps
+            // anything under a previous key.
+            let replaced: Vec<(u64, Key)> = dirty
+                .iter()
+                .map(|&node| self.tree.refresh_key(node, rng))
+                .collect();
+            let mut plan = if leaves.is_empty() {
+                self.plan_join_entries(&dirty, &replaced, &created, &joined_leaves, &mut keks)
             } else {
-                self.plan_group_oriented_entries();
-            }
+                self.plan_group_oriented_entries(&dirty, &mut keks)
+            };
             // Deepest targets first => members decrypt in one pass.
             // The sort is stable, so entries for one node keep their
             // relative order.
-            self.scratch
-                .plan
-                .sort_by_key(|job| std::cmp::Reverse(job.meta.target_depth));
+            plan.sort_by_key(|job| std::cmp::Reverse(job.meta.target_depth));
             // Nonces are drawn in final plan order, after every fresh
             // key: execution then draws nothing.
-            for job in &mut self.scratch.plan {
+            for job in &mut plan {
                 rng.fill_bytes(&mut job.nonce);
             }
-        }
+            plan
+        };
 
         // ---- Phase 3: run the plan into the output entries --------
         let entries: Vec<RekeyEntry> = {
             let _span = rekey_obs::span!("rekey.execute");
-            let scratch = &mut self.scratch;
-            let keks = &scratch.keks;
-            scratch
-                .plan
-                .drain(..)
-                .map(|job| job.execute(keks))
-                .collect()
+            plan.into_iter().map(|job| job.execute(&keks)).collect()
         };
         rekey_obs::count("rekey.encrypted_keys", entries.len() as u64);
 
         let stats = BatchStats {
             joins: joins.len(),
             leaves: leaves.len(),
-            refreshed_keys: self.scratch.dirty.len(),
+            refreshed_keys: dirty.len(),
             encrypted_keys: entries.len(),
         };
         Ok(BatchOutcome {
@@ -396,32 +325,34 @@ impl LkhServer {
         })
     }
 
-    /// Phase 1: applies the membership changes to the tree, recording
-    /// dirty nodes, vacancies, and created interiors in the scratch
-    /// arena. Returns the leaf assignments of this batch's joiners.
+    /// Phase 1: applies the membership changes to the tree and returns
+    /// the nodes to refresh, the interiors created and the leaf
+    /// assignments of this batch's joiners.
     fn mutate_tree<R: RngCore>(
         &mut self,
         joins: &[(MemberId, Key)],
         leaves: &[MemberId],
         rng: &mut R,
-    ) -> Result<Vec<(MemberId, NodeId)>, KeyTreeError> {
-        let scratch = &mut self.scratch;
+    ) -> Result<Mutation, KeyTreeError> {
+        let mut dirty = Vec::new();
+        let mut created = Vec::new();
 
         // Slots vacated by departures are re-used for joiners
         // ([YLZL01] batch rekeying): with J = L the join paths then
         // coincide with the leave paths and the batch costs Ne(N, L).
+        let mut vacancies = VecDeque::new();
         for &member in leaves {
             let removed_dirty = self.tree.remove_member(member)?;
             if let Some(&parent) = removed_dirty.first() {
-                scratch.vacancies.push_back(parent);
+                vacancies.push_back(parent);
             }
-            scratch.dirty.extend(removed_dirty);
+            dirty.extend(removed_dirty);
         }
 
         let mut joined_leaves = Vec::with_capacity(joins.len());
         for (member, individual_key) in joins {
             let mut outcome = None;
-            while let Some(slot) = scratch.vacancies.pop_front() {
+            while let Some(slot) = vacancies.pop_front() {
                 if let Some(at_slot) =
                     self.tree
                         .insert_member_at(*member, individual_key.clone(), slot)?
@@ -437,52 +368,43 @@ impl LkhServer {
                     .insert_member(*member, individual_key.clone(), rng)?,
             };
             joined_leaves.push((*member, outcome.leaf));
-            scratch.dirty.extend(outcome.dirty_path);
-            if let Some(node) = outcome.created_interior {
-                scratch.created.push(node);
-            }
+            dirty.extend(outcome.dirty_path);
+            created.extend(outcome.created_interior);
         }
 
         // Dedup and drop nodes that later structural repair deleted;
         // ascending order fixes the plan's (and thus the message's)
         // canonical node order.
-        scratch.dirty.sort_unstable();
-        scratch.dirty.dedup();
-        let tree = &self.tree;
-        scratch.dirty.retain(|node| tree.key_of(*node).is_some());
-        Ok(joined_leaves)
-    }
-
-    /// Snapshots `(version, key)` of every dirty node before refresh.
-    /// Only pure-join batches wrap anything under a previous key, so
-    /// mixed/leave batches skip this copy entirely.
-    fn snapshot_old_versions(&mut self) {
-        let scratch = &mut self.scratch;
-        scratch.old_versions.reserve(scratch.dirty.len());
-        for &node in &scratch.dirty {
-            let (key, version) = self.tree.key_of(node).expect("dirty node is alive");
-            // `dirty` is sorted, so `old_versions` is born sorted.
-            scratch.old_versions.push((node, version, key.clone()));
-        }
+        dirty.sort_unstable();
+        dirty.dedup();
+        dirty.retain(|node| self.tree.key_of(*node).is_some());
+        Ok(Mutation {
+            dirty,
+            created,
+            joined_leaves,
+        })
     }
 
     /// Plans group-oriented rekeying (mixed or leave batches): every
     /// refreshed key is encrypted under the current key of each of its
     /// children. A child has one parent, so no wrapping key repeats
-    /// within the batch and each goes straight into the KEK arena.
-    fn plan_group_oriented_entries(&mut self) {
-        let scratch = &mut self.scratch;
+    /// within the batch and each gets a KEK of its own.
+    fn plan_group_oriented_entries(
+        &self,
+        dirty: &[NodeId],
+        keks: &mut Vec<WrapKek>,
+    ) -> Vec<PlannedWrap> {
         let tree = &self.tree;
-        for &node in &scratch.dirty {
+        let mut plan = Vec::with_capacity(dirty.len() * tree.degree());
+        for &node in dirty {
             let (new_key, new_version) = tree.key_of(node).expect("dirty node is alive");
             let depth = tree.depth_of(node).expect("dirty node is alive") as u32;
             for child in tree.children_of(node).expect("dirty node is alive") {
-                scratch.keks.push(WrapKek::new(child.key));
-                scratch.plan.push(PlannedWrap {
-                    kek_slot: scratch.keks.len() - 1,
-                    payload: new_key.clone(),
-                    nonce: [0; NONCE_LEN],
-                    meta: EntryMeta {
+                keks.push(WrapKek::new(child.key));
+                plan.push(PlannedWrap::new(
+                    keks.len() - 1,
+                    new_key,
+                    EntryMeta {
                         target: node,
                         target_version: new_version,
                         under: child.id,
@@ -492,89 +414,92 @@ impl LkhServer {
                         audience: child.audience as u32,
                         target_depth: depth,
                     },
-                });
+                ));
             }
         }
+        plan
     }
 
     /// Plans the §2.1 join procedure (pure-join batches): each
-    /// refreshed key is encrypted under its own previous version plus
-    /// under the individual key of each joiner beneath it.
-    fn plan_join_entries(&mut self, joined_leaves: &[(MemberId, NodeId)]) {
-        let scratch = &mut self.scratch;
+    /// refreshed key is encrypted under its own previous version
+    /// (`replaced`, index-aligned with `dirty`) plus under the
+    /// individual key of each joiner beneath it.
+    ///
+    /// A joiner's individual key is the only wrapping key that repeats
+    /// in such a batch — once per dirty node on the joiner's path — so
+    /// `keks[j]` is prepared up front for joiner `j` of `joined_leaves`.
+    /// Every previous-version key wraps one entry and every other child
+    /// of a created interior has that one parent, so those KEKs are
+    /// pushed behind the joiners' as their entries are planned.
+    fn plan_join_entries(
+        &self,
+        dirty: &[NodeId],
+        replaced: &[(u64, Key)],
+        created: &[NodeId],
+        joined_leaves: &[(MemberId, NodeId)],
+        keks: &mut Vec<WrapKek>,
+    ) -> Vec<PlannedWrap> {
         let tree = &self.tree;
 
         // Walk each joiner's path once, noting which dirty nodes it
         // crosses. Sorted, the hits list the joiners beneath each dirty
         // node in batch order — the order their entries are emitted in.
+        let mut joiner_hits = Vec::new();
+        let mut path = Vec::new();
         for (joiner, (member, leaf)) in joined_leaves.iter().enumerate() {
-            scratch.path_nodes.clear();
-            tree.path_of_into(*member, &mut scratch.path_nodes)
+            let (leaf_key, _) = tree.key_of(*leaf).expect("fresh leaf is alive");
+            keks.push(WrapKek::new(leaf_key));
+            path.clear();
+            tree.path_of_into(*member, &mut path)
                 .expect("member just joined");
-            for node in &scratch.path_nodes {
-                if let Ok(dirty_idx) = scratch.dirty.binary_search(node) {
-                    scratch.joiner_hits.push((dirty_idx, joiner));
+            for node in &path {
+                if let Ok(dirty_idx) = dirty.binary_search(node) {
+                    joiner_hits.push((dirty_idx, joiner));
                 }
             }
-            scratch.joined_leaf_ids.push(*leaf);
         }
-        scratch.joiner_hits.sort_unstable();
-        scratch.joined_leaf_ids.sort_unstable();
-        scratch.created_sorted.extend_from_slice(&scratch.created);
-        scratch.created_sorted.sort_unstable();
+        joiner_hits.sort_unstable();
+        let mut joined_leaf_ids: Vec<NodeId> = joined_leaves.iter().map(|&(_, l)| l).collect();
+        joined_leaf_ids.sort_unstable();
+        let mut created_sorted = created.to_vec();
+        created_sorted.sort_unstable();
 
-        let mut hits = scratch.joiner_hits.iter().peekable();
-        for (dirty_idx, &node) in scratch.dirty.iter().enumerate() {
+        let mut plan = Vec::with_capacity(dirty.len() + joiner_hits.len());
+        let mut hits = joiner_hits.iter().peekable();
+        for (dirty_idx, &node) in dirty.iter().enumerate() {
             let (new_key, new_version) = tree.key_of(node).expect("dirty node is alive");
             let depth = tree.depth_of(node).expect("dirty node is alive") as u32;
-            let audience = tree.leaf_count_under(node) as u32;
 
             // One entry under the node's own previous key: every
             // existing member below already holds it. A brand-new node
             // (created by a leaf split) has no previous holders and
             // skips this entry.
-            let old = scratch
-                .old_version_of(node)
-                .map(|&(_, v, ref k)| (v, k.clone()));
-            if let Some((old_version, old_key)) = old {
-                if old_version < new_version && scratch.created_sorted.binary_search(&node).is_err()
-                {
-                    let kek_slot = kek_slot_for(
-                        &mut scratch.keks,
-                        &mut scratch.kek_slots,
-                        node,
-                        old_version,
-                        &old_key,
-                    );
-                    scratch.plan.push(PlannedWrap {
-                        kek_slot,
-                        payload: new_key.clone(),
-                        nonce: [0; NONCE_LEN],
-                        meta: EntryMeta {
-                            target: node,
-                            target_version: new_version,
-                            under: node,
-                            under_version: old_version,
-                            under_is_leaf: false,
-                            recipient: None,
-                            audience,
-                            target_depth: depth,
-                        },
-                    });
-                }
+            if created_sorted.binary_search(&node).is_err() {
+                let (old_version, old_key) = &replaced[dirty_idx];
+                keks.push(WrapKek::new(old_key));
+                plan.push(PlannedWrap::new(
+                    keks.len() - 1,
+                    new_key,
+                    EntryMeta {
+                        target: node,
+                        target_version: new_version,
+                        under: node,
+                        under_version: *old_version,
+                        under_is_leaf: false,
+                        recipient: None,
+                        audience: tree.leaf_count_under(node) as u32,
+                        target_depth: depth,
+                    },
+                ));
             }
 
             // One entry per joining member whose path contains `node`.
             while let Some(&(_, joiner)) = hits.next_if(|&&(idx, _)| idx == dirty_idx) {
                 let (member, leaf) = joined_leaves[joiner];
-                let (leaf_key, _) = tree.key_of(leaf).expect("fresh leaf is alive");
-                let kek_slot =
-                    kek_slot_for(&mut scratch.keks, &mut scratch.kek_slots, leaf, 0, leaf_key);
-                scratch.plan.push(PlannedWrap {
-                    kek_slot,
-                    payload: new_key.clone(),
-                    nonce: [0; NONCE_LEN],
-                    meta: EntryMeta {
+                plan.push(PlannedWrap::new(
+                    joiner,
+                    new_key,
+                    EntryMeta {
                         target: node,
                         target_version: new_version,
                         under: leaf,
@@ -584,32 +509,25 @@ impl LkhServer {
                         audience: 1,
                         target_depth: depth,
                     },
-                });
+                ));
             }
         }
 
         // Interior nodes freshly created by leaf splits may have
         // pre-existing members below (the split leaf); deliver the new
         // node's key to them under their existing child keys.
-        for &node in &scratch.created {
+        for &node in created {
             let (new_key, new_version) = tree.key_of(node).expect("created node is alive");
             let depth = tree.depth_of(node).expect("created node is alive") as u32;
             for child in tree.children_of(node).expect("created node is alive") {
-                if scratch.joined_leaf_ids.binary_search(&child.id).is_ok() {
+                if joined_leaf_ids.binary_search(&child.id).is_ok() {
                     continue; // already covered by per-joiner entries
                 }
-                let kek_slot = kek_slot_for(
-                    &mut scratch.keks,
-                    &mut scratch.kek_slots,
-                    child.id,
-                    child.version,
-                    child.key,
-                );
-                scratch.plan.push(PlannedWrap {
-                    kek_slot,
-                    payload: new_key.clone(),
-                    nonce: [0; NONCE_LEN],
-                    meta: EntryMeta {
+                keks.push(WrapKek::new(child.key));
+                plan.push(PlannedWrap::new(
+                    keks.len() - 1,
+                    new_key,
+                    EntryMeta {
                         target: node,
                         target_version: new_version,
                         under: child.id,
@@ -619,9 +537,10 @@ impl LkhServer {
                         audience: child.audience as u32,
                         target_depth: depth,
                     },
-                });
+                ));
             }
         }
+        plan
     }
 
     /// Infallible wrapper around [`LkhServer::try_apply_batch`].
@@ -860,9 +779,10 @@ mod tests {
         }
     }
 
-    /// Scratch reuse across epochs must not leak state between batches.
+    /// Batches are independent of each other: nothing but the tree and
+    /// the epoch carries over from one to the next.
     #[test]
-    fn scratch_reuse_is_stateless_across_batches() {
+    fn batches_are_stateless_across_epochs() {
         let (mut server, mut members, mut rng) = build_group(4, 40);
         for round in 0..6u64 {
             let joins: Vec<(MemberId, Key)> = (0..3)

@@ -287,19 +287,19 @@ impl KeyTree {
     }
 
     /// Installs a fresh random key at `node`, bumping its version.
-    /// Returns the new version.
+    /// Returns the `(version, key)` it replaced.
     ///
     /// # Panics
     ///
     /// Panics if `node` does not exist (callers refresh only nodes
     /// they just observed alive).
-    pub fn refresh_key<R: RngCore>(&mut self, node: NodeId, rng: &mut R) -> u64 {
+    pub fn refresh_key<R: RngCore>(&mut self, node: NodeId, rng: &mut R) -> (u64, Key) {
         let idx = self.index_of[&node];
         let key = Key::generate(rng);
         let n = self.node_mut(idx);
-        n.key = key;
+        let replaced = (n.version, std::mem::replace(&mut n.key, key));
         n.version += 1;
-        n.version
+        replaced
     }
 
     /// Inserts a new member leaf holding `individual_key`.
@@ -867,8 +867,9 @@ mod tests {
         let root = tree.root_id();
         let before = tree.root_key().clone();
         let v0 = tree.root_version();
-        let v1 = tree.refresh_key(root, &mut rng);
-        assert_eq!(v1, v0 + 1);
+        let replaced = tree.refresh_key(root, &mut rng);
+        assert_eq!(replaced, (v0, before.clone()));
+        assert_eq!(tree.root_version(), v0 + 1);
         assert_ne!(tree.root_key(), &before);
     }
 

@@ -79,3 +79,56 @@ fn bulk_pure_join_bytes_match_the_scanning_planner() {
         assert_eq!(member.key_for(server.root_node()), Some(server.root_key()));
     }
 }
+
+/// The join planner prepares one KEK per joiner and gives every other
+/// wrapping key a KEK of its own, which is only as cheap as deduping if
+/// no other key wraps twice. Check exactly that on the wire: within a
+/// pure-join message, a `(under, under_version)` shared by several
+/// entries is always the individual key of one of that batch's joiners.
+#[test]
+fn only_a_joiners_individual_key_wraps_more_than_one_entry() {
+    use std::collections::{HashMap, HashSet};
+
+    for degree in [2, 3, 4] {
+        let mut rng = StdRng::seed_from_u64(0x10e + degree as u64);
+        let mut server = LkhServer::new(degree, 1);
+        let mut next_id = 0u64;
+        let mut repeated = 0usize;
+        for (round, &size) in [1u64, 300, 4_096, 7, 513].iter().enumerate() {
+            let batch = joiners(next_id..next_id + size, &mut rng);
+            next_id += size;
+            let joined: HashSet<MemberId> = batch.iter().map(|(id, _)| *id).collect();
+            let outcome = server.apply_batch(&batch, &[], &mut rng);
+            server.tree().check_invariants();
+
+            let mut groups: HashMap<_, Vec<_>> = HashMap::new();
+            for entry in &outcome.message.entries {
+                groups
+                    .entry((entry.under, entry.under_version))
+                    .or_default()
+                    .push(entry);
+            }
+            for (under, entries) in groups {
+                if entries.len() == 1 {
+                    continue;
+                }
+                repeated += 1;
+                for entry in entries {
+                    assert!(
+                        entry.under_is_leaf && entry.recipient.is_some_and(|m| joined.contains(&m)),
+                        "d={degree} round {round}: {under:?} wraps several entries \
+                         but is not a joiner's individual key: {entry:?}"
+                    );
+                }
+            }
+
+            // A small leave batch in between, so the next joins fill
+            // vacancies and split leaves of an irregular tree.
+            let mut members: Vec<MemberId> = server.tree().members().collect();
+            members.sort();
+            let leavers: Vec<MemberId> = members.into_iter().step_by(5).take(9).collect();
+            server.apply_batch(&[], &leavers, &mut rng);
+        }
+        assert!(repeated > 0, "d={degree}: no joiner key was ever shared");
+    }
+}

@@ -30,7 +30,7 @@ use crate::proto::{self, Frame, MAX_NACK_EPOCHS};
 use rekey_crypto::sha256::Sha256;
 use rekey_crypto::Key;
 use rekey_keytree::member::GroupMember;
-use rekey_keytree::message::codec;
+use rekey_keytree::message::{codec, RekeyMessage};
 use rekey_keytree::MemberId;
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{Read, Write};
@@ -77,8 +77,9 @@ pub struct RekeyClient {
     backoff: Backoff,
     /// Next epoch to apply (everything below is done).
     next_epoch: u64,
-    /// Out-of-order arrivals: epoch → (fan-out stamp, codec bytes).
-    pending: BTreeMap<u64, (u64, Vec<u8>)>,
+    /// Out-of-order arrivals: epoch → (fan-out stamp, codec bytes, the
+    /// message they decode to). The bytes feed the digest.
+    pending: BTreeMap<u64, (u64, Vec<u8>, RekeyMessage)>,
     /// Epochs we have NACKed and not yet seen arrive, to count
     /// retransmission-window replays distinctly from live fan-out.
     nacked: BTreeSet<u64>,
@@ -421,11 +422,11 @@ impl RekeyClient {
         if epoch < self.next_epoch {
             return Ok(0); // duplicate (e.g. double-NACKed)
         }
-        self.pending.insert(epoch, (stamp_unix_ns, payload));
+        self.pending
+            .insert(epoch, (stamp_unix_ns, payload, message));
 
         let mut applied = 0u64;
-        while let Some((stamp, bytes)) = self.pending.remove(&self.next_epoch) {
-            let message = codec::decode_message(&bytes).ok_or(NetError::Codec { epoch: None })?;
+        while let Some((stamp, bytes, message)) = self.pending.remove(&self.next_epoch) {
             self.member.process(&message)?;
             self.digest.update(&bytes);
             let installed_epoch = self.next_epoch;

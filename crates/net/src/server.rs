@@ -37,7 +37,8 @@
 //! end-to-end rekey latency comes from the wire: `publish` stamps the
 //! fan-out wall clock into each `Rekey` frame, clients measure the lag
 //! at DEK install and report it back with an `Ack`, and the daemon
-//! folds those into `net.propagation` (aggregate and per shard).
+//! folds those into `net.propagation` (aggregate and per shard) — a
+//! lag above ten minutes is counted as `net.acks.implausible` instead.
 
 use crate::error::{NetError, RejectReason};
 use crate::frame::{self, encode_frame, FrameReader};
@@ -56,6 +57,13 @@ use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant, SystemTime};
+
+/// Largest client-reported propagation lag recorded as a sample: ten
+/// minutes. `lag_ns` is a difference of two hosts' wall clocks sent by
+/// any authenticated client, so a skewed or hostile one can report
+/// anything up to `u64::MAX`; a larger value is counted under
+/// `net.acks.implausible` instead of saturating `net.propagation`.
+const MAX_PLAUSIBLE_LAG_NS: u64 = 600 * 1_000_000_000;
 
 /// Daemon configuration.
 #[derive(Debug, Clone, Copy)]
@@ -289,13 +297,17 @@ impl Session {
                 // End-to-end propagation as measured by the client:
                 // fan-out stamp to DEK install. Aggregate + per shard.
                 shared.metrics.count("net.acks", 1);
+                shared
+                    .flight
+                    .record(FlightKind::PropagationAck, epoch, lag_ns);
+                if lag_ns > MAX_PLAUSIBLE_LAG_NS {
+                    shared.metrics.count("net.acks.implausible", 1);
+                    return Ok(());
+                }
                 shared.metrics.time("net.propagation", lag_ns);
                 let shards = shared.shard_prop_names.len() as u64;
                 let shard = (self.member.0 % shards) as usize;
                 shared.metrics.time(shared.shard_prop_names[shard], lag_ns);
-                shared
-                    .flight
-                    .record(FlightKind::PropagationAck, epoch, lag_ns);
                 Ok(())
             }
             Frame::Bye => {

@@ -206,3 +206,81 @@ fn rekeyd_without_admin_port_still_collects() {
     assert!(daemon.flight().recorded() > 0);
     daemon.shutdown().expect("clean shutdown");
 }
+
+/// `lag_ns` is whatever an authenticated client says it is. A raw
+/// socket handshakes and acknowledges with `u64::MAX`: the daemon
+/// counts the ACK as implausible, records no propagation sample, and
+/// keeps the session — the plausible ACK that follows is sampled.
+#[test]
+fn absurd_propagation_lag_is_counted_not_sampled() {
+    use rekey_net::frame::{encode_frame, read_frame_deadline, FrameReader, DEFAULT_MAX_FRAME};
+    use rekey_net::proto::{self, Frame};
+    use std::io::Write;
+
+    let daemon = Rekeyd::bind("127.0.0.1:0", ServerConfig::default()).expect("bind");
+    let member = MemberId(1);
+    let key = Key::generate(&mut StdRng::seed_from_u64(6));
+    daemon.register(member, key.clone());
+
+    let mut stream = std::net::TcpStream::connect(daemon.local_addr()).expect("connect");
+    let mut reader = FrameReader::new(DEFAULT_MAX_FRAME);
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let send = |stream: &mut std::net::TcpStream, frame: &Frame| {
+        let wire = encode_frame(&proto::encode(frame), DEFAULT_MAX_FRAME).expect("frame");
+        stream.write_all(&wire).expect("send");
+    };
+    let hello = read_frame_deadline(&mut stream, &mut reader, deadline, "server hello").unwrap();
+    let Frame::ServerHello { nonce } = proto::decode(&hello).unwrap() else {
+        panic!("expected a server hello");
+    };
+    let tag = proto::hello_tag(&key, &nonce, member);
+    send(&mut stream, &Frame::Hello { member, tag });
+    let welcome = read_frame_deadline(&mut stream, &mut reader, deadline, "welcome").unwrap();
+    assert!(matches!(
+        proto::decode(&welcome).unwrap(),
+        Frame::Welcome { .. }
+    ));
+
+    let collector = daemon.collector();
+    let samples = |snap: &rekey_obs::MetricsSnapshot, name: &str| {
+        snap.hists.get(name).map_or(0, |h| h.count())
+    };
+    let wait_until = |what: &str, reached: &dyn Fn(&rekey_obs::MetricsSnapshot) -> bool| loop {
+        let snap = collector.snapshot();
+        if reached(&snap) {
+            return snap;
+        }
+        assert!(Instant::now() < deadline, "never saw {what}");
+        std::thread::sleep(Duration::from_millis(5));
+    };
+
+    send(
+        &mut stream,
+        &Frame::Ack {
+            epoch: 1,
+            lag_ns: u64::MAX,
+        },
+    );
+    let snap = wait_until("the implausible ACK", &|snap| {
+        snap.counter("net.acks.implausible") == 1
+    });
+    assert_eq!(snap.counter("net.acks"), 1);
+    assert_eq!(samples(&snap, "net.propagation"), 0);
+    assert_eq!(samples(&snap, "net.propagation.shard1"), 0);
+    assert_eq!(daemon.session_count(), 1);
+
+    send(
+        &mut stream,
+        &Frame::Ack {
+            epoch: 1,
+            lag_ns: 250_000,
+        },
+    );
+    let snap = wait_until("the plausible ACK's sample", &|snap| {
+        samples(snap, "net.propagation.shard1") == 1
+    });
+    assert_eq!(snap.counter("net.acks.implausible"), 1);
+    assert_eq!(snap.total_time_ns("net.propagation"), 250_000);
+    assert_eq!(daemon.session_count(), 1);
+    daemon.shutdown().expect("clean shutdown");
+}

@@ -55,19 +55,6 @@ impl KnowledgeOracle {
         Self::default()
     }
 
-    /// Registers a member's individual key as `(leaf, version)` known
-    /// only to that member before any wire traffic references it.
-    /// (Servers address bootstrap entries *under* leaves, which the
-    /// observe base case handles, so this is only needed for direct
-    /// white-box tests.)
-    pub fn grant_leaf(&mut self, member: MemberId, leaf: NodeId, version: u64) {
-        self.note_pair(leaf, version, &mut Vec::new());
-        self.holders
-            .get_mut(&(leaf, version))
-            .expect("pair just noted")
-            .insert(member);
-    }
-
     /// Folds one multicast message into the model and reports the
     /// newly born pairs.
     ///
@@ -147,11 +134,6 @@ impl KnowledgeOracle {
     /// Highest version the wire has ever carried for `node`.
     pub fn latest(&self, node: NodeId) -> Option<u64> {
         self.latest.get(&node).copied()
-    }
-
-    /// Iterates over every node with its latest version.
-    pub fn latest_pairs(&self) -> impl Iterator<Item = (NodeId, u64)> + '_ {
-        self.latest.iter().map(|(&n, &v)| (n, v))
     }
 
     /// Number of distinct `(node, version)` pairs tracked.

@@ -72,11 +72,6 @@ impl ReedSolomon {
         ReedSolomon { k, m, parity_rows }
     }
 
-    /// Data shard count `k`.
-    pub fn data_shards(&self) -> usize {
-        self.k
-    }
-
     /// Parity shard count `m`.
     pub fn parity_shards(&self) -> usize {
         self.m

@@ -270,3 +270,90 @@ fn golden_digests_pin_every_scheme_byte_exactly() {
         );
     }
 }
+
+/// A batch the engine rejects must leave no trace: no epoch consumed,
+/// no policy bookkeeping touched (S-period ledgers, the QT queue), no
+/// randomness drawn. Checked on the six engine schemes (adaptive cannot
+/// snapshot and validates in its own wrapper) against a twin that never
+/// sees the bad batches.
+#[test]
+fn a_rejected_batch_leaves_no_trace_in_any_engine_scheme() {
+    use rekey_keytree::KeyTreeError::{DuplicateMember, UnknownMember};
+
+    fn state_of(mgr: &dyn GroupKeyManager) -> Vec<u8> {
+        let mut buf = Vec::new();
+        mgr.save_state(&mut buf).expect("engine schemes snapshot");
+        buf
+    }
+
+    let mut checked = 0;
+    for (mut mgr, mut twin) in managers().into_iter().zip(managers()) {
+        let scheme = mgr.scheme_name();
+        if mgr.save_state(&mut Vec::new()).is_err() {
+            continue;
+        }
+        checked += 1;
+        let mut rng = StdRng::seed_from_u64(0xBAD);
+        let mut twin_rng = StdRng::seed_from_u64(0xBAD);
+        let mut key_rng = StdRng::seed_from_u64(0xBAD + 1);
+        let mut script = Script::new();
+
+        // Two intervals, so S-period ledgers and the QT queue hold
+        // members of different ages when the bad batches arrive.
+        for n in [6, 2] {
+            let joins = script.make_joins(n, &mut key_rng);
+            let out = mgr.process_interval(&joins, &[], &mut rng).unwrap();
+            let twin_out = twin.process_interval(&joins, &[], &mut twin_rng).unwrap();
+            assert_eq!(out.message, twin_out.message, "[{scheme}] twins diverged");
+        }
+
+        let fresh = script.make_joins(2, &mut key_rng);
+        let twice = [fresh[0].clone(), fresh[1].clone(), fresh[0].clone()];
+        let present = Join::new(MemberId(1), Key::generate(&mut key_rng));
+        let bad_batches: [(&[Join], &[MemberId], _); 4] = [
+            (
+                &[],
+                &[MemberId(3), MemberId(404)],
+                UnknownMember(MemberId(404)),
+            ),
+            (&twice, &[MemberId(7)], DuplicateMember(fresh[0].member)),
+            (&[], &[MemberId(3), MemberId(3)], UnknownMember(MemberId(3))),
+            (
+                std::slice::from_ref(&present),
+                &[],
+                DuplicateMember(MemberId(1)),
+            ),
+        ];
+        for (round, (joins, leaves, expected)) in bad_batches.into_iter().enumerate() {
+            let before = state_of(mgr.as_ref());
+            let err = mgr.process_interval(joins, leaves, &mut rng).unwrap_err();
+            assert_eq!(err, expected, "[{scheme}] bad batch {round}");
+            assert!(
+                state_of(mgr.as_ref()) == before,
+                "[{scheme}] rejected batch {round} changed the saved state"
+            );
+
+            // The next valid interval — a leave and rejoin of the same
+            // member in one batch included, which stays accepted — is
+            // the one the twin emits.
+            let mut joins = script.make_joins(1, &mut key_rng);
+            let leaver = MemberId(4 + round as u64);
+            joins.push(Join::new(leaver, Key::generate(&mut key_rng)));
+            let out = mgr.process_interval(&joins, &[leaver], &mut rng).unwrap();
+            let twin_out = twin
+                .process_interval(&joins, &[leaver], &mut twin_rng)
+                .unwrap();
+            assert!(
+                codec::encode_message(&out.message) == codec::encode_message(&twin_out.message),
+                "[{scheme}] interval after rejected batch {round} differs from the twin's"
+            );
+            assert_eq!(
+                out.message.epoch,
+                3 + round as u64,
+                "[{scheme}] skipped an epoch"
+            );
+        }
+        assert!(state_of(mgr.as_ref()) == state_of(twin.as_ref()));
+    }
+    assert_eq!(checked, 6, "one-tree, TT, QT, PT, loss-forest, combined");
+}
