@@ -6,9 +6,8 @@
 //! queued member).
 
 use rand::RngCore;
-use rekey_crypto::{keywrap, Key};
-use rekey_keytree::message::RekeyEntry;
-use rekey_keytree::{MemberId, NodeId};
+use rekey_crypto::Key;
+use rekey_keytree::NodeId;
 
 /// The DEK node id, its current key, and version.
 #[derive(Debug, Clone)]
@@ -36,32 +35,5 @@ impl DekState {
         self.key = Key::generate(&mut rng);
         self.version += 1;
         old
-    }
-
-    /// Entry wrapping the current DEK under an arbitrary key.
-    /// `recipient` is set for entries addressed to one member's
-    /// individual key.
-    #[allow(clippy::too_many_arguments)]
-    pub fn wrap_under(
-        &self,
-        under: NodeId,
-        under_version: u64,
-        under_key: &Key,
-        under_is_leaf: bool,
-        recipient: Option<MemberId>,
-        audience: u32,
-        mut rng: &mut dyn RngCore,
-    ) -> RekeyEntry {
-        RekeyEntry {
-            target: self.node,
-            target_version: self.version,
-            under,
-            under_version,
-            under_is_leaf,
-            recipient,
-            audience,
-            target_depth: 0,
-            wrapped: keywrap::wrap(under_key, &self.key, &mut rng),
-        }
     }
 }

@@ -34,9 +34,11 @@
 //!    emitted byte.
 //! 5. **Record joins** — [`PlacementPolicy::record_joins`] updates
 //!    policy bookkeeping (ages, keys, queues).
-//! 6. **Refresh + distribute the DEK** — the engine refreshes the DEK
-//!    and [`PlacementPolicy::dek_entries`] appends the entries that
-//!    deliver it (default: once under every occupied tree root).
+//! 6. **Refresh + distribute the DEK** — the engine refreshes the DEK,
+//!    draws one nonce start for the interval's DEK wraps, and
+//!    [`PlacementPolicy::dek_entries`] appends the entries that deliver
+//!    it (default: once under every occupied tree root), numbered from
+//!    that start in order.
 //!
 //! The whole interval runs under a `rekey.batch` span.
 
@@ -44,6 +46,7 @@ use crate::dek::DekState;
 use crate::persist::PersistError;
 use crate::{GroupKeyManager, IntervalOutcome, IntervalStats, Join};
 use rand::RngCore;
+use rekey_crypto::keywrap::{NonceRun, WrapKek};
 use rekey_crypto::Key;
 use rekey_keytree::message::codec::{get_u32, get_u64, get_u8, put_u32, put_u64};
 use rekey_keytree::message::{RekeyEntry, RekeyMessage};
@@ -136,58 +139,62 @@ pub struct IntervalCtx<'a> {
 }
 
 /// Handle on the freshly-rotated group DEK, letting policies wrap it
-/// without owning the key state.
+/// without owning the key state. The interval's DEK wraps take
+/// consecutive nonces from one random start, in the order a policy
+/// asks for them — QT wraps the DEK once per queued member, and the
+/// codec leaves a consecutive nonce off the wire.
 #[derive(Debug)]
 pub struct DekCtx<'a> {
     dek: &'a DekState,
     previous_key: Key,
     previous_version: u64,
+    nonces: NonceRun,
 }
 
 impl DekCtx<'_> {
-    /// Node id the DEK is distributed under.
-    pub fn node(&self) -> NodeId {
-        self.dek.node
-    }
-
-    /// The DEK key that was current *before* this interval's refresh —
-    /// join-only intervals may re-wrap the new DEK under it.
-    pub fn previous_key(&self) -> &Key {
-        &self.previous_key
-    }
-
-    /// Version of [`DekCtx::previous_key`].
-    pub fn previous_version(&self) -> u64 {
-        self.previous_version
-    }
-
-    /// Entry wrapping the current DEK under an arbitrary key; see
-    /// `DekState::wrap_under`.
-    #[allow(clippy::too_many_arguments)]
+    /// Entry wrapping the current DEK under an arbitrary key, with the
+    /// interval's next nonce. `recipient` is set for entries addressed
+    /// to one member's individual key.
     pub fn wrap_under(
-        &self,
+        &mut self,
         under: NodeId,
         under_version: u64,
         under_key: &Key,
         under_is_leaf: bool,
         recipient: Option<MemberId>,
         audience: u32,
-        rng: &mut dyn RngCore,
     ) -> RekeyEntry {
-        self.dek.wrap_under(
+        RekeyEntry {
+            target: self.dek.node,
+            target_version: self.dek.version,
             under,
             under_version,
-            under_key,
             under_is_leaf,
             recipient,
             audience,
-            rng,
+            target_depth: 0,
+            wrapped: WrapKek::new(under_key).wrap_with_nonce(&self.dek.key, self.nonces.take()),
+        }
+    }
+
+    /// Entry wrapping the current DEK under the DEK that was current
+    /// *before* this interval's refresh — what a join-only interval
+    /// sends everyone already present.
+    pub fn wrap_under_previous(&mut self, audience: u32) -> RekeyEntry {
+        let previous_key = self.previous_key.clone();
+        self.wrap_under(
+            self.dek.node,
+            self.previous_version,
+            &previous_key,
+            false,
+            None,
+            audience,
         )
     }
 
     /// Entry wrapping the current DEK under a tree's root key, with
     /// the tree's population as the audience.
-    pub fn wrap_tree_root(&self, server: &LkhServer, rng: &mut dyn RngCore) -> RekeyEntry {
+    pub fn wrap_tree_root(&mut self, server: &LkhServer) -> RekeyEntry {
         self.wrap_under(
             server.root_node(),
             server.root_version(),
@@ -195,7 +202,6 @@ impl DekCtx<'_> {
             false,
             None,
             server.member_count() as u32,
-            rng,
         )
     }
 }
@@ -253,16 +259,15 @@ pub trait PlacementPolicy {
     /// (queues) override this.
     fn dek_entries(
         &mut self,
-        dek: &DekCtx,
+        dek: &mut DekCtx,
         interval: &IntervalCtx,
         trees: &Trees,
         message: &mut RekeyMessage,
-        rng: &mut dyn RngCore,
     ) {
         let _ = interval;
         for server in trees.iter() {
             if server.member_count() > 0 {
-                message.entries.push(dek.wrap_tree_root(server, rng));
+                message.entries.push(dek.wrap_tree_root(server));
             }
         }
     }
@@ -472,7 +477,7 @@ impl<P: PlacementPolicy> GroupKeyManager for RekeyEngine<P> {
         // Phase 4: rekey every tree against the caller's RNG and merge
         // the messages — tree order fixes the draw order, which fixes
         // every output byte. Empty batches still run (tree epochs
-        // advance in lockstep) but draw nothing.
+        // advance in lockstep) and draw only their nonce start.
         let mut message = RekeyMessage::new(self.epoch);
         for (slot, (joins_in, leaves_out)) in self
             .trees
@@ -492,10 +497,11 @@ impl<P: PlacementPolicy> GroupKeyManager for RekeyEngine<P> {
         // Phase 6: DEK rotation + distribution.
         if let Some(dek) = &mut self.dek {
             let (previous_key, previous_version) = dek.refresh(rng);
-            let ctx = DekCtx {
+            let mut ctx = DekCtx {
                 dek,
                 previous_key,
                 previous_version,
+                nonces: NonceRun::draw(rng),
             };
             let interval = IntervalCtx {
                 epoch: self.epoch,
@@ -504,7 +510,7 @@ impl<P: PlacementPolicy> GroupKeyManager for RekeyEngine<P> {
             };
             let trees = Trees { slots: &self.trees };
             self.policy
-                .dek_entries(&ctx, &interval, &trees, &mut message, rng);
+                .dek_entries(&mut ctx, &interval, &trees, &mut message);
         }
 
         Ok(IntervalOutcome {

@@ -144,9 +144,11 @@ pub struct IntervalStats {
     /// Encrypted keys in the interval's rekey message — the paper's
     /// key-server bandwidth metric.
     pub encrypted_keys: usize,
-    /// Serialized size of the interval's rekey message in bytes —
-    /// the wire-level counterpart of `encrypted_keys` (entries carry
-    /// headers in addition to the 60-byte wrapped key).
+    /// Serialized size of the interval's rekey message in bytes
+    /// (`RekeyMessage::byte_len`) — the wire-level counterpart of
+    /// `encrypted_keys`: per entry a 48-byte sealed key, a
+    /// run/delta-coded header and, where it is not the previous
+    /// entry's successor, the 12-byte nonce.
     pub message_bytes: usize,
 }
 

@@ -22,7 +22,6 @@ use crate::engine::{
     DekCtx, IntervalCtx, Migration, Placement, PlacementPolicy, RekeyEngine, Trees,
 };
 use crate::{DurationClass, Join};
-use rand::RngCore;
 use rekey_crypto::Key;
 use rekey_keytree::message::codec::{get_u32, get_u64, put_u32, put_u64};
 use rekey_keytree::message::RekeyMessage;
@@ -266,11 +265,10 @@ impl PlacementPolicy for QtPolicy {
 
     fn dek_entries(
         &mut self,
-        dek: &DekCtx,
+        dek: &mut DekCtx,
         interval: &IntervalCtx,
         trees: &Trees,
         message: &mut RekeyMessage,
-        rng: &mut dyn RngCore,
     ) {
         let l = trees.server(0);
         if !interval.had_departures && interval.epoch > 1 {
@@ -278,15 +276,9 @@ impl PlacementPolicy for QtPolicy {
             // previous DEK for everyone already present, plus one
             // individual delivery per new joiner.
             let present = self.queue.len() + l.member_count() - interval.joins.len();
-            message.entries.push(dek.wrap_under(
-                dek.node(),
-                dek.previous_version(),
-                dek.previous_key(),
-                false,
-                None,
-                present as u32,
-                rng,
-            ));
+            message
+                .entries
+                .push(dek.wrap_under_previous(present as u32));
             for j in interval.joins {
                 let slot = self.queue.slot(j.member).expect("just queued");
                 message.entries.push(dek.wrap_under(
@@ -296,7 +288,6 @@ impl PlacementPolicy for QtPolicy {
                     true,
                     Some(j.member),
                     1,
-                    rng,
                 ));
             }
         } else {
@@ -304,7 +295,7 @@ impl PlacementPolicy for QtPolicy {
             // keys, so the DEK is wrapped once per queued member
             // (Neq = Ns) plus once under the L-root.
             if l.member_count() > 0 {
-                message.entries.push(dek.wrap_tree_root(l, rng));
+                message.entries.push(dek.wrap_tree_root(l));
             }
             for slot in self.queue.iter() {
                 message.entries.push(dek.wrap_under(
@@ -314,7 +305,6 @@ impl PlacementPolicy for QtPolicy {
                     true,
                     Some(slot.member),
                     1,
-                    rng,
                 ));
             }
         }
@@ -459,6 +449,7 @@ mod tests {
     use crate::{GroupKeyManager, IntervalOutcome};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use rekey_crypto::keywrap::{next_nonce, NONCE_LEN};
     use rekey_keytree::member::GroupMember;
 
     struct Fixture {
@@ -582,6 +573,50 @@ mod tests {
         fx.deliver(&out);
         assert_eq!(out.stats.encrypted_keys, 4);
         fx.assert_synchronized(&mgr, &[]);
+    }
+
+    /// Counts the `fill_bytes` calls that ask for exactly a nonce.
+    struct NonceDraws(StdRng, usize);
+
+    impl rand::RngCore for NonceDraws {
+        fn next_u32(&mut self) -> u32 {
+            self.0.next_u32()
+        }
+        fn next_u64(&mut self) -> u64 {
+            self.0.next_u64()
+        }
+        fn fill_bytes(&mut self, dest: &mut [u8]) {
+            self.1 += usize::from(dest.len() == NONCE_LEN);
+            self.0.fill_bytes(dest);
+        }
+    }
+
+    /// An interval draws one nonce start per tree batch and one for the
+    /// DEK's distribution, however many times the DEK is wrapped; the
+    /// DEK entries count up from theirs.
+    #[test]
+    fn dek_distribution_draws_one_nonce_start_per_interval() {
+        let mut rng = NonceDraws(StdRng::seed_from_u64(14), 0);
+        let mut qt = QtManager::new(4, 100);
+        let mut tt = TtManager::new(4, 100);
+        let mut fx = Fixture::new();
+        let joins = fx.joins(10, &mut rng.0);
+        for (mgr, trees) in [(&mut qt as &mut dyn GroupKeyManager, 1), (&mut tt, 2)] {
+            mgr.process_interval(&joins, &[], &mut rng).unwrap();
+            rng.1 = 0;
+            let out = mgr.process_interval(&[], &[MemberId(0)], &mut rng).unwrap();
+            assert_eq!(rng.1, trees + 1, "{}", mgr.scheme_name());
+            let dek_entries: Vec<_> = out
+                .message
+                .entries
+                .iter()
+                .filter(|e| e.target == mgr.dek_node())
+                .collect();
+            assert_eq!(dek_entries.len(), if trees == 1 { 9 } else { 1 });
+            for pair in dek_entries.windows(2) {
+                assert_eq!(pair[1].wrapped.nonce(), next_nonce(pair[0].wrapped.nonce()));
+            }
+        }
     }
 
     #[test]

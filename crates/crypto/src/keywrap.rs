@@ -12,9 +12,11 @@
 //! 3. tag `nonce || ciphertext` with HMAC-SHA256 under `kek_mac`,
 //!    truncated to 128 bits.
 //!
-//! The wire size of one wrapped key is [`WRAPPED_LEN`] = 60 bytes;
-//! the transport crate uses this to convert "number of encrypted keys"
-//! (the paper's cost metric) into bytes.
+//! One wrapped key is [`WRAPPED_LEN`] = 60 bytes: the nonce and the
+//! [`SEALED_LEN`]-byte sealed part (ciphertext ‖ tag). The rekey-message
+//! codec carries the sealed part verbatim and the nonce only where it
+//! is not the previous entry's successor ([`next_nonce`]): a key server
+//! numbers a batch's wraps from one random start ([`NonceRun`]).
 //!
 //! # Batching
 //!
@@ -38,9 +40,54 @@ pub const NONCE_LEN: usize = 12;
 /// Truncated MAC tag length in bytes.
 pub const TAG_LEN: usize = 16;
 
-/// Total serialized size of a [`WrappedKey`]: nonce + 32-byte
-/// ciphertext + tag.
-pub const WRAPPED_LEN: usize = NONCE_LEN + 32 + TAG_LEN;
+/// The part of a [`WrappedKey`] behind the nonce: 32-byte ciphertext +
+/// tag.
+pub const SEALED_LEN: usize = 32 + TAG_LEN;
+
+/// Total serialized size of a [`WrappedKey`]: nonce + sealed part.
+pub const WRAPPED_LEN: usize = NONCE_LEN + SEALED_LEN;
+
+/// The nonce after `nonce`, reading it as a 96-bit big-endian integer
+/// (2⁹⁶ − 1 wraps to 0).
+pub fn next_nonce(nonce: [u8; NONCE_LEN]) -> [u8; NONCE_LEN] {
+    let mut wide = [0u8; 16];
+    wide[16 - NONCE_LEN..].copy_from_slice(&nonce);
+    let next = u128::from_be_bytes(wide).wrapping_add(1).to_be_bytes();
+    let mut out = [0u8; NONCE_LEN];
+    out.copy_from_slice(&next[16 - NONCE_LEN..]);
+    out
+}
+
+/// Consecutive nonces from one random start: `start`, `start + 1`, ….
+///
+/// One batch of wraps takes its nonces from one run, so a KEK that
+/// wraps several entries of the batch sees distinct nonces by position,
+/// and two runs give the same KEK the same nonce only if
+/// `start_a + i = start_b + j` — probability 2⁻⁹⁶ per pair of wraps,
+/// the bound of an independent random draw per wrap. Nothing is derived
+/// from ids, versions or epochs: an individual key outlives the manager
+/// that numbers them.
+#[derive(Debug, Clone)]
+pub struct NonceRun {
+    next: [u8; NONCE_LEN],
+}
+
+impl NonceRun {
+    /// Draws the start of a run: [`NONCE_LEN`] bytes from `rng`, the
+    /// only randomness the run consumes.
+    pub fn draw<R: RngCore + ?Sized>(rng: &mut R) -> Self {
+        let mut next = [0u8; NONCE_LEN];
+        rng.fill_bytes(&mut next);
+        NonceRun { next }
+    }
+
+    /// The next nonce of the run.
+    pub fn take(&mut self) -> [u8; NONCE_LEN] {
+        let nonce = self.next;
+        self.next = next_nonce(nonce);
+        nonce
+    }
+}
 
 /// A key encrypted under a key-encryption key (KEK).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -51,12 +98,38 @@ pub struct WrappedKey {
 }
 
 impl WrappedKey {
-    /// Serializes to the 60-byte wire format.
+    /// The nonce this key was wrapped with.
+    pub fn nonce(&self) -> [u8; NONCE_LEN] {
+        self.nonce
+    }
+
+    /// Ciphertext ‖ tag: everything but the nonce.
+    pub fn sealed(&self) -> [u8; SEALED_LEN] {
+        let mut out = [0u8; SEALED_LEN];
+        out[..32].copy_from_slice(&self.ciphertext);
+        out[32..].copy_from_slice(&self.tag);
+        out
+    }
+
+    /// Reassembles a wrapped key from its [`nonce`](Self::nonce) and
+    /// [`sealed`](Self::sealed) part.
+    pub fn from_parts(nonce: [u8; NONCE_LEN], sealed: &[u8; SEALED_LEN]) -> Self {
+        let mut ciphertext = [0u8; 32];
+        let mut tag = [0u8; TAG_LEN];
+        ciphertext.copy_from_slice(&sealed[..32]);
+        tag.copy_from_slice(&sealed[32..]);
+        WrappedKey {
+            nonce,
+            ciphertext,
+            tag,
+        }
+    }
+
+    /// Serializes to the 60-byte wire format: nonce ‖ sealed part.
     pub fn to_bytes(&self) -> [u8; WRAPPED_LEN] {
         let mut out = [0u8; WRAPPED_LEN];
         out[..NONCE_LEN].copy_from_slice(&self.nonce);
-        out[NONCE_LEN..NONCE_LEN + 32].copy_from_slice(&self.ciphertext);
-        out[NONCE_LEN + 32..].copy_from_slice(&self.tag);
+        out[NONCE_LEN..].copy_from_slice(&self.sealed());
         out
     }
 
@@ -67,20 +140,11 @@ impl WrappedKey {
     /// Returns [`CryptoError::Malformed`] if `bytes` is not exactly
     /// [`WRAPPED_LEN`] bytes.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CryptoError> {
-        if bytes.len() != WRAPPED_LEN {
-            return Err(CryptoError::Malformed);
-        }
-        let mut nonce = [0u8; NONCE_LEN];
-        let mut ciphertext = [0u8; 32];
-        let mut tag = [0u8; TAG_LEN];
-        nonce.copy_from_slice(&bytes[..NONCE_LEN]);
-        ciphertext.copy_from_slice(&bytes[NONCE_LEN..NONCE_LEN + 32]);
-        tag.copy_from_slice(&bytes[NONCE_LEN + 32..]);
-        Ok(WrappedKey {
-            nonce,
-            ciphertext,
-            tag,
-        })
+        let (nonce, sealed) = bytes
+            .split_first_chunk::<NONCE_LEN>()
+            .ok_or(CryptoError::Malformed)?;
+        let sealed = sealed.try_into().map_err(|_| CryptoError::Malformed)?;
+        Ok(WrappedKey::from_parts(*nonce, sealed))
     }
 }
 
@@ -274,6 +338,39 @@ mod tests {
         let bytes = wrapped.to_bytes();
         assert_eq!(bytes.len(), WRAPPED_LEN);
         assert_eq!(WrappedKey::from_bytes(&bytes).unwrap(), wrapped);
+    }
+
+    #[test]
+    fn parts_roundtrip_and_match_the_wire_format() {
+        let mut rng = rng();
+        let wrapped = wrap(&Key::generate(&mut rng), &Key::generate(&mut rng), &mut rng);
+        let bytes = wrapped.to_bytes();
+        assert_eq!(wrapped.nonce(), bytes[..NONCE_LEN]);
+        assert_eq!(wrapped.sealed(), bytes[NONCE_LEN..]);
+        assert_eq!(
+            WrappedKey::from_parts(wrapped.nonce(), &wrapped.sealed()),
+            wrapped
+        );
+    }
+
+    #[test]
+    fn nonce_run_counts_up_from_one_draw_and_wraps() {
+        let mut rng = rng();
+        let mut expected = [0u8; NONCE_LEN];
+        rng.clone().fill_bytes(&mut expected);
+        let mut run = NonceRun::draw(&mut rng);
+        let first = run.take();
+        assert_eq!(first, expected);
+        let second = run.take();
+        assert_eq!(second, next_nonce(first));
+        assert_ne!(second, first);
+
+        let mut carry = [0xFF; NONCE_LEN];
+        carry[0] = 0x01;
+        let mut after = [0u8; NONCE_LEN];
+        after[0] = 0x02;
+        assert_eq!(next_nonce(carry), after);
+        assert_eq!(next_nonce([0xFF; NONCE_LEN]), [0; NONCE_LEN]);
     }
 
     #[test]

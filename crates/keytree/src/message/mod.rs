@@ -14,11 +14,9 @@
 //! key, which together determine how valuable the entry is.
 
 use crate::{MemberId, NodeId};
-use rekey_crypto::keywrap::{WrappedKey, WRAPPED_LEN};
+use rekey_crypto::keywrap::WrappedKey;
 
 pub mod codec;
-
-pub use codec::ENTRY_HEADER_LEN;
 
 /// One encrypted key in a rekey message: `{target}` encrypted under
 /// the current key of `under`.
@@ -49,13 +47,6 @@ pub struct RekeyEntry {
     pub wrapped: WrappedKey,
 }
 
-impl RekeyEntry {
-    /// Serialized size of this entry in bytes.
-    pub fn byte_len(&self) -> usize {
-        ENTRY_HEADER_LEN + WRAPPED_LEN
-    }
-}
-
 /// A multicast rekey message for one rekey event.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RekeyMessage {
@@ -79,9 +70,13 @@ impl RekeyMessage {
         self.entries.len()
     }
 
-    /// Total payload size in bytes.
+    /// Encoded size of the entries in bytes: what
+    /// [`codec::encode_message`] writes behind its
+    /// [`codec::MESSAGE_HEADER_LEN`]-byte head. An entry's size depends
+    /// on its predecessor, so this is a sizing pass of the coder over
+    /// the whole message (no allocation), not a per-entry constant.
     pub fn byte_len(&self) -> usize {
-        self.entries.iter().map(RekeyEntry::byte_len).sum()
+        codec::entries_len(&self.entries)
     }
 
     /// Whether the message carries no entries (no key changed).
@@ -136,7 +131,11 @@ mod tests {
         msg.entries.push(entry(0));
         msg.entries.push(entry(1));
         assert_eq!(msg.encrypted_key_count(), 2);
-        assert_eq!(msg.byte_len(), 2 * (ENTRY_HEADER_LEN + WRAPPED_LEN));
+        assert_eq!(
+            msg.byte_len(),
+            codec::encode_message(&msg).len() - codec::MESSAGE_HEADER_LEN
+        );
+        assert!(msg.byte_len() >= 2 * codec::MIN_ENTRY_LEN);
     }
 
     #[test]

@@ -27,7 +27,8 @@
 //!    the caller's RNG and is inherently ordered.
 //! 2. **Planning** (sequential): every encryption the batch needs is
 //!    recorded as a planned wrap — KEK, payload, per-entry metadata
-//!    and a nonce pre-drawn from the caller's RNG in plan order. The
+//!    and a nonce: one [`NonceRun`] start is drawn from the caller's
+//!    RNG per batch and the plan is numbered from it in order. The
 //!    batch owns its working memory: every buffer is a local of
 //!    [`LkhServer::try_apply_batch`] and is freed when the message is
 //!    handed back, so the server holds its state and nothing else.
@@ -36,9 +37,11 @@
 //!    fixed during planning — and are run in plan order into the
 //!    output message.
 //!
-//! The plan → sort → draw nonces → execute order is what fixes the
-//! emitted bytes (the golden digests pin it), so it stays even though
-//! nothing runs concurrently.
+//! The fresh keys → plan → sort → one nonce start → execute order is
+//! what fixes the emitted bytes (the golden digests pin it), so it
+//! stays even though nothing runs concurrently. Consecutive nonces in
+//! entry order are also what lets the wire codec leave them out
+//! (`message::codec`, `NONCE_NEXT`).
 //!
 //! Each phase runs under a `rekey_obs` span (`rekey.mutate`,
 //! `rekey.plan`, `rekey.execute`), so per-phase wall clock shows up in
@@ -50,7 +53,7 @@ use crate::message::{RekeyEntry, RekeyMessage};
 use crate::tree::KeyTree;
 use crate::{KeyTreeError, MemberId, NodeId};
 use rand::RngCore;
-use rekey_crypto::keywrap::{WrapKek, NONCE_LEN};
+use rekey_crypto::keywrap::{NonceRun, WrapKek, NONCE_LEN};
 use rekey_crypto::Key;
 use std::collections::VecDeque;
 
@@ -107,8 +110,8 @@ struct PlannedWrap {
 }
 
 impl PlannedWrap {
-    /// A wrap of `payload` under `keks[kek]`; the nonce is drawn later,
-    /// in final plan order.
+    /// A wrap of `payload` under `keks[kek]`; the nonce is assigned
+    /// later, in final plan order.
     fn new(kek: usize, payload: &Key, meta: EntryMeta) -> Self {
         PlannedWrap {
             kek,
@@ -244,10 +247,11 @@ impl LkhServer {
     /// Applies a batch of joins and leaves and returns the rekey
     /// message.
     ///
-    /// All randomness (fresh keys, then one nonce per entry in final
-    /// entry order) is drawn from `rng` in a fixed order, so callers
-    /// composing several trees fix every emitted byte by fixing the
-    /// order in which they call their trees.
+    /// All randomness (fresh keys, then one [`NONCE_LEN`]-byte nonce
+    /// start from which the entries are numbered in final order) is
+    /// drawn from `rng` in a fixed order, so callers composing several
+    /// trees fix every emitted byte by fixing the order in which they
+    /// call their trees.
     ///
     /// # Errors
     ///
@@ -294,10 +298,13 @@ impl LkhServer {
             // The sort is stable, so entries for one node keep their
             // relative order.
             plan.sort_by_key(|job| std::cmp::Reverse(job.meta.target_depth));
-            // Nonces are drawn in final plan order, after every fresh
-            // key: execution then draws nothing.
+            // One nonce start per batch, drawn after every fresh key;
+            // the plan is numbered from it in final order, so a KEK
+            // that wraps several entries never sees a nonce twice and
+            // execution draws nothing.
+            let mut nonces = NonceRun::draw(rng);
             for job in &mut plan {
-                rng.fill_bytes(&mut job.nonce);
+                job.nonce = nonces.take();
             }
             plan
         };
@@ -776,6 +783,48 @@ mod tests {
                 "entry under {}",
                 entry.under
             );
+        }
+    }
+
+    /// Counts the `fill_bytes` calls that ask for exactly a nonce.
+    struct NonceDraws<'a>(&'a mut StdRng, usize);
+
+    impl RngCore for NonceDraws<'_> {
+        fn next_u32(&mut self) -> u32 {
+            self.0.next_u32()
+        }
+        fn next_u64(&mut self) -> u64 {
+            self.0.next_u64()
+        }
+        fn fill_bytes(&mut self, dest: &mut [u8]) {
+            self.1 += usize::from(dest.len() == NONCE_LEN);
+            self.0.fill_bytes(dest);
+        }
+    }
+
+    /// Join, leave and mixed batches each draw one nonce start and
+    /// number their entries from it in message order.
+    #[test]
+    fn a_batch_draws_one_nonce_start_and_counts_up_from_it() {
+        let (mut server, _, mut rng) = build_group(4, 64);
+        let ik = Key::generate(&mut rng);
+        let join = |id| vec![(MemberId(id), ik.clone())];
+        let batches = [
+            (join(900), vec![]),
+            (vec![], vec![MemberId(3), MemberId(40)]),
+            (join(901), vec![MemberId(7)]),
+        ];
+        for (joins, leaves) in batches {
+            let mut counting = NonceDraws(&mut rng, 0);
+            let message = server.apply_batch(&joins, &leaves, &mut counting).message;
+            assert_eq!(counting.1, 1);
+            assert!(message.entries.len() > 1);
+            for pair in message.entries.windows(2) {
+                assert_eq!(
+                    pair[1].wrapped.nonce(),
+                    rekey_crypto::keywrap::next_nonce(pair[0].wrapped.nonce())
+                );
+            }
         }
     }
 

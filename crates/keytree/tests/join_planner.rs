@@ -6,10 +6,12 @@
 //! in batch order. The planner used to find "joiners beneath it" by
 //! scanning every joiner's path for every dirty node; it now walks each
 //! path once and buckets by dirty node. The digests below were recorded
-//! from the scanning planner, so any change to entry order, nonce
-//! order or KEK choice fails here — on a batch large enough (4 096
-//! joiners, the shape of a bulk bootstrap) that the small conformance
-//! scenarios' 10–20-joiner batches cannot stand in for it.
+//! from the scanning planner and re-pinned once for wire format 2 with
+//! every entry's metadata checked equal (1 413 and 26 417 keys, metadata
+//! sha256 `66a26d72…` and `5a6846c8…` on both sides), so any change to
+//! entry order, nonce order or KEK choice fails here — on a batch large
+//! enough (4 096 joiners, the shape of a bulk bootstrap) that the small
+//! conformance scenarios' 10–20-joiner batches cannot stand in for it.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -38,7 +40,7 @@ fn bulk_pure_join_bytes_match_the_scanning_planner() {
     let bootstrap = server.apply_batch(&founders, &[], &mut rng);
     assert_eq!(
         hex(&sha256::digest(&encode_message(&bootstrap.message))),
-        "f8f433cfd7b17f12ab6b9c848f15769ea7152e9516eebced441a3c8bf0fba010"
+        "60024eb6eb1b91d7ce8f2323f32c3a3bbaedac3ca002a888a3f7817fa2a24a30"
     );
 
     // A mixed batch in between leaves holes, so the big join below
@@ -60,7 +62,7 @@ fn bulk_pure_join_bytes_match_the_scanning_planner() {
         ),
         (
             26_417,
-            "f25191f86176ca59e73965b81676e832c30480e29f39f58d6c809d10cc024196".to_owned()
+            "ebd6a606eaf6fdf76422709238c0c19e562c8e21c427d4da2b8e2c118d333bae".to_owned()
         )
     );
     server.tree().check_invariants();

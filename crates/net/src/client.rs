@@ -62,9 +62,20 @@ impl Default for ClientConfig {
     }
 }
 
+/// Bytes asked of the socket per `read`: an epoch's frame is tens to
+/// hundreds of KB, so a 16 k-member frame arrives in a handful of
+/// reads instead of one per 4 KiB.
+const READ_CHUNK: usize = 64 * 1024;
+
 struct Conn {
     stream: TcpStream,
     reader: FrameReader,
+    /// Read buffer, [`READ_CHUNK`] bytes, allocated once per connection.
+    chunk: Vec<u8>,
+    /// The read timeout the socket currently has, so `poll` pays the
+    /// `setsockopt` only when the slice it wants changes. `None` after
+    /// the handshake, which sets its own.
+    read_timeout: Option<Duration>,
 }
 
 /// A key-distribution client wrapping one real group member.
@@ -267,7 +278,12 @@ impl RekeyClient {
         }
         self.connected_once = true;
         self.backoff.reset();
-        self.conn = Some(Conn { stream, reader });
+        self.conn = Some(Conn {
+            stream,
+            reader,
+            chunk: vec![0; READ_CHUNK],
+            read_timeout: None,
+        });
 
         // Resubscribe: ask for everything between our state and the
         // server's head. Late join and reconnect are the same path.
@@ -317,7 +333,6 @@ impl RekeyClient {
     pub fn poll(&mut self, wait: Duration) -> Result<u64, NetError> {
         let deadline = Instant::now() + wait;
         let mut applied = 0u64;
-        let mut chunk = [0u8; 4096];
         loop {
             if self.server_closed {
                 return Ok(applied);
@@ -330,17 +345,20 @@ impl RekeyClient {
                 self.ensure_connected(deadline)?;
             }
             let conn = self.conn.as_mut().expect("just connected");
-            let slice = (deadline - now).min(Duration::from_millis(20));
-            conn.stream
-                .set_read_timeout(Some(slice.max(Duration::from_millis(1))))?;
-            match conn.stream.read(&mut chunk) {
+            // A zero Duration means "no timeout" to the socket API; clamp up.
+            let slice = (deadline - now).clamp(Duration::from_millis(1), Duration::from_millis(20));
+            if conn.read_timeout != Some(slice) {
+                conn.stream.set_read_timeout(Some(slice))?;
+                conn.read_timeout = Some(slice);
+            }
+            match conn.stream.read(&mut conn.chunk) {
                 Ok(0) => {
                     self.conn = None;
                     continue;
                 }
                 Ok(n) => {
                     rekey_obs::count("net.client.bytes_in", n as u64);
-                    conn.reader.push(&chunk[..n]);
+                    conn.reader.push(&conn.chunk[..n]);
                 }
                 Err(e) if frame::retryable(&e) => continue,
                 Err(_) => {

@@ -28,14 +28,19 @@
 //! All integers are big-endian, matching the key-tree codec.
 
 use crate::error::{NetError, RejectReason};
+use crate::frame::FRAME_HEADER_LEN;
 use rekey_crypto::hmac::HmacSha256;
 use rekey_crypto::Key;
-use rekey_keytree::message::codec::{get_u32, get_u64};
+use rekey_keytree::message::codec::{self, get_u32, get_u64};
+use rekey_keytree::message::RekeyMessage;
 use rekey_keytree::MemberId;
 
 /// Protocol version spoken by this build. Bumped on any wire change.
 /// v2: `Rekey` gained the publish wall-clock stamp, `Ack` was added.
-pub const PROTO_VERSION: u8 = 2;
+/// v3: `Rekey` payloads are `codec::WIRE_VERSION` 2, which a v2 peer
+/// cannot parse — it is turned away at the handshake
+/// ([`RejectReason::BadVersion`]) instead of failing on its first epoch.
+pub const PROTO_VERSION: u8 = 3;
 
 /// Server nonce length (the HMAC challenge).
 pub const NONCE_LEN: usize = 32;
@@ -206,6 +211,31 @@ pub fn encode(frame: &Frame) -> Vec<u8> {
     }
 }
 
+/// Builds the complete wire frame of one epoch — length prefix, type
+/// tag, stamp, codec bytes — in a single buffer: byte for byte
+/// `encode_frame(&encode(&Frame::Rekey { .. }), max)`, without that
+/// path's two intermediate copies of the message.
+///
+/// # Errors
+///
+/// [`NetError::FrameTooLarge`] if the payload exceeds `max`.
+pub fn encode_rekey_frame(
+    stamp_unix_ns: u64,
+    message: &RekeyMessage,
+    max: usize,
+) -> Result<Vec<u8>, NetError> {
+    let mut buf = vec![0; FRAME_HEADER_LEN];
+    buf.push(T_REKEY);
+    buf.extend_from_slice(&stamp_unix_ns.to_be_bytes());
+    codec::encode_message_into(message, &mut buf);
+    let len = buf.len() - FRAME_HEADER_LEN;
+    match u32::try_from(len) {
+        Ok(prefix) if len <= max => buf[..FRAME_HEADER_LEN].copy_from_slice(&prefix.to_be_bytes()),
+        _ => return Err(NetError::FrameTooLarge { len, max }),
+    }
+    Ok(buf)
+}
+
 fn take_array<const N: usize>(buf: &mut &[u8]) -> Option<[u8; N]> {
     let (head, rest) = buf.split_first_chunk::<N>()?;
     *buf = rest;
@@ -366,6 +396,87 @@ mod tests {
         let mut wire = encode(&Frame::ServerHello { nonce: [0; 32] });
         wire[1] = PROTO_VERSION + 1;
         assert!(matches!(decode(&wire), Err(NetError::Malformed { .. })));
+
+        // A peer built before wire format v2 says protocol 2 in its
+        // Hello. The daemon must turn it away at the handshake with a
+        // typed reason — not let it in to fail on its first Rekey.
+        use crate::frame::{encode_frame, read_frame_deadline, FrameReader, DEFAULT_MAX_FRAME};
+        use std::io::Write;
+        use std::time::{Duration, Instant};
+        let daemon = crate::Rekeyd::bind("127.0.0.1:0", crate::ServerConfig::default()).unwrap();
+        let key = Key::from_bytes([5; 32]);
+        daemon.register(MemberId(1), key.clone());
+        let mut stream = std::net::TcpStream::connect(daemon.local_addr()).unwrap();
+        let mut reader = FrameReader::new(DEFAULT_MAX_FRAME);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let hello =
+            read_frame_deadline(&mut stream, &mut reader, deadline, "server hello").unwrap();
+        let Frame::ServerHello { nonce } = decode(&hello).unwrap() else {
+            panic!("expected a server hello");
+        };
+        // Correctly authenticated: only the version byte is wrong.
+        let mut old_hello = encode(&Frame::Hello {
+            member: MemberId(1),
+            tag: hello_tag(&key, &nonce, MemberId(1)),
+        });
+        assert_eq!(old_hello[1], PROTO_VERSION);
+        old_hello[1] = 2;
+        stream
+            .write_all(&encode_frame(&old_hello, DEFAULT_MAX_FRAME).unwrap())
+            .unwrap();
+        let reply = read_frame_deadline(&mut stream, &mut reader, deadline, "reject").unwrap();
+        assert_eq!(
+            decode(&reply).unwrap(),
+            Frame::Reject {
+                reason: RejectReason::BadVersion
+            }
+        );
+        assert_eq!(daemon.session_count(), 0);
+    }
+
+    #[test]
+    fn rekey_frame_built_in_one_buffer_equals_the_layered_encoding() {
+        use crate::frame::{encode_frame, DEFAULT_MAX_FRAME};
+        use rekey_crypto::keywrap;
+        use rekey_keytree::message::RekeyEntry;
+        use rekey_keytree::NodeId;
+        let entry = |i: u64| RekeyEntry {
+            target: NodeId::from_parts(1, 10 + i / 2),
+            target_version: 4,
+            under: NodeId::from_parts(1, 40 + i),
+            under_version: i,
+            under_is_leaf: i == 3,
+            recipient: (i == 3).then_some(MemberId(99)),
+            audience: 7,
+            target_depth: 2,
+            wrapped: keywrap::wrap_with_nonce(
+                &Key::from_bytes([i as u8; 32]),
+                &Key::from_bytes([9; 32]),
+                [i as u8; 12],
+            ),
+        };
+        for count in [0, 1, 5] {
+            let message = RekeyMessage {
+                epoch: 17,
+                entries: (0..count).map(entry).collect(),
+            };
+            let stamp_unix_ns = 1_700_000_000_000_000_123;
+            let layered = encode_frame(
+                &encode(&Frame::Rekey {
+                    stamp_unix_ns,
+                    payload: codec::encode_message(&message),
+                }),
+                DEFAULT_MAX_FRAME,
+            )
+            .unwrap();
+            let framed = encode_rekey_frame(stamp_unix_ns, &message, DEFAULT_MAX_FRAME).unwrap();
+            assert_eq!(framed, layered);
+            let payload_len = framed.len() - FRAME_HEADER_LEN;
+            assert!(matches!(
+                encode_rekey_frame(stamp_unix_ns, &message, payload_len - 1),
+                Err(NetError::FrameTooLarge { len, max }) if len == payload_len && max == len - 1
+            ));
+        }
     }
 
     #[test]

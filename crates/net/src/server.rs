@@ -45,7 +45,7 @@ use crate::frame::{self, encode_frame, FrameReader};
 use crate::proto::{self, Frame};
 use rekey_crypto::sha256::Sha256;
 use rekey_crypto::Key;
-use rekey_keytree::message::{codec, RekeyMessage};
+use rekey_keytree::message::RekeyMessage;
 use rekey_keytree::MemberId;
 use rekey_obs::admin::{AdminServer, AdminState};
 use rekey_obs::{Collector, FlightKind, FlightRecorder, HealthFlags, Recorder};
@@ -495,11 +495,9 @@ impl Rekeyd {
         }
         // The wall-clock stamp rides in the shared frame: every client
         // measures install-time lag against the same fan-out instant.
-        let payload = proto::encode(&Frame::Rekey {
-            stamp_unix_ns: proto::unix_now_ns(),
-            payload: codec::encode_message(message),
-        });
-        let framed: Arc<[u8]> = encode_frame(&payload, frame::DEFAULT_MAX_FRAME)?.into();
+        let framed: Arc<[u8]> =
+            proto::encode_rekey_frame(proto::unix_now_ns(), message, frame::DEFAULT_MAX_FRAME)?
+                .into();
         self.shared
             .metrics
             .count("net.fanout.bytes", framed.len() as u64);

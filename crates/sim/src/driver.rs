@@ -3,7 +3,8 @@
 
 use crate::membership::{IntervalEvents, MembershipGenerator};
 use crate::metrics::Summary;
-use rand::Rng;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use rekey_core::{GroupKeyManager, IntervalStats, Join};
 use rekey_crypto::Key;
 use rekey_keytree::member::GroupMember;
@@ -147,6 +148,11 @@ fn sample_interval(stats: &IntervalStats) {
 
 /// Runs `manager` over `generator`'s workload.
 ///
+/// The workload draws from a stream of its own, forked from `rng` once
+/// on entry: how many bytes a manager draws (fresh keys, nonce starts)
+/// differs per scheme, and must not change who joins and leaves — two
+/// schemes run from the same seed see the same membership trace.
+///
 /// # Panics
 ///
 /// Panics if the manager rejects a generated batch (that would be a
@@ -162,6 +168,7 @@ pub fn run_scheme<R: Rng>(
     let mut states: BTreeMap<MemberId, GroupMember> = BTreeMap::new();
     let mut measured: Vec<IntervalStats> = Vec::with_capacity(config.intervals);
     let obs = ObsRun::start(config);
+    let mut workload_rng = StdRng::seed_from_u64(rng.next_u64());
 
     // Admit the pre-populated steady-state members in one bootstrap
     // interval (excluded from measurement).
@@ -186,7 +193,7 @@ pub fn run_scheme<R: Rng>(
     }
 
     for step in 0..(config.warmup + config.intervals) {
-        let events = generator.next_interval(rng);
+        let events = generator.next_interval(&mut workload_rng);
         let out = apply_interval(manager, &events, config, &mut states, rng);
         sample_interval(&out);
         if config.verify_members {
@@ -316,6 +323,31 @@ mod tests {
         };
         let report = run_scheme(&mut mgr, &mut gen, &cfg, &mut rng);
         assert!(report.final_size > 0);
+    }
+
+    /// The workload is a function of the seed alone: schemes that draw
+    /// different amounts of key-server randomness still see the same
+    /// joins and leaves every interval.
+    #[test]
+    fn schemes_at_one_seed_see_the_same_membership_trace() {
+        let trace = |mgr: &mut dyn GroupKeyManager| -> Vec<(usize, usize)> {
+            let mut rng = StdRng::seed_from_u64(424242);
+            let mut gen = MembershipGenerator::new(params(300), &mut rng);
+            let cfg = SimConfig {
+                warmup: 0,
+                ..SimConfig::quick()
+            };
+            run_scheme(mgr, &mut gen, &cfg, &mut rng)
+                .intervals
+                .iter()
+                .map(|s| (s.joins, s.leaves))
+                .collect()
+        };
+        let one = trace(&mut OneTreeManager::new(4));
+        assert_eq!(one.len(), 20);
+        assert!(one.iter().any(|&(joins, leaves)| joins > 0 && leaves > 0));
+        assert_eq!(trace(&mut TtManager::new(4, 5)), one);
+        assert_eq!(trace(&mut QtManager::new(4, 5)), one);
     }
 
     #[test]

@@ -1,20 +1,35 @@
 //! Packetization of rekey messages.
 //!
 //! One [`Packet`] carries up to [`PacketConfig::capacity`] encrypted
-//! keys. The default capacity models a 1400-byte UDP payload holding
-//! ~100-byte serialized entries. Entries are referenced by their index
-//! in the originating [`RekeyMessage`] so the simulation layer can
-//! track interest and delivery cheaply; the actual byte format lives
-//! in one place — [`rekey_keytree::message::codec`] — and this module
-//! re-exports it. [`Packet::to_bytes`] emits the codec's versioned
-//! block envelope (version byte, entry count, entries), which is what
-//! the FEC transport feeds to Reed–Solomon so parity is computed over
-//! genuine wire bytes.
+//! keys. Entries are referenced by their index in the originating
+//! [`RekeyMessage`] so the simulation layer can track interest and
+//! delivery cheaply; the actual byte format lives in one place —
+//! [`rekey_keytree::message::codec`] — and this module re-exports its
+//! block form. [`Packet::to_bytes`] emits the codec's versioned block
+//! envelope (version byte, entry count, entries), which is what the FEC
+//! transport feeds to Reed–Solomon so parity is computed over genuine
+//! wire bytes.
+//!
+//! # Entry sizes
+//!
+//! The default capacity of 14 dates from the version-1 wire: a
+//! 1400-byte UDP payload of fixed 110-byte entries, rounded to "~100".
+//! Version 2, measured at N = 16 384, d = 4, TT-scheme, Table-1 churn:
+//! 55.2 bytes per entry in a whole message; 57.0 in blocks of 14
+//! message neighbours (each block restarts the coder's context); 69.7
+//! in WKA-BKR's packing orders, which re-sort entries by depth or by
+//! `under` so that most nonces no longer follow their neighbour's and
+//! go out explicitly. 1400 bytes therefore hold 20–24 entries — close
+//! to `rekey_analytic::fec_model::FecParams::default().keys_per_packet`
+//! = 25, which the executable transport has never matched. The capacity
+//! stays 14 all the same: every transport figure in EXPERIMENTS.md and
+//! every `transport_delivery` tolerance is in packets of 14, and
+//! re-basing them is a change of its own.
 
 use rekey_keytree::message::codec;
 use rekey_keytree::message::RekeyMessage;
 
-pub use rekey_keytree::message::codec::{decode_block, decode_entry, encode_entry, ENTRY_WIRE_LEN};
+pub use rekey_keytree::message::codec::{decode_block, encode_block};
 
 /// Packetization parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,7 +40,7 @@ pub struct PacketConfig {
 
 impl Default for PacketConfig {
     fn default() -> Self {
-        // 1400-byte payload / ~100-byte entries.
+        // See "Entry sizes" in the module docs.
         PacketConfig { capacity: 14 }
     }
 }
@@ -93,16 +108,22 @@ mod tests {
             .message
     }
 
+    /// Every entry survives on its own: a one-entry block carries its
+    /// target and nonce explicitly.
     #[test]
     fn entry_wire_roundtrip() {
         let msg = sample_message();
-        for entry in &msg.entries {
-            let mut buf = Vec::new();
-            encode_entry(entry, &mut buf);
-            assert_eq!(buf.len(), ENTRY_WIRE_LEN);
-            let mut slice = buf.as_slice();
-            let decoded = decode_entry(&mut slice).unwrap();
-            assert_eq!(&decoded, entry);
+        for (idx, entry) in msg.iter() {
+            let packet = Packet {
+                seq: 0,
+                entries: vec![idx],
+            };
+            let bytes = packet.to_bytes(&msg);
+            let mut slice = bytes.as_slice();
+            assert_eq!(
+                decode_block(&mut slice).unwrap(),
+                std::slice::from_ref(entry)
+            );
             assert!(slice.is_empty());
         }
     }
@@ -110,21 +131,31 @@ mod tests {
     #[test]
     fn decode_rejects_truncated() {
         let msg = sample_message();
-        let mut buf = Vec::new();
-        encode_entry(&msg.entries[0], &mut buf);
-        let mut slice = &buf[..ENTRY_WIRE_LEN - 1];
-        assert!(decode_entry(&mut slice).is_none());
+        let packet = Packet {
+            seq: 0,
+            entries: vec![0, 1, 2],
+        };
+        let bytes = packet.to_bytes(&msg);
+        for cut in 0..bytes.len() {
+            assert!(decode_block(&mut &bytes[..cut]).is_none(), "cut at {cut}");
+        }
     }
 
     #[test]
     fn wire_size_matches_message_estimate() {
-        // The keytree crate's byte_len estimate must equal the actual
-        // encoded size.
+        // The keytree crate's byte_len must equal the actual encoded
+        // size, and a packet of message neighbours must stay near the
+        // per-entry floor (the compression fires in block form too).
         let msg = sample_message();
-        let mut buf = Vec::new();
-        encode_entry(&msg.entries[0], &mut buf);
-        assert_eq!(buf.len(), msg.entries[0].byte_len());
-        assert_eq!(ENTRY_WIRE_LEN, msg.entries[0].byte_len());
+        let encoded = codec::encode_message(&msg);
+        assert_eq!(encoded.len(), codec::MESSAGE_HEADER_LEN + msg.byte_len());
+        let all = Packet {
+            seq: 0,
+            entries: (0..msg.entries.len()).collect(),
+        };
+        let block = all.to_bytes(&msg);
+        assert_eq!(block.len(), codec::BLOCK_HEADER_LEN + msg.byte_len());
+        assert!(block.len() < msg.entries.len() * (codec::MIN_ENTRY_LEN + 8));
     }
 
     #[test]

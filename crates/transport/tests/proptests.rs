@@ -9,7 +9,7 @@ use rekey_keytree::MemberId;
 use rekey_transport::gf256;
 use rekey_transport::interest::{interest_map, total_interest};
 use rekey_transport::loss::Population;
-use rekey_transport::packet::{decode_block, decode_entry, encode_entry, pack, Packet};
+use rekey_transport::packet::{decode_block, encode_block, pack, Packet};
 use rekey_transport::rs::ReedSolomon;
 use rekey_transport::wka_bkr::{self, WkaBkrConfig};
 
@@ -56,7 +56,9 @@ proptest! {
         prop_assert_eq!(rs.reconstruct(&shards).unwrap(), data);
     }
 
-    /// Entry wire encoding roundtrips for arbitrary field values.
+    /// Entry wire encoding roundtrips for arbitrary field values, alone
+    /// (against the zero context of a fresh envelope) and behind itself
+    /// (same target, nonce not its own successor).
     #[test]
     fn entry_wire_roundtrip(target in any::<u64>(), tv in any::<u64>(),
                             under in any::<u64>(), uv in any::<u64>(),
@@ -77,12 +79,14 @@ proptest! {
             wrapped: rekey_crypto::keywrap::wrap_with_nonce(
                 &Key::from_bytes(kek), &Key::from_bytes(payload), nonce),
         };
-        let mut buf = Vec::new();
-        encode_entry(&entry, &mut buf);
-        let mut slice = buf.as_slice();
-        let decoded = decode_entry(&mut slice).unwrap();
-        prop_assert_eq!(decoded, entry);
-        prop_assert!(slice.is_empty());
+        for block in [vec![entry.clone()], vec![entry.clone(), entry]] {
+            let mut buf = Vec::new();
+            encode_block(&block, &mut buf);
+            let mut slice = buf.as_slice();
+            let decoded = decode_block(&mut slice).unwrap();
+            prop_assert_eq!(decoded, block);
+            prop_assert!(slice.is_empty());
+        }
     }
 
     /// A packet's versioned block envelope roundtrips for random
