@@ -1,6 +1,7 @@
 //! Crypto kernel benchmark: throughput of SHA-256 on both backends
-//! (scalar reference, SHA-NI), of the two key-wrap shapes the rekey
-//! engine produces on both, and of the single GF(256) bulk routine,
+//! (scalar reference, SHA-NI), of the two kernels a key wrap is made
+//! of (a ChaCha20 block, Poly1305), of the two key-wrap shapes the
+//! rekey engine produces, and of the single GF(256) bulk routine,
 //! written to `BENCH_crypto.json` at the workspace root.
 //!
 //! The headline metric is **encrypted keys per second** — the
@@ -11,22 +12,27 @@
 //! wire size).
 //!
 //! Key wrap is measured in both shapes a batch takes: `keywrap_batch`
-//! wraps 4 096 payloads under **one** KEK (set-up amortized away — a
-//! joiner's path, or a member unwrapping), `kek_setup` wraps 4 096
-//! payloads each under a **distinct** KEK (group-oriented rekeying: a
-//! refreshed key goes out once under each child key, so every entry
-//! pays `WrapKek::new`). The second is what a leave batch costs.
+//! wraps 4 096 payloads under **one** KEK (a joiner's path),
+//! `kek_setup` wraps 4 096 payloads each under a **distinct** KEK
+//! (group-oriented rekeying: a refreshed key goes out once under each
+//! child key). A wrap is two ChaCha20 blocks and Poly1305 over 112
+//! bytes whichever shape it comes in — `WrapKek::new` prepares nothing
+//! — so the two rows now read alike; they keep their names so the
+//! committed file compares row for row with the HKDF → HMAC
+//! construction's, where `kek_setup` paid ten SHA-256 compressions per
+//! key before its first byte.
 //!
-//! SHA-256 is swept with `sha256::digest_with`, the whole-stack
-//! keywrap paths with `rekey_crypto::simd::force`, so one process
-//! measures both backends back to back; `sha_ni` rows appear only on a
-//! CPU that has the instructions.
+//! Only SHA-256 has two backends (swept with `sha256::digest_with`;
+//! the `sha_ni` row appears only on a CPU that has the instructions).
+//! Every other kernel has one implementation and one row, labelled
+//! `scalar`: no SHA-256 runs in a key wrap.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rekey_crypto::keywrap::{WrapKek, WRAPPED_LEN};
 use rekey_crypto::simd::{self, Backend};
-use rekey_crypto::{sha256, Key};
+use rekey_crypto::{chacha20, poly1305, sha256, Key};
+use rekey_keytree::message::BINDING_LEN;
 use rekey_transport::gf256;
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -36,8 +42,12 @@ use std::time::Instant;
 const BUF_LEN: usize = 16 * 1024;
 
 /// Keys wrapped per rep of either key-wrap kernel (`keywrap_batch`:
-/// one batch through a cached KEK; `kek_setup`: as many KEKs).
+/// one batch under one KEK; `kek_setup`: as many KEKs).
 const WRAP_KEYS: usize = 4096;
+
+/// Associated data of every wrap: a rekey entry binds its header, so a
+/// wrap MACs 112 bytes (64 of padded header, 32 of key, 16 of lengths).
+const BINDING: [u8; BINDING_LEN] = [0x5A; BINDING_LEN];
 
 const REPS: usize = 5;
 
@@ -50,11 +60,21 @@ struct Row {
 }
 
 impl Row {
-    fn keywrap(kernel: &'static str, backend: Backend, secs: f64) -> Row {
+    /// A kernel with one implementation.
+    fn bulk(kernel: &'static str, bytes: usize, secs: f64) -> Row {
+        Row {
+            kernel,
+            backend: Backend::Scalar,
+            mb_per_s: bytes as f64 / secs / 1e6,
+            keys_per_s: None,
+        }
+    }
+
+    fn keywrap(kernel: &'static str, secs: f64) -> Row {
         let keys_per_s = WRAP_KEYS as f64 / secs;
         Row {
             kernel,
-            backend,
+            backend: Backend::Scalar,
             mb_per_s: keys_per_s * WRAPPED_LEN as f64 / 1e6,
             keys_per_s: Some(keys_per_s),
         }
@@ -96,8 +116,38 @@ fn bench_sha256(backend: Backend, rows: &mut Vec<Row>) {
     });
 }
 
-/// GF(256) has one implementation, a scalar table walk that does not
-/// consult the backend: one row, labelled `scalar`.
+/// One ChaCha20 block per call, counter and nonce moving as they do
+/// from wrap to wrap: the unit a key wrap spends two of.
+fn bench_chacha20_block(rows: &mut Vec<Row>) {
+    let key = [0x42u8; 32];
+    const ITERS: usize = 8192;
+    let mut sink = 0u8;
+    let secs = time_min(|| {
+        for i in 0..ITERS {
+            sink ^= chacha20::block(std::hint::black_box(&key), i as u32 & 1, &nonce_for(i))[0];
+        }
+    });
+    std::hint::black_box(sink);
+    rows.push(Row::bulk("chacha20_block", ITERS * 64, secs));
+}
+
+/// Poly1305 over a bulk buffer: the per-block multiply, without the
+/// per-message set-up and final reduction a 112-byte entry also pays.
+fn bench_poly1305(rows: &mut Vec<Row>) {
+    let data = vec![0xABu8; BUF_LEN];
+    let key = [0x42u8; 32];
+    const ITERS: usize = 64;
+    let mut sink = 0u8;
+    let secs = time_min(|| {
+        for _ in 0..ITERS {
+            sink ^= poly1305::mac(std::hint::black_box(&key), &data)[0];
+        }
+    });
+    std::hint::black_box(sink);
+    rows.push(Row::bulk("poly1305", ITERS * BUF_LEN, secs));
+}
+
+/// GF(256) has one implementation, a scalar table walk.
 fn bench_gf256(rows: &mut Vec<Row>) {
     let src: Vec<u8> = (0..BUF_LEN).map(|i| (i * 37 + 5) as u8).collect();
     let mut dst = vec![0xC3u8; BUF_LEN];
@@ -108,51 +158,40 @@ fn bench_gf256(rows: &mut Vec<Row>) {
         }
     });
     std::hint::black_box(&dst);
-    rows.push(Row {
-        kernel: "gf256_mul_acc",
-        backend: Backend::Scalar,
-        mb_per_s: (ITERS * BUF_LEN) as f64 / secs / 1e6,
-        keys_per_s: None,
-    });
+    rows.push(Row::bulk("gf256_mul_acc", ITERS * BUF_LEN, secs));
 }
 
-/// Batched keywrap through the whole stack (HKDF-derived `WrapKek`
-/// setup once, then ChaCha20 + HMAC-SHA256 per key) — the engine's
-/// execute-phase workload. Uses `simd::force` so the internal
-/// `simd::active()` dispatch resolves to the swept backend.
-fn bench_keywrap(backend: Backend, rows: &mut Vec<Row>) {
-    simd::force(backend);
+/// 4 096 wraps under one KEK — a bulk join's per-joiner entries.
+fn bench_keywrap(rows: &mut Vec<Row>) {
     let mut rng = StdRng::seed_from_u64(0xD15C);
     let kek = Key::generate(&mut rng);
     let payloads: Vec<Key> = (0..WRAP_KEYS).map(|_| Key::generate(&mut rng)).collect();
     let mut sink = 0u8;
     let secs = time_min(|| {
-        let cached = WrapKek::new(&kek);
+        let kek = WrapKek::new(&kek);
         for (i, payload) in payloads.iter().enumerate() {
-            sink ^= cached.wrap_with_nonce(payload, nonce_for(i)).to_bytes()[0];
+            sink ^= kek.seal(payload, nonce_for(i), &BINDING).to_bytes()[0];
         }
     });
     std::hint::black_box(sink);
-    rows.push(Row::keywrap("keywrap_batch", backend, secs));
+    rows.push(Row::keywrap("keywrap_batch", secs));
 }
 
-/// One wrap per KEK — the group-oriented batch shape, where the
-/// planner's `WrapKek::new` (HKDF sub-keys + HMAC schedule) is paid
-/// for every entry and dominates it.
-fn bench_kek_setup(backend: Backend, rows: &mut Vec<Row>) {
-    simd::force(backend);
+/// One wrap per KEK — the group-oriented batch shape, which is what a
+/// leave batch costs.
+fn bench_kek_setup(rows: &mut Vec<Row>) {
     let mut rng = StdRng::seed_from_u64(0x5E7);
     let keks: Vec<Key> = (0..WRAP_KEYS).map(|_| Key::generate(&mut rng)).collect();
     let payload = Key::generate(&mut rng);
     let mut sink = 0u8;
     let secs = time_min(|| {
         for (i, kek) in keks.iter().enumerate() {
-            let prepared = WrapKek::new(std::hint::black_box(kek));
-            sink ^= prepared.wrap_with_nonce(&payload, nonce_for(i)).to_bytes()[0];
+            let kek = WrapKek::new(std::hint::black_box(kek));
+            sink ^= kek.seal(&payload, nonce_for(i), &BINDING).to_bytes()[0];
         }
     });
     std::hint::black_box(sink);
-    rows.push(Row::keywrap("kek_setup", backend, secs));
+    rows.push(Row::keywrap("kek_setup", secs));
 }
 
 fn main() {
@@ -174,12 +213,12 @@ fn main() {
     let mut rows: Vec<Row> = Vec::new();
     for &backend in &backends {
         bench_sha256(backend, &mut rows);
-        bench_keywrap(backend, &mut rows);
-        bench_kek_setup(backend, &mut rows);
     }
+    bench_chacha20_block(&mut rows);
+    bench_poly1305(&mut rows);
+    bench_keywrap(&mut rows);
+    bench_kek_setup(&mut rows);
     bench_gf256(&mut rows);
-    // Leave the process-wide selection as the environment dictates.
-    simd::force(selected);
 
     for row in &rows {
         match row.keys_per_s {

@@ -46,10 +46,10 @@ use crate::dek::DekState;
 use crate::persist::PersistError;
 use crate::{GroupKeyManager, IntervalOutcome, IntervalStats, Join};
 use rand::RngCore;
-use rekey_crypto::keywrap::{NonceRun, WrapKek};
+use rekey_crypto::keywrap::NonceRun;
 use rekey_crypto::Key;
 use rekey_keytree::message::codec::{get_u32, get_u64, get_u8, put_u32, put_u64};
-use rekey_keytree::message::{RekeyEntry, RekeyMessage};
+use rekey_keytree::message::{EntryMeta, RekeyEntry, RekeyMessage};
 use rekey_keytree::server::LkhServer;
 use rekey_keytree::{KeyTreeError, MemberId, NodeId};
 use std::collections::HashSet;
@@ -164,7 +164,7 @@ impl DekCtx<'_> {
         recipient: Option<MemberId>,
         audience: u32,
     ) -> RekeyEntry {
-        RekeyEntry {
+        EntryMeta {
             target: self.dek.node,
             target_version: self.dek.version,
             under,
@@ -173,8 +173,8 @@ impl DekCtx<'_> {
             recipient,
             audience,
             target_depth: 0,
-            wrapped: WrapKek::new(under_key).wrap_with_nonce(&self.dek.key, self.nonces.take()),
         }
+        .seal(under_key, &self.dek.key, self.nonces.take())
     }
 
     /// Entry wrapping the current DEK under the DEK that was current

@@ -1,9 +1,10 @@
 //! The ChaCha20 stream cipher as specified in RFC 8439.
 //!
 //! Validated against the RFC 8439 block-function and encryption test
-//! vectors. Used by [`crate::keywrap`] to encrypt key material: every
-//! call there is one 32-byte key, i.e. one block, so there is exactly
-//! one implementation and it works a block at a time.
+//! vectors. Used by [`crate::keywrap`]: a wrapped key is block 0 (the
+//! one-time Poly1305 key) and block 1 (32 bytes of key stream) under
+//! its own nonce, never a run of blocks, so there is exactly one
+//! implementation and it works a block at a time.
 
 /// ChaCha20 key length in bytes.
 pub const KEY_LEN: usize = 32;
@@ -82,6 +83,23 @@ pub fn xor_in_place(
     initial_counter: u32,
     data: &mut [u8],
 ) {
+    apply_keystream(key, nonce, initial_counter, data);
+    rekey_obs::count("crypto.chacha20_blocks", blocks_for(data.len()));
+}
+
+/// Blocks of key stream that cover `len` bytes.
+pub(crate) fn blocks_for(len: usize) -> u64 {
+    len.div_ceil(BLOCK_LEN) as u64
+}
+
+/// [`xor_in_place`] without the `crypto.chacha20_blocks` count, for
+/// [`crate::keywrap`], which counts a message's blocks once.
+pub(crate) fn apply_keystream(
+    key: &[u8; KEY_LEN],
+    nonce: &[u8; NONCE_LEN],
+    initial_counter: u32,
+    data: &mut [u8],
+) {
     let mut counter = initial_counter;
     for chunk in data.chunks_mut(BLOCK_LEN) {
         for (byte, k) in chunk.iter_mut().zip(block(key, counter, nonce)) {
@@ -89,10 +107,6 @@ pub fn xor_in_place(
         }
         counter = counter.wrapping_add(1);
     }
-    rekey_obs::count(
-        "crypto.chacha20_blocks",
-        data.len().div_ceil(BLOCK_LEN) as u64,
-    );
 }
 
 /// Encrypts `data` and returns the ciphertext (convenience wrapper

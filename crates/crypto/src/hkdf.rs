@@ -1,9 +1,8 @@
 //! HKDF-SHA256 key derivation as specified in RFC 5869.
 //!
-//! Used throughout the workspace to derive independent sub-keys (e.g.
-//! an encryption key and a MAC key for [`crate::keywrap`]) from a
-//! single key-encryption key, and by the OFT scheme to derive node keys
-//! from blinded child keys.
+//! Used by [`crate::Key::derive`] to give every use of a key other
+//! than [`crate::keywrap`] a labelled sub-key of its own, and by the
+//! OFT scheme to derive node keys from blinded child keys.
 
 use crate::hmac::{hmac, HmacKey};
 use crate::sha256::DIGEST_LEN;
@@ -17,8 +16,8 @@ pub fn extract(salt: &[u8], ikm: &[u8]) -> [u8; DIGEST_LEN] {
 /// `out.len()` bytes of output keying material, bound to `info`.
 ///
 /// Taking the PRK as a scheduled [`HmacKey`] lets a caller that
-/// expands several labels from one PRK (key wrap derives two sub-keys)
-/// pay the two pad compressions once.
+/// expands several labels from one PRK pay the two pad compressions
+/// once.
 ///
 /// # Panics
 ///

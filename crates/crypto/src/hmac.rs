@@ -6,9 +6,8 @@
 //! before the first message byte is absorbed. [`HmacKey`] performs
 //! them once and stores the post-pad inner and outer chaining values
 //! (2 × 32 bytes); every MAC started from it ([`HmacKey::mac`]) just
-//! resumes hashing from those. [`crate::keywrap`] relies on this to amortize
-//! MAC setup across all entries wrapped under the same key-encryption
-//! key in a rekey batch.
+//! resumes hashing from those. [`crate::Key::derive`] relies on this:
+//! its fixed HKDF salt is scheduled once per process.
 
 use crate::sha256::{self, Sha256, BLOCK_LEN, DIGEST_LEN};
 

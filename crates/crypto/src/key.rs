@@ -55,32 +55,21 @@ impl Key {
 
     /// Derives a related key bound to `label`, using HKDF-SHA256.
     ///
-    /// Used e.g. to split a key-encryption key into independent
-    /// encryption and MAC sub-keys, and by the OFT scheme to compute
-    /// blinded keys.
+    /// A key's raw bytes key the [`crate::keywrap`] AEAD and nothing
+    /// else; any other use of a key goes through a label of its own
+    /// (`"net-hello"` for the session handshake, `"oft-blind"` for
+    /// OFT's blinded keys).
     ///
-    /// Byte-for-byte `hkdf::derive(b"rekey-key-derive", key, label)`.
+    /// Byte-for-byte `hkdf::derive(b"rekey-key-derive", key, label)`,
+    /// in six SHA-256 compressions: the salt's pad states are the same
+    /// for every key, so they are computed once per process.
     pub fn derive(&self, label: &[u8]) -> Key {
-        Key::derive_from(&self.derivation_prk(), label)
-    }
-
-    /// HKDF-Extract of this key under the fixed `"rekey-key-derive"`
-    /// salt, returned scheduled for [`Key::derive_from`]. The salt's
-    /// pad states are the same for every key, so they are computed
-    /// once per process; one PRK serves any number of labels.
-    pub(crate) fn derivation_prk(&self) -> HmacKey {
         static SALT: OnceLock<HmacKey> = OnceLock::new();
-        let mut mac = SALT.get_or_init(|| HmacKey::new(b"rekey-key-derive")).mac();
-        mac.update(&self.0);
-        HmacKey::new(&mac.finalize())
-    }
-
-    /// HKDF-Expand of one label from a [`Key::derivation_prk`]. Counts
-    /// one `crypto.hkdf` per derived key, however the PRK is shared.
-    pub(crate) fn derive_from(prk: &HmacKey, label: &[u8]) -> Key {
         rekey_obs::count("crypto.hkdf", 1);
+        let mut extract = SALT.get_or_init(|| HmacKey::new(b"rekey-key-derive")).mac();
+        extract.update(&self.0);
         let mut out = [0u8; KEY_LEN];
-        hkdf::expand(prk, label, &mut out);
+        hkdf::expand(&HmacKey::new(&extract.finalize()), label, &mut out);
         Key(out)
     }
 
@@ -147,10 +136,10 @@ mod tests {
 
     #[test]
     fn derive_is_rfc5869_under_the_fixed_salt() {
-        // The cached salt schedule and shared PRK are an optimisation
-        // of exactly this one-shot derivation.
+        // The cached salt schedule is an optimisation of exactly this
+        // one-shot derivation.
         let k = Key::from_bytes([7; KEY_LEN]);
-        for label in [&b"wrap-enc"[..], b"wrap-mac", b"oft-blind", b""] {
+        for label in [&b"net-hello"[..], b"oft-blind", b""] {
             let mut expected = [0u8; KEY_LEN];
             hkdf::derive(b"rekey-key-derive", k.as_bytes(), label, &mut expected);
             assert_eq!(k.derive(label).as_bytes(), &expected);

@@ -2,15 +2,21 @@
 //!
 //! This is the operation a key server performs for every entry of a
 //! rekey message: "new key `K_a` encrypted with key `K_b`"
-//! (`{K_a}_{K_b}` in the paper's notation). The construction is
-//! encrypt-then-MAC:
+//! (`{K_a}_{K_b}` in the paper's notation). The construction is RFC
+//! 8439 §2.8 `AEAD_CHACHA20_POLY1305`, keyed by the KEK's own 32 bytes:
 //!
-//! 1. derive independent sub-keys `kek_enc = KEK.derive("wrap-enc")`
-//!    and `kek_mac = KEK.derive("wrap-mac")`,
-//! 2. encrypt the 32-byte payload key with ChaCha20 under `kek_enc`
-//!    and a fresh random 96-bit nonce,
-//! 3. tag `nonce || ciphertext` with HMAC-SHA256 under `kek_mac`,
-//!    truncated to 128 bits.
+//! ```text
+//! otk = ChaCha20(kek, counter 0, nonce)[0..32]
+//! ct  = payload XOR ChaCha20(kek, counter 1, nonce)[0..32]
+//! tag = Poly1305(otk, aad ‖ pad16 ‖ ct ‖ pad16 ‖ le64(|aad|) ‖ le64(|ct|))
+//! ```
+//!
+//! Nothing is derived from the KEK and nothing is hashed: preparing a
+//! [`WrapKek`] is a 32-byte copy, and a wrap is two ChaCha20 blocks
+//! plus Poly1305 over the padded input. That is the shape
+//! group-oriented rekeying needs — a child key has one parent, so a
+//! KEK wraps exactly one entry of a batch and any per-KEK set-up would
+//! be paid per entry.
 //!
 //! One wrapped key is [`WRAPPED_LEN`] = 60 bytes: the nonce and the
 //! [`SEALED_LEN`]-byte sealed part (ciphertext ‖ tag). The rekey-message
@@ -18,27 +24,47 @@
 //! is not the previous entry's successor ([`next_nonce`]): a key server
 //! numbers a batch's wraps from one random start ([`NonceRun`]).
 //!
-//! # Batching
+//! # What the tag covers
 //!
-//! Step 1 (sub-key derivation: one HKDF extract, two expands) and the
-//! HMAC key schedule are pure functions of the KEK alone, and a
-//! pure-join batch wraps every key along a joining member's path under
-//! that member's *same* individual key. A [`WrapKek`] performs that
-//! setup once; `wrap`/`unwrap` through it
-//! cost only the per-entry cipher + MAC work. The output is a pure
-//! function of (KEK, payload, nonce), so wrapping through a cached
-//! [`WrapKek`] is byte-identical to the one-shot free functions.
+//! The nonce (it selects `otk`), the ciphertext and the caller's
+//! associated data. A rekey entry passes its whole header — the 49-byte
+//! `RekeyEntry::binding` of `rekey-keytree`: both node ids, both
+//! versions, the leaf flag, the recipient, audience and depth — so an
+//! entry whose label was altered in transit fails [`WrapKek::open`]
+//! with [`CryptoError::BadTag`] instead of installing the right key
+//! bytes under the wrong `(node, version)`. [`WrapKek::wrap`] /
+//! [`WrapKek::unwrap`] are the same construction with empty associated
+//! data (OFT's broadcasts, which carry their own headers).
+//!
+//! # Limits
+//!
+//! - **Nonce reuse.** Two wraps under one KEK with one nonce expose the
+//!   XOR of the two payloads *and* that nonce's one-time Poly1305 key.
+//!   It is the same event, with the same 2⁻⁹⁶-per-pair bound, that
+//!   [`NonceRun`] already argues about.
+//! - **Forgery.** A forged entry is accepted with probability at most
+//!   8 · ⌈L/16⌉ · 2⁻¹⁰⁶ per attempt for an L-byte MAC input: 56 · 2⁻¹⁰⁶
+//!   ≈ 2⁻¹⁰⁰ for the 112 bytes of a rekey entry. Tags are compared in
+//!   constant time, before anything is decrypted.
+//! - **Not key-committing.** A sealed key may open under more than one
+//!   KEK with attacker-chosen keys; nothing here relies on the
+//!   opposite. A member picks the unwrapping key by the authenticated
+//!   `(under, under_version)` / `recipient` of the entry, never by
+//!   trial decryption.
+//! - **Key usage.** A [`Key`]'s raw bytes key this AEAD and nothing
+//!   else; every other use goes through [`Key::derive`] with its own
+//!   label (`"net-hello"`, `"oft-blind"`).
 
 use crate::chacha20;
-use crate::hmac::HmacKey;
+use crate::poly1305::{self, Poly1305};
 use crate::{ct_eq, CryptoError, Key};
 use rand::RngCore;
 
 /// Nonce length in bytes.
 pub const NONCE_LEN: usize = 12;
 
-/// Truncated MAC tag length in bytes.
-pub const TAG_LEN: usize = 16;
+/// Poly1305 tag length in bytes.
+pub const TAG_LEN: usize = poly1305::TAG_LEN;
 
 /// The part of a [`WrappedKey`] behind the nonce: 32-byte ciphertext +
 /// tag.
@@ -148,32 +174,93 @@ impl WrappedKey {
     }
 }
 
-/// A key-encryption key with its wrap setup done: derived encryption
-/// sub-key plus a scheduled HMAC key.
+/// The RFC 8439 §2.8 tag over `aad` and `ciphertext` under the one-time
+/// key that ChaCha20 block 0 yields for (`key`, `nonce`).
+fn aead_tag(
+    key: &[u8; chacha20::KEY_LEN],
+    nonce: &[u8; NONCE_LEN],
+    aad: &[u8],
+    ciphertext: &[u8],
+) -> [u8; TAG_LEN] {
+    // Block 0 here plus the key-stream blocks `seal_in_place` /
+    // `open_in_place` XOR with: one count per message.
+    rekey_obs::count(
+        "crypto.chacha20_blocks",
+        1 + chacha20::blocks_for(ciphertext.len()),
+    );
+    let block0 = chacha20::block(key, 0, nonce);
+    let otk = block0
+        .first_chunk::<{ poly1305::KEY_LEN }>()
+        .expect("a ChaCha20 block is 64 bytes");
+    let pad16 = |len: usize| &[0u8; 15][..len.wrapping_neg() % 16];
+    let mut mac = Poly1305::new(otk);
+    mac.update(aad);
+    mac.update(pad16(aad.len()));
+    mac.update(ciphertext);
+    mac.update(pad16(ciphertext.len()));
+    mac.update(&(aad.len() as u64).to_le_bytes());
+    mac.update(&(ciphertext.len() as u64).to_le_bytes());
+    mac.finalize()
+}
+
+/// `AEAD_CHACHA20_POLY1305` (RFC 8439 §2.8) encryption of `data` in
+/// place; returns the tag over `aad` and the ciphertext. The
+/// length-generic form of [`WrapKek::seal`].
 ///
-/// Construction costs one HKDF extract, two expands and the HMAC pad
-/// compressions; each subsequent [`wrap`](WrapKek::wrap) /
-/// [`unwrap`](WrapKek::unwrap) skips all of it. A member holds one per
-/// key on its path; the key server prepares one per wrapping key of a
-/// batch (group-oriented batches wrap under each child key exactly
-/// once, so there the setup *is* the per-entry cost).
+/// Callers must never reuse a nonce with the same key.
+pub fn seal_in_place(
+    key: &[u8; chacha20::KEY_LEN],
+    nonce: &[u8; NONCE_LEN],
+    aad: &[u8],
+    data: &mut [u8],
+) -> [u8; TAG_LEN] {
+    chacha20::apply_keystream(key, nonce, 1, data);
+    aead_tag(key, nonce, aad, data)
+}
+
+/// `AEAD_CHACHA20_POLY1305` decryption of `data` in place: recomputes
+/// the tag, compares it with `tag` in constant time, and only then
+/// decrypts. The length-generic form of [`WrapKek::open`].
+///
+/// # Errors
+///
+/// Returns [`CryptoError::BadTag`], leaving `data` untouched, if
+/// `tag` does not authenticate (`nonce`, `aad`, `data`) under `key`.
+pub fn open_in_place(
+    key: &[u8; chacha20::KEY_LEN],
+    nonce: &[u8; NONCE_LEN],
+    aad: &[u8],
+    data: &mut [u8],
+    tag: &[u8; TAG_LEN],
+) -> Result<(), CryptoError> {
+    if !ct_eq(&aead_tag(key, nonce, aad, data), tag) {
+        return Err(CryptoError::BadTag);
+    }
+    chacha20::apply_keystream(key, nonce, 1, data);
+    Ok(())
+}
+
+/// A key-encryption key: the 32 bytes that key the AEAD.
+///
+/// Construction derives nothing and hashes nothing, so it costs the
+/// same whether a KEK wraps one entry (group-oriented batches: a child
+/// has one parent) or a joiner's whole path.
 ///
 /// # Example
 ///
 /// ```
-/// use rekey_crypto::{Key, keywrap, keywrap::WrapKek};
+/// use rekey_crypto::{Key, keywrap::WrapKek, CryptoError};
 ///
-/// let kek = Key::from_bytes([7; 32]);
+/// let kek = WrapKek::new(&Key::from_bytes([7; 32]));
 /// let payload = Key::from_bytes([8; 32]);
-/// let cached = WrapKek::new(&kek);
-/// let a = cached.wrap_with_nonce(&payload, [9; 12]);
-/// let b = keywrap::wrap_with_nonce(&kek, &payload, [9; 12]);
-/// assert_eq!(a, b);
+/// let sealed = kek.seal(&payload, [9; 12], b"node 5, version 2");
+/// assert_eq!(kek.open(&sealed, b"node 5, version 2")?, payload);
+/// assert_eq!(kek.open(&sealed, b"node 5, version 3"), Err(CryptoError::BadTag));
+/// # Ok::<(), CryptoError>(())
 /// ```
 #[derive(Clone)]
 pub struct WrapKek {
-    enc_key: [u8; 32],
-    mac: HmacKey,
+    key: [u8; chacha20::KEY_LEN],
 }
 
 impl std::fmt::Debug for WrapKek {
@@ -183,47 +270,22 @@ impl std::fmt::Debug for WrapKek {
 }
 
 impl WrapKek {
-    /// Derives the wrap sub-keys from `kek` and schedules the MAC key.
-    ///
-    /// Ten SHA-256 compressions: one HKDF-Extract from the cached salt
-    /// schedule (2), the PRK's pads (2), a one-block Expand per
-    /// sub-key (2 + 2), and the MAC key's pads (2). Deriving the two
-    /// sub-keys independently (`kek.derive(..)` twice) gives the same
-    /// bytes for 18.
+    /// The AEAD key for `kek`: its raw bytes.
     pub fn new(kek: &Key) -> Self {
-        let prk = kek.derivation_prk();
         WrapKek {
-            enc_key: *Key::derive_from(&prk, b"wrap-enc").as_bytes(),
-            mac: HmacKey::new(Key::derive_from(&prk, b"wrap-mac").as_bytes()),
+            key: *kek.as_bytes(),
         }
     }
 
-    fn compute_tag(&self, nonce: &[u8; NONCE_LEN], ct: &[u8; 32]) -> [u8; TAG_LEN] {
-        let mut mac = self.mac.mac();
-        mac.update(nonce);
-        mac.update(ct);
-        let full = mac.finalize();
-        let mut tag = [0u8; TAG_LEN];
-        tag.copy_from_slice(&full[..TAG_LEN]);
-        tag
-    }
-
-    /// Encrypts `payload` with a fresh random nonce from `rng`.
-    pub fn wrap<R: RngCore>(&self, payload: &Key, rng: &mut R) -> WrappedKey {
-        let mut nonce = [0u8; NONCE_LEN];
-        rng.fill_bytes(&mut nonce);
-        self.wrap_with_nonce(payload, nonce)
-    }
-
-    /// Encrypts `payload` with a caller-chosen nonce.
+    /// Encrypts `payload` with a caller-chosen nonce, binding `aad`
+    /// into the tag.
     ///
     /// Deterministic; callers must never reuse a nonce with the same
     /// KEK.
-    pub fn wrap_with_nonce(&self, payload: &Key, nonce: [u8; NONCE_LEN]) -> WrappedKey {
+    pub fn seal(&self, payload: &Key, nonce: [u8; NONCE_LEN], aad: &[u8]) -> WrappedKey {
         rekey_obs::count("crypto.keywrap.wrap", 1);
         let mut ciphertext = *payload.as_bytes();
-        chacha20::xor_in_place(&self.enc_key, &nonce, 1, &mut ciphertext);
-        let tag = self.compute_tag(&nonce, &ciphertext);
+        let tag = seal_in_place(&self.key, &nonce, aad, &mut ciphertext);
         WrappedKey {
             nonce,
             ciphertext,
@@ -231,21 +293,40 @@ impl WrapKek {
         }
     }
 
-    /// Decrypts a wrapped key.
+    /// Decrypts a key sealed with the same `aad`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CryptoError::BadTag`] if `wrapped` was not sealed
+    /// under this KEK with this `aad` (or was corrupted in transit).
+    pub fn open(&self, wrapped: &WrappedKey, aad: &[u8]) -> Result<Key, CryptoError> {
+        rekey_obs::count("crypto.keywrap.unwrap", 1);
+        let mut plaintext = wrapped.ciphertext;
+        open_in_place(&self.key, &wrapped.nonce, aad, &mut plaintext, &wrapped.tag)?;
+        Ok(Key::from_bytes(plaintext))
+    }
+
+    /// [`seal`](Self::seal) with a fresh random nonce from `rng` and
+    /// no associated data.
+    pub fn wrap<R: RngCore>(&self, payload: &Key, rng: &mut R) -> WrappedKey {
+        let mut nonce = [0u8; NONCE_LEN];
+        rng.fill_bytes(&mut nonce);
+        self.wrap_with_nonce(payload, nonce)
+    }
+
+    /// [`seal`](Self::seal) with no associated data.
+    pub fn wrap_with_nonce(&self, payload: &Key, nonce: [u8; NONCE_LEN]) -> WrappedKey {
+        self.seal(payload, nonce, &[])
+    }
+
+    /// [`open`](Self::open) with no associated data.
     ///
     /// # Errors
     ///
     /// Returns [`CryptoError::BadTag`] if `wrapped` was not produced
     /// under this KEK (or was corrupted in transit).
     pub fn unwrap(&self, wrapped: &WrappedKey) -> Result<Key, CryptoError> {
-        rekey_obs::count("crypto.keywrap.unwrap", 1);
-        let expected = self.compute_tag(&wrapped.nonce, &wrapped.ciphertext);
-        if !ct_eq(&expected, &wrapped.tag) {
-            return Err(CryptoError::BadTag);
-        }
-        let mut plaintext = wrapped.ciphertext;
-        chacha20::xor_in_place(&self.enc_key, &wrapped.nonce, 1, &mut plaintext);
-        Ok(Key::from_bytes(plaintext))
+        self.open(wrapped, &[])
     }
 }
 
@@ -256,10 +337,7 @@ pub fn wrap<R: RngCore>(kek: &Key, payload: &Key, rng: &mut R) -> WrappedKey {
 
 /// Encrypts `payload` under `kek` with a caller-chosen nonce.
 ///
-/// Deterministic; used by tests and by protocol variants that derive
-/// nonces from sequence numbers. Callers must never reuse a nonce with
-/// the same KEK. Wrapping many keys under one KEK should go through a
-/// cached [`WrapKek`] instead.
+/// Deterministic; callers must never reuse a nonce with the same KEK.
 pub fn wrap_with_nonce(kek: &Key, payload: &Key, nonce: [u8; NONCE_LEN]) -> WrappedKey {
     WrapKek::new(kek).wrap_with_nonce(payload, nonce)
 }

@@ -11,8 +11,10 @@
 //! - [`hmac`] — HMAC-SHA256 message authentication,
 //! - [`hkdf`] — HKDF-SHA256 key derivation,
 //! - [`chacha20`] — the ChaCha20 stream cipher,
-//! - [`keywrap`] — authenticated key wrapping (encrypt-then-MAC) built
-//!   from ChaCha20 + HMAC-SHA256,
+//! - [`poly1305`] — the Poly1305 one-time authenticator,
+//! - [`keywrap`] — authenticated key wrapping: RFC 8439
+//!   ChaCha20-Poly1305 keyed by the wrapping key, with the entry header
+//!   as associated data,
 //! - [`Key`] — a 256-bit symmetric key with constant-time equality.
 //!
 //! # Example
@@ -52,6 +54,7 @@ pub mod chacha20;
 pub mod hkdf;
 pub mod hmac;
 pub mod keywrap;
+pub mod poly1305;
 pub mod sha256;
 pub mod simd;
 

@@ -3,9 +3,10 @@
 //! Exactly one kernel in the workspace is dispatched at run time:
 //! SHA-256 compression ([`crate::sha256`]), which carries the scalar
 //! reference plus one `std::arch` path built on the x86 SHA
-//! extensions. (ChaCha20 is called one block per wrapped key and
-//! `rekey-transport`'s GF(256) routines are off every rekey interval's
-//! path; each has a single implementation.) This module owns the
+//! extensions. (ChaCha20 and Poly1305 are called two blocks and seven
+//! blocks per wrapped key and `rekey-transport`'s GF(256) routines are
+//! off every rekey interval's path; each has a single implementation.)
+//! This module owns the
 //! *selection*, which is one bit: decided once per process from CPU
 //! feature detection plus an optional `REKEY_SIMD` environment
 //! override, and cached behind an atomic so the per-call cost of

@@ -1,51 +1,63 @@
 //! Property-based tests for the cryptographic primitives.
 
 use proptest::prelude::*;
-use rekey_crypto::{chacha20, hkdf, hmac, keywrap, sha256, Key};
+use rekey_crypto::{chacha20, hkdf, hmac, keywrap, poly1305, sha256, Key};
 
-/// Key wrap spelled out from its specification with the one-shot
-/// primitives only — RFC 5869 extract/expand per sub-key, `hmac()`,
-/// raw ChaCha20 — sharing nothing with `WrapKek`'s cached salt
-/// schedule, shared PRK or scheduled MAC key. 18 set-up compressions
-/// where `WrapKek::new` spends 10; the bytes must not differ.
+/// Key wrap spelled out from RFC 8439 §2.8 with the one-shot
+/// primitives only — raw ChaCha20 blocks and `poly1305::mac` over a
+/// hand-built `mac_data` — sharing nothing with `WrapKek` or
+/// `keywrap::{seal_in_place, open_in_place}`.
 fn reference_wrap(
     kek: &[u8; 32],
     payload: &[u8; 32],
     nonce: [u8; 12],
+    aad: &[u8],
 ) -> [u8; keywrap::WRAPPED_LEN] {
-    let subkey = |label: &[u8]| {
-        let prk = hkdf::extract(b"rekey-key-derive", kek);
-        let mut out = [0u8; 32];
-        hkdf::expand(&hmac::HmacKey::new(&prk), label, &mut out);
-        out
-    };
-    let mut ciphertext = *payload;
-    chacha20::xor_in_place(&subkey(b"wrap-enc"), &nonce, 1, &mut ciphertext);
-    let tag = hmac::hmac(&subkey(b"wrap-mac"), &[&nonce[..], &ciphertext].concat());
+    let otk: [u8; 32] = chacha20::block(kek, 0, &nonce)[..32].try_into().unwrap();
+    let stream = chacha20::block(kek, 1, &nonce);
+    let ciphertext: Vec<u8> = payload.iter().zip(stream).map(|(p, k)| p ^ k).collect();
+    let mut mac_data = aad.to_vec();
+    mac_data.resize(aad.len().next_multiple_of(16), 0);
+    mac_data.extend_from_slice(&ciphertext); // 32 bytes: already a multiple of 16
+    mac_data.extend_from_slice(&(aad.len() as u64).to_le_bytes());
+    mac_data.extend_from_slice(&32u64.to_le_bytes());
     let mut out = [0u8; keywrap::WRAPPED_LEN];
     out[..12].copy_from_slice(&nonce);
     out[12..44].copy_from_slice(&ciphertext);
-    out[44..].copy_from_slice(&tag[..keywrap::TAG_LEN]);
+    out[44..].copy_from_slice(&poly1305::mac(&otk, &mac_data));
     out
 }
 
-/// Known answer computed outside this crate (Python `hmac`/`hashlib`
-/// plus a from-the-RFC ChaCha20 block): pins the wrap construction,
-/// its labels and its salt — the bytes every WAL, trace and golden
-/// digest in the workspace depends on.
+/// Known answers computed outside this crate — Python `cryptography`
+/// 48.0.0, `nonce + ChaCha20Poly1305(kek).encrypt(nonce, payload, aad)`
+/// with `kek = bytes(range(32))`, `payload = bytes(0x80 + i ...)`,
+/// `nonce = bytes(0xf0 + i ...)`, and `aad` empty or
+/// `bytes(range(0x10, 0x10 + 49))`: pins the wrap construction — the
+/// bytes every WAL, trace and golden digest in the workspace depends on.
 #[test]
 fn keywrap_known_answer() {
     let kek: [u8; 32] = std::array::from_fn(|i| i as u8);
     let payload: [u8; 32] = std::array::from_fn(|i| 0x80 + i as u8);
     let nonce: [u8; 12] = std::array::from_fn(|i| 0xf0 + i as u8);
-    let expected = "f0f1f2f3f4f5f6f7f8f9fafb\
-                    289682ee26e81bdf8c3e2b7ef6d9f3e78285caa85466b28e0cc25ad356f64689\
-                    47144cf2e872472446dd3eaaf51899a4";
+    let aad49: [u8; 49] = std::array::from_fn(|i| 0x10 + i as u8);
+    let ciphertext = "40cdbc45032d5850d77711760ba0b65ea51a3601961675dda51cea9f0101822e";
+    let cases: [(&[u8], &str); 2] = [
+        (&[], "2b30893dd057825e859f23d0ab603de1"),
+        (&aad49, "0bc30ca927818bb7b13bc31743ad538b"),
+    ];
     let hex = |bytes: &[u8]| bytes.iter().map(|b| format!("{b:02x}")).collect::<String>();
-    let wrapped = keywrap::WrapKek::new(&Key::from_bytes(kek))
-        .wrap_with_nonce(&Key::from_bytes(payload), nonce);
-    assert_eq!(hex(&wrapped.to_bytes()), expected);
-    assert_eq!(hex(&reference_wrap(&kek, &payload, nonce)), expected);
+    let wrap_kek = keywrap::WrapKek::new(&Key::from_bytes(kek));
+    for (aad, tag) in cases {
+        let expected = format!("f0f1f2f3f4f5f6f7f8f9fafb{ciphertext}{tag}");
+        let wrapped = wrap_kek.seal(&Key::from_bytes(payload), nonce, aad);
+        assert_eq!(hex(&wrapped.to_bytes()), expected);
+        assert_eq!(hex(&reference_wrap(&kek, &payload, nonce, aad)), expected);
+    }
+    // `wrap_with_nonce` is `seal` with no associated data.
+    assert_eq!(
+        wrap_kek.wrap_with_nonce(&Key::from_bytes(payload), nonce),
+        wrap_kek.seal(&Key::from_bytes(payload), nonce, &[])
+    );
 }
 
 proptest! {
@@ -124,19 +136,30 @@ proptest! {
         prop_assert!(keywrap::unwrap(&other, &wrapped).is_err());
     }
 
-    /// The amortized `WrapKek` set-up is byte-identical to the
-    /// spelled-out reference construction, and so is the one-shot API.
+    /// `WrapKek` is byte-identical to the spelled-out reference
+    /// construction for any associated data, and so is the one-shot API
+    /// for none; what was sealed with one header opens with no other.
     #[test]
     fn keywrap_matches_reference(kek in any::<[u8; 32]>(),
                                  payload in any::<[u8; 32]>(),
-                                 nonce in any::<[u8; 12]>()) {
-        let expected = reference_wrap(&kek, &payload, nonce);
+                                 nonce in any::<[u8; 12]>(),
+                                 aad in proptest::collection::vec(any::<u8>(), 0..80),
+                                 flip in any::<prop::sample::Index>()) {
+        let expected = reference_wrap(&kek, &payload, nonce, &aad);
+        let bare = reference_wrap(&kek, &payload, nonce, &[]);
         let (kek, payload) = (Key::from_bytes(kek), Key::from_bytes(payload));
-        let cached = keywrap::WrapKek::new(&kek);
-        prop_assert_eq!(cached.wrap_with_nonce(&payload, nonce).to_bytes(), expected);
-        prop_assert_eq!(keywrap::wrap_with_nonce(&kek, &payload, nonce).to_bytes(), expected);
+        let wrap_kek = keywrap::WrapKek::new(&kek);
+        prop_assert_eq!(wrap_kek.seal(&payload, nonce, &aad).to_bytes(), expected);
+        prop_assert_eq!(wrap_kek.wrap_with_nonce(&payload, nonce).to_bytes(), bare);
+        prop_assert_eq!(keywrap::wrap_with_nonce(&kek, &payload, nonce).to_bytes(), bare);
         let parsed = keywrap::WrappedKey::from_bytes(&expected).unwrap();
-        prop_assert_eq!(cached.unwrap(&parsed).unwrap(), payload);
+        prop_assert_eq!(wrap_kek.open(&parsed, &aad).unwrap(), payload);
+        if !aad.is_empty() {
+            let mut other = aad.clone();
+            other[flip.index(aad.len())] ^= 0x01;
+            prop_assert!(wrap_kek.open(&parsed, &other).is_err());
+            prop_assert!(wrap_kek.unwrap(&parsed).is_err());
+        }
     }
 
     /// Serialized wrapped keys survive a parse roundtrip.

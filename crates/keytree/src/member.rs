@@ -11,7 +11,7 @@
 
 use crate::message::{RekeyEntry, RekeyMessage};
 use crate::{KeyTreeError, MemberId, NodeId};
-use rekey_crypto::{keywrap, Key};
+use rekey_crypto::Key;
 use std::collections::HashMap;
 
 /// The key ring and message-processing logic of one group member.
@@ -87,8 +87,7 @@ impl GroupMember {
                 if held.is_some_and(|v| v >= entry.target_version) {
                     return Ok(false);
                 }
-                let key = key.clone();
-                let new_key = keywrap::unwrap(&key, &entry.wrapped)?;
+                let new_key = entry.open(key)?;
                 self.keys
                     .insert(entry.target, (entry.target_version, new_key));
                 return Ok(true);
@@ -102,7 +101,7 @@ impl GroupMember {
             && entry.recipient == Some(self.id)
             && !self.keys.contains_key(&entry.under)
         {
-            let new_key = keywrap::unwrap(&self.individual, &entry.wrapped)?;
+            let new_key = entry.open(&self.individual)?;
             self.keys
                 .insert(entry.under, (entry.under_version, self.individual.clone()));
             let held = self.keys.get(&entry.target).map(|(v, _)| *v);
@@ -124,8 +123,10 @@ impl GroupMember {
     /// # Errors
     ///
     /// Returns [`KeyTreeError::Crypto`] if an entry addressed to a key
-    /// this member holds fails authentication (corrupted or forged
-    /// message).
+    /// this member holds fails authentication: the wrapped key or any
+    /// header field (see [`RekeyEntry::binding`]) is not what the key
+    /// server sealed. Entries before the failing one stay installed; a
+    /// genuine retransmission of the message completes the rest.
     pub fn process(&mut self, message: &RekeyMessage) -> Result<usize, KeyTreeError> {
         let mut decrypted = 0;
         for entry in &message.entries {

@@ -38,7 +38,7 @@
 //! | `recipient` | varint | if `HAS_RECIPIENT` | 1.19 |
 //! | `audience` | varint ≤ `u32::MAX` | always | 1.03 |
 //! | `nonce` | 12 bytes | unless `NONCE_NEXT` (= previous nonce + 1, 96-bit big-endian) | 0.01³ |
-//! | `sealed` | ciphertext ‖ tag as `WrapKek::wrap_with_nonce` made them | always | 48 |
+//! | `sealed` | ciphertext ‖ tag as `WrapKek::seal` made them | always | 48 |
 //!
 //! ¹ Per key over 79 214 keys of N = 16 384, d = 4, TT-scheme, paper
 //! Table-1 churn (the `steady-16k` workload of `benchmark/`): 7.2
@@ -57,8 +57,11 @@
 //! byte each and keeping them means `decode(encode(m)) == m` for every
 //! field and one message type, not a second member-facing one.
 //!
-//! The header is not authenticated: the tag covers `nonce ‖ ciphertext`
-//! only, exactly as in version 1.
+//! The entry header is authenticated, but not by this module: the key
+//! server seals each entry with [`RekeyEntry::binding`] — the decoded
+//! fields at fixed width — as associated data, so the layout above can
+//! change without touching what a tag covers. The envelope's `epoch`
+//! and count are not authenticated.
 
 use super::{RekeyEntry, RekeyMessage};
 use crate::{MemberId, NodeId};

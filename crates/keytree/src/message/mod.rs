@@ -14,9 +14,73 @@
 //! key, which together determine how valuable the entry is.
 
 use crate::{MemberId, NodeId};
-use rekey_crypto::keywrap::WrappedKey;
+use rekey_crypto::keywrap::{WrapKek, WrappedKey, NONCE_LEN};
+use rekey_crypto::{CryptoError, Key};
 
 pub mod codec;
+
+/// Length of an entry's [`binding`](RekeyEntry::binding) in bytes.
+pub const BINDING_LEN: usize = 49;
+
+/// Everything a [`RekeyEntry`] carries except the wrapped key — what a
+/// key server decides about an entry before it seals it. Field for
+/// field the entry's header; see [`RekeyEntry`] for their meaning.
+#[derive(Debug, Clone, Copy)]
+pub struct EntryMeta {
+    /// [`RekeyEntry::target`].
+    pub target: NodeId,
+    /// [`RekeyEntry::target_version`].
+    pub target_version: u64,
+    /// [`RekeyEntry::under`].
+    pub under: NodeId,
+    /// [`RekeyEntry::under_version`].
+    pub under_version: u64,
+    /// [`RekeyEntry::under_is_leaf`].
+    pub under_is_leaf: bool,
+    /// [`RekeyEntry::recipient`].
+    pub recipient: Option<MemberId>,
+    /// [`RekeyEntry::audience`].
+    pub audience: u32,
+    /// [`RekeyEntry::target_depth`].
+    pub target_depth: u32,
+}
+
+impl EntryMeta {
+    /// Lays out [`RekeyEntry::binding`].
+    fn binding(&self) -> [u8; BINDING_LEN] {
+        let flags = u8::from(self.under_is_leaf) | u8::from(self.recipient.is_some()) << 1;
+        let mut out = [0u8; BINDING_LEN];
+        out[0..8].copy_from_slice(&self.target.0.to_be_bytes());
+        out[8..16].copy_from_slice(&self.target_version.to_be_bytes());
+        out[16..24].copy_from_slice(&self.under.0.to_be_bytes());
+        out[24..32].copy_from_slice(&self.under_version.to_be_bytes());
+        out[32] = flags;
+        out[33..41].copy_from_slice(&self.recipient.map_or(0, |m| m.0).to_be_bytes());
+        out[41..45].copy_from_slice(&self.audience.to_be_bytes());
+        out[45..49].copy_from_slice(&self.target_depth.to_be_bytes());
+        out
+    }
+
+    /// The entry these fields describe: `payload` sealed under `kek`
+    /// with this header as associated data, so a receiver that is shown
+    /// any other header cannot open it.
+    ///
+    /// Deterministic; callers must never reuse a nonce with the same
+    /// `kek`.
+    pub fn seal(self, kek: &Key, payload: &Key, nonce: [u8; NONCE_LEN]) -> RekeyEntry {
+        RekeyEntry {
+            target: self.target,
+            target_version: self.target_version,
+            under: self.under,
+            under_version: self.under_version,
+            under_is_leaf: self.under_is_leaf,
+            recipient: self.recipient,
+            audience: self.audience,
+            target_depth: self.target_depth,
+            wrapped: WrapKek::new(kek).seal(payload, nonce, &self.binding()),
+        }
+    }
+}
 
 /// One encrypted key in a rekey message: `{target}` encrypted under
 /// the current key of `under`.
@@ -45,6 +109,44 @@ pub struct RekeyEntry {
     pub target_depth: u32,
     /// The wrapped key material.
     pub wrapped: WrappedKey,
+}
+
+impl RekeyEntry {
+    /// The header fields: everything but [`wrapped`](Self::wrapped).
+    fn meta(&self) -> EntryMeta {
+        EntryMeta {
+            target: self.target,
+            target_version: self.target_version,
+            under: self.under,
+            under_version: self.under_version,
+            under_is_leaf: self.under_is_leaf,
+            recipient: self.recipient,
+            audience: self.audience,
+            target_depth: self.target_depth,
+        }
+    }
+
+    /// The associated data an entry is sealed and opened with: every
+    /// header field at a fixed width, big-endian, independent of how
+    /// the wire codec happens to compress them —
+    /// `target:u64 ‖ target_version:u64 ‖ under:u64 ‖ under_version:u64
+    /// ‖ flags:u8 ‖ recipient:u64 ‖ audience:u32 ‖ target_depth:u32`,
+    /// `flags` bit 0 = `under_is_leaf`, bit 1 = a recipient is present
+    /// (`recipient` is 0 when none is).
+    pub fn binding(&self) -> [u8; BINDING_LEN] {
+        self.meta().binding()
+    }
+
+    /// Opens the entry under `kek`, authenticating the header fields
+    /// along with the wrapped key.
+    ///
+    /// # Errors
+    ///
+    /// [`CryptoError::BadTag`] if the entry was not sealed under `kek`
+    /// with exactly this header (forged, corrupted or relabelled).
+    pub fn open(&self, kek: &Key) -> Result<Key, CryptoError> {
+        WrapKek::new(kek).open(&self.wrapped, &self.binding())
+    }
 }
 
 /// A multicast rekey message for one rekey event.

@@ -28,14 +28,16 @@
 //! 2. **Planning** (sequential): every encryption the batch needs is
 //!    recorded as a planned wrap — KEK, payload, per-entry metadata
 //!    and a nonce: one [`NonceRun`] start is drawn from the caller's
-//!    RNG per batch and the plan is numbered from it in order. The
+//!    RNG per batch and the plan is numbered from it in order. No
+//!    cryptography happens here: a KEK is its 32 bytes. The
 //!    batch owns its working memory: every buffer is a local of
 //!    [`LkhServer::try_apply_batch`] and is freed when the message is
 //!    handed back, so the server holds its state and nothing else.
 //! 3. **Execution** (sequential): the planned wraps are pure
 //!    functions of their inputs — all ordering and randomness was
 //!    fixed during planning — and are run in plan order into the
-//!    output message.
+//!    output message, each sealed with its own header as associated
+//!    data ([`EntryMeta::seal`]). The whole per-key cost sits here.
 //!
 //! The fresh keys → plan → sort → one nonce start → execute order is
 //! what fixes the emitted bytes (the golden digests pin it), so it
@@ -49,11 +51,11 @@
 //! per phase when none is.
 
 use crate::message::codec::{get_u64, get_u8, put_u64};
-use crate::message::{RekeyEntry, RekeyMessage};
+use crate::message::{EntryMeta, RekeyEntry, RekeyMessage};
 use crate::tree::KeyTree;
 use crate::{KeyTreeError, MemberId, NodeId};
 use rand::RngCore;
-use rekey_crypto::keywrap::{NonceRun, WrapKek, NONCE_LEN};
+use rekey_crypto::keywrap::{NonceRun, NONCE_LEN};
 use rekey_crypto::Key;
 use std::collections::VecDeque;
 
@@ -81,59 +83,32 @@ pub struct BatchOutcome {
     pub stats: BatchStats,
 }
 
-/// Everything a [`RekeyEntry`] carries except the ciphertext.
-#[derive(Debug, Clone, Copy)]
-struct EntryMeta {
-    target: NodeId,
-    target_version: u64,
-    under: NodeId,
-    under_version: u64,
-    under_is_leaf: bool,
-    recipient: Option<MemberId>,
-    audience: u32,
-    target_depth: u32,
-}
-
-/// One planned key encryption: a pure function of its fields plus the
-/// batch's prepared KEKs. The payload key is held inline (32-byte
-/// copy); `kek` indexes the batch's `Vec<WrapKek>`, where the derived
-/// sub-keys and scheduled MAC state are prepared during planning. A
-/// join batch shares one KEK among all entries along a joiner's path;
-/// every other wrapping key wraps exactly one entry and has a KEK (and
-/// a set-up) of its own.
+/// One planned key encryption: a pure function of its fields. The KEK
+/// and the payload key are held inline (32-byte copies) — a KEK needs
+/// no preparation, so there is nothing to share between the entries a
+/// joiner's individual key wraps along its path.
 #[derive(Debug, Clone)]
 struct PlannedWrap {
-    kek: usize,
+    kek: Key,
     payload: Key,
     nonce: [u8; NONCE_LEN],
     meta: EntryMeta,
 }
 
 impl PlannedWrap {
-    /// A wrap of `payload` under `keks[kek]`; the nonce is assigned
-    /// later, in final plan order.
-    fn new(kek: usize, payload: &Key, meta: EntryMeta) -> Self {
+    /// A wrap of `payload` under `kek`; the nonce is assigned later, in
+    /// final plan order.
+    fn new(kek: &Key, payload: &Key, meta: EntryMeta) -> Self {
         PlannedWrap {
-            kek,
+            kek: kek.clone(),
             payload: payload.clone(),
             nonce: [0; NONCE_LEN],
             meta,
         }
     }
 
-    fn execute(self, keks: &[WrapKek]) -> RekeyEntry {
-        let wrapped = keks[self.kek].wrap_with_nonce(&self.payload, self.nonce);
-        RekeyEntry {
-            target: self.meta.target,
-            target_version: self.meta.target_version,
-            under: self.meta.under,
-            under_version: self.meta.under_version,
-            under_is_leaf: self.meta.under_is_leaf,
-            recipient: self.meta.recipient,
-            audience: self.meta.audience,
-            target_depth: self.meta.target_depth,
-            wrapped,
-        }
+    fn execute(self) -> RekeyEntry {
+        self.meta.seal(&self.kek, &self.payload, self.nonce)
     }
 }
 
@@ -280,7 +255,6 @@ impl LkhServer {
         };
 
         // ---- Phase 2: plan every encryption this batch needs ------
-        let mut keks = Vec::new();
         let plan = {
             let _span = rekey_obs::span!("rekey.plan");
             // Index-aligned with `dirty`; only a pure-join batch wraps
@@ -290,9 +264,9 @@ impl LkhServer {
                 .map(|&node| self.tree.refresh_key(node, rng))
                 .collect();
             let mut plan = if leaves.is_empty() {
-                self.plan_join_entries(&dirty, &replaced, &created, &joined_leaves, &mut keks)
+                self.plan_join_entries(joins, &dirty, &replaced, &created, &joined_leaves)
             } else {
-                self.plan_group_oriented_entries(&dirty, &mut keks)
+                self.plan_group_oriented_entries(&dirty)
             };
             // Deepest targets first => members decrypt in one pass.
             // The sort is stable, so entries for one node keep their
@@ -312,7 +286,7 @@ impl LkhServer {
         // ---- Phase 3: run the plan into the output entries --------
         let entries: Vec<RekeyEntry> = {
             let _span = rekey_obs::span!("rekey.execute");
-            plan.into_iter().map(|job| job.execute(&keks)).collect()
+            plan.into_iter().map(PlannedWrap::execute).collect()
         };
         rekey_obs::count("rekey.encrypted_keys", entries.len() as u64);
 
@@ -394,22 +368,16 @@ impl LkhServer {
 
     /// Plans group-oriented rekeying (mixed or leave batches): every
     /// refreshed key is encrypted under the current key of each of its
-    /// children. A child has one parent, so no wrapping key repeats
-    /// within the batch and each gets a KEK of its own.
-    fn plan_group_oriented_entries(
-        &self,
-        dirty: &[NodeId],
-        keks: &mut Vec<WrapKek>,
-    ) -> Vec<PlannedWrap> {
+    /// children.
+    fn plan_group_oriented_entries(&self, dirty: &[NodeId]) -> Vec<PlannedWrap> {
         let tree = &self.tree;
         let mut plan = Vec::with_capacity(dirty.len() * tree.degree());
         for &node in dirty {
             let (new_key, new_version) = tree.key_of(node).expect("dirty node is alive");
             let depth = tree.depth_of(node).expect("dirty node is alive") as u32;
             for child in tree.children_of(node).expect("dirty node is alive") {
-                keks.push(WrapKek::new(child.key));
                 plan.push(PlannedWrap::new(
-                    keks.len() - 1,
+                    child.key,
                     new_key,
                     EntryMeta {
                         target: node,
@@ -430,21 +398,15 @@ impl LkhServer {
     /// Plans the §2.1 join procedure (pure-join batches): each
     /// refreshed key is encrypted under its own previous version
     /// (`replaced`, index-aligned with `dirty`) plus under the
-    /// individual key of each joiner beneath it.
-    ///
-    /// A joiner's individual key is the only wrapping key that repeats
-    /// in such a batch — once per dirty node on the joiner's path — so
-    /// `keks[j]` is prepared up front for joiner `j` of `joined_leaves`.
-    /// Every previous-version key wraps one entry and every other child
-    /// of a created interior has that one parent, so those KEKs are
-    /// pushed behind the joiners' as their entries are planned.
+    /// individual key of each joiner beneath it (`joins`, index-aligned
+    /// with `joined_leaves`).
     fn plan_join_entries(
         &self,
+        joins: &[(MemberId, Key)],
         dirty: &[NodeId],
         replaced: &[(u64, Key)],
         created: &[NodeId],
         joined_leaves: &[(MemberId, NodeId)],
-        keks: &mut Vec<WrapKek>,
     ) -> Vec<PlannedWrap> {
         let tree = &self.tree;
 
@@ -453,9 +415,7 @@ impl LkhServer {
         // node in batch order — the order their entries are emitted in.
         let mut joiner_hits = Vec::new();
         let mut path = Vec::new();
-        for (joiner, (member, leaf)) in joined_leaves.iter().enumerate() {
-            let (leaf_key, _) = tree.key_of(*leaf).expect("fresh leaf is alive");
-            keks.push(WrapKek::new(leaf_key));
+        for (joiner, (member, _)) in joined_leaves.iter().enumerate() {
             path.clear();
             tree.path_of_into(*member, &mut path)
                 .expect("member just joined");
@@ -483,9 +443,8 @@ impl LkhServer {
             // skips this entry.
             if created_sorted.binary_search(&node).is_err() {
                 let (old_version, old_key) = &replaced[dirty_idx];
-                keks.push(WrapKek::new(old_key));
                 plan.push(PlannedWrap::new(
-                    keks.len() - 1,
+                    old_key,
                     new_key,
                     EntryMeta {
                         target: node,
@@ -504,7 +463,7 @@ impl LkhServer {
             while let Some(&(_, joiner)) = hits.next_if(|&&(idx, _)| idx == dirty_idx) {
                 let (member, leaf) = joined_leaves[joiner];
                 plan.push(PlannedWrap::new(
-                    joiner,
+                    &joins[joiner].1,
                     new_key,
                     EntryMeta {
                         target: node,
@@ -530,9 +489,8 @@ impl LkhServer {
                 if joined_leaf_ids.binary_search(&child.id).is_ok() {
                     continue; // already covered by per-joiner entries
                 }
-                keks.push(WrapKek::new(child.key));
                 plan.push(PlannedWrap::new(
-                    keks.len() - 1,
+                    child.key,
                     new_key,
                     EntryMeta {
                         target: node,

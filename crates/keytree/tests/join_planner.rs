@@ -6,12 +6,15 @@
 //! in batch order. The planner used to find "joiners beneath it" by
 //! scanning every joiner's path for every dirty node; it now walks each
 //! path once and buckets by dirty node. The digests below were recorded
-//! from the scanning planner and re-pinned once for wire format 2 with
-//! every entry's metadata checked equal (1 413 and 26 417 keys, metadata
-//! sha256 `66a26d72…` and `5a6846c8…` on both sides), so any change to
-//! entry order, nonce order or KEK choice fails here — on a batch large
-//! enough (4 096 joiners, the shape of a bulk bootstrap) that the small
-//! conformance scenarios' 10–20-joiner batches cannot stand in for it.
+//! from the scanning planner and re-pinned once for wire format 2 and
+//! once for the ChaCha20-Poly1305 key wrap, each time with every
+//! entry's metadata checked equal (the second time with its nonce too:
+//! 1 413 and 26 417 keys, 76 540 and 1 444 511 bytes, sha256 over
+//! metadata and nonces `cc2a41f5…` and `8af7246d…` on both sides), so
+//! any change to entry order, nonce order or KEK choice fails here — on
+//! a batch large enough (4 096 joiners, the shape of a bulk bootstrap)
+//! that the small conformance scenarios' 10–20-joiner batches cannot
+//! stand in for it.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -40,7 +43,7 @@ fn bulk_pure_join_bytes_match_the_scanning_planner() {
     let bootstrap = server.apply_batch(&founders, &[], &mut rng);
     assert_eq!(
         hex(&sha256::digest(&encode_message(&bootstrap.message))),
-        "60024eb6eb1b91d7ce8f2323f32c3a3bbaedac3ca002a888a3f7817fa2a24a30"
+        "268d1724b1ba2cc2aefc1912399e7b8fdf7b5076beecfbd40259710e623e809d"
     );
 
     // A mixed batch in between leaves holes, so the big join below
@@ -62,7 +65,7 @@ fn bulk_pure_join_bytes_match_the_scanning_planner() {
         ),
         (
             26_417,
-            "ebd6a606eaf6fdf76422709238c0c19e562c8e21c427d4da2b8e2c118d333bae".to_owned()
+            "abfeff517be978aff76b4678090a3fd305f6f43baff1380f26bf45800f8e29b1".to_owned()
         )
     );
     server.tree().check_invariants();
@@ -82,11 +85,11 @@ fn bulk_pure_join_bytes_match_the_scanning_planner() {
     }
 }
 
-/// The join planner prepares one KEK per joiner and gives every other
-/// wrapping key a KEK of its own, which is only as cheap as deduping if
-/// no other key wraps twice. Check exactly that on the wire: within a
+/// Which keys see more than one nonce of a batch's run: within a
 /// pure-join message, a `(under, under_version)` shared by several
-/// entries is always the individual key of one of that batch's joiners.
+/// entries is always the individual key of one of that batch's joiners
+/// — every previous-version key and every sibling of a split leaf wraps
+/// exactly once.
 #[test]
 fn only_a_joiners_individual_key_wraps_more_than_one_entry() {
     use std::collections::{HashMap, HashSet};

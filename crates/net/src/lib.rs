@@ -6,8 +6,9 @@
 //! zero-dependency:
 //!
 //! - [`server::Rekeyd`] — a threaded daemon: one accept thread
-//!   running an HMAC challenge/response handshake (under the member's
-//!   registered individual key, via [`rekey_crypto::hmac`]), N worker
+//!   running an HMAC challenge/response handshake (under a key derived
+//!   from the member's registered individual key, via
+//!   [`rekey_crypto::hmac`]), N worker
 //!   shards owning sessions hashed by member id, per-session bounded
 //!   send queues whose overflow policy is *disconnect* (backpressure),
 //!   and a retransmission window of the last W epochs served to NACKs.

@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! server → client   ServerHello { version, nonce }
-//! client → server   Hello { version, member, tag = HMAC(ik, ...) }
+//! client → server   Hello { version, member, tag = HMAC(ik.derive("net-hello"), ...) }
 //! server → client   Welcome { latest_epoch }   (or Reject { reason })
 //! client → server   Nack { epochs }            (resubscribe / catch up)
 //! ```
@@ -40,7 +40,11 @@ use rekey_keytree::MemberId;
 /// v3: `Rekey` payloads are `codec::WIRE_VERSION` 2, which a v2 peer
 /// cannot parse — it is turned away at the handshake
 /// ([`RejectReason::BadVersion`]) instead of failing on its first epoch.
-pub const PROTO_VERSION: u8 = 3;
+/// v4: rekey entries are sealed with ChaCha20-Poly1305 over their
+/// header, which a v3 peer cannot open (it would fail `BadTag` on its
+/// first epoch), and the `Hello` tag is keyed by a derived key
+/// ([`hello_tag`]).
+pub const PROTO_VERSION: u8 = 4;
 
 /// Server nonce length (the HMAC challenge).
 pub const NONCE_LEN: usize = 32;
@@ -74,7 +78,8 @@ pub enum Frame {
     Hello {
         /// The member identifying itself.
         member: MemberId,
-        /// `HMAC(individual_key, HELLO_CONTEXT ‖ nonce ‖ member)`.
+        /// [`hello_tag`]: `HMAC(individual_key.derive("net-hello"),
+        /// HELLO_CONTEXT ‖ nonce ‖ member)`.
         tag: [u8; TAG_LEN],
     },
     /// Handshake accepted; the session is live.
@@ -137,11 +142,14 @@ pub fn unix_now_ns() -> u64 {
 /// Domain-separation context for the handshake HMAC.
 pub const HELLO_CONTEXT: &[u8] = b"rekey-net hello v1";
 
-/// Computes the `Hello` authentication tag: an HMAC under the member's
-/// individual key over the server nonce and the member id, bound to
-/// this protocol by [`HELLO_CONTEXT`].
+/// Computes the `Hello` authentication tag: an HMAC over the server
+/// nonce and the member id, bound to this protocol by
+/// [`HELLO_CONTEXT`], keyed by `individual_key.derive(b"net-hello")`.
+/// The individual key's raw bytes key the key-wrap AEAD and nothing
+/// else (one key, one primitive), so the handshake takes a labelled
+/// sub-key.
 pub fn hello_tag(individual_key: &Key, nonce: &[u8; NONCE_LEN], member: MemberId) -> [u8; TAG_LEN] {
-    let mut mac = HmacSha256::new(individual_key.as_bytes());
+    let mut mac = HmacSha256::new(individual_key.derive(b"net-hello").as_ref());
     mac.update(HELLO_CONTEXT);
     mac.update(nonce);
     mac.update(&member.0.to_be_bytes());
@@ -423,6 +431,38 @@ mod tests {
         old_hello[1] = 2;
         stream
             .write_all(&encode_frame(&old_hello, DEFAULT_MAX_FRAME).unwrap())
+            .unwrap();
+        let reply = read_frame_deadline(&mut stream, &mut reader, deadline, "reject").unwrap();
+        assert_eq!(
+            decode(&reply).unwrap(),
+            Frame::Reject {
+                reason: RejectReason::BadVersion
+            }
+        );
+        assert_eq!(daemon.session_count(), 0);
+
+        // A protocol-3 peer cannot open a ChaCha20-Poly1305 entry. Its
+        // Hello is authenticated the way version 3 did it — HMAC keyed
+        // by the individual key's raw bytes — and must be turned away
+        // for its version, not for its tag.
+        let mut stream = std::net::TcpStream::connect(daemon.local_addr()).unwrap();
+        let mut reader = FrameReader::new(DEFAULT_MAX_FRAME);
+        let hello =
+            read_frame_deadline(&mut stream, &mut reader, deadline, "server hello").unwrap();
+        let Frame::ServerHello { nonce } = decode(&hello).unwrap() else {
+            panic!("expected a server hello");
+        };
+        let mut v3_mac = HmacSha256::new(key.as_bytes());
+        v3_mac.update(HELLO_CONTEXT);
+        v3_mac.update(&nonce);
+        v3_mac.update(&1u64.to_be_bytes());
+        let mut v3_hello = encode(&Frame::Hello {
+            member: MemberId(1),
+            tag: v3_mac.finalize(),
+        });
+        v3_hello[1] = 3;
+        stream
+            .write_all(&encode_frame(&v3_hello, DEFAULT_MAX_FRAME).unwrap())
             .unwrap();
         let reply = read_frame_deadline(&mut stream, &mut reader, deadline, "reject").unwrap();
         assert_eq!(

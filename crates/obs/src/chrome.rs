@@ -38,7 +38,11 @@ struct TraceEvent {
 /// Spans arrive ordered by *completion*; within one thread RAII
 /// guarantees proper nesting, so sorting by start time (ties: longer
 /// span first, i.e. the enclosing one) and sweeping with a stack of
-/// open end-times reproduces the original nesting exactly.
+/// open end-times reproduces the original nesting exactly. A span's
+/// start and its duration come from two clock reads, so a thread
+/// descheduled between an enclosing span's two can leave an inner span
+/// computed to end a few nanoseconds *after* it; an inner span's end is
+/// therefore clamped to the end of the span it is open in.
 fn span_events(spans: &[SpanEvent]) -> Vec<TraceEvent> {
     let mut by_tid: BTreeMap<u64, Vec<&SpanEvent>> = BTreeMap::new();
     for span in spans {
@@ -72,6 +76,7 @@ fn span_events(spans: &[SpanEvent]) -> Vec<TraceEvent> {
                 tid,
                 value: None,
             });
+            let end_ns = open.last().map_or(end_ns, |&(_, outer)| end_ns.min(outer));
             open.push((span.name, end_ns));
         }
         while let Some((name, end_ns)) = open.pop() {
@@ -277,6 +282,18 @@ mod tests {
         assert_eq!(summary.counter_events, 1);
         assert!(summary.span_names.contains("outer"));
         assert!(summary.counter_names.contains("gauge"));
+    }
+
+    /// An inner span whose two clock reads make it seem to outlive the
+    /// span it ran in (by 7 ns here) still exports nested.
+    #[test]
+    fn an_inner_span_never_ends_after_its_outer() {
+        let c = Collector::new();
+        c.span("inner", 100, 907, 1);
+        c.span("outer", 0, 1000, 1);
+        c.span("next", 1200, 50, 1);
+        let summary = validate_trace(&c.chrome_trace_json()).expect("nesting is kept");
+        assert_eq!((summary.begin_events, summary.end_events), (3, 3));
     }
 
     #[test]

@@ -58,7 +58,7 @@ impl SimConfig {
 pub struct PhaseBreakdown {
     /// Tree mutation + fresh key generation (sequential).
     pub mutate_s: f64,
-    /// Encryption planning, KEK set-up included (sequential).
+    /// Encryption planning (sequential).
     pub plan_s: f64,
     /// Encryption execution (sequential).
     pub execute_s: f64,

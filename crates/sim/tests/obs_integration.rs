@@ -6,6 +6,9 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rekey_core::partition::TtManager;
+use rekey_core::{Join, Scheme, SchemeConfig};
+use rekey_crypto::Key;
+use rekey_keytree::MemberId;
 use rekey_sim::driver::{run_scheme, SimConfig, SimReport};
 use rekey_sim::membership::{MembershipGenerator, MembershipParams};
 use std::path::PathBuf;
@@ -83,7 +86,7 @@ fn sim_run_exports_valid_trace_and_metrics() {
     let metrics = std::fs::read_to_string(&metrics_path).expect("metrics file written");
     for needle in [
         "crypto_chacha20_blocks_total",
-        "crypto_hmac_total",
+        "crypto_poly1305_total",
         "crypto_keywrap_wrap_total",
         "rekey_encrypted_keys_total",
         "rekey_execute_seconds",
@@ -159,4 +162,42 @@ fn message_bytes_accompany_encrypted_keys() {
             assert_eq!(stats.message_bytes, 0);
         }
     }
+}
+
+/// A rekey interval is made of ChaCha20 and Poly1305 and nothing else:
+/// no KEK is prepared, so no SHA-256 — as a digest, an HMAC or an HKDF
+/// — runs between a batch arriving and its message being complete.
+/// Counted, so a set-up step cannot creep back into `WrapKek::new`.
+#[test]
+fn a_rekey_interval_hashes_nothing() {
+    let _guard = global_lock();
+    let mut rng = StdRng::seed_from_u64(1024);
+    let mut manager = Scheme::Tt.build(&SchemeConfig::new());
+    let mut join = |id: u64| Join::new(MemberId(id), Key::generate(&mut rng));
+    let founders: Vec<Join> = (0..1024).map(&mut join).collect();
+    let newcomers: Vec<Join> = (2000..2024).map(&mut join).collect();
+    let leavers: Vec<MemberId> = (0..1024).step_by(41).map(MemberId).collect();
+    manager
+        .process_interval(&founders, &[], &mut rng)
+        .expect("bootstrap");
+
+    let collector = std::sync::Arc::new(rekey_obs::Collector::new());
+    rekey_obs::install(collector.clone());
+    let outcome = manager.process_interval(&newcomers, &leavers, &mut rng);
+    rekey_obs::uninstall();
+    let keys = outcome.expect("mixed batch").stats.encrypted_keys as u64;
+    let seen = collector.snapshot();
+
+    assert!(keys > 100, "a mixed batch at N = 1 024 wraps {keys} keys");
+    for hashed in [
+        "crypto.hmac",
+        "crypto.hkdf",
+        "crypto.sha256_digests.scalar",
+        "crypto.sha256_digests.sha_ni",
+    ] {
+        assert_eq!(seen.counter(hashed), 0, "{hashed} on the interval path");
+    }
+    assert_eq!(seen.counter("crypto.keywrap.wrap"), keys);
+    assert_eq!(seen.counter("crypto.poly1305"), keys);
+    assert_eq!(seen.counter("crypto.chacha20_blocks"), 2 * keys);
 }

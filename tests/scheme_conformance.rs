@@ -11,6 +11,12 @@
 //!   reported and computed sizes equal the encoded size, no wrapping
 //!   key sees a nonce twice in the whole run, and the v2 entry coder
 //!   actually compresses (≤ 60 bytes per key where runs are long);
+//! - **authenticated headers**: every interval, a clone of the whole
+//!   member population is shown the message with one header field of
+//!   one entry rewritten; no clone ever holds a `(node, version, key)`
+//!   its original does not, and a rewritten DEK entry is rejected with
+//!   `BadTag` — the DEK entries are sealed by `rekey-core`'s `DekCtx`,
+//!   not by the key trees, so this is where they are covered;
 //! - **golden digests**: the sha256 of all serialized rekey messages
 //!   (versioned `codec::encode_message` envelope) is pinned per
 //!   scheme, so any refactor that changes a single emitted byte fails
@@ -30,10 +36,10 @@ use rekey_core::one_tree::OneTreeManager;
 use rekey_core::partition::{PtManager, QtManager, TtManager};
 use rekey_core::{DurationClass, GroupKeyManager, IntervalOutcome, Join};
 use rekey_crypto::sha256::Sha256;
-use rekey_crypto::Key;
+use rekey_crypto::{CryptoError, Key};
 use rekey_keytree::member::GroupMember;
-use rekey_keytree::message::codec;
-use rekey_keytree::{MemberId, NodeId};
+use rekey_keytree::message::{codec, RekeyMessage};
+use rekey_keytree::{KeyTreeError, MemberId, NodeId};
 use std::collections::{BTreeMap, HashSet};
 
 const BOOTSTRAP: usize = 40;
@@ -66,6 +72,46 @@ struct Script {
     departed: Vec<MemberId>,
     old_deks: Vec<Key>,
     next_id: u64,
+    /// Whether a clone ever answered a rewritten DEK entry with
+    /// `BadTag`.
+    dek_forgery_rejected: bool,
+}
+
+/// A member's whole ring, in node order.
+fn ring(member: &GroupMember) -> Vec<(NodeId, u64, Key)> {
+    let mut ring: Vec<_> = member
+        .held_keys()
+        .map(|(node, version)| (node, version, member.key_for(node).unwrap().clone()))
+        .collect();
+    ring.sort_by_key(|&(node, version, _)| (node, version));
+    ring
+}
+
+/// `message` with one header field of one entry rewritten, and whether
+/// that entry carries the DEK. Field and entry cycle with `step`; even
+/// steps pick among the DEK entries.
+fn relabelled(message: &RekeyMessage, step: usize, dek_node: NodeId) -> (RekeyMessage, bool) {
+    let dek_entries: Vec<usize> = (0..message.entries.len())
+        .filter(|&i| message.entries[i].target == dek_node)
+        .collect();
+    let index = if step.is_multiple_of(2) && !dek_entries.is_empty() {
+        dek_entries[step / 2 % dek_entries.len()]
+    } else {
+        step * 7 % message.entries.len()
+    };
+    let mut forged = message.clone();
+    let entry = &mut forged.entries[index];
+    match step % 8 {
+        0 => entry.target = NodeId(entry.target.0 ^ 1),
+        1 => entry.target_version += 1,
+        2 => entry.under = NodeId(entry.under.0 ^ 1),
+        3 => entry.under_version += 1,
+        4 => entry.under_is_leaf = !entry.under_is_leaf,
+        5 => entry.recipient = entry.recipient.xor(Some(MemberId(0))),
+        6 => entry.audience += 1,
+        _ => entry.target_depth += 1,
+    }
+    (forged, message.entries[index].target == dek_node)
 }
 
 impl Script {
@@ -76,6 +122,7 @@ impl Script {
             departed: Vec::new(),
             old_deks: Vec::new(),
             next_id: 0,
+            dek_forgery_rejected: false,
         }
     }
 
@@ -113,9 +160,28 @@ impl Script {
         picked
     }
 
-    fn broadcast(&mut self, message: &rekey_keytree::message::RekeyMessage) {
-        for s in self.states.values_mut() {
-            let _ = s.process(message);
+    /// Delivers `message` to everyone — after showing a clone of
+    /// everyone its [`relabelled`] copy, from which no clone may come
+    /// away with anything its original lacks.
+    fn broadcast(&mut self, message: &RekeyMessage, step: usize, dek_node: NodeId, scheme: &str) {
+        let (forged, forged_dek_entry) = relabelled(message, step, dek_node);
+        let mut clones = self.states.clone();
+        for clone in clones.values_mut() {
+            if clone.process(&forged) == Err(KeyTreeError::Crypto(CryptoError::BadTag)) {
+                self.dek_forgery_rejected |= forged_dek_entry;
+            }
+        }
+        for (id, state) in &mut self.states {
+            let before = ring(state);
+            let _ = state.process(message);
+            let after = ring(state);
+            for held in ring(&clones[id]) {
+                assert!(
+                    before.contains(&held) || after.contains(&held),
+                    "[{scheme}] step {step}: a relabelled entry made member {id} \
+                     install {held:?}"
+                );
+            }
         }
     }
 
@@ -193,7 +259,7 @@ fn run_script(mut mgr: Box<dyn GroupKeyManager>) -> Vec<Vec<u8>> {
     let out = mgr
         .process_interval(&joins, &[], &mut rng)
         .expect("bootstrap");
-    script.broadcast(&out.message);
+    script.broadcast(&out.message, 0, mgr.dek_node(), scheme);
     script.check(mgr.as_ref(), scheme);
     script.old_deks.push(mgr.dek().clone());
     wires.push(wire_of(scheme, &out, &mut seen));
@@ -206,7 +272,7 @@ fn run_script(mut mgr: Box<dyn GroupKeyManager>) -> Vec<Vec<u8>> {
             .expect("scripted interval is consistent");
         assert_eq!(out.stats.joins, JOINS_PER_INTERVAL);
         assert_eq!(out.stats.leaves, leavers.len());
-        script.broadcast(&out.message);
+        script.broadcast(&out.message, 1 + interval, mgr.dek_node(), scheme);
         script.check(mgr.as_ref(), scheme);
 
         // The DEK rotates every interval, and no newcomer ever saw a
@@ -220,44 +286,47 @@ fn run_script(mut mgr: Box<dyn GroupKeyManager>) -> Vec<Vec<u8>> {
         script.old_deks.push(dek);
         wires.push(wire_of(scheme, &out, &mut seen));
     }
+    assert!(
+        script.dek_forgery_rejected,
+        "[{scheme}] no relabelled DEK entry was ever answered with BadTag"
+    );
     wires
 }
 
 /// Golden run digests: sha256 over the concatenated versioned
 /// encodings of every interval's rekey message, per scheme. Re-pinned
-/// once for wire format 2 (new encoding, one nonce start per batch
-/// instead of one draw per entry): per scheme, the encrypted-key count
-/// and a digest over every entry's metadata were checked equal before
-/// and after, so only key material and encoding moved (CHANGES.md,
-/// PR 17, has the table).
+/// once for the ChaCha20-Poly1305 key wrap: per scheme, the
+/// encrypted-key count, the wire bytes and a digest over every entry's
+/// metadata and nonce were checked equal before and after, so only the
+/// 48 sealed bytes per key moved (CHANGES.md, PR 18, has the table).
 const GOLDEN_DIGESTS: [(&str, &str); 7] = [
     (
         "one-keytree",
-        "b51377346792b5b2afa32082a57b3731f8cf759abf2eb5a4020f599a57fdc0e2",
+        "73541559b63b286471e2afba822485be72557f42fd14062eace8d8d03696cf01",
     ),
     (
         "tt-scheme",
-        "44d46c30c5708baee92a8f86931df556c1db7439d2f0b6dce2ec885c47f50f9b",
+        "527003a3e4095397931d3fe719e077114e2f3d59e410df7fd83348871de43ab2",
     ),
     (
         "qt-scheme",
-        "dfa07b2ec2e0b56c706a2de9802716c305061782a1abdd055a8e28174eafb144",
+        "4130ce62ea0b72dc8562b8c6ac5029e7a87d4bf19affd2d6a8cea44c0f7c441b",
     ),
     (
         "pt-scheme",
-        "2b35208af0065d6daf1e7c466f0ad51903171a2815a0f86c3786dd37ab4bcba2",
+        "274d5df865b307347c2943f379b86695649e4b9e4a0e1b7796e596a8cd5ad66e",
     ),
     (
         "loss-homogenized-forest",
-        "acf26539b0119a6eabbd9d68bf85768f70f7ec9afedc7bc8476f29d375c49bb2",
+        "9b91dd2205bf9089ba91d8e5ceba2a54c7af7e371f75976bec99d87154e507e6",
     ),
     (
         "combined-partition-forest",
-        "34428c3168a149685785973c07b328d075a7ea651b2bcd65e403fb6b929a5a97",
+        "b2969b8505bad54ca85cf84bd56f2e26408ff4a99fed7596743a38b83d19b10e",
     ),
     (
         "adaptive",
-        "b7d299e1efc9d07e58784906893898a4d58dd30defbc135d1abf0f87ef2b5ef5",
+        "0e8a70aea6088801b524022318ec7eec0d6a5ad71a5de4b1d8c1e035ec7e0a7c",
     ),
 ];
 
