@@ -59,7 +59,12 @@ impl PlacementPolicy for CombinedPolicy {
         "combined-partition-forest"
     }
 
-    fn route_leave(&mut self, member: MemberId, trees: &Trees) -> Result<Placement, KeyTreeError> {
+    fn route_leave(
+        &mut self,
+        member: MemberId,
+        _epoch: u64,
+        trees: &Trees,
+    ) -> Result<Placement, KeyTreeError> {
         if trees.server(S).contains(member) {
             self.s_period.forget(member);
             self.join_hints.remove(&member);

@@ -216,15 +216,20 @@ pub trait PlacementPolicy {
     /// Short human-readable scheme name for reports.
     fn scheme_name(&self) -> &'static str;
 
-    /// Routes one departing member, removing any policy bookkeeping
-    /// for it. Called once per leaver, in batch order, before any tree
-    /// is touched.
+    /// Routes one member departing at `epoch`, removing any policy
+    /// bookkeeping for it. Called once per leaver, in batch order,
+    /// before any tree is touched.
     ///
     /// # Errors
     ///
     /// [`KeyTreeError::UnknownMember`] if no tree or internal
     /// structure holds the member.
-    fn route_leave(&mut self, member: MemberId, trees: &Trees) -> Result<Placement, KeyTreeError>;
+    fn route_leave(
+        &mut self,
+        member: MemberId,
+        epoch: u64,
+        trees: &Trees,
+    ) -> Result<Placement, KeyTreeError>;
 
     /// Members whose placement changes this interval, in the order
     /// their tree removals/joins should be batched. Departures have
@@ -265,11 +270,7 @@ pub trait PlacementPolicy {
         message: &mut RekeyMessage,
     ) {
         let _ = interval;
-        for server in trees.iter() {
-            if server.member_count() > 0 {
-                message.entries.push(dek.wrap_tree_root(server));
-            }
-        }
+        dek_under_roots(dek, trees, message);
     }
 
     /// Number of members held in policy-internal structures (outside
@@ -313,6 +314,16 @@ pub trait PlacementPolicy {
     fn load_policy_state(&mut self, buf: &mut &[u8]) -> Option<()> {
         let _ = buf;
         Some(())
+    }
+}
+
+/// Appends the DEK wrapped once under every occupied tree root, in
+/// tree order.
+pub(crate) fn dek_under_roots(dek: &mut DekCtx, trees: &Trees, message: &mut RekeyMessage) {
+    for server in trees.iter() {
+        if server.member_count() > 0 {
+            message.entries.push(dek.wrap_tree_root(server));
+        }
     }
 }
 
@@ -438,7 +449,7 @@ impl<P: PlacementPolicy> RekeyEngine<P> {
         let mut tree_leaves: Vec<Vec<MemberId>> = vec![Vec::new(); self.trees.len()];
         let trees = Trees { slots: &self.trees };
         for &member in leaves {
-            if let Placement::Tree(i) = self.policy.route_leave(member, &trees)? {
+            if let Placement::Tree(i) = self.policy.route_leave(member, self.epoch, &trees)? {
                 tree_leaves[i].push(member);
             }
         }

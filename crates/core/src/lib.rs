@@ -20,15 +20,18 @@
 //!   and migrate into loss-class L-trees.
 //! - [`adaptive`] — the deployment loop of §3.4: estimate the
 //!   membership-duration mixture from the observed trace, evaluate the
-//!   analytic model, and switch to the best scheme.
+//!   analytic model, and place the next joiners as the best scheme
+//!   would (S-tree, key queue or straight into the L-tree) — a switch
+//!   moves nobody.
 //! - [`one_tree`] — the unoptimized single balanced key tree, the
 //!   baseline every optimization is measured against.
 //!
-//! All of these schemes are built as [`engine::PlacementPolicy`]
-//! implementations over the shared [`engine::RekeyEngine`] pipeline
-//! (route → rekey each tree → merge → refresh the DEK), and all
-//! managers implement [`GroupKeyManager`],
-//! so simulations and applications can switch schemes freely.
+//! All seven schemes are [`engine::PlacementPolicy`] implementations
+//! over the shared [`engine::RekeyEngine`] pipeline (route → rekey each
+//! tree → merge → refresh the DEK); every manager is a type alias of
+//! the engine and implements [`GroupKeyManager`] — persistence
+//! included — through its one blanket `impl`, so simulations and
+//! applications can switch schemes freely.
 //!
 //! # Example
 //!
@@ -260,19 +263,13 @@ pub trait GroupKeyManager {
     /// policy bookkeeping, DEK) onto `buf`, such that a freshly-built
     /// manager of the same configuration restored from these bytes is
     /// behaviourally indistinguishable — it emits byte-identical rekey
-    /// messages for any future input. The engine-based schemes all
-    /// support this; the default declines.
+    /// messages for any future input.
     ///
     /// # Errors
     ///
-    /// [`PersistError::Unsupported`] if the scheme cannot serialize
-    /// (e.g. the adaptive switcher).
-    fn save_state(&self, buf: &mut Vec<u8>) -> Result<(), PersistError> {
-        let _ = buf;
-        Err(PersistError::Unsupported {
-            scheme: self.scheme_name(),
-        })
-    }
+    /// None from the engine; a delegating manager forwards whatever
+    /// its inner manager reports.
+    fn save_state(&self, buf: &mut Vec<u8>) -> Result<(), PersistError>;
 
     /// Restores state serialized by [`GroupKeyManager::save_state`]
     /// into this manager, which must have been built with the same
@@ -280,13 +277,7 @@ pub trait GroupKeyManager {
     ///
     /// # Errors
     ///
-    /// [`PersistError::Unsupported`] if the scheme cannot restore,
     /// [`PersistError::SchemeMismatch`] if the bytes belong to another
     /// scheme, [`PersistError::Codec`] if they do not parse.
-    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), PersistError> {
-        let _ = bytes;
-        Err(PersistError::Unsupported {
-            scheme: self.scheme_name(),
-        })
-    }
+    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), PersistError>;
 }

@@ -62,7 +62,12 @@ impl PlacementPolicy for LossForestPolicy {
         "loss-homogenized-forest"
     }
 
-    fn route_leave(&mut self, member: MemberId, trees: &Trees) -> Result<Placement, KeyTreeError> {
+    fn route_leave(
+        &mut self,
+        member: MemberId,
+        _epoch: u64,
+        trees: &Trees,
+    ) -> Result<Placement, KeyTreeError> {
         trees
             .find(member)
             .map(Placement::Tree)

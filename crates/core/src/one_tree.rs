@@ -19,6 +19,7 @@ impl PlacementPolicy for OneTreePolicy {
     fn route_leave(
         &mut self,
         _member: MemberId,
+        _epoch: u64,
         _trees: &Trees,
     ) -> Result<Placement, KeyTreeError> {
         // The sole tree validates membership itself when the batch is
@@ -41,18 +42,9 @@ impl OneTreeManager {
     ///
     /// Panics if `degree < 2`.
     pub fn new(degree: usize) -> Self {
-        Self::with_namespace(degree, 0)
-    }
-
-    /// Like [`OneTreeManager::new`], but drawing node ids from
-    /// `namespace`. Callers that rebuild managers mid-session (e.g.
-    /// the adaptive scheme switcher) use a fresh namespace per
-    /// generation so node ids never collide with keys receivers still
-    /// hold.
-    pub fn with_namespace(degree: usize, namespace: u32) -> Self {
         RekeyEngine::with_trees(
             OneTreePolicy,
-            vec![("main", LkhServer::new(degree, namespace))],
+            vec![("main", LkhServer::new(degree, 0))],
             None,
         )
     }

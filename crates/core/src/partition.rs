@@ -19,20 +19,22 @@
 //!   partitioning can achieve since no migrations are ever needed.
 
 use crate::engine::{
-    DekCtx, IntervalCtx, Migration, Placement, PlacementPolicy, RekeyEngine, Trees,
+    dek_under_roots, DekCtx, IntervalCtx, Migration, Placement, PlacementPolicy, RekeyEngine, Trees,
 };
 use crate::{DurationClass, Join};
 use rekey_crypto::Key;
 use rekey_keytree::message::codec::{get_u32, get_u64, put_u32, put_u64};
-use rekey_keytree::message::RekeyMessage;
-use rekey_keytree::queue::KeyQueue;
+use rekey_keytree::message::{RekeyEntry, RekeyMessage};
+use rekey_keytree::queue::{KeyQueue, QueueSlot};
 use rekey_keytree::server::LkhServer;
 use rekey_keytree::{KeyTreeError, MemberId, NodeId};
 use std::collections::BTreeMap;
 
-/// Default namespace base: DEK keys in namespace 1, S-partition ids in
-/// 2, L-partition ids in 3 (see `with_namespace_base`).
+/// DEK keys live in namespace 1, S-partition ids (tree or queue slots)
+/// in 2, L-partition ids in 3.
 const NS_DEK: u32 = 1;
+const NS_S: u32 = 2;
+const NS_L: u32 = 3;
 
 /// Tree index of the S-partition in the two-tree schemes.
 const S: usize = 0;
@@ -45,12 +47,13 @@ const L: usize = 1;
 
 /// Who is serving an S-period: for each current S-tree member the
 /// epoch it joined at and the individual key it registered (needed
-/// again when it migrates). Shared by the TT and combined policies,
-/// which differ only in where survivors go.
+/// again when it migrates). Shared by the TT, combined and adaptive
+/// policies, which differ only in where survivors go.
 #[derive(Debug, Clone)]
 pub(crate) struct SPeriod {
     members: BTreeMap<MemberId, (u64, Key)>,
-    /// S-period length in rekey intervals — configuration, not state.
+    /// S-period length in rekey intervals — configuration, not state,
+    /// except under the adaptive policy, which retunes it.
     k: u64,
 }
 
@@ -60,6 +63,17 @@ impl SPeriod {
             members: BTreeMap::new(),
             k,
         }
+    }
+
+    /// The S-period length in force.
+    pub(crate) fn k(&self) -> u64 {
+        self.k
+    }
+
+    /// Retunes the S-period: members already serving one age out by
+    /// the new `k`.
+    pub(crate) fn set_k(&mut self, k: u64) {
+        self.k = k;
     }
 
     /// Starts the S-period of everyone who joined at `epoch`.
@@ -83,6 +97,25 @@ impl SPeriod {
         self.members
             .extract_if(.., |_, (joined, _)| *joined <= deadline)
             .map(|(member, (_, key))| (member, key))
+            .collect()
+    }
+
+    /// [`SPeriod::take_survivors`] as migrations from tree `from` to
+    /// tree `to`.
+    pub(crate) fn migrate_survivors(
+        &mut self,
+        epoch: u64,
+        from: usize,
+        to: usize,
+    ) -> Vec<Migration> {
+        self.take_survivors(epoch)
+            .into_iter()
+            .map(|(member, individual_key)| Migration {
+                member,
+                individual_key,
+                from: Some(from),
+                to,
+            })
             .collect()
     }
 
@@ -127,7 +160,12 @@ impl PlacementPolicy for TtPolicy {
         "tt-scheme"
     }
 
-    fn route_leave(&mut self, member: MemberId, trees: &Trees) -> Result<Placement, KeyTreeError> {
+    fn route_leave(
+        &mut self,
+        member: MemberId,
+        _epoch: u64,
+        trees: &Trees,
+    ) -> Result<Placement, KeyTreeError> {
         if trees.server(S).contains(member) {
             self.s_period.forget(member);
             Ok(Placement::Tree(S))
@@ -139,16 +177,7 @@ impl PlacementPolicy for TtPolicy {
     }
 
     fn plan_migrations(&mut self, epoch: u64, _trees: &Trees) -> Vec<Migration> {
-        self.s_period
-            .take_survivors(epoch)
-            .into_iter()
-            .map(|(member, individual_key)| Migration {
-                member,
-                individual_key,
-                from: Some(S),
-                to: L,
-            })
-            .collect()
+        self.s_period.migrate_survivors(epoch, S, L)
     }
 
     fn route_join(&self, _join: &Join, _trees: &Trees) -> Placement {
@@ -177,24 +206,15 @@ impl TtManager {
     /// Creates a TT-scheme manager with tree degree `degree` and
     /// S-period `k` rekey intervals (`K = Ts/Tp`).
     pub fn new(degree: usize, k: u64) -> Self {
-        Self::with_namespace_base(degree, k, NS_DEK)
-    }
-
-    /// Like [`TtManager::new`], but drawing node ids from the three
-    /// namespaces `base` (DEK), `base + 1` (S-tree), `base + 2`
-    /// (L-tree). Callers that rebuild managers mid-session (e.g. the
-    /// adaptive scheme switcher) use a fresh base per generation so
-    /// node ids never collide with keys receivers still hold.
-    pub fn with_namespace_base(degree: usize, k: u64, base: u32) -> Self {
         RekeyEngine::with_trees(
             TtPolicy {
                 s_period: SPeriod::new(k),
             },
             vec![
-                ("s", LkhServer::new(degree, base + 1)),
-                ("l", LkhServer::new(degree, base + 2)),
+                ("s", LkhServer::new(degree, NS_S)),
+                ("l", LkhServer::new(degree, NS_L)),
             ],
-            Some(base),
+            Some(NS_DEK),
         )
     }
 
@@ -207,6 +227,97 @@ impl TtManager {
     pub fn l_count(&self) -> usize {
         self.tree(L).member_count()
     }
+}
+
+// ---------------------------------------------------------------------
+// The queue partition (QT and adaptive policies)
+// ---------------------------------------------------------------------
+
+/// Removes and returns, as migrations into tree `to`, every queued
+/// member whose S-period of `k` intervals has elapsed by `epoch`.
+pub(crate) fn queue_survivors(
+    queue: &mut KeyQueue,
+    epoch: u64,
+    k: u64,
+    to: usize,
+) -> impl Iterator<Item = Migration> {
+    queue
+        .pop_older_than(epoch.saturating_sub(k))
+        .into_iter()
+        .map(move |slot| Migration {
+            member: slot.member,
+            individual_key: slot.individual_key,
+            from: None,
+            to,
+        })
+}
+
+/// Entry delivering the DEK to one queued member.
+fn wrap_for_slot(dek: &mut DekCtx, slot: &QueueSlot) -> RekeyEntry {
+    dek.wrap_under(
+        slot.node,
+        0,
+        &slot.individual_key,
+        true,
+        Some(slot.member),
+        1,
+    )
+}
+
+/// Distributes the DEK to a group held in `trees` and in `queue`.
+pub(crate) fn queue_dek_entries(
+    queue: &KeyQueue,
+    dek: &mut DekCtx,
+    interval: &IntervalCtx,
+    trees: &Trees,
+    message: &mut RekeyMessage,
+) {
+    if !interval.had_departures && interval.epoch > 1 {
+        // Join phase (§3.2 phase 1): the new DEK rides under the
+        // previous DEK for everyone already present; a joiner gets it
+        // under the root of the tree it entered or, if it was queued,
+        // individually.
+        let members = queue.len() + trees.iter().map(LkhServer::member_count).sum::<usize>();
+        message
+            .entries
+            .push(dek.wrap_under_previous((members - interval.joins.len()) as u32));
+        for server in trees.iter() {
+            if interval.joins.iter().any(|j| server.contains(j.member)) {
+                message.entries.push(dek.wrap_tree_root(server));
+            }
+        }
+        for slot in interval.joins.iter().filter_map(|j| queue.slot(j.member)) {
+            message.entries.push(wrap_for_slot(dek, slot));
+        }
+    } else {
+        // Departure phase (§3.2 phase 2): the queue has no shared
+        // keys, so the DEK is wrapped once per queued member
+        // (Neq = Ns) plus once under every occupied tree root.
+        dek_under_roots(dek, trees, message);
+        for slot in queue.iter() {
+            message.entries.push(wrap_for_slot(dek, slot));
+        }
+    }
+}
+
+/// Audience of `node` if it is one of `queue`'s slots (see
+/// [`PlacementPolicy::internal_members_under`]).
+pub(crate) fn queue_members_under(queue: &KeyQueue, node: NodeId) -> Option<Vec<MemberId>> {
+    (node.namespace() == queue.namespace()).then(|| {
+        queue
+            .iter()
+            .find(|s| s.node == node)
+            .map(|s| vec![s.member])
+            .unwrap_or_default()
+    })
+}
+
+/// Replaces `queue` with the one serialized on `buf`. The namespace is
+/// fixed at construction; a blob from a differently-configured manager
+/// must not graft on.
+pub(crate) fn load_queue(queue: &mut KeyQueue, buf: &mut &[u8]) -> Option<()> {
+    let loaded = KeyQueue::decode(buf)?;
+    (loaded.namespace() == queue.namespace()).then(|| *queue = loaded)
 }
 
 // ---------------------------------------------------------------------
@@ -227,7 +338,12 @@ impl PlacementPolicy for QtPolicy {
         "qt-scheme"
     }
 
-    fn route_leave(&mut self, member: MemberId, trees: &Trees) -> Result<Placement, KeyTreeError> {
+    fn route_leave(
+        &mut self,
+        member: MemberId,
+        _epoch: u64,
+        trees: &Trees,
+    ) -> Result<Placement, KeyTreeError> {
         if self.queue.contains(member) {
             self.queue.remove(member)?;
             Ok(Placement::Internal)
@@ -239,17 +355,7 @@ impl PlacementPolicy for QtPolicy {
     }
 
     fn plan_migrations(&mut self, epoch: u64, _trees: &Trees) -> Vec<Migration> {
-        let deadline = epoch.saturating_sub(self.k);
-        self.queue
-            .pop_older_than(deadline)
-            .into_iter()
-            .map(|slot| Migration {
-                member: slot.member,
-                individual_key: slot.individual_key,
-                from: None,
-                to: 0,
-            })
-            .collect()
+        queue_survivors(&mut self.queue, epoch, self.k, 0).collect()
     }
 
     fn route_join(&self, _join: &Join, _trees: &Trees) -> Placement {
@@ -270,44 +376,7 @@ impl PlacementPolicy for QtPolicy {
         trees: &Trees,
         message: &mut RekeyMessage,
     ) {
-        let l = trees.server(0);
-        if !interval.had_departures && interval.epoch > 1 {
-            // Join phase (§3.2 phase 1): the new DEK rides under the
-            // previous DEK for everyone already present, plus one
-            // individual delivery per new joiner.
-            let present = self.queue.len() + l.member_count() - interval.joins.len();
-            message
-                .entries
-                .push(dek.wrap_under_previous(present as u32));
-            for j in interval.joins {
-                let slot = self.queue.slot(j.member).expect("just queued");
-                message.entries.push(dek.wrap_under(
-                    slot.node,
-                    0,
-                    &slot.individual_key,
-                    true,
-                    Some(j.member),
-                    1,
-                ));
-            }
-        } else {
-            // Departure phase (§3.2 phase 2): the queue has no shared
-            // keys, so the DEK is wrapped once per queued member
-            // (Neq = Ns) plus once under the L-root.
-            if l.member_count() > 0 {
-                message.entries.push(dek.wrap_tree_root(l));
-            }
-            for slot in self.queue.iter() {
-                message.entries.push(dek.wrap_under(
-                    slot.node,
-                    0,
-                    &slot.individual_key,
-                    true,
-                    Some(slot.member),
-                    1,
-                ));
-            }
-        }
+        queue_dek_entries(&self.queue, dek, interval, trees, message);
     }
 
     fn internal_member_count(&self) -> usize {
@@ -323,13 +392,7 @@ impl PlacementPolicy for QtPolicy {
     }
 
     fn internal_members_under(&self, node: NodeId) -> Option<Vec<MemberId>> {
-        (node.namespace() == self.queue.namespace()).then(|| {
-            self.queue
-                .iter()
-                .find(|s| s.node == node)
-                .map(|s| vec![s.member])
-                .unwrap_or_default()
-        })
+        queue_members_under(&self.queue, node)
     }
 
     fn save_policy_state(&self, buf: &mut Vec<u8>) {
@@ -337,10 +400,7 @@ impl PlacementPolicy for QtPolicy {
     }
 
     fn load_policy_state(&mut self, buf: &mut &[u8]) -> Option<()> {
-        let queue = KeyQueue::decode(buf)?;
-        // The namespace is fixed at construction; a blob from a
-        // differently-configured manager must not graft on.
-        (queue.namespace() == self.queue.namespace()).then(|| self.queue = queue)
+        load_queue(&mut self.queue, buf)
     }
 }
 
@@ -352,20 +412,13 @@ impl QtManager {
     /// Creates a QT-scheme manager with L-tree degree `degree` and
     /// S-period `k` rekey intervals.
     pub fn new(degree: usize, k: u64) -> Self {
-        Self::with_namespace_base(degree, k, NS_DEK)
-    }
-
-    /// Like [`QtManager::new`], but drawing node ids from the three
-    /// namespaces `base` (DEK), `base + 1` (queue slots), `base + 2`
-    /// (L-tree); see [`TtManager::with_namespace_base`].
-    pub fn with_namespace_base(degree: usize, k: u64, base: u32) -> Self {
         RekeyEngine::with_trees(
             QtPolicy {
-                queue: KeyQueue::new(base + 1),
+                queue: KeyQueue::new(NS_S),
                 k,
             },
-            vec![("l", LkhServer::new(degree, base + 2))],
-            Some(base),
+            vec![("l", LkhServer::new(degree, NS_L))],
+            Some(NS_DEK),
         )
     }
 
@@ -394,7 +447,12 @@ impl PlacementPolicy for PtPolicy {
         "pt-scheme"
     }
 
-    fn route_leave(&mut self, member: MemberId, trees: &Trees) -> Result<Placement, KeyTreeError> {
+    fn route_leave(
+        &mut self,
+        member: MemberId,
+        _epoch: u64,
+        trees: &Trees,
+    ) -> Result<Placement, KeyTreeError> {
         if trees.server(S).contains(member) {
             Ok(Placement::Tree(S))
         } else if trees.server(L).contains(member) {
@@ -425,8 +483,8 @@ impl PtManager {
         RekeyEngine::with_trees(
             PtPolicy,
             vec![
-                ("s", LkhServer::new(degree, NS_DEK + 1)),
-                ("l", LkhServer::new(degree, NS_DEK + 2)),
+                ("s", LkhServer::new(degree, NS_S)),
+                ("l", LkhServer::new(degree, NS_L)),
             ],
             Some(NS_DEK),
         )

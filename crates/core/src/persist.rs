@@ -63,12 +63,6 @@ pub enum PersistError {
     /// Replaying a WAL record against the restored manager failed —
     /// the log does not match the snapshot it extends.
     Replay(KeyTreeError),
-    /// The manager does not support durable state (e.g. the adaptive
-    /// switcher, which rebuilds its inner managers mid-session).
-    Unsupported {
-        /// Name of the scheme that cannot persist.
-        scheme: &'static str,
-    },
     /// The snapshot was written by a different scheme than the manager
     /// being restored.
     SchemeMismatch {
@@ -93,9 +87,6 @@ impl fmt::Display for PersistError {
             PersistError::Storage(e) => write!(f, "storage backend: {e}"),
             PersistError::Codec { what } => write!(f, "corrupt persisted state: bad {what}"),
             PersistError::Replay(e) => write!(f, "WAL replay rejected by the manager: {e}"),
-            PersistError::Unsupported { scheme } => {
-                write!(f, "scheme {scheme} does not support durable state")
-            }
             PersistError::SchemeMismatch { expected, found } => write!(
                 f,
                 "snapshot belongs to scheme {found}, manager runs {expected}"
@@ -326,7 +317,6 @@ impl<S: Storage> Journal<S> {
     ///
     /// # Errors
     ///
-    /// [`PersistError::Unsupported`] if the manager cannot serialize,
     /// [`PersistError::Storage`] on a backend failure.
     pub fn snapshot(
         &mut self,
@@ -575,14 +565,7 @@ mod tests {
 
     #[test]
     fn every_scheme_survives_snapshot_restore() {
-        for scheme in [
-            Scheme::OneTree,
-            Scheme::Tt,
-            Scheme::Qt,
-            Scheme::Pt,
-            Scheme::LossForest,
-            Scheme::Combined,
-        ] {
+        for scheme in Scheme::ALL {
             let config = crate::SchemeConfig::default();
             let mut rng = StdRng::seed_from_u64(31);
             let mut manager = scheme.build(&config);
@@ -641,27 +624,20 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_manager_reports_unsupported() {
+    fn tt_snapshot_restored_into_adaptive_is_scheme_mismatch() {
         let mut rng = StdRng::seed_from_u64(4);
-        let manager = crate::Scheme::Adaptive.build(&crate::SchemeConfig::default());
-        let journal = &mut Journal::new(MemStorage::new(), 0);
-        assert!(matches!(
-            journal.snapshot(&*manager, &rng),
-            Err(PersistError::Unsupported { .. })
-        ));
-        // Restoring into it fails the same way.
         let mut tt = TtManager::new(3, 4);
-        let mut j2 = Journal::new(MemStorage::new(), 0);
-        churn(&mut j2, &mut tt, &mut rng, 1);
-        j2.snapshot(&tt, &rng).unwrap();
-        let mut adaptive = crate::Scheme::Adaptive.build(&crate::SchemeConfig::default());
-        let mut j3 = Journal::new(
-            MemStorage::from_parts(Vec::new(), j2.storage_mut().snapshot_bytes()),
+        let mut journal = Journal::new(MemStorage::new(), 0);
+        churn(&mut journal, &mut tt, &mut rng, 1);
+        journal.snapshot(&tt, &rng).unwrap();
+        let mut adaptive = Scheme::Adaptive.build(&crate::SchemeConfig::default());
+        let mut recovered = Journal::new(
+            MemStorage::from_parts(Vec::new(), journal.storage_mut().snapshot_bytes()),
             0,
         );
         assert!(matches!(
-            j3.recover(&mut *adaptive),
-            Err(PersistError::Unsupported { .. })
+            recovered.recover(&mut *adaptive),
+            Err(PersistError::SchemeMismatch { .. })
         ));
     }
 

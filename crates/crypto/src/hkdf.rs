@@ -4,7 +4,7 @@
 //! than [`crate::keywrap`] a labelled sub-key of its own, and by the
 //! OFT scheme to derive node keys from blinded child keys.
 
-use crate::hmac::{hmac, HmacKey};
+use crate::hmac::{hmac, HmacSha256};
 use crate::sha256::DIGEST_LEN;
 
 /// HKDF-Extract: derives a pseudorandom key from input keying material.
@@ -12,17 +12,13 @@ pub fn extract(salt: &[u8], ikm: &[u8]) -> [u8; DIGEST_LEN] {
     hmac(salt, ikm)
 }
 
-/// HKDF-Expand: expands the pseudorandom key scheduled in `prk` into
-/// `out.len()` bytes of output keying material, bound to `info`.
-///
-/// Taking the PRK as a scheduled [`HmacKey`] lets a caller that
-/// expands several labels from one PRK pay the two pad compressions
-/// once.
+/// HKDF-Expand: expands the pseudorandom key `prk` into `out.len()`
+/// bytes of output keying material, bound to `info`.
 ///
 /// # Panics
 ///
 /// Panics if `out.len() > 255 * 32` (the RFC 5869 limit).
-pub fn expand(prk: &HmacKey, info: &[u8], out: &mut [u8]) {
+pub fn expand(prk: &[u8], info: &[u8], out: &mut [u8]) {
     assert!(
         out.len() <= 255 * DIGEST_LEN,
         "HKDF-Expand output too long: {} bytes",
@@ -32,7 +28,7 @@ pub fn expand(prk: &HmacKey, info: &[u8], out: &mut [u8]) {
     let mut t = [0u8; DIGEST_LEN];
     let mut t_len = 0;
     for (chunk, counter) in out.chunks_mut(DIGEST_LEN).zip(1u8..=255) {
-        let mut mac = prk.mac();
+        let mut mac = HmacSha256::new(prk);
         mac.update(&t[..t_len]);
         mac.update(info);
         mac.update(&[counter]);
@@ -46,7 +42,7 @@ pub fn expand(prk: &HmacKey, info: &[u8], out: &mut [u8]) {
 pub fn derive(salt: &[u8], ikm: &[u8], info: &[u8], out: &mut [u8]) {
     rekey_obs::count("crypto.hkdf", 1);
     let prk = extract(salt, ikm);
-    expand(&HmacKey::new(&prk), info, out);
+    expand(&prk, info, out);
 }
 
 #[cfg(test)]
@@ -75,7 +71,7 @@ mod tests {
             "077709362c2e32df0ddc3f0dc47bba6390b6c73bb50f9c3122ec844ad7c2b3e5"
         );
         let mut okm = [0u8; 42];
-        expand(&HmacKey::new(&prk), &info, &mut okm);
+        expand(&prk, &info, &mut okm);
         assert_eq!(
             hex(&okm),
             "3cb25f25faacd57a90434f64d0362f2a2d2d0a90cf1a5a4c5db02d56ecc4c5bf34007208d5b887185865"
@@ -85,7 +81,7 @@ mod tests {
     #[test]
     fn rfc5869_case_2_multi_block() {
         // 80-byte inputs, L = 82: three Expand blocks chained through
-        // T(n-1) from one scheduled PRK.
+        // T(n-1).
         let ikm: Vec<u8> = (0x00..0x50).collect();
         let salt: Vec<u8> = (0x60..0xb0).collect();
         let info: Vec<u8> = (0xb0..=0xff).collect();
@@ -95,7 +91,7 @@ mod tests {
             "06a6b88c5853361a06104c9ceb35b45cef760014904671014a193f40c15fc244"
         );
         let mut okm = [0u8; 82];
-        expand(&HmacKey::new(&prk), &info, &mut okm);
+        expand(&prk, &info, &mut okm);
         assert_eq!(
             hex(&okm),
             "b11e398dc80327a1c8e7f78c596a49344f012eda2d4efad8a050cc4c19afa97c\
@@ -112,7 +108,7 @@ mod tests {
             "19ef24a32c717b167f33a91d6f648bdf96596776afdb6377ac434c1c293ccb04"
         );
         let mut okm = [0u8; 42];
-        expand(&HmacKey::new(&prk), b"", &mut okm);
+        expand(&prk, b"", &mut okm);
         assert_eq!(
             hex(&okm),
             "8da4e775a563c18f715f802a063c5a31b8a11f5c5ee1879ec3454e5f3c738d2d9d201395faa4b61a96c8"
@@ -123,7 +119,7 @@ mod tests {
     fn expand_reaches_the_rfc_limit() {
         // 255 blocks: the block counter ends at exactly 0xff.
         let mut okm = vec![0u8; 255 * DIGEST_LEN];
-        expand(&HmacKey::new(&extract(b"s", b"k")), b"i", &mut okm);
+        expand(&extract(b"s", b"k"), b"i", &mut okm);
         assert_eq!(
             hex(&crate::sha256::digest(&okm)),
             "813255b76aa629b61a02f931fad42294020186e8b7fcc89add6e736456703a02"
@@ -136,7 +132,7 @@ mod tests {
         let mut b = [0u8; 64];
         derive(b"salt", b"ikm", b"info", &mut a);
         let prk = extract(b"salt", b"ikm");
-        expand(&HmacKey::new(&prk), b"info", &mut b);
+        expand(&prk, b"info", &mut b);
         assert_eq!(a, b);
     }
 
@@ -151,7 +147,7 @@ mod tests {
 
     #[test]
     fn multi_block_expansion_is_prefix_consistent() {
-        let prk = HmacKey::new(&extract(b"s", b"k"));
+        let prk = extract(b"s", b"k");
         let mut long = [0u8; 100];
         let mut short = [0u8; 32];
         expand(&prk, b"i", &mut long);
@@ -163,6 +159,6 @@ mod tests {
     #[should_panic(expected = "output too long")]
     fn expand_rejects_oversize() {
         let mut out = vec![0u8; 255 * 32 + 1];
-        expand(&HmacKey::new(&[0u8; 32]), b"", &mut out);
+        expand(&[0u8; 32], b"", &mut out);
     }
 }

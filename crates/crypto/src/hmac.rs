@@ -1,75 +1,8 @@
 //! HMAC-SHA256 as specified in RFC 2104 / FIPS 198-1.
 //!
 //! Validated against the RFC 4231 test vectors.
-//!
-//! Keying HMAC costs two SHA-256 compressions (one per pad block)
-//! before the first message byte is absorbed. [`HmacKey`] performs
-//! them once and stores the post-pad inner and outer chaining values
-//! (2 × 32 bytes); every MAC started from it ([`HmacKey::mac`]) just
-//! resumes hashing from those. [`crate::Key::derive`] relies on this:
-//! its fixed HKDF salt is scheduled once per process.
 
 use crate::sha256::{self, Sha256, BLOCK_LEN, DIGEST_LEN};
-
-/// A reusable HMAC-SHA256 key: the inner (ipad) and outer (opad)
-/// chaining values, precomputed once.
-///
-/// # Example
-///
-/// ```
-/// use rekey_crypto::hmac::{hmac, HmacKey};
-///
-/// let key = HmacKey::new(b"key");
-/// let mut mac = key.mac();
-/// mac.update(b"message");
-/// assert_eq!(mac.finalize(), hmac(b"key", b"message"));
-/// ```
-#[derive(Clone)]
-pub struct HmacKey {
-    inner: [u32; 8],
-    outer: [u32; 8],
-}
-
-impl std::fmt::Debug for HmacKey {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HmacKey").finish_non_exhaustive()
-    }
-}
-
-impl HmacKey {
-    /// Schedules `key` (any length; keys longer than the block size
-    /// are hashed first, per the RFC): XORs the pads and absorbs one
-    /// block into each of the inner and outer states.
-    pub fn new(key: &[u8]) -> Self {
-        let mut block_key = [0u8; BLOCK_LEN];
-        if key.len() > BLOCK_LEN {
-            let digest = sha256::digest(key);
-            block_key[..DIGEST_LEN].copy_from_slice(&digest);
-        } else {
-            block_key[..key.len()].copy_from_slice(key);
-        }
-
-        let mut ipad_key = [0u8; BLOCK_LEN];
-        let mut opad_key = [0u8; BLOCK_LEN];
-        for i in 0..BLOCK_LEN {
-            ipad_key[i] = block_key[i] ^ 0x36;
-            opad_key[i] = block_key[i] ^ 0x5c;
-        }
-
-        HmacKey {
-            inner: Sha256::first_block_state(&ipad_key),
-            outer: Sha256::first_block_state(&opad_key),
-        }
-    }
-
-    /// Starts a MAC computation from the precomputed pad states.
-    pub fn mac(&self) -> HmacSha256 {
-        HmacSha256 {
-            inner: Sha256::after_first_block(self.inner),
-            outer: self.outer,
-        }
-    }
-}
 
 /// Incremental HMAC-SHA256 computation.
 ///
@@ -86,9 +19,7 @@ impl HmacKey {
 #[derive(Clone)]
 pub struct HmacSha256 {
     inner: Sha256,
-    /// Chaining value after the opad block; hashing resumes from it
-    /// once the inner digest is known.
-    outer: [u32; 8],
+    outer: Sha256,
 }
 
 impl std::fmt::Debug for HmacSha256 {
@@ -100,10 +31,20 @@ impl std::fmt::Debug for HmacSha256 {
 impl HmacSha256 {
     /// Creates an HMAC instance keyed with `key` (any length; keys
     /// longer than the block size are hashed first, per the RFC).
-    /// Callers computing many MACs under one key should schedule an
-    /// [`HmacKey`] once instead.
     pub fn new(key: &[u8]) -> Self {
-        HmacKey::new(key).mac()
+        let mut block_key = [0u8; BLOCK_LEN];
+        if key.len() > BLOCK_LEN {
+            let digest = sha256::digest(key);
+            block_key[..DIGEST_LEN].copy_from_slice(&digest);
+        } else {
+            block_key[..key.len()].copy_from_slice(key);
+        }
+
+        let mut inner = Sha256::new();
+        inner.update(&block_key.map(|b| b ^ 0x36));
+        let mut outer = Sha256::new();
+        outer.update(&block_key.map(|b| b ^ 0x5c));
+        HmacSha256 { inner, outer }
     }
 
     /// Absorbs message bytes.
@@ -112,12 +53,10 @@ impl HmacSha256 {
     }
 
     /// Completes the MAC and returns the 32-byte tag.
-    pub fn finalize(self) -> [u8; DIGEST_LEN] {
+    pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
         rekey_obs::count("crypto.hmac", 1);
-        let inner_digest = self.inner.finalize();
-        let mut outer = Sha256::after_first_block(self.outer);
-        outer.update(&inner_digest);
-        outer.finalize()
+        self.outer.update(&self.inner.finalize());
+        self.outer.finalize()
     }
 
     /// Completes the MAC and checks it against `expected` in constant

@@ -1,10 +1,8 @@
 //! The [`Key`] type: a 256-bit symmetric key.
 
 use crate::hkdf;
-use crate::hmac::HmacKey;
 use rand::RngCore;
 use std::fmt;
-use std::sync::OnceLock;
 
 /// Length of a [`Key`] in bytes.
 pub const KEY_LEN: usize = 32;
@@ -60,16 +58,10 @@ impl Key {
     /// (`"net-hello"` for the session handshake, `"oft-blind"` for
     /// OFT's blinded keys).
     ///
-    /// Byte-for-byte `hkdf::derive(b"rekey-key-derive", key, label)`,
-    /// in six SHA-256 compressions: the salt's pad states are the same
-    /// for every key, so they are computed once per process.
+    /// This is `hkdf::derive(b"rekey-key-derive", key, label)`.
     pub fn derive(&self, label: &[u8]) -> Key {
-        static SALT: OnceLock<HmacKey> = OnceLock::new();
-        rekey_obs::count("crypto.hkdf", 1);
-        let mut extract = SALT.get_or_init(|| HmacKey::new(b"rekey-key-derive")).mac();
-        extract.update(&self.0);
         let mut out = [0u8; KEY_LEN];
-        hkdf::expand(&HmacKey::new(&extract.finalize()), label, &mut out);
+        hkdf::derive(b"rekey-key-derive", &self.0, label, &mut out);
         Key(out)
     }
 
@@ -136,14 +128,14 @@ mod tests {
 
     #[test]
     fn derive_is_rfc5869_under_the_fixed_salt() {
-        // The cached salt schedule is an optimisation of exactly this
-        // one-shot derivation.
-        let k = Key::from_bytes([7; KEY_LEN]);
-        for label in [&b"net-hello"[..], b"oft-blind", b""] {
-            let mut expected = [0u8; KEY_LEN];
-            hkdf::derive(b"rekey-key-derive", k.as_bytes(), label, &mut expected);
-            assert_eq!(k.derive(label).as_bytes(), &expected);
-        }
+        // Known answer: the handshake keys of deployed members hang on
+        // the salt and on this being HKDF.
+        let derived = Key::from_bytes([7; KEY_LEN]).derive(b"net-hello");
+        let hex: String = derived.0.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            "0db141c8c4cd83718a5e1f622172769a2c36b457b3219da9096b44efc6aae1e5"
+        );
     }
 
     #[test]

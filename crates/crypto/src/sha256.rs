@@ -131,24 +131,6 @@ impl Sha256 {
         }
     }
 
-    /// Resumes from the chaining value left by absorbing exactly one
-    /// block — how [`crate::hmac::HmacKey`] restarts from its
-    /// precomputed pad states without keeping whole hashers around.
-    pub(crate) fn after_first_block(state: [u32; 8]) -> Self {
-        Sha256 {
-            state,
-            total_len: BLOCK_LEN as u64,
-            ..Self::new()
-        }
-    }
-
-    /// The chaining value after absorbing the single block `block`.
-    pub(crate) fn first_block_state(block: &[u8; BLOCK_LEN]) -> [u32; 8] {
-        let mut state = H0;
-        Kernel::for_backend(simd::active()).compress(&mut state, block);
-        state
-    }
-
     /// Absorbs `data` into the hash state.
     pub fn update(&mut self, data: &[u8]) {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);

@@ -39,7 +39,11 @@ pub struct KeyQueue {
     namespace: u32,
     next_counter: u64,
     by_member: HashMap<MemberId, QueueSlot>,
-    arrival_order: VecDeque<MemberId>,
+    /// Every push, oldest first. An entry is live while `by_member`
+    /// holds that member under that node id: a removed member's entry
+    /// goes stale, also when the member has since rejoined under a
+    /// fresh node id.
+    arrival_order: VecDeque<(MemberId, NodeId)>,
 }
 
 impl KeyQueue {
@@ -104,7 +108,7 @@ impl KeyQueue {
                 joined_epoch: epoch,
             },
         );
-        self.arrival_order.push_back(member);
+        self.arrival_order.push_back((member, node));
         Ok(node)
     }
 
@@ -127,19 +131,15 @@ impl KeyQueue {
     /// the migration batch for the L-partition.
     pub fn pop_older_than(&mut self, epoch: u64) -> Vec<QueueSlot> {
         let mut migrated = Vec::new();
-        while let Some(&front) = self.arrival_order.front() {
+        while let Some(&(front, node)) = self.arrival_order.front() {
             match self.by_member.get(&front) {
-                None => {
-                    // Stale entry for a member removed earlier.
-                    self.arrival_order.pop_front();
+                Some(slot) if slot.node == node && slot.joined_epoch <= epoch => {
+                    migrated.push(self.by_member.remove(&front).expect("checked present"));
                 }
-                Some(slot) if slot.joined_epoch <= epoch => {
-                    let slot = self.by_member.remove(&front).expect("checked present");
-                    self.arrival_order.pop_front();
-                    migrated.push(slot);
-                }
-                Some(_) => break, // FIFO: the rest are younger
+                Some(slot) if slot.node == node => break, // FIFO: the rest are younger
+                _ => {} // stale entry for a member removed earlier
             }
+            self.arrival_order.pop_front();
         }
         migrated
     }
@@ -153,7 +153,7 @@ impl KeyQueue {
     pub fn iter(&self) -> impl Iterator<Item = &QueueSlot> {
         self.arrival_order
             .iter()
-            .filter_map(|m| self.by_member.get(m))
+            .filter_map(|(m, node)| self.by_member.get(m).filter(|slot| slot.node == *node))
     }
 
     /// All queued member ids, in arrival order.
@@ -210,7 +210,7 @@ impl KeyQueue {
             if queue.by_member.insert(member, slot).is_some() {
                 return None;
             }
-            queue.arrival_order.push_back(member);
+            queue.arrival_order.push_back((member, node));
         }
         Some(queue)
     }
@@ -297,6 +297,32 @@ mod tests {
         let ids: Vec<_> = q.iter().map(|s| s.member).collect();
         assert_eq!(ids, vec![MemberId(5), MemberId(1), MemberId(3)]);
         assert_eq!(q.members(), ids);
+    }
+
+    /// A member that leaves and rejoins while its old arrival entry is
+    /// still in the deque holds one slot, at the back, and does not
+    /// hold up the members behind its old position.
+    #[test]
+    fn rejoin_after_remove_is_one_slot_at_the_back() {
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut q = KeyQueue::new(0);
+        for m in 0..3u64 {
+            q.push(MemberId(m), key(&mut rng), 1).unwrap();
+        }
+        q.remove(MemberId(0)).unwrap();
+        q.push(MemberId(0), key(&mut rng), 4).unwrap();
+        assert_eq!(q.members(), vec![MemberId(1), MemberId(2), MemberId(0)]);
+
+        let mut buf = Vec::new();
+        q.encode_into(&mut buf);
+        let mut cursor = &buf[..];
+        let decoded = KeyQueue::decode(&mut cursor).expect("decodes");
+        assert!(cursor.is_empty());
+        assert_eq!(decoded.members(), q.members());
+
+        let ids: Vec<_> = q.pop_older_than(1).iter().map(|s| s.member).collect();
+        assert_eq!(ids, vec![MemberId(1), MemberId(2)]);
+        assert_eq!(q.members(), vec![MemberId(0)]);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! the wire-level knowledge model can notice.
 
 use rand::RngCore;
-use rekey_core::{GroupKeyManager, IntervalOutcome, Join};
+use rekey_core::{GroupKeyManager, IntervalOutcome, Join, PersistError};
 use rekey_crypto::Key;
 use rekey_keytree::{KeyTreeError, MemberId, NodeId};
 
@@ -94,5 +94,13 @@ impl<M: GroupKeyManager> GroupKeyManager for SkipOneLeave<M> {
 
     fn scheme_name(&self) -> &'static str {
         self.inner.scheme_name()
+    }
+
+    fn save_state(&self, buf: &mut Vec<u8>) -> Result<(), PersistError> {
+        self.inner.save_state(buf)
+    }
+
+    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), PersistError> {
+        self.inner.restore_state(bytes)
     }
 }

@@ -16,8 +16,6 @@
 
 use crate::runner::ManagerFactory;
 use crate::scenario::Scenario;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use rekey_core::Journal;
 use rekey_crypto::sha256::Sha256;
 use rekey_keytree::message::codec;
@@ -58,7 +56,7 @@ pub fn run_with_crashes(
     let mut reference: Vec<Vec<u8>> = Vec::with_capacity(scenario.intervals.len());
     {
         let mut manager = factory(scenario);
-        let mut churn_rng = StdRng::seed_from_u64(scenario.seed ^ 0x9E37_79B9_7F4A_7C15);
+        let mut churn_rng = scenario.churn_rng();
         for interval in 0..scenario.intervals.len() {
             let (joins, leaves) = scenario.intervals[interval].batch(&mut churn_rng);
             let out = manager
@@ -69,7 +67,7 @@ pub fn run_with_crashes(
     }
 
     let mut manager = factory(scenario);
-    let mut churn_rng = StdRng::seed_from_u64(scenario.seed ^ 0x9E37_79B9_7F4A_7C15);
+    let mut churn_rng = scenario.churn_rng();
     let mut journal = Journal::new(MemStorage::new(), snapshot_every);
     let mut hasher = Sha256::new();
     let mut crashes = 0usize;
@@ -150,9 +148,11 @@ pub fn run_with_crashes(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::factory_for;
-    use crate::scenario::GenParams;
-    use rekey_core::Scheme;
+    use crate::scenario::{GenParams, IntervalOps, JoinOp};
+    use crate::{factory_for, run_scenario, RunOptions};
+    use rekey_core::adaptive::{AdaptiveManager, SchemeChoice};
+    use rekey_core::{GroupKeyManager, Scheme};
+    use std::collections::BTreeSet;
 
     /// Digest of the uninterrupted run, via the same harness with
     /// crashes disabled.
@@ -165,14 +165,7 @@ mod tests {
     #[test]
     fn every_engine_scheme_survives_repeated_crashes() {
         let scenario = Scenario::generate(77, 18, &GenParams::default());
-        for scheme in [
-            Scheme::OneTree,
-            Scheme::Tt,
-            Scheme::Qt,
-            Scheme::Pt,
-            Scheme::LossForest,
-            Scheme::Combined,
-        ] {
+        for scheme in Scheme::ALL {
             let expected = baseline(scheme, &scenario);
             let report = run_with_crashes(&factory_for(scheme), &scenario, 4, 3)
                 .unwrap_or_else(|e| panic!("{scheme}: {e}"));
@@ -186,6 +179,103 @@ mod tests {
                 "{scheme}: snapshots never used"
             );
         }
+    }
+
+    /// A hand-built bimodal group: 64 founders; visitors that stay one
+    /// interval, one per interval at first and six from interval 31;
+    /// six founders leaving, each replaced, in intervals 21 to 30.
+    fn bimodal_scenario() -> Scenario {
+        let join = |member: u64| JoinOp {
+            member,
+            class: None,
+            loss: 0.0,
+        };
+        let mut next_id = 64u64;
+        let mut fresh = |n: usize| -> Vec<u64> {
+            let ids = (next_id..next_id + n as u64).collect();
+            next_id += n as u64;
+            ids
+        };
+        let mut intervals = vec![IntervalOps {
+            joins: (0..64).map(join).collect(),
+            ..IntervalOps::default()
+        }];
+        let mut visitors: Vec<u64> = Vec::new();
+        let mut founders = 0u64..64;
+        for t in 1..=50usize {
+            let mut ops = IntervalOps {
+                leaves: std::mem::take(&mut visitors),
+                ..IntervalOps::default()
+            };
+            visitors = fresh(if t <= 30 { 1 } else { 6 });
+            ops.joins.extend(visitors.iter().copied().map(join));
+            if (21..=30).contains(&t) {
+                ops.leaves.extend(founders.by_ref().take(6));
+                ops.joins.extend(fresh(6).into_iter().map(join));
+            }
+            ops.leaves.sort_unstable();
+            intervals.push(ops);
+        }
+        Scenario {
+            seed: 19,
+            degree: 4,
+            k: 3,
+            intervals,
+        }
+    }
+
+    /// §3.4 reassessed every interval: the recommendation visits all
+    /// three modes and several `K`, the oracle and the member farm hold
+    /// throughout, only S-period survivors ever migrate, and crashes
+    /// that land while the S-tree and the queue are both draining
+    /// reproduce the uninterrupted run.
+    #[test]
+    fn adaptive_switches_move_nobody_and_survive_crashes() {
+        let scenario = bimodal_scenario();
+        let factory = |_: &Scenario| -> Box<dyn GroupKeyManager> {
+            Box::new(AdaptiveManager::new(4, 60.0, 1, 20))
+        };
+        let checked = run_scenario(&factory, &scenario, &RunOptions::default())
+            .unwrap_or_else(|violation| panic!("{violation}"));
+
+        // The same run again, watching the policy.
+        let mut manager = AdaptiveManager::new(4, 60.0, 1, 20);
+        let mut rng = scenario.churn_rng();
+        let dek_node = manager.dek_node();
+        let mut modes = Vec::new();
+        let (mut placed, mut migrated) = (0, 0);
+        for ops in &scenario.intervals {
+            let (joins, leaves) = ops.batch(&mut rng);
+            let out = manager
+                .process_interval(&joins, &leaves, &mut rng)
+                .expect("valid by construction");
+            modes.push(manager.current_choice());
+            // Only a joiner placed in the S-tree or the queue migrates,
+            // once; a re-admission would overtake that count.
+            if manager.current_choice() != SchemeChoice::OneKeytree {
+                placed += joins.len();
+            }
+            migrated += out.stats.migrations;
+            assert!(migrated <= placed, "epoch {}", out.message.epoch);
+            assert_eq!(manager.dek_node(), dek_node);
+        }
+        assert!(modes.contains(&SchemeChoice::OneKeytree));
+        assert!(modes.iter().any(|m| matches!(m, SchemeChoice::Tt { .. })));
+        assert!(modes.iter().any(|m| matches!(m, SchemeChoice::Qt { .. })));
+        let ks: BTreeSet<u32> = modes
+            .iter()
+            .filter_map(|m| match *m {
+                SchemeChoice::Tt { k } | SchemeChoice::Qt { k } => Some(k),
+                SchemeChoice::OneKeytree => None,
+            })
+            .collect();
+        assert!(ks.len() >= 2, "{modes:?}");
+        assert!(migrated > 0, "nobody ever finished an S-period");
+
+        let report = run_with_crashes(&factory, &scenario, 3, 2).expect("crashed run");
+        assert_eq!(report.crashes, scenario.intervals.len() / 3);
+        assert!(report.snapshots_loaded > 0);
+        assert_eq!(report.digest, checked.digest);
     }
 
     #[test]

@@ -114,7 +114,7 @@ pub fn run_scenario_with(
     let mut manager = factory(scenario);
 
     // Independent streams: delivery draws must not perturb the server.
-    let mut churn_rng = StdRng::seed_from_u64(scenario.seed ^ 0x9E37_79B9_7F4A_7C15);
+    let mut churn_rng = scenario.churn_rng();
     let mut net_rng = StdRng::seed_from_u64(scenario.seed ^ 0x6A09_E667_F3BC_C908);
 
     let mut oracle = KnowledgeOracle::new();

@@ -112,6 +112,13 @@ impl Scenario {
         self.intervals.iter().map(IntervalOps::op_count).sum()
     }
 
+    /// The server-side RNG of a run of this scenario, at its start:
+    /// individual keys ([`IntervalOps::batch`]) and the manager's draws
+    /// interleave on it, so every driver starts from the same stream.
+    pub fn churn_rng(&self) -> StdRng {
+        StdRng::seed_from_u64(self.seed ^ 0x9E37_79B9_7F4A_7C15)
+    }
+
     /// Generates the scenario for `seed`: a bootstrap interval
     /// followed by `intervals` churn intervals mixing joins (with
     /// hints), leaves, pure-join stretches, occasional mass
