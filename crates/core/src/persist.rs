@@ -231,6 +231,10 @@ pub struct Journal<S> {
     snapshot_every: u64,
     since_snapshot: u64,
     epoch: u64,
+    /// Length of the last snapshot blob written or loaded — the next
+    /// one starts at this capacity, since a group's serialized size
+    /// moves slowly between snapshots.
+    snapshot_len: usize,
 }
 
 impl<S: Storage> Journal<S> {
@@ -244,6 +248,7 @@ impl<S: Storage> Journal<S> {
             snapshot_every,
             since_snapshot: 0,
             epoch: 0,
+            snapshot_len: 0,
         }
     }
 
@@ -323,12 +328,18 @@ impl<S: Storage> Journal<S> {
         manager: &dyn GroupKeyManager,
         rng: &StdRng,
     ) -> Result<(), PersistError> {
-        let mut blob = Vec::new();
+        let serialize_start = Instant::now();
+        let mut blob = Vec::with_capacity(self.snapshot_len);
         blob.push(SNAPSHOT_WIRE_VERSION);
         put_u64(&mut blob, self.epoch);
         blob.extend_from_slice(&rng.state_bytes());
         manager.save_state(&mut blob)?;
+        self.snapshot_len = blob.len();
         let write_start = Instant::now();
+        rekey_obs::time_ns(
+            "persist.snapshot.serialize",
+            (write_start - serialize_start).as_nanos() as u64,
+        );
         self.storage.write_snapshot(&blob)?;
         self.storage.reset_wal()?;
         rekey_obs::time_ns(
@@ -358,6 +369,7 @@ impl<S: Storage> Journal<S> {
         let mut rng = None;
         let mut snapshot_loaded = false;
         if let Some(blob) = self.storage.load_snapshot()? {
+            self.snapshot_len = blob.len();
             let mut cursor = &blob[..];
             if get_u8(&mut cursor).ok_or(PersistError::Codec { what: "snapshot" })?
                 != SNAPSHOT_WIRE_VERSION

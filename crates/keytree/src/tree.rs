@@ -21,6 +21,10 @@ use std::collections::HashMap;
 /// Version byte leading a serialized [`KeyTree`].
 pub const TREE_WIRE_VERSION: u8 = 1;
 
+/// Serialized size of one node: id, parent position, member flag, key
+/// and version. A leaf adds its 8-byte member id.
+const NODE_RECORD_LEN: usize = 8 + 4 + 1 + 32 + 8;
+
 /// One node of the key tree.
 #[derive(Debug, Clone)]
 struct Node {
@@ -534,6 +538,9 @@ impl KeyTree {
     /// The format follows the `message::codec` conventions: a leading
     /// version byte ([`TREE_WIRE_VERSION`]) and big-endian integers.
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
+        buf.reserve(
+            1 + 4 + 4 + 8 + 4 + self.node_count() * NODE_RECORD_LEN + self.member_count() * 8,
+        );
         buf.push(TREE_WIRE_VERSION);
         put_u32(buf, self.degree as u32);
         put_u32(buf, self.namespace);
@@ -541,15 +548,17 @@ impl KeyTree {
         put_u32(buf, self.node_count() as u32);
         // Breadth-first walk; each record names its parent by the
         // parent's position in this stream (u32::MAX for the root).
+        // Positions are looked up by slot; a free slot is never a
+        // parent, so its entry is never read.
         let mut order: Vec<usize> = Vec::with_capacity(self.node_count());
-        let mut pos_of: HashMap<usize, u32> = HashMap::with_capacity(self.node_count());
+        let mut pos_of = vec![u32::MAX; self.slots.len()];
         order.push(self.root);
-        pos_of.insert(self.root, 0);
+        pos_of[self.root] = 0;
         let mut at = 0;
         while at < order.len() {
             let idx = order[at];
             let n = self.node(idx);
-            let parent_pos = n.parent.map(|p| pos_of[&p]).unwrap_or(u32::MAX);
+            let parent_pos = n.parent.map_or(u32::MAX, |p| pos_of[p]);
             put_u64(buf, n.id.0);
             put_u32(buf, parent_pos);
             match n.member {
@@ -562,7 +571,7 @@ impl KeyTree {
             buf.extend_from_slice(n.key.as_bytes());
             put_u64(buf, n.version);
             for &c in &n.children {
-                pos_of.insert(c, order.len() as u32);
+                pos_of[c] = order.len() as u32;
                 order.push(c);
             }
             at += 1;
@@ -588,13 +597,16 @@ impl KeyTree {
         if count == 0 {
             return None;
         }
+        // The count is input: size the tables by what the remaining
+        // bytes can actually hold.
+        let capacity = count.min(buf.len() / NODE_RECORD_LEN);
         let mut tree = KeyTree {
             degree,
             namespace,
-            slots: Vec::with_capacity(count),
+            slots: Vec::with_capacity(capacity),
             free: Vec::new(),
-            index_of: HashMap::with_capacity(count),
-            leaf_of: HashMap::new(),
+            index_of: HashMap::with_capacity(capacity),
+            leaf_of: HashMap::with_capacity(capacity),
             root: 0,
             next_counter,
         };
@@ -963,6 +975,50 @@ mod tests {
             tree.insert_member_at(MemberId(1), Key::generate(&mut rng), full_parent),
             Err(KeyTreeError::DuplicateMember(_))
         ));
+    }
+
+    /// The serialized bytes are frozen: the digest below was computed
+    /// on the commit before `encode_into` lost its hash map, for a tree
+    /// whose slot table has both reused slots (slot order ≠ BFS order)
+    /// and holes (free slots the position table must skip).
+    #[test]
+    fn encode_golden_digest_survives_freed_and_reused_slots() {
+        let (mut tree, mut rng) = build(3, 40);
+        for round in 0..3u64 {
+            for i in 0..12 {
+                tree.remove_member(MemberId(round * 12 + i)).unwrap();
+            }
+            for i in 0..7 {
+                let m = MemberId(1000 + round * 7 + i);
+                tree.insert_member(m, Key::generate(&mut rng), &mut rng)
+                    .unwrap();
+            }
+        }
+        tree.check_invariants();
+        assert!(!tree.free.is_empty(), "the slot table must have holes");
+        assert!(
+            tree.slots.len() > tree.node_count(),
+            "holes sit inside the table"
+        );
+
+        let mut blob = Vec::new();
+        tree.encode_into(&mut blob);
+        let digest: String = rekey_crypto::sha256::digest(&blob)
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(
+            digest,
+            "d1336f381c64c37043a9ba715d7c6ff8db33e5d6c76ac75044e3c69b38ec1b6c"
+        );
+
+        let mut cursor = &blob[..];
+        let decoded = KeyTree::decode(&mut cursor).expect("decodes");
+        assert!(cursor.is_empty());
+        decoded.check_invariants();
+        let mut again = Vec::new();
+        decoded.encode_into(&mut again);
+        assert_eq!(again, blob, "decode(encode(t)) re-encodes identically");
     }
 
     #[test]

@@ -55,6 +55,12 @@ pub enum StorageError {
         /// The version byte found.
         found: u8,
     },
+    /// A record or snapshot too long for the framing's 32-bit length
+    /// field.
+    RecordTooLarge {
+        /// The payload length that was refused.
+        len: usize,
+    },
     /// An injected fault from [`FaultStorage`] — test-only by
     /// construction, but typed so callers exercise their real error
     /// paths.
@@ -70,6 +76,9 @@ impl fmt::Display for StorageError {
             }
             StorageError::BadVersion { found } => {
                 write!(f, "unsupported storage format version {found}")
+            }
+            StorageError::RecordTooLarge { len } => {
+                write!(f, "a {len}-byte record exceeds the 4 GiB framing limit")
             }
             StorageError::Injected => write!(f, "injected storage fault"),
         }
@@ -117,8 +126,9 @@ pub trait Storage: Send {
     ///
     /// # Errors
     ///
-    /// [`StorageError::Io`] on an OS failure, [`StorageError::Injected`]
-    /// under fault injection.
+    /// [`StorageError::Io`] on an OS failure,
+    /// [`StorageError::RecordTooLarge`] past the framing's length
+    /// field, [`StorageError::Injected`] under fault injection.
     fn append_wal(&mut self, record: &[u8]) -> Result<(), StorageError>;
 
     /// Forces appended records to durable media.
@@ -147,7 +157,9 @@ pub trait Storage: Send {
     ///
     /// # Errors
     ///
-    /// [`StorageError::Io`] on an OS failure.
+    /// [`StorageError::Io`] on an OS failure,
+    /// [`StorageError::RecordTooLarge`] past the framing's length
+    /// field.
     fn write_snapshot(&mut self, blob: &[u8]) -> Result<(), StorageError>;
 
     /// Loads the snapshot blob, `None` if none was ever written.
@@ -206,8 +218,7 @@ impl MemStorage {
 
 impl Storage for MemStorage {
     fn append_wal(&mut self, record: &[u8]) -> Result<(), StorageError> {
-        wal::frame_record(record, &mut self.wal);
-        Ok(())
+        wal::frame_record(record, &mut self.wal)
     }
 
     fn sync_wal(&mut self) -> Result<(), StorageError> {
@@ -230,14 +241,14 @@ impl Storage for MemStorage {
     }
 
     fn write_snapshot(&mut self, blob: &[u8]) -> Result<(), StorageError> {
-        self.snapshot = Some(wal::seal_snapshot(blob));
+        self.snapshot = Some(wal::seal_snapshot(blob)?);
         Ok(())
     }
 
     fn load_snapshot(&mut self) -> Result<Option<Vec<u8>>, StorageError> {
         match &self.snapshot {
             None => Ok(None),
-            Some(sealed) => wal::unseal_snapshot(sealed).map(Some),
+            Some(sealed) => wal::unseal_snapshot(sealed).map(|blob| Some(blob.to_vec())),
         }
     }
 }
@@ -252,6 +263,11 @@ pub const WAL_FILE: &str = "wal.log";
 pub const SNAPSHOT_FILE: &str = "snapshot.bin";
 const SNAPSHOT_TMP: &str = "snapshot.tmp";
 
+/// Largest append buffer kept between appends. A steady epoch record
+/// is tens of kilobytes; a bootstrap epoch's megabytes are handed back
+/// instead of being carried for the life of the server.
+const FRAME_KEEP: usize = 64 * 1024;
+
 /// A [`Storage`] backed by a directory of real files:
 ///
 /// - `wal.log` — framed records, appended and fsynced per epoch;
@@ -262,14 +278,36 @@ const SNAPSHOT_TMP: &str = "snapshot.tmp";
 pub struct DirStorage {
     dir: PathBuf,
     wal: File,
+    /// The framed form of the record being appended, reused from one
+    /// append to the next (up to [`FRAME_KEEP`]).
+    frame: Vec<u8>,
 }
 
 fn io_err(op: &'static str) -> impl FnOnce(std::io::Error) -> StorageError {
     move |source| StorageError::Io { op, source }
 }
 
+/// Opens the WAL for read + append, creating it if absent; the flag
+/// says whether this call created it (its directory entry is then not
+/// yet durable).
+fn open_or_create_wal(path: &Path) -> Result<(File, bool), StorageError> {
+    let mut options = OpenOptions::new();
+    options.read(true).append(true);
+    match options.clone().create_new(true).open(path) {
+        Ok(file) => Ok((file, true)),
+        Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => options
+            .open(path)
+            .map(|file| (file, false))
+            .map_err(io_err("open wal")),
+        Err(e) => Err(io_err("open wal")(e)),
+    }
+}
+
 impl DirStorage {
-    /// Opens (creating if needed) the data directory at `dir`.
+    /// Opens (creating if needed) the data directory at `dir`. A WAL
+    /// file this call had to create gets its directory entry fsynced
+    /// before anything is appended — otherwise the first epochs' records
+    /// could be fsynced into a file a power loss then unlinks.
     ///
     /// # Errors
     ///
@@ -278,13 +316,16 @@ impl DirStorage {
     pub fn open<P: AsRef<Path>>(dir: P) -> Result<Self, StorageError> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir).map_err(io_err("create data dir"))?;
-        let wal = OpenOptions::new()
-            .create(true)
-            .read(true)
-            .append(true)
-            .open(dir.join(WAL_FILE))
-            .map_err(io_err("open wal"))?;
-        Ok(DirStorage { dir, wal })
+        let (wal, created) = open_or_create_wal(&dir.join(WAL_FILE))?;
+        let storage = DirStorage {
+            dir,
+            wal,
+            frame: Vec::new(),
+        };
+        if created {
+            storage.sync_dir()?;
+        }
+        Ok(storage)
     }
 
     /// The data directory this store writes into.
@@ -302,9 +343,13 @@ impl DirStorage {
 
 impl Storage for DirStorage {
     fn append_wal(&mut self, record: &[u8]) -> Result<(), StorageError> {
-        let mut framed = Vec::with_capacity(wal::RECORD_HEADER_LEN + record.len());
-        wal::frame_record(record, &mut framed);
-        self.wal.write_all(&framed).map_err(io_err("wal append"))
+        self.frame.clear();
+        wal::frame_record(record, &mut self.frame)?;
+        let written = self.wal.write_all(&self.frame);
+        if self.frame.capacity() > FRAME_KEEP {
+            self.frame = Vec::new();
+        }
+        written.map_err(io_err("wal append"))
     }
 
     fn sync_wal(&mut self) -> Result<(), StorageError> {
@@ -347,11 +392,12 @@ impl Storage for DirStorage {
     }
 
     fn write_snapshot(&mut self, blob: &[u8]) -> Result<(), StorageError> {
-        let sealed = wal::seal_snapshot(blob);
+        let header = wal::frame_header(blob.len(), wal::crc32(blob))?;
         let tmp = self.dir.join(SNAPSHOT_TMP);
         let live = self.dir.join(SNAPSHOT_FILE);
         let mut f = File::create(&tmp).map_err(io_err("snapshot create"))?;
-        f.write_all(&sealed).map_err(io_err("snapshot write"))?;
+        f.write_all(&header).map_err(io_err("snapshot write"))?;
+        f.write_all(blob).map_err(io_err("snapshot write"))?;
         f.sync_all().map_err(io_err("snapshot fsync"))?;
         drop(f);
         std::fs::rename(&tmp, &live).map_err(io_err("snapshot rename"))?;
@@ -360,7 +406,7 @@ impl Storage for DirStorage {
 
     fn load_snapshot(&mut self) -> Result<Option<Vec<u8>>, StorageError> {
         let live = self.dir.join(SNAPSHOT_FILE);
-        let sealed = match std::fs::read(&live) {
+        let mut sealed = match std::fs::read(&live) {
             Ok(bytes) => bytes,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
             Err(e) => {
@@ -370,7 +416,9 @@ impl Storage for DirStorage {
                 })
             }
         };
-        wal::unseal_snapshot(&sealed).map(Some)
+        wal::unseal_snapshot(&sealed)?;
+        sealed.drain(..wal::RECORD_HEADER_LEN);
+        Ok(Some(sealed))
     }
 }
 
@@ -534,6 +582,36 @@ mod tests {
             storage.load_snapshot().unwrap().as_deref(),
             Some(&b"snapshot-state"[..])
         );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The created-vs-existing branch of `open`: a fresh directory's
+    /// WAL is reported created (so `open` fsyncs its directory entry),
+    /// a reopened one is not, and both append and replay.
+    #[test]
+    fn fresh_and_reopened_dirs_open_append_and_replay() {
+        let dir = std::env::temp_dir().join(format!("rekey-storage-open-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let wal_path = dir.join(WAL_FILE);
+        let (_, created) = open_or_create_wal(&wal_path).unwrap();
+        assert!(created, "no wal.log before: this call created it");
+        let (_, created) = open_or_create_wal(&wal_path).unwrap();
+        assert!(!created, "wal.log exists now");
+        std::fs::remove_dir_all(&dir).unwrap();
+
+        {
+            let mut fresh = DirStorage::open(&dir).unwrap();
+            fresh.append_wal(b"first").unwrap();
+            fresh.sync_wal().unwrap();
+            assert_eq!(fresh.read_wal().unwrap().records, vec![b"first".to_vec()]);
+        }
+        let mut reopened = DirStorage::open(&dir).unwrap();
+        reopened.append_wal(b"second").unwrap();
+        reopened.sync_wal().unwrap();
+        let replay = reopened.read_wal().unwrap();
+        assert_eq!(replay.records, vec![b"first".to_vec(), b"second".to_vec()]);
+        assert_eq!(replay.dropped_bytes, 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
