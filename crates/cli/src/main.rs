@@ -1147,7 +1147,7 @@ fn cmd_metrics_check(args: &Args) -> CliResult {
 /// range, torn bytes, and the resulting durable epoch. CI greps the
 /// `durable epoch` line to assert monotonicity across a kill/restart.
 fn cmd_snapshot(args: &Args) -> CliResult {
-    use rekey_core::persist::{EpochRecord, SNAPSHOT_WIRE_VERSION};
+    use rekey_core::persist::{WalEntry, SNAPSHOT_WIRE_VERSION};
     use rekey_storage::{DirStorage, Storage};
 
     let dir = path_flag(args, "data-dir")?.ok_or("snapshot requires --data-dir <dir>")?;
@@ -1173,25 +1173,38 @@ fn cmd_snapshot(args: &Args) -> CliResult {
         None => println!("snapshot: none"),
     }
 
+    // Interval records, less the ones an abort marker cancels (batches
+    // the manager rejected). A rejected record whose marker a crash
+    // beat to the disk still counts here: only a manager can tell, and
+    // the next `serve` cancels it.
     let replay = storage.read_wal()?;
-    let mut first_epoch = None;
-    let mut last_epoch = None;
+    let mut epochs: Vec<u64> = Vec::new();
+    let mut cancelled = 0usize;
     for bytes in &replay.records {
-        let record =
-            EpochRecord::decode(bytes).ok_or("corrupt epoch record inside a valid WAL frame")?;
-        first_epoch.get_or_insert(record.epoch);
-        last_epoch = Some(record.epoch);
+        match WalEntry::decode(bytes).ok_or("corrupt entry inside a valid WAL frame")? {
+            WalEntry::Interval(record) => epochs.push(record.epoch),
+            WalEntry::Abort { epoch } => {
+                if epochs.pop() != Some(epoch) {
+                    return Err(format!("abort marker for epoch {epoch} without its record").into());
+                }
+                cancelled += 1;
+            }
+        }
     }
+    let (first_epoch, last_epoch) = (epochs.first().copied(), epochs.last().copied());
     match (first_epoch, last_epoch) {
         (Some(first), Some(last)) => println!(
             "wal: {} record(s), epochs {first}..={last}, {} torn byte(s) dropped",
-            replay.records.len(),
+            epochs.len(),
             replay.dropped_bytes
         ),
         _ => println!(
             "wal: 0 records, {} torn byte(s) dropped",
             replay.dropped_bytes
         ),
+    }
+    if cancelled > 0 {
+        println!("wal: {cancelled} rejected batch(es) cancelled");
     }
 
     // A crash between the snapshot write and the WAL truncation can

@@ -17,6 +17,38 @@ use crate::{KeyTreeError, MemberId, NodeId};
 use rand::RngCore;
 use rekey_crypto::Key;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Multiply-shift hash of one `u64`, for the [`NodeId`]-keyed slot
+/// index. Node ids are counters this server assigns (a namespace over a
+/// 40-bit count), not input an adversary picks, so they need no keyed
+/// hash — and the index is consulted for every node a batch touches,
+/// where SipHash was a measurable share of the interval. Tables keyed
+/// by [`MemberId`], which clients do choose, keep the default hasher.
+#[derive(Debug, Clone, Copy, Default)]
+struct NodeIdHasher(u64);
+
+impl Hasher for NodeIdHasher {
+    fn write_u64(&mut self, id: u64) {
+        // Odd multiplier (2^64 / golden ratio); folding the high half
+        // down gives the table's low index bits the well-mixed ones.
+        let product = id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = product ^ (product >> 32);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        // `NodeId` hashes as one `u64`; anything else folds in bytewise.
+        for &b in bytes {
+            self.write_u64(self.0 ^ u64::from(b));
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type SlotIndex = HashMap<NodeId, usize, BuildHasherDefault<NodeIdHasher>>;
 
 /// Version byte leading a serialized [`KeyTree`].
 pub const TREE_WIRE_VERSION: u8 = 1;
@@ -51,8 +83,10 @@ pub struct KeyTree {
     namespace: u32,
     slots: Vec<Option<Node>>,
     free: Vec<usize>,
-    index_of: HashMap<NodeId, usize>,
-    leaf_of: HashMap<MemberId, NodeId>,
+    /// Slot of every live node.
+    index_of: SlotIndex,
+    /// Slot of every member's leaf (a live node never changes slot).
+    leaf_of: HashMap<MemberId, usize>,
     root: usize,
     next_counter: u64,
 }
@@ -71,7 +105,7 @@ impl KeyTree {
             namespace,
             slots: Vec::new(),
             free: Vec::new(),
-            index_of: HashMap::new(),
+            index_of: SlotIndex::default(),
             leaf_of: HashMap::new(),
             root: 0,
             next_counter: 0,
@@ -186,7 +220,7 @@ impl KeyTree {
 
     /// The member's leaf node id.
     pub fn leaf_of(&self, member: MemberId) -> Option<NodeId> {
-        self.leaf_of.get(&member).copied()
+        self.leaf_of.get(&member).map(|&idx| self.node(idx).id)
     }
 
     /// Depth of `node` (root = 0), if it exists.
@@ -279,10 +313,10 @@ impl KeyTree {
         member: MemberId,
         out: &mut Vec<NodeId>,
     ) -> Result<(), KeyTreeError> {
-        let leaf = self
-            .leaf_of(member)
+        let mut idx = *self
+            .leaf_of
+            .get(&member)
             .ok_or(KeyTreeError::UnknownMember(member))?;
-        let mut idx = self.index_of[&leaf];
         while let Some(parent) = self.node(idx).parent {
             idx = parent;
             out.push(self.node(idx).id);
@@ -387,7 +421,7 @@ impl KeyTree {
             leaf_count: 1,
         });
         self.node_mut(attach_parent).children.push(leaf_idx);
-        self.leaf_of.insert(member, leaf_id);
+        self.leaf_of.insert(member, leaf_idx);
 
         // Update subtree leaf counts and collect the dirty path.
         let mut dirty = Vec::new();
@@ -446,7 +480,7 @@ impl KeyTree {
             leaf_count: 1,
         });
         self.node_mut(parent_idx).children.push(leaf_idx);
-        self.leaf_of.insert(member, leaf_id);
+        self.leaf_of.insert(member, leaf_idx);
 
         let mut dirty = Vec::new();
         let mut walk = Some(parent_idx);
@@ -473,11 +507,10 @@ impl KeyTree {
     /// Returns [`KeyTreeError::UnknownMember`] if the member is not in
     /// the tree.
     pub fn remove_member(&mut self, member: MemberId) -> Result<Vec<NodeId>, KeyTreeError> {
-        let leaf_id = self
+        let leaf_idx = self
             .leaf_of
             .remove(&member)
             .ok_or(KeyTreeError::UnknownMember(member))?;
-        let leaf_idx = self.index_of[&leaf_id];
         let parent_idx = self.node(leaf_idx).parent.expect("leaf has a parent");
 
         // Detach and free the leaf.
@@ -605,7 +638,7 @@ impl KeyTree {
             namespace,
             slots: Vec::with_capacity(capacity),
             free: Vec::new(),
-            index_of: HashMap::with_capacity(capacity),
+            index_of: SlotIndex::with_capacity_and_hasher(capacity, Default::default()),
             leaf_of: HashMap::with_capacity(capacity),
             root: 0,
             next_counter,
@@ -642,7 +675,7 @@ impl KeyTree {
                 return None;
             }
             if let Some(m) = member {
-                if tree.leaf_of.insert(m, id).is_some() {
+                if tree.leaf_of.insert(m, i).is_some() {
                     return None;
                 }
             }
@@ -699,7 +732,7 @@ impl KeyTree {
             if let Some(m) = n.member {
                 assert!(n.children.is_empty(), "leaf {m} has children");
                 assert_eq!(n.leaf_count, 1, "leaf {m} leaf_count");
-                assert_eq!(self.leaf_of.get(&m), Some(&n.id), "leaf map out of sync");
+                assert_eq!(self.leaf_of.get(&m), Some(&idx), "leaf map out of sync");
                 seen_members += 1;
             } else {
                 assert!(
@@ -758,6 +791,28 @@ pub(crate) struct ChildInfo<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::hash::BuildHasher;
+
+    /// Consecutive counters in one namespace — the only keys the slot
+    /// index ever sees — must spread over both ends of the hash: the
+    /// table takes its bucket from the low bits and its 7-bit tag from
+    /// the top ones.
+    #[test]
+    fn node_id_hasher_spreads_consecutive_ids() {
+        let build = BuildHasherDefault::<NodeIdHasher>::default();
+        let hashes: Vec<u64> = (0..4096)
+            .map(|counter| build.hash_one(NodeId::from_parts(3, counter)))
+            .collect();
+        let distinct = |f: fn(u64) -> u64| {
+            hashes
+                .iter()
+                .map(|&h| f(h))
+                .collect::<std::collections::HashSet<_>>()
+                .len()
+        };
+        assert!(distinct(|h| h & 0xfff) > 2400, "4096 ids over 4096 buckets");
+        assert_eq!(distinct(|h| h >> 57), 128, "every tag value in use");
+    }
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -11,13 +11,18 @@
 //!              sessions     sessions    sessions      (member % N)
 //! ```
 //!
-//! One accept thread owns the listener and runs the challenge/response
-//! handshake under blocking socket timeouts; authenticated sessions
-//! are handed to a worker *shard* chosen by hashing the member id.
+//! One accept thread owns the listener, parks in a blocking `accept()`
+//! (no poll interval between a client's connect and its handshake; a
+//! connection the daemon makes to its own port is what wakes it for
+//! shutdown) and runs the challenge/response handshake under blocking
+//! socket timeouts; authenticated sessions are handed to a worker
+//! *shard* chosen by hashing the member id.
 //! Each shard owns its sessions outright — their nonblocking sockets,
 //! read buffers, and bounded send queues — so fan-out needs no
 //! per-session locking: [`Rekeyd::publish`] frames the epoch once into
-//! an `Arc<[u8]>` and every shard enqueues the same allocation.
+//! an `Arc<[u8]>` and every shard enqueues the same allocation. A shard
+//! turn reads every session before it writes it, so the frames a NACK
+//! asks for leave in the turn that read the NACK.
 //!
 //! Backpressure is a disconnect: a session whose send queue is full is
 //! dropped rather than allowed to stall the shard or buffer without
@@ -51,7 +56,7 @@ use rekey_obs::admin::{AdminServer, AdminState};
 use rekey_obs::{Collector, FlightKind, FlightRecorder, HealthFlags, Recorder};
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex, RwLock};
@@ -149,6 +154,27 @@ struct Shared {
 }
 
 impl Shared {
+    fn new(config: &ServerConfig, metrics: Arc<Collector>) -> Shared {
+        let shard_prop_names = (0..config.workers.max(1))
+            .map(|i| &*Box::leak(format!("net.propagation.shard{i}").into_boxed_str()))
+            .collect();
+        Shared {
+            registry: Mutex::new(HashMap::new()),
+            window: RwLock::new(Window {
+                cap: config.window.max(1),
+                latest: 0,
+                frames: VecDeque::new(),
+            }),
+            shutdown: AtomicBool::new(false),
+            sessions: AtomicUsize::new(0),
+            nonce_counter: AtomicU64::new(0),
+            metrics,
+            flight: Arc::new(FlightRecorder::new(config.flight_events)),
+            health: HealthFlags::up(),
+            shard_prop_names,
+        }
+    }
+
     /// Publishes the live session count as a gauge after a change.
     fn sample_sessions(&self) {
         let live = self.sessions.load(Ordering::SeqCst);
@@ -334,7 +360,8 @@ enum ShardCmd {
 pub struct Rekeyd {
     shared: Arc<Shared>,
     shards: Vec<Sender<ShardCmd>>,
-    threads: Vec<JoinHandle<()>>,
+    shard_threads: Vec<JoinHandle<()>>,
+    accept_thread: Option<JoinHandle<()>>,
     addr: SocketAddr,
     admin: Option<AdminServer>,
     stopped: bool,
@@ -367,28 +394,10 @@ impl Rekeyd {
         metrics: Arc<Collector>,
     ) -> Result<Rekeyd, NetError> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
 
         let workers = config.workers.max(1);
-        let shard_prop_names = (0..workers)
-            .map(|i| &*Box::leak(format!("net.propagation.shard{i}").into_boxed_str()))
-            .collect();
-        let shared = Arc::new(Shared {
-            registry: Mutex::new(HashMap::new()),
-            window: RwLock::new(Window {
-                cap: config.window.max(1),
-                latest: 0,
-                frames: VecDeque::new(),
-            }),
-            shutdown: AtomicBool::new(false),
-            sessions: AtomicUsize::new(0),
-            nonce_counter: AtomicU64::new(0),
-            metrics,
-            flight: Arc::new(FlightRecorder::new(config.flight_events)),
-            health: HealthFlags::up(),
-            shard_prop_names,
-        });
+        let shared = Arc::new(Shared::new(&config, metrics));
 
         let admin = match config.admin_addr {
             Some(admin_addr) => Some(
@@ -406,12 +415,12 @@ impl Rekeyd {
         };
 
         let mut shards = Vec::with_capacity(workers);
-        let mut threads = Vec::with_capacity(workers + 1);
+        let mut shard_threads = Vec::with_capacity(workers);
         for index in 0..workers {
             let (tx, rx) = mpsc::channel();
             shards.push(tx);
             let shared = shared.clone();
-            threads.push(
+            shard_threads.push(
                 thread::Builder::new()
                     .name(format!("rekeyd-shard-{index}"))
                     .spawn(move || shard_main(rx, shared, config))
@@ -419,21 +428,20 @@ impl Rekeyd {
             );
         }
 
-        {
+        let accept_thread = {
             let shared = shared.clone();
             let shards = shards.clone();
-            threads.push(
-                thread::Builder::new()
-                    .name("rekeyd-accept".into())
-                    .spawn(move || accept_main(listener, shared, shards, config))
-                    .map_err(NetError::Io)?,
-            );
-        }
+            thread::Builder::new()
+                .name("rekeyd-accept".into())
+                .spawn(move || accept_main(listener, shared, shards, config))
+                .map_err(NetError::Io)?
+        };
 
         Ok(Rekeyd {
             shared,
             shards,
-            threads,
+            shard_threads,
+            accept_thread: Some(accept_thread),
             addr,
             admin,
             stopped: false,
@@ -548,9 +556,30 @@ impl Rekeyd {
     ///
     /// # Errors
     ///
-    /// [`NetError::Closed`] if a worker thread panicked.
+    /// [`NetError::Closed`] if a worker thread panicked,
+    /// [`NetError::Io`] if the accept thread could not be woken (it is
+    /// then left to exit at the next connection instead of joined).
     pub fn shutdown(mut self) -> Result<(), NetError> {
         self.stop()
+    }
+
+    /// Returns the accept thread from its blocking `accept()`: with the
+    /// shutdown flag up, the next connection it accepts ends its loop,
+    /// and this is that connection. A refused connection means the
+    /// listener is closed, i.e. the thread has already returned (a
+    /// client connected during the drain).
+    fn wake_accept(&self) -> std::io::Result<()> {
+        let mut addr = self.addr;
+        if addr.ip().is_unspecified() {
+            addr.set_ip(match addr {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        match TcpStream::connect(addr) {
+            Err(e) if e.kind() != std::io::ErrorKind::ConnectionRefused => Err(e),
+            _ => Ok(()),
+        }
     }
 
     fn stop(&mut self) -> Result<(), NetError> {
@@ -563,18 +592,21 @@ impl Rekeyd {
             // A dead shard already stopped; that is shutdown enough.
             let _ = shard.send(ShardCmd::Shutdown);
         }
+        let woken = self.wake_accept();
         let mut panicked = false;
-        for handle in self.threads.drain(..) {
+        for handle in self.shard_threads.drain(..) {
+            panicked |= handle.join().is_err();
+        }
+        if let (Ok(()), Some(handle)) = (&woken, self.accept_thread.take()) {
             panicked |= handle.join().is_err();
         }
         if let Some(admin) = self.admin.take() {
             admin.shutdown();
         }
         if panicked {
-            Err(NetError::Closed)
-        } else {
-            Ok(())
+            return Err(NetError::Closed);
         }
+        woken.map_err(NetError::Io)
     }
 }
 
@@ -584,8 +616,10 @@ impl Drop for Rekeyd {
     }
 }
 
-/// Accept loop: nonblocking accept + blocking handshake, then hand the
-/// session to `member % shards`.
+/// Accept loop: blocking accept + blocking handshake, then hand the
+/// session to `member % shards`. Parked in `accept()`, the thread sees
+/// the shutdown flag only when a connection arrives; `Rekeyd::stop`
+/// raises the flag and then makes one.
 fn accept_main(
     listener: TcpListener,
     shared: Arc<Shared>,
@@ -595,6 +629,11 @@ fn accept_main(
     while !shared.shutdown.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _peer)) => {
+                if shared.shutdown.load(Ordering::SeqCst) {
+                    // The wake-up connection, or a client arriving
+                    // during the drain: neither gets a session.
+                    return;
+                }
                 let started = Instant::now();
                 match handshake(stream, &shared, &config) {
                     Ok(session) => {
@@ -626,7 +665,7 @@ fn accept_main(
                     .metrics
                     .time("net.accept", started.elapsed().as_nanos() as u64);
             }
-            Err(e) if frame::retryable(&e) => thread::sleep(Duration::from_millis(2)),
+            // Out of descriptors, or a connection reset in the backlog.
             Err(_) => thread::sleep(Duration::from_millis(10)),
         }
     }
@@ -783,12 +822,7 @@ fn shard_main(rx: Receiver<ShardCmd>, shared: Arc<Shared>, config: ServerConfig)
                 .sample("net.queue.depth", rekey_obs::now_ns(), max_depth as f64);
         }
 
-        for session in &mut sessions {
-            session.pump_write(&shared);
-            if !session.dead {
-                session.pump_read(&shared, cap);
-            }
-        }
+        pump_sessions(&mut sessions, &shared, cap);
         let before = sessions.len();
         sessions.retain(|s| {
             if s.dead {
@@ -803,6 +837,21 @@ fn shard_main(rx: Receiver<ShardCmd>, shared: Arc<Shared>, config: ServerConfig)
             shared.sessions.fetch_sub(removed, Ordering::SeqCst);
             shared.metrics.count("net.sessions.closed", removed as u64);
             shared.sample_sessions();
+        }
+    }
+}
+
+/// The socket half of a shard turn. Each session is read before it is
+/// written, so whatever a client frame enqueues (the frames a NACK
+/// asks for, a `Gap`) is on the wire in the turn that read it rather
+/// than one channel poll later.
+fn pump_sessions(sessions: &mut [Session], shared: &Shared, cap: usize) {
+    for session in sessions {
+        if !session.dead {
+            session.pump_read(shared, cap);
+        }
+        if !session.dead {
+            session.pump_write(shared);
         }
     }
 }
@@ -845,4 +894,111 @@ fn drain(sessions: &mut Vec<Session>, shared: &Shared, budget: Duration) {
     shared.sessions.fetch_sub(count, Ordering::SeqCst);
     shared.metrics.count("net.sessions.closed", count as u64);
     shared.sample_sessions();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A connected loopback pair: the daemon-side end as a [`Session`]
+    /// (non-blocking, as `handshake` leaves it) and the client's end.
+    fn session_pair(member: u64) -> (Session, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (stream, _) = listener.accept().expect("accept");
+        let session = Session {
+            member: MemberId(member),
+            stream,
+            reader: FrameReader::new(frame::DEFAULT_MAX_FRAME),
+            queue: VecDeque::new(),
+            dead: false,
+        };
+        (session, client)
+    }
+
+    /// Blocks until `len` bytes wait in the session's socket, so the
+    /// turn under test finds the whole client frame — no sleep, no poll
+    /// interval.
+    fn await_readable(session: &Session, len: usize) {
+        session.stream.set_nonblocking(false).expect("blocking");
+        let mut seen = vec![0u8; len];
+        while session.stream.peek(&mut seen).expect("peek") < len {}
+        session.stream.set_nonblocking(true).expect("nonblocking");
+    }
+
+    #[test]
+    fn a_nack_is_answered_in_the_turn_that_reads_it() {
+        let config = ServerConfig::default();
+        let shared = Shared::new(&config, Arc::new(Collector::new()));
+        let published: Vec<Arc<[u8]>> = (1..=3)
+            .map(|epoch| {
+                let framed: Arc<[u8]> = proto::encode_rekey_frame(
+                    0,
+                    &RekeyMessage::new(epoch),
+                    frame::DEFAULT_MAX_FRAME,
+                )
+                .expect("frame")
+                .into();
+                shared
+                    .window
+                    .write()
+                    .expect("window lock")
+                    .push(epoch, framed.clone());
+                framed
+            })
+            .collect();
+
+        let (session, mut client) = session_pair(7);
+        let nack = encode_frame(
+            &proto::encode(&Frame::Nack { epochs: vec![2, 3] }),
+            usize::MAX,
+        )
+        .expect("frame");
+        client.write_all(&nack).expect("send nack");
+        await_readable(&session, nack.len());
+
+        let mut sessions = vec![session];
+        pump_sessions(&mut sessions, &shared, config.send_queue_frames);
+
+        assert!(!sessions[0].dead);
+        assert!(
+            sessions[0].queue.is_empty(),
+            "the retransmitted frames must not wait for the next turn"
+        );
+        let snap = shared.metrics.snapshot();
+        assert_eq!(snap.counter("net.nacks"), 1);
+        assert_eq!(snap.counter("net.retransmit.frames"), 2);
+        let expected = [&published[1][..], &published[2][..]].concat();
+        assert_eq!(snap.counter("net.bytes_out"), expected.len() as u64);
+        let mut received = vec![0u8; expected.len()];
+        client.read_exact(&mut received).expect("retransmission");
+        assert_eq!(received, expected);
+    }
+
+    #[test]
+    fn shutdown_returns_with_the_accept_thread_parked_in_accept() {
+        // No client ever connects: the accept thread sits in a blocking
+        // accept() for the daemon's whole life, and shutdown has to
+        // fetch it out to join it.
+        let daemon = Rekeyd::bind("127.0.0.1:0", ServerConfig::default()).expect("bind");
+        let addr = daemon.local_addr();
+        daemon.shutdown().expect("shutdown joins every thread");
+        // Joined means returned, and returning dropped the listener.
+        let refused = TcpStream::connect(addr).expect_err("listener closed");
+        assert_eq!(refused.kind(), std::io::ErrorKind::ConnectionRefused);
+    }
+
+    #[test]
+    fn shutdown_joins_an_accept_thread_a_drain_time_client_already_ended() {
+        let daemon = Rekeyd::bind("127.0.0.1:0", ServerConfig::default()).expect("bind");
+        daemon.begin_shutdown();
+        // A draining daemon answers a late client with a closed
+        // connection (accepted and dropped, or refused or reset if the
+        // listener is already gone); the read returns once it has.
+        if let Ok(mut late) = TcpStream::connect(daemon.local_addr()) {
+            let mut byte = [0u8; 1];
+            assert!(!matches!(late.read(&mut byte), Ok(n) if n > 0));
+        }
+        daemon.shutdown().expect("nothing left to wake");
+    }
 }

@@ -26,10 +26,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::collections::VecDeque;
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::thread::JoinHandle;
+use std::time::Instant;
 
 pub mod wal;
 
@@ -85,6 +89,24 @@ impl fmt::Display for StorageError {
     }
 }
 
+impl StorageError {
+    /// A copy to report again: a failed background write is returned by
+    /// every call after it. `std::io::Error` is not `Clone`; its copy
+    /// keeps the kind and the message.
+    fn replica(&self) -> StorageError {
+        match self {
+            StorageError::Io { op, source } => StorageError::Io {
+                op,
+                source: std::io::Error::new(source.kind(), source.to_string()),
+            },
+            StorageError::SnapshotCorrupt { reason } => StorageError::SnapshotCorrupt { reason },
+            StorageError::BadVersion { found } => StorageError::BadVersion { found: *found },
+            StorageError::RecordTooLarge { len } => StorageError::RecordTooLarge { len: *len },
+            StorageError::Injected => StorageError::Injected,
+        }
+    }
+}
+
 impl std::error::Error for StorageError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
@@ -109,34 +131,59 @@ pub struct WalReplay {
 ///
 /// Contract required of every implementation:
 ///
-/// - [`Storage::append_wal`] followed by [`Storage::sync_wal`] makes
-///   the record survive a crash.
-/// - [`Storage::read_wal`] returns every valid record in order,
+/// - Writes take effect in call order. A backend may buffer them and
+///   return before the bytes are written ([`DirStorage`] does, on a
+///   writer thread; the in-memory backends do not): a write's `Ok`
+///   means *accepted*, not *durable*.
+/// - [`Storage::sync_wal`] is the barrier: once it returns `Ok`, every
+///   write accepted before it survives a crash — an
+///   [`Storage::append_wal`] followed by [`Storage::sync_wal`] makes the
+///   record durable. It also reports what buffering deferred: the first
+///   failure of a buffered write is returned by the next barrier and by
+///   every call after it, and the writes behind the failed one are
+///   dropped.
+/// - [`Storage::write_snapshot`] replaces the snapshot atomically: a
+///   crash during the write leaves either the old blob or the new one,
+///   never a mix. [`Storage::reset_wal`] empties the log (called after
+///   a snapshot covers everything the log held). Both complete, in
+///   order, before any record appended after them is durable — so a
+///   durable record is never one the reset will still swallow.
+/// - Reads are barriers too: [`Storage::read_wal`] and
+///   [`Storage::load_snapshot`] see every write accepted before them.
+///   [`Storage::read_wal`] returns every valid record in order,
 ///   *repairs* the log by discarding any invalid tail (so subsequent
 ///   appends land after the last valid record), and never fails on a
 ///   torn tail — torn tails are an expected crash artifact, reported
 ///   via [`WalReplay::dropped_bytes`].
-/// - [`Storage::write_snapshot`] replaces the snapshot atomically: a
-///   crash during the write leaves either the old blob or the new one,
-///   never a mix.
-/// - [`Storage::reset_wal`] empties the log (called after a snapshot
-///   covers everything the log held).
 pub trait Storage: Send {
-    /// Appends one opaque record to the write-ahead log.
+    /// Appends one opaque record to the write-ahead log. The record is
+    /// durable once a later [`Storage::sync_wal`] returns.
     ///
     /// # Errors
     ///
-    /// [`StorageError::Io`] on an OS failure,
+    /// [`StorageError::Io`] on an OS failure (possibly of an earlier,
+    /// buffered write),
     /// [`StorageError::RecordTooLarge`] past the framing's length
     /// field, [`StorageError::Injected`] under fault injection.
     fn append_wal(&mut self, record: &[u8]) -> Result<(), StorageError>;
 
-    /// Forces appended records to durable media.
+    /// The barrier: returns once every write handed to the store so
+    /// far — appended records, and a snapshot or reset before them — is
+    /// on durable media.
     ///
     /// # Errors
     ///
-    /// [`StorageError::Io`] on an OS failure.
+    /// [`StorageError::Io`] on an OS failure, of this call or of any
+    /// buffered write before it.
     fn sync_wal(&mut self) -> Result<(), StorageError>;
+
+    /// How long the record the last fsync covered spent between
+    /// [`Storage::append_wal`] and durable media, as measured by a
+    /// backend that writes behind its caller; reported once. `None`
+    /// from a backend that writes inside the call.
+    fn wal_inflight_ns(&mut self) -> Option<u64> {
+        None
+    }
 
     /// Replays the log: all valid records plus how many trailing bytes
     /// were discarded as torn/corrupt. Repairs the log tail.
@@ -274,13 +321,93 @@ const FRAME_KEEP: usize = 64 * 1024;
 /// - `snapshot.bin` — the sealed snapshot blob, replaced via
 ///   write-temp + fsync + rename (+ directory fsync), so a crash never
 ///   leaves a half-written snapshot under the live name.
+///
+/// # One writer thread behind the caller
+///
+/// Every write — append, snapshot, reset — is handed to one FIFO writer
+/// thread (spawned by the first write; a store that is only opened and
+/// read never has one) and the call returns; the caller computes while
+/// the disk works. The writer issues the same system calls in the same
+/// order a synchronous store would, so every state a crash can leave is
+/// one a crash of the synchronous store could leave too:
+///
+/// ```text
+/// caller  append_wal ─┐  (computes)  ┌ sync_wal   write_snapshot, reset_wal ─┐  (computes) …
+///         frames      │              │ waits, if   copies the blob            │
+/// writer              └ write, fsync ┘ at all                                 └ crc, tmp, fsync, rename,
+///                                                                               dir fsync, truncate, fsync
+/// ```
+///
+/// Appended records are `sync_data`ed as soon as the queue runs dry,
+/// [`Storage::sync_wal`] is the barrier that returns once everything
+/// handed over is on disk, and reads are barriers too. The first write
+/// that fails is reported by the next barrier and by every call after
+/// it; the writes queued behind it are dropped, not attempted. Dropping
+/// the store drains the queue and joins the writer.
 #[derive(Debug)]
 pub struct DirStorage {
     dir: PathBuf,
-    wal: File,
-    /// The framed form of the record being appended, reused from one
-    /// append to the next (up to [`FRAME_KEEP`]).
-    frame: Vec<u8>,
+    /// Shared with the writer thread, which does all the writing; this
+    /// handle reads and repairs, and only behind a barrier.
+    wal: Arc<File>,
+    writer: Option<Writer>,
+    /// Writes handed to the writer so far.
+    submitted: u64,
+}
+
+/// A write handed to the writer thread.
+#[derive(Debug)]
+enum Job {
+    /// One framed record, and when it was handed over.
+    Append(Vec<u8>, Instant),
+    /// An owned copy of a snapshot blob, unsealed.
+    Snapshot(Vec<u8>),
+    Reset,
+}
+
+#[derive(Debug)]
+struct Writer {
+    shared: Arc<WriterShared>,
+    thread: JoinHandle<()>,
+}
+
+#[derive(Debug, Default)]
+struct WriterShared {
+    state: Mutex<WriterState>,
+    /// Signalled when a job is queued or the store is closed.
+    work: Condvar,
+    /// Signalled when `WriterState::durable` advances.
+    progress: Condvar,
+}
+
+#[derive(Debug, Default)]
+struct WriterState {
+    queue: VecDeque<Job>,
+    /// How many of the jobs handed over are on disk (or, after a
+    /// failure, dropped).
+    durable: u64,
+    /// The first failure; everything after it is dropped unattempted.
+    failed: Option<StorageError>,
+    closed: bool,
+    /// Hand-off → durable of the oldest record the last fsync covered.
+    inflight_ns: Option<u64>,
+    /// Buffers on their way back to the caller: frames up to
+    /// [`FRAME_KEEP`], and the one snapshot copy.
+    spare_frames: Vec<Vec<u8>>,
+    spare_blob: Vec<u8>,
+    /// Test hook: the writer exits, abandoning its queue, once it has
+    /// taken this many jobs — a process killed at that queue position.
+    #[cfg(test)]
+    die_after: Option<u64>,
+}
+
+impl WriterShared {
+    fn lock(&self) -> MutexGuard<'_, WriterState> {
+        // Every update under this lock is a single field store or a
+        // queue push/pop, so the state is valid even if a holder
+        // panicked.
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
 }
 
 fn io_err(op: &'static str) -> impl FnOnce(std::io::Error) -> StorageError {
@@ -303,6 +430,96 @@ fn open_or_create_wal(path: &Path) -> Result<(File, bool), StorageError> {
     }
 }
 
+/// Best-effort directory fsync so renames/creates are durable.
+fn sync_dir(dir: &Path) -> Result<(), StorageError> {
+    File::open(dir)
+        .and_then(|d| d.sync_all())
+        .map_err(io_err("sync data dir"))
+}
+
+/// The writer thread's half of [`Storage::write_snapshot`].
+fn replace_snapshot(dir: &Path, blob: &[u8]) -> Result<(), StorageError> {
+    let header = wal::frame_header(blob.len(), wal::crc32(blob))?;
+    let tmp = dir.join(SNAPSHOT_TMP);
+    let live = dir.join(SNAPSHOT_FILE);
+    let mut f = File::create(&tmp).map_err(io_err("snapshot create"))?;
+    f.write_all(&header).map_err(io_err("snapshot write"))?;
+    f.write_all(blob).map_err(io_err("snapshot write"))?;
+    f.sync_all().map_err(io_err("snapshot fsync"))?;
+    drop(f);
+    std::fs::rename(&tmp, &live).map_err(io_err("snapshot rename"))?;
+    sync_dir(dir)
+}
+
+/// The writer thread's half of [`Storage::reset_wal`].
+fn truncate_wal(mut wal: &File) -> Result<(), StorageError> {
+    wal.set_len(0).map_err(io_err("wal truncate"))?;
+    wal.seek(SeekFrom::Start(0)).map_err(io_err("wal seek"))?;
+    wal.sync_data().map_err(io_err("wal fsync"))
+}
+
+/// The writer thread: takes jobs in order, fsyncs appended records when
+/// the queue runs dry, and publishes how far the disk has got. Returns
+/// once the store is closed and the queue is empty.
+fn writer_main(shared: &WriterShared, dir: &Path, wal: &File) {
+    // Jobs taken off the queue, and the hand-off time of the oldest
+    // appended record no fsync has covered yet.
+    let mut taken = 0u64;
+    let mut unsynced: Option<Instant> = None;
+    let mut state = shared.lock();
+    loop {
+        #[cfg(test)]
+        if state.die_after == Some(taken) {
+            return;
+        }
+        if let Some(job) = state.queue.pop_front() {
+            let skip = state.failed.is_some();
+            drop(state);
+            taken += 1;
+            let result = match &job {
+                _ if skip => Ok(()),
+                Job::Append(frame, handed_over) => {
+                    unsynced.get_or_insert(*handed_over);
+                    let mut file = wal;
+                    file.write_all(frame).map_err(io_err("wal append"))
+                }
+                Job::Snapshot(blob) => replace_snapshot(dir, blob),
+                Job::Reset => truncate_wal(wal).map(|()| {
+                    // Its own fsync covered the file, now empty.
+                    unsynced = None;
+                }),
+            };
+            state = shared.lock();
+            match job {
+                Job::Append(frame, _) if frame.capacity() <= FRAME_KEEP => {
+                    state.spare_frames.push(frame);
+                }
+                Job::Snapshot(blob) => state.spare_blob = blob,
+                _ => {}
+            }
+            if let Err(e) = result {
+                state.failed.get_or_insert(e);
+            }
+        } else if let (Some(handed_over), None) = (unsynced, &state.failed) {
+            drop(state);
+            let synced = wal.sync_data().map_err(io_err("wal fsync"));
+            unsynced = None;
+            state = shared.lock();
+            match synced {
+                Ok(()) => state.inflight_ns = Some(handed_over.elapsed().as_nanos() as u64),
+                Err(e) => state.failed = Some(e),
+            }
+        } else {
+            state.durable = taken;
+            shared.progress.notify_all();
+            if state.closed {
+                return;
+            }
+            state = shared.work.wait(state).unwrap_or_else(|e| e.into_inner());
+        }
+    }
+}
+
 impl DirStorage {
     /// Opens (creating if needed) the data directory at `dir`. A WAL
     /// file this call had to create gets its directory entry fsynced
@@ -317,15 +534,15 @@ impl DirStorage {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir).map_err(io_err("create data dir"))?;
         let (wal, created) = open_or_create_wal(&dir.join(WAL_FILE))?;
-        let storage = DirStorage {
-            dir,
-            wal,
-            frame: Vec::new(),
-        };
         if created {
-            storage.sync_dir()?;
+            sync_dir(&dir)?;
         }
-        Ok(storage)
+        Ok(DirStorage {
+            dir,
+            wal: Arc::new(wal),
+            writer: None,
+            submitted: 0,
+        })
     }
 
     /// The data directory this store writes into.
@@ -333,50 +550,104 @@ impl DirStorage {
         &self.dir
     }
 
-    /// Best-effort directory fsync so renames/creates are durable.
-    fn sync_dir(&self) -> Result<(), StorageError> {
-        File::open(&self.dir)
-            .and_then(|d| d.sync_all())
-            .map_err(io_err("sync data dir"))
+    /// The writer's shared state, spawning the thread on first use.
+    fn writer(&mut self) -> Result<&Arc<WriterShared>, StorageError> {
+        if self.writer.is_none() {
+            let shared = Arc::new(WriterShared::default());
+            let (for_thread, dir, wal) = (shared.clone(), self.dir.clone(), self.wal.clone());
+            let thread = std::thread::Builder::new()
+                .name("rekey-storage-writer".into())
+                .spawn(move || writer_main(&for_thread, &dir, &wal))
+                .map_err(io_err("spawn storage writer"))?;
+            self.writer = Some(Writer { shared, thread });
+        }
+        Ok(&self.writer.as_ref().expect("just spawned").shared)
+    }
+
+    /// The writer's state, for taking a handed-back buffer before a
+    /// write is built. Refused once a write has failed.
+    fn writer_state(&mut self) -> Result<MutexGuard<'_, WriterState>, StorageError> {
+        let state = self.writer()?.lock();
+        match &state.failed {
+            Some(e) => Err(e.replica()),
+            None => Ok(state),
+        }
+    }
+
+    /// Queues `job` behind everything handed over so far.
+    fn submit(&mut self, job: Job) -> Result<(), StorageError> {
+        let shared = self.writer()?;
+        shared.lock().queue.push_back(job);
+        shared.work.notify_one();
+        self.submitted += 1;
+        Ok(())
+    }
+
+    /// Returns once every write handed over so far is on disk; reports
+    /// the failure, from then on, if one of them was not. Without a
+    /// writer there is nothing in flight.
+    fn barrier(&self) -> Result<(), StorageError> {
+        let Some(writer) = &self.writer else {
+            return Ok(());
+        };
+        let mut state = writer.shared.lock();
+        while state.durable < self.submitted {
+            state = writer
+                .shared
+                .progress
+                .wait(state)
+                .unwrap_or_else(|e| e.into_inner());
+        }
+        state.failed.as_ref().map_or(Ok(()), |e| Err(e.replica()))
+    }
+}
+
+impl Drop for DirStorage {
+    /// Drains the queue — a drained daemon's last snapshot is on disk
+    /// when its store goes away — and joins the writer. A failure among
+    /// the drained writes has nowhere to go from here: a caller that
+    /// needs to know ends with [`Storage::sync_wal`].
+    fn drop(&mut self) {
+        if let Some(Writer { shared, thread }) = self.writer.take() {
+            shared.lock().closed = true;
+            shared.work.notify_one();
+            let _ = thread.join();
+        }
     }
 }
 
 impl Storage for DirStorage {
     fn append_wal(&mut self, record: &[u8]) -> Result<(), StorageError> {
-        self.frame.clear();
-        wal::frame_record(record, &mut self.frame)?;
-        let written = self.wal.write_all(&self.frame);
-        if self.frame.capacity() > FRAME_KEEP {
-            self.frame = Vec::new();
-        }
-        written.map_err(io_err("wal append"))
+        let mut frame = self.writer_state()?.spare_frames.pop().unwrap_or_default();
+        frame.clear();
+        wal::frame_record(record, &mut frame)?;
+        self.submit(Job::Append(frame, Instant::now()))
     }
 
     fn sync_wal(&mut self) -> Result<(), StorageError> {
-        self.wal.sync_data().map_err(io_err("wal fsync"))
+        self.barrier()
+    }
+
+    fn wal_inflight_ns(&mut self) -> Option<u64> {
+        self.writer.as_ref()?.shared.lock().inflight_ns.take()
     }
 
     fn read_wal(&mut self) -> Result<WalReplay, StorageError> {
+        self.barrier()?;
+        let mut wal = &*self.wal;
         let mut bytes = Vec::new();
-        self.wal
-            .seek(SeekFrom::Start(0))
-            .map_err(io_err("wal seek"))?;
-        self.wal
-            .read_to_end(&mut bytes)
-            .map_err(io_err("wal read"))?;
+        wal.seek(SeekFrom::Start(0)).map_err(io_err("wal seek"))?;
+        wal.read_to_end(&mut bytes).map_err(io_err("wal read"))?;
         let (records, valid_len) = wal::parse_records(&bytes);
         let dropped = bytes.len() - valid_len;
         if dropped > 0 {
             // Repair: discard the torn tail so new appends follow the
             // last valid record instead of hiding behind garbage.
-            self.wal
-                .set_len(valid_len as u64)
+            wal.set_len(valid_len as u64)
                 .map_err(io_err("wal repair truncate"))?;
-            self.wal.sync_data().map_err(io_err("wal fsync"))?;
+            wal.sync_data().map_err(io_err("wal fsync"))?;
         }
-        self.wal
-            .seek(SeekFrom::End(0))
-            .map_err(io_err("wal seek"))?;
+        wal.seek(SeekFrom::End(0)).map_err(io_err("wal seek"))?;
         Ok(WalReplay {
             records,
             dropped_bytes: dropped,
@@ -384,27 +655,23 @@ impl Storage for DirStorage {
     }
 
     fn reset_wal(&mut self) -> Result<(), StorageError> {
-        self.wal.set_len(0).map_err(io_err("wal truncate"))?;
-        self.wal
-            .seek(SeekFrom::Start(0))
-            .map_err(io_err("wal seek"))?;
-        self.wal.sync_data().map_err(io_err("wal fsync"))
+        // Refused, like every write, once one has failed.
+        drop(self.writer_state()?);
+        self.submit(Job::Reset)
     }
 
     fn write_snapshot(&mut self, blob: &[u8]) -> Result<(), StorageError> {
-        let header = wal::frame_header(blob.len(), wal::crc32(blob))?;
-        let tmp = self.dir.join(SNAPSHOT_TMP);
-        let live = self.dir.join(SNAPSHOT_FILE);
-        let mut f = File::create(&tmp).map_err(io_err("snapshot create"))?;
-        f.write_all(&header).map_err(io_err("snapshot write"))?;
-        f.write_all(blob).map_err(io_err("snapshot write"))?;
-        f.sync_all().map_err(io_err("snapshot fsync"))?;
-        drop(f);
-        std::fs::rename(&tmp, &live).map_err(io_err("snapshot rename"))?;
-        self.sync_dir()
+        // The length check is the caller's to hear about now; the CRC is
+        // the writer's to compute.
+        wal::frame_header(blob.len(), 0)?;
+        let mut copy = std::mem::take(&mut self.writer_state()?.spare_blob);
+        copy.clear();
+        copy.extend_from_slice(blob);
+        self.submit(Job::Snapshot(copy))
     }
 
     fn load_snapshot(&mut self) -> Result<Option<Vec<u8>>, StorageError> {
+        self.barrier()?;
         let live = self.dir.join(SNAPSHOT_FILE);
         let mut sealed = match std::fs::read(&live) {
             Ok(bytes) => bytes,
@@ -701,6 +968,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let mut storage = DirStorage::open(&dir).unwrap();
         storage.write_snapshot(b"good bytes").unwrap();
+        storage.sync_wal().unwrap();
         // Flip one payload byte on disk.
         let path = dir.join(SNAPSHOT_FILE);
         let mut bytes = std::fs::read(&path).unwrap();
@@ -711,6 +979,160 @@ mod tests {
             storage.load_snapshot(),
             Err(StorageError::SnapshotCorrupt { .. })
         ));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    fn temp_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("rekey-storage-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    impl DirStorage {
+        /// Makes the writer exit, its queue abandoned, once it has taken
+        /// `jobs` writes: the process killed at that queue position.
+        fn kill_writer_after(&mut self, jobs: u64) {
+            let shared = self.writer().unwrap();
+            shared.lock().die_after = Some(jobs);
+            shared.work.notify_one();
+        }
+    }
+
+    /// The write sequence of one snapshot cycle: three records, a
+    /// snapshot, the reset, one more record.
+    fn snapshot_cycle(storage: &mut DirStorage) {
+        for r in &records(3) {
+            storage.append_wal(r).unwrap();
+        }
+        storage.write_snapshot(b"new snapshot").unwrap();
+        storage.reset_wal().unwrap();
+        storage.append_wal(b"after-reset").unwrap();
+    }
+
+    /// No barrier anywhere: dropping the store is what drains the queue
+    /// and joins the writer, and everything handed over is then on disk.
+    #[test]
+    fn drop_drains_the_queue_and_joins_the_writer() {
+        let dir = temp_dir("drop");
+        {
+            let mut storage = DirStorage::open(&dir).unwrap();
+            storage.write_snapshot(b"old snapshot").unwrap();
+            snapshot_cycle(&mut storage);
+        }
+        assert!(!dir.join(SNAPSHOT_TMP).exists());
+        let mut reopened = DirStorage::open(&dir).unwrap();
+        assert_eq!(
+            reopened.read_wal().unwrap().records,
+            vec![b"after-reset".to_vec()]
+        );
+        assert_eq!(
+            reopened.load_snapshot().unwrap().as_deref(),
+            Some(&b"new snapshot"[..])
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Kill the writer at every position of the queue: what a reopened
+    /// store finds is what a store that writes inside each call leaves
+    /// when its process dies between two calls — a prefix of the calls,
+    /// never a reordering.
+    #[test]
+    fn a_writer_killed_at_any_queue_position_leaves_a_prefix_of_the_calls() {
+        let rs = records(3);
+        for taken in 0..=6u64 {
+            let dir = temp_dir(&format!("kill-{taken}"));
+            {
+                let mut storage = DirStorage::open(&dir).unwrap();
+                storage.write_snapshot(b"old snapshot").unwrap();
+                storage.sync_wal().unwrap();
+                // One write is done; the writer dies `taken` into the
+                // cycle, and the drop below joins it.
+                storage.kill_writer_after(1 + taken);
+                snapshot_cycle(&mut storage);
+            }
+            let mut reopened = DirStorage::open(&dir).unwrap();
+            let wal = reopened.read_wal().unwrap();
+            assert_eq!(wal.dropped_bytes, 0, "killed after {taken}");
+            let expected_wal: Vec<Vec<u8>> = match taken {
+                0..=3 => rs[..taken as usize].to_vec(),
+                4 => rs.clone(), // snapshot replaced, log not yet reset
+                5 => Vec::new(),
+                _ => vec![b"after-reset".to_vec()],
+            };
+            assert_eq!(wal.records, expected_wal, "killed after {taken}");
+            let expected_snapshot: &[u8] = if taken >= 4 {
+                b"new snapshot"
+            } else {
+                b"old snapshot"
+            };
+            assert_eq!(
+                reopened.load_snapshot().unwrap().as_deref(),
+                Some(expected_snapshot),
+                "killed after {taken}"
+            );
+            drop(reopened);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    /// A snapshot that fails behind the caller's back is reported by the
+    /// next barrier and by every call after it; the reset queued behind
+    /// it is dropped, so the log still holds what the snapshot would
+    /// have covered.
+    #[test]
+    fn a_failed_background_snapshot_poisons_the_store() {
+        let dir = temp_dir("poison");
+        let mut storage = DirStorage::open(&dir).unwrap();
+        storage.append_wal(b"covered by no snapshot").unwrap();
+        storage.sync_wal().unwrap();
+        let wal_len = |storage: &DirStorage| storage.wal.metadata().unwrap().len();
+        let len_before = wal_len(&storage);
+
+        // The directory goes away under the open store: the snapshot's
+        // temp file can no longer be created.
+        std::fs::remove_dir_all(&dir).unwrap();
+        let is_create_failure = |r: Result<(), StorageError>| {
+            matches!(
+                r,
+                Err(StorageError::Io {
+                    op: "snapshot create",
+                    ..
+                })
+            )
+        };
+        storage.write_snapshot(b"never lands").unwrap();
+        // Queued behind the snapshot and dropped, or refused outright if
+        // the writer has failed already: never run.
+        let reset = storage.reset_wal();
+        assert!(reset.is_ok() || is_create_failure(reset));
+        assert!(is_create_failure(storage.sync_wal()), "the next barrier");
+        assert_eq!(wal_len(&storage), len_before, "the reset was dropped");
+        assert!(is_create_failure(storage.append_wal(b"refused")));
+        assert!(is_create_failure(storage.write_snapshot(b"refused")));
+        assert!(is_create_failure(storage.reset_wal()));
+        assert!(is_create_failure(storage.sync_wal()), "and every one after");
+        assert!(is_create_failure(storage.read_wal().map(drop)));
+        assert!(is_create_failure(storage.load_snapshot().map(drop)));
+    }
+
+    #[test]
+    fn a_store_that_is_only_read_has_no_writer_thread() {
+        let dir = temp_dir("lazy");
+        let mut storage = DirStorage::open(&dir).unwrap();
+        storage.sync_wal().unwrap();
+        assert_eq!(storage.read_wal().unwrap().records.len(), 0);
+        assert_eq!(storage.load_snapshot().unwrap(), None);
+        assert!(storage.writer.is_none());
+        assert_eq!(storage.wal_inflight_ns(), None);
+        storage.append_wal(b"first write").unwrap();
+        assert!(storage.writer.is_some());
+        storage.sync_wal().unwrap();
+        assert!(
+            storage.wal_inflight_ns().is_some(),
+            "measured on the writer"
+        );
+        assert_eq!(storage.wal_inflight_ns(), None, "reported once");
+        drop(storage);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

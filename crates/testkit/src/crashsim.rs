@@ -16,10 +16,12 @@
 
 use crate::runner::ManagerFactory;
 use crate::scenario::Scenario;
-use rekey_core::Journal;
+use rand::rngs::StdRng;
+use rekey_core::{GroupKeyManager, Journal, PersistError};
 use rekey_crypto::sha256::Sha256;
-use rekey_keytree::message::codec;
-use rekey_storage::MemStorage;
+use rekey_keytree::message::{codec, RekeyMessage};
+use rekey_keytree::MemberId;
+use rekey_storage::{wal, MemStorage};
 
 /// Aggregates of a crash/recovery-equivalence run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -32,6 +34,9 @@ pub struct CrashSimReport {
     pub replayed: usize,
     /// Snapshot loads across all recoveries.
     pub snapshots_loaded: usize,
+    /// Batches submitted to be rejected (see
+    /// [`run_with_rejected_batches`]).
+    pub rejected: usize,
     /// SHA-256 over the concatenated wire bytes of every interval —
     /// equals the uninterrupted run's digest by construction.
     pub digest: [u8; 32],
@@ -52,6 +57,153 @@ pub fn run_with_crashes(
     crash_every: usize,
     snapshot_every: u64,
 ) -> Result<CrashSimReport, String> {
+    run(factory, scenario, crash_every, snapshot_every, 0)
+}
+
+/// [`run_with_crashes`] without scheduled crashes but with the
+/// *rejected batch* op: ahead of every `reject_every`-th interval the
+/// journal is first handed that interval's batch spoiled by a leaver
+/// nobody knows. The journal logs a batch's record before the manager
+/// sees it, so the rejection must come back with nothing released and
+/// nothing replayable left behind. Successive rejections are followed,
+/// in turn, by no crash, by a crash with the abort marker on disk, and
+/// by a crash that beat the marker to the disk; every recovery must
+/// resume at the epoch and RNG position before the rejected batch, and
+/// the run's digest must equal the uninterrupted run's.
+///
+/// # Errors
+///
+/// A human-readable description of the first divergence or recovery
+/// failure.
+pub fn run_with_rejected_batches(
+    factory: &ManagerFactory,
+    scenario: &Scenario,
+    reject_every: usize,
+    snapshot_every: u64,
+) -> Result<CrashSimReport, String> {
+    run(factory, scenario, 0, snapshot_every, reject_every)
+}
+
+/// The server half of a run: what a crash throws away and a recovery
+/// rebuilds from the sealed storage bytes alone.
+struct Server<'a> {
+    factory: &'a ManagerFactory<'a>,
+    scenario: &'a Scenario,
+    snapshot_every: u64,
+    /// The uninterrupted run's wire bytes, by interval.
+    reference: Vec<Vec<u8>>,
+    manager: Box<dyn GroupKeyManager>,
+    journal: Journal<MemStorage>,
+    churn_rng: StdRng,
+    report: CrashSimReport,
+}
+
+impl Server<'_> {
+    /// Crash: everything in memory dies; only `wal` and `snapshot` —
+    /// exactly what a directory store would have forced to disk —
+    /// cross the line, byte for byte. The recovery must resume at
+    /// `epoch` and re-derive the reference run's frames.
+    fn crash_and_recover(
+        &mut self,
+        wal: Vec<u8>,
+        snapshot: Option<Vec<u8>>,
+        epoch: u64,
+        when: &str,
+    ) -> Result<(), String> {
+        self.manager = (self.factory)(self.scenario);
+        self.journal = Journal::new(MemStorage::from_parts(wal, snapshot), self.snapshot_every);
+        let recovery = self
+            .journal
+            .recover(self.manager.as_mut())
+            .map_err(|e| format!("recovery {when}: {e}"))?;
+        if recovery.epoch != epoch {
+            return Err(format!(
+                "recovery {when}: resumed at epoch {} instead of {epoch}",
+                recovery.epoch
+            ));
+        }
+        for message in &recovery.messages {
+            if codec::encode_message(message) != self.reference[(message.epoch - 1) as usize] {
+                return Err(format!(
+                    "recovery {when}: replayed epoch {} diverged",
+                    message.epoch
+                ));
+            }
+        }
+        self.churn_rng = recovery
+            .rng
+            .ok_or_else(|| format!("recovery {when}: no RNG position recovered"))?;
+        self.report.crashes += 1;
+        self.report.replayed += recovery.replayed;
+        self.report.snapshots_loaded += usize::from(recovery.snapshot_loaded);
+        Ok(())
+    }
+
+    /// The rejected-batch op ahead of `interval`, followed by the crash
+    /// (if any) that is next in turn.
+    fn reject_a_batch(&mut self, interval: usize) -> Result<(), String> {
+        // Built on a copy of the RNG: the real batch draws the same
+        // individual keys again afterwards.
+        let mut rng = self.churn_rng.clone();
+        let (joins, mut leaves) = self.scenario.intervals[interval].batch(&mut rng);
+        leaves.push(MemberId(u64::MAX - interval as u64));
+        let mut released = 0usize;
+        let result = self.journal.durable_interval(
+            self.manager.as_mut(),
+            &joins,
+            &leaves,
+            &mut rng,
+            &mut |_: &RekeyMessage| released += 1,
+        );
+        if !matches!(result, Err(PersistError::Replay(_))) || released > 0 {
+            return Err(format!(
+                "interval {interval}: spoiled batch was not rejected cleanly ({released} frame(s) released)"
+            ));
+        }
+        let epoch = interval as u64;
+        if self.journal.epoch() != epoch {
+            return Err(format!(
+                "interval {interval}: rejected batch moved the journal to epoch {}",
+                self.journal.epoch()
+            ));
+        }
+        self.report.rejected += 1;
+
+        let rng_before = self.churn_rng.state_bytes();
+        let storage = self.journal.storage_mut();
+        let (snapshot, mut log) = (storage.snapshot_bytes(), storage.wal_bytes().to_vec());
+        match self.report.rejected % 3 {
+            1 => return Ok(()), // no crash: the journal carries on live
+            2 => {}             // crash with record and marker on disk
+            _ => {
+                // Crash between the two: drop the marker, the log's
+                // last entry.
+                let (mut entries, _) = wal::parse_records(&log);
+                entries.pop();
+                log.clear();
+                for entry in &entries {
+                    wal::frame_record(entry, &mut log).map_err(|e| e.to_string())?;
+                }
+            }
+        }
+        let when = format!("after the batch rejected ahead of interval {interval}");
+        self.crash_and_recover(log, snapshot, epoch, &when)?;
+        if self.churn_rng.state_bytes() != rng_before {
+            return Err(format!(
+                "recovery {when}: RNG is not where it stood before the batch"
+            ));
+        }
+        Ok(())
+    }
+}
+
+fn run(
+    factory: &ManagerFactory,
+    scenario: &Scenario,
+    crash_every: usize,
+    snapshot_every: u64,
+    reject_every: usize,
+) -> Result<CrashSimReport, String> {
     // The uninterrupted reference: plain process_interval, no journal.
     let mut reference: Vec<Vec<u8>> = Vec::with_capacity(scenario.intervals.len());
     {
@@ -66,25 +218,42 @@ pub fn run_with_crashes(
         }
     }
 
-    let mut manager = factory(scenario);
-    let mut churn_rng = scenario.churn_rng();
-    let mut journal = Journal::new(MemStorage::new(), snapshot_every);
+    let mut server = Server {
+        factory,
+        scenario,
+        snapshot_every,
+        reference,
+        manager: factory(scenario),
+        journal: Journal::new(MemStorage::new(), snapshot_every),
+        churn_rng: scenario.churn_rng(),
+        report: CrashSimReport {
+            intervals: scenario.intervals.len(),
+            crashes: 0,
+            replayed: 0,
+            snapshots_loaded: 0,
+            rejected: 0,
+            digest: [0; 32],
+        },
+    };
     let mut hasher = Sha256::new();
-    let mut crashes = 0usize;
-    let mut replayed = 0usize;
-    let mut snapshots_loaded = 0usize;
 
     for interval in 0..scenario.intervals.len() {
+        // Not ahead of the bootstrap interval: a recovery needs a
+        // record or a snapshot to take its RNG position from.
+        if reject_every > 0 && interval > 0 && interval % reject_every == 0 {
+            server.reject_a_batch(interval)?;
+        }
         let epoch = interval as u64 + 1;
-        let (joins, leaves) = scenario.intervals[interval].batch(&mut churn_rng);
+        let (joins, leaves) = scenario.intervals[interval].batch(&mut server.churn_rng);
         let mut published = Vec::new();
-        journal
+        server
+            .journal
             .durable_interval(
-                manager.as_mut(),
+                server.manager.as_mut(),
                 &joins,
                 &leaves,
-                &mut churn_rng,
-                &mut |message: &rekey_keytree::message::RekeyMessage| {
+                &mut server.churn_rng,
+                &mut |message: &RekeyMessage| {
                     published.push(codec::encode_message(message));
                 },
             )
@@ -95,7 +264,7 @@ pub fn run_with_crashes(
                 published.len()
             ));
         };
-        if *bytes != reference[interval] {
+        if *bytes != server.reference[interval] {
             return Err(format!(
                 "interval {interval}: journaled epoch diverged from the reference run"
             ));
@@ -103,46 +272,19 @@ pub fn run_with_crashes(
         hasher.update(bytes);
 
         if crash_every > 0 && (interval + 1) % crash_every == 0 {
-            // Crash: everything in memory dies; only the sealed
-            // storage bytes cross the line, byte-for-byte.
-            let storage = journal.into_storage();
-            let sealed =
-                MemStorage::from_parts(storage.wal_bytes().to_vec(), storage.snapshot_bytes());
-            manager = factory(scenario);
-            journal = Journal::new(sealed, snapshot_every);
-            let recovery = journal
-                .recover(manager.as_mut())
-                .map_err(|e| format!("recovery after interval {interval}: {e}"))?;
-            if recovery.epoch != epoch {
-                return Err(format!(
-                    "recovery after interval {interval}: resumed at epoch {} instead of {epoch}",
-                    recovery.epoch
-                ));
-            }
-            for message in &recovery.messages {
-                if codec::encode_message(message) != reference[(message.epoch - 1) as usize] {
-                    return Err(format!(
-                        "recovery after interval {interval}: replayed epoch {} diverged",
-                        message.epoch
-                    ));
-                }
-            }
-            churn_rng = recovery.rng.ok_or_else(|| {
-                format!("recovery after interval {interval}: no RNG position recovered")
-            })?;
-            crashes += 1;
-            replayed += recovery.replayed;
-            snapshots_loaded += usize::from(recovery.snapshot_loaded);
+            let storage = server.journal.storage_mut();
+            let (log, snapshot) = (storage.wal_bytes().to_vec(), storage.snapshot_bytes());
+            server.crash_and_recover(
+                log,
+                snapshot,
+                epoch,
+                &format!("after interval {interval}"),
+            )?;
         }
     }
 
-    Ok(CrashSimReport {
-        intervals: scenario.intervals.len(),
-        crashes,
-        replayed,
-        snapshots_loaded,
-        digest: hasher.finalize(),
-    })
+    server.report.digest = hasher.finalize();
+    Ok(server.report)
 }
 
 #[cfg(test)]
@@ -289,5 +431,32 @@ mod tests {
         assert_eq!(report.crashes, report.intervals, "one crash per interval");
         assert_eq!(report.digest, expected);
         assert_eq!(report.snapshots_loaded, 0);
+    }
+
+    /// The rejected-batch op, all seven schemes, with and without
+    /// snapshots: one rejection in three carries on live, one crashes
+    /// behind the abort marker, one crashes ahead of it.
+    #[test]
+    fn every_scheme_forgets_a_rejected_batch_on_both_sides_of_its_marker() {
+        let scenario = Scenario::generate(79, 19, &GenParams::default());
+        for scheme in Scheme::ALL {
+            let expected = baseline(scheme, &scenario);
+            for snapshot_every in [0, 3] {
+                let report =
+                    run_with_rejected_batches(&factory_for(scheme), &scenario, 2, snapshot_every)
+                        .unwrap_or_else(|e| {
+                            panic!("{scheme}, snapshot every {snapshot_every}: {e}")
+                        });
+                assert_eq!(report.rejected, 9, "{scheme}");
+                assert_eq!(
+                    report.crashes, 6,
+                    "{scheme}: two crashes per three rejections"
+                );
+                assert_eq!(
+                    report.digest, expected,
+                    "{scheme}: run with rejected batches diverged from the uninterrupted run"
+                );
+            }
+        }
     }
 }

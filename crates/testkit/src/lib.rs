@@ -48,7 +48,7 @@ pub mod scenario;
 pub mod trace;
 pub mod workload;
 
-pub use crashsim::{run_with_crashes, CrashSimReport};
+pub use crashsim::{run_with_crashes, run_with_rejected_batches, CrashSimReport};
 pub use farm::{Delivery, FarmError, MemberFarm};
 pub use oracle::KnowledgeOracle;
 pub use runner::{
