@@ -103,7 +103,10 @@
 //!     Poll a running rekeyd's admin endpoint (`/vars`) and render a
 //!     refreshing operational table: sessions, epochs/sec, fan-out
 //!     and end-to-end propagation p50/p99, per-shard propagation,
-//!     queue depth. `--iters N` stops after N frames (0 = forever).
+//!     queue depth, and the encrypted keys sent beside the refreshed
+//!     nodes that cost them (compromised: a wrap per child; join-only:
+//!     previous key plus changed children). `--iters N` stops after N
+//!     frames (0 = forever).
 //!
 //! rekey metrics-check (--addr HOST:PORT | --file out.prom)
 //!     Fetch `/metrics` from a live admin endpoint (or read a file)
@@ -1015,6 +1018,10 @@ struct TopFrame {
     sessions: f64,
     epochs: f64,
     queue_depth: f64,
+    /// Encrypted keys sent, and the refreshed nodes that cost them:
+    /// compromised (a wrap per child) and join-only (previous key plus
+    /// changed children).
+    bandwidth: [f64; 3],
     /// (name, count, p50_ns, p99_ns) per histogram of interest.
     hists: Vec<(String, f64, f64, f64)>,
 }
@@ -1046,6 +1053,12 @@ fn fetch_top_frame(addr: std::net::SocketAddr) -> Result<TopFrame, Box<dyn std::
         sessions: num(gauges.and_then(|g| g.get("net.sessions.live"))),
         epochs: num(counters.and_then(|c| c.get("net.epochs_published"))),
         queue_depth: num(gauges.and_then(|g| g.get("net.queue.depth"))),
+        bandwidth: [
+            "rekey.encrypted_keys",
+            "rekey.nodes.compromised",
+            "rekey.nodes.join_only",
+        ]
+        .map(|name| num(counters.and_then(|c| c.get(name)))),
         hists,
     })
 }
@@ -1085,6 +1098,10 @@ fn cmd_top(args: &Args) -> CliResult {
         println!(
             "sessions {:>6}   epochs {:>8}   epochs/sec {:>8.2}   queue depth {:>5}",
             frame.sessions, frame.epochs, rate, frame.queue_depth
+        );
+        let [keys, compromised, join_only] = frame.bandwidth;
+        println!(
+            "encrypted keys {keys:>10}   refreshed nodes: compromised {compromised:>8}   join-only {join_only:>8}"
         );
         println!(
             "{:<28} {:>10} {:>10} {:>10}",

@@ -6,17 +6,34 @@
 //! of a rekey interval are applied together, the union of affected
 //! paths is refreshed once, and a single [`RekeyMessage`] is emitted.
 //!
-//! Two wrapping strategies are used, following the paper:
+//! A batch pays per changed node, not per joiner × height. One rule
+//! decides how each refreshed ("dirty") node X sends its new key:
 //!
-//! - **Mixed or leave batches** use group-oriented rekeying: every
-//!   refreshed key is encrypted under the current key of each of its
-//!   children (`d` encryptions per updated key — the cost model of
-//!   Appendix A). This is the only safe strategy once any member has
-//!   departed, since departed members know the old path keys.
-//! - **Pure join batches** use the cheaper join procedure of §2.1:
-//!   every refreshed key is encrypted once under its *own previous
-//!   version* (all existing members can decrypt that) plus once under
-//!   the individual key of each joining member beneath it.
+//! - **X is compromised** — a leaver of this batch sat below it (X is
+//!   on a path `remove_member` returned), or a leaf split of this batch
+//!   created it: the new key is wrapped under the current key of
+//!   *every* child, `d` encryptions (group-oriented rekeying, the cost
+//!   model of Appendix A). A leaver held X's previous key and a new
+//!   node has none, so the children are the only safe carriers.
+//! - **otherwise** only joins dirtied X: the new key is wrapped once
+//!   under X's *own previous version* — every member already below X
+//!   holds it, no leaver of this batch ever did, and no joiner does —
+//!   plus once under the current key of each *changed* child: a dirty
+//!   child (its new version) or the leaf of one of this batch's
+//!   joiners (its individual key).
+//!
+//! A joiner therefore gets exactly one entry under its individual key
+//! — its leaf's parent — and chains upward through new child versions,
+//! as a survivor of a leave batch always has; the deepest-target-first
+//! entry order lets it do so in one pass. Nothing older than this
+//! batch is ever wrapped, so a joiner learns no key that predates it
+//! (backward secrecy); nothing is wrapped under a key version a leaver
+//! held (forward secrecy); and no key version wraps two entries of a
+//! batch. A pure-join batch of J joiners costs ≈ `2·|dirty| + J`
+//! (\[YLZL01\]'s sum over updated nodes) where one entry per joiner per
+//! ancestor cost `|dirty| + J·h`; a mixed batch pays `d` only where a
+//! leaver was. `tests/batch_planner.rs` holds every message of random
+//! batch scripts to these statements.
 //!
 //! # Performance architecture
 //!
@@ -85,8 +102,7 @@ pub struct BatchOutcome {
 
 /// One planned key encryption: a pure function of its fields. The KEK
 /// and the payload key are held inline (32-byte copies) — a KEK needs
-/// no preparation, so there is nothing to share between the entries a
-/// joiner's individual key wraps along its path.
+/// no preparation and wraps one entry of the batch.
 #[derive(Debug, Clone)]
 struct PlannedWrap {
     kek: Key,
@@ -114,11 +130,12 @@ impl PlannedWrap {
 
 /// What the mutation phase hands to planning.
 struct Mutation {
-    /// Nodes whose keys must be refreshed, ascending and deduplicated.
-    dirty: Vec<NodeId>,
-    /// Interior nodes created by leaf splits in this batch, in creation
-    /// order (which is emission order for their entries).
-    created: Vec<NodeId>,
+    /// Nodes whose keys must be refreshed, ascending and deduplicated,
+    /// each with whether it is *compromised*: its previous key cannot
+    /// carry the new one, because a leaver of this batch held it or
+    /// because a leaf split of this batch created the node and nobody
+    /// holds one.
+    dirty: Vec<(NodeId, bool)>,
     /// Leaf node assigned to each joiner, in batch order.
     joined_leaves: Vec<(MemberId, NodeId)>,
 }
@@ -247,7 +264,6 @@ impl LkhServer {
         // ---- Phase 1: tree mutation + fresh key generation --------
         let Mutation {
             dirty,
-            created,
             joined_leaves,
         } = {
             let _span = rekey_obs::span!("rekey.mutate");
@@ -257,24 +273,18 @@ impl LkhServer {
         // ---- Phase 2: plan every encryption this batch needs ------
         let plan = {
             let _span = rekey_obs::span!("rekey.plan");
-            // Index-aligned with `dirty`; only a pure-join batch wraps
-            // anything under a previous key.
+            // Index-aligned with `dirty`.
             let replaced: Vec<(u64, Key)> = dirty
                 .iter()
-                .map(|&node| self.tree.refresh_key(node, rng))
+                .map(|&(node, _)| self.tree.refresh_key(node, rng))
                 .collect();
-            let mut plan = if leaves.is_empty() {
-                self.plan_join_entries(joins, &dirty, &replaced, &created, &joined_leaves)
-            } else {
-                self.plan_group_oriented_entries(&dirty)
-            };
+            let mut plan = self.plan_entries(&dirty, &replaced, &joined_leaves);
             // Deepest targets first => members decrypt in one pass.
             // The sort is stable, so entries for one node keep their
             // relative order.
             plan.sort_by_key(|job| std::cmp::Reverse(job.meta.target_depth));
             // One nonce start per batch, drawn after every fresh key;
-            // the plan is numbered from it in final order, so a KEK
-            // that wraps several entries never sees a nonce twice and
+            // the plan is numbered from it in final order, so
             // execution draws nothing.
             let mut nonces = NonceRun::draw(rng);
             for job in &mut plan {
@@ -307,7 +317,7 @@ impl LkhServer {
     }
 
     /// Phase 1: applies the membership changes to the tree and returns
-    /// the nodes to refresh, the interiors created and the leaf
+    /// the nodes to refresh, which of them are compromised and the leaf
     /// assignments of this batch's joiners.
     fn mutate_tree<R: RngCore>(
         &mut self,
@@ -315,8 +325,11 @@ impl LkhServer {
         leaves: &[MemberId],
         rng: &mut R,
     ) -> Result<Mutation, KeyTreeError> {
-        let mut dirty = Vec::new();
-        let mut created = Vec::new();
+        // Dirty nodes by cause — on a leaver's path or made by a leaf
+        // split; on a joiner's path — sorted apart and merged below:
+        // two short sorts of bare ids cost less than one of flagged ids.
+        let mut compromised = Vec::new();
+        let mut joined_paths = Vec::new();
 
         // Slots vacated by departures are re-used for joiners
         // ([YLZL01] batch rekeying): with J = L the join paths then
@@ -327,7 +340,7 @@ impl LkhServer {
             if let Some(&parent) = removed_dirty.first() {
                 vacancies.push_back(parent);
             }
-            dirty.extend(removed_dirty);
+            compromised.extend(removed_dirty);
         }
 
         let mut joined_leaves = Vec::with_capacity(joins.len());
@@ -349,100 +362,68 @@ impl LkhServer {
                     .insert_member(*member, individual_key.clone(), rng)?,
             };
             joined_leaves.push((*member, outcome.leaf));
-            dirty.extend(outcome.dirty_path);
-            created.extend(outcome.created_interior);
+            joined_paths.extend(outcome.dirty_path);
+            compromised.extend(outcome.created_interior);
         }
 
-        // Dedup and drop nodes that later structural repair deleted;
-        // ascending order fixes the plan's (and thus the message's)
-        // canonical node order.
-        dirty.sort_unstable();
-        dirty.dedup();
-        dirty.retain(|node| self.tree.key_of(*node).is_some());
+        // Dedup, and drop nodes that later structural repair deleted
+        // (joins delete nothing); ascending order fixes the plan's (and
+        // thus the message's) canonical node order.
+        compromised.sort_unstable();
+        compromised.dedup();
+        compromised.retain(|&node| self.tree.key_of(node).is_some());
+        joined_paths.sort_unstable();
+        joined_paths.dedup();
+
+        // Merge the two: a node on both lists is compromised.
+        let mut dirty = Vec::with_capacity(compromised.len() + joined_paths.len());
+        let mut join_only = joined_paths.into_iter().peekable();
+        for node in compromised {
+            while let Some(below) = join_only.next_if(|&other| other < node) {
+                dirty.push((below, false));
+            }
+            join_only.next_if_eq(&node);
+            dirty.push((node, true));
+        }
+        dirty.extend(join_only.map(|node| (node, false)));
         Ok(Mutation {
             dirty,
-            created,
             joined_leaves,
         })
     }
 
-    /// Plans group-oriented rekeying (mixed or leave batches): every
-    /// refreshed key is encrypted under the current key of each of its
-    /// children.
-    fn plan_group_oriented_entries(&self, dirty: &[NodeId]) -> Vec<PlannedWrap> {
-        let tree = &self.tree;
-        let mut plan = Vec::with_capacity(dirty.len() * tree.degree());
-        for &node in dirty {
-            let (new_key, new_version) = tree.key_of(node).expect("dirty node is alive");
-            let depth = tree.depth_of(node).expect("dirty node is alive") as u32;
-            for child in tree.children_of(node).expect("dirty node is alive") {
-                plan.push(PlannedWrap::new(
-                    child.key,
-                    new_key,
-                    EntryMeta {
-                        target: node,
-                        target_version: new_version,
-                        under: child.id,
-                        under_version: child.version,
-                        under_is_leaf: child.is_leaf,
-                        recipient: child.member,
-                        audience: child.audience as u32,
-                        target_depth: depth,
-                    },
-                ));
-            }
-        }
-        plan
-    }
-
-    /// Plans the §2.1 join procedure (pure-join batches): each
-    /// refreshed key is encrypted under its own previous version
-    /// (`replaced`, index-aligned with `dirty`) plus under the
-    /// individual key of each joiner beneath it (`joins`, index-aligned
-    /// with `joined_leaves`).
-    fn plan_join_entries(
+    /// Plans every wrap of the batch, one rule per dirty node (module
+    /// header): a compromised node's new key goes under the current
+    /// key of every child; any other node's goes once under its own
+    /// previous version (`replaced`, index-aligned with `dirty`) and
+    /// once under each changed child — a dirty child's new version or
+    /// the leaf of one of this batch's joiners (`joined_leaves`).
+    fn plan_entries(
         &self,
-        joins: &[(MemberId, Key)],
-        dirty: &[NodeId],
+        dirty: &[(NodeId, bool)],
         replaced: &[(u64, Key)],
-        created: &[NodeId],
         joined_leaves: &[(MemberId, NodeId)],
     ) -> Vec<PlannedWrap> {
         let tree = &self.tree;
+        let mut joined: Vec<NodeId> = joined_leaves.iter().map(|&(_, leaf)| leaf).collect();
+        joined.sort_unstable();
 
-        // Walk each joiner's path once, noting which dirty nodes it
-        // crosses. Sorted, the hits list the joiners beneath each dirty
-        // node in batch order — the order their entries are emitted in.
-        let mut joiner_hits = Vec::new();
-        let mut path = Vec::new();
-        for (joiner, (member, _)) in joined_leaves.iter().enumerate() {
-            path.clear();
-            tree.path_of_into(*member, &mut path)
-                .expect("member just joined");
-            for node in &path {
-                if let Ok(dirty_idx) = dirty.binary_search(node) {
-                    joiner_hits.push((dirty_idx, joiner));
-                }
-            }
-        }
-        joiner_hits.sort_unstable();
-        let mut joined_leaf_ids: Vec<NodeId> = joined_leaves.iter().map(|&(_, l)| l).collect();
-        joined_leaf_ids.sort_unstable();
-        let mut created_sorted = created.to_vec();
-        created_sorted.sort_unstable();
-
-        let mut plan = Vec::with_capacity(dirty.len() + joiner_hits.len());
-        let mut hits = joiner_hits.iter().peekable();
-        for (dirty_idx, &node) in dirty.iter().enumerate() {
+        // Where the batch's keys go: a wrap per child of a compromised
+        // node; elsewhere a previous key, and each dirty node or joiner
+        // is some node's changed child.
+        let compromised = dirty
+            .iter()
+            .filter(|&&(_, compromised)| compromised)
+            .count();
+        let join_only = dirty.len() - compromised;
+        rekey_obs::count("rekey.nodes.compromised", compromised as u64);
+        rekey_obs::count("rekey.nodes.join_only", join_only as u64);
+        let mut plan =
+            Vec::with_capacity(compromised * tree.degree() + 2 * join_only + joined.len());
+        for (&(node, compromised), (old_version, old_key)) in dirty.iter().zip(replaced) {
             let (new_key, new_version) = tree.key_of(node).expect("dirty node is alive");
             let depth = tree.depth_of(node).expect("dirty node is alive") as u32;
-
-            // One entry under the node's own previous key: every
-            // existing member below already holds it. A brand-new node
-            // (created by a leaf split) has no previous holders and
-            // skips this entry.
-            if created_sorted.binary_search(&node).is_err() {
-                let (old_version, old_key) = &replaced[dirty_idx];
+            if !compromised {
                 plan.push(PlannedWrap::new(
                     old_key,
                     new_key,
@@ -458,36 +439,14 @@ impl LkhServer {
                     },
                 ));
             }
-
-            // One entry per joining member whose path contains `node`.
-            while let Some(&(_, joiner)) = hits.next_if(|&&(idx, _)| idx == dirty_idx) {
-                let (member, leaf) = joined_leaves[joiner];
-                plan.push(PlannedWrap::new(
-                    &joins[joiner].1,
-                    new_key,
-                    EntryMeta {
-                        target: node,
-                        target_version: new_version,
-                        under: leaf,
-                        under_version: 0,
-                        under_is_leaf: true,
-                        recipient: Some(member),
-                        audience: 1,
-                        target_depth: depth,
-                    },
-                ));
-            }
-        }
-
-        // Interior nodes freshly created by leaf splits may have
-        // pre-existing members below (the split leaf); deliver the new
-        // node's key to them under their existing child keys.
-        for &node in created {
-            let (new_key, new_version) = tree.key_of(node).expect("created node is alive");
-            let depth = tree.depth_of(node).expect("created node is alive") as u32;
-            for child in tree.children_of(node).expect("created node is alive") {
-                if joined_leaf_ids.binary_search(&child.id).is_ok() {
-                    continue; // already covered by per-joiner entries
+            for child in tree.children_of(node).expect("dirty node is alive") {
+                if !compromised
+                    && dirty
+                        .binary_search_by_key(&child.id, |&(id, _)| id)
+                        .is_err()
+                    && joined.binary_search(&child.id).is_err()
+                {
+                    continue; // holds the previous version
                 }
                 plan.push(PlannedWrap::new(
                     child.key,
@@ -676,7 +635,7 @@ mod tests {
     #[test]
     fn pure_join_batch_is_cheaper_than_group_oriented() {
         // A join-only batch should cost ~2 entries per refreshed key
-        // (self + joiner) rather than d entries.
+        // (previous version + the changed child) rather than d entries.
         let (mut server, _, mut rng) = build_group(4, 64);
         let ik = Key::generate(&mut rng);
         let outcome = server.apply_batch(&[(MemberId(999), ik)], &[], &mut rng);

@@ -118,3 +118,41 @@ proptest! {
         }
     }
 }
+
+/// One epoch is one frame (`Rekeyd::publish`), so the largest epochs a
+/// paper-scale group produces have to fit the cap: the bootstrap of
+/// 65 536 founders and the interval, K later, that migrates all of them
+/// S → L. Each builds a tree out of nothing, one wrap per child of every
+/// new node — (N + N/(d−1)) × 57 B ≈ 5.0 MB, where a wrap per joiner
+/// per ancestor was ≈ 30 MB and `FrameTooLarge`.
+#[test]
+fn paper_scale_bootstrap_and_migration_epochs_fit_one_frame() {
+    let mut rng = StdRng::seed_from_u64(65_536);
+    let founders = |n: u64, rng: &mut StdRng| -> Vec<Join> {
+        (0..n)
+            .map(|i| Join::new(MemberId(i), Key::generate(rng)))
+            .collect()
+    };
+
+    let mut small = Scheme::Tt.build(&SchemeConfig::new());
+    let batch = founders(16_384, &mut rng);
+    let out = small.process_interval(&batch, &[], &mut rng).unwrap();
+    assert!(
+        out.stats.encrypted_keys <= 22_000,
+        "a 16 384 bootstrap took {} wraps",
+        out.stats.encrypted_keys
+    );
+
+    let mut manager = Scheme::Tt.build(&SchemeConfig::new());
+    let batch = founders(65_536, &mut rng);
+    let mut out = manager.process_interval(&batch, &[], &mut rng).unwrap();
+    while out.stats.migrations == 0 {
+        proto::encode_rekey_frame(0, &out.message, DEFAULT_MAX_FRAME)
+            .unwrap_or_else(|e| panic!("epoch {}: {e}", out.message.epoch));
+        out = manager.process_interval(&[], &[], &mut rng).unwrap();
+    }
+    assert_eq!(out.stats.migrations, 65_536);
+    let frame = proto::encode_rekey_frame(0, &out.message, DEFAULT_MAX_FRAME)
+        .unwrap_or_else(|e| panic!("the migration epoch: {e}"));
+    assert!(frame.len() > 4_000_000, "not a paper-scale epoch");
+}

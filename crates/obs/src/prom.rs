@@ -54,6 +54,12 @@ fn help_for(family: &str) -> &'static str {
         "net_queue_depth" => "Deepest per-session send queue observed in a shard sweep",
         "net_sessions_live" => "Authenticated sessions currently connected",
         "rekey_encrypted_keys_total" => "Encrypted keys produced by the rekey engine",
+        "rekey_nodes_compromised_total" => {
+            "Refreshed key nodes wrapped under every child (a leaver sat below, or new)"
+        }
+        "rekey_nodes_join_only_total" => {
+            "Refreshed key nodes wrapped under their previous key and changed children"
+        }
         "obs_dropped_events_total" => "Raw events discarded after the retention cap",
         _ => "rekey runtime metric",
     }

@@ -89,6 +89,8 @@ fn sim_run_exports_valid_trace_and_metrics() {
         "crypto_poly1305_total",
         "crypto_keywrap_wrap_total",
         "rekey_encrypted_keys_total",
+        "rekey_nodes_compromised_total",
+        "rekey_nodes_join_only_total",
         "rekey_execute_seconds",
         "sim_message_bytes",
     ] {
@@ -200,4 +202,45 @@ fn a_rekey_interval_hashes_nothing() {
     assert_eq!(seen.counter("crypto.keywrap.wrap"), keys);
     assert_eq!(seen.counter("crypto.poly1305"), keys);
     assert_eq!(seen.counter("crypto.chacha20_blocks"), 2 * keys);
+}
+
+/// The two node counters split a batch's refreshed keys by what each
+/// cost: a wrap per child (a leaver sat below it, or a leaf split made
+/// it) or the previous key plus the changed children.
+#[test]
+fn node_counters_say_where_a_batch_spent_its_keys() {
+    use rekey_keytree::server::LkhServer;
+
+    let _guard = global_lock();
+    let mut rng = StdRng::seed_from_u64(24);
+    let mut key_rng = StdRng::seed_from_u64(25);
+    let mut server = LkhServer::new(4, 0);
+    let mut joiners = |ids: std::ops::Range<u64>| -> Vec<(MemberId, Key)> {
+        ids.map(|id| (MemberId(id), Key::generate(&mut key_rng)))
+            .collect()
+    };
+    let founders = joiners(0..256);
+    // More joiners than vacancies: some land beside nobody who left.
+    let newcomers = joiners(256..296);
+    server.apply_batch(&founders, &[], &mut rng);
+
+    let collector = std::sync::Arc::new(rekey_obs::Collector::new());
+    rekey_obs::install(collector.clone());
+    let stats = server
+        .apply_batch(&newcomers, &[MemberId(3), MemberId(200)], &mut rng)
+        .stats;
+    rekey_obs::uninstall();
+    let seen = collector.snapshot();
+
+    let compromised = seen.counter("rekey.nodes.compromised");
+    let join_only = seen.counter("rekey.nodes.join_only");
+    assert!(
+        compromised > 0 && join_only > 0,
+        "{compromised} + {join_only}"
+    );
+    assert_eq!(compromised + join_only, stats.refreshed_keys as u64);
+    assert_eq!(
+        seen.counter("rekey.encrypted_keys"),
+        stats.encrypted_keys as u64
+    );
 }

@@ -20,7 +20,10 @@
 //! - **golden digests**: the sha256 of all serialized rekey messages
 //!   (versioned `codec::encode_message` envelope) is pinned per
 //!   scheme, so any refactor that changes a single emitted byte fails
-//!   loudly. The engine/policy split was landed against these digests.
+//!   loudly. The engine/policy split was landed against these digests;
+//! - **state digests**: a second script's `save_state` bytes and DEK
+//!   after every interval are pinned per scheme, apart from the wire:
+//!   the batch planner chooses entries, never state.
 //!
 //! The script is shared across schemes: identical member ids, join
 //! hints, and leave picks every interval. Key material differs per
@@ -299,34 +302,50 @@ fn run_script(mut mgr: Box<dyn GroupKeyManager>) -> Vec<Vec<u8>> {
 /// encrypted-key count, the wire bytes and a digest over every entry's
 /// metadata and nonce were checked equal before and after, so only the
 /// 48 sealed bytes per key moved (CHANGES.md, PR 18, has the table).
+///
+/// Re-pinned once more when the batch planner became one rule per
+/// dirty node (PR 24), which sends fewer entries for the same keys.
+/// Encrypted keys and wire bytes of the whole run, parent → change,
+/// and the sha256 prefix over `save_state ‖ DEK` after every epoch of
+/// this script, equal on both sides:
+///
+/// | scheme                    | keys      | bytes           | state     |
+/// |---------------------------|-----------|-----------------|-----------|
+/// | one-keytree               | 384 → 286 | 20 854 → 15 610 | 776973ba… |
+/// | tt-scheme                 | 600 → 443 | 33 145 → 24 765 | f1993740… |
+/// | qt-scheme                 | 496 → 420 | 27 177 → 23 107 | f99dafe9… |
+/// | pt-scheme                 | 371 → 319 | 21 041 → 18 194 | ff0c32ca… |
+/// | loss-homogenized-forest   | 371 → 319 | 21 054 → 18 207 | 5c35b58a… |
+/// | combined-partition-forest | 589 → 472 | 32 933 → 26 647 | fc04c76a… |
+/// | adaptive                  | 384 → 296 | 21 348 → 16 636 | ca319b84… |
 const GOLDEN_DIGESTS: [(&str, &str); 7] = [
     (
         "one-keytree",
-        "73541559b63b286471e2afba822485be72557f42fd14062eace8d8d03696cf01",
+        "71994477e188c340467cca491ca1767f613c7e4928fef80760d15374ade9bf4a",
     ),
     (
         "tt-scheme",
-        "527003a3e4095397931d3fe719e077114e2f3d59e410df7fd83348871de43ab2",
+        "45d94bb748187b4fdeed1f4a782a9fad4c406a9f71ca667f4d916c256b420486",
     ),
     (
         "qt-scheme",
-        "4130ce62ea0b72dc8562b8c6ac5029e7a87d4bf19affd2d6a8cea44c0f7c441b",
+        "48e68c2d990f736c0f152aae62ae428b33c97c7d07ed07efd948236dcfa846a2",
     ),
     (
         "pt-scheme",
-        "274d5df865b307347c2943f379b86695649e4b9e4a0e1b7796e596a8cd5ad66e",
+        "b5bc5b4750577031a371003af7d5803cc08f60c8bb390d9090d4a4b6c45fd4d5",
     ),
     (
         "loss-homogenized-forest",
-        "9b91dd2205bf9089ba91d8e5ceba2a54c7af7e371f75976bec99d87154e507e6",
+        "63d7e2881c714f72d1a4fc692ead8a194319fed6e73606d95629ab6d376decc4",
     ),
     (
         "combined-partition-forest",
-        "b2969b8505bad54ca85cf84bd56f2e26408ff4a99fed7596743a38b83d19b10e",
+        "07aaed15130850ab63ea3d230e47bffc0486f78fde50c091acd142e026180706",
     ),
     (
         "adaptive",
-        "84a977219d7d975e40fb6c8c0269850f2e6b4a097841623f1aabd3af1d978fa4",
+        "63e322e876fa253630c177cc4abad83b103dab43c951aead3fb5823557d7b7bd",
     ),
 ];
 
@@ -476,4 +495,95 @@ fn a_rejected_batch_leaves_no_trace_in_any_engine_scheme() {
         assert!(state_of(mgr.as_ref()) == state_of(twin.as_ref()));
     }
     assert_eq!(checked, 7);
+}
+
+/// `(joins, leaves)` of the state script's twelve intervals: a
+/// bootstrap, pure-join, mixed and leave-only batches, spaced so that
+/// the bootstrap members' and every later cohort's S → L migration
+/// wave (K = 3) falls on each of the three batch shapes.
+const STATE_SCRIPT: [(usize, usize); 12] = [
+    (40, 0),
+    (3, 2),
+    (0, 3),
+    (5, 0),
+    (3, 1),
+    (0, 2),
+    (8, 0),
+    (2, 4),
+    (0, 1),
+    (6, 0),
+    (4, 3),
+    (0, 5),
+];
+
+/// Per scheme, sha256 over `save_state ‖ DEK` after every interval of
+/// [`STATE_SCRIPT`], recorded from the commit before the batch planner
+/// became one rule (PR 24): which entries carry a batch's keys is not
+/// state, so neither that change nor any later one to the planner may
+/// move these. (The wire digests above do move with the planner.)
+const STATE_DIGESTS: [(&str, &str); 7] = [
+    (
+        "one-keytree",
+        "05ed79c0a98fd631b0a1a6ffa872414b953796d849b50220b54055cabbf26835",
+    ),
+    (
+        "tt-scheme",
+        "84bbdca90678ed4069877481be605f97a57484a14233227992665db104f78cf7",
+    ),
+    (
+        "qt-scheme",
+        "4e8e05df064755cd3aaa35b39e44ebd9bef3d1d7fb12bee1b07bc1c349757112",
+    ),
+    (
+        "pt-scheme",
+        "42f8df38b4708287bf96648f05cf76692b02e2f90a6a49784dedbbbf6028e5f3",
+    ),
+    (
+        "loss-homogenized-forest",
+        "e09ea455d5e5b00eeb518c370c19c255ca5c462e3a8c467740e3fd6b8922cf36",
+    ),
+    (
+        "combined-partition-forest",
+        "f2c60fde93fa8032a0f8f937c7e8ce5ac8dbf859a3333b280f54512a8898e402",
+    ),
+    (
+        "adaptive",
+        "4d5fe3bc8c75b243e2e6cd16b5891818bac890ce0c17f7f281c052f316a8eeba",
+    ),
+];
+
+#[test]
+fn the_planner_decides_entries_never_state() {
+    let golden: BTreeMap<&str, &str> = STATE_DIGESTS.into_iter().collect();
+    for mut mgr in managers() {
+        let scheme = mgr.scheme_name();
+        let mut rng = StdRng::seed_from_u64(0x57A7E);
+        let mut script = Script::new();
+        let mut hasher = Sha256::new();
+        let mut state = Vec::new();
+        let mut migrations = 0;
+        for (step, (joins, leaves)) in STATE_SCRIPT.into_iter().enumerate() {
+            let joins = script.make_joins(joins, &mut rng);
+            let leavers = script.pick_leavers(leaves);
+            let out = mgr
+                .process_interval(&joins, &leavers, &mut rng)
+                .expect("scripted interval is consistent");
+            migrations += out.stats.migrations;
+            script.broadcast(&out.message, step, mgr.dek_node(), scheme);
+            script.check(mgr.as_ref(), scheme);
+
+            state.clear();
+            mgr.save_state(&mut state).expect("engine schemes snapshot");
+            hasher.update(&state);
+            hasher.update(mgr.dek().as_bytes());
+        }
+        if scheme == "tt-scheme" {
+            assert!(migrations >= 40, "[{scheme}] no migration wave ran");
+        }
+        assert_eq!(
+            hex(&hasher.finalize()),
+            golden[scheme],
+            "[{scheme}] the state after some interval is not the recorded one"
+        );
+    }
 }
