@@ -122,6 +122,14 @@
 //!     report the final key state when the server says goodbye or the
 //!     stream goes idle.
 //!
+//! rekey reproduce [--only NAME[,NAME...]]
+//!     Print every table of the reproduction — Figs 3–7, the §4.4 FEC
+//!     result, ablations 1–8, the two transport extensions and the
+//!     combined-scheme run — and write each to
+//!     `target/figures/<NAME>.csv`. `--only` selects tables by CSV
+//!     name; `tests/paper_claims.rs` asserts the paper's claims on
+//!     the same series.
+//!
 //! rekey simd
 //!     Report whether the CPU has the SHA extensions, the `REKEY_SIMD`
 //!     override (if any), and the SHA-256 backend this process
@@ -155,7 +163,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 const USAGE: &str =
-    "usage: rekey <model|simulate|recommend|transport|trace-check|fuzz|workload|serve|client|top|metrics-check|snapshot|simd> [--flag value ...]
+    "usage: rekey <model|simulate|recommend|transport|trace-check|fuzz|workload|serve|client|top|metrics-check|snapshot|reproduce|simd> [--flag value ...]
 run `rekey help` or see the crate docs for the full flag list";
 
 fn main() -> ExitCode {
@@ -179,6 +187,7 @@ fn main() -> ExitCode {
         Some("top") => cmd_top(&args),
         Some("metrics-check") => cmd_metrics_check(&args),
         Some("snapshot") => cmd_snapshot(&args),
+        Some("reproduce") => cmd_reproduce(&args),
         Some("simd") => cmd_simd(&args),
         Some("help") | None => {
             println!("{USAGE}");
@@ -316,6 +325,35 @@ fn cmd_trace_check(args: &Args) -> CliResult {
         summary.span_names.len(),
         summary.counter_events
     );
+    Ok(())
+}
+
+/// Prints the tables `--only` names (all of them by default) and writes
+/// each to `target/figures/<name>.csv`. Every name is checked before
+/// any table is computed.
+fn cmd_reproduce(args: &Args) -> CliResult {
+    use rekey_bench::figures::TABLES;
+
+    let only = path_flag(args, "only")?;
+    args.finish()?;
+    let selected: Vec<_> = match &only {
+        None => TABLES.iter().collect(),
+        Some(list) => list
+            .split(',')
+            .map(|name| {
+                let name = name.trim();
+                TABLES.iter().find(|(n, _)| *n == name).ok_or_else(|| {
+                    let known: Vec<&str> = TABLES.iter().map(|(n, _)| *n).collect();
+                    format!("unknown table {name:?} (one of: {})", known.join(", "))
+                })
+            })
+            .collect::<Result<_, _>>()?,
+    };
+    for (name, compute) in selected {
+        let table = compute();
+        rekey_bench::print_table(table.title, table.headers, &table.rows);
+        rekey_bench::write_csv(name, table.headers, &table.rows);
+    }
     Ok(())
 }
 
@@ -862,25 +900,30 @@ fn cmd_serve(args: &Args) -> CliResult {
                 joins.push(Join::new(ghost, demo_member_key(key_seed, ghost)));
             }
         }
-        // The fan-out hook: the daemon is the manager's RekeySink. In
-        // durable mode the journal appends + fsyncs the epoch record
-        // *before* invoking the sink — no frame a restart cannot
-        // re-derive ever reaches a client.
-        let mut publish_err = None;
-        let mut sink = |message: &RekeyMessage| {
-            if let Err(e) = daemon.publish(message) {
-                publish_err = Some(e);
-            }
-        };
+        // In durable mode the journal appends + fsyncs the epoch record
+        // *before* it hands the frame to the fan-out — no frame a
+        // restart cannot re-derive ever reaches a client.
         let outcome = match journal.as_mut() {
             Some(journal) => {
-                journal.durable_interval(manager.as_mut(), &joins, &leaves, &mut rng, &mut sink)?
+                let mut publish_err = None;
+                let outcome = journal.durable_interval(
+                    manager.as_mut(),
+                    &joins,
+                    &leaves,
+                    &mut rng,
+                    &mut |message: &RekeyMessage| publish_err = daemon.publish(message).err(),
+                )?;
+                if let Some(e) = publish_err {
+                    return Err(e.into());
+                }
+                outcome
             }
-            None => manager.process_interval_into(&joins, &leaves, &mut rng, &mut sink)?,
+            None => {
+                let outcome = manager.process_interval(&joins, &leaves, &mut rng)?;
+                daemon.publish(&outcome.message)?;
+                outcome
+            }
         };
-        if let Some(e) = publish_err {
-            return Err(e.into());
-        }
         digest.update(&codec::encode_message(&outcome.message));
         total_entries += outcome.message.encrypted_key_count();
         published += 1;

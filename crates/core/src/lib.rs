@@ -164,23 +164,6 @@ pub struct IntervalOutcome {
     pub stats: IntervalStats,
 }
 
-/// A consumer of the rekey messages a manager emits, in epoch order —
-/// the seam between key *management* and key *distribution*. The sim
-/// driver's in-process delivery, the testkit's member farm, and the
-/// `rekey-net` daemon's socket fan-out all sit behind this trait, so a
-/// manager can be pointed at any of them without caring where the
-/// bytes go.
-pub trait RekeySink {
-    /// Called once per interval with the merged multicast message.
-    fn on_message(&mut self, message: &RekeyMessage);
-}
-
-impl<F: FnMut(&RekeyMessage)> RekeySink for F {
-    fn on_message(&mut self, message: &RekeyMessage) {
-        self(message)
-    }
-}
-
 /// Common interface of all group-key management schemes.
 ///
 /// One call to [`GroupKeyManager::process_interval`] corresponds to
@@ -201,27 +184,6 @@ pub trait GroupKeyManager {
         leaves: &[MemberId],
         rng: &mut dyn RngCore,
     ) -> Result<IntervalOutcome, KeyTreeError>;
-
-    /// Applies one interval and hands the resulting message to `sink`
-    /// before returning — the fan-out hook a key-distribution daemon
-    /// plugs into. The default forwards to
-    /// [`GroupKeyManager::process_interval`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`GroupKeyManager::process_interval`]; the sink is not
-    /// invoked on error.
-    fn process_interval_into(
-        &mut self,
-        joins: &[Join],
-        leaves: &[MemberId],
-        rng: &mut dyn RngCore,
-        sink: &mut dyn RekeySink,
-    ) -> Result<IntervalOutcome, KeyTreeError> {
-        let outcome = self.process_interval(joins, leaves, rng)?;
-        sink.on_message(&outcome.message);
-        Ok(outcome)
-    }
 
     /// No-op: every manager rekeys on the calling thread and none
     /// overrides this. It stays in the trait because the end-to-end

@@ -18,7 +18,7 @@
 //! [`Journal::durable_interval`] hands the epoch record to the log
 //! **before** it runs the interval, and waits for it to be durable
 //! ([`Storage::sync_wal`], the barrier) **before** handing the rekey
-//! message to the [`RekeySink`]:
+//! message to the caller's sink:
 //!
 //! ```text
 //! append_wal(record) → process_interval → sync_wal → sink → [snapshot]
@@ -64,7 +64,7 @@
 //! records the snapshot already covers; recovery skips any record
 //! whose epoch is not past the snapshot's.
 
-use crate::{GroupKeyManager, IntervalOutcome, Join, RekeySink};
+use crate::{GroupKeyManager, IntervalOutcome, Join};
 use rand::rngs::StdRng;
 use rekey_keytree::message::codec::{get_u32, get_u64, get_u8, put_u32, put_u64};
 use rekey_keytree::message::RekeyMessage;
@@ -373,7 +373,7 @@ impl<S: Storage> Journal<S> {
         joins: &[Join],
         leaves: &[MemberId],
         rng: &mut StdRng,
-        sink: &mut dyn RekeySink,
+        sink: &mut dyn FnMut(&RekeyMessage),
     ) -> Result<IntervalOutcome, PersistError> {
         let epoch = self.epoch + 1;
         let record = EpochRecord {
@@ -407,7 +407,7 @@ impl<S: Storage> Journal<S> {
         rekey_obs::count("persist.wal.append.records", 1);
         rekey_obs::count("persist.wal.append.bytes", buf.len() as u64);
         self.epoch = epoch;
-        sink.on_message(&outcome.message);
+        sink(&outcome.message);
         self.since_snapshot += 1;
         if self.snapshot_every > 0 && self.since_snapshot >= self.snapshot_every {
             self.hand_off_snapshot(manager, rng)?;

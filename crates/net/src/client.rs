@@ -39,28 +39,17 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 /// Client configuration.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ClientConfig {
-    /// Maximum accepted frame payload.
-    pub max_frame: usize,
-    /// Budget for one TCP connect attempt.
-    pub connect_timeout: Duration,
-    /// Budget for one handshake (after connect).
-    pub handshake_timeout: Duration,
     /// Reconnect backoff policy.
     pub backoff: BackoffConfig,
 }
 
-impl Default for ClientConfig {
-    fn default() -> Self {
-        ClientConfig {
-            max_frame: frame::DEFAULT_MAX_FRAME,
-            connect_timeout: Duration::from_secs(2),
-            handshake_timeout: Duration::from_secs(2),
-            backoff: BackoffConfig::default(),
-        }
-    }
-}
+/// Budget for one TCP connect attempt.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// Budget for one handshake (after connect).
+const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Bytes asked of the socket per `read`: an epoch's frame is tens to
 /// hundreds of KB, so a 16 k-member frame arrives in a handful of
@@ -81,7 +70,6 @@ struct Conn {
 /// A key-distribution client wrapping one real group member.
 pub struct RekeyClient {
     addr: SocketAddr,
-    config: ClientConfig,
     member: GroupMember,
     individual_key: Key,
     conn: Option<Conn>,
@@ -121,7 +109,6 @@ impl RekeyClient {
         });
         RekeyClient {
             addr,
-            config,
             member: GroupMember::new(member, individual_key.clone()),
             individual_key,
             conn: None,
@@ -195,7 +182,7 @@ impl RekeyClient {
     /// Graceful close: best-effort `Bye`, then drop the connection.
     pub fn close(&mut self) {
         if let Some(mut conn) = self.conn.take() {
-            if let Ok(bye) = encode_frame(&proto::encode(&Frame::Bye), self.config.max_frame) {
+            if let Ok(bye) = encode_frame(&proto::encode(&Frame::Bye), frame::DEFAULT_MAX_FRAME) {
                 let _ = conn.stream.write_all(&bye);
             }
         }
@@ -231,12 +218,12 @@ impl RekeyClient {
 
     fn connect_once(&mut self) -> Result<(), NetError> {
         rekey_obs::count("net.client.connect_attempts", 1);
-        let stream = TcpStream::connect_timeout(&self.addr, self.config.connect_timeout)?;
+        let stream = TcpStream::connect_timeout(&self.addr, CONNECT_TIMEOUT)?;
         stream.set_nodelay(true)?;
         let mut stream = stream;
-        stream.set_write_timeout(Some(self.config.handshake_timeout))?;
-        let deadline = Instant::now() + self.config.handshake_timeout;
-        let mut reader = FrameReader::new(self.config.max_frame);
+        stream.set_write_timeout(Some(HANDSHAKE_TIMEOUT))?;
+        let deadline = Instant::now() + HANDSHAKE_TIMEOUT;
+        let mut reader = FrameReader::new(frame::DEFAULT_MAX_FRAME);
 
         let payload =
             frame::read_frame_deadline(&mut stream, &mut reader, deadline, "server hello")?;
@@ -256,7 +243,7 @@ impl RekeyClient {
                 member: self.member.id(),
                 tag,
             }),
-            self.config.max_frame,
+            frame::DEFAULT_MAX_FRAME,
         )?;
         stream.write_all(&hello)?;
 
@@ -309,7 +296,7 @@ impl RekeyClient {
         self.nacked.extend(epochs.iter().copied());
         let nack = encode_frame(
             &proto::encode(&Frame::Nack { epochs }),
-            self.config.max_frame,
+            frame::DEFAULT_MAX_FRAME,
         )?;
         let Some(conn) = self.conn.as_mut() else {
             return Err(NetError::Closed);
@@ -473,7 +460,7 @@ impl RekeyClient {
         let ack = proto::encode(&Frame::Ack { epoch, lag_ns });
         if let (Some(conn), Ok(framed)) = (
             self.conn.as_mut(),
-            encode_frame(&ack, self.config.max_frame),
+            encode_frame(&ack, frame::DEFAULT_MAX_FRAME),
         ) {
             let _ = conn.stream.write_all(&framed);
         }

@@ -70,41 +70,38 @@ use std::time::{Duration, Instant, SystemTime};
 /// `net.acks.implausible` instead of saturating `net.propagation`.
 const MAX_PLAUSIBLE_LAG_NS: u64 = 600 * 1_000_000_000;
 
+/// Bound on a session's send queue, in frames. A session that falls
+/// this far behind is disconnected (backpressure policy).
+const SEND_QUEUE_FRAMES: usize = 1024;
+
+/// A handshake must complete within this budget.
+const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// Flight-recorder ring capacity, in events (40 bytes each).
+const FLIGHT_EVENTS: usize = 4096;
+
 /// Daemon configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
     /// Worker shards fanning out rekey frames (≥ 1).
     pub workers: usize,
-    /// Maximum accepted frame payload.
-    pub max_frame: usize,
-    /// Bound on a session's send queue, in frames. A session that
-    /// falls this far behind is disconnected (backpressure policy).
-    pub send_queue_frames: usize,
     /// Retransmission window: how many recent epochs stay NACKable.
     pub window: usize,
-    /// Handshake must complete within this budget.
-    pub handshake_timeout: Duration,
     /// Graceful-shutdown budget for flushing session queues.
     pub drain_timeout: Duration,
     /// Where to serve the admin HTTP plane (`/metrics`, `/healthz`,
     /// `/readyz`, `/vars`, `/flightrec`). `None` disables it; metrics
     /// and the flight recorder are still collected either way.
     pub admin_addr: Option<SocketAddr>,
-    /// Flight-recorder ring capacity, in events (40 bytes each).
-    pub flight_events: usize,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             workers: 2,
-            max_frame: frame::DEFAULT_MAX_FRAME,
-            send_queue_frames: 1024,
             window: 128,
-            handshake_timeout: Duration::from_secs(2),
             drain_timeout: Duration::from_secs(1),
             admin_addr: None,
-            flight_events: 4096,
         }
     }
 }
@@ -169,7 +166,7 @@ impl Shared {
             sessions: AtomicUsize::new(0),
             nonce_counter: AtomicU64::new(0),
             metrics,
-            flight: Arc::new(FlightRecorder::new(config.flight_events)),
+            flight: Arc::new(FlightRecorder::new(FLIGHT_EVENTS)),
             health: HealthFlags::up(),
             shard_prop_names,
         }
@@ -200,11 +197,11 @@ struct Session {
 
 impl Session {
     /// Enqueues a pre-framed buffer, applying the backpressure bound.
-    fn enqueue(&mut self, bytes: Arc<[u8]>, shared: &Shared, cap: usize) {
+    fn enqueue(&mut self, bytes: Arc<[u8]>, shared: &Shared) {
         if self.dead {
             return;
         }
-        if self.queue.len() >= cap {
+        if self.queue.len() >= SEND_QUEUE_FRAMES {
             shared.metrics.count("net.sessions.dropped_backpressure", 1);
             shared.flight.record(
                 FlightKind::BackpressureDrop,
@@ -243,7 +240,7 @@ impl Session {
 
     /// Drains readable bytes and reacts to client frames (NACKs,
     /// propagation ACKs, Bye).
-    fn pump_read(&mut self, shared: &Shared, cap: usize) {
+    fn pump_read(&mut self, shared: &Shared) {
         let mut chunk = [0u8; 4096];
         loop {
             match self.stream.read(&mut chunk) {
@@ -265,7 +262,7 @@ impl Session {
         loop {
             match self.reader.next_frame() {
                 Ok(Some(payload)) => {
-                    if self.handle_frame(&payload, shared, cap).is_err() {
+                    if self.handle_frame(&payload, shared).is_err() {
                         self.dead = true;
                         return;
                     }
@@ -279,12 +276,7 @@ impl Session {
         }
     }
 
-    fn handle_frame(
-        &mut self,
-        payload: &[u8],
-        shared: &Shared,
-        cap: usize,
-    ) -> Result<(), NetError> {
+    fn handle_frame(&mut self, payload: &[u8], shared: &Shared) -> Result<(), NetError> {
         match proto::decode(payload)? {
             Frame::Nack { epochs } => {
                 shared.metrics.count("net.nacks", 1);
@@ -299,7 +291,7 @@ impl Session {
                             shared
                                 .flight
                                 .record(FlightKind::Retransmit, self.member.0, epoch);
-                            self.enqueue(framed, shared, cap);
+                            self.enqueue(framed, shared);
                         }
                         None if epoch > window.latest => {
                             // Future epoch: nothing to do yet; the live
@@ -313,7 +305,7 @@ impl Session {
                                 requested: epoch,
                             });
                             let framed: Arc<[u8]> = encode_frame(&gap, usize::MAX)?.into();
-                            self.enqueue(framed, shared, cap);
+                            self.enqueue(framed, shared);
                         }
                     }
                 }
@@ -433,7 +425,7 @@ impl Rekeyd {
             let shards = shards.clone();
             thread::Builder::new()
                 .name("rekeyd-accept".into())
-                .spawn(move || accept_main(listener, shared, shards, config))
+                .spawn(move || accept_main(listener, shared, shards))
                 .map_err(NetError::Io)?
         };
 
@@ -620,12 +612,7 @@ impl Drop for Rekeyd {
 /// session to `member % shards`. Parked in `accept()`, the thread sees
 /// the shutdown flag only when a connection arrives; `Rekeyd::stop`
 /// raises the flag and then makes one.
-fn accept_main(
-    listener: TcpListener,
-    shared: Arc<Shared>,
-    shards: Vec<Sender<ShardCmd>>,
-    config: ServerConfig,
-) {
+fn accept_main(listener: TcpListener, shared: Arc<Shared>, shards: Vec<Sender<ShardCmd>>) {
     while !shared.shutdown.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _peer)) => {
@@ -635,7 +622,7 @@ fn accept_main(
                     return;
                 }
                 let started = Instant::now();
-                match handshake(stream, &shared, &config) {
+                match handshake(stream, &shared) {
                     Ok(session) => {
                         let shard = (session.member.0 % shards.len() as u64) as usize;
                         shared.sessions.fetch_add(1, Ordering::SeqCst);
@@ -674,21 +661,17 @@ fn accept_main(
 /// Challenge/response handshake, run on the accept thread under
 /// blocking socket timeouts. On success the socket flips to
 /// nonblocking and the session is ready for a shard.
-fn handshake(
-    mut stream: TcpStream,
-    shared: &Shared,
-    config: &ServerConfig,
-) -> Result<Session, NetError> {
+fn handshake(mut stream: TcpStream, shared: &Shared) -> Result<Session, NetError> {
     let started = Instant::now();
-    let deadline = started + config.handshake_timeout;
+    let deadline = started + HANDSHAKE_TIMEOUT;
     stream.set_nodelay(true)?;
-    stream.set_write_timeout(Some(config.handshake_timeout))?;
+    stream.set_write_timeout(Some(HANDSHAKE_TIMEOUT))?;
 
     let nonce = fresh_nonce(shared);
     let hello = encode_frame(&proto::encode(&Frame::ServerHello { nonce }), usize::MAX)?;
     stream.write_all(&hello)?;
 
-    let mut reader = FrameReader::new(config.max_frame);
+    let mut reader = FrameReader::new(frame::DEFAULT_MAX_FRAME);
     let payload = frame::read_frame_deadline(&mut stream, &mut reader, deadline, "client hello")?;
     let (member, tag) = match proto::decode(&payload) {
         Ok(Frame::Hello { member, tag }) => (member, tag),
@@ -780,7 +763,6 @@ fn constant_time_eq(a: &[u8; 32], b: &[u8; 32]) -> bool {
 /// with socket polling.
 fn shard_main(rx: Receiver<ShardCmd>, shared: Arc<Shared>, config: ServerConfig) {
     let mut sessions: Vec<Session> = Vec::new();
-    let cap = config.send_queue_frames.max(1);
     loop {
         // Idle shards block on the channel; busy shards poll it.
         let first = if sessions.is_empty() {
@@ -806,7 +788,7 @@ fn shard_main(rx: Receiver<ShardCmd>, shared: Arc<Shared>, config: ServerConfig)
                 ShardCmd::Adopt(session) => sessions.push(*session),
                 ShardCmd::Publish(framed) => {
                     for session in &mut sessions {
-                        session.enqueue(framed.clone(), &shared, cap);
+                        session.enqueue(framed.clone(), &shared);
                         max_depth = max_depth.max(session.queue.len());
                     }
                 }
@@ -822,7 +804,7 @@ fn shard_main(rx: Receiver<ShardCmd>, shared: Arc<Shared>, config: ServerConfig)
                 .sample("net.queue.depth", rekey_obs::now_ns(), max_depth as f64);
         }
 
-        pump_sessions(&mut sessions, &shared, cap);
+        pump_sessions(&mut sessions, &shared);
         let before = sessions.len();
         sessions.retain(|s| {
             if s.dead {
@@ -845,10 +827,10 @@ fn shard_main(rx: Receiver<ShardCmd>, shared: Arc<Shared>, config: ServerConfig)
 /// written, so whatever a client frame enqueues (the frames a NACK
 /// asks for, a `Gap`) is on the wire in the turn that read it rather
 /// than one channel poll later.
-fn pump_sessions(sessions: &mut [Session], shared: &Shared, cap: usize) {
+fn pump_sessions(sessions: &mut [Session], shared: &Shared) {
     for session in sessions {
         if !session.dead {
-            session.pump_read(shared, cap);
+            session.pump_read(shared);
         }
         if !session.dead {
             session.pump_write(shared);
@@ -958,7 +940,7 @@ mod tests {
         await_readable(&session, nack.len());
 
         let mut sessions = vec![session];
-        pump_sessions(&mut sessions, &shared, config.send_queue_frames);
+        pump_sessions(&mut sessions, &shared);
 
         assert!(!sessions[0].dead);
         assert!(

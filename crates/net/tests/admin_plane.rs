@@ -90,7 +90,6 @@ fn admin_plane_reports_live_metrics_flight_events_and_drain() {
             cap: Duration::from_millis(100),
             seed: 1,
         },
-        ..ClientConfig::default()
     };
     let mut clients: Vec<RekeyClient> = members
         .iter()

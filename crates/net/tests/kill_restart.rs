@@ -34,7 +34,6 @@ fn test_client_config() -> ClientConfig {
             cap: Duration::from_millis(100),
             seed: 1,
         },
-        ..ClientConfig::default()
     }
 }
 

@@ -27,7 +27,6 @@ fn test_client_config() -> ClientConfig {
             cap: Duration::from_millis(100),
             seed: 1,
         },
-        ..ClientConfig::default()
     }
 }
 
