@@ -11,12 +11,13 @@
 
 use crate::fmt;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use rekey_analytic::appendix_a::{ne, ne_ideal};
 use rekey_analytic::appendix_b::{ev_forest, ev_wka, ForestTree, LossMix};
 use rekey_analytic::fec_model::{fec_cost_packets, FecParams};
 use rekey_analytic::partition::{PartitionParams, SchemeCosts};
 use rekey_core::combined::CombinedManager;
+use rekey_core::membership::{MembershipGenerator, MembershipParams};
 use rekey_core::one_tree::OneTreeManager;
 use rekey_core::partition::{QtManager, TtManager};
 use rekey_core::{GroupKeyManager, Join};
@@ -25,8 +26,6 @@ use rekey_keytree::message::RekeyMessage;
 use rekey_keytree::oft::OftServer;
 use rekey_keytree::server::LkhServer;
 use rekey_keytree::MemberId;
-use rekey_sim::driver::{run_scheme, SimConfig};
-use rekey_sim::membership::{MembershipGenerator, MembershipParams};
 use rekey_transport::fec;
 use rekey_transport::interest::interest_map;
 use rekey_transport::loss::Population;
@@ -784,15 +783,35 @@ pub fn ablation_model_vs_sim() -> Table {
         ..PartitionParams::paper_default()
     }
     .costs();
-    let cfg = SimConfig {
-        intervals: 40,
-        warmup: 15,
-        ..SimConfig::quick()
-    };
+    const WARMUP: usize = 15;
+    const MEASURED: usize = 40;
+    // The testkit's `paper` workload, in its draw order but with the
+    // individual keys on the manager's stream.
     let simulate = |mgr: &mut dyn GroupKeyManager| {
         let mut rng = StdRng::seed_from_u64(4242);
         let mut generator = MembershipGenerator::new(params, &mut rng);
-        run_scheme(mgr, &mut generator, &cfg, &mut rng).mean_keys_per_interval
+        let mut churn = StdRng::seed_from_u64(rng.next_u64());
+        let bootstrap: Vec<Join> = (0..generator.population() as u64)
+            .map(|m| Join::new(MemberId(m), Key::generate(&mut rng)))
+            .collect();
+        mgr.process_interval(&bootstrap, &[], &mut rng)
+            .expect("bootstrap batch is consistent");
+        let mut keys = 0usize;
+        for step in 0..WARMUP + MEASURED {
+            let events = generator.next_interval(&mut churn);
+            let joins: Vec<Join> = events
+                .joins
+                .iter()
+                .map(|&(m, _)| Join::new(m, Key::generate(&mut rng)))
+                .collect();
+            let out = mgr
+                .process_interval(&joins, &events.leaves, &mut rng)
+                .expect("generated batch is consistent");
+            if step >= WARMUP {
+                keys += out.stats.encrypted_keys;
+            }
+        }
+        keys as f64 / MEASURED as f64
     };
     let runs = [
         (

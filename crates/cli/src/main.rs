@@ -7,12 +7,15 @@
 //!     one-keytree / TT / QT / PT schemes.
 //!
 //! rekey simulate  [--scheme one|tt|qt|pt|forest|combined|adaptive]
-//!                 [--n 2048] [--k 10]
+//!                 [--n 2048] [--d 4] [--k 10]
 //!                 [--alpha 0.8] [--intervals 40] [--warmup 15]
 //!                 [--seed 42] [--verify]
 //!                 [--trace out.trace.json] [--metrics out.prom]
-//!     Run the executable key server over a synthetic two-class
-//!     workload and report measured bandwidth.
+//!     Run the executable key server over the paper's two-class
+//!     membership process (the `paper` workload) and report measured
+//!     bandwidth. `--d` is at most 255 and `--k` at most 65 535 (the
+//!     widths a scenario stores). `--verify` runs the same scenario
+//!     again under the key-knowledge oracle and the member farm.
 //!     `--trace` writes a Chrome `trace_event` JSON profile of the
 //!     run (load it in about:tracing or Perfetto) and `--metrics`
 //!     writes a Prometheus-style text dump of counters and latency
@@ -45,16 +48,16 @@
 //!     printed.
 //!
 //! rekey workload  [--generator uniform|diurnal|flash-crowd|mobile-flap|
-//!                  regional-loss|all|g1,g2,...]
+//!                  regional-loss|paper|all|g1,g2,...]
 //!                 [--scheme one|tt|qt|pt|forest|combined|adaptive|all|s1,s2,...]
 //!                 [--seed 1] [--intervals 200]
 //!                 [--loss lossless|bernoulli|wka]
 //!                 [--d 4] [--k 3] [--sweep] [--out BENCH_workloads.json]
 //!                 [--dump-dir DIR] [--trace FILE]
-//!     Run named trace-driven workloads (diurnal curves, flash crowds,
-//!     mobile flap, correlated regional loss, plus the fuzzer's
-//!     uniform churn) against the key schemes, with the full oracle +
-//!     member-farm invariant suite live, and report bandwidth
+//!     Run named workloads (diurnal curves, flash crowds, mobile flap,
+//!     correlated regional loss, the paper's two-class process, plus
+//!     the fuzzer's uniform churn) against the key schemes, with the
+//!     full oracle + member-farm invariant suite live, and report bandwidth
 //!     (multicast bytes/interval), rekey latency percentiles, and peak
 //!     tree size per (generator, scheme) cell. `--sweep` runs every
 //!     generator against every scheme, dumps one replayable trace file
@@ -154,8 +157,6 @@ use rekey_keytree::message::{codec, RekeyMessage};
 use rekey_keytree::server::LkhServer;
 use rekey_keytree::MemberId;
 use rekey_net::{demo_member_key, ClientConfig, NetError, RekeyClient, Rekeyd, ServerConfig};
-use rekey_sim::driver::{run_scheme, SimConfig};
-use rekey_sim::membership::{MembershipGenerator, MembershipParams};
 use rekey_transport::interest::interest_map;
 use rekey_transport::loss::Population;
 use rekey_transport::{fec, multisend, wka_bkr};
@@ -254,60 +255,107 @@ fn cmd_model(args: &Args) -> CliResult {
 }
 
 fn cmd_simulate(args: &Args) -> CliResult {
+    use rekey_testkit::{drive, factory_for, run_scenario, GenParams, Paper, RunOptions, Workload};
+
     let scheme: Scheme = args.get_or("scheme", "tt").parse()?;
     let n: usize = args.get_parsed_or("n", 2048usize)?;
-    let degree: usize = args.get_parsed_or("d", 4usize)?;
-    let k: u64 = args.get_parsed_or("k", 10u64)?;
+    let degree: u8 = args.get_parsed_or("d", 4u8)?;
+    let k: u16 = args.get_parsed_or("k", 10u16)?;
     let alpha: f64 = args.get_parsed_or("alpha", 0.8f64)?;
     let seed: u64 = args.get_parsed_or("seed", 42u64)?;
     let verify: bool = args.get_bool_or("verify", false)?;
-    let config = SimConfig {
-        intervals: args.get_parsed_or("intervals", 40usize)?,
-        warmup: args.get_parsed_or("warmup", 15usize)?,
-        verify_members: verify,
-        oracle_hints: scheme == Scheme::Pt,
-        trace: path_flag(args, "trace")?,
-        metrics: path_flag(args, "metrics")?,
-    };
+    let intervals: usize = args.get_parsed_or("intervals", 40usize)?;
+    let warmup: usize = args.get_parsed_or("warmup", 15usize)?;
+    let trace = path_flag(args, "trace")?;
+    let metrics = path_flag(args, "metrics")?;
     args.finish()?;
 
-    let mut manager = scheme.build(&SchemeConfig::new().degree(degree).s_period(k));
-
-    let params = MembershipParams {
-        target_size: n,
-        alpha,
-        ..MembershipParams::paper_default()
+    let params = GenParams {
+        bootstrap: n,
+        degree,
+        k,
+        ..GenParams::default()
     };
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut generator = MembershipGenerator::new(params, &mut rng);
-    let report = run_scheme(manager.as_mut(), &mut generator, &config, &mut rng);
+    let scenario = Paper { alpha }.compile(seed, warmup + intervals, &params);
+    let factory = factory_for(scheme);
+
+    // Observe only: the numbers below are the same with or without it.
+    let collector = (trace.is_some() || metrics.is_some()).then(|| {
+        let collector = std::sync::Arc::new(rekey_obs::Collector::new());
+        rekey_obs::install(collector.clone());
+        collector
+    });
+    let mut keys: Vec<f64> = Vec::with_capacity(intervals);
+    let mut name = "";
+    let run = drive(&factory, &scenario, |step| {
+        if step.interval == 0 {
+            name = step.manager.scheme_name();
+            return Ok(());
+        }
+        let stats = &step.outcome.stats;
+        rekey_obs::sample("sim.joins", stats.joins as f64);
+        rekey_obs::sample("sim.leaves", stats.leaves as f64);
+        rekey_obs::sample("sim.migrations", stats.migrations as f64);
+        rekey_obs::sample("sim.encrypted_keys", stats.encrypted_keys as f64);
+        rekey_obs::sample("sim.message_bytes", stats.message_bytes as f64);
+        if step.interval > warmup {
+            keys.push(stats.encrypted_keys as f64);
+        }
+        Ok(())
+    })?;
+    let phase_s = ["rekey.mutate", "rekey.plan", "rekey.execute"]
+        .map(|span| rekey_obs::total_time_ns(span) as f64 / 1e9);
+    if let Some(collector) = &collector {
+        if let Some(path) = &trace {
+            collector.write_chrome_trace(path)?;
+        }
+        if let Some(path) = &metrics {
+            collector.write_metrics(path)?;
+        }
+        rekey_obs::uninstall();
+    }
+
+    let (mean, std, min, max) = summarize(&keys);
     println!(
-        "{}: {:.0} keys/interval (std {:.0}, min {:.0}, max {:.0}) over {} intervals; final group size {}",
-        manager.scheme_name(),
-        report.keys_summary.mean,
-        report.keys_summary.stddev,
-        report.keys_summary.min,
-        report.keys_summary.max,
-        report.intervals.len(),
-        report.final_size
+        "{name}: {mean:.0} keys/interval (std {std:.0}, min {min:.0}, max {max:.0}) over {} intervals; final group size {}",
+        keys.len(),
+        run.final_members
     );
     if verify {
-        println!("member verification: every present member held the DEK every interval");
-    }
-    if config.trace.is_some() || config.metrics.is_some() {
-        let p = report.phases;
+        run_scenario(&factory, &scenario, &RunOptions::default())?;
         println!(
-            "phase breakdown: mutate {:.3}s, plan {:.3}s, execute {:.3}s",
-            p.mutate_s, p.plan_s, p.execute_s
+            "member verification: the key-knowledge oracle and every member held every interval"
         );
-        if let Some(path) = &config.trace {
+    }
+    if collector.is_some() {
+        let [mutate, plan, execute] = phase_s;
+        println!("phase breakdown: mutate {mutate:.3}s, plan {plan:.3}s, execute {execute:.3}s");
+        if let Some(path) = &trace {
             println!("trace written to {path}");
         }
-        if let Some(path) = &config.metrics {
+        if let Some(path) = &metrics {
             println!("metrics written to {path}");
         }
     }
     Ok(())
+}
+
+/// Mean, sample standard deviation, minimum and maximum of `values`
+/// (all zero when empty).
+fn summarize(values: &[f64]) -> (f64, f64, f64, f64) {
+    if values.is_empty() {
+        return (0.0, 0.0, 0.0, 0.0);
+    }
+    let n = values.len() as f64;
+    let mean = values.iter().sum::<f64>() / n;
+    let var = if values.len() > 1 {
+        values.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / (n - 1.0)
+    } else {
+        0.0
+    };
+    let min = values.iter().copied().fold(f64::INFINITY, f64::min);
+    let max = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    (mean, var.sqrt(), min, max)
 }
 
 fn cmd_trace_check(args: &Args) -> CliResult {
@@ -1386,6 +1434,70 @@ mod tests {
                     Err(args::ArgsError::BadValue { ref flag, .. }) if flag == "l"
                 ),
                 "n={n} l={l}"
+            );
+        }
+    }
+
+    #[test]
+    fn summary_of_known_values() {
+        let (mean, std, min, max) = summarize(&[1.0, 2.0, 3.0, 4.0]);
+        assert!((mean - 2.5).abs() < 1e-12);
+        assert!((std - (5.0f64 / 3.0).sqrt()).abs() < 1e-12);
+        assert_eq!((min, max), (1.0, 4.0));
+    }
+
+    #[test]
+    fn summary_of_empty() {
+        assert_eq!(summarize(&[]), (0.0, 0.0, 0.0, 0.0));
+    }
+
+    #[test]
+    fn single_value_has_zero_stddev() {
+        assert_eq!(summarize(&[7.0]).1, 0.0);
+    }
+
+    #[test]
+    fn simulate_exports_its_interval_gauges() {
+        let dir = std::env::temp_dir().join(format!("rekey-cli-simulate-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let trace = dir.join("run.trace.json");
+        let metrics = dir.join("run.prom");
+        let args = Args::parse([
+            "simulate",
+            "--n",
+            "128",
+            "--intervals",
+            "4",
+            "--warmup",
+            "1",
+            "--trace",
+            trace.to_str().unwrap(),
+            "--metrics",
+            metrics.to_str().unwrap(),
+        ])
+        .unwrap();
+        cmd_simulate(&args).unwrap();
+        let trace = std::fs::read_to_string(&trace).unwrap();
+        let metrics = std::fs::read_to_string(&metrics).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+
+        let summary = rekey_obs::chrome::validate_trace(&trace).expect("exported trace is valid");
+        for gauge in [
+            "sim.joins",
+            "sim.leaves",
+            "sim.migrations",
+            "sim.encrypted_keys",
+            "sim.message_bytes",
+        ] {
+            assert!(
+                summary.counter_names.contains(gauge),
+                "counter track {gauge:?} missing from trace (have {:?})",
+                summary.counter_names
+            );
+            let line = format!("\n{} ", gauge.replace('.', "_"));
+            assert!(
+                metrics.contains(&line),
+                "metrics dump missing {gauge}:\n{metrics}"
             );
         }
     }

@@ -512,12 +512,9 @@ impl AdaptiveManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::membership::exponential;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-
-    fn exponential(rng: &mut StdRng, mean: f64) -> f64 {
-        -mean * (1.0 - rng.gen::<f64>()).ln()
-    }
 
     fn collect_mixture(alpha: f64, ms: f64, ml: f64, n: usize, seed: u64) -> TraceCollector {
         let mut rng = StdRng::seed_from_u64(seed);

@@ -1,4 +1,5 @@
-//! A generic discrete-event queue keyed by `f64` simulation time.
+//! A deterministic discrete-event queue keyed by `f64` simulation
+//! time: the departure schedule of [`crate::membership`].
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -39,12 +40,6 @@ impl<T> PartialOrd for Scheduled<T> {
 pub struct EventQueue<T> {
     heap: BinaryHeap<Scheduled<T>>,
     next_seq: u64,
-}
-
-impl<T> Default for EventQueue<T> {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl<T> std::fmt::Debug for EventQueue<T> {
@@ -94,16 +89,6 @@ impl<T> EventQueue<T> {
         }
         out
     }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -139,7 +124,7 @@ mod tests {
         }
         let batch = q.pop_until(4.5);
         assert_eq!(batch.len(), 5);
-        assert_eq!(q.len(), 5);
+        assert_eq!(q.heap.len(), 5);
         assert_eq!(q.peek_time(), Some(5.0));
     }
 

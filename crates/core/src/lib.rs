@@ -25,6 +25,9 @@
 //!   moves nobody.
 //! - [`one_tree`] — the unoptimized single balanced key tree, the
 //!   baseline every optimization is measured against.
+//! - [`membership`] — the two-class exponential join/leave process of
+//!   §3.3.1 (\[AA97\]'s MBone behaviour) the paper's costs come from,
+//!   generated per rekey interval.
 //!
 //! All seven schemes are [`engine::PlacementPolicy`] implementations
 //! over the shared [`engine::RekeyEngine`] pipeline (route → rekey each
@@ -62,12 +65,14 @@ pub mod adaptive;
 pub mod combined;
 pub mod engine;
 pub mod loss_forest;
+pub mod membership;
 pub mod one_tree;
 pub mod partition;
 pub mod persist;
 pub mod scheme;
 
 mod dek;
+mod events;
 
 pub use persist::{Journal, PersistError, Recovery};
 pub use scheme::{Scheme, SchemeConfig, SchemeParseError};

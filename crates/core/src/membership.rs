@@ -6,12 +6,13 @@
 //! probability `alpha` and draws its membership duration from the
 //! exponential distribution of its class. This is the synthetic
 //! equivalent of the MBone traces \[AA97\] the paper's model is fitted
-//! to — see DESIGN.md (substitutions).
+//! to — see DESIGN.md (substitutions). The testkit compiles it into a
+//! replayable scenario as its `paper` workload.
 
 use crate::events::EventQueue;
+use crate::DurationClass;
 use rand::Rng;
 use rekey_analytic::partition::PartitionParams;
-use rekey_core::DurationClass;
 use rekey_keytree::MemberId;
 use serde::{Deserialize, Serialize};
 

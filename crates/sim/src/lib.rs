@@ -1,43 +1,20 @@
-//! Discrete-event simulation of multicast group membership and
-//! periodic batch rekeying.
-//!
-//! The paper evaluates its optimizations purely analytically; this
-//! crate adds what the paper did not have — an executable simulator —
-//! so the analytic models of [`rekey_analytic`] can be
-//! cross-validated against the real protocol machinery of
-//! [`rekey_core`]:
-//!
-//! - [`events`] — a generic discrete-event queue,
-//! - [`membership`] — the two-class exponential join/leave workload of
-//!   §3.3.1 (\[AA97\]'s MBone behaviour), generated per rekey interval,
-//! - [`driver`] — runs any [`rekey_core::GroupKeyManager`] over the
-//!   workload, optionally verifying every member's key state each
-//!   interval, and collects bandwidth statistics,
-//! - [`metrics`] — summary statistics.
-//!
-//! # Example
+//! The §3.3.1 membership process, re-exported from
+//! [`rekey_core::membership`]; the crate exists only because
+//! `benchmark/`'s frozen `Cargo.lock` names it, and goes when that lock
+//! is regenerated. The path the benchmark imports:
 //!
 //! ```
-//! use rekey_sim::membership::{MembershipGenerator, MembershipParams};
-//! use rekey_sim::driver::{run_scheme, SimConfig};
-//! use rekey_core::one_tree::OneTreeManager;
 //! use rand::SeedableRng;
+//! use rekey_sim::membership::{MembershipGenerator, MembershipParams};
 //!
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(1);
 //! let params = MembershipParams {
 //!     target_size: 256,
 //!     ..MembershipParams::paper_default()
 //! };
-//! let mut gen = MembershipGenerator::new(params, &mut rng);
-//! let mut mgr = OneTreeManager::new(4);
-//! let report = run_scheme(&mut mgr, &mut gen, &SimConfig::quick(), &mut rng);
-//! assert!(report.mean_keys_per_interval > 0.0);
+//! let mut generator = MembershipGenerator::new(params, &mut rng);
+//! assert_eq!(generator.population(), 256);
+//! assert!(!generator.next_interval(&mut rng).joins.is_empty());
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
-pub mod driver;
-pub mod events;
-pub mod membership;
-pub mod metrics;
+pub use rekey_core::membership;

@@ -14,7 +14,7 @@
 //! [`Storage`]: rekey_storage::Storage
 //! [`GroupKeyManager`]: rekey_core::GroupKeyManager
 
-use crate::runner::ManagerFactory;
+use crate::runner::{drive, ManagerFactory};
 use crate::scenario::Scenario;
 use rand::rngs::StdRng;
 use rekey_core::{GroupKeyManager, Journal, PersistError};
@@ -206,17 +206,11 @@ fn run(
 ) -> Result<CrashSimReport, String> {
     // The uninterrupted reference: plain process_interval, no journal.
     let mut reference: Vec<Vec<u8>> = Vec::with_capacity(scenario.intervals.len());
-    {
-        let mut manager = factory(scenario);
-        let mut churn_rng = scenario.churn_rng();
-        for interval in 0..scenario.intervals.len() {
-            let (joins, leaves) = scenario.intervals[interval].batch(&mut churn_rng);
-            let out = manager
-                .process_interval(&joins, &leaves, &mut churn_rng)
-                .map_err(|e| format!("reference interval {interval}: {e}"))?;
-            reference.push(codec::encode_message(&out.message));
-        }
-    }
+    drive(factory, scenario, |step| {
+        reference.push(step.bytes.to_vec());
+        Ok(())
+    })
+    .map_err(|violation| format!("reference {violation}"))?;
 
     let mut server = Server {
         factory,

@@ -16,20 +16,22 @@
 //!   only *encoded wire bytes* through a delivery model (lossless,
 //!   Bernoulli loss, or the WKA-BKR reliable transport). Departed
 //!   members keep receiving everything, modelling a replay adversary.
-//! - [`runner`] — [`runner::run_scenario`] glues the three together
-//!   and checks forward secrecy, ring soundness, DEK confinement,
-//!   bookkeeping, and (on complete deliveries) liveness after every
-//!   interval; [`runner::shrink`] minimizes failures to a small
-//!   replayable counterexample.
+//! - [`runner`] — [`runner::drive`], the one interval loop every run
+//!   of a scenario goes through; [`runner::run_scenario`] glues the
+//!   three above into its callback and checks forward secrecy, ring
+//!   soundness, DEK confinement, bookkeeping, and (on complete
+//!   deliveries) liveness after every interval; [`runner::shrink`]
+//!   minimizes failures to a small replayable counterexample.
 //! - [`bugs`] — deliberately defective manager wrappers proving the
 //!   oracle catches the bug classes it targets.
 //! - [`crashsim`] — crash/recovery equivalence: scenarios journaled to
 //!   an in-memory [`rekey_storage::Storage`], killed and recovered on
 //!   a schedule, must reproduce the uninterrupted run byte-for-byte.
-//! - [`workload`] — named trace-driven churn generators (`uniform`,
-//!   `diurnal`, `flash-crowd`, `mobile-flap`, `regional-loss`) that
-//!   compile down to [`Scenario`]s, plus an observed runner reporting
-//!   bandwidth, rekey-latency percentiles, and peak tree size.
+//! - [`workload`] — named churn generators (the paper's §3.3.1
+//!   process `paper`, and the trace-driven `uniform`, `diurnal`,
+//!   `flash-crowd`, `mobile-flap`, `regional-loss`) that compile down
+//!   to [`Scenario`]s, plus an observed runner reporting bandwidth,
+//!   rekey-latency percentiles, and peak tree size.
 //! - [`trace`] — the replayable trace file format: a compiled
 //!   scenario tagged with its generator name, with typed decode
 //!   errors.
@@ -52,13 +54,13 @@ pub use crashsim::{run_with_crashes, run_with_rejected_batches, CrashSimReport};
 pub use farm::{Delivery, FarmError, MemberFarm};
 pub use oracle::KnowledgeOracle;
 pub use runner::{
-    run_scenario, run_scenario_with, shrink, IntervalObservation, RunOptions, RunStats,
-    ShrinkReport, Violation,
+    drive, run_scenario, run_scenario_with, shrink, IntervalObservation, RunOptions, RunStats,
+    ShrinkReport, Step, Violation,
 };
 pub use scenario::{GenParams, IntervalOps, JoinOp, Scenario, ScenarioError};
 pub use trace::{Trace, TraceError};
 pub use workload::{
-    all_workloads, run_workload, workload_by_name, Workload, WorkloadRun, WORKLOAD_NAMES,
+    all_workloads, run_workload, workload_by_name, Paper, Workload, WorkloadRun, WORKLOAD_NAMES,
 };
 
 use rekey_core::scheme::{Scheme, SchemeConfig};

@@ -1,11 +1,14 @@
 //! Scenario runner and counterexample shrinker.
 //!
-//! [`run_scenario`] drives one [`GroupKeyManager`] through a
-//! [`Scenario`]: every interval's output message is *encoded to wire
-//! bytes*, decoded back, folded into the [`KnowledgeOracle`],
-//! delivered to the [`MemberFarm`], and the full invariant suite runs.
-//! Churn and network randomness come from two independent seeded
-//! streams, so the run digest does not depend on the delivery model.
+//! [`drive`] is the one interval loop: it hands a [`GroupKeyManager`]
+//! each interval's batch of a [`Scenario`], encodes the message to wire
+//! bytes, folds them into the run digest and shows the interval to a
+//! callback. [`run_scenario`] is `drive` with the checks in that
+//! callback: every message is decoded back, folded into the
+//! [`KnowledgeOracle`], delivered to the [`MemberFarm`], and the full
+//! invariant suite runs. Churn and network randomness come from two
+//! independent seeded streams, so the run digest does not depend on the
+//! delivery model.
 //!
 //! [`shrink`] bisects a failing scenario down to a minimal prefix and
 //! then greedily deletes whole intervals and individual operations
@@ -17,7 +20,7 @@ use crate::oracle::KnowledgeOracle;
 use crate::scenario::Scenario;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rekey_core::GroupKeyManager;
+use rekey_core::{GroupKeyManager, IntervalOutcome, Join};
 use rekey_crypto::sha256::Sha256;
 use rekey_keytree::message::codec;
 use rekey_keytree::MemberId;
@@ -56,6 +59,8 @@ impl std::fmt::Display for Violation {
     }
 }
 
+impl std::error::Error for Violation {}
+
 /// Aggregates of a clean run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunStats {
@@ -90,6 +95,81 @@ pub struct IntervalObservation {
     pub members: usize,
 }
 
+/// One interval of a [`drive`]n run, as its callback sees it.
+#[derive(Debug)]
+pub struct Step<'a, M: ?Sized> {
+    /// Index into [`Scenario::intervals`] (0 = bootstrap).
+    pub interval: usize,
+    /// The joins the manager was handed, individual keys included.
+    pub joins: &'a [Join],
+    /// The leavers the manager was handed.
+    pub leaves: &'a [MemberId],
+    /// What the manager returned.
+    pub outcome: &'a IntervalOutcome,
+    /// The message's wire bytes, as folded into the run digest.
+    pub bytes: &'a [u8],
+    /// Wall-clock nanoseconds spent in
+    /// [`GroupKeyManager::process_interval`].
+    pub process_ns: u64,
+    /// The manager, after the interval.
+    pub manager: &'a M,
+}
+
+/// Runs `scenario` against a manager built by `factory`, handing every
+/// interval to `on_interval`, and returns the run's aggregates. Every
+/// batch's individual keys and every manager draw come from
+/// [`Scenario::churn_rng`], so the digest is a function of the scenario
+/// and the scheme alone.
+///
+/// # Errors
+///
+/// A [`Violation`] at the first batch the manager rejects, or with the
+/// detail the callback returned.
+pub fn drive<M: GroupKeyManager + ?Sized>(
+    factory: impl FnOnce(&Scenario) -> Box<M>,
+    scenario: &Scenario,
+    mut on_interval: impl FnMut(&Step<'_, M>) -> Result<(), String>,
+) -> Result<RunStats, Violation> {
+    let mut manager = factory(scenario);
+    let mut churn_rng = scenario.churn_rng();
+    let mut hasher = Sha256::new();
+    let mut total_entries = 0usize;
+    let mut total_bytes = 0usize;
+
+    for (interval, ops) in scenario.intervals.iter().enumerate() {
+        let fail = |detail: String| Violation { interval, detail };
+        let (joins, leaves) = ops.batch(&mut churn_rng);
+        let started = std::time::Instant::now();
+        let outcome = manager
+            .process_interval(&joins, &leaves, &mut churn_rng)
+            .map_err(|e| fail(format!("manager rejected batch: {e}")))?;
+        let process_ns = started.elapsed().as_nanos() as u64;
+
+        let bytes = codec::encode_message(&outcome.message);
+        hasher.update(&bytes);
+        total_entries += outcome.message.encrypted_key_count();
+        total_bytes += bytes.len();
+        on_interval(&Step {
+            interval,
+            joins: &joins,
+            leaves: &leaves,
+            outcome: &outcome,
+            bytes: &bytes,
+            process_ns,
+            manager: &*manager,
+        })
+        .map_err(fail)?;
+    }
+
+    Ok(RunStats {
+        intervals: scenario.intervals.len(),
+        final_members: manager.member_count(),
+        total_entries,
+        total_bytes,
+        digest: hasher.finalize(),
+    })
+}
+
 /// Runs `scenario` against a manager built by `factory` and returns
 /// run statistics, or the first invariant violation.
 pub fn run_scenario(
@@ -111,70 +191,43 @@ pub fn run_scenario_with(
     opts: &RunOptions,
     observer: &mut dyn FnMut(IntervalObservation),
 ) -> Result<RunStats, Violation> {
-    let mut manager = factory(scenario);
-
     // Independent streams: delivery draws must not perturb the server.
-    let mut churn_rng = scenario.churn_rng();
     let mut net_rng = StdRng::seed_from_u64(scenario.seed ^ 0x6A09_E667_F3BC_C908);
-
     let mut oracle = KnowledgeOracle::new();
     let mut farm = MemberFarm::new();
-    let mut hasher = Sha256::new();
-    let mut total_entries = 0usize;
-    let mut total_bytes = 0usize;
 
-    for (interval, ops) in scenario.intervals.iter().enumerate() {
-        let fail = |detail: String| Violation { interval, detail };
-
-        let (joins, leaves) = ops.batch(&mut churn_rng);
-        for (join, op) in joins.iter().zip(&ops.joins) {
+    drive(factory, scenario, |step| {
+        let ops = &scenario.intervals[step.interval];
+        for (join, op) in step.joins.iter().zip(&ops.joins) {
             farm.admit(join.member, join.individual_key.clone(), op.loss);
         }
-        for &m in &leaves {
+        for &m in step.leaves {
             farm.depart(m);
         }
         for &(m, loss) in &ops.loss_changes {
             farm.set_loss(MemberId(m), loss);
         }
 
-        let started = std::time::Instant::now();
-        let out = manager
-            .process_interval(&joins, &leaves, &mut churn_rng)
-            .map_err(|e| fail(format!("manager rejected batch: {e}")))?;
-        let process_ns = started.elapsed().as_nanos() as u64;
-
-        let bytes = codec::encode_message(&out.message);
-        hasher.update(&bytes);
-        total_entries += out.message.encrypted_key_count();
-        total_bytes += bytes.len();
-        let decoded = codec::decode_message(&bytes)
-            .ok_or_else(|| fail("wire bytes failed to decode".into()))?;
-        if decoded != out.message {
-            return Err(fail("wire round-trip altered the message".into()));
+        let message = &step.outcome.message;
+        let decoded = codec::decode_message(step.bytes).ok_or("wire bytes failed to decode")?;
+        if decoded != *message {
+            return Err("wire round-trip altered the message".into());
         }
-
         let report = oracle.observe(&decoded);
         let complete = farm
-            .deliver(&decoded, opts.delivery, manager.as_ref(), &mut net_rng)
-            .map_err(|e| fail(e.to_string()))?;
-        farm.check(&oracle, manager.as_ref(), &report, complete)
-            .map_err(|e| fail(e.to_string()))?;
+            .deliver(&decoded, opts.delivery, step.manager, &mut net_rng)
+            .map_err(|e| e.to_string())?;
+        farm.check(&oracle, step.manager, &report, complete)
+            .map_err(|e| e.to_string())?;
 
         observer(IntervalObservation {
-            interval,
-            bytes: bytes.len(),
-            entries: out.message.encrypted_key_count(),
-            process_ns,
+            interval: step.interval,
+            bytes: step.bytes.len(),
+            entries: message.encrypted_key_count(),
+            process_ns: step.process_ns,
             members: farm.present().len(),
         });
-    }
-
-    Ok(RunStats {
-        intervals: scenario.intervals.len(),
-        final_members: farm.present().len(),
-        total_entries,
-        total_bytes,
-        digest: hasher.finalize(),
+        Ok(())
     })
 }
 

@@ -7,10 +7,13 @@
 //! retrieved optimal-tree and batch-insertion papers show scheme
 //! rankings flip under exactly these non-uniform dynamics. This module
 //! adds a [`Workload`] trait — a named, seed-deterministic generator of
-//! interval-by-interval churn — and five implementations:
+//! interval-by-interval churn — and six implementations:
 //!
 //! - [`Uniform`] — byte-identical to [`Scenario::generate`], the
 //!   fuzzer's behaviour, kept as the baseline;
+//! - [`Paper`] — the paper's own §3.3.1 two-class exponential process
+//!   ([`rekey_core::membership`], Table 1 by default), the workload its
+//!   costs and the analytic model come from;
 //! - [`Diurnal`] — sinusoidal join/leave rates with configurable
 //!   period and amplitude (daily audience curve);
 //! - [`FlashCrowd`] — a mass-join ramp into a plateau followed by a
@@ -32,7 +35,8 @@
 use crate::runner::{run_scenario_with, ManagerFactory, RunOptions, RunStats, Violation};
 use crate::scenario::{GenParams, IntervalOps, JoinOp, Scenario};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
+use rekey_core::membership::{MembershipGenerator, MembershipParams};
 use rekey_core::DurationClass;
 use rekey_obs::hist::Log2Histogram;
 use std::f64::consts::PI;
@@ -187,8 +191,8 @@ pub trait Workload {
 
     /// Compiles the workload into a replayable [`Scenario`]. The
     /// default drives [`Workload::interval`] over a name-salted RNG;
-    /// [`Uniform`] overrides it to delegate to [`Scenario::generate`]
-    /// byte-identically.
+    /// [`Uniform`] and [`Paper`] override it to keep the draw order of
+    /// the generators they wrap.
     fn compile(&mut self, seed: u64, intervals: usize, params: &GenParams) -> Scenario {
         let mut rng = StdRng::seed_from_u64(seed ^ name_salt(self.name()));
         let mut group = GroupState::new(params);
@@ -244,6 +248,84 @@ impl Workload for Uniform {
 
     fn compile(&mut self, seed: u64, intervals: usize, params: &GenParams) -> Scenario {
         Scenario::generate(seed, intervals, params)
+    }
+}
+
+/// The paper's §3.3.1 membership process: Poisson joins at the rate
+/// that holds [`GenParams::bootstrap`] members in steady state, each
+/// joiner short-lived with probability `alpha`, and an exponential
+/// stay of its class's mean. `alpha` defaults to Table 1; the stay
+/// means and the rekey period are always Table 1's.
+///
+/// The group starts in steady state: the bootstrap admits the
+/// generator's initial population, members `0..bootstrap`, with no
+/// class hint. Every later join carries its ground-truth class (only
+/// the oracle PT-scheme reads it), every loss rate is 0, and leaves
+/// come in departure order. The draws are those of
+/// [`MembershipGenerator`] seeded with `seed`, the churn drawn from a
+/// stream forked off it with one `next_u64` after construction.
+#[derive(Debug, Clone)]
+pub struct Paper {
+    /// Fraction of short-lived joins (`α`).
+    pub alpha: f64,
+}
+
+impl Default for Paper {
+    fn default() -> Self {
+        Paper {
+            alpha: MembershipParams::paper_default().alpha,
+        }
+    }
+}
+
+impl Workload for Paper {
+    fn name(&self) -> &'static str {
+        "paper"
+    }
+
+    fn interval(&mut self, _: usize, _: usize, _: &mut GroupState, _: &mut StdRng) -> IntervalOps {
+        unreachable!("Paper overrides compile()")
+    }
+
+    fn compile(&mut self, seed: u64, intervals: usize, params: &GenParams) -> Scenario {
+        let membership = MembershipParams {
+            target_size: params.bootstrap,
+            alpha: self.alpha,
+            ..MembershipParams::paper_default()
+        };
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut generator = MembershipGenerator::new(membership, &mut rng);
+        let mut churn = StdRng::seed_from_u64(rng.next_u64());
+        let join = |member: u64, class| JoinOp {
+            member,
+            class,
+            loss: 0.0,
+        };
+        let mut out = Vec::with_capacity(intervals + 1);
+        out.push(IntervalOps {
+            joins: (0..generator.population() as u64)
+                .map(|m| join(m, None))
+                .collect(),
+            ..IntervalOps::default()
+        });
+        for _ in 0..intervals {
+            let events = generator.next_interval(&mut churn);
+            out.push(IntervalOps {
+                joins: events
+                    .joins
+                    .iter()
+                    .map(|&(m, class)| join(m.0, Some(class)))
+                    .collect(),
+                leaves: events.leaves.iter().map(|m| m.0).collect(),
+                loss_changes: Vec::new(),
+            });
+        }
+        Scenario {
+            seed,
+            degree: params.degree,
+            k: params.k,
+            intervals: out,
+        }
     }
 }
 
@@ -584,12 +666,13 @@ impl Workload for RegionalLoss {
 }
 
 /// Every named workload generator, in the canonical sweep order.
-pub const WORKLOAD_NAMES: [&str; 5] = [
+pub const WORKLOAD_NAMES: [&str; 6] = [
     "uniform",
     "diurnal",
     "flash-crowd",
     "mobile-flap",
     "regional-loss",
+    "paper",
 ];
 
 /// Constructs the named generator with its default tuning, or `None`
@@ -601,6 +684,7 @@ pub fn workload_by_name(name: &str) -> Option<Box<dyn Workload>> {
         "flash-crowd" => Some(Box::new(FlashCrowd::default())),
         "mobile-flap" => Some(Box::new(MobileFlap::default())),
         "regional-loss" => Some(Box::new(RegionalLoss::default())),
+        "paper" => Some(Box::new(Paper::default())),
         _ => None,
     }
 }
@@ -627,6 +711,7 @@ pub fn members_gauge(workload: &str) -> &'static str {
         "flash-crowd" => "workload.flash_crowd.members",
         "mobile-flap" => "workload.mobile_flap.members",
         "regional-loss" => "workload.regional_loss.members",
+        "paper" => "workload.paper.members",
         _ => "workload.other.members",
     }
 }
@@ -639,6 +724,7 @@ pub fn bytes_counter(workload: &str) -> &'static str {
         "flash-crowd" => "workload.flash_crowd.bytes",
         "mobile-flap" => "workload.mobile_flap.bytes",
         "regional-loss" => "workload.regional_loss.bytes",
+        "paper" => "workload.paper.bytes",
         _ => "workload.other.bytes",
     }
 }
@@ -791,6 +877,86 @@ mod tests {
             }
         }
         assert!(saw_event, "no correlated cohort shift found");
+    }
+
+    /// `rekey simulate`'s defaults: 2 048 members, seed 42, d 4, K 10,
+    /// 15 warm-up and 40 measured intervals.
+    fn simulate_defaults() -> Scenario {
+        let params = GenParams {
+            bootstrap: 2048,
+            degree: 4,
+            k: 10,
+            ..GenParams::default()
+        };
+        Paper::default().compile(42, 55, &params)
+    }
+
+    /// `paper` reproduces the simulator it replaced: SHA-256 over the
+    /// seven schemes' measured per-interval encrypted-key counts (u64
+    /// little-endian, schemes in `Scheme::ALL` order) is the digest that
+    /// simulator's loop gave at the same defaults. Key bytes differ;
+    /// counts do not.
+    #[test]
+    fn paper_reproduces_the_simulators_key_counts() {
+        use rekey_core::Scheme;
+        use rekey_crypto::sha256::Sha256;
+
+        let scenario = simulate_defaults();
+        let mut hasher = Sha256::new();
+        for scheme in Scheme::ALL {
+            crate::drive(crate::factory_for(scheme), &scenario, |step| {
+                if step.interval > 15 {
+                    let keys = step.outcome.stats.encrypted_keys as u64;
+                    hasher.update(&keys.to_le_bytes());
+                }
+                Ok(())
+            })
+            .unwrap_or_else(|violation| panic!("{scheme}: {violation}"));
+        }
+        let digest: String = hasher
+            .finalize()
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(
+            digest,
+            "8b373bab1e0d8ff8f377457487212360d75550654ff826c74ece1907621986c4"
+        );
+    }
+
+    /// The compiled scenario is the membership trace: schemes that draw
+    /// different amounts of key-server randomness still hand their
+    /// managers the same joiners and leavers every interval.
+    #[test]
+    fn schemes_at_one_seed_see_the_same_membership_trace() {
+        use rekey_core::Scheme;
+
+        let params = GenParams {
+            bootstrap: 300,
+            ..GenParams::default()
+        };
+        let scenario = Paper::default().compile(424242, 20, &params);
+        let trace = |scheme: Scheme| {
+            let mut seen = Vec::new();
+            crate::drive(crate::factory_for(scheme), &scenario, |step| {
+                let joins: Vec<u64> = step.joins.iter().map(|j| j.member.0).collect();
+                let leaves: Vec<u64> = step.leaves.iter().map(|m| m.0).collect();
+                seen.push((joins, leaves));
+                Ok(())
+            })
+            .expect("compiled batches are consistent");
+            seen
+        };
+        let one = trace(Scheme::OneTree);
+        assert_eq!(one.len(), 21);
+        assert!(one.iter().any(|(j, l)| !j.is_empty() && !l.is_empty()));
+        for (seen, ops) in one.iter().zip(&scenario.intervals) {
+            let joins: Vec<u64> = ops.joins.iter().map(|j| j.member).collect();
+            assert_eq!(*seen, (joins, ops.leaves.clone()));
+        }
+        for scheme in [Scheme::Tt, Scheme::Qt, Scheme::Adaptive] {
+            assert_eq!(trace(scheme), one, "{scheme}");
+        }
     }
 
     #[test]

@@ -5,137 +5,67 @@
 //! group statistics such as Ms, Ml, and α. Then using our analytic
 //! model, the key server can choose the best scheme to use."
 //!
-//! This example runs a session whose churn the operator did not know
-//! in advance: the server starts with a single key tree, collects the
-//! membership trace, fits the two-class exponential mixture, consults
-//! the analytic model, and switches to the recommended two-partition
-//! scheme — then shows the realized savings.
+//! `AdaptiveManager` is that loop as a placement policy: the session
+//! starts on one key tree, the server fits the two-class mixture to the
+//! memberships it sees end, consults the analytic model every eight
+//! intervals, and places the *next* joiners as the recommended scheme
+//! would. A switch re-admits nobody. This example runs the paper's
+//! membership process through it, prints every switch, and sets its
+//! bandwidth beside a plain one-keytree run of the same session.
 //!
 //! Run with: `cargo run --release --example adaptive_server`
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use rekey_core::adaptive::{recommend, SchemeChoice, TraceCollector};
-use rekey_core::one_tree::OneTreeManager;
-use rekey_core::partition::{QtManager, TtManager};
-use rekey_core::{GroupKeyManager, Join};
-use rekey_crypto::Key;
-use rekey_sim::membership::{MembershipGenerator, MembershipParams};
+use rekey_core::adaptive::AdaptiveManager;
+use rekey_core::Scheme;
+use rekey_testkit::{drive, factory_for, GenParams, Paper, Workload};
 
 const N: usize = 2048;
-const OBSERVE_INTERVALS: usize = 60;
-const MEASURE_INTERVALS: usize = 30;
+const INTERVALS: usize = 90;
+/// The session's last intervals, compared between the two servers.
+const MEASURED: usize = 30;
 
 fn main() {
-    let params = MembershipParams {
-        target_size: N,
-        ..MembershipParams::paper_default()
+    let params = GenParams {
+        bootstrap: N,
+        degree: 4,
+        ..GenParams::default()
     };
-    let mut rng = StdRng::seed_from_u64(7);
-    let mut generator = MembershipGenerator::new(params, &mut rng);
+    let session = Paper::default().compile(7, INTERVALS, &params);
+    println!("Adaptive key server, {N} members under the paper's two-class churn:");
 
-    // Phase 1: one key tree + trace collection.
-    let mut manager = OneTreeManager::new(4);
-    let mut collector = TraceCollector::new(8192);
-    let mut clock = 0.0f64;
+    let mut adaptive = Vec::new();
+    let mut choice = None;
+    drive(
+        |_| Box::new(AdaptiveManager::paper_default(4)),
+        &session,
+        |step| {
+            let now = step.manager.current_choice();
+            if choice != Some(now) {
+                println!(
+                    "  interval {:>2}: next joiners placed as {now:?}",
+                    step.interval
+                );
+                choice = Some(now);
+            }
+            adaptive.push(step.outcome.stats.encrypted_keys);
+            Ok(())
+        },
+    )
+    .expect("compiled batches are consistent");
 
-    // Bootstrap the pre-populated group.
-    let joins: Vec<Join> = (0..generator.population() as u64)
-        .map(|i| {
-            collector.record_join(rekey_keytree::MemberId(i), clock);
-            Join::new(rekey_keytree::MemberId(i), Key::generate(&mut rng))
-        })
-        .collect();
-    manager.process_interval(&joins, &[], &mut rng).unwrap();
+    let mut one = Vec::new();
+    drive(factory_for(Scheme::OneTree), &session, |step| {
+        one.push(step.outcome.stats.encrypted_keys);
+        Ok(())
+    })
+    .expect("compiled batches are consistent");
 
-    println!("Phase 1: single key tree, observing the session…");
-    let mut phase1_keys = 0usize;
-    for _ in 0..OBSERVE_INTERVALS {
-        clock += params.rekey_period;
-        let events = generator.next_interval(&mut rng);
-        let joins: Vec<Join> = events
-            .joins
-            .iter()
-            .map(|&(m, _)| {
-                collector.record_join(m, clock);
-                Join::new(m, Key::generate(&mut rng))
-            })
-            .collect();
-        for &m in &events.leaves {
-            collector.record_leave(m, clock);
-        }
-        let out = manager
-            .process_interval(&joins, &events.leaves, &mut rng)
-            .unwrap();
-        phase1_keys += out.stats.encrypted_keys;
-    }
-    let phase1_mean = phase1_keys as f64 / OBSERVE_INTERVALS as f64;
-    println!(
-        "  observed {} completed memberships; one-keytree cost {:.0} keys/interval\n",
-        collector.sample_count(),
-        phase1_mean
-    );
-
-    // Phase 2: fit the mixture and consult the model.
-    let estimate = collector.estimate();
-    match &estimate {
-        Some(e) => println!(
-            "Fitted duration mixture: α̂ = {:.2}, M̂s = {:.0} s, M̂l = {:.0} s ({} samples)",
-            e.alpha, e.mean_short, e.mean_long, e.samples
-        ),
-        None => println!("No bimodality detected; the one-keytree scheme is appropriate."),
-    }
-    let rec = recommend(N as u64, 4, params.rekey_period, estimate, 20);
-    println!(
-        "Model recommendation: {:?} (predicted {:.0} vs {:.0} keys/interval)\n",
-        rec.scheme, rec.predicted_cost, rec.one_keytree_cost
-    );
-
-    // Phase 3: switch to the recommended scheme. Switching re-admits
-    // the current population into the new structure once (a one-off
-    // cost amortized over the rest of the session).
-    let mut new_manager: Box<dyn GroupKeyManager> = match rec.scheme {
-        SchemeChoice::OneKeytree => Box::new(OneTreeManager::new(4)),
-        SchemeChoice::Tt { k } => Box::new(TtManager::new(4, k as u64)),
-        SchemeChoice::Qt { k } => Box::new(QtManager::new(4, k as u64)),
+    let mean = |keys: &[usize]| {
+        keys[keys.len() - MEASURED..].iter().sum::<usize>() as f64 / MEASURED as f64
     };
-    let members = manager.members_under(manager.dek_node());
-    let rejoin: Vec<Join> = members
-        .iter()
-        .map(|&m| Join::new(m, Key::generate(&mut rng)))
-        .collect();
-    new_manager
-        .process_interval(&rejoin, &[], &mut rng)
-        .unwrap();
+    let (one, adaptive) = (mean(&one), mean(&adaptive));
     println!(
-        "Phase 3: switched to {} with {} members",
-        new_manager.scheme_name(),
-        new_manager.member_count()
-    );
-
-    let mut phase3_keys = 0usize;
-    let mut measured = 0usize;
-    for step in 0..(MEASURE_INTERVALS + 15) {
-        let events = generator.next_interval(&mut rng);
-        let joins: Vec<Join> = events
-            .joins
-            .iter()
-            .map(|&(m, _)| Join::new(m, Key::generate(&mut rng)))
-            .collect();
-        let out = new_manager
-            .process_interval(&joins, &events.leaves, &mut rng)
-            .unwrap();
-        // Skip the first intervals while partitions fill.
-        if step >= 15 {
-            phase3_keys += out.stats.encrypted_keys;
-            measured += 1;
-        }
-    }
-    let phase3_mean = phase3_keys as f64 / measured as f64;
-    println!(
-        "  {} cost {:.0} keys/interval — {:.1}% below the observed one-keytree phase",
-        new_manager.scheme_name(),
-        phase3_mean,
-        100.0 * (1.0 - phase3_mean / phase1_mean)
+        "last {MEASURED} intervals: one-keytree {one:.0} keys/interval, adaptive {adaptive:.0} ({:.1}% fewer)",
+        100.0 * (1.0 - adaptive / one)
     );
 }

@@ -9,33 +9,27 @@
 //!
 //! Run with: `cargo run --release --example pay_per_view`
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use rekey_analytic::partition::PartitionParams;
-use rekey_core::one_tree::OneTreeManager;
-use rekey_core::partition::{PtManager, QtManager, TtManager};
-use rekey_core::GroupKeyManager;
-use rekey_sim::driver::{run_scheme, SimConfig};
-use rekey_sim::membership::{MembershipGenerator, MembershipParams};
+use rekey_core::Scheme;
+use rekey_testkit::{drive, factory_for, GenParams, Paper, Scenario, Workload};
 
 const SUBSCRIBERS: usize = 4096;
-const K: u64 = 10;
+const K: u16 = 10;
 const SEED: u64 = 42;
+const WARMUP: usize = 15;
+const MEASURED: usize = 40;
 
-fn simulate(manager: &mut dyn GroupKeyManager, oracle: bool) -> f64 {
-    let params = MembershipParams {
-        target_size: SUBSCRIBERS,
-        ..MembershipParams::paper_default()
-    };
-    let config = SimConfig {
-        intervals: 40,
-        warmup: 15,
-        oracle_hints: oracle,
-        ..SimConfig::quick()
-    };
-    let mut rng = StdRng::seed_from_u64(SEED);
-    let mut generator = MembershipGenerator::new(params, &mut rng);
-    run_scheme(manager, &mut generator, &config, &mut rng).mean_keys_per_interval
+/// Mean encrypted keys per measured interval of `scheme` on the session.
+fn simulate(scheme: Scheme, session: &Scenario) -> f64 {
+    let mut keys = 0usize;
+    drive(factory_for(scheme), session, |step| {
+        if step.interval > WARMUP {
+            keys += step.outcome.stats.encrypted_keys;
+        }
+        Ok(())
+    })
+    .expect("compiled batches are consistent");
+    keys as f64 / MEASURED as f64
 }
 
 fn main() {
@@ -45,26 +39,26 @@ fn main() {
 
     let model = PartitionParams {
         group_size: SUBSCRIBERS as u64,
-        k: K as u32,
+        k: u32::from(K),
         ..PartitionParams::paper_default()
     };
     let predicted = model.costs();
 
-    let mut one = OneTreeManager::new(4);
-    let mut tt = TtManager::new(4, K);
-    let mut qt = QtManager::new(4, K);
-    let mut pt = PtManager::new(4);
-
-    let rows: Vec<(&str, f64, f64)> = vec![
-        (
-            "one-keytree",
-            simulate(&mut one, false),
-            predicted.one_keytree,
-        ),
-        ("TT-scheme", simulate(&mut tt, false), predicted.tt),
-        ("QT-scheme", simulate(&mut qt, false), predicted.qt),
-        ("PT-scheme (oracle)", simulate(&mut pt, true), predicted.pt),
-    ];
+    // Every join carries its true duration class; only PT reads it.
+    let params = GenParams {
+        bootstrap: SUBSCRIBERS,
+        degree: 4,
+        k: K,
+        ..GenParams::default()
+    };
+    let session = Paper::default().compile(SEED, WARMUP + MEASURED, &params);
+    let rows = [
+        ("one-keytree", Scheme::OneTree, predicted.one_keytree),
+        ("TT-scheme", Scheme::Tt, predicted.tt),
+        ("QT-scheme", Scheme::Qt, predicted.qt),
+        ("PT-scheme (oracle)", Scheme::Pt, predicted.pt),
+    ]
+    .map(|(name, scheme, model)| (name, simulate(scheme, &session), model));
 
     let baseline = rows[0].1;
     println!(

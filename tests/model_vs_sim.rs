@@ -2,32 +2,33 @@
 //! figures are computed from) against the executable system (what the
 //! paper did not have).
 //!
-//! A discrete-event simulation of the real key server — actual trees,
-//! actual key wrapping, actual migrations — must land close to the
-//! closed-form steady-state costs of §3.3.1, and preserve the paper's
-//! scheme ordering. Every comparison sweeps several workload seeds and
+//! The real key server — actual trees, actual key wrapping, actual
+//! migrations — driven through the paper's own membership process (the
+//! testkit's `paper` workload) must land close to the closed-form
+//! steady-state costs of §3.3.1, and preserve the paper's scheme
+//! ordering. Every comparison sweeps several workload seeds and
 //! reports the worst-case model/sim deviation, so a single lucky draw
 //! can neither pass nor fail the suite.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rekey_analytic::partition::PartitionParams;
-use rekey_core::one_tree::OneTreeManager;
-use rekey_core::partition::{QtManager, TtManager};
-use rekey_core::GroupKeyManager;
-use rekey_sim::driver::{run_scheme, SimConfig};
-use rekey_sim::membership::{MembershipGenerator, MembershipParams};
+use rekey_core::membership::{MembershipGenerator, MembershipParams};
+use rekey_core::Scheme;
+use rekey_testkit::{drive, factory_for, GenParams, Paper, Workload};
+use std::sync::OnceLock;
 
 const N: usize = 2048;
 /// Independent workload seeds; deviation bounds must hold for all.
 const SEEDS: [u64; 3] = [20030412, 7, 424242];
-
-fn sim_params() -> MembershipParams {
-    MembershipParams {
-        target_size: N,
-        ..MembershipParams::paper_default()
-    }
-}
+const WARMUP: usize = 15;
+const MEASURED: usize = 50;
+/// The schemes under test, in the order of [`measured`]'s rows.
+const SCHEMES: [(Scheme, &str); 3] = [
+    (Scheme::OneTree, "one-keytree"),
+    (Scheme::Tt, "tt-scheme"),
+    (Scheme::Qt, "qt-scheme"),
+];
 
 fn model(k: u32) -> PartitionParams {
     PartitionParams {
@@ -37,33 +38,44 @@ fn model(k: u32) -> PartitionParams {
     }
 }
 
-fn simulate(manager: &mut dyn GroupKeyManager, seed: u64) -> f64 {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut generator = MembershipGenerator::new(sim_params(), &mut rng);
-    let config = SimConfig {
-        intervals: 50,
-        warmup: 15,
-        ..SimConfig::quick()
-    };
-    run_scheme(manager, &mut generator, &config, &mut rng).mean_keys_per_interval
+/// Mean encrypted keys per measured interval of the `paper` workload
+/// (Table 1, K = 10), by scheme and then by seed. Each of the nine runs
+/// is computed once and shared by every test.
+fn measured() -> &'static [[f64; 3]; 3] {
+    static RUNS: OnceLock<[[f64; 3]; 3]> = OnceLock::new();
+    RUNS.get_or_init(|| SCHEMES.map(|(scheme, _)| SEEDS.map(|seed| simulate(scheme, seed))))
 }
 
-/// Sweeps every seed, requires each run's measured cost within
+fn simulate(scheme: Scheme, seed: u64) -> f64 {
+    let params = GenParams {
+        bootstrap: N,
+        degree: 4,
+        k: 10,
+        ..GenParams::default()
+    };
+    let scenario = Paper::default().compile(seed, WARMUP + MEASURED, &params);
+    let mut keys = 0usize;
+    drive(factory_for(scheme), &scenario, |step| {
+        if step.interval > WARMUP {
+            keys += step.outcome.stats.encrypted_keys;
+        }
+        Ok(())
+    })
+    .expect("compiled batches are consistent");
+    keys as f64 / MEASURED as f64
+}
+
+/// Requires every seed's measured cost of `SCHEMES[scheme]` within
 /// `tolerance` of the model, and reports the worst-case deviation.
 ///
 /// The simulation runs a slightly lighter workload than the model
 /// (members joining and leaving within one interval are never
 /// admitted), so the band is a modest one.
-fn assert_close_over_seeds(
-    mut make: impl FnMut() -> Box<dyn GroupKeyManager>,
-    predicted: f64,
-    tolerance: f64,
-    label: &str,
-) {
+fn assert_close_over_seeds(scheme: usize, predicted: f64, tolerance: f64) {
+    let label = SCHEMES[scheme].1;
     let mut worst_dev = 0.0f64;
     let mut worst_seed = SEEDS[0];
-    for &seed in &SEEDS {
-        let measured = simulate(make().as_mut(), seed);
+    for (&seed, &measured) in SEEDS.iter().zip(&measured()[scheme]) {
         let ratio = measured / predicted;
         let dev = (ratio - 1.0).abs();
         if dev > worst_dev {
@@ -85,32 +97,17 @@ fn assert_close_over_seeds(
 
 #[test]
 fn one_keytree_cost_matches_model() {
-    assert_close_over_seeds(
-        || Box::new(OneTreeManager::new(4)),
-        model(10).cost_one_keytree(),
-        0.15,
-        "one-keytree",
-    );
+    assert_close_over_seeds(0, model(10).cost_one_keytree(), 0.15);
 }
 
 #[test]
 fn tt_cost_matches_model() {
-    assert_close_over_seeds(
-        || Box::new(TtManager::new(4, 10)),
-        model(10).cost_tt(),
-        0.15,
-        "tt-scheme",
-    );
+    assert_close_over_seeds(1, model(10).cost_tt(), 0.15);
 }
 
 #[test]
 fn qt_cost_matches_model() {
-    assert_close_over_seeds(
-        || Box::new(QtManager::new(4, 10)),
-        model(10).cost_qt(),
-        0.15,
-        "qt-scheme",
-    );
+    assert_close_over_seeds(2, model(10).cost_qt(), 0.15);
 }
 
 #[test]
@@ -119,11 +116,10 @@ fn scheme_ordering_is_preserved() {
     // one-keytree scheme, on the executable system too — for every
     // workload seed, with the TT gain tracking the model's prediction.
     let predicted_gain = 1.0 - model(10).cost_tt() / model(10).cost_one_keytree();
+    let [one, tt, qt] = measured();
     let mut worst_gap = 0.0f64;
-    for &seed in &SEEDS {
-        let one = simulate(&mut OneTreeManager::new(4), seed);
-        let tt = simulate(&mut TtManager::new(4, 10), seed);
-        let qt = simulate(&mut QtManager::new(4, 10), seed);
+    for (i, &seed) in SEEDS.iter().enumerate() {
+        let (one, tt, qt) = (one[i], tt[i], qt[i]);
         assert!(
             tt < one,
             "seed {seed}: TT ({tt:.0}) should beat one-keytree ({one:.0})"
@@ -151,7 +147,10 @@ fn scheme_ordering_is_preserved() {
 fn join_rate_matches_queueing_model() {
     // The generator reproduces the J of equations (1)–(5) under every
     // seed.
-    let params = sim_params();
+    let params = MembershipParams {
+        target_size: N,
+        ..MembershipParams::paper_default()
+    };
     let expected = params.joins_per_interval();
     let mut worst = 0.0f64;
     for &seed in &SEEDS {
