@@ -98,9 +98,10 @@
 //!
 //! rekey snapshot  --data-dir DIR
 //!     Inspect a durable data directory offline: snapshot epoch and
-//!     size, WAL record count and epoch range, torn bytes dropped
-//!     from the tail, and the resulting durable epoch — the value CI
-//!     asserts is monotonic across a crash/restart cycle.
+//!     size, WAL record count, epoch range and record version (the
+//!     planner that wrote it; recovery replays only its own), torn
+//!     bytes dropped from the tail, and the resulting durable epoch —
+//!     the value CI asserts is monotonic across a crash/restart cycle.
 //!
 //! rekey top       --addr HOST:PORT [--period-ms 1000] [--iters 0]
 //!     Poll a running rekeyd's admin endpoint (`/vars`) and render a
@@ -108,7 +109,7 @@
 //!     and end-to-end propagation p50/p99, per-shard propagation,
 //!     queue depth, and the encrypted keys sent beside the refreshed
 //!     nodes that cost them (compromised: a wrap per child; join-only:
-//!     previous key plus changed children). `--iters N` stops after N
+//!     an advance by F plus a wrap per changed child). `--iters N` stops after N
 //!     frames (0 = forever).
 //!
 //! rekey metrics-check (--addr HOST:PORT | --file out.prom)
@@ -620,13 +621,14 @@ fn write_workload_report(
         };
         let _ = writeln!(
             json,
-            "    {{\"workload\": \"{}\", \"scheme\": \"{}\", \"intervals\": {}, \"final_members\": {}, \"peak_members\": {}, \"total_entries\": {}, \"total_bytes\": {}, \"bytes_per_interval_mean\": {:.1}, \"max_interval_bytes\": {}, \"latency_ns\": {{\"p50\": {}, \"p90\": {}, \"p99\": {}, \"max\": {}}}, \"trace_file\": {trace_file}, \"digest\": \"{}\"}}{sep}",
+            "    {{\"workload\": \"{}\", \"scheme\": \"{}\", \"intervals\": {}, \"final_members\": {}, \"peak_members\": {}, \"total_entries\": {}, \"total_advances\": {}, \"total_bytes\": {}, \"bytes_per_interval_mean\": {:.1}, \"max_interval_bytes\": {}, \"latency_ns\": {{\"p50\": {}, \"p90\": {}, \"p99\": {}, \"max\": {}}}, \"trace_file\": {trace_file}, \"digest\": \"{}\"}}{sep}",
             json_escape(&cell.generator),
             cell.scheme,
             cell.run.stats.intervals,
             cell.run.stats.final_members,
             cell.run.peak_members,
             cell.run.stats.total_entries,
+            cell.run.stats.total_advances,
             cell.run.stats.total_bytes,
             cell.run.mean_interval_bytes,
             cell.run.max_interval_bytes,
@@ -1110,8 +1112,8 @@ struct TopFrame {
     epochs: f64,
     queue_depth: f64,
     /// Encrypted keys sent, and the refreshed nodes that cost them:
-    /// compromised (a wrap per child) and join-only (previous key plus
-    /// changed children).
+    /// compromised (a wrap per child) and join-only (an advance by F
+    /// plus a wrap per changed child).
     bandwidth: [f64; 3],
     /// (name, count, p50_ns, p99_ns) per histogram of interest.
     hists: Vec<(String, f64, f64, f64)>,
@@ -1255,7 +1257,8 @@ fn cmd_metrics_check(args: &Args) -> CliResult {
 /// range, torn bytes, and the resulting durable epoch. CI greps the
 /// `durable epoch` line to assert monotonicity across a kill/restart.
 fn cmd_snapshot(args: &Args) -> CliResult {
-    use rekey_core::persist::{WalEntry, SNAPSHOT_WIRE_VERSION};
+    use rekey_core::persist::{WalEntry, RECORD_WIRE_VERSION, SNAPSHOT_WIRE_VERSION};
+    use rekey_core::PersistError;
     use rekey_storage::{DirStorage, Storage};
 
     let dir = path_flag(args, "data-dir")?.ok_or("snapshot requires --data-dir <dir>")?;
@@ -1287,10 +1290,24 @@ fn cmd_snapshot(args: &Args) -> CliResult {
     // the next `serve` cancels it.
     let replay = storage.read_wal()?;
     let mut epochs: Vec<u64> = Vec::new();
+    let mut versions = std::collections::BTreeSet::new();
     let mut cancelled = 0usize;
     for bytes in &replay.records {
-        match WalEntry::decode(bytes).ok_or("corrupt entry inside a valid WAL frame")? {
-            WalEntry::Interval(record) => epochs.push(record.epoch),
+        let entry = match WalEntry::decode(bytes) {
+            // Every record version so far leads with its epoch.
+            Err(PersistError::PlannerChanged { found, .. }) => {
+                versions.insert(found);
+                let epoch = bytes.get(1..9).and_then(|b| b.try_into().ok());
+                epochs.push(u64::from_be_bytes(epoch.ok_or("WAL record truncated")?));
+                continue;
+            }
+            entry => entry.map_err(|_| "corrupt entry inside a valid WAL frame")?,
+        };
+        match entry {
+            WalEntry::Interval(record) => {
+                versions.insert(RECORD_WIRE_VERSION);
+                epochs.push(record.epoch);
+            }
             WalEntry::Abort { epoch } => {
                 if epochs.pop() != Some(epoch) {
                     return Err(format!("abort marker for epoch {epoch} without its record").into());
@@ -1310,6 +1327,14 @@ fn cmd_snapshot(args: &Args) -> CliResult {
             "wal: 0 records, {} torn byte(s) dropped",
             replay.dropped_bytes
         ),
+    }
+    for version in &versions {
+        let verdict = if *version == RECORD_WIRE_VERSION {
+            "this build replays it"
+        } else {
+            "another planner: this build refuses to replay it, drain under the build that wrote it"
+        };
+        println!("wal: record version {version} ({verdict})");
     }
     if cancelled > 0 {
         println!("wal: {cancelled} rejected batch(es) cancelled");

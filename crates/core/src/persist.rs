@@ -48,6 +48,19 @@
 //! anywhere else is a log that does not match its snapshot, and stays
 //! an error.
 //!
+//! # Records name their planner
+//!
+//! Replay re-derives an interval's output from its inputs, so a record
+//! is only as good as the code that re-runs it: a planner that renders
+//! the same batch into other keys would re-render a logged epoch from
+//! the logged nonce start with another plan, and one KEK could meet
+//! one nonce with two payloads. [`RECORD_WIRE_VERSION`] therefore
+//! names the planner as well as the layout, and a record of any other
+//! version is refused as [`PersistError::PlannerChanged`] rather than
+//! replayed. A data directory crosses such an upgrade by draining —
+//! [`Journal::snapshot`] empties the log — since a snapshot holds
+//! state, not inputs, and restores under any planner.
+//!
 //! # Snapshots bound replay
 //!
 //! Every `snapshot_every` intervals the journal serializes the whole
@@ -73,8 +86,10 @@ use rekey_storage::{Storage, StorageError};
 use std::fmt;
 use std::time::Instant;
 
-/// Version byte leading a serialized [`EpochRecord`].
-pub const RECORD_WIRE_VERSION: u8 = 1;
+/// Version byte leading a serialized [`EpochRecord`]: the record
+/// layout *and* the planner that replays it (module docs). 2 is the
+/// planner that advances join-only keys by F; 1 wrapped them.
+pub const RECORD_WIRE_VERSION: u8 = 2;
 
 /// First byte of an abort marker, the WAL entry that cancels the
 /// [`EpochRecord`] before it (a batch the manager rejected); its epoch
@@ -117,6 +132,16 @@ pub enum PersistError {
         /// The epoch the record carried.
         found: u64,
     },
+    /// A WAL record was written under another planner than this one's
+    /// ([`RECORD_WIRE_VERSION`]): replaying it would render its epoch
+    /// differently from the same nonce start. Drain the log under the
+    /// old build before upgrading.
+    PlannerChanged {
+        /// The record version found in the log.
+        found: u8,
+        /// This build's [`RECORD_WIRE_VERSION`].
+        expected: u8,
+    },
 }
 
 impl fmt::Display for PersistError {
@@ -132,6 +157,11 @@ impl fmt::Display for PersistError {
             PersistError::EpochGap { expected, found } => {
                 write!(f, "WAL epoch gap: expected epoch {expected}, found {found}")
             }
+            PersistError::PlannerChanged { found, expected } => write!(
+                f,
+                "WAL record version {found} was written under another planner than \
+                 this build's {expected}: drain the log under the old build first"
+            ),
         }
     }
 }
@@ -257,13 +287,26 @@ pub enum WalEntry {
 impl WalEntry {
     /// Decodes one WAL record payload, requiring all of it to be
     /// consumed.
-    pub fn decode(bytes: &[u8]) -> Option<WalEntry> {
-        match bytes.split_first()? {
-            (&ABORT_WIRE_TAG, mut rest) => {
-                let epoch = get_u64(&mut rest)?;
-                rest.is_empty().then_some(WalEntry::Abort { epoch })
-            }
-            _ => EpochRecord::decode(bytes).map(WalEntry::Interval),
+    ///
+    /// # Errors
+    ///
+    /// [`PersistError::PlannerChanged`] for a record of another
+    /// [`RECORD_WIRE_VERSION`], [`PersistError::Codec`] for anything
+    /// else that does not parse.
+    pub fn decode(bytes: &[u8]) -> Result<WalEntry, PersistError> {
+        let corrupt = PersistError::Codec { what: "WAL record" };
+        match bytes.split_first().ok_or(corrupt)? {
+            (&ABORT_WIRE_TAG, mut rest) => match get_u64(&mut rest) {
+                Some(epoch) if rest.is_empty() => Ok(WalEntry::Abort { epoch }),
+                _ => Err(PersistError::Codec { what: "WAL record" }),
+            },
+            (&RECORD_WIRE_VERSION, _) => EpochRecord::decode(bytes)
+                .map(WalEntry::Interval)
+                .ok_or(PersistError::Codec { what: "WAL record" }),
+            (&found, _) => Err(PersistError::PlannerChanged {
+                found,
+                expected: RECORD_WIRE_VERSION,
+            }),
         }
     }
 }
@@ -482,8 +525,10 @@ impl<S: Storage> Journal<S> {
     ///
     /// [`PersistError::SchemeMismatch`] if the snapshot belongs to a
     /// different scheme, [`PersistError::EpochGap`] if the log is not
-    /// contiguous, [`PersistError::Codec`] on a corrupt snapshot or
-    /// record (a torn WAL *tail* is repaired, not an error),
+    /// contiguous, [`PersistError::PlannerChanged`] if a record was
+    /// written under another planner, [`PersistError::Codec`] on a
+    /// corrupt snapshot or record (a torn WAL *tail* is repaired, not
+    /// an error),
     /// [`PersistError::Replay`] if the manager rejects a record that is
     /// not the log's last (the last is an unacknowledged batch, and is
     /// cancelled).
@@ -519,7 +564,7 @@ impl<S: Storage> Journal<S> {
         let entries = replay
             .records
             .iter()
-            .map(|bytes| WalEntry::decode(bytes).ok_or(PersistError::Codec { what: "WAL record" }))
+            .map(|bytes| WalEntry::decode(bytes))
             .collect::<Result<Vec<_>, _>>()?;
         let mut messages = Vec::new();
         let mut replayed = 0usize;

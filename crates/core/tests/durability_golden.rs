@@ -1,15 +1,27 @@
 //! The bytes the durability path leaves behind are frozen.
 //!
-//! Every digest and the fixture data directory in this file were
-//! produced by the commit *before* the storage crate got its
-//! table-driven CRC and copy-free seal/unseal (PR 20): a data dir
-//! written by either side of that change must recover under the other,
-//! so the same script must still write the same bytes, and the
-//! committed directory must still restore.
+//! The digests below and `tests/fixtures/datadir-record-v2` were
+//! written by the planner that advances join-only keys by F; the same
+//! script must still write the same bytes, and the committed directory
+//! must still restore. `tests/fixtures/datadir-pr19` was written by the
+//! planner before it, whose WAL records (version 1) re-render their
+//! epochs differently: its snapshot still restores, its records are
+//! refused as `PersistError::PlannerChanged`.
+//!
+//! The digests moved once, for that planner: each WAL record's version
+//! byte, the randomness the planner no longer draws (every later RNG
+//! state and key), and the advanced keys in the snapshots. The trees
+//! did not: per interval the script's encrypted keys before equal its
+//! encrypted keys plus its advances now, plus one per tree that was
+//! empty when the batch began (`PARENT_KEYS`).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rekey_core::{DurationClass, GroupKeyManager, Join, Journal, Scheme, SchemeConfig};
+use rekey_core::persist::RECORD_WIRE_VERSION;
+use rekey_core::{
+    DurationClass, GroupKeyManager, IntervalOutcome, Join, Journal, PersistError, Scheme,
+    SchemeConfig,
+};
 use rekey_crypto::sha256::Sha256;
 use rekey_crypto::Key;
 use rekey_keytree::message::RekeyMessage;
@@ -25,14 +37,15 @@ fn hex(bytes: &[u8]) -> String {
 /// (every third hinted short-lived, every fourth hinted lossy, so the
 /// partitioned and loss-aware schemes place them differently) and,
 /// from the third interval on, evicts the first joiner of two
-/// intervals ago. `after` sees the journal once per interval.
+/// intervals ago. `after` sees the journal and the interval's outcome
+/// once per interval.
 fn run_script<S: Storage>(
     journal: &mut Journal<S>,
     manager: &mut dyn GroupKeyManager,
     rng: &mut StdRng,
     intervals: u64,
     joins_per: u64,
-    mut after: impl FnMut(&mut Journal<S>),
+    mut after: impl FnMut(&mut Journal<S>, &IntervalOutcome),
 ) {
     for i in 0..intervals {
         let joins: Vec<Join> = (0..joins_per)
@@ -53,52 +66,97 @@ fn run_script<S: Storage>(
         } else {
             Vec::new()
         };
-        journal
+        let outcome = journal
             .durable_interval(manager, &joins, &leaves, rng, &mut |_: &RekeyMessage| {})
             .expect("durable interval");
-        after(journal);
+        after(journal, &outcome);
     }
 }
 
 /// sha256 over the framed WAL stream and the sealed snapshot as they
-/// stand after each of 12 intervals (snapshot every 4).
-fn storage_digest(scheme: Scheme) -> String {
+/// stand after each of 12 intervals (snapshot every 4), and each
+/// interval's encrypted keys plus advances.
+fn storage_digest(scheme: Scheme) -> (String, Vec<usize>) {
     let mut rng = StdRng::seed_from_u64(0x5EA1);
     let mut manager = scheme.build(&SchemeConfig::default());
     let mut journal = Journal::new(MemStorage::new(), 4);
     let mut hasher = Sha256::new();
-    run_script(&mut journal, &mut *manager, &mut rng, 12, 5, |journal| {
-        let storage = journal.storage_mut();
-        hasher.update(&(storage.wal_bytes().len() as u64).to_be_bytes());
-        hasher.update(storage.wal_bytes());
-        let snapshot = storage.snapshot_bytes().unwrap_or_default();
-        hasher.update(&(snapshot.len() as u64).to_be_bytes());
-        hasher.update(&snapshot);
-    });
-    hex(&hasher.finalize())
+    let mut changed = Vec::new();
+    run_script(
+        &mut journal,
+        &mut *manager,
+        &mut rng,
+        12,
+        5,
+        |journal, outcome| {
+            let storage = journal.storage_mut();
+            hasher.update(&(storage.wal_bytes().len() as u64).to_be_bytes());
+            hasher.update(storage.wal_bytes());
+            let snapshot = storage.snapshot_bytes().unwrap_or_default();
+            hasher.update(&(snapshot.len() as u64).to_be_bytes());
+            hasher.update(&snapshot);
+            changed.push(outcome.stats.encrypted_keys + outcome.message.advances.len());
+        },
+    );
+    (hex(&hasher.finalize()), changed)
 }
+
+/// Per interval of the script, the previous planner's encrypted keys
+/// (`.0`) and the trees that were empty when the batch began (`.1`):
+/// the S-tree at the bootstrap, and at the first S → L migration
+/// (interval 11) TT's L-tree or the combined scheme's two.
+const PARENT_KEYS: [(Scheme, [usize; 12], [usize; 12]); 2] = [
+    (
+        Scheme::Tt,
+        [8, 15, 15, 19, 23, 23, 23, 25, 25, 25, 41, 49],
+        [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0],
+    ),
+    (
+        Scheme::Combined,
+        [8, 15, 15, 19, 23, 23, 23, 25, 25, 25, 43, 47],
+        [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0],
+    ),
+];
 
 #[test]
 fn wal_and_snapshot_bytes_are_frozen() {
-    assert_eq!(
-        storage_digest(Scheme::Tt),
-        "4ed354da3c6683000ca7adfbf8c24124ae7f6ca79fbd18004e778231ba6aa37a"
-    );
-    assert_eq!(
-        storage_digest(Scheme::Combined),
-        "23690979a094f1e7565dbdaf1b4805e0da480be809f8641e223f8f08e26bfbff"
-    );
+    // Each key the previous planner sent is now an entry or an advance,
+    // except an empty tree's root: it was wrapped under the bootstrap
+    // key, which no member holds, and is now fresh and sent under its
+    // children alone.
+    let pinned = [
+        "a8e6f3dae1b3f5f60c0c3a043e69154fd58e6ce1f9fa3afaf3330280c61112e4",
+        "a8339a71efbc3fc3e01bd50279a8c713ef7ac9b78afc066485b5b2033de18e42",
+    ];
+    for ((scheme, parent, empty), pinned) in PARENT_KEYS.into_iter().zip(pinned) {
+        let (digest, changed) = storage_digest(scheme);
+        let relation: Vec<usize> = changed.iter().zip(empty).map(|(c, e)| c + e).collect();
+        assert_eq!(relation, parent, "{scheme:?}");
+        assert_eq!(digest, pinned, "{scheme:?}");
+    }
 }
 
 // ---------------------------------------------------------------------
-// The parent-written data directory
+// The committed data directories
 // ---------------------------------------------------------------------
 
+/// Where both fixtures came from: [`write_fixture_script`]'s six
+/// intervals, snapshot at epoch 4, two WAL records behind it.
 const FIXTURE_EPOCH: u64 = 6;
-const FIXTURE_DEK: &str = "c8ffe63700b5babb89b62aa155a7dbe909317b1529612449ba43c9519c00b1f2";
+const SNAPSHOT_EPOCH: u64 = 4;
 
-fn fixture_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/datadir-pr19")
+/// The DEK `datadir-record-v2` recovers to, at [`FIXTURE_EPOCH`].
+const FIXTURE_DEK: &str = "6400863d021abdbb38cb1b19bd4477ab562504c6bd62ef877aa33f55fc972fcc";
+
+/// The DEK at [`SNAPSHOT_EPOCH`] of the script as the previous planner
+/// ran it: what `datadir-pr19`'s snapshot holds.
+const PARENT_SNAPSHOT_DEK: &str =
+    "ef66ffefd34afcf0631932e84050dd0acbf873d5fd00116b22fcc08852c90951";
+
+fn fixture_dir(name: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures")
+        .join(name)
 }
 
 fn fixture_manager() -> Box<dyn GroupKeyManager> {
@@ -112,24 +170,66 @@ fn scratch_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// How `tests/fixtures/datadir-pr19` was written: six intervals of the
-/// script, two joins each, snapshot every four — so the directory holds
-/// a snapshot at epoch 4 and a two-record WAL tail.
+/// A copy of fixture `name` in a scratch directory (recovery repairs
+/// and reopens files for append), with its WAL emptied if `drained`.
+fn copy_fixture(name: &str, tag: &str, drained: bool) -> PathBuf {
+    let dir = scratch_dir(tag);
+    for file in [WAL_FILE, SNAPSHOT_FILE] {
+        std::fs::copy(fixture_dir(name).join(file), dir.join(file)).expect("copy fixture");
+    }
+    if drained {
+        std::fs::write(dir.join(WAL_FILE), b"").expect("empty the WAL");
+    }
+    dir
+}
+
+/// How the fixtures were written: six intervals of the script, two
+/// joins each, snapshot every four — so each directory holds a
+/// snapshot at epoch 4 and a two-record WAL tail.
 fn write_fixture_script(dir: &Path) -> Box<dyn GroupKeyManager> {
     let mut rng = StdRng::seed_from_u64(0xF1C5);
     let mut manager = fixture_manager();
     let mut journal = Journal::new(DirStorage::open(dir).expect("open"), 4);
-    run_script(&mut journal, &mut *manager, &mut rng, 6, 2, |_| {});
+    run_script(&mut journal, &mut *manager, &mut rng, 6, 2, |_, _| {});
     manager
 }
 
+/// The previous planner's WAL records would re-render their epochs
+/// from the logged nonce starts with another plan: recovery refuses
+/// them by their version, typed, instead of replaying them.
 #[test]
 fn parent_written_data_dir_still_recovers() {
-    // Recovery repairs and reopens files for append: work on a copy.
-    let dir = scratch_dir("recover");
-    for name in [WAL_FILE, SNAPSHOT_FILE] {
-        std::fs::copy(fixture_dir().join(name), dir.join(name)).expect("copy fixture");
+    let dir = copy_fixture("datadir-pr19", "recover", false);
+    let mut manager = fixture_manager();
+    let mut journal = Journal::new(DirStorage::open(&dir).expect("open"), 4);
+    match journal.recover(&mut *manager) {
+        Err(PersistError::PlannerChanged { found, expected }) => {
+            assert_eq!((found, expected), (1, RECORD_WIRE_VERSION));
+        }
+        other => panic!("expected PlannerChanged, got {other:?}"),
     }
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// Drained — the WAL empty, as `Journal::snapshot` leaves it — the same
+/// directory recovers: a snapshot holds state, not inputs, and restores
+/// under any planner to the DEK the previous one left.
+#[test]
+fn a_drained_parent_data_dir_recovers_its_snapshot() {
+    let dir = copy_fixture("datadir-pr19", "drained", true);
+    let mut manager = fixture_manager();
+    let mut journal = Journal::new(DirStorage::open(&dir).expect("open"), 4);
+    let recovery = journal.recover(&mut *manager).expect("recover");
+    assert!(recovery.snapshot_loaded);
+    assert_eq!(recovery.replayed, 0);
+    assert_eq!(recovery.epoch, SNAPSHOT_EPOCH);
+    assert_eq!(hex(manager.dek().as_bytes()), PARENT_SNAPSHOT_DEK);
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+#[test]
+fn this_commits_data_dir_recovers() {
+    let dir = copy_fixture("datadir-record-v2", "recover-v2", false);
     let mut manager = fixture_manager();
     let mut journal = Journal::new(DirStorage::open(&dir).expect("open"), 4);
     let recovery = journal.recover(&mut *manager).expect("recover");
@@ -149,8 +249,8 @@ fn this_commit_writes_the_parents_files() {
     for name in [WAL_FILE, SNAPSHOT_FILE] {
         assert_eq!(
             std::fs::read(dir.join(name)).expect("written"),
-            std::fs::read(fixture_dir().join(name)).expect("fixture"),
-            "{name} differs from the parent-written file"
+            std::fs::read(fixture_dir("datadir-record-v2").join(name)).expect("fixture"),
+            "{name} differs from the committed file"
         );
     }
     std::fs::remove_dir_all(&dir).expect("cleanup");

@@ -36,7 +36,8 @@ fn a_rekey_interval_hashes_nothing() {
     rekey_obs::install(collector.clone());
     let outcome = manager.process_interval(&newcomers, &leavers, &mut rng);
     rekey_obs::uninstall();
-    let keys = outcome.expect("mixed batch").stats.encrypted_keys as u64;
+    let outcome = outcome.expect("mixed batch");
+    let keys = outcome.stats.encrypted_keys as u64;
     let seen = collector.snapshot();
 
     assert!(keys > 100, "a mixed batch at N = 1 024 wraps {keys} keys");
@@ -51,11 +52,18 @@ fn a_rekey_interval_hashes_nothing() {
     assert_eq!(seen.counter("crypto.keywrap.wrap"), keys);
     assert_eq!(seen.counter("crypto.poly1305"), keys);
     assert_eq!(seen.counter("crypto.chacha20_blocks"), 2 * keys);
+    // An advanced key is one ChaCha20 block under its own counter, not
+    // an AEAD block: the equation above still describes the wraps.
+    assert_eq!(
+        seen.counter("crypto.key_advance"),
+        outcome.message.advances.len() as u64
+    );
 }
 
 /// The two node counters split a batch's refreshed keys by what each
-/// cost: a wrap per child (a leaver sat below it, or a leaf split made
-/// it) or the previous key plus the changed children.
+/// cost: a fresh key wrapped per child (a leaver sat below it, or a
+/// leaf split made it) or an advance by F plus a wrap per changed child
+/// — and every join-only node is exactly one F.
 #[test]
 fn node_counters_say_where_a_batch_spent_its_keys() {
     use rekey_keytree::server::LkhServer;
@@ -92,4 +100,11 @@ fn node_counters_say_where_a_batch_spent_its_keys() {
         seen.counter("rekey.encrypted_keys"),
         stats.encrypted_keys as u64
     );
+    assert_eq!(seen.counter("crypto.key_advance"), join_only);
+    assert_eq!(join_only, stats.advanced_keys as u64);
+    assert_eq!(
+        seen.counter("crypto.chacha20_blocks"),
+        2 * stats.encrypted_keys as u64
+    );
+    assert_eq!(seen.counter("crypto.hmac"), 0);
 }

@@ -51,9 +51,26 @@
 //!   opposite. A member picks the unwrapping key by the authenticated
 //!   `(under, under_version)` / `recipient` of the entry, never by
 //!   trial decryption.
-//! - **Key usage.** A [`Key`]'s raw bytes key this AEAD and nothing
-//!   else; every other use goes through [`Key::derive`] with its own
-//!   label (`"net-hello"`, `"oft-blind"`).
+//! - **Key usage.** A [`Key`]'s raw bytes key this AEAD and the key
+//!   advance [`advance`], and nothing else; every other use goes
+//!   through [`Key::derive`] with its own label (`"net-hello"`,
+//!   `"oft-blind"`).
+//!
+//! # The key advance
+//!
+//! [`advance`] is the one-way step `K' = F(K)` a key server uses for a
+//! tree key that only joins changed: every holder of `K` computes `K'`
+//! itself, so nothing is wrapped. F is one ChaCha20 block under `K` at
+//! counter 2³² − 1 and the fixed nonce [`ADVANCE_LABEL`]; bytes 0..32
+//! are `K'` and bytes 32..40 a check that a holder compares against the
+//! announced one.
+//!
+//! F never meets a wrap's key stream. A wrap seals one 32-byte key, so
+//! under whatever nonce it draws it uses counter 0 (the Poly1305 key)
+//! and counter 1 (the key stream) and no other; F's counter is
+//! 2³² − 1, so its block differs from every wrap block under every
+//! nonce, [`ADVANCE_LABEL`] included. F is one-way because ChaCha20 is
+//! a PRF in its key: `K'` and the check reveal nothing of `K`.
 
 use crate::chacha20;
 use crate::poly1305::{self, Poly1305};
@@ -330,6 +347,46 @@ impl WrapKek {
     }
 }
 
+/// The nonce of the key advance: no nonce a wrap draws is special,
+/// since F's block counter alone keeps it apart (module docs).
+pub const ADVANCE_LABEL: [u8; NONCE_LEN] = *b"lkh+ advance";
+
+/// Length of the check an advance publishes beside its node.
+pub const ADVANCE_CHECK_LEN: usize = 8;
+
+/// The block counter of F: one no 32-byte wrap reaches.
+const ADVANCE_COUNTER: u32 = u32::MAX;
+
+/// The key advance F (module docs): the next version of `key` and the
+/// check that lets a holder of `key` recognise a genuine announcement.
+/// One ChaCha20 block, counted under `crypto.key_advance` and not
+/// under `crypto.chacha20_blocks`, which counts AEAD blocks.
+pub fn advance(key: &Key) -> (Key, [u8; ADVANCE_CHECK_LEN]) {
+    rekey_obs::count("crypto.key_advance", 1);
+    let block = chacha20::block(key.as_bytes(), ADVANCE_COUNTER, &ADVANCE_LABEL);
+    let (next, rest) = block.split_first_chunk::<32>().expect("64-byte block");
+    let check = rest
+        .first_chunk::<ADVANCE_CHECK_LEN>()
+        .expect("64-byte block");
+    (Key::from_bytes(*next), *check)
+}
+
+/// [`advance`] as a receiver runs it: the next version of `previous`,
+/// if `check` is the one F gives. Compared in constant time.
+///
+/// # Errors
+///
+/// [`CryptoError::BadTag`] if `check` is not `previous`'s: the
+/// announcement was altered, or `previous` is not the key it advanced.
+pub fn open_advance(previous: &Key, check: &[u8; ADVANCE_CHECK_LEN]) -> Result<Key, CryptoError> {
+    let (next, expected) = advance(previous);
+    if ct_eq(&expected, check) {
+        Ok(next)
+    } else {
+        Err(CryptoError::BadTag)
+    }
+}
+
 /// Encrypts `payload` under `kek` with a fresh random nonce from `rng`.
 pub fn wrap<R: RngCore>(kek: &Key, payload: &Key, rng: &mut R) -> WrappedKey {
     WrapKek::new(kek).wrap(payload, rng)
@@ -495,6 +552,51 @@ mod tests {
         let wrapped = wrap_with_nonce(&kek, &payload, [1; NONCE_LEN]);
         let other = WrapKek::new(&Key::from_bytes([9; 32]));
         assert_eq!(other.unwrap(&wrapped), Err(CryptoError::BadTag));
+    }
+
+    /// F is one block at counter 2³² − 1 under the advance label: the
+    /// key is its first 32 bytes, the check the next 8, and no block a
+    /// wrap uses (counters 0 and 1, any nonce) is among them.
+    #[test]
+    fn advance_is_one_block_no_wrap_uses() {
+        let key = Key::from_bytes([0x42; 32]);
+        let block = chacha20::block(key.as_bytes(), u32::MAX, &ADVANCE_LABEL);
+        let (next, check) = advance(&key);
+        assert_eq!(next.as_bytes()[..], block[..32]);
+        assert_eq!(check[..], block[32..40]);
+        assert_ne!(next, key);
+        assert_eq!(advance(&key), (next.clone(), check), "deterministic");
+        for counter in [0, 1] {
+            assert_ne!(
+                chacha20::block(key.as_bytes(), counter, &ADVANCE_LABEL),
+                block
+            );
+        }
+        // A wrap under the label as its nonce shares no key stream.
+        let payload = Key::from_bytes([7; 32]);
+        let wrapped = wrap_with_nonce(&key, &payload, ADVANCE_LABEL);
+        let stream = chacha20::block(key.as_bytes(), 1, &ADVANCE_LABEL);
+        let ct: Vec<u8> = payload
+            .as_bytes()
+            .iter()
+            .zip(&stream)
+            .map(|(p, s)| p ^ s)
+            .collect();
+        assert_eq!(wrapped.sealed()[..32], ct[..]);
+    }
+
+    #[test]
+    fn open_advance_checks_the_announcement() {
+        let key = Key::from_bytes([3; 32]);
+        let (next, check) = advance(&key);
+        assert_eq!(open_advance(&key, &check), Ok(next));
+        for byte in 0..ADVANCE_CHECK_LEN {
+            let mut flipped = check;
+            flipped[byte] ^= 0x01;
+            assert_eq!(open_advance(&key, &flipped), Err(CryptoError::BadTag));
+        }
+        let other = Key::from_bytes([4; 32]);
+        assert_eq!(open_advance(&other, &check), Err(CryptoError::BadTag));
     }
 
     #[test]

@@ -6,11 +6,13 @@
 //! is exactly the keys on its leaf-to-root path(s), plus the group
 //! data-encryption key when a manager distributes one.
 //!
-//! Processing is a single forward pass thanks to the
-//! deepest-target-first entry order; see [`crate::message`].
+//! Processing is the message's advances, then a single forward pass
+//! over its entries thanks to the deepest-target-first entry order;
+//! see [`crate::message`].
 
-use crate::message::{RekeyEntry, RekeyMessage};
+use crate::message::{KeyAdvance, RekeyEntry, RekeyMessage};
 use crate::{KeyTreeError, MemberId, NodeId};
+use rekey_crypto::keywrap::open_advance;
 use rekey_crypto::Key;
 use std::collections::HashMap;
 
@@ -115,32 +117,60 @@ impl GroupMember {
     }
 
     /// Processes a rekey message, updating every key addressed to this
-    /// member. Entries not addressed to this member are skipped — the
-    /// *sparseness property* of rekey payloads (§2.2 of the paper).
+    /// member: first its advances, then its entries in one pass.
+    /// Advances and entries not addressed to this member are skipped —
+    /// the *sparseness property* of rekey payloads (§2.2 of the paper).
     ///
-    /// Returns the number of entries this member decrypted.
+    /// Returns the number of keys this member installed: advances
+    /// applied plus entries decrypted.
     ///
     /// # Errors
     ///
-    /// Returns [`KeyTreeError::Crypto`] if an entry addressed to a key
-    /// this member holds fails authentication: the wrapped key or any
-    /// header field (see [`RekeyEntry::binding`]) is not what the key
-    /// server sealed. Entries before the failing one stay installed; a
-    /// genuine retransmission of the message completes the rest.
+    /// Returns [`KeyTreeError::Crypto`] if an advance or entry
+    /// addressed to a key this member holds fails authentication: an
+    /// advance's check (see [`GroupMember::process_advances`]), or the
+    /// wrapped key or any header field of an entry (see
+    /// [`RekeyEntry::binding`]), is not what the key server made. Keys
+    /// installed before the failing one stay installed; a genuine
+    /// retransmission of the message completes the rest.
     pub fn process(&mut self, message: &RekeyMessage) -> Result<usize, KeyTreeError> {
-        let mut decrypted = 0;
-        for entry in &message.entries {
-            self.processed_entries += 1;
-            if self.try_entry(entry)? {
-                decrypted += 1;
-                self.decrypted_entries += 1;
+        let advanced = self.process_advances(&message.advances)?;
+        Ok(advanced + self.process_entries(&message.entries)?)
+    }
+
+    /// Applies a message's advances: for each [`KeyAdvance`] to
+    /// `node@v` whose `node@(v − 1)` this member holds, computes F of
+    /// the held key, compares the check, and installs `node@v`. An
+    /// advance of a key this member does not hold at `v − 1` is
+    /// skipped. Call before the message's entries, which may be wrapped
+    /// under an advanced key; [`GroupMember::process`] does.
+    ///
+    /// Returns the number of keys advanced.
+    ///
+    /// # Errors
+    ///
+    /// [`KeyTreeError::Crypto`] (`BadTag`) if an advance of a held key
+    /// carries a check F does not give: the record was altered, and the
+    /// held key stays as it was.
+    pub fn process_advances(&mut self, advances: &[KeyAdvance]) -> Result<usize, KeyTreeError> {
+        let mut advanced = 0;
+        for advance in advances {
+            let Some((version, key)) = self.keys.get_mut(&advance.node) else {
+                continue;
+            };
+            if Some(*version) != advance.version.checked_sub(1) {
+                continue;
             }
+            *key = open_advance(key, &advance.check)?;
+            *version = advance.version;
+            advanced += 1;
         }
-        Ok(decrypted)
+        Ok(advanced)
     }
 
     /// Processes only the given entries (used when the transport layer
-    /// delivers a subset of packets).
+    /// delivers a subset of packets; the message's advances travel with
+    /// its envelope and go to [`GroupMember::process_advances`] first).
     ///
     /// # Errors
     ///
@@ -227,6 +257,42 @@ mod tests {
         m.process(&msg).unwrap();
         let v2 = m.version_for(root).unwrap();
         assert!(v2 > v1, "root version must advance: {v1} -> {v2}");
+    }
+
+    /// A member below a node that only joins changed follows it by F,
+    /// with no entry addressed to it; a flipped check is `BadTag` and
+    /// leaves the held key alone.
+    #[test]
+    fn a_member_follows_an_advance_by_itself() {
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut server = LkhServer::new(3, 0);
+        let iks: Vec<Key> = (0..9).map(|_| Key::generate(&mut rng)).collect();
+        let joins: Vec<_> = (0..9u64)
+            .map(|i| (MemberId(i), iks[i as usize].clone()))
+            .collect();
+        let bootstrap = server.apply_batch(&joins, &[], &mut rng).message;
+        let mut m = GroupMember::new(MemberId(0), iks[0].clone());
+        m.process(&bootstrap).unwrap();
+
+        let msg = server.join(MemberId(50), Key::generate(&mut rng), &mut rng);
+        let root = server.root_node();
+        let advance = *msg.advances.iter().find(|a| a.node == root).unwrap();
+        let mut tampered = msg.clone();
+        tampered.advances.iter_mut().for_each(|a| a.check[0] ^= 1);
+        let mut twin = m.clone();
+        assert_eq!(
+            twin.process(&tampered),
+            Err(KeyTreeError::Crypto(rekey_crypto::CryptoError::BadTag))
+        );
+        assert_eq!(twin.version_for(root), Some(advance.version - 1));
+
+        let (seen_before, _) = m.stats();
+        m.process(&msg).unwrap();
+        assert_eq!(m.key_for(root), Some(server.root_key()));
+        assert_eq!(m.version_for(root), Some(advance.version));
+        // Replayed, the advance names a version this member is past.
+        assert_eq!(m.process_advances(&msg.advances), Ok(0));
+        assert_eq!(m.stats().0, seen_before + msg.entries.len() as u64);
     }
 
     #[test]

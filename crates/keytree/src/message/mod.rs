@@ -8,13 +8,21 @@
 //! new key is wrapped under a child's *new* key, whose entry appears
 //! earlier).
 //!
+//! A tree key that only joins changed is not wrapped at all: it
+//! advances by the one-way step F
+//! ([`rekey_crypto::keywrap::advance`]), and the message carries a
+//! [`KeyAdvance`] — node, new version, check — from which every holder
+//! of the previous version computes the new one. Receivers apply a
+//! message's advances before its entries, since an entry may be
+//! wrapped under an advanced key.
+//!
 //! Each entry also carries metadata the reliable-transport layer needs
 //! (\[SZJ02\]'s weighted key assignment): the number of members
 //! interested in the entry (`audience`) and the depth of the target
 //! key, which together determine how valuable the entry is.
 
 use crate::{MemberId, NodeId};
-use rekey_crypto::keywrap::{WrapKek, WrappedKey, NONCE_LEN};
+use rekey_crypto::keywrap::{WrapKek, WrappedKey, ADVANCE_CHECK_LEN, NONCE_LEN};
 use rekey_crypto::{CryptoError, Key};
 
 pub mod codec;
@@ -149,6 +157,21 @@ impl RekeyEntry {
     }
 }
 
+/// One key that advanced by F: `node`'s key at `version` is F of its
+/// key at `version − 1`, and `check` is what F gave beside it. Whoever
+/// holds the previous version computes the new one and compares the
+/// check ([`rekey_crypto::keywrap::open_advance`]); nobody else learns
+/// anything from the record.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KeyAdvance {
+    /// The node whose key advanced.
+    pub node: NodeId,
+    /// The version it advanced to (≥ 1).
+    pub version: u64,
+    /// Bytes 32..40 of F's block.
+    pub check: [u8; ADVANCE_CHECK_LEN],
+}
+
 /// A multicast rekey message for one rekey event.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RekeyMessage {
@@ -156,6 +179,8 @@ pub struct RekeyMessage {
     pub epoch: u64,
     /// Encrypted keys, ordered deepest-target-first.
     pub entries: Vec<RekeyEntry>,
+    /// Keys that advanced by F, ascending by node within each tree.
+    pub advances: Vec<KeyAdvance>,
 }
 
 impl RekeyMessage {
@@ -164,29 +189,32 @@ impl RekeyMessage {
         RekeyMessage {
             epoch,
             entries: Vec::new(),
+            advances: Vec::new(),
         }
     }
 
     /// Number of encrypted keys — the paper's key-server cost metric.
+    /// An advance encrypts nothing and is not counted.
     pub fn encrypted_key_count(&self) -> usize {
         self.entries.len()
     }
 
-    /// Encoded size of the entries in bytes: what
+    /// Encoded size of the entries and advances in bytes: what
     /// [`codec::encode_message`] writes behind its
     /// [`codec::MESSAGE_HEADER_LEN`]-byte head. An entry's size depends
     /// on its predecessor, so this is a sizing pass of the coder over
     /// the whole message (no allocation), not a per-entry constant.
     pub fn byte_len(&self) -> usize {
-        codec::entries_len(&self.entries)
+        codec::body_len(self)
     }
 
-    /// Whether the message carries no entries (no key changed).
+    /// Whether the message changes no key: no entries, no advances.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.entries.is_empty() && self.advances.is_empty()
     }
 
-    /// Appends all entries of `other` after the entries of `self`.
+    /// Appends all entries and advances of `other` after those of
+    /// `self`.
     ///
     /// Used by group-key managers that compose several trees (e.g. the
     /// two-partition schemes): sub-tree messages come first, then the
@@ -196,6 +224,7 @@ impl RekeyMessage {
     /// established by `self` or already held.
     pub fn merge(&mut self, other: RekeyMessage) {
         self.entries.extend(other.entries);
+        self.advances.extend(other.advances);
     }
 
     /// Iterates over entries together with their index (used by
@@ -242,12 +271,21 @@ mod tests {
 
     #[test]
     fn merge_preserves_order() {
+        let advance = |node| KeyAdvance {
+            node: NodeId::from_parts(0, node),
+            version: 3,
+            check: [node as u8; ADVANCE_CHECK_LEN],
+        };
         let mut a = RekeyMessage::new(1);
         a.entries.push(entry(2));
+        a.advances.push(advance(4));
         let mut b = RekeyMessage::new(1);
         b.entries.push(entry(0));
+        b.advances.push(advance(9));
         a.merge(b);
         assert_eq!(a.entries[0].target_depth, 2);
         assert_eq!(a.entries[1].target_depth, 0);
+        assert_eq!(a.advances, [advance(4), advance(9)]);
+        assert_eq!(a.encrypted_key_count(), 2);
     }
 }

@@ -7,42 +7,54 @@
 //! paths is refreshed once, and a single [`RekeyMessage`] is emitted.
 //!
 //! A batch pays per changed node, not per joiner × height. One rule
-//! decides how each refreshed ("dirty") node X sends its new key:
+//! decides how each refreshed ("dirty") node X gets its new key:
 //!
 //! - **X is compromised** — a leaver of this batch sat below it (X is
-//!   on a path `remove_member` returned), or a leaf split of this batch
-//!   created it: the new key is wrapped under the current key of
-//!   *every* child, `d` encryptions (group-oriented rekeying, the cost
-//!   model of Appendix A). A leaver held X's previous key and a new
-//!   node has none, so the children are the only safe carriers.
-//! - **otherwise** only joins dirtied X: the new key is wrapped once
-//!   under X's *own previous version* — every member already below X
-//!   holds it, no leaver of this batch ever did, and no joiner does —
-//!   plus once under the current key of each *changed* child: a dirty
-//!   child (its new version) or the leaf of one of this batch's
-//!   joiners (its individual key).
+//!   on a path `remove_member` returned), a leaf split of this batch
+//!   created it, or it is the root of a tree that had no member when
+//!   the batch began: X gets a fresh random key, wrapped under the
+//!   current key of *every* child, `d` encryptions (group-oriented
+//!   rekeying, the cost model of Appendix A). A leaver held X's
+//!   previous key, a new node has none, and an empty tree's root key
+//!   is held by no member, so the children are the only safe carriers.
+//! - **otherwise** only joins dirtied X: its key *advances* by the
+//!   one-way step F, `K' = F(K)` ([`KeyTree::advance_key`]), and the
+//!   message announces the advance ([`KeyAdvance`]) instead of
+//!   wrapping anything under X's previous version. Every member
+//!   already below X holds that version and computes `K'` itself; no
+//!   leaver of this batch ever held it, and no joiner does. `K'` is
+//!   then wrapped once under the current key of each *changed* child —
+//!   a dirty child (its new version) or the leaf of one of this batch's
+//!   joiners (its individual key) — which is how joiners reach it.
 //!
 //! A joiner therefore gets exactly one entry under its individual key
 //! — its leaf's parent — and chains upward through new child versions,
 //! as a survivor of a leave batch always has; the deepest-target-first
 //! entry order lets it do so in one pass. Nothing older than this
 //! batch is ever wrapped, so a joiner learns no key that predates it
-//! (backward secrecy); nothing is wrapped under a key version a leaver
-//! held (forward secrecy); and no key version wraps two entries of a
-//! batch. A pure-join batch of J joiners costs ≈ `2·|dirty| + J`
-//! (\[YLZL01\]'s sum over updated nodes) where one entry per joiner per
-//! ancestor cost `|dirty| + J·h`; a mixed batch pays `d` only where a
-//! leaver was. `tests/batch_planner.rs` holds every message of random
-//! batch scripts to these statements.
+//! (backward secrecy); nothing is wrapped under, or advanced from, a
+//! key version a leaver held, and every departure refreshes its whole
+//! path with fresh randomness, so no departed member can chain F to a
+//! later version (forward secrecy); and no key version wraps two
+//! entries of a batch. F reveals X's new key to exactly the holders of
+//! its previous one — the audience the wrap under that version had.
+//! A pure-join batch of J joiners costs ≈ `|dirty| + J` wraps plus
+//! `|dirty|` advance records (\[YLZL01\]'s sum over updated nodes,
+//! LKH+'s one-way update) where a wrap under each previous version cost
+//! `2·|dirty| + J`; a mixed batch pays `d` only where a leaver was.
+//! `tests/batch_planner.rs` holds every message of random batch scripts
+//! to these statements.
 //!
 //! # Performance architecture
 //!
 //! A batch is processed in three phases:
 //!
 //! 1. **Mutation** (sequential): the tree structure is updated and
-//!    fresh keys are generated for every dirty node. This phase owns
-//!    the caller's RNG and is inherently ordered.
-//! 2. **Planning** (sequential): every encryption the batch needs is
+//!    the dirty nodes are listed, each compromised or not. This phase
+//!    owns the caller's RNG and is inherently ordered.
+//! 2. **Planning** (sequential): compromised nodes get fresh keys from
+//!    the caller's RNG and the others advance by F, in ascending node
+//!    order; then every encryption the batch needs is
 //!    recorded as a planned wrap — KEK, payload, per-entry metadata
 //!    and a nonce: one [`NonceRun`] start is drawn from the caller's
 //!    RNG per batch and the plan is numbered from it in order. No
@@ -56,7 +68,7 @@
 //!    output message, each sealed with its own header as associated
 //!    data ([`EntryMeta::seal`]). The whole per-key cost sits here.
 //!
-//! The fresh keys → plan → sort → one nonce start → execute order is
+//! The new keys → plan → sort → one nonce start → execute order is
 //! what fixes the emitted bytes (the golden digests pin it), so it
 //! stays even though nothing runs concurrently. Consecutive nonces in
 //! entry order are also what lets the wire codec leave them out
@@ -68,7 +80,7 @@
 //! per phase when none is.
 
 use crate::message::codec::{get_u64, get_u8, put_u64};
-use crate::message::{EntryMeta, RekeyEntry, RekeyMessage};
+use crate::message::{EntryMeta, KeyAdvance, RekeyEntry, RekeyMessage};
 use crate::tree::KeyTree;
 use crate::{KeyTreeError, MemberId, NodeId};
 use rand::RngCore;
@@ -83,8 +95,11 @@ pub struct BatchStats {
     pub joins: usize,
     /// Members removed in this batch.
     pub leaves: usize,
-    /// Key nodes whose keys were refreshed.
+    /// Key nodes whose keys changed: fresh or advanced.
     pub refreshed_keys: usize,
+    /// Of those, the nodes that advanced by F (no leaver below, not
+    /// new): one [`KeyAdvance`] each and no wrap under the previous key.
+    pub advanced_keys: usize,
     /// Encrypted keys emitted — the paper's bandwidth metric.
     pub encrypted_keys: usize,
 }
@@ -130,11 +145,11 @@ impl PlannedWrap {
 
 /// What the mutation phase hands to planning.
 struct Mutation {
-    /// Nodes whose keys must be refreshed, ascending and deduplicated,
-    /// each with whether it is *compromised*: its previous key cannot
-    /// carry the new one, because a leaver of this batch held it or
-    /// because a leaf split of this batch created the node and nobody
-    /// holds one.
+    /// Nodes whose keys must change, ascending and deduplicated, each
+    /// with whether it is *compromised*: its previous key cannot be
+    /// advanced, because a leaver of this batch held it, or because no
+    /// member does — a leaf split of this batch created the node, or it
+    /// is the root of a tree that was empty.
     dirty: Vec<(NodeId, bool)>,
     /// Leaf node assigned to each joiner, in batch order.
     joined_leaves: Vec<(MemberId, NodeId)>,
@@ -270,15 +285,23 @@ impl LkhServer {
             self.mutate_tree(joins, leaves, rng)?
         };
 
-        // ---- Phase 2: plan every encryption this batch needs ------
-        let plan = {
+        // ---- Phase 2: new keys, then every encryption they need ---
+        let (plan, advances) = {
             let _span = rekey_obs::span!("rekey.plan");
-            // Index-aligned with `dirty`.
-            let replaced: Vec<(u64, Key)> = dirty
-                .iter()
-                .map(|&(node, _)| self.tree.refresh_key(node, rng))
-                .collect();
-            let mut plan = self.plan_entries(&dirty, &replaced, &joined_leaves);
+            let mut advances = Vec::new();
+            for &(node, compromised) in &dirty {
+                if compromised {
+                    self.tree.refresh_key(node, rng);
+                } else {
+                    let (version, _, check) = self.tree.advance_key(node);
+                    advances.push(KeyAdvance {
+                        node,
+                        version: version + 1,
+                        check,
+                    });
+                }
+            }
+            let mut plan = self.plan_entries(&dirty, &joined_leaves);
             // Deepest targets first => members decrypt in one pass.
             // The sort is stable, so entries for one node keep their
             // relative order.
@@ -290,7 +313,7 @@ impl LkhServer {
             for job in &mut plan {
                 job.nonce = nonces.take();
             }
-            plan
+            (plan, advances)
         };
 
         // ---- Phase 3: run the plan into the output entries --------
@@ -304,12 +327,14 @@ impl LkhServer {
             joins: joins.len(),
             leaves: leaves.len(),
             refreshed_keys: dirty.len(),
+            advanced_keys: advances.len(),
             encrypted_keys: entries.len(),
         };
         Ok(BatchOutcome {
             message: RekeyMessage {
                 epoch: self.epoch,
                 entries,
+                advances,
             },
             joined_leaves,
             stats,
@@ -325,11 +350,17 @@ impl LkhServer {
         leaves: &[MemberId],
         rng: &mut R,
     ) -> Result<Mutation, KeyTreeError> {
-        // Dirty nodes by cause — on a leaver's path or made by a leaf
-        // split; on a joiner's path — sorted apart and merged below:
-        // two short sorts of bare ids cost less than one of flagged ids.
+        // Dirty nodes by cause — on a leaver's path, made by a leaf
+        // split, or an empty tree's root; on a joiner's path — sorted
+        // apart and merged below: two short sorts of bare ids cost less
+        // than one of flagged ids.
         let mut compromised = Vec::new();
         let mut joined_paths = Vec::new();
+        if self.tree.member_count() == 0 && !joins.is_empty() {
+            // No member holds the root key, so nothing may advance it:
+            // the first key anyone receives is fresh.
+            compromised.push(self.tree.root_id());
+        }
 
         // Slots vacated by departures are re-used for joiners
         // ([YLZL01] batch rekeying): with J = L the join paths then
@@ -394,14 +425,12 @@ impl LkhServer {
 
     /// Plans every wrap of the batch, one rule per dirty node (module
     /// header): a compromised node's new key goes under the current
-    /// key of every child; any other node's goes once under its own
-    /// previous version (`replaced`, index-aligned with `dirty`) and
-    /// once under each changed child — a dirty child's new version or
-    /// the leaf of one of this batch's joiners (`joined_leaves`).
+    /// key of every child; an advanced node's goes under each changed
+    /// child only — a dirty child's new version or the leaf of one of
+    /// this batch's joiners (`joined_leaves`).
     fn plan_entries(
         &self,
         dirty: &[(NodeId, bool)],
-        replaced: &[(u64, Key)],
         joined_leaves: &[(MemberId, NodeId)],
     ) -> Vec<PlannedWrap> {
         let tree = &self.tree;
@@ -409,8 +438,8 @@ impl LkhServer {
         joined.sort_unstable();
 
         // Where the batch's keys go: a wrap per child of a compromised
-        // node; elsewhere a previous key, and each dirty node or joiner
-        // is some node's changed child.
+        // node; elsewhere each dirty node or joiner is some node's
+        // changed child.
         let compromised = dirty
             .iter()
             .filter(|&&(_, compromised)| compromised)
@@ -418,27 +447,10 @@ impl LkhServer {
         let join_only = dirty.len() - compromised;
         rekey_obs::count("rekey.nodes.compromised", compromised as u64);
         rekey_obs::count("rekey.nodes.join_only", join_only as u64);
-        let mut plan =
-            Vec::with_capacity(compromised * tree.degree() + 2 * join_only + joined.len());
-        for (&(node, compromised), (old_version, old_key)) in dirty.iter().zip(replaced) {
+        let mut plan = Vec::with_capacity(compromised * tree.degree() + join_only + joined.len());
+        for &(node, compromised) in dirty {
             let (new_key, new_version) = tree.key_of(node).expect("dirty node is alive");
             let depth = tree.depth_of(node).expect("dirty node is alive") as u32;
-            if !compromised {
-                plan.push(PlannedWrap::new(
-                    old_key,
-                    new_key,
-                    EntryMeta {
-                        target: node,
-                        target_version: new_version,
-                        under: node,
-                        under_version: *old_version,
-                        under_is_leaf: false,
-                        recipient: None,
-                        audience: tree.leaf_count_under(node) as u32,
-                        target_depth: depth,
-                    },
-                ));
-            }
             for child in tree.children_of(node).expect("dirty node is alive") {
                 if !compromised
                     && dirty
@@ -446,7 +458,7 @@ impl LkhServer {
                         .is_err()
                     && joined.binary_search(&child.id).is_err()
                 {
-                    continue; // holds the previous version
+                    continue; // holds the previous version: advances by F
                 }
                 plan.push(PlannedWrap::new(
                     child.key,
@@ -634,18 +646,51 @@ mod tests {
 
     #[test]
     fn pure_join_batch_is_cheaper_than_group_oriented() {
-        // A join-only batch should cost ~2 entries per refreshed key
-        // (previous version + the changed child) rather than d entries.
+        // A join-only batch costs one entry per changed child — a dirty
+        // node or a joiner — rather than d entries per refreshed key:
+        // every other refreshed key advances by F.
         let (mut server, _, mut rng) = build_group(4, 64);
         let ik = Key::generate(&mut rng);
         let outcome = server.apply_batch(&[(MemberId(999), ik)], &[], &mut rng);
-        let refreshed = outcome.stats.refreshed_keys;
+        let stats = outcome.stats;
         assert!(
-            outcome.stats.encrypted_keys <= 2 * refreshed + 2,
+            stats.encrypted_keys <= stats.refreshed_keys + stats.joins,
             "join cost {} too high for {} refreshed keys",
-            outcome.stats.encrypted_keys,
-            refreshed
+            stats.encrypted_keys,
+            stats.refreshed_keys
         );
+        assert!(stats.advanced_keys > 0);
+        assert_eq!(stats.advanced_keys, outcome.message.advances.len());
+    }
+
+    /// An empty tree's root key is the deterministic bootstrap key, held
+    /// by no member: the first batch replaces it with fresh randomness,
+    /// wraps nothing under it and never advances it.
+    #[test]
+    fn an_empty_trees_root_is_never_advanced() {
+        let boot = LkhServer::new(4, 0);
+        let (boot_root, boot_key) = (boot.root_node(), boot.root_key().clone());
+        let mut rng = rng();
+        let mut server = boot.clone();
+        let joins: Vec<(MemberId, Key)> = (0..5)
+            .map(|i| (MemberId(i), Key::generate(&mut rng)))
+            .collect();
+        let outcome = server.apply_batch(&joins, &[], &mut rng);
+        assert!(outcome.message.advances.iter().all(|a| a.node != boot_root));
+        assert!(outcome.message.entries.iter().all(|e| e.under != boot_root));
+        assert_ne!(
+            server.root_key(),
+            &rekey_crypto::keywrap::advance(&boot_key).0
+        );
+
+        // Emptied and refilled, the root is fresh again.
+        server.apply_batch(
+            &[],
+            &joins.iter().map(|j| j.0).collect::<Vec<_>>(),
+            &mut rng,
+        );
+        let outcome = server.apply_batch(&joins[..2], &[], &mut rng);
+        assert!(outcome.message.advances.is_empty());
     }
 
     #[test]

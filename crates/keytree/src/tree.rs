@@ -15,6 +15,7 @@
 use crate::message::codec::{get_u32, get_u64, get_u8, put_u32, put_u64};
 use crate::{KeyTreeError, MemberId, NodeId};
 use rand::RngCore;
+use rekey_crypto::keywrap::{advance, ADVANCE_CHECK_LEN};
 use rekey_crypto::Key;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -270,14 +271,6 @@ impl KeyTree {
         }
     }
 
-    /// Number of members under `node` in O(1) (0 if it doesn't exist).
-    pub fn leaf_count_under(&self, node: NodeId) -> usize {
-        self.index_of
-            .get(&node)
-            .map(|&idx| self.node(idx).leaf_count)
-            .unwrap_or(0)
-    }
-
     /// Iterates over all members currently in the tree.
     pub fn members(&self) -> impl Iterator<Item = MemberId> + '_ {
         self.leaf_of.keys().copied()
@@ -338,6 +331,28 @@ impl KeyTree {
         let replaced = (n.version, std::mem::replace(&mut n.key, key));
         n.version += 1;
         replaced
+    }
+
+    /// Advances the key at `node` by the one-way step F
+    /// ([`rekey_crypto::keywrap::advance`]), bumping its version; draws
+    /// no randomness. Returns the `(version, key)` it replaced and the
+    /// check a holder of that key verifies the new one with.
+    ///
+    /// Every holder of the replaced key can compute the new one, so the
+    /// server advances a node only when no such holder may lose access:
+    /// no leaver held it and nobody new was put below it without also
+    /// receiving it through a changed child (`LkhServer`'s rule).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` does not exist.
+    pub fn advance_key(&mut self, node: NodeId) -> (u64, Key, [u8; ADVANCE_CHECK_LEN]) {
+        let idx = self.index_of[&node];
+        let n = self.node_mut(idx);
+        let (key, check) = advance(&n.key);
+        let replaced = (n.version, std::mem::replace(&mut n.key, key));
+        n.version += 1;
+        (replaced.0, replaced.1, check)
     }
 
     /// Inserts a new member leaf holding `individual_key`.
@@ -941,13 +956,22 @@ mod tests {
     }
 
     #[test]
+    fn advance_key_is_f_of_the_replaced_key() {
+        let (mut tree, _) = build(3, 9);
+        let (v0, k0) = (tree.root_version(), tree.root_key().clone());
+        let (replaced_version, replaced, check) = tree.advance_key(tree.root_id());
+        assert_eq!((replaced_version, &replaced), (v0, &k0));
+        assert_eq!(tree.root_version(), v0 + 1);
+        assert_eq!(advance(&k0), (tree.root_key().clone(), check));
+    }
+
+    #[test]
     fn members_under_root_is_everyone() {
         let (tree, _) = build(4, 20);
         let mut all = tree.members_under(tree.root_id());
         all.sort();
         let expected: Vec<_> = (0..20).map(MemberId).collect();
         assert_eq!(all, expected);
-        assert_eq!(tree.leaf_count_under(tree.root_id()), 20);
     }
 
     #[test]

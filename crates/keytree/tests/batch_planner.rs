@@ -3,14 +3,17 @@
 //!
 //! `LkhServer` plans every batch by one rule per refreshed node (see
 //! the `server` module header): a node a leaver of the batch sat below,
-//! or one the batch created, is wrapped under every child; any other
-//! node once under its own previous version and once under each changed
-//! child. The random scripts below run pure-join, pure-leave and mixed
-//! batches over trees of degree 2–4 that reuse vacancies, split leaves
-//! and promote single children, and hold every message to:
+//! one the batch created, or an empty tree's root gets a fresh key
+//! wrapped under every child; any other node advances by F and is
+//! wrapped once under each changed child. The random scripts below run
+//! pure-join, pure-leave and mixed batches over trees of degree 2–4
+//! that reuse vacancies, split leaves and promote single children, and
+//! hold every message to:
 //!
-//! - **forward secrecy, structurally**: no entry is wrapped under a key
-//!   version that a leaver of this or any earlier batch ever held;
+//! - **forward secrecy, structurally**: no entry is wrapped under, and
+//!   no key is advanced from, a key version that a leaver of this or
+//!   any earlier batch ever held; an advanced node had no leaver of the
+//!   batch below it and existed, with members, before the batch;
 //! - **backward secrecy**: every entry transports a version made in
 //!   this batch, and a joiner ends up with exactly its path at current
 //!   versions — nothing older is ever on the wire for it to open;
@@ -20,6 +23,11 @@
 //!   two entries of a batch, so no KEK sees two nonces of a batch's run
 //!   (`rekey_crypto::keywrap`'s nonce argument needs only distinctness
 //!   across batches).
+//!
+//! - **the same nodes as before**: the advanced `(node, version)`
+//!   pairs are exactly the ones the previous planner wrapped under their
+//!   own previous version (a digest of those, computed by that planner
+//!   on the same script, is pinned below), less an empty tree's root.
 //!
 //! One bulk case pins bytes at a size where the cost shape matters.
 
@@ -52,14 +60,47 @@ fn entitled(server: &LkhServer, member: MemberId) -> Vec<(NodeId, u64)> {
     keys
 }
 
+/// SHA-256 over every round's pairs that only joins changed —
+/// the round's degree and number, then its `(node, new version)` pairs
+/// in ascending order, big-endian — on the script of `no_entry_is_wrapped_under_a_key_a_leaver_held`.
+/// The planner before the key advance wrapped each of them under its own
+/// previous version (`under == target`), and this digest is of those
+/// self-wraps, taken with that planner; rounds that began with an empty
+/// tree are left out, since that planner also self-wrapped an empty
+/// tree's root (under the deterministic bootstrap key, held by no
+/// member), which is now a fresh key with no advance.
+const PARENT_SELF_WRAPS: &str = "0e4b9a2921c9fc33a2914dcf6ccd86492bfdeae4af47a416251d7270dcea045b";
+
+/// SHA-256 over every member, ascending: its id, its leaf, and each
+/// node on its path with that node's version — the tree without keys.
+fn shape_digest(server: &LkhServer) -> String {
+    let tree = server.tree();
+    let mut members: Vec<MemberId> = tree.members().collect();
+    members.sort_unstable();
+    let mut hasher = sha256::Sha256::new();
+    for member in members {
+        hasher.update(&member.0.to_be_bytes());
+        hasher.update(&tree.leaf_of(member).unwrap().0.to_be_bytes());
+        for node in tree.path_of(member).unwrap() {
+            hasher.update(&node.0.to_be_bytes());
+            hasher.update(&tree.key_of(node).unwrap().1.to_be_bytes());
+        }
+    }
+    hex(&hasher.finalize())
+}
+
 #[test]
 fn no_entry_is_wrapped_under_a_key_a_leaver_held() {
     // Which tree shapes the scripts reached: splits, promotions,
-    // vacancy reuse, and join-only nodes inside a batch with leavers.
+    // vacancy reuse, and advanced nodes inside a batch with leavers.
     let mut seen = [0usize; 4];
+    let mut advanced_pairs = sha256::Sha256::new();
 
     for degree in [2usize, 3, 4] {
-        let mut rng = StdRng::seed_from_u64(0xBA7C4 + degree as u64);
+        // The script draws from its own stream, so it does not depend
+        // on how much randomness a planner consumes.
+        let mut script = StdRng::seed_from_u64(0xBA7C4 + degree as u64);
+        let mut rng = StdRng::seed_from_u64(0x5E4F + degree as u64);
         let mut server = LkhServer::new(degree, 1);
         let mut present: BTreeMap<MemberId, GroupMember> = BTreeMap::new();
         // Every key version each present member ever held, and those
@@ -71,21 +112,25 @@ fn no_entry_is_wrapped_under_a_key_a_leaver_held() {
         for round in 0..60 {
             let at = format!("d={degree} round {round}");
             let n = present.len();
-            let (n_joins, n_leaves) = match rng.gen_range(0..6u32) {
-                _ if n < 2 => (rng.gen_range(1..40usize), 0),
-                0 => (rng.gen_range(1..4usize), 0),
-                1 => (rng.gen_range(4..60usize), 0),
-                2 => (0, rng.gen_range(0..n.min(3)) + 1),
-                3 => (0, rng.gen_range(0..n / 2) + 1),
-                4 => (rng.gen_range(1..9usize), rng.gen_range(0..n.min(8)) + 1),
-                _ => (rng.gen_range(1..4usize), rng.gen_range(0..n / 2) + 1),
+            let (n_joins, n_leaves) = match script.gen_range(0..6u32) {
+                _ if n < 2 => (script.gen_range(1..40usize), 0),
+                0 => (script.gen_range(1..4usize), 0),
+                1 => (script.gen_range(4..60usize), 0),
+                2 => (0, script.gen_range(0..n.min(3)) + 1),
+                3 => (0, script.gen_range(0..n / 2) + 1),
+                4 => (
+                    script.gen_range(1..9usize),
+                    script.gen_range(0..n.min(8)) + 1,
+                ),
+                _ => (script.gen_range(1..4usize), script.gen_range(0..n / 2) + 1),
             };
-            let joins = joiners(next_id..next_id + n_joins as u64, &mut rng);
+            let joins = joiners(next_id..next_id + n_joins as u64, &mut script);
             next_id += n_joins as u64;
             let mut ids: Vec<MemberId> = present.keys().copied().collect();
             let leavers: Vec<MemberId> = (0..n_leaves)
-                .map(|_| ids.swap_remove(rng.gen_range(0..ids.len())))
+                .map(|_| ids.swap_remove(script.gen_range(0..ids.len())))
                 .collect();
+            let was_empty = n == 0;
 
             let leaver_parents: HashSet<NodeId> = leavers
                 .iter()
@@ -117,6 +162,7 @@ fn no_entry_is_wrapped_under_a_key_a_leaver_held() {
                     !burned.contains(&under),
                     "{at}: {entry:?} is wrapped under a key a leaver held"
                 );
+                assert_ne!(entry.under, entry.target, "{at}: a self-wrap");
                 assert!(
                     wrapped_under.insert(under),
                     "{at}: {under:?} wraps two entries of one batch"
@@ -160,46 +206,74 @@ fn no_entry_is_wrapped_under_a_key_a_leaver_held() {
                 .iter()
                 .filter(|(id, _)| leaver_parents.contains(&server.tree().path_of(*id).unwrap()[0]))
                 .count();
-            if !leavers.is_empty() {
-                // A previous-version entry in a batch with leavers: a
-                // join-only node, never one a leaver sat below.
-                for entry in entries.iter().filter(|e| e.under == e.target) {
-                    assert!(!leaver_ancestors.contains(&entry.target), "{at}: {entry:?}");
-                    seen[3] += 1;
+            // Every advance: a node no leaver of the batch sat below,
+            // alive with members before it (so neither made by a split
+            // nor an empty tree's root), one version up, from a version
+            // no leaver ever held.
+            assert_eq!(outcome.stats.advanced_keys, outcome.message.advances.len());
+            for advance in &outcome.message.advances {
+                let node = advance.node;
+                assert!(!leaver_ancestors.contains(&node), "{at}: {advance:?}");
+                assert_eq!(
+                    old_versions.get(&node).map(|v| v + 1),
+                    Some(advance.version),
+                    "{at}: {advance:?} is not one version past a held key"
+                );
+                assert!(!burned.contains(&(node, advance.version - 1)), "{at}");
+                seen[3] += usize::from(!leavers.is_empty());
+            }
+            if !was_empty {
+                let mut pairs: Vec<(NodeId, u64)> = outcome
+                    .message
+                    .advances
+                    .iter()
+                    .map(|a| (a.node, a.version))
+                    .collect();
+                pairs.sort_unstable();
+                advanced_pairs.update(&[degree as u8, round as u8]);
+                for (node, version) in pairs {
+                    advanced_pairs.update(&node.0.to_be_bytes());
+                    advanced_pairs.update(&version.to_be_bytes());
                 }
             }
         }
     }
     assert!(
         seen.iter().all(|&n| n > 0),
-        "[splits, promotions, reused vacancies, join-only nodes beside leavers] = {seen:?}"
+        "[splits, promotions, reused vacancies, advanced nodes beside leavers] = {seen:?}"
     );
+    assert_eq!(hex(&advanced_pairs.finalize()), PARENT_SELF_WRAPS);
 }
 
 /// 4 096 joiners into an irregular tree — the shape of a bulk
 /// bootstrap, which the conformance scenarios' 10–20-joiner batches
 /// cannot stand in for. The planner used to emit one entry per joiner
 /// per refreshed ancestor (1 413 keys for the bootstrap, 26 417 for the
-/// bulk batch); counts and digests were re-pinned once when it became
-/// one rule per node, with the server's `encode_into` bytes after the
-/// last batch (pinned below) equal on both sides: the batches install
-/// the same keys, they send fewer copies of them.
+/// bulk batch); then one rule per node with a wrap of each join-only
+/// node under its own previous version (429 and 6 110). Counts and
+/// digests were re-pinned once for each change. The second re-pin is by
+/// relation: the tree shape draws no randomness, so every advance here
+/// is exactly one of those self-wraps, and the bootstrap's one
+/// self-wrap — an empty tree's root under the bootstrap key — is gone.
 #[test]
 fn bulk_pure_join_costs_one_individual_key_wrap_per_joiner() {
     let mut rng = StdRng::seed_from_u64(0x4096);
     let mut server = LkhServer::new(4, 3);
 
-    // Bootstrap into an empty tree: every interior is freshly created.
+    // Bootstrap into an empty tree: every interior is freshly created,
+    // and the root's key is fresh too.
     let founders = joiners(0..300, &mut rng);
     let bootstrap = server.apply_batch(&founders, &[], &mut rng);
+    assert_eq!(bootstrap.stats.advanced_keys, 0);
+    assert_eq!(bootstrap.stats.encrypted_keys + 1, 429);
     assert_eq!(
         (
             bootstrap.stats.encrypted_keys,
             hex(&sha256::digest(&encode_message(&bootstrap.message)))
         ),
         (
-            429,
-            "ea6b19b177fb09f0177e5a82a51cca82495babbd2421c064286028cb22ec0d94".to_owned()
+            428,
+            "8ab461659672fa7b40632d80117001f83998eedb84dbc00a6be2753cec65a415".to_owned()
         )
     );
 
@@ -212,22 +286,36 @@ fn bulk_pure_join_costs_one_individual_key_wrap_per_joiner() {
     let newcomers = joiners(1_000..1_000 + 4_096, &mut rng);
     let bulk = server.apply_batch(&newcomers, &[], &mut rng);
     assert_eq!(bulk.stats.joins, 4_096);
-    assert!(bulk.stats.encrypted_keys <= bulk.stats.joins + 2 * bulk.stats.refreshed_keys);
+    // A changed child per dirty node and joiner, plus the one unchanged
+    // child (the split leaf) of each node a split made; the advanced
+    // nodes are the rest.
+    assert!(
+        bulk.stats.encrypted_keys + bulk.stats.advanced_keys
+            <= bulk.stats.joins + 2 * bulk.stats.refreshed_keys
+    );
+    assert_eq!(bulk.stats.encrypted_keys + bulk.stats.advanced_keys, 6_110);
     assert_eq!(
         (
             bulk.stats.encrypted_keys,
             hex(&sha256::digest(&encode_message(&bulk.message)))
         ),
         (
-            6_110,
-            "703e20ded1f474975c5bf1d4d38cc88f1dbb24692471fe4528d8e3da0b439f7c".to_owned()
+            5_994,
+            "85d15a1919684eba36a0fa348694712df2b062e4ae38dba813d8bc723a676f68".to_owned()
         )
     );
     let mut state = Vec::new();
     server.encode_into(&mut state);
     assert_eq!(
         hex(&sha256::digest(&state)),
-        "66a0cc76ed9852a4124dc5b0e1f79451814e7fe6fced644b4ede31a9b0420a85"
+        "e320439193430a9c10c520c8c62da680273bef87af36959593bce687c97fa422"
+    );
+    // The keys are new (F where a random key was), the tree is not:
+    // every member's path and every version on it are the ones the
+    // previous planner left.
+    assert_eq!(
+        shape_digest(&server),
+        "bcce809632aa6b03c1b9d696a7df22f0381e5290b6e887329b51770ce33dbae6"
     );
     server.tree().check_invariants();
 

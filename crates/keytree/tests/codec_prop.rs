@@ -1,6 +1,6 @@
-//! Property-based tests for the wire-format-2 entry coder
-//! (`message::codec`): whatever the entries, `decode(encode(x)) == x`
-//! in message and block form; whatever the bytes, the decoders are
+//! Property-based tests for the wire-format-3 coder
+//! (`message::codec`): whatever the entries and advances,
+//! `decode(encode(x)) == x` in message and block form; whatever the bytes, the decoders are
 //! total, bounded in what they allocate, and accept one encoding only.
 
 use proptest::prelude::*;
@@ -10,9 +10,9 @@ use rekey_crypto::keywrap::{self, next_nonce};
 use rekey_crypto::Key;
 use rekey_keytree::message::codec::{
     decode_block, decode_message, encode_block, encode_message, get_varint, put_varint,
-    BLOCK_HEADER_LEN, MESSAGE_HEADER_LEN, MIN_ENTRY_LEN, WIRE_VERSION,
+    BLOCK_HEADER_LEN, MESSAGE_HEADER_LEN, MIN_ADVANCE_LEN, MIN_ENTRY_LEN, WIRE_VERSION,
 };
-use rekey_keytree::message::{RekeyEntry, RekeyMessage};
+use rekey_keytree::message::{KeyAdvance, RekeyEntry, RekeyMessage};
 use rekey_keytree::server::LkhServer;
 use rekey_keytree::{MemberId, NodeId};
 
@@ -77,6 +77,35 @@ fn arbitrary_entries(seed: u64, len: usize) -> Vec<RekeyEntry> {
     entries
 }
 
+/// Advance records no key server would emit but the format must
+/// carry: any node, any version from 1 up, any check; by a coin flip a
+/// node neighbours the previous one, as a server's ascending ones do.
+fn arbitrary_advances(seed: u64, len: usize) -> Vec<KeyAdvance> {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xAD7A);
+    let mut advances: Vec<KeyAdvance> = Vec::with_capacity(len);
+    for _ in 0..len {
+        let node = match advances.last() {
+            Some(p) if rng.gen() => NodeId(p.node.0.wrapping_add(rng.gen_range(1..9))),
+            _ => NodeId(wide(&mut rng)),
+        };
+        advances.push(KeyAdvance {
+            node,
+            version: wide(&mut rng).max(1),
+            check: rng.gen(),
+        });
+    }
+    advances
+}
+
+/// An arbitrary message: `len` entries and up to `len` advances.
+fn arbitrary_message(seed: u64, epoch: u64, len: usize) -> RekeyMessage {
+    RekeyMessage {
+        epoch,
+        entries: arbitrary_entries(seed, len),
+        advances: arbitrary_advances(seed, (seed % (len as u64 + 1)) as usize),
+    }
+}
+
 /// A message as a key server emits it: sibling runs, consecutive
 /// nonces, leaf-addressed join entries.
 fn server_message(seed: u64, n: u64, degree: usize) -> RekeyMessage {
@@ -106,14 +135,18 @@ proptest! {
     #[test]
     fn arbitrary_entries_roundtrip_in_message_and_block_form(
         seed in any::<u64>(), len in 0usize..40, epoch in any::<u64>()) {
-        let message = RekeyMessage { epoch, entries: arbitrary_entries(seed, len) };
+        let message = arbitrary_message(seed, epoch, len);
         let bytes = encode_message(&message);
         prop_assert_eq!(bytes.len(), MESSAGE_HEADER_LEN + message.byte_len());
-        prop_assert!(message.byte_len() >= len * MIN_ENTRY_LEN);
+        prop_assert!(message.byte_len()
+            > len * MIN_ENTRY_LEN + message.advances.len() * MIN_ADVANCE_LEN);
         prop_assert_eq!(decode_message(&bytes), Some(message.clone()));
 
+        // The entries are written alike in both envelopes; the
+        // message's advances follow them.
         let block = block_of(message.entries.iter());
-        prop_assert_eq!(&block[BLOCK_HEADER_LEN..], &bytes[MESSAGE_HEADER_LEN..]);
+        let entries_end = MESSAGE_HEADER_LEN + block.len() - BLOCK_HEADER_LEN;
+        prop_assert_eq!(&block[BLOCK_HEADER_LEN..], &bytes[MESSAGE_HEADER_LEN..entries_end]);
         let mut slice = block.as_slice();
         prop_assert_eq!(decode_block(&mut slice), Some(message.entries));
         prop_assert!(slice.is_empty());
@@ -165,6 +198,7 @@ proptest! {
         if let Some(message) = decode_message(&bytes) {
             prop_assert!(message.entries.len() <= bound);
             prop_assert!(message.entries.capacity() <= bound);
+            prop_assert!(message.advances.capacity() <= bytes.len() / MIN_ADVANCE_LEN + 1);
             // An encoder may pick a shorter form than the input's
             // (say, an explicit nonce that was its neighbour's
             // successor), never a different meaning.
@@ -186,24 +220,26 @@ proptest! {
     fn single_byte_corruption_never_panics(
         seed in any::<u64>(), len in 1usize..12,
         at in any::<proptest::sample::Index>(), xor in 1u8..255) {
-        let message = RekeyMessage { epoch: seed, entries: arbitrary_entries(seed, len) };
+        let message = arbitrary_message(seed, seed, len);
         let mut bytes = encode_message(&message);
         let at = at.index(bytes.len());
         bytes[at] ^= xor;
         if let Some(decoded) = decode_message(&bytes) {
             prop_assert_ne!(&decoded, &message, "byte {} does not matter", at);
             prop_assert!(decoded.entries.capacity() <= bytes.len() / MIN_ENTRY_LEN + 1);
+            prop_assert!(decoded.advances.capacity() <= bytes.len() / MIN_ADVANCE_LEN + 1);
             prop_assert_eq!(decode_message(&encode_message(&decoded)), Some(decoded));
         }
     }
 
     /// Every truncation point and every trailing byte is rejected, in
     /// both envelopes; so is every version byte but the current one
-    /// (1, the fixed-width format, included).
+    /// (1, the fixed-width format, and 2, the one without advances,
+    /// included).
     #[test]
     fn truncation_trailing_bytes_and_other_versions_are_rejected(
         seed in any::<u64>(), len in 1usize..10, version in any::<u8>(), extra in any::<u8>()) {
-        let message = RekeyMessage { epoch: seed, entries: arbitrary_entries(seed, len) };
+        let message = arbitrary_message(seed, seed, len);
         let bytes = encode_message(&message);
         let block = block_of(message.entries.iter());
         for cut in 0..bytes.len() {
@@ -237,7 +273,7 @@ proptest! {
     #[test]
     fn reserved_and_dangling_flags_are_rejected(
         seed in any::<u64>(), len in 1usize..6, bit in 0u32..8) {
-        let message = RekeyMessage { epoch: 1, entries: arbitrary_entries(seed, len) };
+        let message = arbitrary_message(seed, 1, len);
         let bytes = encode_message(&message);
         let flag = 1u8 << bit;
         let mut bad = bytes.clone();
@@ -249,9 +285,9 @@ proptest! {
         }
         if flag & 0xF0 != 0 {
             // The last entry's flags byte: found by encoding all but it.
-            let head = RekeyMessage { epoch: 1, entries: message.entries[..len - 1].to_vec() };
+            let head = block_of(message.entries[..len - 1].iter());
             let mut bad = bytes;
-            bad[encode_message(&head).len()] |= flag;
+            bad[MESSAGE_HEADER_LEN + head.len() - BLOCK_HEADER_LEN] |= flag;
             prop_assert_eq!(decode_message(&bad), None, "flag {:#04x} on the last entry", flag);
         }
     }

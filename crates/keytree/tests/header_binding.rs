@@ -2,13 +2,16 @@
 //! entry with its eight header fields as associated data
 //! (`RekeyEntry::binding`), so an entry relabelled in transit fails to
 //! open instead of installing the right key bytes under the wrong
-//! `(node, version)`.
+//! `(node, version)`. An advance record is authenticated by its check:
+//! altered anywhere, it names a key its reader does not hold at the
+//! previous version (and is ignored) or fails the check (`BadTag`).
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rekey_crypto::{CryptoError, Key};
 use rekey_keytree::member::GroupMember;
+use rekey_keytree::message::codec::{decode_message, encode_message, MESSAGE_HEADER_LEN};
 use rekey_keytree::message::{RekeyEntry, RekeyMessage};
 use rekey_keytree::server::LkhServer;
 use rekey_keytree::{KeyTreeError, MemberId, NodeId};
@@ -157,8 +160,8 @@ proptest! {
         let first = joiners(0..founders, &mut rng);
         let bootstrap = server.apply_batch(&first, &[], &mut rng).message;
         let joins = joiners(100..100 + newcomers, &mut rng);
-        // `leavers == 0` is a pure-join batch (previous-key and
-        // per-joiner entries), anything else group-oriented.
+        // `leavers == 0` is a pure-join batch (advances and changed-
+        // child entries), anything else group-oriented.
         let leaves: Vec<MemberId> = (0..leavers as u64).map(|i| MemberId(i * 2)).collect();
         let genuine = server.apply_batch(&joins, &leaves, &mut rng).message;
 
@@ -215,6 +218,96 @@ proptest! {
         victim.process(&genuine).unwrap();
         prop_assert_eq!(ring(victim), after);
         prop_assert_eq!(victim.key_for(server.root_node()), Some(server.root_key()));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Any byte of any advance record flipped on the wire: what still
+    /// decodes is, for every member, `BadTag` or a record it does not
+    /// take for its own; no member comes away holding a `(node,
+    /// version, key)` the genuine message would not have given it, and
+    /// the genuine message afterwards leaves every member where a twin
+    /// that never saw the forgery is.
+    #[test]
+    fn a_flipped_advance_byte_installs_nothing(
+        seed in any::<u64>(),
+        degree in 2usize..5,
+        founders in 6u64..48,
+        newcomers in 1u64..8,
+        leavers in 0usize..4,
+        at in any::<prop::sample::Index>(),
+        xor in 1u8..255,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut server = LkhServer::new(degree, 1);
+        let first = joiners(0..founders, &mut rng);
+        let bootstrap = server.apply_batch(&first, &[], &mut rng).message;
+        let joins = joiners(100..100 + newcomers, &mut rng);
+        let leaves: Vec<MemberId> = (0..leavers as u64).map(|i| MemberId(i * 2)).collect();
+        let genuine = server.apply_batch(&joins, &leaves, &mut rng).message;
+        prop_assume!(!genuine.advances.is_empty());
+
+        // The advance section ends the envelope: a count, then the
+        // records. Flip a byte of a record.
+        let wire = encode_message(&genuine);
+        let section = RekeyMessage {
+            advances: genuine.advances.clone(),
+            ..RekeyMessage::new(genuine.epoch)
+        };
+        let section_len = encode_message(&section).len() - MESSAGE_HEADER_LEN;
+        let count_len = 1 + usize::from(genuine.advances.len() >= 0x80);
+        let records = wire.len() - section_len + count_len..wire.len();
+        let mut flipped = wire.clone();
+        flipped[records.start + at.index(records.len())] ^= xor;
+        let Some(tampered) = decode_message(&flipped) else {
+            return Ok(()); // refused by the codec
+        };
+        prop_assert_ne!(&tampered.advances, &genuine.advances);
+        prop_assert_eq!(&tampered.entries, &genuine.entries);
+        // A record whose label survived carries another check: every
+        // holder of its previous key must refuse it.
+        let forged_check = tampered
+            .advances
+            .iter()
+            .zip(&genuine.advances)
+            .find(|(t, g)| (t.node, t.version) == (g.node, g.version) && t.check != g.check)
+            .map(|(t, _)| (t.node, t.version - 1));
+
+        let members = first
+            .iter()
+            .filter(|(id, _)| !leaves.contains(id))
+            .map(|(id, key)| {
+                let mut member = GroupMember::new(*id, key.clone());
+                member.process(&bootstrap).unwrap();
+                member
+            })
+            .chain(joins.iter().map(|(id, key)| GroupMember::new(*id, key.clone())));
+        for mut victim in members {
+            let mut twin = victim.clone();
+            twin.process(&genuine).unwrap();
+            let (before, after) = (ring(&victim), ring(&twin));
+            let holds_previous = forged_check
+                .is_some_and(|(node, previous)| victim.version_for(node) == Some(previous));
+            let outcome = victim.process(&tampered);
+            if holds_previous {
+                prop_assert_eq!(outcome, Err(BAD_TAG));
+            }
+            prop_assert!(
+                matches!(outcome, Ok(_) | Err(BAD_TAG)),
+                "unexpected error {:?}", outcome
+            );
+            for held in ring(&victim) {
+                prop_assert!(
+                    before.contains(&held) || after.contains(&held),
+                    "member {} installed {:?}, which the server never made",
+                    victim.id(), held
+                );
+            }
+            victim.process(&genuine).unwrap();
+            prop_assert_eq!(ring(&victim), after);
+        }
     }
 }
 

@@ -3,9 +3,11 @@
 //! The client owns the member's key ring and a TCP connection to a
 //! [`crate::server::Rekeyd`]. It reconnects with capped exponential
 //! backoff (deterministic jitter, see [`crate::backoff`]), and on
-//! every (re)connect it resubscribes by NACKing the epochs between
-//! what it has applied and what the server's `Welcome` advertises —
-//! reconnect recovery and late-join catch-up are the same code path.
+//! every (re)connect it resubscribes by naming in its `Hello` the
+//! next epoch it needs: the server starts the session with the epochs
+//! between that and its `Welcome` head already queued — reconnect
+//! recovery and late-join catch-up are the same code path, and neither
+//! waits a NACK round trip.
 //!
 //! Epochs are applied strictly in order: an out-of-order `Rekey` frame
 //! (retransmissions can overtake the live fan-out) is parked in a
@@ -242,6 +244,7 @@ impl RekeyClient {
             &proto::encode(&Frame::Hello {
                 member: self.member.id(),
                 tag,
+                next_epoch: self.next_epoch,
             }),
             frame::DEFAULT_MAX_FRAME,
         )?;
@@ -272,9 +275,12 @@ impl RekeyClient {
             read_timeout: None,
         });
 
-        // Resubscribe: ask for everything between our state and the
-        // server's head. Late join and reconnect are the same path.
-        self.nack_missing(latest)?;
+        // Resubscribe: the Hello named our next epoch, and the server
+        // queued everything from it to its head (at most
+        // `MAX_NACK_EPOCHS`; the hole logic NACKs the rest). Late join
+        // and reconnect are the same path.
+        let resent = (self.next_epoch..=latest).take(MAX_NACK_EPOCHS);
+        self.nacked.extend(resent);
         Ok(())
     }
 
@@ -330,6 +336,15 @@ impl RekeyClient {
             }
             if self.conn.is_none() {
                 self.ensure_connected(deadline)?;
+                // The resubscribed epochs may have arrived with the
+                // `Welcome`, in the handshake's read buffer.
+                applied += self.drain_frames()?;
+                if applied > 0 {
+                    return Ok(applied);
+                }
+                if self.conn.is_none() {
+                    continue;
+                }
             }
             let conn = self.conn.as_mut().expect("just connected");
             // A zero Duration means "no timeout" to the socket API; clamp up.

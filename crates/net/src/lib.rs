@@ -14,8 +14,9 @@
 //!   and a retransmission window of the last W epochs served to NACKs.
 //! - [`client::RekeyClient`] — wraps a real
 //!   [`rekey_keytree::member::GroupMember`]; reconnects with capped
-//!   exponential backoff and deterministic jitter, and resubscribes by
-//!   NACKing the missed epoch range on every (re)connect.
+//!   exponential backoff and deterministic jitter, and resubscribes on
+//!   every (re)connect by naming its next epoch in the `Hello`: the
+//!   daemon starts the session with the missed range already queued.
 //! - [`frame`] — `u32` length-prefixed framing with a strict size
 //!   limit and an incremental [`frame::FrameReader`].
 //! - [`proto`] — the typed session frames (`ServerHello`/`Hello`/

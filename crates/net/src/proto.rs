@@ -6,12 +6,15 @@
 //!
 //! ```text
 //! server → client   ServerHello { version, nonce }
-//! client → server   Hello { version, member, tag = HMAC(ik.derive("net-hello"), ...) }
+//! client → server   Hello { version, member, tag = HMAC(ik.derive("net-hello"), ...), next_epoch }
 //! server → client   Welcome { latest_epoch }   (or Reject { reason })
-//! client → server   Nack { epochs }            (resubscribe / catch up)
+//! server → client   Rekey / Gap for next_epoch..=latest_epoch  (resubscribe)
 //! ```
 //!
-//! After the handshake the server pushes `Rekey` frames (one per
+//! The `Hello` says which epoch the client wants next, so the session
+//! starts with the frames it missed already queued — a reconnecting
+//! client pays no NACK round trip (and no wait for the shard's next
+//! socket poll) to catch up. After the handshake the server pushes `Rekey` frames (one per
 //! epoch, payload = the `rekey_keytree::message::codec` message
 //! encoding, prefixed by the server's publish wall-clock stamp), the
 //! client may `Nack` missed epochs at any time, and the server answers
@@ -44,7 +47,11 @@ use rekey_keytree::MemberId;
 /// header, which a v3 peer cannot open (it would fail `BadTag` on its
 /// first epoch), and the `Hello` tag is keyed by a derived key
 /// ([`hello_tag`]).
-pub const PROTO_VERSION: u8 = 4;
+/// v5: `Rekey` payloads are `codec::WIRE_VERSION` 3 — keys that only
+/// joins changed advance by F and arrive as advance records, which a v4
+/// peer can neither parse nor apply — and `Hello` carries the client's
+/// next wanted epoch, which replaces the resubscribe `Nack`.
+pub const PROTO_VERSION: u8 = 5;
 
 /// Server nonce length (the HMAC challenge).
 pub const NONCE_LEN: usize = 32;
@@ -81,6 +88,10 @@ pub enum Frame {
         /// [`hello_tag`]: `HMAC(individual_key.derive("net-hello"),
         /// HELLO_CONTEXT ‖ nonce ‖ member)`.
         tag: [u8; TAG_LEN],
+        /// The first epoch the client still needs: the server queues
+        /// it and its successors (at most [`MAX_NACK_EPOCHS`]) out of
+        /// its retransmission window before the first live frame.
+        next_epoch: u64,
     },
     /// Handshake accepted; the session is live.
     Welcome {
@@ -166,12 +177,17 @@ pub fn encode(frame: &Frame) -> Vec<u8> {
             buf.extend_from_slice(nonce);
             buf
         }
-        Frame::Hello { member, tag } => {
-            let mut buf = Vec::with_capacity(2 + 8 + TAG_LEN);
+        Frame::Hello {
+            member,
+            tag,
+            next_epoch,
+        } => {
+            let mut buf = Vec::with_capacity(2 + 8 + TAG_LEN + 8);
             buf.push(T_HELLO);
             buf.push(PROTO_VERSION);
             buf.extend_from_slice(&member.0.to_be_bytes());
             buf.extend_from_slice(tag);
+            buf.extend_from_slice(&next_epoch.to_be_bytes());
             buf
         }
         Frame::Welcome { latest_epoch } => {
@@ -284,10 +300,12 @@ pub fn decode(payload: &[u8]) -> Result<Frame, NetError> {
             }
             let member = get_u64(&mut body).ok_or(malformed("hello truncated"))?;
             let tag = take_array::<TAG_LEN>(&mut body).ok_or(malformed("hello truncated"))?;
+            let next_epoch = get_u64(&mut body).ok_or(malformed("hello truncated"))?;
             rest = body;
             Frame::Hello {
                 member: MemberId(member),
                 tag,
+                next_epoch,
             }
         }
         T_WELCOME => {
@@ -357,6 +375,7 @@ mod tests {
         roundtrip(Frame::Hello {
             member: MemberId(42),
             tag: [7; 32],
+            next_epoch: 9,
         });
         roundtrip(Frame::Welcome { latest_epoch: 17 });
         roundtrip(Frame::Reject {
@@ -389,6 +408,7 @@ mod tests {
         let wire = encode(&Frame::Hello {
             member: MemberId(3),
             tag: [1; 32],
+            next_epoch: 1,
         });
         for cut in 0..wire.len() {
             assert!(decode(&wire[..cut]).is_err());
@@ -405,7 +425,7 @@ mod tests {
         wire[1] = PROTO_VERSION + 1;
         assert!(matches!(decode(&wire), Err(NetError::Malformed { .. })));
 
-        // A peer built before wire format v2 says protocol 2 in its
+        // A peer built before the key advance says protocol 4 in its
         // Hello. The daemon must turn it away at the handshake with a
         // typed reason — not let it in to fail on its first Rekey.
         use crate::frame::{encode_frame, read_frame_deadline, FrameReader, DEFAULT_MAX_FRAME};
@@ -426,9 +446,11 @@ mod tests {
         let mut old_hello = encode(&Frame::Hello {
             member: MemberId(1),
             tag: hello_tag(&key, &nonce, MemberId(1)),
+            next_epoch: 1,
         });
         assert_eq!(old_hello[1], PROTO_VERSION);
-        old_hello[1] = 2;
+        old_hello[1] = 4;
+        old_hello.truncate(old_hello.len() - 8); // no next_epoch before v5
         stream
             .write_all(&encode_frame(&old_hello, DEFAULT_MAX_FRAME).unwrap())
             .unwrap();
@@ -459,8 +481,10 @@ mod tests {
         let mut v3_hello = encode(&Frame::Hello {
             member: MemberId(1),
             tag: v3_mac.finalize(),
+            next_epoch: 1,
         });
         v3_hello[1] = 3;
+        v3_hello.truncate(v3_hello.len() - 8); // no next_epoch before v5
         stream
             .write_all(&encode_frame(&v3_hello, DEFAULT_MAX_FRAME).unwrap())
             .unwrap();
@@ -499,6 +523,7 @@ mod tests {
             let message = RekeyMessage {
                 epoch: 17,
                 entries: (0..count).map(entry).collect(),
+                advances: Vec::new(),
             };
             let stamp_unix_ns = 1_700_000_000_000_000_123;
             let layered = encode_frame(

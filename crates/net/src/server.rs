@@ -26,10 +26,11 @@
 //!
 //! Backpressure is a disconnect: a session whose send queue is full is
 //! dropped rather than allowed to stall the shard or buffer without
-//! bound. The client reconnects, re-authenticates, and NACKs what it
-//! missed out of the retransmission window of the last `window` epochs
-//! (also served to late joiners and reconnecting clients; an evicted
-//! epoch answers with a `Gap` frame).
+//! bound. The client reconnects, re-authenticates with the epoch it
+//! wants next, and its session starts with what it missed out of the
+//! retransmission window of the last `window` epochs already queued
+//! (late joiners take the same path; later holes are NACKed; an
+//! evicted epoch answers with a `Gap` frame).
 //!
 //! # Observability
 //!
@@ -276,6 +277,40 @@ impl Session {
         }
     }
 
+    /// Queues `epochs` out of the retransmission window — a `Gap` for
+    /// one it has evicted, nothing for one not yet published (the live
+    /// fan-out brings it).
+    fn retransmit(
+        &mut self,
+        epochs: impl IntoIterator<Item = u64>,
+        shared: &Shared,
+    ) -> Result<(), NetError> {
+        let window = shared.window.read().expect("window lock");
+        for epoch in epochs {
+            match window.get(epoch) {
+                Some(framed) => {
+                    shared.metrics.count("net.retransmit.frames", 1);
+                    shared
+                        .flight
+                        .record(FlightKind::Retransmit, self.member.0, epoch);
+                    self.enqueue(framed, shared);
+                }
+                None if epoch > window.latest => {}
+                None => {
+                    shared.metrics.count("net.retransmit.gaps", 1);
+                    shared.flight.record(FlightKind::Gap, self.member.0, epoch);
+                    let gap = proto::encode(&Frame::Gap {
+                        oldest: window.oldest(),
+                        requested: epoch,
+                    });
+                    let framed: Arc<[u8]> = encode_frame(&gap, usize::MAX)?.into();
+                    self.enqueue(framed, shared);
+                }
+            }
+        }
+        Ok(())
+    }
+
     fn handle_frame(&mut self, payload: &[u8], shared: &Shared) -> Result<(), NetError> {
         match proto::decode(payload)? {
             Frame::Nack { epochs } => {
@@ -283,32 +318,7 @@ impl Session {
                 shared
                     .flight
                     .record(FlightKind::Nack, self.member.0, epochs.len() as u64);
-                let window = shared.window.read().expect("window lock");
-                for epoch in epochs {
-                    match window.get(epoch) {
-                        Some(framed) => {
-                            shared.metrics.count("net.retransmit.frames", 1);
-                            shared
-                                .flight
-                                .record(FlightKind::Retransmit, self.member.0, epoch);
-                            self.enqueue(framed, shared);
-                        }
-                        None if epoch > window.latest => {
-                            // Future epoch: nothing to do yet; the live
-                            // fan-out will deliver it.
-                        }
-                        None => {
-                            shared.metrics.count("net.retransmit.gaps", 1);
-                            shared.flight.record(FlightKind::Gap, self.member.0, epoch);
-                            let gap = proto::encode(&Frame::Gap {
-                                oldest: window.oldest(),
-                                requested: epoch,
-                            });
-                            let framed: Arc<[u8]> = encode_frame(&gap, usize::MAX)?.into();
-                            self.enqueue(framed, shared);
-                        }
-                    }
-                }
+                self.retransmit(epochs, shared)?;
                 Ok(())
             }
             Frame::Ack { epoch, lag_ns } => {
@@ -673,8 +683,12 @@ fn handshake(mut stream: TcpStream, shared: &Shared) -> Result<Session, NetError
 
     let mut reader = FrameReader::new(frame::DEFAULT_MAX_FRAME);
     let payload = frame::read_frame_deadline(&mut stream, &mut reader, deadline, "client hello")?;
-    let (member, tag) = match proto::decode(&payload) {
-        Ok(Frame::Hello { member, tag }) => (member, tag),
+    let (member, tag, next_epoch) = match proto::decode(&payload) {
+        Ok(Frame::Hello {
+            member,
+            tag,
+            next_epoch,
+        }) => (member, tag, next_epoch),
         Ok(_) => {
             return Err(NetError::Malformed {
                 what: "expected hello frame",
@@ -716,13 +730,18 @@ fn handshake(mut stream: TcpStream, shared: &Shared) -> Result<Session, NetError
         .metrics
         .time("net.session.handshake", started.elapsed().as_nanos() as u64);
 
-    Ok(Session {
+    // Resubscribe: the shard's first turn writes what the client
+    // missed, the way it answers a NACK, without waiting for one.
+    let mut session = Session {
         member,
         stream,
         reader,
         queue: VecDeque::new(),
         dead: false,
-    })
+    };
+    let missed = next_epoch.max(1)..=latest_epoch;
+    session.retransmit(missed.take(proto::MAX_NACK_EPOCHS), shared)?;
+    Ok(session)
 }
 
 fn reject(stream: &mut TcpStream, reason: RejectReason) -> Result<(), NetError> {

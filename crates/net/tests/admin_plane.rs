@@ -233,7 +233,14 @@ fn absurd_propagation_lag_is_counted_not_sampled() {
         panic!("expected a server hello");
     };
     let tag = proto::hello_tag(&key, &nonce, member);
-    send(&mut stream, &Frame::Hello { member, tag });
+    send(
+        &mut stream,
+        &Frame::Hello {
+            member,
+            tag,
+            next_epoch: 1,
+        },
+    );
     let welcome = read_frame_deadline(&mut stream, &mut reader, deadline, "welcome").unwrap();
     assert!(matches!(
         proto::decode(&welcome).unwrap(),

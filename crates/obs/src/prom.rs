@@ -55,11 +55,12 @@ fn help_for(family: &str) -> &'static str {
         "net_sessions_live" => "Authenticated sessions currently connected",
         "rekey_encrypted_keys_total" => "Encrypted keys produced by the rekey engine",
         "rekey_nodes_compromised_total" => {
-            "Refreshed key nodes wrapped under every child (a leaver sat below, or new)"
+            "Refreshed key nodes given a fresh key wrapped under every child (a leaver sat below, new, or an empty tree's root)"
         }
         "rekey_nodes_join_only_total" => {
-            "Refreshed key nodes wrapped under their previous key and changed children"
+            "Refreshed key nodes advanced by the one-way F and wrapped under changed children only"
         }
+        "crypto_key_advance_total" => "One-way key advances F computed (one ChaCha20 block each)",
         "obs_dropped_events_total" => "Raw events discarded after the retention cap",
         _ => "rekey runtime metric",
     }

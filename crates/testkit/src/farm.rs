@@ -290,8 +290,10 @@ impl MemberFarm {
                         .iter()
                         .filter(|_| net_rng.gen::<f64>() >= loss)
                         .collect();
+                    // Advances travel with the envelope, not in packets.
                     member
-                        .process_entries(received)
+                        .process_advances(&message.advances)
+                        .and_then(|_| member.process_entries(received))
                         .map_err(rejected(id, false))?;
                 }
                 false
@@ -319,6 +321,9 @@ impl MemberFarm {
                         if !self.present.contains(&id) {
                             continue;
                         }
+                        member
+                            .process_advances(&message.advances)
+                            .map_err(rejected(id, false))?;
                         if let Some(indices) = outcome.delivered.get(&id) {
                             member
                                 .process_entries(indices.iter().map(|&i| &message.entries[i]))

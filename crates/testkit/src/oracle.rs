@@ -6,14 +6,17 @@
 //! corrupt the oracle's verdicts.
 //!
 //! The model: an entry `{target@tv} under@uv` lets any principal
-//! holding `under@uv` learn `target@tv`. The base case is an entry
+//! holding `under@uv` learn `target@tv`, and an advance of `node` to
+//! `v` lets any principal holding `node@(v − 1)` learn `node@v` (F is
+//! public; only its input is secret). The base case is an entry
 //! addressed to a member's individual (leaf) key — that grants the
 //! recipient both the leaf pair and the target pair. Knowledge is
 //! cumulative and never revoked: a member that once learned a key
 //! keeps it forever (members may be compromised or replay traffic
 //! after leaving). Secrecy must therefore come from *versioning*: a
-//! correct server never wraps a fresh key under a key a departed
-//! member holds, which the oracle checks by intersecting the holder
+//! correct server never wraps a fresh key under, nor advances one
+//! from, a key a departed member holds, which the oracle checks by
+//! intersecting the holder
 //! set of every newly born `(node, version)` pair with the departed
 //! set.
 //!
@@ -87,26 +90,34 @@ impl KnowledgeOracle {
             }
         }
 
-        // Propagate until stable: whoever holds `under@uv` learns
-        // `target@tv`.
+        for advance in &message.advances {
+            self.note_pair(advance.node, advance.version, &mut report.born);
+        }
+
+        // Propagate until stable along every edge: whoever holds
+        // `under@uv` learns `target@tv`; whoever holds `node@(v − 1)`
+        // learns the advanced `node@v`.
+        let edges: Vec<((NodeId, u64), (NodeId, u64))> =
+            message
+                .entries
+                .iter()
+                .map(|e| ((e.under, e.under_version), (e.target, e.target_version)))
+                .chain(message.advances.iter().filter_map(|a| {
+                    Some(((a.node, a.version.checked_sub(1)?), (a.node, a.version)))
+                }))
+                .collect();
         loop {
             let mut changed = false;
-            for entry in &message.entries {
-                let sources: Vec<MemberId> =
-                    match self.holders.get(&(entry.under, entry.under_version)) {
-                        Some(set) if !set.is_empty() => set.iter().copied().collect(),
-                        _ => continue,
-                    };
-                let sink = self
-                    .holders
-                    .get_mut(&(entry.target, entry.target_version))
-                    .expect("pair noted above");
+            for &(source, target) in &edges {
+                let sources: Vec<MemberId> = match self.holders.get(&source) {
+                    Some(set) if !set.is_empty() => set.iter().copied().collect(),
+                    _ => continue,
+                };
+                let sink = self.holders.get_mut(&target).expect("pair noted above");
                 for member in sources {
                     if sink.insert(member) {
                         changed = true;
-                        report
-                            .granted
-                            .push((member, entry.target, entry.target_version));
+                        report.granted.push((member, target.0, target.1));
                     }
                 }
             }
@@ -200,6 +211,36 @@ mod tests {
         for id in [0u64, 2, 3] {
             assert!(oracle.is_entitled(MemberId(id), dek, v1));
         }
+    }
+
+    /// A pure join advances the root by F: the oracle entitles the
+    /// members who held the previous root through the advance edge and
+    /// the joiner through its wraps, and nobody else.
+    #[test]
+    fn an_advance_entitles_the_holders_of_the_previous_version() {
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut mgr = OneTreeManager::new(2);
+        let mut oracle = KnowledgeOracle::new();
+        let joins: Vec<Join> = (0..4).map(|i| join(i, &mut rng)).collect();
+        oracle.observe(&mgr.process_interval(&joins, &[], &mut rng).unwrap().message);
+        let out = mgr
+            .process_interval(&[join(9, &mut rng)], &[], &mut rng)
+            .unwrap();
+        let root = mgr.dek_node();
+        let advance = *out
+            .message
+            .advances
+            .iter()
+            .find(|a| a.node == root)
+            .expect("a pure join advances the root");
+        assert!(out.message.entries.iter().all(|e| e.under != root));
+        let report = oracle.observe(&out.message);
+        assert!(report.born.contains(&(root, advance.version)));
+        let entitled = oracle.entitled(root, advance.version).unwrap();
+        assert_eq!(
+            entitled.iter().map(|m| m.0).collect::<Vec<_>>(),
+            [0, 1, 2, 3, 9]
+        );
     }
 
     #[test]

@@ -70,6 +70,9 @@ pub struct RunStats {
     pub final_members: usize,
     /// Total rekey entries multicast.
     pub total_entries: usize,
+    /// Total key advances announced (keys that only joins changed,
+    /// sent as advance records instead of entries).
+    pub total_advances: usize,
     /// Total wire bytes multicast.
     pub total_bytes: usize,
     /// SHA-256 over the concatenated wire bytes of every interval —
@@ -134,6 +137,7 @@ pub fn drive<M: GroupKeyManager + ?Sized>(
     let mut churn_rng = scenario.churn_rng();
     let mut hasher = Sha256::new();
     let mut total_entries = 0usize;
+    let mut total_advances = 0usize;
     let mut total_bytes = 0usize;
 
     for (interval, ops) in scenario.intervals.iter().enumerate() {
@@ -148,6 +152,7 @@ pub fn drive<M: GroupKeyManager + ?Sized>(
         let bytes = codec::encode_message(&outcome.message);
         hasher.update(&bytes);
         total_entries += outcome.message.encrypted_key_count();
+        total_advances += outcome.message.advances.len();
         total_bytes += bytes.len();
         on_interval(&Step {
             interval,
@@ -165,6 +170,7 @@ pub fn drive<M: GroupKeyManager + ?Sized>(
         intervals: scenario.intervals.len(),
         final_members: manager.member_count(),
         total_entries,
+        total_advances,
         total_bytes,
         digest: hasher.finalize(),
     })

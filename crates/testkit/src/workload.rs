@@ -892,35 +892,47 @@ mod tests {
     }
 
     /// `paper` reproduces the simulator it replaced: SHA-256 over the
-    /// seven schemes' measured per-interval encrypted-key counts (u64
-    /// little-endian, schemes in `Scheme::ALL` order) is the digest that
-    /// simulator's loop gave at the same defaults. Key bytes differ;
-    /// counts do not.
+    /// seven schemes' measured per-interval counts (u64 little-endian,
+    /// schemes in `Scheme::ALL` order). Over encrypted keys plus
+    /// advances it is the digest that simulator's loop gave over
+    /// encrypted keys at the same defaults: every key it wrapped under
+    /// its own previous version now advances by F, and no tree is empty
+    /// in the measured intervals. Over encrypted keys alone it is this
+    /// planner's own pin.
     #[test]
     fn paper_reproduces_the_simulators_key_counts() {
         use rekey_core::Scheme;
         use rekey_crypto::sha256::Sha256;
 
         let scenario = simulate_defaults();
-        let mut hasher = Sha256::new();
+        let mut changed = Sha256::new();
+        let mut sent = Sha256::new();
         for scheme in Scheme::ALL {
             crate::drive(crate::factory_for(scheme), &scenario, |step| {
                 if step.interval > 15 {
                     let keys = step.outcome.stats.encrypted_keys as u64;
-                    hasher.update(&keys.to_le_bytes());
+                    let advances = step.outcome.message.advances.len() as u64;
+                    changed.update(&(keys + advances).to_le_bytes());
+                    sent.update(&keys.to_le_bytes());
                 }
                 Ok(())
             })
             .unwrap_or_else(|violation| panic!("{scheme}: {violation}"));
         }
-        let digest: String = hasher
-            .finalize()
-            .iter()
-            .map(|b| format!("{b:02x}"))
-            .collect();
+        let hex = |hasher: Sha256| -> String {
+            hasher
+                .finalize()
+                .iter()
+                .map(|b| format!("{b:02x}"))
+                .collect()
+        };
         assert_eq!(
-            digest,
+            hex(changed),
             "8b373bab1e0d8ff8f377457487212360d75550654ff826c74ece1907621986c4"
+        );
+        assert_eq!(
+            hex(sent),
+            "9d894d28a09baf073812e6f195a6756b97ab0c902628f5c9c5d57c114291e061"
         );
     }
 

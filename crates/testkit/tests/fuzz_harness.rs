@@ -111,3 +111,62 @@ fn departed_member_replay_does_not_resurrect_access() {
     let stats = run_scenario(&factory, &scenario, &RunOptions::default()).unwrap();
     assert!(stats.intervals == 41);
 }
+
+proptest::proptest! {
+    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+    /// F is public, so a departed member may chain it from every key it
+    /// ever held. It never reaches a later version: no advance record
+    /// of any later interval carries the check F would give it, and
+    /// replaying the whole tape installs none, for any of the seven
+    /// schemes.
+    #[test]
+    fn departed_members_cannot_chain_f_to_a_later_version(
+        seed in proptest::prelude::any::<u64>(),
+        scheme in 0usize..Scheme::ALL.len(),
+    ) {
+        use rekey_crypto::keywrap::{advance, open_advance};
+        use rekey_keytree::member::GroupMember;
+        use rekey_keytree::MemberId;
+        use std::collections::BTreeMap;
+
+        let scheme = Scheme::ALL[scheme];
+        let scenario = generate(seed, 12);
+        let mut members: BTreeMap<MemberId, GroupMember> = BTreeMap::new();
+        let mut departed: Vec<MemberId> = Vec::new();
+        let mut advances = 0usize;
+        rekey_testkit::drive(factory_for(scheme), &scenario, |step| {
+            for join in step.joins {
+                members.insert(join.member, GroupMember::new(join.member, join.individual_key.clone()));
+            }
+            departed.extend(step.leaves);
+            let message = &step.outcome.message;
+            advances += message.advances.len();
+            for (id, member) in &mut members {
+                member.process(message).map_err(|e| format!("{id}: {e}"))?;
+            }
+            for id in &departed {
+                let ring = &members[id];
+                for record in &message.advances {
+                    if ring.version_for(record.node).is_some_and(|v| v >= record.version) {
+                        return Err(format!("{scheme}: departed {id} holds {record:?}"));
+                    }
+                    let (Some(held), Some(mut key)) =
+                        (ring.version_for(record.node), ring.key_for(record.node).cloned())
+                    else {
+                        continue;
+                    };
+                    for _ in held + 1..record.version {
+                        key = advance(&key).0;
+                    }
+                    if open_advance(&key, &record.check).is_ok() {
+                        return Err(format!("{scheme}: departed {id} chains F to {record:?}"));
+                    }
+                }
+            }
+            Ok(())
+        })
+        .map_err(|v| proptest::TestCaseError::fail(v.to_string()))?;
+        proptest::prop_assert!(advances > 0, "{} advanced nothing", scheme);
+    }
+}

@@ -154,7 +154,14 @@ mod tests {
             entries: (0..msg.entries.len()).collect(),
         };
         let block = all.to_bytes(&msg);
-        assert_eq!(block.len(), codec::BLOCK_HEADER_LEN + msg.byte_len());
+        // A leave batch advances no key: the message body is the
+        // block's entries and a zero advance count.
+        assert!(msg.advances.is_empty());
+        assert_eq!(
+            block[codec::BLOCK_HEADER_LEN..],
+            encoded[codec::MESSAGE_HEADER_LEN..encoded.len() - 1]
+        );
+        assert_eq!(encoded.last(), Some(&0));
         assert!(block.len() < msg.entries.len() * (codec::MIN_ENTRY_LEN + 8));
     }
 

@@ -19,10 +19,20 @@ use std::collections::BTreeMap;
 
 fn describe(message: &RekeyMessage) {
     println!(
-        "  multicast rekey message: {} encrypted keys, {} bytes",
+        "  multicast rekey message: {} encrypted keys, {} key advances, {} bytes",
         message.encrypted_key_count(),
+        message.advances.len(),
         message.byte_len()
     );
+    for advance in &message.advances {
+        println!(
+            "    K[{}] v{} = F(K[{}] v{}): every holder computes it",
+            advance.node,
+            advance.version,
+            advance.node,
+            advance.version - 1
+        );
+    }
     for entry in &message.entries {
         let to = entry
             .recipient

@@ -9,21 +9,26 @@
 //!   with the script's ground-truth membership after every interval;
 //! - **wire contract**: every message decodes back to itself, the
 //!   reported and computed sizes equal the encoded size, no wrapping
-//!   key sees a nonce twice in the whole run, and the v2 entry coder
+//!   key sees a nonce twice in the whole run, and the entry coder
 //!   actually compresses (≤ 60 bytes per key where runs are long);
 //! - **authenticated headers**: every interval, a clone of the whole
 //!   member population is shown the message with one header field of
-//!   one entry rewritten; no clone ever holds a `(node, version, key)`
-//!   its original does not, and a rewritten DEK entry is rejected with
-//!   `BadTag` — the DEK entries are sealed by `rekey-core`'s `DekCtx`,
-//!   not by the key trees, so this is where they are covered;
+//!   one entry rewritten, and another clone the message with one byte
+//!   of one advance record flipped on the wire; no clone ever holds a
+//!   `(node, version, key)` its original does not, a forged advance is
+//!   answered with `BadTag` somewhere, and a rewritten DEK entry is
+//!   rejected with `BadTag` — the DEK entries are sealed by
+//!   `rekey-core`'s `DekCtx`, not by the key trees, so this is where
+//!   they are covered;
 //! - **golden digests**: the sha256 of all serialized rekey messages
 //!   (versioned `codec::encode_message` envelope) is pinned per
 //!   scheme, so any refactor that changes a single emitted byte fails
 //!   loudly. The engine/policy split was landed against these digests;
 //! - **state digests**: a second script's `save_state` bytes and DEK
-//!   after every interval are pinned per scheme, apart from the wire:
-//!   the batch planner chooses entries, never state.
+//!   after every interval are pinned per scheme, apart from the wire,
+//!   and so is every member's ring as `(node, version)` pairs: the
+//!   planner chooses how a key changes (fresh, or advanced by F) and
+//!   which entries carry it, never who holds which version.
 //!
 //! The script is shared across schemes: identical member ids, join
 //! hints, and leave picks every interval. Key material differs per
@@ -78,6 +83,8 @@ struct Script {
     /// Whether a clone ever answered a rewritten DEK entry with
     /// `BadTag`.
     dek_forgery_rejected: bool,
+    /// Whether a clone ever answered a flipped advance with `BadTag`.
+    advance_forgery_rejected: bool,
 }
 
 /// A member's whole ring, in node order.
@@ -117,6 +124,26 @@ fn relabelled(message: &RekeyMessage, step: usize, dek_node: NodeId) -> (RekeyMe
     (forged, message.entries[index].target == dek_node)
 }
 
+/// `message` with one byte of one advance record flipped on the wire,
+/// if it has advances and the flipped bytes still decode. Record and
+/// byte cycle with `step`.
+fn advance_flipped(message: &RekeyMessage, step: usize) -> Option<RekeyMessage> {
+    if message.advances.is_empty() {
+        return None;
+    }
+    let wire = codec::encode_message(message);
+    let section = RekeyMessage {
+        advances: message.advances.clone(),
+        ..RekeyMessage::new(message.epoch)
+    };
+    let section_len = codec::encode_message(&section).len() - codec::MESSAGE_HEADER_LEN;
+    let records = section_len - 1 - usize::from(message.advances.len() >= 0x80);
+    let mut flipped = wire.clone();
+    let at = wire.len() - records + step * 13 % records;
+    flipped[at] ^= 1 << (step % 8);
+    codec::decode_message(&flipped)
+}
+
 impl Script {
     fn new() -> Self {
         Script {
@@ -126,6 +153,7 @@ impl Script {
             old_deks: Vec::new(),
             next_id: 0,
             dek_forgery_rejected: false,
+            advance_forgery_rejected: false,
         }
     }
 
@@ -167,22 +195,51 @@ impl Script {
     /// everyone its [`relabelled`] copy, from which no clone may come
     /// away with anything its original lacks.
     fn broadcast(&mut self, message: &RekeyMessage, step: usize, dek_node: NodeId, scheme: &str) {
+        let bad_tag = Err(KeyTreeError::Crypto(CryptoError::BadTag));
         let (forged, forged_dek_entry) = relabelled(message, step, dek_node);
         let mut clones = self.states.clone();
         for clone in clones.values_mut() {
-            if clone.process(&forged) == Err(KeyTreeError::Crypto(CryptoError::BadTag)) {
+            if clone.process(&forged) == bad_tag {
                 self.dek_forgery_rejected |= forged_dek_entry;
             }
+        }
+        let flipped = advance_flipped(message, step);
+        let mut advance_clones = self.states.clone();
+        let mut advance_rejected = false;
+        for clone in advance_clones.values_mut() {
+            if let Some(flipped) = &flipped {
+                let outcome = clone.process(flipped);
+                assert!(
+                    outcome.is_ok() || outcome == bad_tag,
+                    "[{scheme}] {outcome:?}"
+                );
+                advance_rejected |= outcome == bad_tag;
+            }
+        }
+        if let Some(flipped) = &flipped {
+            // A changed check is noticed by every holder of the
+            // previous key; a changed node or version may name a key
+            // nobody holds, and is ignored.
+            let same_labels = flipped
+                .advances
+                .iter()
+                .zip(&message.advances)
+                .all(|(f, a)| (f.node, f.version) == (a.node, a.version));
+            assert!(advance_rejected || !same_labels, "[{scheme}] step {step}");
+            self.advance_forgery_rejected |= advance_rejected;
         }
         for (id, state) in &mut self.states {
             let before = ring(state);
             let _ = state.process(message);
             let after = ring(state);
-            for held in ring(&clones[id]) {
+            for held in ring(&clones[id])
+                .into_iter()
+                .chain(ring(&advance_clones[id]))
+            {
                 assert!(
                     before.contains(&held) || after.contains(&held),
-                    "[{scheme}] step {step}: a relabelled entry made member {id} \
-                     install {held:?}"
+                    "[{scheme}] step {step}: a forged entry or advance made member \
+                     {id} install {held:?}"
                 );
             }
         }
@@ -293,6 +350,10 @@ fn run_script(mut mgr: Box<dyn GroupKeyManager>) -> Vec<Vec<u8>> {
         script.dek_forgery_rejected,
         "[{scheme}] no relabelled DEK entry was ever answered with BadTag"
     );
+    assert!(
+        script.advance_forgery_rejected,
+        "[{scheme}] no flipped advance was ever answered with BadTag"
+    );
     wires
 }
 
@@ -318,34 +379,54 @@ fn run_script(mut mgr: Box<dyn GroupKeyManager>) -> Vec<Vec<u8>> {
 /// | loss-homogenized-forest   | 371 → 319 | 21 054 → 18 207 | 5c35b58a… |
 /// | combined-partition-forest | 589 → 472 | 32 933 → 26 647 | fc04c76a… |
 /// | adaptive                  | 384 → 296 | 21 348 → 16 636 | ca319b84… |
+///
+/// Re-pinned a third time when join-only keys began to advance by F
+/// instead of being wrapped under their previous version. The tree
+/// shape draws no randomness, so per interval the parent's keys equal
+/// this planner's keys plus its advance records, plus one for every
+/// tree that was empty when the batch began (its root's key was the
+/// deterministic bootstrap key; the parent wrapped the new root under
+/// it, this planner draws a fresh root and sends nothing for it).
+/// Whole-run totals, parent → change, and [`RING_DIGESTS`] equal on
+/// both sides:
+///
+/// | scheme                    | keys      | advances | empty roots | bytes           |
+/// |---------------------------|-----------|----------|-------------|-----------------|
+/// | one-keytree               | 286 → 251 | 34       | 1           | 15 610 → 14 145 |
+/// | tt-scheme                 | 443 → 407 | 34       | 2           | 24 765 → 23 298 |
+/// | qt-scheme                 | 420 → 389 | 30       | 1           | 23 107 → 21 848 |
+/// | pt-scheme                 | 319 → 285 | 32       | 2           | 18 194 → 16 837 |
+/// | loss-homogenized-forest   | 319 → 285 | 32       | 2           | 18 207 → 16 850 |
+/// | combined-partition-forest | 472 → 438 | 31       | 3           | 26 647 → 25 287 |
+/// | adaptive                  | 296 → 268 | 26       | 2           | 16 636 → 15 499 |
 const GOLDEN_DIGESTS: [(&str, &str); 7] = [
     (
         "one-keytree",
-        "71994477e188c340467cca491ca1767f613c7e4928fef80760d15374ade9bf4a",
+        "7a7e7e98bca6412d887022a7e162b3638c47a326a80c45801757695358e4bd1c",
     ),
     (
         "tt-scheme",
-        "45d94bb748187b4fdeed1f4a782a9fad4c406a9f71ca667f4d916c256b420486",
+        "3c92b9f26798beb1ad106b219346e033de3bbd86a3ddcf1b070d7a9de00876a9",
     ),
     (
         "qt-scheme",
-        "48e68c2d990f736c0f152aae62ae428b33c97c7d07ed07efd948236dcfa846a2",
+        "c0bdad4dc99d5c58544365acb1819bfecbaf84e0bee68ccf7c4956e83d9962a5",
     ),
     (
         "pt-scheme",
-        "b5bc5b4750577031a371003af7d5803cc08f60c8bb390d9090d4a4b6c45fd4d5",
+        "c2738154ebf853cc78a58c38c403614c5445eacf3fd59c94b91ece5b7768206b",
     ),
     (
         "loss-homogenized-forest",
-        "63d7e2881c714f72d1a4fc692ead8a194319fed6e73606d95629ab6d376decc4",
+        "1e9689f5cdbe09645b288e2815a60a29d0562ba8474186f24f3f0d1da8727208",
     ),
     (
         "combined-partition-forest",
-        "07aaed15130850ab63ea3d230e47bffc0486f78fde50c091acd142e026180706",
+        "004a87a75d0329bd1ae1c489af7bae1c36fe7e8fa85cfec6b226600c5963c8a2",
     ),
     (
         "adaptive",
-        "63e322e876fa253630c177cc4abad83b103dab43c951aead3fb5823557d7b7bd",
+        "365d83a962e7d2427610f71748eb89081cc83e3b50630cbceda01bad862b1048",
     ),
 ];
 
@@ -516,50 +597,92 @@ const STATE_SCRIPT: [(usize, usize); 12] = [
     (0, 5),
 ];
 
-/// Per scheme, sha256 over `save_state ‖ DEK` after every interval of
-/// [`STATE_SCRIPT`], recorded from the commit before the batch planner
-/// became one rule (PR 24): which entries carry a batch's keys is not
-/// state, so neither that change nor any later one to the planner may
-/// move these. (The wire digests above do move with the planner.)
-const STATE_DIGESTS: [(&str, &str); 7] = [
+/// Per scheme, sha256 over every member's ring — member id, then its
+/// `(node, version)` pairs ascending, no key bytes — after every
+/// interval of [`STATE_SCRIPT`], recorded with the planner that wrapped
+/// join-only keys under their previous version. A key that advances by
+/// F reaches exactly the members that wrap reached, so these must not
+/// move when only the planner changes.
+const RING_DIGESTS: [(&str, &str); 7] = [
     (
         "one-keytree",
-        "05ed79c0a98fd631b0a1a6ffa872414b953796d849b50220b54055cabbf26835",
+        "1cadcf2a6a0c92fc5582d4f65bcb844e726d458ce81ac8d36d0ed84242fa41f0",
     ),
     (
         "tt-scheme",
-        "84bbdca90678ed4069877481be605f97a57484a14233227992665db104f78cf7",
+        "fb1d1ceb6d548c989e5bdc3f23cfe1f3b5ca482a876589fbd5f9a58d06f20c56",
     ),
     (
         "qt-scheme",
-        "4e8e05df064755cd3aaa35b39e44ebd9bef3d1d7fb12bee1b07bc1c349757112",
+        "2de8c43bfa603dcb4c90d81b669477842773bbc41bc6ecf2fed780f67516c245",
     ),
     (
         "pt-scheme",
-        "42f8df38b4708287bf96648f05cf76692b02e2f90a6a49784dedbbbf6028e5f3",
+        "9d519e72cec11a01f31abbd42a64ceb26d3f062f97e0b58358645badd1d231a8",
     ),
     (
         "loss-homogenized-forest",
-        "e09ea455d5e5b00eeb518c370c19c255ca5c462e3a8c467740e3fd6b8922cf36",
+        "5be22366421f84d67198de2bc8f6ba96331afbb2e23f4e9848a92d97151a05b1",
     ),
     (
         "combined-partition-forest",
-        "f2c60fde93fa8032a0f8f937c7e8ce5ac8dbf859a3333b280f54512a8898e402",
+        "5937c9ec34dbe6c3f89a20c4df28f85673c2bf9338402fad98abd624eeb6a982",
     ),
     (
         "adaptive",
-        "4d5fe3bc8c75b243e2e6cd16b5891818bac890ce0c17f7f281c052f316a8eeba",
+        "d1e453156eafda1e14dc3013a70d7f57480e3d5a73c8bcae0d70040aa7db1a40",
+    ),
+];
+
+/// Per scheme, sha256 over `save_state ‖ DEK` after every interval of
+/// [`STATE_SCRIPT`]. Recorded before the batch planner became one rule
+/// per dirty node and held through that change — which entries carry a
+/// batch's keys is not state — then re-pinned once when join-only keys
+/// began to advance
+/// by F: the key bytes of those nodes are now F of the previous ones,
+/// and the randomness they no longer draw shifts every later draw,
+/// while [`RING_DIGESTS`] stayed put.
+const STATE_DIGESTS: [(&str, &str); 7] = [
+    (
+        "one-keytree",
+        "ef9ec2bfb5487a50e7d1e78f0066183a700f2bd590c4ac5b778d52ed08242d50",
+    ),
+    (
+        "tt-scheme",
+        "8a83714c662691932534c9f9bcef32e84c05817a60bb7f256491a9268550b301",
+    ),
+    (
+        "qt-scheme",
+        "8e4ad3127f5ae22195159fbd6943b9ddb3b3b91f7d8f77e0256082a7af5896e5",
+    ),
+    (
+        "pt-scheme",
+        "e6ea8ba3624a39c9890389b2f499e51d0c3336fe2e8eb167c5878e0a3b958098",
+    ),
+    (
+        "loss-homogenized-forest",
+        "5eac53f6a2a946a00d327bc9024a2476cf8f94c509e0a591e79913ad31b6c73a",
+    ),
+    (
+        "combined-partition-forest",
+        "0670be0013cbd9c97e89370421cc12355b10444ea228e2f618e537869f32dba1",
+    ),
+    (
+        "adaptive",
+        "c39948645b625c3f9f049a46addfaabca49e5a82c6097567102454f238db87f2",
     ),
 ];
 
 #[test]
-fn the_planner_decides_entries_never_state() {
+fn the_planner_decides_keys_never_who_holds_them() {
     let golden: BTreeMap<&str, &str> = STATE_DIGESTS.into_iter().collect();
+    let rings: BTreeMap<&str, &str> = RING_DIGESTS.into_iter().collect();
     for mut mgr in managers() {
         let scheme = mgr.scheme_name();
         let mut rng = StdRng::seed_from_u64(0x57A7E);
         let mut script = Script::new();
         let mut hasher = Sha256::new();
+        let mut ring_hasher = Sha256::new();
         let mut state = Vec::new();
         let mut migrations = 0;
         for (step, (joins, leaves)) in STATE_SCRIPT.into_iter().enumerate() {
@@ -571,6 +694,15 @@ fn the_planner_decides_entries_never_state() {
             migrations += out.stats.migrations;
             script.broadcast(&out.message, step, mgr.dek_node(), scheme);
             script.check(mgr.as_ref(), scheme);
+            for (id, member) in &script.states {
+                ring_hasher.update(&id.0.to_be_bytes());
+                let mut ring: Vec<(NodeId, u64)> = member.held_keys().collect();
+                ring.sort_unstable();
+                for (node, version) in ring {
+                    ring_hasher.update(&node.0.to_be_bytes());
+                    ring_hasher.update(&version.to_be_bytes());
+                }
+            }
 
             state.clear();
             mgr.save_state(&mut state).expect("engine schemes snapshot");
@@ -580,6 +712,11 @@ fn the_planner_decides_entries_never_state() {
         if scheme == "tt-scheme" {
             assert!(migrations >= 40, "[{scheme}] no migration wave ran");
         }
+        assert_eq!(
+            hex(&ring_hasher.finalize()),
+            rings[scheme],
+            "[{scheme}] some member holds other versions than it did"
+        );
         assert_eq!(
             hex(&hasher.finalize()),
             golden[scheme],
