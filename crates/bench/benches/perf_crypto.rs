@@ -15,12 +15,12 @@
 //! wraps 4 096 payloads under **one** KEK (a joiner's path),
 //! `kek_setup` wraps 4 096 payloads each under a **distinct** KEK
 //! (group-oriented rekeying: a refreshed key goes out once under each
-//! child key). A wrap is two ChaCha20 blocks and Poly1305 over 112
-//! bytes whichever shape it comes in — `WrapKek::new` prepares nothing
-//! — so the two rows now read alike; they keep their names so the
-//! committed file compares row for row with the HKDF → HMAC
-//! construction's, where `kek_setup` paid ten SHA-256 compressions per
-//! key before its first byte.
+//! child key). A wrap is one ChaCha20 block (key stream, then the
+//! Poly1305 key) and Poly1305 over 112 bytes whichever shape it comes
+//! in — `WrapKek::new` prepares nothing — so the two rows read alike;
+//! they keep their names so the committed file compares row for row
+//! with the HKDF → HMAC construction's, where `kek_setup` paid ten
+//! SHA-256 compressions per key before its first byte.
 //!
 //! Only SHA-256 has two backends (swept with `sha256::digest_with`;
 //! the `sha_ni` row appears only on a CPU that has the instructions).
@@ -116,15 +116,15 @@ fn bench_sha256(backend: Backend, rows: &mut Vec<Row>) {
     });
 }
 
-/// One ChaCha20 block per call, counter and nonce moving as they do
-/// from wrap to wrap: the unit a key wrap spends two of.
+/// One ChaCha20 block per call at a wrap's counter, the nonce moving
+/// as it does from wrap to wrap: the unit a key wrap spends one of.
 fn bench_chacha20_block(rows: &mut Vec<Row>) {
     let key = [0x42u8; 32];
     const ITERS: usize = 8192;
     let mut sink = 0u8;
     let secs = time_min(|| {
         for i in 0..ITERS {
-            sink ^= chacha20::block(std::hint::black_box(&key), i as u32 & 1, &nonce_for(i))[0];
+            sink ^= chacha20::block(std::hint::black_box(&key), 1, &nonce_for(i))[0];
         }
     });
     std::hint::black_box(sink);

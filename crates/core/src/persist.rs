@@ -61,6 +61,20 @@
 //! [`Journal::snapshot`] empties the log — since a snapshot holds
 //! state, not inputs, and restores under any planner.
 //!
+//! A change to how a planned key is *sealed* is not a planner change,
+//! and so is no reason to bump the version. When the key wrap moved
+//! its Poly1305 key from ChaCha20 block 0 into the half of block 1 that
+//! RFC 8439 discards, a record written by the two-block wrap replayed
+//! under the one-block wrap re-renders the same plan, the same nonces
+//! and the same payloads — the RNG draws and tree state do not depend
+//! on the wrap — so each (KEK, nonce) meets the payload it met before,
+//! gives the same ciphertext (block 1's first half is the key stream
+//! in both), and adds one tag under a one-time key independent of the
+//! first (block 0's first half against block 1's second half). No key
+//! stream meets a second payload and no one-time key a second message,
+//! so the record stays version 2 and such data directories recover as
+//! they are.
+//!
 //! # Snapshots bound replay
 //!
 //! Every `snapshot_every` intervals the journal serializes the whole

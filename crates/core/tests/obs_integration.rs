@@ -51,9 +51,11 @@ fn a_rekey_interval_hashes_nothing() {
     }
     assert_eq!(seen.counter("crypto.keywrap.wrap"), keys);
     assert_eq!(seen.counter("crypto.poly1305"), keys);
-    assert_eq!(seen.counter("crypto.chacha20_blocks"), 2 * keys);
+    // One block per wrap: its first half is the key stream, its second
+    // the Poly1305 key.
+    assert_eq!(seen.counter("crypto.chacha20_blocks"), keys);
     // An advanced key is one ChaCha20 block under its own counter, not
-    // an AEAD block: the equation above still describes the wraps.
+    // a wrap block: the equation above still describes the wraps.
     assert_eq!(
         seen.counter("crypto.key_advance"),
         outcome.message.advances.len() as u64
@@ -104,7 +106,7 @@ fn node_counters_say_where_a_batch_spent_its_keys() {
     assert_eq!(join_only, stats.advanced_keys as u64);
     assert_eq!(
         seen.counter("crypto.chacha20_blocks"),
-        2 * stats.encrypted_keys as u64
+        stats.encrypted_keys as u64
     );
     assert_eq!(seen.counter("crypto.hmac"), 0);
 }

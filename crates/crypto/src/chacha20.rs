@@ -1,10 +1,11 @@
-//! The ChaCha20 stream cipher as specified in RFC 8439.
+//! The ChaCha20 block function as specified in RFC 8439 §2.3.
 //!
 //! Validated against the RFC 8439 block-function and encryption test
-//! vectors. Used by [`crate::keywrap`]: a wrapped key is block 0 (the
-//! one-time Poly1305 key) and block 1 (32 bytes of key stream) under
-//! its own nonce, never a run of blocks, so there is exactly one
-//! implementation and it works a block at a time.
+//! vectors. Its callers never need a run of blocks: a wrapped key
+//! ([`crate::keywrap`]) is one block at counter 1 under its own nonce —
+//! 32 bytes of key stream, then the one-time Poly1305 key — and the
+//! key advance is one block at counter 2³² − 1. So the block is the
+//! whole interface, and a stream is left to the tests.
 
 /// ChaCha20 key length in bytes.
 pub const KEY_LEN: usize = 32;
@@ -71,63 +72,22 @@ pub fn block(key: &[u8; KEY_LEN], counter: u32, nonce: &[u8; NONCE_LEN]) -> [u8;
     out
 }
 
-/// Encrypts or decrypts `data` in place (XOR with the keystream
-/// starting at block `initial_counter`; the block counter wraps at
-/// `u32::MAX`).
-///
-/// ChaCha20 is its own inverse: applying this function twice with the
-/// same parameters restores the original data.
-pub fn xor_in_place(
-    key: &[u8; KEY_LEN],
-    nonce: &[u8; NONCE_LEN],
-    initial_counter: u32,
-    data: &mut [u8],
-) {
-    apply_keystream(key, nonce, initial_counter, data);
-    rekey_obs::count("crypto.chacha20_blocks", blocks_for(data.len()));
-}
-
-/// Blocks of key stream that cover `len` bytes.
-pub(crate) fn blocks_for(len: usize) -> u64 {
-    len.div_ceil(BLOCK_LEN) as u64
-}
-
-/// [`xor_in_place`] without the `crypto.chacha20_blocks` count, for
-/// [`crate::keywrap`], which counts a message's blocks once.
-pub(crate) fn apply_keystream(
-    key: &[u8; KEY_LEN],
-    nonce: &[u8; NONCE_LEN],
-    initial_counter: u32,
-    data: &mut [u8],
-) {
-    let mut counter = initial_counter;
-    for chunk in data.chunks_mut(BLOCK_LEN) {
-        for (byte, k) in chunk.iter_mut().zip(block(key, counter, nonce)) {
-            *byte ^= k;
-        }
-        counter = counter.wrapping_add(1);
-    }
-}
-
-/// Encrypts `data` and returns the ciphertext (convenience wrapper
-/// around [`xor_in_place`]).
-pub fn encrypt(
-    key: &[u8; KEY_LEN],
-    nonce: &[u8; NONCE_LEN],
-    initial_counter: u32,
-    data: &[u8],
-) -> Vec<u8> {
-    let mut out = data.to_vec();
-    xor_in_place(key, nonce, initial_counter, &mut out);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn hex(bytes: &[u8]) -> String {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// RFC 8439 §2.4 encryption spelled out from [`block`]: `data` XOR
+    /// the key stream from block `counter` on (the counter wraps at
+    /// `u32::MAX`).
+    fn encrypt(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN], counter: u32, data: &[u8]) -> Vec<u8> {
+        let stream = (counter..=u32::MAX)
+            .chain(0..)
+            .flat_map(|c| block(key, c, nonce));
+        data.iter().zip(stream).map(|(d, k)| d ^ k).collect()
     }
 
     fn test_key() -> [u8; KEY_LEN] {
@@ -180,11 +140,9 @@ If I could offer you only one tip for the future, sunscreen would be it.";
         let key = test_key();
         let nonce = [7u8; NONCE_LEN];
         let data: Vec<u8> = (0..300).map(|i| (i * 7) as u8).collect();
-        let mut buf = data.clone();
-        xor_in_place(&key, &nonce, 0, &mut buf);
-        assert_ne!(buf, data);
-        xor_in_place(&key, &nonce, 0, &mut buf);
-        assert_eq!(buf, data);
+        let once = encrypt(&key, &nonce, 0, &data);
+        assert_ne!(once, data);
+        assert_eq!(encrypt(&key, &nonce, 0, &once), data);
     }
 
     #[test]

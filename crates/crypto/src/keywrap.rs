@@ -2,21 +2,43 @@
 //!
 //! This is the operation a key server performs for every entry of a
 //! rekey message: "new key `K_a` encrypted with key `K_b`"
-//! (`{K_a}_{K_b}` in the paper's notation). The construction is RFC
-//! 8439 §2.8 `AEAD_CHACHA20_POLY1305`, keyed by the KEK's own 32 bytes:
+//! (`{K_a}_{K_b}` in the paper's notation). The construction is
+//! ChaCha20-Poly1305 keyed by the KEK's own 32 bytes, with the key
+//! stream and the one-time Poly1305 key taken from one block:
 //!
 //! ```text
-//! otk = ChaCha20(kek, counter 0, nonce)[0..32]
-//! ct  = payload XOR ChaCha20(kek, counter 1, nonce)[0..32]
+//! B   = ChaCha20(kek, counter 1, nonce)
+//! ct  = payload XOR B[0..32]
+//! otk = B[32..64]
 //! tag = Poly1305(otk, aad ‖ pad16 ‖ ct ‖ pad16 ‖ le64(|aad|) ‖ le64(|ct|))
 //! ```
 //!
-//! Nothing is derived from the KEK and nothing is hashed: preparing a
-//! [`WrapKek`] is a 32-byte copy, and a wrap is two ChaCha20 blocks
-//! plus Poly1305 over the padded input. That is the shape
+//! This is RFC 8439 §2.8 `AEAD_CHACHA20_POLY1305` with one change, the
+//! one NaCl's `crypto_secretbox` makes: the RFC takes `otk` from block
+//! 0 and discards `B[32..64]`, which a 32-byte payload never needs.
+//! So `ct` is byte for byte the RFC's, and the tag is not. Nothing is
+//! derived from the KEK and nothing is hashed: preparing a [`WrapKek`]
+//! is a 32-byte copy, and a wrap is one ChaCha20 block plus Poly1305
+//! over the 112-byte padded input of a rekey entry. That is the shape
 //! group-oriented rekeying needs — a child key has one parent, so a
 //! KEK wraps exactly one entry of a batch and any per-KEK set-up would
 //! be paid per entry.
+//!
+//! # Block counters
+//!
+//! | counter | use |
+//! |---|---|
+//! | 0 | none (RFC 8439's `otk`; never computed) |
+//! | 1 | a wrap: key stream ‖ `otk` |
+//! | 2³² − 1 | the key advance F under [`ADVANCE_LABEL`] |
+//!
+//! Mixing this construction with the RFC's fails closed. An entry of
+//! one opened by the other is [`CryptoError::BadTag`], and re-sealing
+//! the same payload under the same (KEK, nonce) with both — a data
+//! directory written by the RFC construction and replayed by this one
+//! — gives the same ciphertext and two tags under independent one-time
+//! keys (`B0[0..32]` and `B1[32..64]`), so each one-time key still
+//! authenticates a single message.
 //!
 //! One wrapped key is [`WRAPPED_LEN`] = 60 bytes: the nonce and the
 //! [`SEALED_LEN`]-byte sealed part (ciphertext ‖ tag). The rekey-message
@@ -26,7 +48,7 @@
 //!
 //! # What the tag covers
 //!
-//! The nonce (it selects `otk`), the ciphertext and the caller's
+//! The nonce (it selects `B`), the ciphertext and the caller's
 //! associated data. A rekey entry passes its whole header — the 49-byte
 //! `RekeyEntry::binding` of `rekey-keytree`: both node ids, both
 //! versions, the leaf flag, the recipient, audience and depth — so an
@@ -51,7 +73,7 @@
 //!   opposite. A member picks the unwrapping key by the authenticated
 //!   `(under, under_version)` / `recipient` of the entry, never by
 //!   trial decryption.
-//! - **Key usage.** A [`Key`]'s raw bytes key this AEAD and the key
+//! - **Key usage.** A [`Key`]'s raw bytes key this wrap and the key
 //!   advance [`advance`], and nothing else; every other use goes
 //!   through [`Key::derive`] with its own label (`"net-hello"`,
 //!   `"oft-blind"`).
@@ -65,12 +87,11 @@
 //! are `K'` and bytes 32..40 a check that a holder compares against the
 //! announced one.
 //!
-//! F never meets a wrap's key stream. A wrap seals one 32-byte key, so
-//! under whatever nonce it draws it uses counter 0 (the Poly1305 key)
-//! and counter 1 (the key stream) and no other; F's counter is
-//! 2³² − 1, so its block differs from every wrap block under every
-//! nonce, [`ADVANCE_LABEL`] included. F is one-way because ChaCha20 is
-//! a PRF in its key: `K'` and the check reveal nothing of `K`.
+//! F never meets a wrap's block. Under whatever nonce it draws, a wrap
+//! uses counter 1 and no other; F's counter is 2³² − 1, so its block
+//! differs from every wrap block under every nonce, [`ADVANCE_LABEL`]
+//! included. F is one-way because ChaCha20 is a PRF in its key: `K'`
+//! and the check reveal nothing of `K`.
 
 use crate::chacha20;
 use crate::poly1305::{self, Poly1305};
@@ -191,73 +212,23 @@ impl WrappedKey {
     }
 }
 
-/// The RFC 8439 §2.8 tag over `aad` and `ciphertext` under the one-time
-/// key that ChaCha20 block 0 yields for (`key`, `nonce`).
-fn aead_tag(
-    key: &[u8; chacha20::KEY_LEN],
-    nonce: &[u8; NONCE_LEN],
-    aad: &[u8],
-    ciphertext: &[u8],
-) -> [u8; TAG_LEN] {
-    // Block 0 here plus the key-stream blocks `seal_in_place` /
-    // `open_in_place` XOR with: one count per message.
-    rekey_obs::count(
-        "crypto.chacha20_blocks",
-        1 + chacha20::blocks_for(ciphertext.len()),
-    );
-    let block0 = chacha20::block(key, 0, nonce);
-    let otk = block0
-        .first_chunk::<{ poly1305::KEY_LEN }>()
-        .expect("a ChaCha20 block is 64 bytes");
-    let pad16 = |len: usize| &[0u8; 15][..len.wrapping_neg() % 16];
+/// The block counter of a wrap: counter 0 is never computed, and F
+/// keeps to 2³² − 1 (module docs).
+const WRAP_COUNTER: u32 = 1;
+
+/// The tag over `aad` and `ciphertext` under the one-time key `otk`:
+/// Poly1305 over RFC 8439 §2.8's `mac_data`.
+fn tag_of(otk: &[u8; poly1305::KEY_LEN], aad: &[u8], ciphertext: &[u8; 32]) -> [u8; TAG_LEN] {
     let mut mac = Poly1305::new(otk);
     mac.update(aad);
-    mac.update(pad16(aad.len()));
-    mac.update(ciphertext);
-    mac.update(pad16(ciphertext.len()));
+    mac.update(&[0u8; 15][..aad.len().wrapping_neg() % 16]);
+    mac.update(ciphertext); // 32 bytes: already a multiple of 16
     mac.update(&(aad.len() as u64).to_le_bytes());
-    mac.update(&(ciphertext.len() as u64).to_le_bytes());
+    mac.update(&32u64.to_le_bytes());
     mac.finalize()
 }
 
-/// `AEAD_CHACHA20_POLY1305` (RFC 8439 §2.8) encryption of `data` in
-/// place; returns the tag over `aad` and the ciphertext. The
-/// length-generic form of [`WrapKek::seal`].
-///
-/// Callers must never reuse a nonce with the same key.
-pub fn seal_in_place(
-    key: &[u8; chacha20::KEY_LEN],
-    nonce: &[u8; NONCE_LEN],
-    aad: &[u8],
-    data: &mut [u8],
-) -> [u8; TAG_LEN] {
-    chacha20::apply_keystream(key, nonce, 1, data);
-    aead_tag(key, nonce, aad, data)
-}
-
-/// `AEAD_CHACHA20_POLY1305` decryption of `data` in place: recomputes
-/// the tag, compares it with `tag` in constant time, and only then
-/// decrypts. The length-generic form of [`WrapKek::open`].
-///
-/// # Errors
-///
-/// Returns [`CryptoError::BadTag`], leaving `data` untouched, if
-/// `tag` does not authenticate (`nonce`, `aad`, `data`) under `key`.
-pub fn open_in_place(
-    key: &[u8; chacha20::KEY_LEN],
-    nonce: &[u8; NONCE_LEN],
-    aad: &[u8],
-    data: &mut [u8],
-    tag: &[u8; TAG_LEN],
-) -> Result<(), CryptoError> {
-    if !ct_eq(&aead_tag(key, nonce, aad, data), tag) {
-        return Err(CryptoError::BadTag);
-    }
-    chacha20::apply_keystream(key, nonce, 1, data);
-    Ok(())
-}
-
-/// A key-encryption key: the 32 bytes that key the AEAD.
+/// A key-encryption key: the 32 bytes that key the wrap.
 ///
 /// Construction derives nothing and hashes nothing, so it costs the
 /// same whether a KEK wraps one entry (group-oriented batches: a child
@@ -287,7 +258,7 @@ impl std::fmt::Debug for WrapKek {
 }
 
 impl WrapKek {
-    /// The AEAD key for `kek`: its raw bytes.
+    /// The wrapping key for `kek`: its raw bytes.
     pub fn new(kek: &Key) -> Self {
         WrapKek {
             key: *kek.as_bytes(),
@@ -301,16 +272,17 @@ impl WrapKek {
     /// KEK.
     pub fn seal(&self, payload: &Key, nonce: [u8; NONCE_LEN], aad: &[u8]) -> WrappedKey {
         rekey_obs::count("crypto.keywrap.wrap", 1);
-        let mut ciphertext = *payload.as_bytes();
-        let tag = seal_in_place(&self.key, &nonce, aad, &mut ciphertext);
+        let (stream, otk) = self.block(&nonce);
+        let ciphertext = xor32(payload.as_bytes(), &stream);
         WrappedKey {
             nonce,
             ciphertext,
-            tag,
+            tag: tag_of(&otk, aad, &ciphertext),
         }
     }
 
-    /// Decrypts a key sealed with the same `aad`.
+    /// Decrypts a key sealed with the same `aad`: recomputes the tag,
+    /// compares it in constant time, and only then decrypts.
     ///
     /// # Errors
     ///
@@ -318,9 +290,23 @@ impl WrapKek {
     /// under this KEK with this `aad` (or was corrupted in transit).
     pub fn open(&self, wrapped: &WrappedKey, aad: &[u8]) -> Result<Key, CryptoError> {
         rekey_obs::count("crypto.keywrap.unwrap", 1);
-        let mut plaintext = wrapped.ciphertext;
-        open_in_place(&self.key, &wrapped.nonce, aad, &mut plaintext, &wrapped.tag)?;
-        Ok(Key::from_bytes(plaintext))
+        let (stream, otk) = self.block(&wrapped.nonce);
+        if !ct_eq(&tag_of(&otk, aad, &wrapped.ciphertext), &wrapped.tag) {
+            return Err(CryptoError::BadTag);
+        }
+        Ok(Key::from_bytes(xor32(&wrapped.ciphertext, &stream)))
+    }
+
+    /// The one block a wrap under `nonce` uses, split into its key
+    /// stream and its one-time Poly1305 key.
+    fn block(&self, nonce: &[u8; NONCE_LEN]) -> ([u8; 32], [u8; poly1305::KEY_LEN]) {
+        rekey_obs::count("crypto.chacha20_blocks", 1);
+        let block = chacha20::block(&self.key, WRAP_COUNTER, nonce);
+        let (stream, otk) = block.split_at(32);
+        (
+            stream.try_into().expect("64-byte block"),
+            otk.try_into().expect("64-byte block"),
+        )
     }
 
     /// [`seal`](Self::seal) with a fresh random nonce from `rng` and
@@ -354,13 +340,13 @@ pub const ADVANCE_LABEL: [u8; NONCE_LEN] = *b"lkh+ advance";
 /// Length of the check an advance publishes beside its node.
 pub const ADVANCE_CHECK_LEN: usize = 8;
 
-/// The block counter of F: one no 32-byte wrap reaches.
+/// The block counter of F: not the wrap's (module docs).
 const ADVANCE_COUNTER: u32 = u32::MAX;
 
 /// The key advance F (module docs): the next version of `key` and the
 /// check that lets a holder of `key` recognise a genuine announcement.
 /// One ChaCha20 block, counted under `crypto.key_advance` and not
-/// under `crypto.chacha20_blocks`, which counts AEAD blocks.
+/// under `crypto.chacha20_blocks`, which counts wrap blocks.
 pub fn advance(key: &Key) -> (Key, [u8; ADVANCE_CHECK_LEN]) {
     rekey_obs::count("crypto.key_advance", 1);
     let block = chacha20::block(key.as_bytes(), ADVANCE_COUNTER, &ADVANCE_LABEL);
@@ -385,6 +371,11 @@ pub fn open_advance(previous: &Key, check: &[u8; ADVANCE_CHECK_LEN]) -> Result<K
     } else {
         Err(CryptoError::BadTag)
     }
+}
+
+/// `a ⊕ b`.
+fn xor32(a: &[u8; 32], b: &[u8; 32]) -> [u8; 32] {
+    std::array::from_fn(|i| a[i] ^ b[i])
 }
 
 /// Encrypts `payload` under `kek` with a fresh random nonce from `rng`.
@@ -555,8 +546,8 @@ mod tests {
     }
 
     /// F is one block at counter 2³² − 1 under the advance label: the
-    /// key is its first 32 bytes, the check the next 8, and no block a
-    /// wrap uses (counters 0 and 1, any nonce) is among them.
+    /// key is its first 32 bytes, the check the next 8, and it is not
+    /// the block a wrap uses (counter 1, any nonce).
     #[test]
     fn advance_is_one_block_no_wrap_uses() {
         let key = Key::from_bytes([0x42; 32]);

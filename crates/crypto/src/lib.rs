@@ -10,11 +10,11 @@
 //! - [`sha256`] — the SHA-256 hash function,
 //! - [`hmac`] — HMAC-SHA256 message authentication,
 //! - [`hkdf`] — HKDF-SHA256 key derivation,
-//! - [`chacha20`] — the ChaCha20 stream cipher,
+//! - [`chacha20`] — the ChaCha20 block function,
 //! - [`poly1305`] — the Poly1305 one-time authenticator,
-//! - [`keywrap`] — authenticated key wrapping: RFC 8439
-//!   ChaCha20-Poly1305 keyed by the wrapping key, with the entry header
-//!   as associated data,
+//! - [`keywrap`] — authenticated key wrapping: ChaCha20-Poly1305 in
+//!   one block keyed by the wrapping key, with the entry header as
+//!   associated data,
 //! - [`Key`] — a 256-bit symmetric key with constant-time equality.
 //!
 //! # Example

@@ -7,7 +7,8 @@
 //! has no branch and no index that depends on key or message bytes.
 //!
 //! A Poly1305 key authenticates **one** message: [`crate::keywrap`]
-//! derives a fresh one per (KEK, nonce) from ChaCha20 block 0.
+//! takes a fresh one per (KEK, nonce) from the second half of the
+//! ChaCha20 block whose first half encrypts the key.
 
 /// Poly1305 one-time key length in bytes (`r ‖ s`).
 pub const KEY_LEN: usize = 32;

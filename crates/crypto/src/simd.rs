@@ -3,7 +3,7 @@
 //! Exactly one kernel in the workspace is dispatched at run time:
 //! SHA-256 compression ([`crate::sha256`]), which carries the scalar
 //! reference plus one `std::arch` path built on the x86 SHA
-//! extensions. (ChaCha20 and Poly1305 are called two blocks and seven
+//! extensions. (ChaCha20 and Poly1305 are called one block and seven
 //! blocks per wrapped key and `rekey-transport`'s GF(256) routines are
 //! off every rekey interval's path; each has a single implementation.)
 //! This module owns the

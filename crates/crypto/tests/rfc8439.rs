@@ -1,11 +1,15 @@
-//! RFC 8439 known answers for Poly1305 and AEAD_CHACHA20_POLY1305,
-//! driven through the crate's public surface — the same
-//! `keywrap::{seal_in_place, open_in_place}` every rekey entry is
-//! sealed and opened with.
+//! RFC 8439 known answers for Poly1305 and AEAD_CHACHA20_POLY1305.
+//!
+//! The AEAD runs through a reference built here from the crate's two
+//! primitives, `chacha20::block` and `poly1305`. A rekey entry is not
+//! sealed with it: `keywrap::WrapKek` takes its key stream and its
+//! Poly1305 key from one block, so its ciphertext is the RFC's and its
+//! tag is not. The last test pins that relation.
 
-use rekey_crypto::keywrap::{open_in_place, seal_in_place};
+use proptest::prelude::*;
+use rekey_crypto::keywrap::{WrapKek, WrappedKey};
 use rekey_crypto::poly1305::{self, Poly1305};
-use rekey_crypto::CryptoError;
+use rekey_crypto::{chacha20, CryptoError, Key};
 
 fn unhex(hex: &str) -> Vec<u8> {
     let digits: Vec<u8> = hex.bytes().filter(u8::is_ascii_hexdigit).collect();
@@ -195,35 +199,74 @@ as /\u{201c}work in progress./\u{201d}"
     }
 }
 
+/// `data` XOR the ChaCha20 key stream from block `counter` on.
+fn keystream_xor(key: &[u8; 32], nonce: &[u8; 12], counter: u32, data: &[u8]) -> Vec<u8> {
+    let stream = (counter..).flat_map(|c| chacha20::block(key, c, nonce));
+    data.iter().zip(stream).map(|(d, k)| d ^ k).collect()
+}
+
+/// The §2.8 tag: Poly1305 under block 0's first 32 bytes over
+/// `aad ‖ pad16 ‖ ciphertext ‖ pad16 ‖ le64(|aad|) ‖ le64(|ciphertext|)`.
+fn rfc8439_tag(key: &[u8; 32], nonce: &[u8; 12], aad: &[u8], ciphertext: &[u8]) -> [u8; 16] {
+    let otk: [u8; 32] = chacha20::block(key, 0, nonce)[..32].try_into().unwrap();
+    let mut mac_data = aad.to_vec();
+    mac_data.resize(aad.len().next_multiple_of(16), 0);
+    mac_data.extend_from_slice(ciphertext);
+    mac_data.resize(mac_data.len().next_multiple_of(16), 0);
+    mac_data.extend_from_slice(&(aad.len() as u64).to_le_bytes());
+    mac_data.extend_from_slice(&(ciphertext.len() as u64).to_le_bytes());
+    poly1305::mac(&otk, &mac_data)
+}
+
+/// `AEAD_CHACHA20_POLY1305` encryption: ciphertext and tag.
+fn rfc8439_seal(
+    key: &[u8; 32],
+    nonce: &[u8; 12],
+    aad: &[u8],
+    plaintext: &[u8],
+) -> (Vec<u8>, [u8; 16]) {
+    let ciphertext = keystream_xor(key, nonce, 1, plaintext);
+    let tag = rfc8439_tag(key, nonce, aad, &ciphertext);
+    (ciphertext, tag)
+}
+
+/// `AEAD_CHACHA20_POLY1305` decryption: checks the tag first and
+/// decrypts only what it authenticates.
+fn rfc8439_open(
+    key: &[u8; 32],
+    nonce: &[u8; 12],
+    aad: &[u8],
+    ciphertext: &[u8],
+    tag: &[u8; 16],
+) -> Result<Vec<u8>, CryptoError> {
+    if rfc8439_tag(key, nonce, aad, ciphertext) != *tag {
+        return Err(CryptoError::BadTag);
+    }
+    Ok(keystream_xor(key, nonce, 1, ciphertext))
+}
+
 #[test]
 fn aead_section_2_8_2_and_appendix_a5() {
     for v in [section_2_8_2(), appendix_a5()] {
-        let mut data = v.plaintext.clone();
-        let tag = seal_in_place(&v.key, &v.nonce, &v.aad, &mut data);
-        assert_eq!(data, v.ciphertext);
+        let (ciphertext, tag) = rfc8439_seal(&v.key, &v.nonce, &v.aad, &v.plaintext);
+        assert_eq!(ciphertext, v.ciphertext);
         assert_eq!(tag, v.tag);
         assert_eq!(
-            open_in_place(&v.key, &v.nonce, &v.aad, &mut data, &tag),
-            Ok(())
+            rfc8439_open(&v.key, &v.nonce, &v.aad, &ciphertext, &tag),
+            Ok(v.plaintext)
         );
-        assert_eq!(data, v.plaintext);
     }
     assert_eq!(section_2_8_2().plaintext.len(), 114);
     assert_eq!(appendix_a5().ciphertext.len(), 265);
 }
 
 /// One flipped bit anywhere — key, nonce, associated data, ciphertext
-/// or tag — fails authentication and leaves the buffer undecrypted.
+/// or tag — fails authentication.
 #[test]
 fn aead_rejects_a_flipped_bit_in_every_input() {
     for v in [section_2_8_2(), appendix_a5()] {
         let open = |key: &[u8; 32], nonce: &[u8; 12], aad: &[u8], ct: &[u8], tag: &[u8; 16]| {
-            let mut data = ct.to_vec();
-            let result = open_in_place(key, nonce, aad, &mut data, tag);
-            if result.is_err() {
-                assert_eq!(data, ct, "a rejected input must not be decrypted");
-            }
-            result
+            rfc8439_open(key, nonce, aad, ct, tag).map(drop)
         };
         for bit in 0..8 {
             let flip = |bytes: &[u8], at: usize| {
@@ -275,5 +318,32 @@ fn aead_rejects_a_flipped_bit_in_every_input() {
             open(&v.key, &v.nonce, &v.aad, &v.ciphertext, &v.tag),
             Ok(())
         );
+    }
+}
+
+proptest! {
+    /// A one-block wrap and the RFC 8439 AEAD under the same key and
+    /// nonce encrypt to the same ciphertext, and neither's entry opens
+    /// under the other's `open`: mixing them fails closed.
+    #[test]
+    fn one_block_wrap_shares_the_rfc8439_ciphertext_not_its_tag(
+        key in any::<[u8; 32]>(),
+        payload in any::<[u8; 32]>(),
+        nonce in any::<[u8; 12]>(),
+        aad49 in any::<[u8; 49]>(),
+    ) {
+        let kek = WrapKek::new(&Key::from_bytes(key));
+        for aad in [&[][..], &aad49[..]] {
+            let ours = kek.seal(&Key::from_bytes(payload), nonce, aad).sealed();
+            let (ciphertext, tag) = rfc8439_seal(&key, &nonce, aad, &payload);
+            prop_assert_eq!(&ours[..32], &ciphertext[..]);
+            let ours_tag: [u8; 16] = ours[32..].try_into().unwrap();
+            prop_assert_eq!(
+                rfc8439_open(&key, &nonce, aad, &ciphertext, &ours_tag),
+                Err(CryptoError::BadTag)
+            );
+            let theirs = WrappedKey::from_parts(nonce, &[ciphertext, tag.to_vec()].concat().try_into().unwrap());
+            prop_assert_eq!(kek.open(&theirs, aad), Err(CryptoError::BadTag));
+        }
     }
 }

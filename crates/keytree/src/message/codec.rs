@@ -17,7 +17,7 @@
 //! its shortest form, `svarint` the zigzag of a wrapping `i64`
 //! difference.
 //!
-//! # Entry layout (version 3; entries as in version 2)
+//! # Entry layout (version 4; entries laid out as in version 2)
 //!
 //! Entries of a rekey message arrive deepest-target-first, a
 //! group-oriented batch wraps each refreshed key under each of its `d`
@@ -39,7 +39,7 @@
 //! | `recipient` | varint | if `HAS_RECIPIENT` | 1.19 |
 //! | `audience` | varint ≤ `u32::MAX` | always | 1.03 |
 //! | `nonce` | 12 bytes | unless `NONCE_NEXT` (= previous nonce + 1, 96-bit big-endian) | 0.01³ |
-//! | `sealed` | ciphertext ‖ tag as `WrapKek::seal` made them | always | 48 |
+//! | `sealed` | ciphertext ‖ tag as `WrapKek::seal` made them (version 4: one ChaCha20 block per wrap; 3 and earlier: RFC 8439's two) | always | 48 |
 //!
 //! ¹ Per key over 79 214 keys of N = 16 384, d = 4, TT-scheme, paper
 //! Table-1 churn (the `steady-16k` workload of `benchmark/`): 7.2
@@ -58,7 +58,7 @@
 //! byte each and keeping them means `decode(encode(m)) == m` for every
 //! field and one message type, not a second member-facing one.
 //!
-//! # Advance layout (new in version 3)
+//! # Advance layout (since version 3)
 //!
 //! A key that advanced by F ([`KeyAdvance`]) costs a record instead of
 //! a wrap. Records follow the entries, in message order, each written
@@ -92,8 +92,10 @@ use crate::{MemberId, NodeId};
 use rekey_crypto::keywrap::{next_nonce, WrappedKey, ADVANCE_CHECK_LEN, NONCE_LEN, SEALED_LEN};
 
 /// Format version emitted by every encoder in this module. Decoders
-/// reject anything else.
-pub const WIRE_VERSION: u8 = 3;
+/// reject anything else. 4 has the layout of 3; its tags are the
+/// one-block wrap's, which a version-3 reader would answer with
+/// `BadTag` on every entry.
+pub const WIRE_VERSION: u8 = 4;
 
 /// Envelope overhead of an entry block: version byte + entry count.
 pub const BLOCK_HEADER_LEN: usize = 1 + 4;
@@ -651,9 +653,9 @@ mod tests {
             advances: vec![advance(0)],
         };
         let block = block_of(&msg.entries);
-        // Versions 1 (the fixed-width layout) and 2 (no advances) have
-        // no decoder any more.
-        for version in [0, 1, 2, WIRE_VERSION + 1, 0xFF] {
+        // Versions 1 (the fixed-width layout), 2 (no advances) and 3
+        // (RFC 8439's two-block tags) have no decoder any more.
+        for version in [0, 1, 2, 3, WIRE_VERSION + 1, 0xFF] {
             let mut bytes = encode_message(&msg);
             bytes[0] = version;
             assert_eq!(decode_message(&bytes), None, "message v{version}");

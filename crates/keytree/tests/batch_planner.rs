@@ -36,6 +36,7 @@ use rand::{Rng, SeedableRng};
 use rekey_crypto::{sha256, Key};
 use rekey_keytree::member::GroupMember;
 use rekey_keytree::message::codec::encode_message;
+use rekey_keytree::message::RekeyMessage;
 use rekey_keytree::server::LkhServer;
 use rekey_keytree::{MemberId, NodeId};
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -245,6 +246,26 @@ fn no_entry_is_wrapped_under_a_key_a_leaver_held() {
     assert_eq!(hex(&advanced_pairs.finalize()), PARENT_SELF_WRAPS);
 }
 
+/// sha256 over every entry's header (`RekeyEntry::binding`), nonce and
+/// ciphertext — its sealed part without the tag — and every advance
+/// record of `message`. The values pinned below were recorded at the
+/// commit before the one-block key wrap, which moved tags and nothing
+/// else; the whole-message digests were re-pinned behind them.
+fn untagged_digest(message: &RekeyMessage) -> String {
+    let mut hasher = sha256::Sha256::new();
+    for entry in &message.entries {
+        hasher.update(&entry.binding());
+        hasher.update(&entry.wrapped.nonce());
+        hasher.update(&entry.wrapped.sealed()[..32]);
+    }
+    for advance in &message.advances {
+        hasher.update(&advance.node.0.to_be_bytes());
+        hasher.update(&advance.version.to_be_bytes());
+        hasher.update(&advance.check);
+    }
+    hex(&hasher.finalize())
+}
+
 /// 4 096 joiners into an irregular tree — the shape of a bulk
 /// bootstrap, which the conformance scenarios' 10–20-joiner batches
 /// cannot stand in for. The planner used to emit one entry per joiner
@@ -255,6 +276,9 @@ fn no_entry_is_wrapped_under_a_key_a_leaver_held() {
 /// relation: the tree shape draws no randomness, so every advance here
 /// is exactly one of those self-wraps, and the bootstrap's one
 /// self-wrap — an empty tree's root under the bootstrap key — is gone.
+/// The third re-pin, of the two message digests alone, is for the
+/// one-block key wrap: only tags moved, behind the untagged digests
+/// pinned first.
 #[test]
 fn bulk_pure_join_costs_one_individual_key_wrap_per_joiner() {
     let mut rng = StdRng::seed_from_u64(0x4096);
@@ -267,13 +291,17 @@ fn bulk_pure_join_costs_one_individual_key_wrap_per_joiner() {
     assert_eq!(bootstrap.stats.advanced_keys, 0);
     assert_eq!(bootstrap.stats.encrypted_keys + 1, 429);
     assert_eq!(
+        untagged_digest(&bootstrap.message),
+        "7b6e4c1b70c8fcd8f84e0cc9efafcad18c9be785c4c67be5cb23e6ed1ca9b107"
+    );
+    assert_eq!(
         (
             bootstrap.stats.encrypted_keys,
             hex(&sha256::digest(&encode_message(&bootstrap.message)))
         ),
         (
             428,
-            "8ab461659672fa7b40632d80117001f83998eedb84dbc00a6be2753cec65a415".to_owned()
+            "9b0a3562d36380e684f12cc821e946ec92eb8ba8e856afc92b5556ebbf3b4f10".to_owned()
         )
     );
 
@@ -295,13 +323,17 @@ fn bulk_pure_join_costs_one_individual_key_wrap_per_joiner() {
     );
     assert_eq!(bulk.stats.encrypted_keys + bulk.stats.advanced_keys, 6_110);
     assert_eq!(
+        untagged_digest(&bulk.message),
+        "60d2048d9c94cbb8f3fc73e0cd290c2ef66979f80135fc4117102abf49817bde"
+    );
+    assert_eq!(
         (
             bulk.stats.encrypted_keys,
             hex(&sha256::digest(&encode_message(&bulk.message)))
         ),
         (
             5_994,
-            "85d15a1919684eba36a0fa348694712df2b062e4ae38dba813d8bc723a676f68".to_owned()
+            "20eb8c533e2bc26459613b0508ccc68417a19739c0835706fd393decf605f8d7".to_owned()
         )
     );
     let mut state = Vec::new();

@@ -51,7 +51,10 @@ use rekey_keytree::MemberId;
 /// joins changed advance by F and arrive as advance records, which a v4
 /// peer can neither parse nor apply — and `Hello` carries the client's
 /// next wanted epoch, which replaces the resubscribe `Nack`.
-pub const PROTO_VERSION: u8 = 5;
+/// v6: `Rekey` payloads are `codec::WIRE_VERSION` 4 — each entry's key
+/// stream and Poly1305 key come from one ChaCha20 block — whose tags a
+/// v5 peer cannot verify (every entry would fail `BadTag`).
+pub const PROTO_VERSION: u8 = 6;
 
 /// Server nonce length (the HMAC challenge).
 pub const NONCE_LEN: usize = 32;
@@ -425,77 +428,79 @@ mod tests {
         wire[1] = PROTO_VERSION + 1;
         assert!(matches!(decode(&wire), Err(NetError::Malformed { .. })));
 
-        // A peer built before the key advance says protocol 4 in its
-        // Hello. The daemon must turn it away at the handshake with a
-        // typed reason — not let it in to fail on its first Rekey.
         use crate::frame::{encode_frame, read_frame_deadline, FrameReader, DEFAULT_MAX_FRAME};
         use std::io::Write;
         use std::time::{Duration, Instant};
         let daemon = crate::Rekeyd::bind("127.0.0.1:0", crate::ServerConfig::default()).unwrap();
         let key = Key::from_bytes([5; 32]);
         daemon.register(MemberId(1), key.clone());
-        let mut stream = std::net::TcpStream::connect(daemon.local_addr()).unwrap();
-        let mut reader = FrameReader::new(DEFAULT_MAX_FRAME);
         let deadline = Instant::now() + Duration::from_secs(5);
-        let hello =
-            read_frame_deadline(&mut stream, &mut reader, deadline, "server hello").unwrap();
-        let Frame::ServerHello { nonce } = decode(&hello).unwrap() else {
-            panic!("expected a server hello");
+        // Connects, answers the server's challenge with `hello(nonce)`,
+        // and expects to be turned away for its version.
+        let assert_bad_version = |hello: &dyn Fn([u8; NONCE_LEN]) -> Vec<u8>| {
+            let mut stream = std::net::TcpStream::connect(daemon.local_addr()).unwrap();
+            let mut reader = FrameReader::new(DEFAULT_MAX_FRAME);
+            let server_hello =
+                read_frame_deadline(&mut stream, &mut reader, deadline, "server hello").unwrap();
+            let Frame::ServerHello { nonce } = decode(&server_hello).unwrap() else {
+                panic!("expected a server hello");
+            };
+            stream
+                .write_all(&encode_frame(&hello(nonce), DEFAULT_MAX_FRAME).unwrap())
+                .unwrap();
+            let reply = read_frame_deadline(&mut stream, &mut reader, deadline, "reject").unwrap();
+            assert_eq!(
+                decode(&reply).unwrap(),
+                Frame::Reject {
+                    reason: RejectReason::BadVersion
+                }
+            );
+            assert_eq!(daemon.session_count(), 0);
         };
         // Correctly authenticated: only the version byte is wrong.
-        let mut old_hello = encode(&Frame::Hello {
-            member: MemberId(1),
-            tag: hello_tag(&key, &nonce, MemberId(1)),
-            next_epoch: 1,
+        let hello_at = |version: u8, nonce: [u8; NONCE_LEN]| {
+            let mut hello = encode(&Frame::Hello {
+                member: MemberId(1),
+                tag: hello_tag(&key, &nonce, MemberId(1)),
+                next_epoch: 1,
+            });
+            assert_eq!(hello[1], PROTO_VERSION);
+            hello[1] = version;
+            hello
+        };
+
+        // A protocol-5 peer seals and opens entries with RFC 8439's
+        // two-block construction: every entry it received would fail
+        // `BadTag`. It must be turned away at the handshake with a
+        // typed reason — not let in to fail on its first Rekey.
+        assert_bad_version(&|nonce| hello_at(5, nonce));
+
+        // A peer built before the key advance says protocol 4 in its
+        // Hello, which had no next_epoch.
+        assert_bad_version(&|nonce| {
+            let mut hello = hello_at(4, nonce);
+            hello.truncate(hello.len() - 8);
+            hello
         });
-        assert_eq!(old_hello[1], PROTO_VERSION);
-        old_hello[1] = 4;
-        old_hello.truncate(old_hello.len() - 8); // no next_epoch before v5
-        stream
-            .write_all(&encode_frame(&old_hello, DEFAULT_MAX_FRAME).unwrap())
-            .unwrap();
-        let reply = read_frame_deadline(&mut stream, &mut reader, deadline, "reject").unwrap();
-        assert_eq!(
-            decode(&reply).unwrap(),
-            Frame::Reject {
-                reason: RejectReason::BadVersion
-            }
-        );
-        assert_eq!(daemon.session_count(), 0);
 
         // A protocol-3 peer cannot open a ChaCha20-Poly1305 entry. Its
         // Hello is authenticated the way version 3 did it — HMAC keyed
         // by the individual key's raw bytes — and must be turned away
         // for its version, not for its tag.
-        let mut stream = std::net::TcpStream::connect(daemon.local_addr()).unwrap();
-        let mut reader = FrameReader::new(DEFAULT_MAX_FRAME);
-        let hello =
-            read_frame_deadline(&mut stream, &mut reader, deadline, "server hello").unwrap();
-        let Frame::ServerHello { nonce } = decode(&hello).unwrap() else {
-            panic!("expected a server hello");
-        };
-        let mut v3_mac = HmacSha256::new(key.as_bytes());
-        v3_mac.update(HELLO_CONTEXT);
-        v3_mac.update(&nonce);
-        v3_mac.update(&1u64.to_be_bytes());
-        let mut v3_hello = encode(&Frame::Hello {
-            member: MemberId(1),
-            tag: v3_mac.finalize(),
-            next_epoch: 1,
+        assert_bad_version(&|nonce| {
+            let mut v3_mac = HmacSha256::new(key.as_bytes());
+            v3_mac.update(HELLO_CONTEXT);
+            v3_mac.update(&nonce);
+            v3_mac.update(&1u64.to_be_bytes());
+            let mut v3_hello = encode(&Frame::Hello {
+                member: MemberId(1),
+                tag: v3_mac.finalize(),
+                next_epoch: 1,
+            });
+            v3_hello[1] = 3;
+            v3_hello.truncate(v3_hello.len() - 8); // no next_epoch before v5
+            v3_hello
         });
-        v3_hello[1] = 3;
-        v3_hello.truncate(v3_hello.len() - 8); // no next_epoch before v5
-        stream
-            .write_all(&encode_frame(&v3_hello, DEFAULT_MAX_FRAME).unwrap())
-            .unwrap();
-        let reply = read_frame_deadline(&mut stream, &mut reader, deadline, "reject").unwrap();
-        assert_eq!(
-            decode(&reply).unwrap(),
-            Frame::Reject {
-                reason: RejectReason::BadVersion
-            }
-        );
-        assert_eq!(daemon.session_count(), 0);
     }
 
     #[test]
