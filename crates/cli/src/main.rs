@@ -135,10 +135,9 @@
 //!     the same series.
 //!
 //! rekey simd
-//!     Report whether the CPU has the SHA extensions, the `REKEY_SIMD`
-//!     override (if any), and the SHA-256 backend this process
-//!     selected (`sha_ni` or `scalar`; `REKEY_SIMD=off` forces the
-//!     latter).
+//!     Report whether the CPU has the SHA extensions and the SHA-256
+//!     backend this process runs (`sha_ni` exactly when it has them,
+//!     `scalar` otherwise).
 //! ```
 //!
 //! A flag the chosen subcommand does not read is an error, not a
@@ -406,16 +405,12 @@ fn cmd_reproduce(args: &Args) -> CliResult {
     Ok(())
 }
 
-/// Report CPU features and the selected SHA-256 backend — the fast
-/// way to confirm what `REKEY_SIMD` resolves to on a given host.
+/// Report CPU features and the SHA-256 backend they select on this
+/// host.
 fn cmd_simd(args: &Args) -> CliResult {
     args.finish()?;
     let feats = rekey_crypto::simd::detect();
     println!("cpu features:     sha_ni={}", feats.sha_ni);
-    match std::env::var("REKEY_SIMD") {
-        Ok(v) => println!("REKEY_SIMD:       {v}"),
-        Err(_) => println!("REKEY_SIMD:       (unset — auto)"),
-    }
     println!("selected backend: {}", rekey_crypto::simd::active());
     Ok(())
 }
@@ -1257,7 +1252,7 @@ fn cmd_metrics_check(args: &Args) -> CliResult {
 /// range, torn bytes, and the resulting durable epoch. CI greps the
 /// `durable epoch` line to assert monotonicity across a kill/restart.
 fn cmd_snapshot(args: &Args) -> CliResult {
-    use rekey_core::persist::{WalEntry, RECORD_WIRE_VERSION, SNAPSHOT_WIRE_VERSION};
+    use rekey_core::persist::{EpochRecord, RECORD_WIRE_VERSION, SNAPSHOT_WIRE_VERSION};
     use rekey_core::PersistError;
     use rekey_storage::{DirStorage, Storage};
 
@@ -1284,36 +1279,22 @@ fn cmd_snapshot(args: &Args) -> CliResult {
         None => println!("snapshot: none"),
     }
 
-    // Interval records, less the ones an abort marker cancels (batches
-    // the manager rejected). A rejected record whose marker a crash
-    // beat to the disk still counts here: only a manager can tell, and
-    // the next `serve` cancels it.
     let replay = storage.read_wal()?;
     let mut epochs: Vec<u64> = Vec::new();
     let mut versions = std::collections::BTreeSet::new();
-    let mut cancelled = 0usize;
     for bytes in &replay.records {
-        let entry = match WalEntry::decode(bytes) {
+        match EpochRecord::decode(bytes) {
+            Ok(record) => {
+                versions.insert(RECORD_WIRE_VERSION);
+                epochs.push(record.epoch);
+            }
             // Every record version so far leads with its epoch.
             Err(PersistError::PlannerChanged { found, .. }) => {
                 versions.insert(found);
                 let epoch = bytes.get(1..9).and_then(|b| b.try_into().ok());
                 epochs.push(u64::from_be_bytes(epoch.ok_or("WAL record truncated")?));
-                continue;
             }
-            entry => entry.map_err(|_| "corrupt entry inside a valid WAL frame")?,
-        };
-        match entry {
-            WalEntry::Interval(record) => {
-                versions.insert(RECORD_WIRE_VERSION);
-                epochs.push(record.epoch);
-            }
-            WalEntry::Abort { epoch } => {
-                if epochs.pop() != Some(epoch) {
-                    return Err(format!("abort marker for epoch {epoch} without its record").into());
-                }
-                cancelled += 1;
-            }
+            Err(_) => return Err("corrupt entry inside a valid WAL frame".into()),
         }
     }
     let (first_epoch, last_epoch) = (epochs.first().copied(), epochs.last().copied());
@@ -1335,9 +1316,6 @@ fn cmd_snapshot(args: &Args) -> CliResult {
             "another planner: this build refuses to replay it, drain under the build that wrote it"
         };
         println!("wal: record version {version} ({verdict})");
-    }
-    if cancelled > 0 {
-        println!("wal: {cancelled} rejected batch(es) cancelled");
     }
 
     // A crash between the snapshot write and the WAL truncation can

@@ -12,11 +12,10 @@
 //! # Epoch pipeline
 //!
 //! One [`GroupKeyManager::process_interval`] call first checks the
-//! whole batch — every leaver present and listed once, every joiner
-//! listed once and absent unless it also leaves in this batch — and
-//! rejects an inconsistent one before the epoch advances, any policy
-//! callback runs or any randomness is drawn, so a rejected batch leaves
-//! the engine byte for byte as it was. Then it runs:
+//! whole batch with [`crate::check_batch`] and rejects an inconsistent
+//! one before the epoch advances, any policy callback runs or any
+//! randomness is drawn, so a rejected batch leaves the engine byte for
+//! byte as it was. Then it runs:
 //!
 //! 1. **Route departures** — [`PlacementPolicy::route_leave`] assigns
 //!    each leaver to the tree (or policy-internal structure) holding
@@ -44,7 +43,7 @@
 
 use crate::dek::DekState;
 use crate::persist::PersistError;
-use crate::{GroupKeyManager, IntervalOutcome, IntervalStats, Join};
+use crate::{check_batch, GroupKeyManager, IntervalOutcome, IntervalStats, Join};
 use rand::RngCore;
 use rekey_crypto::keywrap::NonceRun;
 use rekey_crypto::Key;
@@ -52,7 +51,6 @@ use rekey_keytree::message::codec::{get_u32, get_u64, get_u8, put_u32, put_u64};
 use rekey_keytree::message::{EntryMeta, RekeyEntry, RekeyMessage};
 use rekey_keytree::server::LkhServer;
 use rekey_keytree::{KeyTreeError, MemberId, NodeId};
-use std::collections::HashSet;
 
 /// Version byte leading a serialized [`RekeyEngine`] state blob.
 pub const ENGINE_WIRE_VERSION: u8 = 1;
@@ -417,26 +415,6 @@ impl<P: PlacementPolicy> RekeyEngine<P> {
         self.epoch
     }
 
-    /// Rejects an inconsistent interval while nothing has changed yet:
-    /// a leaver must be present and listed once, a joiner listed once
-    /// and absent unless it is also leaving in this batch.
-    fn validate_interval(&self, joins: &[Join], leaves: &[MemberId]) -> Result<(), KeyTreeError> {
-        let mut leaving = HashSet::with_capacity(leaves.len());
-        for &member in leaves {
-            if !self.contains(member) || !leaving.insert(member) {
-                return Err(KeyTreeError::UnknownMember(member));
-            }
-        }
-        let mut joining = HashSet::with_capacity(joins.len());
-        for join in joins {
-            let stays = self.contains(join.member) && !leaving.contains(&join.member);
-            if stays || !joining.insert(join.member) {
-                return Err(KeyTreeError::DuplicateMember(join.member));
-            }
-        }
-        Ok(())
-    }
-
     /// Routes this interval's leaves, migrations, and joins into
     /// per-tree batches (phases 1–3 of the pipeline). Returns
     /// per-tree join and leave lists plus the migration count.
@@ -478,7 +456,7 @@ impl<P: PlacementPolicy> GroupKeyManager for RekeyEngine<P> {
     ) -> Result<IntervalOutcome, KeyTreeError> {
         // A rejected batch must leave no trace: no epoch consumed, no
         // policy bookkeeping touched, no randomness drawn.
-        self.validate_interval(joins, leaves)?;
+        check_batch(&*self, joins, leaves)?;
         self.epoch += 1;
         let _batch_span = rekey_obs::span!("rekey.batch");
 

@@ -81,6 +81,7 @@ use rand::RngCore;
 use rekey_crypto::Key;
 use rekey_keytree::message::RekeyMessage;
 use rekey_keytree::{KeyTreeError, MemberId, NodeId};
+use std::collections::HashSet;
 
 /// Information a joining member (or its access history) provides to
 /// the key server. Managers use what they understand and ignore the
@@ -247,4 +248,36 @@ pub trait GroupKeyManager {
     /// [`PersistError::SchemeMismatch`] if the bytes belong to another
     /// scheme, [`PersistError::Codec`] if they do not parse.
     fn restore_state(&mut self, bytes: &[u8]) -> Result<(), PersistError>;
+}
+
+/// Checks one interval's batch against `manager` before anything runs
+/// it: every leaver present and listed once, every joiner listed once
+/// and absent unless it also leaves in this batch. Built on
+/// [`GroupKeyManager::contains`] alone, so it reads nothing a wrapper
+/// could fail to forward; the engine runs it first thing in every
+/// interval, and [`Journal::durable_interval`] before it logs one.
+///
+/// # Errors
+///
+/// [`KeyTreeError::UnknownMember`] for an absent or repeated leaver,
+/// [`KeyTreeError::DuplicateMember`] for a present or repeated joiner.
+pub fn check_batch(
+    manager: &(impl GroupKeyManager + ?Sized),
+    joins: &[Join],
+    leaves: &[MemberId],
+) -> Result<(), KeyTreeError> {
+    let mut leaving = HashSet::with_capacity(leaves.len());
+    for &member in leaves {
+        if !manager.contains(member) || !leaving.insert(member) {
+            return Err(KeyTreeError::UnknownMember(member));
+        }
+    }
+    let mut joining = HashSet::with_capacity(joins.len());
+    for join in joins {
+        let stays = manager.contains(join.member) && !leaving.contains(&join.member);
+        if stays || !joining.insert(join.member) {
+            return Err(KeyTreeError::DuplicateMember(join.member));
+        }
+    }
+    Ok(())
 }

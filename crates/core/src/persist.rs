@@ -21,32 +21,28 @@
 //! message to the caller's sink:
 //!
 //! ```text
-//! append_wal(record) → process_interval → sync_wal → sink → [snapshot]
+//! check_batch → append_wal(record) → process_interval → sync_wal → sink → [snapshot]
 //! ```
 //!
 //! The record can go first because it holds only inputs, all known when
 //! the call starts — the epoch is the journal's own count plus one —
 //! so a backend that writes behind its caller
 //! ([`rekey_storage::DirStorage`]) does the append and the fsync while
-//! the engine computes, and the barrier finds them done. It is safe
-//! because batches are validated before a manager changes anything: a
-//! record in the log stands for an interval that ran, or for one that
-//! changed nothing (next paragraph). What is ordered is the
-//! record against the *sink*: if the append or the barrier fails, the
-//! frame is never released, so a frame a client may have seen is always
-//! re-derivable from disk.
+//! the engine computes, and the barrier finds them done. What is
+//! ordered is the record against the *sink*: if the append or the
+//! barrier fails, the frame is never released, so a frame a client may
+//! have seen is always re-derivable from disk.
 //!
-//! A record written ahead of its interval can belong to a batch the
-//! manager then rejects (an unknown leaver, a duplicate joiner). Such a
-//! record must never be replayed as an interval: the journal appends an
-//! [`ABORT_WIRE_TAG`] marker behind it and makes both durable before it
-//! returns the rejection, and [`Journal::recover`] skips a record
-//! followed by its marker. A crash between the two leaves the record
-//! last in the log; recovery recognises it by the restored manager
-//! rejecting it the same way — its frame was never released, nothing
-//! was acknowledged — and writes the missing marker. A rejected record
-//! anywhere else is a log that does not match its snapshot, and stays
-//! an error.
+//! It is safe because a batch is checked before it is logged: the
+//! journal runs [`crate::check_batch`] first, and a batch it rejects (an
+//! unknown leaver, a duplicate joiner) comes back as
+//! [`PersistError::Replay`] with nothing logged, no randomness drawn
+//! and no sink call. The engine rejects nothing else, and the check
+//! needs only [`GroupKeyManager::contains`], which every wrapper
+//! forwards; so every record in the log stands for an interval that
+//! ran. The log holds [`EpochRecord`]s only, and any rejection while
+//! [`Journal::recover`] replays one is a log that does not match its
+//! snapshot.
 //!
 //! # Records name their planner
 //!
@@ -105,10 +101,9 @@ use std::time::Instant;
 /// planner that advances join-only keys by F; 1 wrapped them.
 pub const RECORD_WIRE_VERSION: u8 = 2;
 
-/// First byte of an abort marker, the WAL entry that cancels the
-/// [`EpochRecord`] before it (a batch the manager rejected); its epoch
-/// follows. Distinct from every [`RECORD_WIRE_VERSION`].
-pub const ABORT_WIRE_TAG: u8 = 0xAB;
+/// Smallest serialized join: member id, individual key, a class byte
+/// and a loss-rate flag.
+const MIN_JOIN_LEN: usize = 8 + 32 + 1 + 1;
 
 /// Version byte leading a snapshot blob.
 pub const SNAPSHOT_WIRE_VERSION: u8 = 1;
@@ -242,16 +237,32 @@ impl EpochRecord {
 
     /// Decodes a record serialized by [`EpochRecord::encode_into`],
     /// requiring the whole of `bytes` to be consumed.
-    pub fn decode(bytes: &[u8]) -> Option<EpochRecord> {
-        let mut buf = bytes;
-        if get_u8(&mut buf)? != RECORD_WIRE_VERSION {
-            return None;
+    ///
+    /// # Errors
+    ///
+    /// [`PersistError::PlannerChanged`] for a record of another
+    /// [`RECORD_WIRE_VERSION`] (any other first byte),
+    /// [`PersistError::Codec`] for anything else that does not parse.
+    pub fn decode(bytes: &[u8]) -> Result<EpochRecord, PersistError> {
+        let corrupt = PersistError::Codec { what: "WAL record" };
+        match bytes.split_first() {
+            Some((&RECORD_WIRE_VERSION, body)) => EpochRecord::decode_body(body).ok_or(corrupt),
+            Some((&found, _)) => Err(PersistError::PlannerChanged {
+                found,
+                expected: RECORD_WIRE_VERSION,
+            }),
+            None => Err(corrupt),
         }
+    }
+
+    /// [`EpochRecord::decode`] past the version byte. The counts are
+    /// input: vectors are sized by what the remaining bytes can hold.
+    fn decode_body(mut buf: &[u8]) -> Option<EpochRecord> {
         let epoch = get_u64(&mut buf)?;
         let (rng_state, rest) = buf.split_first_chunk::<32>()?;
         buf = rest;
         let join_count = get_u32(&mut buf)? as usize;
-        let mut joins = Vec::with_capacity(join_count);
+        let mut joins = Vec::with_capacity(join_count.min(buf.len() / MIN_JOIN_LEN));
         for _ in 0..join_count {
             let member = MemberId(get_u64(&mut buf)?);
             let (key, rest) = buf.split_first_chunk::<32>()?;
@@ -271,7 +282,7 @@ impl EpochRecord {
             joins.push(join);
         }
         let leave_count = get_u32(&mut buf)? as usize;
-        let mut leaves = Vec::with_capacity(leave_count);
+        let mut leaves = Vec::with_capacity(leave_count.min(buf.len() / 8));
         for _ in 0..leave_count {
             leaves.push(MemberId(get_u64(&mut buf)?));
         }
@@ -282,63 +293,6 @@ impl EpochRecord {
             leaves,
         })
     }
-}
-
-/// One WAL entry: an interval's inputs, or the marker cancelling the
-/// interval entry before it.
-#[derive(Debug, Clone, PartialEq)]
-pub enum WalEntry {
-    /// The inputs of one interval.
-    Interval(EpochRecord),
-    /// The entry before this one, logged for `epoch`, was a batch the
-    /// manager rejected: it is not an interval and must not replay.
-    Abort {
-        /// The epoch the cancelled record was logged under.
-        epoch: u64,
-    },
-}
-
-impl WalEntry {
-    /// Decodes one WAL record payload, requiring all of it to be
-    /// consumed.
-    ///
-    /// # Errors
-    ///
-    /// [`PersistError::PlannerChanged`] for a record of another
-    /// [`RECORD_WIRE_VERSION`], [`PersistError::Codec`] for anything
-    /// else that does not parse.
-    pub fn decode(bytes: &[u8]) -> Result<WalEntry, PersistError> {
-        let corrupt = PersistError::Codec { what: "WAL record" };
-        match bytes.split_first().ok_or(corrupt)? {
-            (&ABORT_WIRE_TAG, mut rest) => match get_u64(&mut rest) {
-                Some(epoch) if rest.is_empty() => Ok(WalEntry::Abort { epoch }),
-                _ => Err(PersistError::Codec { what: "WAL record" }),
-            },
-            (&RECORD_WIRE_VERSION, _) => EpochRecord::decode(bytes)
-                .map(WalEntry::Interval)
-                .ok_or(PersistError::Codec { what: "WAL record" }),
-            (&found, _) => Err(PersistError::PlannerChanged {
-                found,
-                expected: RECORD_WIRE_VERSION,
-            }),
-        }
-    }
-}
-
-/// The serialized abort marker for `epoch`.
-fn abort_marker(epoch: u64) -> Vec<u8> {
-    let mut marker = vec![ABORT_WIRE_TAG];
-    put_u64(&mut marker, epoch);
-    marker
-}
-
-/// Whether `error` is a manager refusing a batch at validation, before
-/// it changed anything.
-fn rejected_at_validation(error: &KeyTreeError) -> bool {
-    matches!(
-        error,
-        KeyTreeError::UnknownMember(_) | KeyTreeError::DuplicateMember(_)
-    )
 }
 
 /// What [`Journal::recover`] reconstructed from disk.
@@ -408,22 +362,25 @@ impl<S: Storage> Journal<S> {
         self.storage
     }
 
-    /// Runs one interval durably: hand the [`EpochRecord`] (RNG
-    /// pre-state, batch, next epoch) to the log, process the interval,
-    /// wait for the record to be durable, and only then hand the frame
-    /// to `sink`. On a storage error the sink is never invoked — no
-    /// client can observe a frame the log cannot re-derive.
+    /// Runs one interval durably: check the batch, hand the
+    /// [`EpochRecord`] (RNG pre-state, batch, next epoch) to the log,
+    /// process the interval, wait for the record to be durable, and only
+    /// then hand the frame to `sink`. On a storage error the sink is
+    /// never invoked — no client can observe a frame the log cannot
+    /// re-derive.
     ///
     /// # Errors
     ///
-    /// [`PersistError::Replay`] if the batch is inconsistent — the
-    /// record already logged for it is cancelled by a durable abort
-    /// marker first, and journal and manager stand where they stood.
+    /// [`PersistError::Replay`] if [`crate::check_batch`] rejects the
+    /// batch: nothing is logged, no randomness drawn, and journal and
+    /// manager stand where they stood. Every other error poisons the
+    /// journal, and callers should stop the daemon:
     /// [`PersistError::Storage`] if the append, the barrier or an
-    /// earlier snapshot hand-off failed: on a failed append the manager
-    /// has not run; on a failed barrier it *has* advanced in memory.
-    /// Either way callers should treat the journal as poisoned and stop
-    /// the daemon.
+    /// earlier snapshot hand-off failed (on a failed append the manager
+    /// has not run; on a failed barrier it *has* advanced in memory),
+    /// and [`PersistError::Replay`] or [`PersistError::EpochGap`] if the
+    /// manager fails or returns another epoch after its record was
+    /// logged — which a manager whose batch passed the check does not.
     pub fn durable_interval(
         &mut self,
         manager: &mut dyn GroupKeyManager,
@@ -432,6 +389,7 @@ impl<S: Storage> Journal<S> {
         rng: &mut StdRng,
         sink: &mut dyn FnMut(&RekeyMessage),
     ) -> Result<IntervalOutcome, PersistError> {
+        crate::check_batch(&*manager, joins, leaves).map_err(PersistError::Replay)?;
         let epoch = self.epoch + 1;
         let record = EpochRecord {
             epoch,
@@ -442,19 +400,15 @@ impl<S: Storage> Journal<S> {
         let mut buf = Vec::new();
         record.encode_into(&mut buf);
         self.storage.append_wal(&buf)?;
-        let outcome = match manager.process_interval(joins, leaves, rng) {
-            Ok(outcome) if outcome.message.epoch == epoch => outcome,
-            refused => {
-                self.abort(epoch)?;
-                return Err(match refused {
-                    Ok(outcome) => PersistError::EpochGap {
-                        expected: epoch,
-                        found: outcome.message.epoch,
-                    },
-                    Err(e) => PersistError::Replay(e),
-                });
-            }
-        };
+        let outcome = manager
+            .process_interval(joins, leaves, rng)
+            .map_err(PersistError::Replay)?;
+        if outcome.message.epoch != epoch {
+            return Err(PersistError::EpochGap {
+                expected: epoch,
+                found: outcome.message.epoch,
+            });
+        }
         let sync_start = Instant::now();
         self.storage.sync_wal()?;
         rekey_obs::time_ns("persist.wal.fsync", sync_start.elapsed().as_nanos() as u64);
@@ -470,15 +424,6 @@ impl<S: Storage> Journal<S> {
             self.hand_off_snapshot(manager, rng)?;
         }
         Ok(outcome)
-    }
-
-    /// Cancels the record just logged for `epoch`: the marker is
-    /// durable before the caller hears of the rejection.
-    fn abort(&mut self, epoch: u64) -> Result<(), PersistError> {
-        self.storage.append_wal(&abort_marker(epoch))?;
-        self.storage.sync_wal()?;
-        rekey_obs::count("persist.wal.aborts", 1);
-        Ok(())
     }
 
     /// Serializes the manager + the RNG's current position, atomically
@@ -542,10 +487,8 @@ impl<S: Storage> Journal<S> {
     /// contiguous, [`PersistError::PlannerChanged`] if a record was
     /// written under another planner, [`PersistError::Codec`] on a
     /// corrupt snapshot or record (a torn WAL *tail* is repaired, not
-    /// an error),
-    /// [`PersistError::Replay`] if the manager rejects a record that is
-    /// not the log's last (the last is an unacknowledged batch, and is
-    /// cancelled).
+    /// an error), [`PersistError::Replay`] if the manager rejects a
+    /// record.
     pub fn recover(&mut self, manager: &mut dyn GroupKeyManager) -> Result<Recovery, PersistError> {
         let load_start = Instant::now();
         let mut epoch = 0u64;
@@ -575,26 +518,14 @@ impl<S: Storage> Journal<S> {
         }
 
         let replay = self.storage.read_wal()?;
-        let entries = replay
+        let records = replay
             .records
             .iter()
-            .map(|bytes| WalEntry::decode(bytes))
+            .map(|bytes| EpochRecord::decode(bytes))
             .collect::<Result<Vec<_>, _>>()?;
         let mut messages = Vec::new();
         let mut replayed = 0usize;
-        let mut entries = entries.into_iter().peekable();
-        while let Some(entry) = entries.next() {
-            // A marker is consumed with the record it follows, below.
-            let WalEntry::Interval(record) = entry else {
-                return Err(PersistError::Codec {
-                    what: "WAL abort marker without its record",
-                });
-            };
-            if matches!(entries.peek(), Some(WalEntry::Abort { epoch }) if *epoch == record.epoch) {
-                // A batch the manager rejected: never an interval.
-                entries.next();
-                continue;
-            }
+        for record in records {
             if record.epoch <= epoch {
                 // The crash landed between the snapshot write and the
                 // WAL truncation; the snapshot already covers this.
@@ -607,17 +538,9 @@ impl<S: Storage> Journal<S> {
                 });
             }
             let mut record_rng = StdRng::from_state_bytes(record.rng_state);
-            let outcome =
-                match manager.process_interval(&record.joins, &record.leaves, &mut record_rng) {
-                    Ok(outcome) => outcome,
-                    Err(e) if entries.peek().is_none() && rejected_at_validation(&e) => {
-                        // The last record, rejected live as it is now:
-                        // the crash beat its marker to the disk.
-                        self.abort(record.epoch)?;
-                        break;
-                    }
-                    Err(e) => return Err(PersistError::Replay(e)),
-                };
+            let outcome = manager
+                .process_interval(&record.joins, &record.leaves, &mut record_rng)
+                .map_err(PersistError::Replay)?;
             if outcome.message.epoch != record.epoch {
                 return Err(PersistError::EpochGap {
                     expected: record.epoch,
@@ -709,7 +632,27 @@ mod tests {
         assert_eq!(decoded.joins[1].hint, record.joins[1].hint);
         // Truncations never parse.
         for cut in 0..buf.len() {
-            assert!(EpochRecord::decode(&buf[..cut]).is_none(), "cut {cut}");
+            assert!(EpochRecord::decode(&buf[..cut]).is_err(), "cut {cut}");
+        }
+    }
+
+    /// A count is input: one claiming `u32::MAX` joins or leaves with
+    /// nothing behind it is a codec error, not a huge reservation.
+    #[test]
+    fn a_huge_count_over_an_empty_tail_is_refused_without_allocating() {
+        let mut head = vec![RECORD_WIRE_VERSION];
+        put_u64(&mut head, 1);
+        head.extend_from_slice(&[0; 32]);
+        let mut huge_joins = head.clone();
+        put_u32(&mut huge_joins, u32::MAX);
+        let mut huge_leaves = head;
+        put_u32(&mut huge_leaves, 0);
+        put_u32(&mut huge_leaves, u32::MAX);
+        for record in [huge_joins, huge_leaves] {
+            assert!(matches!(
+                EpochRecord::decode(&record),
+                Err(PersistError::Codec { .. })
+            ));
         }
     }
 
@@ -1059,88 +1002,78 @@ mod tests {
         );
     }
 
-    /// A batch the manager rejects has a record in the log already. It
-    /// must never replay: live, a durable marker cancels it before the
-    /// rejection is returned; after a crash that beat the marker to the
-    /// disk, recovery cancels it itself. Either way the journal resumes
-    /// at the epoch before, and the retried epoch replays once.
+    /// A batch [`crate::check_batch`] rejects is never logged: the WAL
+    /// stays byte-identical, no randomness is drawn, the sink is not
+    /// called, and the retried epoch replays once — on the in-memory
+    /// store and on a real directory.
     #[test]
     fn a_rejected_batch_leaves_no_replayable_record() {
-        let mut rng = StdRng::seed_from_u64(13);
-        let mut manager = TtManager::new(3, 4);
-        let mut journal = Journal::new(MemStorage::new(), 0);
-        let mut frames = churn(&mut journal, &mut manager, &mut rng, 3);
-        let state_before = {
-            let mut state = Vec::new();
-            manager.save_state(&mut state).unwrap();
-            state
-        };
-        let wal_before = journal.storage_mut().wal_bytes().len();
+        fn check<S: Storage>(storage: S, wal: impl Fn(&mut Journal<S>) -> Vec<u8>) {
+            let mut rng = StdRng::seed_from_u64(13);
+            let mut manager = TtManager::new(3, 4);
+            let mut journal = Journal::new(storage, 0);
+            let mut frames = churn(&mut journal, &mut manager, &mut rng, 3);
+            let mut state_before = Vec::new();
+            manager.save_state(&mut state_before).unwrap();
+            let wal_before = wal(&mut journal);
 
-        // Epoch 4, first attempt: a leaver nobody knows.
-        let rng_before = rng.state_bytes();
-        let mut delivered = 0usize;
-        let rejected = journal.durable_interval(
-            &mut manager,
-            &[],
-            &[MemberId(424_242)],
-            &mut rng,
-            &mut |_: &RekeyMessage| delivered += 1,
-        );
-        assert!(matches!(
-            rejected,
-            Err(PersistError::Replay(KeyTreeError::UnknownMember(MemberId(
-                424_242
-            ))))
-        ));
-        assert_eq!(delivered, 0);
-        assert_eq!(journal.epoch(), 3);
-        assert_eq!(rng.state_bytes(), rng_before, "no randomness drawn");
-        let mut state_after = Vec::new();
-        manager.save_state(&mut state_after).unwrap();
-        assert_eq!(state_after, state_before, "manager untouched");
-        let wal_rejected = journal.storage_mut().wal_bytes().to_vec();
-        let marker_frame = rekey_storage::wal::RECORD_HEADER_LEN + abort_marker(4).len();
-        assert!(wal_rejected.len() > wal_before + marker_frame);
+            // Epoch 4, first attempt: a leaver nobody knows.
+            let rng_before = rng.state_bytes();
+            let mut delivered = 0usize;
+            let rejected = journal.durable_interval(
+                &mut manager,
+                &[],
+                &[MemberId(424_242)],
+                &mut rng,
+                &mut |_: &RekeyMessage| delivered += 1,
+            );
+            assert!(matches!(
+                rejected,
+                Err(PersistError::Replay(KeyTreeError::UnknownMember(MemberId(
+                    424_242
+                ))))
+            ));
+            assert_eq!(delivered, 0);
+            assert_eq!(journal.epoch(), 3);
+            assert_eq!(rng.state_bytes(), rng_before, "no randomness drawn");
+            let mut state_after = Vec::new();
+            manager.save_state(&mut state_after).unwrap();
+            assert_eq!(state_after, state_before, "manager untouched");
+            assert_eq!(wal(&mut journal), wal_before, "nothing logged");
 
-        // Epoch 4, second attempt: accepted.
-        let js = joins(9000, 2, &mut rng);
-        journal
-            .durable_interval(&mut manager, &js, &[], &mut rng, &mut |m: &RekeyMessage| {
-                frames.push(rekey_keytree::message::codec::encode_message(m));
-            })
-            .unwrap();
-        let wal_retried = journal.storage_mut().wal_bytes().to_vec();
-
-        let recover = |wal: &[u8]| {
+            // Epoch 4, second attempt: accepted, and the log replays it.
+            let js = joins(9000, 2, &mut rng);
+            journal
+                .durable_interval(&mut manager, &js, &[], &mut rng, &mut |m: &RekeyMessage| {
+                    frames.push(rekey_keytree::message::codec::encode_message(m));
+                })
+                .unwrap();
             let mut rebuilt = TtManager::new(3, 4);
-            let mut journal = Journal::new(MemStorage::from_parts(wal.to_vec(), None), 0);
-            let recovery = journal.recover(&mut rebuilt).unwrap();
+            let wal = MemStorage::from_parts(wal(&mut journal), None);
+            let recovery = Journal::new(wal, 0).recover(&mut rebuilt).unwrap();
             let replayed: Vec<Vec<u8>> = recovery
                 .messages
                 .iter()
                 .map(rekey_keytree::message::codec::encode_message)
                 .collect();
-            (recovery.epoch, replayed, journal.into_storage())
-        };
+            assert_eq!((recovery.epoch, replayed), (4, frames));
+        }
 
-        // Crash after the marker, with and without the retry behind it.
-        let (epoch, replayed, _) = recover(&wal_rejected);
-        assert_eq!((epoch, &replayed[..]), (3, &frames[..3]));
-        let (epoch, replayed, _) = recover(&wal_retried);
-        assert_eq!((epoch, &replayed[..]), (4, &frames[..]));
-
-        // Crash between the record and its marker: recovery writes the
-        // marker, and what it leaves recovers like the live log.
-        let torn = &wal_rejected[..wal_rejected.len() - marker_frame];
-        let (epoch, replayed, repaired) = recover(torn);
-        assert_eq!((epoch, &replayed[..]), (3, &frames[..3]));
-        assert_eq!(repaired.wal_bytes(), &wal_rejected[..]);
+        check(MemStorage::new(), |journal| {
+            journal.storage_mut().wal_bytes().to_vec()
+        });
+        let dir = std::env::temp_dir().join(format!("rekey-persist-reject-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        check(rekey_storage::DirStorage::open(&dir).unwrap(), |journal| {
+            journal.storage_mut().sync_wal().unwrap();
+            std::fs::read(dir.join(rekey_storage::WAL_FILE)).unwrap()
+        });
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// Only the log's last record may be an unacknowledged batch. A
-    /// rejected record with an accepted one behind it is a log that
-    /// does not match its snapshot.
+    /// Every record in the log stands for an interval that ran: one the
+    /// restored manager rejects is a log that does not match its
+    /// snapshot, wherever it stands.
     #[test]
     fn a_rejected_record_mid_log_is_still_a_replay_error() {
         let mut rng = StdRng::seed_from_u64(14);
@@ -1166,35 +1099,38 @@ mod tests {
         ));
     }
 
-    /// A marker is only ever written behind the record it cancels:
-    /// alone, doubled, or behind another epoch's record, it is a log
-    /// this journal did not write.
+    /// The log holds records only. The abort marker (`0xAB ‖ epoch`)
+    /// that earlier builds wrote behind a rejected batch's record is
+    /// refused like a record of another version: such a log is drained
+    /// under the build that wrote it.
     #[test]
-    fn an_abort_marker_without_its_record_is_a_codec_error() {
-        let mut record = Vec::new();
+    fn a_parent_abort_marker_is_refused_as_planner_changed() {
+        let mut rng = StdRng::seed_from_u64(16);
+        let mut manager = TtManager::new(3, 4);
+        let mut journal = Journal::new(MemStorage::new(), 0);
+        churn(&mut journal, &mut manager, &mut rng, 1);
+        let mut storage = journal.into_storage();
+        // What an earlier build left of a rejected epoch 2.
+        let mut rejected = Vec::new();
         EpochRecord {
-            epoch: 1,
-            rng_state: [0; 32],
+            epoch: 2,
+            rng_state: rng.state_bytes(),
             joins: Vec::new(),
-            leaves: Vec::new(),
+            leaves: vec![MemberId(424_242)],
         }
-        .encode_into(&mut record);
-        let logs = [
-            vec![abort_marker(1)],
-            vec![record.clone(), abort_marker(1), abort_marker(1)],
-            vec![record, abort_marker(2)],
-        ];
-        for log in logs {
-            let mut storage = MemStorage::new();
-            for entry in &log {
-                storage.append_wal(entry).unwrap();
-            }
-            let mut rebuilt = TtManager::new(3, 4);
-            assert!(matches!(
-                Journal::new(storage, 0).recover(&mut rebuilt),
-                Err(PersistError::Codec { .. })
-            ));
-        }
+        .encode_into(&mut rejected);
+        let mut marker = vec![0xAB];
+        put_u64(&mut marker, 2);
+        storage.append_wal(&rejected).unwrap();
+        storage.append_wal(&marker).unwrap();
+        let mut rebuilt = TtManager::new(3, 4);
+        assert!(matches!(
+            Journal::new(storage, 0).recover(&mut rebuilt),
+            Err(PersistError::PlannerChanged {
+                found: 0xAB,
+                expected: 2
+            })
+        ));
     }
 
     /// A snapshot that fails behind the journal's back (here: the data

@@ -10,10 +10,10 @@
 //! reference, and one built on the x86 SHA extensions
 //! (`sha256rnds2`/`sha256msg1`/`sha256msg2`), which runs two rounds
 //! per instruction and expands the message schedule in hardware.
-//! Which one runs is the one bit [`crate::simd`] resolves:
-//! [`Backend::ShaNi`] when the CPU reports `sha` + `ssse3` + `sse4.1`
-//! ([`crate::simd::CpuFeatures::sha_ni`]) and `REKEY_SIMD` is not
-//! `off`, [`Backend::Scalar`] otherwise. A hasher asked for `ShaNi`
+//! Which one runs is the one bit [`crate::simd`] reads off the CPU:
+//! [`Backend::ShaNi`] when it reports `sha` + `ssse3` + `sse4.1`
+//! ([`crate::simd::CpuFeatures::sha_ni`]), [`Backend::Scalar`]
+//! otherwise. A hasher asked for `ShaNi`
 //! on a CPU without it runs the reference. The two are pinned
 //! identical by `tests/simd_equiv.rs`.
 

@@ -6,11 +6,11 @@
 //! extensions. (ChaCha20 and Poly1305 are called one block and seven
 //! blocks per wrapped key and `rekey-transport`'s GF(256) routines are
 //! off every rekey interval's path; each has a single implementation.)
-//! This module owns the
-//! *selection*, which is one bit: decided once per process from CPU
-//! feature detection plus an optional `REKEY_SIMD` environment
-//! override, and cached behind an atomic so the per-call cost of
-//! dispatch is a single relaxed load and a jump.
+//! This module owns the *selection*, which is one bit and the CPU's:
+//! [`active`] is `ShaNi` exactly when [`detect`] finds the
+//! instructions (std caches the detection, so a call is a few relaxed
+//! loads). No switch overrides it; tests and benches that need the
+//! other kernel name it per call ([`crate::sha256::digest_with`]).
 //!
 //! | [`Backend`] | requires                 | SHA-256 compression runs on |
 //! |-------------|--------------------------|-----------------------------|
@@ -20,17 +20,6 @@
 //! The SHA-NI path is pinned **byte-identical** to the scalar
 //! reference by `crates/crypto/tests/simd_equiv.rs`, so selection can
 //! never change an output byte — only wall-clock time.
-//!
-//! # Override
-//!
-//! `REKEY_SIMD=off` (or `scalar`) forces the reference. Every other
-//! value — unset, `auto`, the retired tier names `sse2`/`avx2`,
-//! garbage — selects `ShaNi` exactly when the CPU has it: the
-//! dispatcher never selects an unsupported instruction set and never
-//! aborts a server over a misspelt variable (see [`Backend::resolve`],
-//! which is pure and unit-tested for exactly this).
-
-use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Which SHA-256 compression function the process runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,22 +40,6 @@ impl Backend {
         match self {
             Backend::Scalar => "scalar",
             Backend::ShaNi => "sha_ni",
-        }
-    }
-
-    /// Resolves a request (usually from `REKEY_SIMD`) against the
-    /// detected CPU features. Pure, so it is unit-tested without
-    /// touching global state.
-    ///
-    /// `"off"` and `"scalar"` force the reference on any CPU; anything
-    /// else — `None`, `"auto"`, a retired tier name, an unknown string
-    /// — picks `ShaNi` iff the CPU supports it (selection must never
-    /// abort a server).
-    pub fn resolve(request: Option<&str>, features: CpuFeatures) -> Backend {
-        match request {
-            Some("off") | Some("scalar") => Backend::Scalar,
-            _ if features.sha_ni => Backend::ShaNi,
-            _ => Backend::Scalar,
         }
     }
 }
@@ -106,106 +79,24 @@ pub fn detect() -> CpuFeatures {
     }
 }
 
-/// Selection cache: 0 = undecided, else `Backend as u8 + 1`.
-static ACTIVE: AtomicU8 = AtomicU8::new(0);
-
-fn encode(backend: Backend) -> u8 {
-    backend as u8 + 1
-}
-
-fn decode(raw: u8) -> Option<Backend> {
-    match raw {
-        1 => Some(Backend::Scalar),
-        2 => Some(Backend::ShaNi),
-        _ => None,
-    }
-}
-
-/// The process-wide active backend: resolved once from `REKEY_SIMD`
-/// and [`detect`], then cached (one relaxed atomic load per call).
+/// The backend this process runs: `ShaNi` exactly when the CPU has
+/// the SHA extensions.
 #[inline]
 pub fn active() -> Backend {
-    if let Some(backend) = decode(ACTIVE.load(Ordering::Relaxed)) {
-        return backend;
+    if detect().sha_ni {
+        Backend::ShaNi
+    } else {
+        Backend::Scalar
     }
-    let request = std::env::var("REKEY_SIMD").ok();
-    let resolved = Backend::resolve(request.as_deref(), detect());
-    // A racing first call resolves to the same value; last store wins
-    // harmlessly.
-    ACTIVE.store(encode(resolved), Ordering::Relaxed);
-    resolved
-}
-
-/// Forces the active backend for the rest of the process.
-///
-/// For benches and diagnostics that sweep both backends in one process
-/// (`perf_crypto` measures them back to back). Forcing `ShaNi` on a
-/// CPU without it is harmless — hashers fall back to the reference —
-/// but callers must not race concurrent crypto work; tests that only
-/// need per-call control should use [`crate::sha256::Sha256::new_with`]
-/// instead.
-pub fn force(backend: Backend) {
-    ACTIVE.store(encode(backend), Ordering::Relaxed);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    const SHA_NI: CpuFeatures = CpuFeatures { sha_ni: true };
-
-    /// Each feature set with the backend an un-forced request gets.
-    const HOSTS: [(CpuFeatures, Backend); 2] = [
-        (SHA_NI, Backend::ShaNi),
-        (CpuFeatures::NONE, Backend::Scalar),
-    ];
-
-    // The three tests below are the whole `REKEY_SIMD` table: two
-    // values force the reference on any CPU, everything else follows
-    // the CPU.
-
-    #[test]
-    fn off_always_forces_scalar() {
-        for (features, _) in HOSTS {
-            assert_eq!(Backend::resolve(Some("off"), features), Backend::Scalar);
-            assert_eq!(Backend::resolve(Some("scalar"), features), Backend::Scalar);
-        }
-    }
-
-    #[test]
-    fn auto_picks_best_supported() {
-        for (features, follows_cpu) in HOSTS {
-            assert_eq!(Backend::resolve(None, features), follows_cpu);
-            assert_eq!(Backend::resolve(Some("auto"), features), follows_cpu);
-        }
-    }
-
-    /// Retired tier names and garbage alike.
-    #[test]
-    fn unknown_request_behaves_like_auto() {
-        for (features, follows_cpu) in HOSTS {
-            for request in ["sse2", "avx2", "", "quantum"] {
-                assert_eq!(
-                    Backend::resolve(Some(request), features),
-                    follows_cpu,
-                    "{request:?} {features:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn names_round_trip_through_resolve() {
-        for backend in [Backend::Scalar, Backend::ShaNi] {
-            assert_eq!(Backend::resolve(Some(backend.name()), SHA_NI), backend);
-        }
-    }
-
     #[test]
     fn active_is_a_supported_tier() {
-        if active() == Backend::ShaNi {
-            assert!(detect().sha_ni);
-        }
+        assert_eq!(active() == Backend::ShaNi, detect().sha_ni);
     }
 
     #[test]

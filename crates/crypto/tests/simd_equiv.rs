@@ -7,14 +7,10 @@
 //! instructions, so every sweep below iterates both backends on every
 //! host, and says so out loud when the host cannot exercise the fast
 //! path.
-//!
-//! Also covers the `REKEY_SIMD` override surface: `Backend::resolve`
-//! is pure, so the env-var → backend mapping is tested here over every
-//! feature set without spawning processes.
 
 use proptest::prelude::*;
 use rekey_crypto::sha256;
-use rekey_crypto::simd::{self, Backend, CpuFeatures};
+use rekey_crypto::simd::{self, Backend};
 
 const BACKENDS: [Backend; 2] = [Backend::Scalar, Backend::ShaNi];
 
@@ -52,34 +48,6 @@ proptest! {
             prop_assert_eq!(
                 split.finalize(), reference,
                 "backend {} diverged on split {}/{}", backend, a, b);
-        }
-    }
-}
-
-/// `Backend::resolve` never selects an instruction set the CPU lacks,
-/// `off`/`scalar` force the reference whatever the CPU reports, and
-/// every other request — the retired tier names and garbage included —
-/// follows the CPU.
-#[test]
-fn resolve_never_exceeds_features() {
-    for sha_ni in [false, true] {
-        for request in [
-            None,
-            Some("auto"),
-            Some("off"),
-            Some("scalar"),
-            Some("sse2"),
-            Some("avx2"),
-            Some(""),
-            Some("no-such-backend"),
-        ] {
-            let resolved = Backend::resolve(request, CpuFeatures { sha_ni });
-            let forced_off = matches!(request, Some("off") | Some("scalar"));
-            assert_eq!(
-                resolved == Backend::ShaNi,
-                sha_ni && !forced_off,
-                "{request:?} sha_ni={sha_ni}"
-            );
         }
     }
 }
@@ -134,36 +102,20 @@ fn sha256_million_a_on_every_backend() {
     }
 }
 
-/// The process-wide selection honors `simd::force` and the forced
-/// backend produces output identical to scalar through the implicit
-/// (`active()`-dispatched) entry points — including `force(ShaNi)` on
-/// a host without `sha`, where hashers must stay on the reference
-/// (reaching the intrinsics there would be an illegal instruction).
+/// The implicit (`active()`-dispatched) entry points run the backend
+/// the CPU selects, and it produces output identical to the scalar
+/// reference: the one-shot digest and the incremental hasher alike.
 #[test]
-fn forced_backend_is_transparent_through_active_dispatch() {
-    let original = simd::active();
-    // CI runs the whole suite under `REKEY_SIMD=off`: there the
-    // process must start on the scalar reference.
-    if matches!(
-        std::env::var("REKEY_SIMD").as_deref(),
-        Ok("off") | Ok("scalar")
-    ) {
-        assert_eq!(original, Backend::Scalar);
-    }
-    if !sha_ni_under_test("forced_backend_is_transparent_through_active_dispatch") {
-        assert_eq!(original, Backend::Scalar);
+fn active_backend_is_transparent_through_dispatch() {
+    let active = simd::active();
+    if !sha_ni_under_test("active_backend_is_transparent_through_dispatch") {
+        assert_eq!(active, Backend::Scalar);
     }
     let data: Vec<u8> = (0..512 + 17).map(|i| i as u8).collect();
-    let ref_digest = sha256::digest_with(Backend::Scalar, &data);
-
-    for backend in BACKENDS {
-        simd::force(backend);
-        assert_eq!(simd::active(), backend);
-        assert_eq!(
-            sha256::digest(&data),
-            ref_digest,
-            "active-dispatch sha256 diverged on {backend}"
-        );
-    }
-    simd::force(original);
+    let digest = sha256::digest(&data);
+    assert_eq!(digest, sha256::digest_with(active, &data));
+    assert_eq!(digest, sha256::digest_with(Backend::Scalar, &data));
+    let mut hasher = sha256::Sha256::new();
+    hasher.update(&data);
+    assert_eq!(hasher.finalize(), digest);
 }

@@ -19,6 +19,10 @@ use std::collections::{HashMap, VecDeque};
 /// Version byte leading a serialized [`KeyQueue`].
 pub const QUEUE_WIRE_VERSION: u8 = 1;
 
+/// Serialized size of one slot: member, node, individual key, join
+/// epoch.
+const SLOT_RECORD_LEN: usize = 8 + 8 + 32 + 8;
+
 /// One member's slot in the queue.
 #[derive(Debug, Clone)]
 pub struct QueueSlot {
@@ -189,11 +193,14 @@ impl KeyQueue {
         let namespace = get_u32(buf)?;
         let next_counter = get_u64(buf)?;
         let len = get_u32(buf)? as usize;
+        // The count is input: size the tables by what the remaining
+        // bytes can actually hold.
+        let capacity = len.min(buf.len() / SLOT_RECORD_LEN);
         let mut queue = KeyQueue {
             namespace,
             next_counter,
-            by_member: HashMap::with_capacity(len),
-            arrival_order: VecDeque::with_capacity(len),
+            by_member: HashMap::with_capacity(capacity),
+            arrival_order: VecDeque::with_capacity(capacity),
         };
         for _ in 0..len {
             let member = MemberId(get_u64(buf)?);
@@ -323,6 +330,17 @@ mod tests {
         let ids: Vec<_> = q.pop_older_than(1).iter().map(|s| s.member).collect();
         assert_eq!(ids, vec![MemberId(1), MemberId(2)]);
         assert_eq!(q.members(), vec![MemberId(0)]);
+    }
+
+    /// A count claiming `u32::MAX` slots with nothing behind it is
+    /// refused, not reserved.
+    #[test]
+    fn a_huge_count_over_an_empty_tail_is_refused_without_allocating() {
+        let mut buf = vec![QUEUE_WIRE_VERSION];
+        put_u32(&mut buf, 0);
+        put_u64(&mut buf, 0);
+        put_u32(&mut buf, u32::MAX);
+        assert!(KeyQueue::decode(&mut &buf[..]).is_none());
     }
 
     #[test]

@@ -567,9 +567,9 @@ impl Rekeyd {
 
     /// Returns the accept thread from its blocking `accept()`: with the
     /// shutdown flag up, the next connection it accepts ends its loop,
-    /// and this is that connection. A refused connection means the
-    /// listener is closed, i.e. the thread has already returned (a
-    /// client connected during the drain).
+    /// and this is that connection. A connect that finds the listener
+    /// closing ([`listener_closing`]) means the thread has already
+    /// returned (a client connected during the drain).
     fn wake_accept(&self) -> std::io::Result<()> {
         let mut addr = self.addr;
         if addr.ip().is_unspecified() {
@@ -579,7 +579,7 @@ impl Rekeyd {
             });
         }
         match TcpStream::connect(addr) {
-            Err(e) if e.kind() != std::io::ErrorKind::ConnectionRefused => Err(e),
+            Err(e) if !listener_closing(e.kind()) => Err(e),
             _ => Ok(()),
         }
     }
@@ -610,6 +610,17 @@ impl Rekeyd {
         }
         woken.map_err(NetError::Io)
     }
+}
+
+/// Whether a wake-up connect that failed with `kind` met a listener
+/// that is closing or closed: refused once it is gone, reset or aborted
+/// while it goes with the connection still in its backlog.
+fn listener_closing(kind: std::io::ErrorKind) -> bool {
+    use std::io::ErrorKind::{ConnectionAborted, ConnectionRefused, ConnectionReset};
+    matches!(
+        kind,
+        ConnectionRefused | ConnectionReset | ConnectionAborted
+    )
 }
 
 impl Drop for Rekeyd {
@@ -987,6 +998,27 @@ mod tests {
         // Joined means returned, and returning dropped the listener.
         let refused = TcpStream::connect(addr).expect_err("listener closed");
         assert_eq!(refused.kind(), std::io::ErrorKind::ConnectionRefused);
+    }
+
+    /// Only the three ways a closing listener answers a connect count
+    /// as woken; every other error still fails the shutdown.
+    #[test]
+    fn a_refused_reset_or_aborted_wake_up_means_the_listener_is_closing() {
+        use std::io::ErrorKind::*;
+        for kind in [ConnectionRefused, ConnectionReset, ConnectionAborted] {
+            assert!(listener_closing(kind), "{kind:?}");
+        }
+        for kind in [
+            TimedOut,
+            AddrNotAvailable,
+            PermissionDenied,
+            NotConnected,
+            Interrupted,
+            WouldBlock,
+            Other,
+        ] {
+            assert!(!listener_closing(kind), "{kind:?}");
+        }
     }
 
     #[test]

@@ -21,7 +21,7 @@ use rekey_core::{GroupKeyManager, Journal, PersistError};
 use rekey_crypto::sha256::Sha256;
 use rekey_keytree::message::{codec, RekeyMessage};
 use rekey_keytree::MemberId;
-use rekey_storage::{wal, MemStorage};
+use rekey_storage::MemStorage;
 
 /// Aggregates of a crash/recovery-equivalence run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -63,13 +63,10 @@ pub fn run_with_crashes(
 /// [`run_with_crashes`] without scheduled crashes but with the
 /// *rejected batch* op: ahead of every `reject_every`-th interval the
 /// journal is first handed that interval's batch spoiled by a leaver
-/// nobody knows. The journal logs a batch's record before the manager
-/// sees it, so the rejection must come back with nothing released and
-/// nothing replayable left behind. Successive rejections are followed,
-/// in turn, by no crash, by a crash with the abort marker on disk, and
-/// by a crash that beat the marker to the disk; every recovery must
-/// resume at the epoch and RNG position before the rejected batch, and
-/// the run's digest must equal the uninterrupted run's.
+/// nobody knows. The journal checks a batch before it logs it, so the
+/// rejection must come back with nothing released, the WAL and
+/// snapshot bytes unchanged and the RNG where it stood, and the run's
+/// digest must equal the uninterrupted run's.
 ///
 /// # Errors
 ///
@@ -139,20 +136,22 @@ impl Server<'_> {
         Ok(())
     }
 
-    /// The rejected-batch op ahead of `interval`, followed by the crash
-    /// (if any) that is next in turn.
+    /// The rejected-batch op ahead of `interval`.
     fn reject_a_batch(&mut self, interval: usize) -> Result<(), String> {
+        let storage = self.journal.storage_mut();
+        let before = (storage.wal_bytes().to_vec(), storage.snapshot_bytes());
+        let rng_before = self.churn_rng.state_bytes();
         // Built on a copy of the RNG: the real batch draws the same
         // individual keys again afterwards.
-        let mut rng = self.churn_rng.clone();
-        let (joins, mut leaves) = self.scenario.intervals[interval].batch(&mut rng);
+        let mut batch_rng = self.churn_rng.clone();
+        let (joins, mut leaves) = self.scenario.intervals[interval].batch(&mut batch_rng);
         leaves.push(MemberId(u64::MAX - interval as u64));
         let mut released = 0usize;
         let result = self.journal.durable_interval(
             self.manager.as_mut(),
             &joins,
             &leaves,
-            &mut rng,
+            &mut self.churn_rng,
             &mut |_: &RekeyMessage| released += 1,
         );
         if !matches!(result, Err(PersistError::Replay(_))) || released > 0 {
@@ -160,39 +159,18 @@ impl Server<'_> {
                 "interval {interval}: spoiled batch was not rejected cleanly ({released} frame(s) released)"
             ));
         }
-        let epoch = interval as u64;
-        if self.journal.epoch() != epoch {
+        let storage = self.journal.storage_mut();
+        if (storage.wal_bytes().to_vec(), storage.snapshot_bytes()) != before {
             return Err(format!(
-                "interval {interval}: rejected batch moved the journal to epoch {}",
-                self.journal.epoch()
+                "interval {interval}: rejected batch changed the stored bytes"
+            ));
+        }
+        if self.journal.epoch() != interval as u64 || self.churn_rng.state_bytes() != rng_before {
+            return Err(format!(
+                "interval {interval}: rejected batch moved the journal or drew randomness"
             ));
         }
         self.report.rejected += 1;
-
-        let rng_before = self.churn_rng.state_bytes();
-        let storage = self.journal.storage_mut();
-        let (snapshot, mut log) = (storage.snapshot_bytes(), storage.wal_bytes().to_vec());
-        match self.report.rejected % 3 {
-            1 => return Ok(()), // no crash: the journal carries on live
-            2 => {}             // crash with record and marker on disk
-            _ => {
-                // Crash between the two: drop the marker, the log's
-                // last entry.
-                let (mut entries, _) = wal::parse_records(&log);
-                entries.pop();
-                log.clear();
-                for entry in &entries {
-                    wal::frame_record(entry, &mut log).map_err(|e| e.to_string())?;
-                }
-            }
-        }
-        let when = format!("after the batch rejected ahead of interval {interval}");
-        self.crash_and_recover(log, snapshot, epoch, &when)?;
-        if self.churn_rng.state_bytes() != rng_before {
-            return Err(format!(
-                "recovery {when}: RNG is not where it stood before the batch"
-            ));
-        }
         Ok(())
     }
 }
@@ -232,9 +210,7 @@ fn run(
     let mut hasher = Sha256::new();
 
     for interval in 0..scenario.intervals.len() {
-        // Not ahead of the bootstrap interval: a recovery needs a
-        // record or a snapshot to take its RNG position from.
-        if reject_every > 0 && interval > 0 && interval % reject_every == 0 {
+        if reject_every > 0 && interval % reject_every == 0 {
             server.reject_a_batch(interval)?;
         }
         let epoch = interval as u64 + 1;
@@ -428,10 +404,9 @@ mod tests {
     }
 
     /// The rejected-batch op, all seven schemes, with and without
-    /// snapshots: one rejection in three carries on live, one crashes
-    /// behind the abort marker, one crashes ahead of it.
+    /// snapshots.
     #[test]
-    fn every_scheme_forgets_a_rejected_batch_on_both_sides_of_its_marker() {
+    fn every_scheme_leaves_storage_untouched_by_a_rejected_batch() {
         let scenario = Scenario::generate(79, 19, &GenParams::default());
         for scheme in Scheme::ALL {
             let expected = baseline(scheme, &scenario);
@@ -441,11 +416,7 @@ mod tests {
                         .unwrap_or_else(|e| {
                             panic!("{scheme}, snapshot every {snapshot_every}: {e}")
                         });
-                assert_eq!(report.rejected, 9, "{scheme}");
-                assert_eq!(
-                    report.crashes, 6,
-                    "{scheme}: two crashes per three rejections"
-                );
+                assert_eq!(report.rejected, 10, "{scheme}");
                 assert_eq!(
                     report.digest, expected,
                     "{scheme}: run with rejected batches diverged from the uninterrupted run"
