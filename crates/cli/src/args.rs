@@ -175,8 +175,8 @@ mod tests {
 
     #[test]
     fn parses_command_and_flags() {
-        let args = Args::parse(["simulate", "--n", "4096", "--scheme", "tt"]).unwrap();
-        assert_eq!(args.command.as_deref(), Some("simulate"));
+        let args = Args::parse(["workload", "--n", "4096", "--scheme", "tt"]).unwrap();
+        assert_eq!(args.command.as_deref(), Some("workload"));
         assert_eq!(args.get("n"), Some("4096"));
         assert_eq!(args.get_or("scheme", "one"), "tt");
         assert_eq!(args.get_or("missing", "dflt"), "dflt");
@@ -202,7 +202,7 @@ mod tests {
 
     #[test]
     fn equals_form_parses() {
-        let args = Args::parse(["simulate", "--n=4096", "--scheme=tt"]).unwrap();
+        let args = Args::parse(["workload", "--n=4096", "--scheme=tt"]).unwrap();
         assert_eq!(args.get("n"), Some("4096"));
         assert_eq!(args.get("scheme"), Some("tt"));
         assert_eq!(args.get_parsed_or("n", 1u64).unwrap(), 4096);
@@ -217,11 +217,11 @@ mod tests {
 
     #[test]
     fn bare_switch_is_true() {
-        let args = Args::parse(["simulate", "--verify", "--n", "64"]).unwrap();
+        let args = Args::parse(["workload", "--verify", "--n", "64"]).unwrap();
         assert!(args.get_bool_or("verify", false).unwrap());
         assert_eq!(args.get_parsed_or("n", 1u64).unwrap(), 64);
         // Trailing bare switch too.
-        let args = Args::parse(["simulate", "--verify"]).unwrap();
+        let args = Args::parse(["workload", "--verify"]).unwrap();
         assert!(args.get_bool_or("verify", false).unwrap());
     }
 
@@ -266,7 +266,7 @@ mod tests {
 
     #[test]
     fn finish_rejects_a_flag_nobody_read() {
-        let args = Args::parse(["simulate", "--n", "64", "--threads", "8"]).unwrap();
+        let args = Args::parse(["workload", "--n", "64", "--threads", "8"]).unwrap();
         assert_eq!(args.get_parsed_or("n", 1u64).unwrap(), 64);
         assert_eq!(
             args.finish().unwrap_err(),

@@ -6,24 +6,8 @@
 //!     Evaluate the §3.3.1 analytic model: per-interval cost of the
 //!     one-keytree / TT / QT / PT schemes.
 //!
-//! rekey simulate  [--scheme one|tt|qt|pt|forest|combined|adaptive]
-//!                 [--n 2048] [--d 4] [--k 10]
-//!                 [--alpha 0.8] [--intervals 40] [--warmup 15]
-//!                 [--seed 42] [--verify]
-//!                 [--trace out.trace.json] [--metrics out.prom]
-//!     Run the executable key server over the paper's two-class
-//!     membership process (the `paper` workload) and report measured
-//!     bandwidth. `--d` is at most 255 and `--k` at most 65 535 (the
-//!     widths a scenario stores). `--verify` runs the same scenario
-//!     again under the key-knowledge oracle and the member farm.
-//!     `--trace` writes a Chrome `trace_event` JSON profile of the
-//!     run (load it in about:tracing or Perfetto) and `--metrics`
-//!     writes a Prometheus-style text dump of counters and latency
-//!     histograms; both observe only, the reported bandwidth numbers
-//!     are identical with or without them.
-//!
 //! rekey trace-check --file out.trace.json
-//!     Validate a Chrome trace produced by `--trace`: JSON
+//!     Validate a Chrome trace produced by `workload --profile`: JSON
 //!     well-formedness, balanced begin/end events, counter shape.
 //!
 //! rekey recommend [--n 65536] [--d 4] [--tp 60] [--ms 180]
@@ -35,38 +19,34 @@
 //!     Deliver one real rekey message over simulated loss and report
 //!     the bandwidth and rounds.
 //!
-//! rekey fuzz      [--scheme one|tt|qt|pt|forest|combined|adaptive|all]
-//!                 [--seed 1 | --seed 1..=20] [--intervals 50]
-//!                 [--loss lossless|bernoulli|wka]
-//!                 [--d 4] [--k 3]
-//!     Run the seed-driven churn fuzzer: generate a replayable
-//!     scenario per seed, drive real `GroupMember`s with the encoded
-//!     wire bytes through the chosen delivery model, and check every
-//!     interval against the shadow key-knowledge oracle (forward
-//!     secrecy, ring soundness, DEK confinement, liveness). On
-//!     failure the counterexample is shrunk and a replay command is
-//!     printed.
-//!
 //! rekey workload  [--generator uniform|diurnal|flash-crowd|mobile-flap|
 //!                  regional-loss|paper|all|g1,g2,...]
 //!                 [--scheme one|tt|qt|pt|forest|combined|adaptive|all|s1,s2,...]
-//!                 [--seed 1] [--intervals 200]
-//!                 [--loss lossless|bernoulli|wka]
-//!                 [--d 4] [--k 3] [--sweep] [--out BENCH_workloads.json]
-//!                 [--dump-dir DIR] [--trace FILE]
-//!     Run named workloads (diurnal curves, flash crowds, mobile flap,
-//!     correlated regional loss, the paper's two-class process, plus
-//!     the fuzzer's uniform churn) against the key schemes, with the
-//!     full oracle + member-farm invariant suite live, and report bandwidth
-//!     (multicast bytes/interval), rekey latency percentiles, and peak
-//!     tree size per (generator, scheme) cell. `--sweep` runs every
-//!     generator against every scheme, dumps one replayable trace file
-//!     per generator (default `target/workloads/`, verified to decode
-//!     back byte-identically), and writes the results with host
-//!     context to `--out` (default `BENCH_workloads.json`). `--trace`
-//!     replays a previously dumped trace file instead of generating:
-//!     the file is validated (magic, version, membership consistency)
-//!     and runs byte-identically to the run that dumped it.
+//!                 [--seed 1 | --seed 1..=20] [--intervals 200] [--warmup 0]
+//!                 [--n 32] [--d 4] [--k 3]
+//!                 [--loss none|lossless|bernoulli|wka]
+//!                 [--sweep] [--out BENCH_workloads.json] [--dump-dir DIR]
+//!                 [--trace FILE] [--profile FILE] [--metrics FILE]
+//!     Run the key schemes over compiled membership scenarios (the
+//!     paper's two-class process `paper` at Table 1's α, the fuzzer's
+//!     `uniform` churn, and four trace-driven shapes), one per
+//!     generator and seed, `--n` members at bootstrap. Each cell prints
+//!     one line: peak members, encrypted keys per interval (mean, std,
+//!     min, max over the churn intervals after `--warmup`), bytes per
+//!     interval (mean, max), rekey latency p50/p99, and last the wire
+//!     digest. `--loss none` runs the schemes alone (usable at
+//!     n = 16 384); any other mode also checks every interval with the
+//!     key-knowledge oracle and a farm of real `GroupMember`s fed the
+//!     wire bytes through that delivery model. A cell that breaks an
+//!     invariant is shrunk, written as a trace file under `--dump-dir`
+//!     (default `target/workloads/`) with the line that replays it;
+//!     the other cells still run, then the command fails. `--sweep`
+//!     (one seed, all generators by default) dumps each generator's
+//!     trace and writes the cells to `--out`. `--trace` replays a
+//!     dumped trace, validated first; it refuses the flags that shape
+//!     a generated scenario. `--profile` writes a Chrome `trace_event`
+//!     profile and `--metrics` a Prometheus-style dump; both only
+//!     observe.
 //!
 //! rekey serve     [--addr 127.0.0.1:0] [--scheme tt] [--d 4] [--k 10]
 //!                 [--members 16] [--intervals 50] [--seed 42]
@@ -164,7 +144,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 const USAGE: &str =
-    "usage: rekey <model|simulate|recommend|transport|trace-check|fuzz|workload|serve|client|top|metrics-check|snapshot|reproduce|simd> [--flag value ...]
+    "usage: rekey <model|recommend|transport|trace-check|workload|serve|client|top|metrics-check|snapshot|reproduce|simd> [--flag value ...]
 run `rekey help` or see the crate docs for the full flag list";
 
 fn main() -> ExitCode {
@@ -177,11 +157,9 @@ fn main() -> ExitCode {
     };
     let result = match args.command.as_deref() {
         Some("model") => cmd_model(&args),
-        Some("simulate") => cmd_simulate(&args),
         Some("recommend") => cmd_recommend(&args),
         Some("transport") => cmd_transport(&args),
         Some("trace-check") => cmd_trace_check(&args),
-        Some("fuzz") => cmd_fuzz(&args),
         Some("workload") => cmd_workload(&args),
         Some("serve") => cmd_serve(&args),
         Some("client") => cmd_client(&args),
@@ -252,110 +230,6 @@ fn cmd_model(args: &Args) -> CliResult {
         );
     }
     Ok(())
-}
-
-fn cmd_simulate(args: &Args) -> CliResult {
-    use rekey_testkit::{drive, factory_for, run_scenario, GenParams, Paper, RunOptions, Workload};
-
-    let scheme: Scheme = args.get_or("scheme", "tt").parse()?;
-    let n: usize = args.get_parsed_or("n", 2048usize)?;
-    let degree: u8 = args.get_parsed_or("d", 4u8)?;
-    let k: u16 = args.get_parsed_or("k", 10u16)?;
-    let alpha: f64 = args.get_parsed_or("alpha", 0.8f64)?;
-    let seed: u64 = args.get_parsed_or("seed", 42u64)?;
-    let verify: bool = args.get_bool_or("verify", false)?;
-    let intervals: usize = args.get_parsed_or("intervals", 40usize)?;
-    let warmup: usize = args.get_parsed_or("warmup", 15usize)?;
-    let trace = path_flag(args, "trace")?;
-    let metrics = path_flag(args, "metrics")?;
-    args.finish()?;
-
-    let params = GenParams {
-        bootstrap: n,
-        degree,
-        k,
-        ..GenParams::default()
-    };
-    let scenario = Paper { alpha }.compile(seed, warmup + intervals, &params);
-    let factory = factory_for(scheme);
-
-    // Observe only: the numbers below are the same with or without it.
-    let collector = (trace.is_some() || metrics.is_some()).then(|| {
-        let collector = std::sync::Arc::new(rekey_obs::Collector::new());
-        rekey_obs::install(collector.clone());
-        collector
-    });
-    let mut keys: Vec<f64> = Vec::with_capacity(intervals);
-    let mut name = "";
-    let run = drive(&factory, &scenario, |step| {
-        if step.interval == 0 {
-            name = step.manager.scheme_name();
-            return Ok(());
-        }
-        let stats = &step.outcome.stats;
-        rekey_obs::sample("sim.joins", stats.joins as f64);
-        rekey_obs::sample("sim.leaves", stats.leaves as f64);
-        rekey_obs::sample("sim.migrations", stats.migrations as f64);
-        rekey_obs::sample("sim.encrypted_keys", stats.encrypted_keys as f64);
-        rekey_obs::sample("sim.message_bytes", stats.message_bytes as f64);
-        if step.interval > warmup {
-            keys.push(stats.encrypted_keys as f64);
-        }
-        Ok(())
-    })?;
-    let phase_s = ["rekey.mutate", "rekey.plan", "rekey.execute"]
-        .map(|span| rekey_obs::total_time_ns(span) as f64 / 1e9);
-    if let Some(collector) = &collector {
-        if let Some(path) = &trace {
-            collector.write_chrome_trace(path)?;
-        }
-        if let Some(path) = &metrics {
-            collector.write_metrics(path)?;
-        }
-        rekey_obs::uninstall();
-    }
-
-    let (mean, std, min, max) = summarize(&keys);
-    println!(
-        "{name}: {mean:.0} keys/interval (std {std:.0}, min {min:.0}, max {max:.0}) over {} intervals; final group size {}",
-        keys.len(),
-        run.final_members
-    );
-    if verify {
-        run_scenario(&factory, &scenario, &RunOptions::default())?;
-        println!(
-            "member verification: the key-knowledge oracle and every member held every interval"
-        );
-    }
-    if collector.is_some() {
-        let [mutate, plan, execute] = phase_s;
-        println!("phase breakdown: mutate {mutate:.3}s, plan {plan:.3}s, execute {execute:.3}s");
-        if let Some(path) = &trace {
-            println!("trace written to {path}");
-        }
-        if let Some(path) = &metrics {
-            println!("metrics written to {path}");
-        }
-    }
-    Ok(())
-}
-
-/// Mean, sample standard deviation, minimum and maximum of `values`
-/// (all zero when empty).
-fn summarize(values: &[f64]) -> (f64, f64, f64, f64) {
-    if values.is_empty() {
-        return (0.0, 0.0, 0.0, 0.0);
-    }
-    let n = values.len() as f64;
-    let mean = values.iter().sum::<f64>() / n;
-    let var = if values.len() > 1 {
-        values.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / (n - 1.0)
-    } else {
-        0.0
-    };
-    let min = values.iter().copied().fold(f64::INFINITY, f64::min);
-    let max = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    (mean, var.sqrt(), min, max)
 }
 
 fn cmd_trace_check(args: &Args) -> CliResult {
@@ -444,78 +318,18 @@ fn cmd_recommend(args: &Args) -> CliResult {
 
 /// Parses `--seed` as either a single seed (`7`) or an inclusive
 /// range (`1..=20`).
-fn parse_seed_range(spec: &str) -> Result<(u64, u64), Box<dyn std::error::Error>> {
-    if let Some((lo, hi)) = spec.split_once("..=") {
-        let lo: u64 = lo.trim().parse()?;
-        let hi: u64 = hi.trim().parse()?;
-        if lo > hi {
-            return Err(format!("empty seed range {spec:?}").into());
-        }
-        Ok((lo, hi))
-    } else {
-        let seed: u64 = spec.trim().parse()?;
-        Ok((seed, seed))
-    }
-}
-
-fn cmd_fuzz(args: &Args) -> CliResult {
-    use rekey_testkit::{
-        factory_for, run_scenario, shrink, Delivery, GenParams, RunOptions, Scenario,
+fn parse_seed_range(spec: &str) -> Result<std::ops::RangeInclusive<u64>, args::ArgsError> {
+    let bad = || args::ArgsError::BadValue {
+        flag: "seed".to_string(),
+        value: spec.to_string(),
     };
-
-    let (seed_lo, seed_hi) = parse_seed_range(&args.get_or("seed", "1"))?;
-    let intervals: usize = args.get_parsed_or("intervals", 50usize)?;
-    let scheme_flag = args.get_or("scheme", "all");
-    let loss = args.get_or("loss", "wka");
-    let delivery =
-        Delivery::parse(&loss).ok_or_else(|| format!("unknown delivery mode {loss:?}"))?;
-    let params = GenParams {
-        degree: args.get_parsed_or("d", 4u8)?,
-        k: args.get_parsed_or("k", 3u16)?,
-        ..GenParams::default()
-    };
-    args.finish()?;
-
-    let schemes: Vec<Scheme> = if scheme_flag == "all" {
-        Scheme::ALL.to_vec()
-    } else {
-        vec![scheme_flag.parse()?]
-    };
-
-    let opts = RunOptions { delivery };
-    let mut failures = 0usize;
-    for seed in seed_lo..=seed_hi {
-        let scenario = Scenario::generate(seed, intervals, &params);
-        for &scheme in &schemes {
-            let factory = factory_for(scheme);
-            match run_scenario(&factory, &scenario, &opts) {
-                Ok(stats) => println!(
-                    "seed {seed} {scheme}: ok — {} intervals, {} entries ({} bytes), {} members at end",
-                    stats.intervals, stats.total_entries, stats.total_bytes, stats.final_members
-                ),
-                Err(violation) => {
-                    failures += 1;
-                    println!("seed {seed} {scheme}: FAIL at {violation}");
-                    let report = shrink(&factory, &scenario, &opts, violation, 400);
-                    println!(
-                        "  shrunk to {} ops over {} intervals ({} runs): {}",
-                        report.scenario.op_count(),
-                        report.scenario.intervals.len(),
-                        report.runs,
-                        report.violation
-                    );
-                    println!(
-                        "  replay: {}",
-                        report.replay_command(scheme.name(), delivery)
-                    );
-                }
-            }
-        }
+    let (lo, hi) = spec.split_once("..=").unwrap_or((spec, spec));
+    let lo: u64 = lo.trim().parse().map_err(|_| bad())?;
+    let hi: u64 = hi.trim().parse().map_err(|_| bad())?;
+    if lo > hi {
+        return Err(bad());
     }
-    if failures > 0 {
-        return Err(format!("{failures} fuzz failure(s)").into());
-    }
-    Ok(())
+    Ok(lo..=hi)
 }
 
 fn hex32(bytes: &[u8; 32]) -> String {
@@ -533,66 +347,193 @@ fn parse_scheme_list(spec: &str) -> Result<Vec<Scheme>, Box<dyn std::error::Erro
         .collect()
 }
 
-/// One (generator, scheme) cell of a workload run or sweep.
+/// Mean, sample standard deviation, minimum and maximum of `values`
+/// (all zero when empty).
+fn summarize(values: &[f64]) -> (f64, f64, f64, f64) {
+    if values.is_empty() {
+        return (0.0, 0.0, 0.0, 0.0);
+    }
+    let n = values.len() as f64;
+    let mean = values.iter().sum::<f64>() / n;
+    let var = if values.len() > 1 {
+        values.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / (n - 1.0)
+    } else {
+        0.0
+    };
+    let min = values.iter().copied().fold(f64::INFINITY, f64::min);
+    let max = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    (mean, var.sqrt(), min, max)
+}
+
+/// Where a sweep dumps its traces, and any run its shrunk
+/// counterexamples, unless `--dump-dir` says otherwise.
+const DEFAULT_DUMP_DIR: &str = "target/workloads";
+
+/// One (trace, scheme) cell of a workload run.
 struct WorkloadCell {
     generator: String,
+    seed: u64,
     scheme: &'static str,
-    run: rekey_testkit::WorkloadRun,
+    stats: rekey_testkit::RunStats,
+    peak_members: usize,
+    max_interval_bytes: usize,
+    /// Encrypted keys of every churn interval after the warm-up.
+    keys: Vec<f64>,
+    /// `process_interval` wall-clock time of every interval.
+    latency_ns: rekey_obs::hist::Log2Histogram,
     trace_file: Option<String>,
 }
 
-fn print_workload_cell(cell: &WorkloadCell) {
-    let lat = &cell.run.latency_ns;
-    println!(
-        "{:<14} {:<9} peak {:>6} members  {:>9.0} B/interval (max {:>7})  latency p50 {:>8}ns p99 {:>8}ns  digest {}",
-        cell.generator,
-        cell.scheme,
-        cell.run.peak_members,
-        cell.run.mean_interval_bytes,
-        cell.run.max_interval_bytes,
-        lat.quantile(0.5),
-        lat.quantile(0.99),
-        &hex32(&cell.run.stats.digest)[..16],
-    );
-}
-
-/// Runs every scheme in `schemes` over one compiled workload scenario
-/// and appends the measured cells.
-fn run_workload_cells(
-    generator: &str,
-    scenario: &rekey_testkit::Scenario,
-    schemes: &[Scheme],
-    opts: &rekey_testkit::RunOptions,
-    trace_file: Option<&str>,
-    cells: &mut Vec<WorkloadCell>,
-) -> CliResult {
-    for &scheme in schemes {
-        let factory = rekey_testkit::factory_for(scheme);
-        let run = rekey_testkit::run_workload(generator, &factory, scenario, opts)
-            .map_err(|v| format!("{generator}/{}: invariant violation at {v}", scheme.name()))?;
-        let cell = WorkloadCell {
-            generator: generator.to_string(),
-            scheme: scheme.name(),
-            run,
-            trace_file: trace_file.map(str::to_string),
-        };
-        print_workload_cell(&cell);
-        cells.push(cell);
+impl WorkloadCell {
+    /// Mean multicast bytes per interval, the bootstrap included.
+    fn mean_interval_bytes(&self) -> f64 {
+        self.stats.total_bytes as f64 / self.stats.intervals.max(1) as f64
     }
-    Ok(())
+
+    /// The cell's report line. The digest is the last field: scripts
+    /// read it as `$NF`.
+    fn line(&self) -> String {
+        let (mean, std, min, max) = summarize(&self.keys);
+        format!(
+            "{:<14} seed {:<4} {:<9} peak {:>6} members  {mean:.0} keys/interval (std {std:.0}, min {min:.0}, max {max:.0})  {:>9.0} B/interval (max {:>7})  latency p50 {:>8}ns p99 {:>8}ns  digest {}",
+            self.generator,
+            self.seed,
+            self.scheme,
+            self.peak_members,
+            self.mean_interval_bytes(),
+            self.max_interval_bytes,
+            self.latency_ns.quantile(0.5),
+            self.latency_ns.quantile(0.99),
+            &hex32(&self.stats.digest)[..16],
+        )
+    }
 }
 
-/// Serializes sweep cells (plus host and run config) as
-/// `BENCH_workloads.json`, in the same shape as the other `BENCH_*`
-/// artifacts.
+/// Runs `scheme` over `trace`: unchecked through `drive` when
+/// `delivery` is `None`, else through `run_scenario` under the oracle
+/// and the member farm. The first `warmup` churn intervals stay out of
+/// the keys/interval series.
+fn run_cell(
+    trace: &rekey_testkit::Trace,
+    scheme: Scheme,
+    delivery: Option<rekey_testkit::Delivery>,
+    warmup: usize,
+) -> Result<WorkloadCell, rekey_testkit::Violation> {
+    use rekey_testkit::{drive, factory_for, run_scenario, RunOptions, Step};
+
+    let (mut peak_members, mut max_interval_bytes, mut keys) = (0, 0, Vec::new());
+    let mut latency_ns = rekey_obs::hist::Log2Histogram::new();
+    let mut observe = |step: &Step<'_, dyn rekey_core::GroupKeyManager>| {
+        peak_members = peak_members.max(step.manager.member_count());
+        max_interval_bytes = max_interval_bytes.max(step.bytes.len());
+        latency_ns.record(step.process_ns);
+        if step.interval > warmup {
+            keys.push(step.outcome.stats.encrypted_keys as f64);
+        }
+    };
+    let factory = factory_for(scheme);
+    let scenario = &trace.scenario;
+    let stats = match delivery {
+        None => drive(&factory, scenario, |step| {
+            observe(step);
+            Ok(())
+        }),
+        Some(delivery) => run_scenario(&factory, scenario, &RunOptions { delivery }, observe),
+    }?;
+    Ok(WorkloadCell {
+        generator: trace.generator.clone(),
+        seed: scenario.seed,
+        scheme: scheme.name(),
+        stats,
+        peak_members,
+        max_interval_bytes,
+        keys,
+        latency_ns,
+        trace_file: None,
+    })
+}
+
+/// Shrinks a cell that broke an invariant, writes the minimal scenario
+/// to `dir` as a trace file and prints the command that replays it.
+/// An unchecked run fails only on a batch the manager rejects, which
+/// the lossless checked run rejects too, so it shrinks under that.
+fn shrink_cell(
+    factory: &rekey_testkit::runner::ManagerFactory,
+    scheme: &str,
+    trace: &rekey_testkit::Trace,
+    delivery: Option<rekey_testkit::Delivery>,
+    violation: rekey_testkit::Violation,
+    dir: &str,
+) -> Result<String, Box<dyn std::error::Error>> {
+    use rekey_testkit::{shrink, Delivery, RunOptions, Trace};
+
+    let (generator, seed) = (&trace.generator, trace.scenario.seed);
+    println!("{generator:<14} seed {seed:<4} {scheme:<9} FAIL at {violation}");
+    let opts = RunOptions {
+        delivery: delivery.unwrap_or(Delivery::Lossless),
+    };
+    let report = shrink(factory, &trace.scenario, &opts, violation, 400);
+    let path = format!("{dir}/{generator}-seed{seed}-{scheme}.shrunk.trace.bin");
+    std::fs::create_dir_all(dir)?;
+    let shrunk = Trace {
+        generator: generator.clone(),
+        scenario: report.scenario,
+    };
+    std::fs::write(&path, shrunk.encode())?;
+    println!(
+        "  shrunk to {} ops over {} intervals ({} runs): {}",
+        shrunk.scenario.op_count(),
+        shrunk.scenario.intervals.len(),
+        report.runs,
+        report.violation
+    );
+    println!(
+        "  replay: rekey workload --trace {path} --scheme {scheme} --loss {}",
+        opts.delivery.name()
+    );
+    Ok(path)
+}
+
+/// Reads and validates a dumped trace: a hand-edited one is rejected
+/// with a typed error (truncation, bad magic or version, a membership
+/// inconsistency such as a leave of a departed member), not repaired.
+fn read_trace(path: &str) -> Result<rekey_testkit::Trace, Box<dyn std::error::Error>> {
+    let trace =
+        rekey_testkit::Trace::decode(&std::fs::read(path)?).map_err(|e| format!("{path}: {e}"))?;
+    trace
+        .scenario
+        .validate()
+        .map_err(|e| format!("{path}: invalid scenario: {e}"))?;
+    Ok(trace)
+}
+
+/// Writes `trace` to `dir` and checks on the spot that the file decodes
+/// back to the byte-identical trace.
+fn dump_trace(
+    trace: &rekey_testkit::Trace,
+    dir: &str,
+) -> Result<String, Box<dyn std::error::Error>> {
+    let path = format!(
+        "{dir}/{}-seed{}.trace.bin",
+        trace.generator, trace.scenario.seed
+    );
+    let encoded = trace.encode();
+    std::fs::write(&path, &encoded)?;
+    if read_trace(&path)?.encode() != encoded {
+        return Err(format!("{path}: dumped trace did not round-trip").into());
+    }
+    Ok(path)
+}
+
+/// Serializes the cells (plus host and the scenario's configuration)
+/// as `BENCH_workloads.json`, in the same shape as the other `BENCH_*`
+/// artifacts. Every cell of a report shares one seed, interval count,
+/// degree and `K`; `scenario` is any of their scenarios.
 fn write_workload_report(
     path: &str,
     cells: &[WorkloadCell],
-    seed: u64,
-    intervals: usize,
-    delivery: rekey_testkit::Delivery,
-    degree: u8,
-    k: u16,
+    scenario: &rekey_testkit::Scenario,
+    loss: &str,
 ) -> CliResult {
     use rekey_bench::emit::{json_escape, HostContext};
     use std::fmt::Write as _;
@@ -603,13 +544,16 @@ fn write_workload_report(
     HostContext::detect().push_json(&mut json, &[]);
     let _ = writeln!(
         json,
-        "  \"config\": {{\"seed\": {seed}, \"intervals\": {intervals}, \"delivery\": \"{}\", \"degree\": {degree}, \"k\": {k}}},",
-        delivery.name()
+        "  \"config\": {{\"seed\": {}, \"intervals\": {}, \"delivery\": \"{loss}\", \"degree\": {}, \"k\": {}}},",
+        scenario.seed,
+        scenario.intervals.len().saturating_sub(1),
+        scenario.degree,
+        scenario.k,
     );
     json.push_str("  \"results\": [\n");
     for (i, cell) in cells.iter().enumerate() {
         let sep = if i + 1 == cells.len() { "" } else { "," };
-        let lat = &cell.run.latency_ns;
+        let lat = &cell.latency_ns;
         let trace_file = match &cell.trace_file {
             Some(f) => format!("\"{}\"", json_escape(f)),
             None => "null".to_string(),
@@ -619,19 +563,19 @@ fn write_workload_report(
             "    {{\"workload\": \"{}\", \"scheme\": \"{}\", \"intervals\": {}, \"final_members\": {}, \"peak_members\": {}, \"total_entries\": {}, \"total_advances\": {}, \"total_bytes\": {}, \"bytes_per_interval_mean\": {:.1}, \"max_interval_bytes\": {}, \"latency_ns\": {{\"p50\": {}, \"p90\": {}, \"p99\": {}, \"max\": {}}}, \"trace_file\": {trace_file}, \"digest\": \"{}\"}}{sep}",
             json_escape(&cell.generator),
             cell.scheme,
-            cell.run.stats.intervals,
-            cell.run.stats.final_members,
-            cell.run.peak_members,
-            cell.run.stats.total_entries,
-            cell.run.stats.total_advances,
-            cell.run.stats.total_bytes,
-            cell.run.mean_interval_bytes,
-            cell.run.max_interval_bytes,
+            cell.stats.intervals,
+            cell.stats.final_members,
+            cell.peak_members,
+            cell.stats.total_entries,
+            cell.stats.total_advances,
+            cell.stats.total_bytes,
+            cell.mean_interval_bytes(),
+            cell.max_interval_bytes,
             lat.quantile(0.5),
             lat.quantile(0.9),
             lat.quantile(0.99),
             lat.max(),
-            hex32(&cell.run.stats.digest),
+            hex32(&cell.stats.digest),
         );
     }
     json.push_str("  ]\n}\n");
@@ -641,116 +585,127 @@ fn write_workload_report(
 }
 
 fn cmd_workload(args: &Args) -> CliResult {
-    use rekey_testkit::{workload_by_name, Delivery, GenParams, RunOptions, Trace, WORKLOAD_NAMES};
+    use rekey_testkit::{workload_by_name, Delivery, GenParams, Trace, WORKLOAD_NAMES};
 
-    let seed: u64 = args.get_parsed_or("seed", 1u64)?;
-    let intervals: usize = args.get_parsed_or("intervals", 200usize)?;
-    let sweep: bool = args.get_bool_or("sweep", false)?;
-    let loss = args.get_or("loss", "lossless");
-    let delivery =
-        Delivery::parse(&loss).ok_or_else(|| format!("unknown delivery mode {loss:?}"))?;
-    let degree: u8 = args.get_parsed_or("d", 4u8)?;
-    let k: u16 = args.get_parsed_or("k", 3u16)?;
-    let params = GenParams {
-        degree,
-        k,
-        ..GenParams::default()
-    };
-    let opts = RunOptions { delivery };
     let schemes = parse_scheme_list(&args.get_or("scheme", "all"))?;
+    let loss = args.get_or("loss", "lossless");
+    let delivery = match loss.as_str() {
+        "none" => None,
+        name => {
+            Some(Delivery::parse(name).ok_or_else(|| format!("unknown delivery mode {name:?}"))?)
+        }
+    };
+    let warmup: usize = args.get_parsed_or("warmup", 0usize)?;
+    let sweep: bool = args.get_bool_or("sweep", false)?;
     let out = args.get_or("out", "BENCH_workloads.json");
-    let mut cells: Vec<WorkloadCell> = Vec::new();
+    let dump_dir = path_flag(args, "dump-dir")?;
+    let profile = path_flag(args, "profile")?;
+    let metrics = path_flag(args, "metrics")?;
 
-    // Replay path: the scenario comes from a dumped trace file, not a
-    // generator. Hand-edited traces are rejected with a typed error
-    // (truncation, bad magic/version, or membership inconsistencies
-    // like a leave of an already-departed member) instead of silently
-    // repaired.
+    // Each scenario to run, with the trace file it came from or was
+    // dumped to.
+    let mut traces: Vec<(Trace, Option<String>)> = Vec::new();
     if let Some(path) = path_flag(args, "trace")? {
+        // The flags that shape a generated scenario: a trace carries its own.
+        let generation = ["generator", "seed", "intervals", "n", "d", "k"];
+        if let Some(flag) = generation.iter().find(|f| args.get(f).is_some()) {
+            return Err(
+                format!("--{flag} does not apply to --trace: the trace carries its own").into(),
+            );
+        }
         args.finish()?;
-        let bytes = std::fs::read(&path)?;
-        let trace = Trace::decode(&bytes).map_err(|e| format!("{path}: {e}"))?;
-        trace
-            .scenario
-            .validate()
-            .map_err(|e| format!("{path}: invalid scenario: {e}"))?;
+        let trace = read_trace(&path)?;
         println!(
             "replaying {path}: generator {}, seed {}, {} churn intervals",
             trace.generator,
             trace.scenario.seed,
             trace.scenario.intervals.len().saturating_sub(1)
         );
-        run_workload_cells(
-            &trace.generator,
-            &trace.scenario,
-            &schemes,
-            &opts,
-            Some(&path),
-            &mut cells,
-        )?;
-        if sweep {
-            write_workload_report(&out, &cells, seed, intervals, delivery, degree, k)?;
-        }
-        return Ok(());
-    }
-
-    let generator_flag = args.get_or("generator", if sweep { "all" } else { "uniform" });
-    let generators: Vec<String> = if generator_flag == "all" {
-        WORKLOAD_NAMES.iter().map(|n| n.to_string()).collect()
+        traces.push((trace, Some(path)));
     } else {
-        generator_flag
-            .split(',')
-            .map(|n| n.trim().to_string())
-            .collect()
-    };
-    // A sweep always dumps the per-generator trace files so every cell
-    // is replayable; ad-hoc runs dump only when asked.
-    let dump_dir = match path_flag(args, "dump-dir")? {
-        Some(dir) => Some(dir),
-        None if sweep => Some("target/workloads".to_string()),
-        None => None,
-    };
-    args.finish()?;
-    if let Some(dir) = &dump_dir {
-        std::fs::create_dir_all(dir)?;
-    }
-
-    for generator in &generators {
-        let mut workload = workload_by_name(generator)
-            .ok_or_else(|| format!("unknown workload generator {generator:?}"))?;
-        let scenario = workload.compile(seed, intervals, &params);
-        let trace = Trace {
-            generator: generator.clone(),
-            scenario,
+        let seeds = parse_seed_range(&args.get_or("seed", "1"))?;
+        let intervals: usize = args.get_parsed_or("intervals", 200usize)?;
+        let defaults = GenParams::default();
+        let params = GenParams {
+            bootstrap: args.get_parsed_or("n", defaults.bootstrap)?,
+            degree: args.get_parsed_or("d", defaults.degree)?,
+            k: args.get_parsed_or("k", defaults.k)?,
+            ..defaults
         };
-        let trace_file = match &dump_dir {
-            Some(dir) => {
-                let path = format!("{dir}/{generator}-seed{seed}.trace.bin");
-                let encoded = trace.encode();
-                std::fs::write(&path, &encoded)?;
-                // Close the loop on the spot: the dumped file must
-                // decode back to the byte-identical trace.
-                let reread = Trace::decode(&std::fs::read(&path)?)
-                    .map_err(|e| format!("{path}: dumped trace failed to decode: {e}"))?;
-                if reread.encode() != encoded {
-                    return Err(format!("{path}: dumped trace did not round-trip").into());
-                }
-                Some(path)
+        let generator_flag = args.get_or("generator", if sweep { "all" } else { "uniform" });
+        args.finish()?;
+        if sweep && seeds.start() != seeds.end() {
+            return Err("--sweep reports one seed; give --seed N".into());
+        }
+        let generators: Vec<&str> = if generator_flag == "all" {
+            WORKLOAD_NAMES.to_vec()
+        } else {
+            generator_flag.split(',').map(str::trim).collect()
+        };
+        // A sweep always dumps its traces so every cell is replayable;
+        // other runs dump only when asked.
+        let dump_to = dump_dir.as_deref().or(sweep.then_some(DEFAULT_DUMP_DIR));
+        if let Some(dir) = dump_to {
+            std::fs::create_dir_all(dir)?;
+        }
+        for seed in seeds {
+            for generator in &generators {
+                let mut workload = workload_by_name(generator)
+                    .ok_or_else(|| format!("unknown workload generator {generator:?}"))?;
+                let trace = Trace {
+                    generator: generator.to_string(),
+                    scenario: workload.compile(seed, intervals, &params),
+                };
+                let trace_file = dump_to.map(|dir| dump_trace(&trace, dir)).transpose()?;
+                traces.push((trace, trace_file));
             }
-            None => None,
-        };
-        run_workload_cells(
-            generator,
-            &trace.scenario,
-            &schemes,
-            &opts,
-            trace_file.as_deref(),
-            &mut cells,
-        )?;
+        }
     }
 
+    // Observe only: every number below is the same with or without it.
+    let collector = (profile.is_some() || metrics.is_some()).then(|| {
+        let collector = std::sync::Arc::new(rekey_obs::Collector::new());
+        rekey_obs::install(collector.clone());
+        collector
+    });
+    let mut cells = Vec::new();
+    let mut failures = 0usize;
+    for (trace, trace_file) in &traces {
+        for &scheme in &schemes {
+            match run_cell(trace, scheme, delivery, warmup) {
+                Ok(mut cell) => {
+                    println!("{}", cell.line());
+                    cell.trace_file = trace_file.clone();
+                    cells.push(cell);
+                }
+                Err(violation) => {
+                    failures += 1;
+                    let dir = dump_dir.as_deref().unwrap_or(DEFAULT_DUMP_DIR);
+                    let factory = rekey_testkit::factory_for(scheme);
+                    shrink_cell(&factory, scheme.name(), trace, delivery, violation, dir)?;
+                }
+            }
+        }
+    }
+    if let Some(collector) = collector {
+        let [mutate, plan, execute] = ["rekey.mutate", "rekey.plan", "rekey.execute"]
+            .map(|span| rekey_obs::total_time_ns(span) as f64 / 1e9);
+        rekey_obs::uninstall();
+        println!("phase breakdown: mutate {mutate:.3}s, plan {plan:.3}s, execute {execute:.3}s");
+        if let Some(path) = &profile {
+            collector.write_chrome_trace(path)?;
+            println!("profile written to {path}");
+        }
+        if let Some(path) = &metrics {
+            collector.write_metrics(path)?;
+            println!("metrics written to {path}");
+        }
+    }
+    if failures > 0 {
+        return Err(format!("{failures} cell(s) broke an invariant").into());
+    }
     if sweep {
-        write_workload_report(&out, &cells, seed, intervals, delivery, degree, k)?;
+        write_workload_report(&out, &cells, &traces[0].0.scenario, &loss)?;
     }
     Ok(())
 }
@@ -1459,49 +1414,35 @@ mod tests {
         assert_eq!(summarize(&[7.0]).1, 0.0);
     }
 
+    /// A cell that breaks an invariant leaves a shrunk trace the replay
+    /// path accepts and that still fails.
     #[test]
-    fn simulate_exports_its_interval_gauges() {
-        let dir = std::env::temp_dir().join(format!("rekey-cli-simulate-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let trace = dir.join("run.trace.json");
-        let metrics = dir.join("run.prom");
-        let args = Args::parse([
-            "simulate",
-            "--n",
-            "128",
-            "--intervals",
-            "4",
-            "--warmup",
-            "1",
-            "--trace",
-            trace.to_str().unwrap(),
-            "--metrics",
-            metrics.to_str().unwrap(),
-        ])
-        .unwrap();
-        cmd_simulate(&args).unwrap();
-        let trace = std::fs::read_to_string(&trace).unwrap();
-        let metrics = std::fs::read_to_string(&metrics).unwrap();
-        std::fs::remove_dir_all(&dir).unwrap();
+    fn a_failing_cell_is_shrunk_to_a_replayable_trace() {
+        use rekey_core::GroupKeyManager;
+        use rekey_testkit::{bugs::SkipOneLeave, run_scenario, RunOptions, Scenario};
 
-        let summary = rekey_obs::chrome::validate_trace(&trace).expect("exported trace is valid");
-        for gauge in [
-            "sim.joins",
-            "sim.leaves",
-            "sim.migrations",
-            "sim.encrypted_keys",
-            "sim.message_bytes",
-        ] {
-            assert!(
-                summary.counter_names.contains(gauge),
-                "counter track {gauge:?} missing from trace (have {:?})",
-                summary.counter_names
-            );
-            let line = format!("\n{} ", gauge.replace('.', "_"));
-            assert!(
-                metrics.contains(&line),
-                "metrics dump missing {gauge}:\n{metrics}"
-            );
-        }
+        let dir = std::env::temp_dir().join(format!("rekey-cli-shrink-{}", std::process::id()));
+        let factory = |s: &Scenario| -> Box<dyn GroupKeyManager> {
+            Box::new(SkipOneLeave::new(rekey_core::partition::TtManager::new(
+                s.degree as usize,
+                u64::from(s.k),
+            )))
+        };
+        let trace = rekey_testkit::Trace {
+            generator: "uniform".into(),
+            scenario: Scenario::generate(5, 30, &rekey_testkit::GenParams::default()),
+        };
+        let opts = RunOptions::default();
+        let violation = run_scenario(&factory, &trace.scenario, &opts, |_| {}).unwrap_err();
+        let dir_name = dir.to_str().unwrap();
+        let path = shrink_cell(&factory, "tt", &trace, None, violation, dir_name).unwrap();
+        assert_eq!(
+            path,
+            format!("{dir_name}/uniform-seed5-tt.shrunk.trace.bin")
+        );
+        let shrunk = read_trace(&path).expect("the replay path accepts a shrunk trace");
+        assert!(shrunk.scenario.op_count() < trace.scenario.op_count());
+        assert!(run_scenario(&factory, &shrunk.scenario, &opts, |_| {}).is_err());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -1,0 +1,150 @@
+//! `rekey workload` end to end: the binary's printed lines, exported
+//! files and replay report, run as a separate process.
+
+use rekey_testkit::{workload_by_name, GenParams, Trace};
+use std::path::{Path, PathBuf};
+use std::process::Output;
+
+fn rekey(args: &[&str]) -> Output {
+    std::process::Command::new(env!("CARGO_BIN_EXE_rekey"))
+        .args(args)
+        .output()
+        .expect("the rekey binary runs")
+}
+
+/// Stdout of a run that must succeed.
+fn stdout(args: &[&str]) -> String {
+    let out = rekey(args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "rekey {args:?} failed: {stderr}");
+    String::from_utf8(out.stdout).unwrap()
+}
+
+/// A scratch directory of its own for one test.
+fn scratch(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("rekey-cli-{name}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+fn path(p: &Path) -> &str {
+    p.to_str().unwrap()
+}
+
+#[test]
+fn workload_exports_its_interval_gauges() {
+    let dir = scratch("profile");
+    let (profile, metrics) = (dir.join("run.trace.json"), dir.join("run.prom"));
+    stdout(&[
+        "workload",
+        "--generator",
+        "paper",
+        "--scheme",
+        "tt",
+        "--n",
+        "128",
+        "--intervals",
+        "5",
+        "--warmup",
+        "1",
+        "--loss",
+        "none",
+        "--profile",
+        path(&profile),
+        "--metrics",
+        path(&metrics),
+    ]);
+    let profile = std::fs::read_to_string(&profile).unwrap();
+    let metrics = std::fs::read_to_string(&metrics).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    let summary = rekey_obs::chrome::validate_trace(&profile).expect("exported profile is valid");
+    for gauge in [
+        "sim.joins",
+        "sim.leaves",
+        "sim.migrations",
+        "sim.encrypted_keys",
+        "sim.message_bytes",
+        "sim.members",
+    ] {
+        assert!(
+            summary.counter_names.contains(gauge),
+            "counter track {gauge:?} missing from profile (have {:?})",
+            summary.counter_names
+        );
+        let line = format!("\n{} ", gauge.replace('.', "_"));
+        assert!(
+            metrics.contains(&line),
+            "metrics dump missing {gauge}:\n{metrics}"
+        );
+    }
+}
+
+/// The unchecked and the checked run of a cell send the same bytes:
+/// the oracle and the member farm only watch.
+#[test]
+fn unchecked_and_checked_cells_print_one_digest() {
+    let digests = |loss: &str| -> Vec<String> {
+        let run = [
+            "workload",
+            "--generator",
+            "paper",
+            "--n",
+            "64",
+            "--seed",
+            "3",
+        ];
+        stdout(&[&run[..], &["--intervals", "12", "--loss", loss]].concat())
+            .lines()
+            .map(|line| line.split_whitespace().last().unwrap().to_string())
+            .collect()
+    };
+    let unchecked = digests("none");
+    assert_eq!(unchecked.len(), 7, "one line per scheme");
+    assert_eq!(unchecked, digests("lossless"));
+}
+
+/// A replayed trace reports its own seed, length, degree and `K`, not
+/// the flag defaults, and refuses the flags that shape a generated
+/// scenario.
+#[test]
+fn replay_reports_the_trace_configuration() {
+    let dir = scratch("replay");
+    let params = GenParams {
+        bootstrap: 20,
+        degree: 3,
+        k: 7,
+        ..GenParams::default()
+    };
+    let trace = Trace {
+        generator: "diurnal".into(),
+        scenario: workload_by_name("diurnal").unwrap().compile(9, 17, &params),
+    };
+    let (file, report) = (dir.join("diurnal.trace.bin"), dir.join("report.json"));
+    std::fs::write(&file, trace.encode()).unwrap();
+
+    let replay = ["workload", "--trace", path(&file), "--scheme", "tt"];
+    stdout(&[&replay[..], &["--sweep", "--out", path(&report)]].concat());
+    let doc = rekey_obs::json::parse(&std::fs::read_to_string(&report).unwrap()).unwrap();
+    let config = doc.get("config").unwrap();
+    for (field, want) in [
+        ("seed", 9.0),
+        ("intervals", 17.0),
+        ("degree", 3.0),
+        ("k", 7.0),
+    ] {
+        assert_eq!(
+            config.get(field).and_then(|v| v.as_num()),
+            Some(want),
+            "{field}"
+        );
+    }
+
+    for flag in ["--generator", "--seed", "--intervals", "--n", "--d", "--k"] {
+        let out = rekey(&[&replay[..], &[flag, "1"]].concat());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{flag} was accepted next to --trace");
+        assert!(stderr.contains(flag), "{flag}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}

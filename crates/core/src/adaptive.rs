@@ -28,7 +28,7 @@ use rekey_keytree::message::RekeyMessage;
 use rekey_keytree::queue::KeyQueue;
 use rekey_keytree::server::LkhServer;
 use rekey_keytree::{KeyTreeError, MemberId, NodeId};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 /// Fitted two-class exponential mixture (the model of §3.3.1).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -47,7 +47,7 @@ pub struct MixtureEstimate {
 #[derive(Debug, Clone, Default)]
 pub struct TraceCollector {
     active: BTreeMap<MemberId, f64>,
-    durations: Vec<f64>,
+    durations: VecDeque<f64>,
     capacity: usize,
 }
 
@@ -58,7 +58,7 @@ impl TraceCollector {
     pub fn new(capacity: usize) -> Self {
         TraceCollector {
             active: BTreeMap::new(),
-            durations: Vec::new(),
+            durations: VecDeque::new(),
             capacity: capacity.max(4),
         }
     }
@@ -74,9 +74,9 @@ impl TraceCollector {
         if let Some(joined) = self.active.remove(&member) {
             let d = (t - joined).max(1e-6);
             if self.durations.len() == self.capacity {
-                self.durations.remove(0);
+                self.durations.pop_front();
             }
-            self.durations.push(d);
+            self.durations.push_back(d);
         }
     }
 
@@ -110,7 +110,7 @@ impl TraceCollector {
         }
         self.durations.clear();
         for _ in 0..get_u32(buf)? {
-            self.durations.push(f64::from_bits(get_u64(buf)?));
+            self.durations.push_back(f64::from_bits(get_u64(buf)?));
         }
         Some(())
     }

@@ -372,9 +372,7 @@ impl<P: PlacementPolicy> RekeyEngine<P> {
         let trees = trees
             .into_iter()
             .map(|(name, server)| TreeSlot {
-                // One-time leak per tree registration: obs span names
-                // must be 'static, and engines live for the process.
-                span_name: Box::leak(format!("rekey.tree.{name}").into_boxed_str()),
+                span_name: rekey_obs::intern(format!("rekey.tree.{name}")),
                 server,
             })
             .collect();
@@ -652,5 +650,20 @@ impl<P: PlacementPolicy> GroupKeyManager for RekeyEngine<P> {
         }
         self.epoch = epoch;
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::partition::TtManager;
+
+    #[test]
+    fn rebuilding_a_scheme_reuses_its_tree_span_names() {
+        let (first, second) = (TtManager::new(4, 3), TtManager::new(4, 3));
+        assert_eq!(first.trees.len(), second.trees.len());
+        for (a, b) in first.trees.iter().zip(&second.trees) {
+            assert!(a.span_name.starts_with("rekey.tree."));
+            assert!(std::ptr::eq(a.span_name, b.span_name), "{}", a.span_name);
+        }
     }
 }

@@ -146,15 +146,14 @@ struct Shared {
     flight: Arc<FlightRecorder>,
     health: Arc<HealthFlags>,
     /// Per-shard propagation histogram names (`net.propagation.shardN`),
-    /// leaked once per daemon because the recorder keys on
-    /// `&'static str`. Bounded by the worker count.
+    /// interned because the recorder keys on `&'static str`.
     shard_prop_names: Vec<&'static str>,
 }
 
 impl Shared {
     fn new(config: &ServerConfig, metrics: Arc<Collector>) -> Shared {
         let shard_prop_names = (0..config.workers.max(1))
-            .map(|i| &*Box::leak(format!("net.propagation.shard{i}").into_boxed_str()))
+            .map(|i| rekey_obs::intern(format!("net.propagation.shard{i}")))
             .collect();
         Shared {
             registry: Mutex::new(HashMap::new()),

@@ -78,7 +78,7 @@ pub use collect::{Collector, MetricsSnapshot, SampleEvent, SpanEvent};
 pub use error::ObsError;
 pub use flight::{FlightEvent, FlightKind, FlightRecorder};
 pub use recorder::{
-    count, enabled, install, now_ns, sample, thread_id, time_ns, total_time_ns, uninstall,
+    count, enabled, install, intern, now_ns, sample, thread_id, time_ns, total_time_ns, uninstall,
     Recorder, SpanGuard,
 };
 

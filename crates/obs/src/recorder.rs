@@ -1,8 +1,9 @@
 //! The [`Recorder`] sink trait, the process-global recorder slot, and
 //! the RAII [`SpanGuard`].
 
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::Instant;
 
 /// A sink for observability events.
@@ -119,6 +120,20 @@ pub fn total_time_ns(name: &str) -> u64 {
     total
 }
 
+/// A `'static` copy of `name` for a probe name built at run time (per
+/// tree, per shard). Each distinct name is leaked once per process;
+/// every later call with an equal name returns that same copy.
+pub fn intern(name: String) -> &'static str {
+    static NAMES: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
+    let mut names = NAMES.lock().unwrap_or_else(|e| e.into_inner());
+    if let Some(&interned) = names.get(name.as_str()) {
+        return interned;
+    }
+    let interned: &'static str = Box::leak(name.into_boxed_str());
+    names.insert(interned);
+    interned
+}
+
 /// RAII scoped timer created by [`crate::span!`]. Records a span (and
 /// feeds the recorder's duration histogram) when dropped.
 #[derive(Debug)]
@@ -168,6 +183,16 @@ mod tests {
     pub(crate) fn global_lock() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
         LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    #[test]
+    fn intern_leaks_each_distinct_name_once() {
+        let first = intern(format!("intern.test.{}", 1));
+        let again = intern("intern.test.1".to_string());
+        let other = intern("intern.test.2".to_string());
+        assert_eq!(first, "intern.test.1");
+        assert!(std::ptr::eq(first, again));
+        assert!(!std::ptr::eq(first, other));
     }
 
     #[test]

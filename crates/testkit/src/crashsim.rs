@@ -347,7 +347,7 @@ mod tests {
         let factory = |_: &Scenario| -> Box<dyn GroupKeyManager> {
             Box::new(AdaptiveManager::new(4, 60.0, 1, 20))
         };
-        let checked = run_scenario(&factory, &scenario, &RunOptions::default())
+        let checked = run_scenario(&factory, &scenario, &RunOptions::default(), |_| {})
             .unwrap_or_else(|violation| panic!("{violation}"));
 
         // The same run again, watching the policy.

@@ -162,9 +162,10 @@ impl std::error::Error for FarmError {
 }
 
 /// How rekey messages reach present members.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Delivery {
     /// Every member receives every entry. Liveness checks apply.
+    #[default]
     Lossless,
     /// Each present member independently drops each entry with its
     /// configured loss probability — raw lossy multicast with no

@@ -17,10 +17,11 @@
 //!   Bernoulli loss, or the WKA-BKR reliable transport). Departed
 //!   members keep receiving everything, modelling a replay adversary.
 //! - [`runner`] — [`runner::drive`], the one interval loop every run
-//!   of a scenario goes through; [`runner::run_scenario`] glues the
-//!   three above into its callback and checks forward secrecy, ring
-//!   soundness, DEK confinement, bookkeeping, and (on complete
-//!   deliveries) liveness after every interval; [`runner::shrink`]
+//!   of a scenario goes through (it records the per-interval `sim.*`
+//!   samples); [`runner::run_scenario`] glues the three above into its
+//!   callback and checks forward secrecy, ring soundness, DEK
+//!   confinement, bookkeeping, and (on complete deliveries) liveness
+//!   after every interval before its caller sees it; [`runner::shrink`]
 //!   minimizes failures to a small replayable counterexample.
 //! - [`bugs`] — deliberately defective manager wrappers proving the
 //!   oracle catches the bug classes it targets.
@@ -30,8 +31,7 @@
 //! - [`workload`] — named churn generators (the paper's §3.3.1
 //!   process `paper`, and the trace-driven `uniform`, `diurnal`,
 //!   `flash-crowd`, `mobile-flap`, `regional-loss`) that compile down
-//!   to [`Scenario`]s, plus an observed runner reporting bandwidth,
-//!   rekey-latency percentiles, and peak tree size.
+//!   to [`Scenario`]s.
 //! - [`trace`] — the replayable trace file format: a compiled
 //!   scenario tagged with its generator name, with typed decode
 //!   errors.
@@ -54,14 +54,11 @@ pub use crashsim::{run_with_crashes, run_with_rejected_batches, CrashSimReport};
 pub use farm::{Delivery, FarmError, MemberFarm};
 pub use oracle::KnowledgeOracle;
 pub use runner::{
-    drive, run_scenario, run_scenario_with, shrink, IntervalObservation, RunOptions, RunStats,
-    ShrinkReport, Step, Violation,
+    drive, run_scenario, shrink, RunOptions, RunStats, ShrinkReport, Step, Violation,
 };
 pub use scenario::{GenParams, IntervalOps, JoinOp, Scenario, ScenarioError};
 pub use trace::{Trace, TraceError};
-pub use workload::{
-    all_workloads, run_workload, workload_by_name, Paper, Workload, WorkloadRun, WORKLOAD_NAMES,
-};
+pub use workload::{workload_by_name, Paper, Workload, WORKLOAD_NAMES};
 
 use rekey_core::scheme::{Scheme, SchemeConfig};
 use rekey_core::GroupKeyManager;

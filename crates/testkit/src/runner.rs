@@ -2,11 +2,12 @@
 //!
 //! [`drive`] is the one interval loop: it hands a [`GroupKeyManager`]
 //! each interval's batch of a [`Scenario`], encodes the message to wire
-//! bytes, folds them into the run digest and shows the interval to a
-//! callback. [`run_scenario`] is `drive` with the checks in that
-//! callback: every message is decoded back, folded into the
-//! [`KnowledgeOracle`], delivered to the [`MemberFarm`], and the full
-//! invariant suite runs. Churn and network randomness come from two
+//! bytes, folds them into the run digest, records the interval's
+//! `sim.*` samples and shows the interval to a callback. [`run_scenario`]
+//! is `drive` with the checks in that callback: every message is decoded
+//! back, folded into the [`KnowledgeOracle`], delivered to the
+//! [`MemberFarm`], and the full invariant suite runs before the caller
+//! sees the interval. Churn and network randomness come from two
 //! independent seeded streams, so the run digest does not depend on the
 //! delivery model.
 //!
@@ -17,7 +18,7 @@
 
 use crate::farm::{Delivery, MemberFarm};
 use crate::oracle::KnowledgeOracle;
-use crate::scenario::Scenario;
+use crate::scenario::{IntervalOps, Scenario};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rekey_core::{GroupKeyManager, IntervalOutcome, Join};
@@ -30,18 +31,11 @@ use rekey_keytree::MemberId;
 pub type ManagerFactory<'a> = dyn Fn(&Scenario) -> Box<dyn GroupKeyManager> + 'a;
 
 /// Runner configuration.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct RunOptions {
-    /// Delivery model between server and present members.
+    /// Delivery model between server and present members (lossless by
+    /// default).
     pub delivery: Delivery,
-}
-
-impl Default for RunOptions {
-    fn default() -> Self {
-        RunOptions {
-            delivery: Delivery::Lossless,
-        }
-    }
 }
 
 /// A failed invariant, pinned to the interval that exposed it.
@@ -80,24 +74,6 @@ pub struct RunStats {
     pub digest: [u8; 32],
 }
 
-/// One interval's measurements, handed to the observer of
-/// [`run_scenario_with`] after the interval's invariant checks pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IntervalObservation {
-    /// Index into [`Scenario::intervals`] (0 = bootstrap).
-    pub interval: usize,
-    /// Multicast wire bytes of the interval's rekey message.
-    pub bytes: usize,
-    /// Encrypted-key entries in the message.
-    pub entries: usize,
-    /// Wall-clock nanoseconds spent in
-    /// [`GroupKeyManager::process_interval`] — the server-side rekey
-    /// latency, excluding delivery and oracle bookkeeping.
-    pub process_ns: u64,
-    /// Present members after the interval (the key tree size).
-    pub members: usize,
-}
-
 /// One interval of a [`drive`]n run, as its callback sees it.
 #[derive(Debug)]
 pub struct Step<'a, M: ?Sized> {
@@ -122,7 +98,9 @@ pub struct Step<'a, M: ?Sized> {
 /// interval to `on_interval`, and returns the run's aggregates. Every
 /// batch's individual keys and every manager draw come from
 /// [`Scenario::churn_rng`], so the digest is a function of the scenario
-/// and the scheme alone.
+/// and the scheme alone. Each interval records its
+/// `sim.{joins,leaves,migrations,encrypted_keys,message_bytes,members}`
+/// samples to the installed [`rekey_obs`] recorder, if any.
 ///
 /// # Errors
 ///
@@ -148,6 +126,13 @@ pub fn drive<M: GroupKeyManager + ?Sized>(
             .process_interval(&joins, &leaves, &mut churn_rng)
             .map_err(|e| fail(format!("manager rejected batch: {e}")))?;
         let process_ns = started.elapsed().as_nanos() as u64;
+        let stats = &outcome.stats;
+        rekey_obs::sample("sim.joins", stats.joins as f64);
+        rekey_obs::sample("sim.leaves", stats.leaves as f64);
+        rekey_obs::sample("sim.migrations", stats.migrations as f64);
+        rekey_obs::sample("sim.encrypted_keys", stats.encrypted_keys as f64);
+        rekey_obs::sample("sim.message_bytes", stats.message_bytes as f64);
+        rekey_obs::sample("sim.members", manager.member_count() as f64);
 
         let bytes = codec::encode_message(&outcome.message);
         hasher.update(&bytes);
@@ -176,26 +161,19 @@ pub fn drive<M: GroupKeyManager + ?Sized>(
     })
 }
 
-/// Runs `scenario` against a manager built by `factory` and returns
-/// run statistics, or the first invariant violation.
+/// Runs `scenario` against a manager built by `factory` under the full
+/// invariant suite, handing every interval that passes it to
+/// `on_interval`, and returns the run's aggregates. The callback only
+/// observes: verdict and digest do not depend on it.
+///
+/// # Errors
+///
+/// The first [`Violation`]: a rejected batch or a failed invariant.
 pub fn run_scenario(
     factory: &ManagerFactory,
     scenario: &Scenario,
     opts: &RunOptions,
-) -> Result<RunStats, Violation> {
-    run_scenario_with(factory, scenario, opts, &mut |_| {})
-}
-
-/// [`run_scenario`] with a per-interval observer: the workload sweep
-/// uses it to collect bandwidth-per-interval, rekey latency
-/// percentiles, and peak tree size without a second pass. The
-/// observer sees only measurements — verdict and digest are identical
-/// to [`run_scenario`] whatever it does.
-pub fn run_scenario_with(
-    factory: &ManagerFactory,
-    scenario: &Scenario,
-    opts: &RunOptions,
-    observer: &mut dyn FnMut(IntervalObservation),
+    mut on_interval: impl FnMut(&Step<'_, dyn GroupKeyManager>),
 ) -> Result<RunStats, Violation> {
     // Independent streams: delivery draws must not perturb the server.
     let mut net_rng = StdRng::seed_from_u64(scenario.seed ^ 0x6A09_E667_F3BC_C908);
@@ -226,13 +204,7 @@ pub fn run_scenario_with(
         farm.check(&oracle, step.manager, &report, complete)
             .map_err(|e| e.to_string())?;
 
-        observer(IntervalObservation {
-            interval: step.interval,
-            bytes: step.bytes.len(),
-            entries: message.encrypted_key_count(),
-            process_ns: step.process_ns,
-            members: farm.present().len(),
-        });
+        on_interval(step);
         Ok(())
     })
 }
@@ -246,20 +218,6 @@ pub struct ShrinkReport {
     pub violation: Violation,
     /// Scenario executions spent shrinking.
     pub runs: usize,
-}
-
-impl ShrinkReport {
-    /// A `rekey-cli` command line replaying the *original* seed (the
-    /// shrunk scenario itself travels as ops, but the seed reproduces
-    /// the ancestor run end to end).
-    pub fn replay_command(&self, scheme: &str, delivery: Delivery) -> String {
-        format!(
-            "rekey fuzz --scheme {scheme} --seed {} --intervals {} --loss {}",
-            self.scenario.seed,
-            self.scenario.intervals.len().saturating_sub(1),
-            delivery.name(),
-        )
-    }
 }
 
 /// Shrinks a failing scenario: first bisects to the shortest failing
@@ -280,7 +238,7 @@ pub fn shrink(
     let runs = std::cell::Cell::new(0usize);
     let rerun = |candidate: &Scenario| -> Option<Violation> {
         runs.set(runs.get() + 1);
-        run_scenario(factory, candidate, opts).err()
+        run_scenario(factory, candidate, opts, |_| {}).err()
     };
 
     // The failure triggered at `violation.interval`, so the prefix up
@@ -325,30 +283,10 @@ pub fn shrink(
         while iv < best.intervals.len() && runs.get() < budget {
             for kind in 0..3usize {
                 let mut op = 0;
-                loop {
-                    if runs.get() >= budget {
-                        break;
-                    }
+                while runs.get() < budget {
                     let mut candidate = best.clone();
-                    let ops = &mut candidate.intervals[iv];
-                    let len = match kind {
-                        0 => ops.leaves.len(),
-                        1 => ops.joins.len(),
-                        _ => ops.loss_changes.len(),
-                    };
-                    if op >= len {
+                    if !remove_op(&mut candidate.intervals[iv], kind, op) {
                         break;
-                    }
-                    match kind {
-                        0 => {
-                            ops.leaves.remove(op);
-                        }
-                        1 => {
-                            ops.joins.remove(op);
-                        }
-                        _ => {
-                            ops.loss_changes.remove(op);
-                        }
                     }
                     candidate.sanitize();
                     if let Some(v) = rerun(&candidate) {
@@ -368,5 +306,18 @@ pub fn shrink(
         scenario: best,
         violation: best_violation,
         runs: runs.get(),
+    }
+}
+
+/// Removes operation `op` of `kind` (0 leaves, 1 joins, 2 loss changes)
+/// from `ops`; false when there is no such operation.
+fn remove_op(ops: &mut IntervalOps, kind: usize, op: usize) -> bool {
+    fn take<T>(ops: &mut Vec<T>, op: usize) -> bool {
+        (op < ops.len()).then(|| ops.remove(op)).is_some()
+    }
+    match kind {
+        0 => take(&mut ops.leaves, op),
+        1 => take(&mut ops.joins, op),
+        _ => take(&mut ops.loss_changes, op),
     }
 }

@@ -1,13 +1,8 @@
-//! Trace-driven workload generators.
-//!
-//! The fuzzer's uniform random churn ([`Scenario::generate`]) is a
-//! good bug-finder but a poor performance workload: real group
-//! membership follows diurnal curves, flash crowds at pay-per-view
-//! boundaries, mobile flap, and regionally correlated loss — and the
-//! retrieved optimal-tree and batch-insertion papers show scheme
-//! rankings flip under exactly these non-uniform dynamics. This module
-//! adds a [`Workload`] trait — a named, seed-deterministic generator of
-//! interval-by-interval churn — and six implementations:
+//! Workload generators: the [`Workload`] trait — a named,
+//! seed-deterministic generator of interval-by-interval churn — and six
+//! implementations. Scheme rankings flip under non-uniform membership,
+//! so beside the fuzzer's uniform churn they model diurnal curves,
+//! flash crowds, mobile flap and regionally correlated loss:
 //!
 //! - [`Uniform`] — byte-identical to [`Scenario::generate`], the
 //!   fuzzer's behaviour, kept as the baseline;
@@ -32,13 +27,11 @@
 //! [`KnowledgeOracle`]: crate::oracle::KnowledgeOracle
 //! [`MemberFarm`]: crate::farm::MemberFarm
 
-use crate::runner::{run_scenario_with, ManagerFactory, RunOptions, RunStats, Violation};
 use crate::scenario::{GenParams, IntervalOps, JoinOp, Scenario};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use rekey_core::membership::{MembershipGenerator, MembershipParams};
 use rekey_core::DurationClass;
-use rekey_obs::hist::Log2Histogram;
 use std::f64::consts::PI;
 
 /// Live group bookkeeping handed to [`Workload::interval`].
@@ -689,97 +682,6 @@ pub fn workload_by_name(name: &str) -> Option<Box<dyn Workload>> {
     }
 }
 
-/// All named generators with default tuning, in [`WORKLOAD_NAMES`]
-/// order.
-pub fn all_workloads() -> Vec<Box<dyn Workload>> {
-    WORKLOAD_NAMES
-        .iter()
-        .map(|name| workload_by_name(name).expect("registered name"))
-        .collect()
-}
-
-/// The per-workload members gauge name (recorded every interval of an
-/// observed run). Static names because the obs [`Recorder`] interns
-/// `&'static str`; the generator set is closed, so a `match` is the
-/// whole intern table.
-///
-/// [`Recorder`]: rekey_obs::Recorder
-pub fn members_gauge(workload: &str) -> &'static str {
-    match workload {
-        "uniform" => "workload.uniform.members",
-        "diurnal" => "workload.diurnal.members",
-        "flash-crowd" => "workload.flash_crowd.members",
-        "mobile-flap" => "workload.mobile_flap.members",
-        "regional-loss" => "workload.regional_loss.members",
-        "paper" => "workload.paper.members",
-        _ => "workload.other.members",
-    }
-}
-
-/// The per-workload multicast-bytes counter name.
-pub fn bytes_counter(workload: &str) -> &'static str {
-    match workload {
-        "uniform" => "workload.uniform.bytes",
-        "diurnal" => "workload.diurnal.bytes",
-        "flash-crowd" => "workload.flash_crowd.bytes",
-        "mobile-flap" => "workload.mobile_flap.bytes",
-        "regional-loss" => "workload.regional_loss.bytes",
-        "paper" => "workload.paper.bytes",
-        _ => "workload.other.bytes",
-    }
-}
-
-/// Aggregates of one observed workload run: the plain [`RunStats`]
-/// plus the per-interval series the sweep reports.
-#[derive(Debug, Clone)]
-pub struct WorkloadRun {
-    /// The underlying oracle-checked run.
-    pub stats: RunStats,
-    /// Largest group size reached after any interval — the peak key
-    /// tree size.
-    pub peak_members: usize,
-    /// Largest multicast payload of any single interval, in bytes.
-    pub max_interval_bytes: usize,
-    /// Mean multicast bytes per interval.
-    pub mean_interval_bytes: f64,
-    /// Per-interval `process_interval` wall-clock latency, as a log₂
-    /// histogram (p50/p90/p99/max via [`Log2Histogram::quantile`]).
-    pub latency_ns: Log2Histogram,
-}
-
-/// Runs a compiled workload scenario with per-interval observation:
-/// like [`crate::runner::run_scenario`], but additionally tracks peak
-/// group size, per-interval bandwidth, and rekey latency percentiles,
-/// and records the per-workload obs gauges/counters (visible in any
-/// installed [`rekey_obs::Recorder`]).
-pub fn run_workload(
-    workload_name: &str,
-    factory: &ManagerFactory,
-    scenario: &Scenario,
-    opts: &RunOptions,
-) -> Result<WorkloadRun, Violation> {
-    let members_gauge = members_gauge(workload_name);
-    let bytes_counter = bytes_counter(workload_name);
-    let mut peak_members = 0usize;
-    let mut max_interval_bytes = 0usize;
-    let mut latency_ns = Log2Histogram::new();
-    let stats = run_scenario_with(factory, scenario, opts, &mut |obs| {
-        peak_members = peak_members.max(obs.members);
-        max_interval_bytes = max_interval_bytes.max(obs.bytes);
-        latency_ns.record(obs.process_ns);
-        rekey_obs::sample(members_gauge, obs.members as f64);
-        rekey_obs::count(bytes_counter, obs.bytes as u64);
-    })?;
-    let mean_interval_bytes = stats.total_bytes as f64 / stats.intervals.max(1) as f64;
-    Ok(WorkloadRun {
-        stats,
-        peak_members,
-        max_interval_bytes,
-        mean_interval_bytes,
-        latency_ns,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -796,7 +698,8 @@ mod tests {
     #[test]
     fn all_generators_compile_valid_scenarios() {
         let params = GenParams::default();
-        for mut workload in all_workloads() {
+        for name in WORKLOAD_NAMES {
+            let mut workload = workload_by_name(name).unwrap();
             let scenario = workload.compile(7, 60, &params);
             let mut sanitized = scenario.clone();
             sanitized.sanitize();
@@ -879,8 +782,9 @@ mod tests {
         assert!(saw_event, "no correlated cohort shift found");
     }
 
-    /// `rekey simulate`'s defaults: 2 048 members, seed 42, d 4, K 10,
-    /// 15 warm-up and 40 measured intervals.
+    /// The simulator's defaults: 2 048 members, seed 42, d 4, K 10,
+    /// 15 warm-up and 40 measured intervals (`rekey workload --generator
+    /// paper --n 2048 --seed 42 --k 10 --intervals 55 --warmup 15`).
     fn simulate_defaults() -> Scenario {
         let params = GenParams {
             bootstrap: 2048,
@@ -976,10 +880,7 @@ mod tests {
         for name in WORKLOAD_NAMES {
             let workload = workload_by_name(name).expect("registered");
             assert_eq!(workload.name(), name);
-            assert!(members_gauge(name).starts_with("workload."));
-            assert!(bytes_counter(name).starts_with("workload."));
         }
         assert!(workload_by_name("nope").is_none());
-        assert_eq!(all_workloads().len(), WORKLOAD_NAMES.len());
     }
 }

@@ -5,10 +5,22 @@
 use rekey_core::partition::TtManager;
 use rekey_core::{GroupKeyManager, Scheme};
 use rekey_testkit::bugs::SkipOneLeave;
-use rekey_testkit::{factory_for, run_scenario, shrink, Delivery, GenParams, RunOptions, Scenario};
+use rekey_testkit::{
+    factory_for, run_scenario, shrink, Delivery, GenParams, RunOptions, Scenario, Trace,
+};
 
 fn generate(seed: u64, intervals: usize) -> Scenario {
     Scenario::generate(seed, intervals, &GenParams::default())
+}
+
+/// A server that silently skips one leaver's path refresh while
+/// keeping its own bookkeeping consistent: only the wire-level oracle
+/// can see that the departed member is still entitled to fresh keys.
+fn skip_one_leave(s: &Scenario) -> Box<dyn GroupKeyManager> {
+    Box::new(SkipOneLeave::new(TtManager::new(
+        s.degree.max(2) as usize,
+        u64::from(s.k.max(1)),
+    )))
 }
 
 #[test]
@@ -19,8 +31,8 @@ fn honest_schemes_pass_lossless_churn() {
         let opts = RunOptions {
             delivery: Delivery::Lossless,
         };
-        let stats =
-            run_scenario(&factory, &scenario, &opts).unwrap_or_else(|v| panic!("{scheme}: {v}"));
+        let stats = run_scenario(&factory, &scenario, &opts, |_| {})
+            .unwrap_or_else(|v| panic!("{scheme}: {v}"));
         assert_eq!(stats.intervals, 26);
         assert!(stats.total_entries > 0);
     }
@@ -39,7 +51,8 @@ fn honest_schemes_pass_bernoulli_loss() {
         let opts = RunOptions {
             delivery: Delivery::Bernoulli,
         };
-        run_scenario(&factory, &scenario, &opts).unwrap_or_else(|v| panic!("{scheme}: {v}"));
+        run_scenario(&factory, &scenario, &opts, |_| {})
+            .unwrap_or_else(|v| panic!("{scheme}: {v}"));
     }
 }
 
@@ -51,25 +64,17 @@ fn honest_schemes_pass_wka_transport() {
         let opts = RunOptions {
             delivery: Delivery::WkaBkr,
         };
-        run_scenario(&factory, &scenario, &opts).unwrap_or_else(|v| panic!("{scheme}: {v}"));
+        run_scenario(&factory, &scenario, &opts, |_| {})
+            .unwrap_or_else(|v| panic!("{scheme}: {v}"));
     }
 }
 
 #[test]
 fn skipped_leave_rekey_is_caught_and_shrunk() {
-    // A server that silently skips one leaver's path refresh while
-    // keeping its own bookkeeping consistent: only the wire-level
-    // oracle can see that the departed member is still entitled to
-    // fresh keys.
-    let factory = |s: &Scenario| -> Box<dyn GroupKeyManager> {
-        Box::new(SkipOneLeave::new(TtManager::new(
-            s.degree.max(2) as usize,
-            u64::from(s.k.max(1)),
-        )))
-    };
+    let factory = skip_one_leave;
     let scenario = generate(5, 30);
     let opts = RunOptions::default();
-    let violation = run_scenario(&factory, &scenario, &opts)
+    let violation = run_scenario(&factory, &scenario, &opts, |_| {})
         .expect_err("injected bug must violate an invariant");
     assert!(
         violation.detail.contains("forward secrecy") || violation.detail.contains("DEK"),
@@ -80,7 +85,7 @@ fn skipped_leave_rekey_is_caught_and_shrunk() {
     // The shrunk scenario still fails, is no larger than the original,
     // and is small in absolute terms: the bug needs one leave (plus
     // the members that must exist for someone to leave).
-    assert!(run_scenario(&factory, &report.scenario, &opts).is_err());
+    assert!(run_scenario(&factory, &report.scenario, &opts, |_| {}).is_err());
     assert!(report.scenario.op_count() <= scenario.op_count());
     assert!(
         report.scenario.op_count() <= 6,
@@ -97,8 +102,36 @@ fn skipped_leave_rekey_is_caught_and_shrunk() {
         1,
         "minimal counterexample needs exactly one leave"
     );
-    let replay = report.replay_command("tt", opts.delivery);
-    assert!(replay.contains("--seed 5"), "replay line: {replay}");
+}
+
+/// The shrunk counterexample travels as a trace file: it survives the
+/// codec byte for byte, passes the replay path's validation, and
+/// re-running it gives the very violation the shrinker reported.
+#[test]
+fn shrunk_counterexample_replays_from_its_trace_file() {
+    let factory = skip_one_leave;
+    let scenario = generate(5, 30);
+    let opts = RunOptions::default();
+    let violation = run_scenario(&factory, &scenario, &opts, |_| {})
+        .expect_err("injected bug must violate an invariant");
+    let report = shrink(&factory, &scenario, &opts, violation, 400);
+
+    let bytes = Trace {
+        generator: "uniform".into(),
+        scenario: report.scenario.clone(),
+    }
+    .encode();
+    let replayed = Trace::decode(&bytes).expect("a shrunk trace decodes");
+    assert_eq!(replayed.scenario, report.scenario);
+    assert_eq!(replayed.encode(), bytes);
+    replayed
+        .scenario
+        .validate()
+        .expect("a shrunk scenario is a valid replay input");
+    assert_eq!(
+        run_scenario(&factory, &replayed.scenario, &opts, |_| {}),
+        Err(report.violation)
+    );
 }
 
 #[test]
@@ -108,7 +141,7 @@ fn departed_member_replay_does_not_resurrect_access() {
     // them clawing access back.
     let scenario = generate(6, 40);
     let factory = factory_for(Scheme::Combined);
-    let stats = run_scenario(&factory, &scenario, &RunOptions::default()).unwrap();
+    let stats = run_scenario(&factory, &scenario, &RunOptions::default(), |_| {}).unwrap();
     assert!(stats.intervals == 41);
 }
 

@@ -6,7 +6,7 @@
 use rekey_core::{IntervalStats, Scheme};
 use rekey_obs::Collector;
 use rekey_testkit::{
-    drive, factory_for, run_workload, GenParams, Paper, RunOptions, RunStats, Scenario, Workload,
+    drive, factory_for, run_scenario, GenParams, Paper, RunOptions, RunStats, Scenario, Workload,
 };
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -44,11 +44,12 @@ fn sim_run_exports_valid_trace_and_metrics() {
     let _guard = global_lock();
     let collector = Arc::new(Collector::new());
     rekey_obs::install(collector.clone());
-    let run = run_workload(
-        "paper",
+    let mut checked = 0;
+    let run = run_scenario(
         &factory_for(Scheme::Tt),
         &session(10),
         &RunOptions::default(),
+        |_| checked += 1,
     );
     let execute_ns = rekey_obs::total_time_ns("rekey.execute");
     rekey_obs::uninstall();
@@ -69,14 +70,24 @@ fn sim_run_exports_valid_trace_and_metrics() {
             summary.span_names
         );
     }
-    // The per-interval members gauge rides along as a counter track.
-    assert!(
-        summary.counter_names.contains("workload.paper.members"),
-        "members track missing from trace"
-    );
+    // The driver's per-interval samples ride along as counter tracks.
+    for track in [
+        "sim.joins",
+        "sim.leaves",
+        "sim.migrations",
+        "sim.encrypted_keys",
+        "sim.message_bytes",
+        "sim.members",
+    ] {
+        assert!(
+            summary.counter_names.contains(track),
+            "counter track {track:?} missing from trace (have {:?})",
+            summary.counter_names
+        );
+    }
 
     // The metrics dump carries the crypto counters, the node counters
-    // and the workload's bandwidth counter in Prometheus text form.
+    // and the driver's bandwidth gauge in Prometheus text form.
     let metrics = collector.prometheus_text();
     for needle in [
         "crypto_chacha20_blocks_total",
@@ -86,7 +97,7 @@ fn sim_run_exports_valid_trace_and_metrics() {
         "rekey_nodes_compromised_total",
         "rekey_nodes_join_only_total",
         "rekey_execute_seconds",
-        "workload_paper_bytes",
+        "sim_message_bytes",
     ] {
         assert!(
             metrics.contains(needle),
@@ -94,9 +105,10 @@ fn sim_run_exports_valid_trace_and_metrics() {
         );
     }
 
-    // The run itself measured something, and the recorder saw the
-    // phases it reports on.
-    assert!(run.mean_interval_bytes > 0.0);
+    // The run itself measured something, the caller saw every checked
+    // interval, and the recorder saw the phases it reports on.
+    assert!(run.total_bytes > 0);
+    assert_eq!(checked, run.intervals);
     assert!(execute_ns > 0, "execute phase unobserved");
 }
 

@@ -5,7 +5,7 @@
 
 use rekey_core::Scheme;
 use rekey_testkit::{
-    factory_for, run_workload, workload_by_name, Delivery, GenParams, RunOptions, Trace,
+    factory_for, run_scenario, workload_by_name, Delivery, GenParams, RunOptions, Trace,
     WORKLOAD_NAMES,
 };
 
@@ -21,12 +21,20 @@ fn compile(name: &str, seed: u64, intervals: usize) -> rekey_testkit::Scenario {
 fn all_schemes_pass(name: &str, seed: u64) {
     let scenario = compile(name, seed, 60);
     for &scheme in &Scheme::ALL {
-        let factory = factory_for(scheme);
-        let run = run_workload(name, &factory, &scenario, &RunOptions::default())
-            .unwrap_or_else(|v| panic!("{name}/{}: {v}", scheme.name()));
-        assert_eq!(run.stats.intervals, 61);
-        assert!(run.peak_members >= run.stats.final_members);
-        assert!(run.latency_ns.count() == 61);
+        let (mut checked, mut peak_members) = (0, 0);
+        let stats = run_scenario(
+            &factory_for(scheme),
+            &scenario,
+            &RunOptions::default(),
+            |step| {
+                checked += 1;
+                peak_members = peak_members.max(step.manager.member_count());
+            },
+        )
+        .unwrap_or_else(|v| panic!("{name}/{}: {v}", scheme.name()));
+        assert_eq!(stats.intervals, 61);
+        assert_eq!(checked, 61);
+        assert!(peak_members >= stats.final_members);
     }
 }
 
@@ -51,8 +59,7 @@ fn stress_generators_pass_under_wka() {
             delivery: Delivery::WkaBkr,
         };
         for scheme in [Scheme::Tt, Scheme::LossForest] {
-            let factory = factory_for(scheme);
-            run_workload(name, &factory, &scenario, &opts)
+            run_scenario(&factory_for(scheme), &scenario, &opts, |_| {})
                 .unwrap_or_else(|v| panic!("{name}/{} under wka: {v}", scheme.name()));
         }
     }

@@ -183,8 +183,13 @@ fn simulated_sessions_stay_synchronized() {
     };
     let scenario = Paper::default().compile(99, 15, &params);
     for scheme in Scheme::ALL {
-        let stats = run_scenario(&factory_for(scheme), &scenario, &RunOptions::default())
-            .unwrap_or_else(|violation| panic!("{scheme}: {violation}"));
+        let stats = run_scenario(
+            &factory_for(scheme),
+            &scenario,
+            &RunOptions::default(),
+            |_| {},
+        )
+        .unwrap_or_else(|violation| panic!("{scheme}: {violation}"));
         assert!(stats.total_entries > 0);
     }
 }
