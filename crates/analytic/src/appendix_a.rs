@@ -90,8 +90,8 @@ pub fn ne_ideal(n: u64, l: f64, d: u32) -> f64 {
 }
 
 /// Expected number of *updated* keys (not encryptions) — `Σ_i N_i` in
-/// the paper's notation. Useful for OFT-style schemes where each
-/// updated key costs one transmission instead of `d`.
+/// the paper's notation: the sum over updated nodes that [`ne`] weighs
+/// by each node's child count.
 pub fn updated_keys(n: u64, l: f64, d: u32) -> f64 {
     if n < 2 || l <= 0.0 {
         return 0.0;

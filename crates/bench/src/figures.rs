@@ -1,6 +1,6 @@
 //! Every table of the reproduction, one function each: Figs 3–7, the
-//! §4.4 FEC result, ablations 1–8, the two transport extensions and the
-//! combined-scheme run.
+//! §4.4 FEC result, ablations 1–4 and 6–8, the two transport extensions
+//! and the combined-scheme run.
 //!
 //! A function computes its series once. Where a test needs the numbers,
 //! it returns them typed and `table()` renders the rows; otherwise it
@@ -23,7 +23,6 @@ use rekey_core::partition::{QtManager, TtManager};
 use rekey_core::{GroupKeyManager, Join};
 use rekey_crypto::Key;
 use rekey_keytree::message::RekeyMessage;
-use rekey_keytree::oft::OftServer;
 use rekey_keytree::server::LkhServer;
 use rekey_keytree::MemberId;
 use rekey_transport::fec;
@@ -49,7 +48,7 @@ pub type TableFn = fn() -> Table;
 
 /// Every table by its CSV name, in the order `rekey reproduce` prints
 /// them.
-pub const TABLES: [(&str, TableFn); 17] = [
+pub const TABLES: [(&str, TableFn); 16] = [
     ("fig3_speriod", || fig3_speriod().table()),
     ("fig4_heterogeneity", || fig4_heterogeneity().table()),
     ("fig5_group_size", || fig5_group_size().table()),
@@ -62,7 +61,6 @@ pub const TABLES: [(&str, TableFn); 17] = [
     ("ablation_k_trees", || ablation_k_trees().table()),
     ("ablation_packing", || ablation_packing().table),
     ("ablation_ne_exact", ablation_ne_exact),
-    ("ablation_oft_vs_lkh", || ablation_oft_vs_lkh().table()),
     ("ablation_model_vs_sim", ablation_model_vs_sim),
     ("ablation_probabilistic", ablation_probabilistic),
     ("ablation_degree_sweep", || ablation_degree_sweep().table()),
@@ -704,68 +702,6 @@ pub fn ablation_ne_exact() -> Table {
                 ]
             })
             .collect(),
-    }
-}
-
-/// Ablation 5: encrypted keys per eviction, averaged over 16 single
-/// evictions from 256 members.
-#[derive(Debug, Clone, Copy)]
-pub struct OftVsLkh {
-    /// Binary LKH.
-    pub lkh: f64,
-    /// Binary one-way function tree.
-    pub oft: f64,
-}
-
-impl OftVsLkh {
-    /// Ablation 5's rows.
-    pub fn table(&self) -> Table {
-        Table {
-            title: "Ablation 5 — per-eviction encrypted keys: OFT vs binary LKH (N=256)",
-            headers: &["hierarchy", "keys"],
-            rows: vec![
-                vec!["LKH (d=2)".into(), fmt(self.lkh, 1)],
-                vec!["OFT (binary)".into(), fmt(self.oft, 1)],
-            ],
-        }
-    }
-}
-
-/// Ablation 5 (§2.1.1's applicability claim for OFT).
-pub fn ablation_oft_vs_lkh() -> OftVsLkh {
-    let mut rng = StdRng::seed_from_u64(9);
-    let n = 256u64;
-
-    let mut lkh = LkhServer::new(2, 0);
-    let joins: Vec<(MemberId, Key)> = (0..n)
-        .map(|i| (MemberId(i), Key::generate(&mut rng)))
-        .collect();
-    lkh.apply_batch(&joins, &[], &mut rng);
-
-    let mut oft = OftServer::new(1);
-    for i in 0..n {
-        let ik = Key::generate(&mut rng);
-        oft.join(MemberId(i), &ik, &mut rng)
-            .expect("fresh member joins");
-    }
-
-    let (mut lkh_cost, mut oft_cost) = (0usize, 0usize);
-    let evictions = 16u64;
-    for i in 0..evictions {
-        let m = MemberId(i * 3);
-        lkh_cost += lkh
-            .try_apply_batch(&[], &[m], &mut rng)
-            .expect("member present")
-            .message
-            .encrypted_key_count();
-        oft_cost += oft
-            .leave(m, &mut rng)
-            .expect("member present")
-            .encrypted_key_count();
-    }
-    OftVsLkh {
-        lkh: lkh_cost as f64 / evictions as f64,
-        oft: oft_cost as f64 / evictions as f64,
     }
 }
 

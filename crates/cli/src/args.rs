@@ -151,6 +151,28 @@ impl Args {
         }
     }
 
+    /// Typed option with a default that must satisfy `ok`.
+    ///
+    /// # Errors
+    ///
+    /// As [`Args::get_parsed_or`], and [`ArgsError::BadValue`] if the
+    /// value parses but `ok` rejects it.
+    pub fn get_checked_or<T: std::str::FromStr>(
+        &self,
+        flag: &str,
+        default: T,
+        ok: impl Fn(&T) -> bool,
+    ) -> Result<T, ArgsError> {
+        let value = self.get_parsed_or(flag, default)?;
+        if ok(&value) {
+            return Ok(value);
+        }
+        Err(ArgsError::BadValue {
+            flag: flag.to_string(),
+            value: self.options.get(flag).cloned().unwrap_or_default(),
+        })
+    }
+
     /// Boolean option with a default. A bare `--flag` counts as
     /// `true`; an explicit value must parse as `true` or `false`.
     ///

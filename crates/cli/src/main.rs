@@ -32,21 +32,21 @@
 //!     `uniform` churn, and four trace-driven shapes), one per
 //!     generator and seed, `--n` members at bootstrap. Each cell prints
 //!     one line: peak members, encrypted keys per interval (mean, std,
-//!     min, max over the churn intervals after `--warmup`), bytes per
-//!     interval (mean, max), rekey latency p50/p99, and last the wire
-//!     digest. `--loss none` runs the schemes alone (usable at
-//!     n = 16 384); any other mode also checks every interval with the
-//!     key-knowledge oracle and a farm of real `GroupMember`s fed the
-//!     wire bytes through that delivery model. A cell that breaks an
-//!     invariant is shrunk, written as a trace file under `--dump-dir`
-//!     (default `target/workloads/`) with the line that replays it;
-//!     the other cells still run, then the command fails. `--sweep`
-//!     (one seed, all generators by default) dumps each generator's
-//!     trace and writes the cells to `--out`. `--trace` replays a
-//!     dumped trace, validated first; it refuses the flags that shape
-//!     a generated scenario. `--profile` writes a Chrome `trace_event`
-//!     profile and `--metrics` a Prometheus-style dump; both only
-//!     observe.
+//!     min, max over the churn intervals after `--warmup`, which must
+//!     leave at least one), bytes per interval (mean, max), rekey
+//!     latency p50/p99, and last the wire digest. `--loss none` runs
+//!     the schemes alone (usable at n = 16 384); any other mode also
+//!     checks every interval with the key-knowledge oracle and a farm
+//!     of real `GroupMember`s fed the wire bytes through that delivery
+//!     model. A cell that breaks an invariant is shrunk, written as a
+//!     trace file under `--dump-dir` (default `target/workloads/`) with
+//!     the line that replays it; the other cells still run, then the
+//!     command fails. `--sweep` (one seed, all generators by default)
+//!     dumps each generator's trace and writes the cells to `--out`,
+//!     which only a sweep reads. `--trace` replays a dumped trace,
+//!     validated first; it refuses the flags that shape a generated
+//!     scenario. `--profile` writes a Chrome `trace_event` profile and
+//!     `--metrics` a Prometheus-style dump; both only observe.
 //!
 //! rekey serve     [--addr 127.0.0.1:0] [--scheme tt] [--d 4] [--k 10]
 //!                 [--members 16] [--intervals 50] [--seed 42]
@@ -108,8 +108,8 @@
 //!
 //! rekey reproduce [--only NAME[,NAME...]]
 //!     Print every table of the reproduction — Figs 3–7, the §4.4 FEC
-//!     result, ablations 1–8, the two transport extensions and the
-//!     combined-scheme run — and write each to
+//!     result, ablations 1–4 and 6–8, the two transport extensions and
+//!     the combined-scheme run — and write each to
 //!     `target/figures/<NAME>.csv`. `--only` selects tables by CSV
 //!     name; `tests/paper_claims.rs` asserts the paper's claims on
 //!     the same series.
@@ -121,7 +121,9 @@
 //! ```
 //!
 //! A flag the chosen subcommand does not read is an error, not a
-//! silently ignored switch.
+//! silently ignored switch. So is a value outside the range the model
+//! or the loss population is defined on (`--alpha 2`, `--d 1`,
+//! `--ph 1.5`, `--pl NaN`).
 
 mod args;
 
@@ -195,17 +197,25 @@ fn path_flag(args: &Args, flag: &str) -> Result<Option<String>, args::ArgsError>
     }
 }
 
+/// The model's parameters, each checked against the range
+/// `PartitionParams::validate` asserts.
 fn model_params(args: &Args) -> Result<PartitionParams, args::ArgsError> {
     let defaults = PartitionParams::paper_default();
+    let positive = |x: &f64| *x > 0.0;
     Ok(PartitionParams {
-        group_size: args.get_parsed_or("n", defaults.group_size)?,
-        degree: args.get_parsed_or("d", defaults.degree)?,
-        rekey_period: args.get_parsed_or("tp", defaults.rekey_period)?,
+        group_size: args.get_checked_or("n", defaults.group_size, |n| *n >= 2)?,
+        degree: args.get_checked_or("d", defaults.degree, |d| *d >= 2)?,
+        rekey_period: args.get_checked_or("tp", defaults.rekey_period, positive)?,
         k: args.get_parsed_or("k", defaults.k)?,
-        mean_short: args.get_parsed_or("ms", defaults.mean_short)?,
-        mean_long: args.get_parsed_or("ml", defaults.mean_long)?,
-        alpha: args.get_parsed_or("alpha", defaults.alpha)?,
+        mean_short: args.get_checked_or("ms", defaults.mean_short, positive)?,
+        mean_long: args.get_checked_or("ml", defaults.mean_long, positive)?,
+        alpha: args.get_checked_or("alpha", defaults.alpha, unit_interval)?,
     })
+}
+
+/// A fraction or probability: in `[0, 1]`, and not NaN.
+fn unit_interval(x: &f64) -> bool {
+    (0.0..=1.0).contains(x)
 }
 
 fn cmd_model(args: &Args) -> CliResult {
@@ -597,7 +607,18 @@ fn cmd_workload(args: &Args) -> CliResult {
     };
     let warmup: usize = args.get_parsed_or("warmup", 0usize)?;
     let sweep: bool = args.get_bool_or("sweep", false)?;
-    let out = args.get_or("out", "BENCH_workloads.json");
+    // Only a sweep writes a report, so only a sweep reads `--out`.
+    let out = sweep.then(|| args.get_or("out", "BENCH_workloads.json"));
+    // Every run averages at least one churn interval after the warm-up.
+    let check_warmup = |churn: usize| {
+        if warmup < churn {
+            return Ok(());
+        }
+        Err(args::ArgsError::BadValue {
+            flag: "warmup".to_string(),
+            value: warmup.to_string(),
+        })
+    };
     let dump_dir = path_flag(args, "dump-dir")?;
     let profile = path_flag(args, "profile")?;
     let metrics = path_flag(args, "metrics")?;
@@ -615,6 +636,7 @@ fn cmd_workload(args: &Args) -> CliResult {
         }
         args.finish()?;
         let trace = read_trace(&path)?;
+        check_warmup(trace.scenario.intervals.len().saturating_sub(1))?;
         println!(
             "replaying {path}: generator {}, seed {}, {} churn intervals",
             trace.generator,
@@ -634,6 +656,7 @@ fn cmd_workload(args: &Args) -> CliResult {
         };
         let generator_flag = args.get_or("generator", if sweep { "all" } else { "uniform" });
         args.finish()?;
+        check_warmup(intervals)?;
         if sweep && seeds.start() != seeds.end() {
             return Err("--sweep reports one seed; give --seed N".into());
         }
@@ -704,7 +727,7 @@ fn cmd_workload(args: &Args) -> CliResult {
     if failures > 0 {
         return Err(format!("{failures} cell(s) broke an invariant").into());
     }
-    if sweep {
+    if let Some(out) = out {
         write_workload_report(&out, &cells, &traces[0].0.scenario, &loss)?;
     }
     Ok(())
@@ -1301,9 +1324,11 @@ fn pick_leavers(n: u64, l: u64) -> Result<Vec<MemberId>, args::ArgsError> {
 fn cmd_transport(args: &Args) -> CliResult {
     let n: u64 = args.get_parsed_or("n", 1024u64)?;
     let l: u64 = args.get_parsed_or("l", 16u64)?;
-    let alpha: f64 = args.get_parsed_or("alpha", 0.2f64)?;
-    let ph: f64 = args.get_parsed_or("ph", 0.2f64)?;
-    let pl: f64 = args.get_parsed_or("pl", 0.02f64)?;
+    // The ranges `Population::two_point` asserts.
+    let loss_rate = |p: &f64| (0.0..1.0).contains(p);
+    let alpha: f64 = args.get_checked_or("alpha", 0.2f64, unit_interval)?;
+    let ph: f64 = args.get_checked_or("ph", 0.2f64, loss_rate)?;
+    let pl: f64 = args.get_checked_or("pl", 0.02f64, loss_rate)?;
     let seed: u64 = args.get_parsed_or("seed", 1u64)?;
     let protocol = args.get_or("protocol", "wka");
     args.finish()?;

@@ -148,3 +148,61 @@ fn replay_reports_the_trace_configuration() {
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// Only a sweep writes a report, so `--out` on any other run is a flag
+/// nobody reads: an error, and no file appears.
+#[test]
+fn out_without_sweep_is_an_error() {
+    let dir = scratch("out");
+    let report = dir.join("report.json");
+    let out = rekey(&[
+        "workload",
+        "--generator",
+        "uniform",
+        "--scheme",
+        "tt",
+        "--intervals",
+        "5",
+        "--out",
+        path(&report),
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("--out"), "{stderr}");
+    assert!(!report.exists());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A warm-up as long as the run leaves no interval to average: the
+/// run refuses it, generated or replayed, instead of printing zeros.
+#[test]
+fn warmup_must_leave_a_churn_interval() {
+    let dir = scratch("warmup");
+    let file = dir.join("uniform.trace.bin");
+    let trace = Trace {
+        generator: "uniform".into(),
+        scenario: workload_by_name("uniform")
+            .unwrap()
+            .compile(1, 6, &GenParams::default()),
+    };
+    std::fs::write(&file, trace.encode()).unwrap();
+    let run = ["workload", "--scheme", "tt", "--loss", "none"];
+    for source in [["--intervals", "6"], ["--trace", path(&file)]] {
+        for warmup in ["6", "10"] {
+            let out = rekey(&[&run[..], &source, &["--warmup", warmup]].concat());
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(
+                out.status.code(),
+                Some(1),
+                "{source:?} --warmup {warmup}: {stderr}"
+            );
+            assert!(
+                stderr.contains(&format!("invalid value \"{warmup}\" for --warmup")),
+                "{stderr}"
+            );
+        }
+        let last = stdout(&[&run[..], &source, &["--warmup", "5"]].concat());
+        assert!(last.contains("(std 0, "), "one interval averaged: {last}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -1,8 +1,7 @@
 //! HKDF-SHA256 key derivation as specified in RFC 5869.
 //!
 //! Used by [`crate::Key::derive`] to give every use of a key other
-//! than [`crate::keywrap`] a labelled sub-key of its own, and by the
-//! OFT scheme to derive node keys from blinded child keys.
+//! than [`crate::keywrap`] a labelled sub-key of its own.
 
 use crate::hmac::{hmac, HmacSha256};
 use crate::sha256::DIGEST_LEN;

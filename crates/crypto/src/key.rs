@@ -55,8 +55,7 @@ impl Key {
     ///
     /// A key's raw bytes key the [`crate::keywrap`] AEAD and nothing
     /// else; any other use of a key goes through a label of its own
-    /// (`"net-hello"` for the session handshake, `"oft-blind"` for
-    /// OFT's blinded keys).
+    /// (`"net-hello"` for the session handshake).
     ///
     /// This is `hkdf::derive(b"rekey-key-derive", key, label)`.
     pub fn derive(&self, label: &[u8]) -> Key {

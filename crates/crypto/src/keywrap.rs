@@ -56,7 +56,7 @@
 //! with [`CryptoError::BadTag`] instead of installing the right key
 //! bytes under the wrong `(node, version)`. [`WrapKek::wrap`] /
 //! [`WrapKek::unwrap`] are the same construction with empty associated
-//! data (OFT's broadcasts, which carry their own headers).
+//! data; tests and the key-wrap throughput timing use them.
 //!
 //! # Limits
 //!
@@ -75,8 +75,7 @@
 //!   trial decryption.
 //! - **Key usage.** A [`Key`]'s raw bytes key this wrap and the key
 //!   advance [`advance`], and nothing else; every other use goes
-//!   through [`Key::derive`] with its own label (`"net-hello"`,
-//!   `"oft-blind"`).
+//!   through [`Key::derive`] with its own label (`"net-hello"`).
 //!
 //! # The key advance
 //!

@@ -14,9 +14,7 @@
 //! - [`member::GroupMember`] — the receiver side: processes rekey
 //!   messages, maintaining exactly the keys on its leaf-to-root path,
 //! - [`queue::KeyQueue`] — the linear-queue partition used by the
-//!   paper's QT-scheme for short-duration members,
-//! - [`oft`] — one-way function trees \[BM00\], the alternative
-//!   hierarchy the paper notes its optimizations also apply to.
+//!   paper's QT-scheme for short-duration members.
 //!
 //! # Example
 //!
@@ -52,7 +50,6 @@
 
 pub mod member;
 pub mod message;
-pub mod oft;
 pub mod queue;
 pub mod server;
 pub mod tree;

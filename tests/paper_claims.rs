@@ -267,14 +267,6 @@ fn ablation_three_loss_trees_beat_one() {
     );
 }
 
-/// Ablation 5, §2.1.1 ([BM00]): an OFT eviction costs ≈ h + 1 keys,
-/// binary LKH ≈ 2h.
-#[test]
-fn ablation_oft_evicts_cheaper_than_binary_lkh() {
-    let c = figures::ablation_oft_vs_lkh();
-    assert!(c.oft < c.lkh, "OFT {:.1} vs LKH {:.1}", c.oft, c.lkh);
-}
-
 /// Ablation 8: the paper's d = 4 beats both extremes of the degree
 /// sweep on the Table 1 workload.
 #[test]
