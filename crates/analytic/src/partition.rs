@@ -9,9 +9,12 @@
 //!
 //! [`PartitionParams::steady_state`] solves the open queueing system
 //! of Fig. 2 (equations (1)–(7)); the `cost_*` methods evaluate the
-//! per-interval rekeying cost of each scheme (equations (8)–(10)).
+//! per-interval rekeying cost of each scheme (equations (8)–(10)), and
+//! the `cost_*_chained` ones the same equations over
+//! [`ne_chained`], the cost of the live
+//! planner, which derives an updated key from an updated child's.
 
-use crate::appendix_a::ne;
+use crate::appendix_a::{ne, ne_chained};
 use serde::{Deserialize, Serialize};
 
 /// Parameters of the two-partition evaluation (Table 1 defaults via
@@ -118,6 +121,16 @@ impl PartitionParams {
     /// Rekey cost per interval for the unoptimized one-keytree scheme:
     /// `Ne(N, J)`.
     pub fn cost_one_keytree(&self) -> f64 {
+        self.one_keytree_over(ne)
+    }
+
+    /// [`PartitionParams::cost_one_keytree`] over
+    /// [`ne_chained`].
+    pub fn cost_one_keytree_chained(&self) -> f64 {
+        self.one_keytree_over(ne_chained)
+    }
+
+    fn one_keytree_over(&self, ne: fn(u64, f64, u32) -> f64) -> f64 {
         let ss = self.steady_state();
         ne(self.group_size, ss.joins_per_period, self.degree)
     }
@@ -126,6 +139,16 @@ impl PartitionParams {
     /// `Ns + Ne(Nl, Ll)` — the queue costs one encryption per resident
     /// member, the L-tree is a normal batched LKH tree.
     pub fn cost_qt(&self) -> f64 {
+        self.qt_over(ne)
+    }
+
+    /// [`PartitionParams::cost_qt`] over
+    /// [`ne_chained`].
+    pub fn cost_qt_chained(&self) -> f64 {
+        self.qt_over(ne_chained)
+    }
+
+    fn qt_over(&self, ne: fn(u64, f64, u32) -> f64) -> f64 {
         let ss = self.steady_state();
         ss.n_s + ne(ss.n_l.round() as u64, ss.l_l, self.degree)
     }
@@ -133,6 +156,16 @@ impl PartitionParams {
     /// Rekey cost per interval for the TT-scheme (equation 9):
     /// `Ne(Ns, J) + Ne(Nl, Ll)`.
     pub fn cost_tt(&self) -> f64 {
+        self.tt_over(ne)
+    }
+
+    /// [`PartitionParams::cost_tt`] over
+    /// [`ne_chained`].
+    pub fn cost_tt_chained(&self) -> f64 {
+        self.tt_over(ne_chained)
+    }
+
+    fn tt_over(&self, ne: fn(u64, f64, u32) -> f64) -> f64 {
         let ss = self.steady_state();
         ne(ss.n_s.round() as u64, ss.joins_per_period, self.degree)
             + ne(ss.n_l.round() as u64, ss.l_l, self.degree)

@@ -570,7 +570,7 @@ fn write_workload_report(
         };
         let _ = writeln!(
             json,
-            "    {{\"workload\": \"{}\", \"scheme\": \"{}\", \"intervals\": {}, \"final_members\": {}, \"peak_members\": {}, \"total_entries\": {}, \"total_advances\": {}, \"total_bytes\": {}, \"bytes_per_interval_mean\": {:.1}, \"max_interval_bytes\": {}, \"latency_ns\": {{\"p50\": {}, \"p90\": {}, \"p99\": {}, \"max\": {}}}, \"trace_file\": {trace_file}, \"digest\": \"{}\"}}{sep}",
+            "    {{\"workload\": \"{}\", \"scheme\": \"{}\", \"intervals\": {}, \"final_members\": {}, \"peak_members\": {}, \"total_entries\": {}, \"total_advances\": {}, \"total_derivations\": {}, \"total_bytes\": {}, \"bytes_per_interval_mean\": {:.1}, \"max_interval_bytes\": {}, \"latency_ns\": {{\"p50\": {}, \"p90\": {}, \"p99\": {}, \"max\": {}}}, \"trace_file\": {trace_file}, \"digest\": \"{}\"}}{sep}",
             json_escape(&cell.generator),
             cell.scheme,
             cell.stats.intervals,
@@ -578,6 +578,7 @@ fn write_workload_report(
             cell.peak_members,
             cell.stats.total_entries,
             cell.stats.total_advances,
+            cell.stats.total_derivations,
             cell.stats.total_bytes,
             cell.mean_interval_bytes(),
             cell.max_interval_bytes,

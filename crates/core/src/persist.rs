@@ -97,9 +97,11 @@ use std::fmt;
 use std::time::Instant;
 
 /// Version byte leading a serialized [`EpochRecord`]: the record
-/// layout *and* the planner that replays it (module docs). 2 is the
-/// planner that advances join-only keys by F; 1 wrapped them.
-pub const RECORD_WIRE_VERSION: u8 = 2;
+/// layout *and* the planner that replays it (module docs). 3 is the
+/// planner that derives a compromised key from its compromised child by
+/// G; 2 drew it fresh and wrapped it under that child, and advanced
+/// join-only keys by F, which 1 wrapped.
+pub const RECORD_WIRE_VERSION: u8 = 3;
 
 /// Smallest serialized join: member id, individual key, a class byte
 /// and a loss-rate flag.
@@ -1128,7 +1130,7 @@ mod tests {
             Journal::new(storage, 0).recover(&mut rebuilt),
             Err(PersistError::PlannerChanged {
                 found: 0xAB,
-                expected: 2
+                expected: RECORD_WIRE_VERSION
             })
         ));
     }

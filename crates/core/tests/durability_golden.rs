@@ -1,19 +1,23 @@
 //! The bytes the durability path leaves behind are frozen.
 //!
-//! The digests below and `tests/fixtures/datadir-record-v2` were
-//! written by the planner that advances join-only keys by F; the same
-//! script must still write the same bytes, and the committed directory
-//! must still restore. `tests/fixtures/datadir-pr19` was written by the
-//! planner before it, whose WAL records (version 1) re-render their
-//! epochs differently: its snapshot still restores, its records are
-//! refused as `PersistError::PlannerChanged`.
+//! The digests below and `tests/fixtures/datadir-record-v3` were
+//! written by the planner that derives a compromised key from its
+//! compromised child by G; the same script must still write the same
+//! bytes, and the committed directory must still restore.
+//! `tests/fixtures/datadir-record-v2` was written by the planner before
+//! it (join-only keys advance by F, compromised ones are all fresh) and
+//! `tests/fixtures/datadir-pr19` by the one before that (version-1
+//! records). Their WAL records re-render their epochs differently:
+//! their snapshots still restore, their records are refused as
+//! `PersistError::PlannerChanged`.
 //!
-//! The digests moved once, for that planner: each WAL record's version
+//! The digests moved once for each planner: each WAL record's version
 //! byte, the randomness the planner no longer draws (every later RNG
-//! state and key), and the advanced keys in the snapshots. The trees
-//! did not: per interval the script's encrypted keys before equal its
-//! encrypted keys plus its advances now, plus one per tree that was
-//! empty when the batch began (`PARENT_KEYS`).
+//! state and key), and the advanced or derived keys in the snapshots.
+//! The trees did not: per interval the script's encrypted keys before
+//! the key advance equal its encrypted keys plus its advances plus its
+//! derivations now, plus one per tree that was empty when the batch
+//! began (`PARENT_KEYS`).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -75,7 +79,7 @@ fn run_script<S: Storage>(
 
 /// sha256 over the framed WAL stream and the sealed snapshot as they
 /// stand after each of 12 intervals (snapshot every 4), and each
-/// interval's encrypted keys plus advances.
+/// interval's encrypted keys plus advances plus derivations.
 fn storage_digest(scheme: Scheme) -> (String, Vec<usize>) {
     let mut rng = StdRng::seed_from_u64(0x5EA1);
     let mut manager = scheme.build(&SchemeConfig::default());
@@ -95,14 +99,18 @@ fn storage_digest(scheme: Scheme) -> (String, Vec<usize>) {
             let snapshot = storage.snapshot_bytes().unwrap_or_default();
             hasher.update(&(snapshot.len() as u64).to_be_bytes());
             hasher.update(&snapshot);
-            changed.push(outcome.stats.encrypted_keys + outcome.message.advances.len());
+            let message = &outcome.message;
+            changed.push(
+                outcome.stats.encrypted_keys + message.advances.len() + message.derivations.len(),
+            );
         },
     );
     (hex(&hasher.finalize()), changed)
 }
 
-/// Per interval of the script, the previous planner's encrypted keys
-/// (`.0`) and the trees that were empty when the batch began (`.1`):
+/// Per interval of the script, the encrypted keys of the planner before
+/// the key advance (`.0`) and the trees that were empty when the batch
+/// began (`.1`):
 /// the S-tree at the bootstrap, and at the first S → L migration
 /// (interval 11) TT's L-tree or the combined scheme's two.
 const PARENT_KEYS: [(Scheme, [usize; 12], [usize; 12]); 2] = [
@@ -120,13 +128,14 @@ const PARENT_KEYS: [(Scheme, [usize; 12], [usize; 12]); 2] = [
 
 #[test]
 fn wal_and_snapshot_bytes_are_frozen() {
-    // Each key the previous planner sent is now an entry or an advance,
-    // except an empty tree's root: it was wrapped under the bootstrap
-    // key, which no member holds, and is now fresh and sent under its
-    // children alone.
+    // Each key the planner before the key advance sent is now an entry,
+    // an advance or a derivation, except an empty tree's root: it was
+    // wrapped under the bootstrap key, which no member holds, and is now
+    // made in the batch and sent under (or derived from) its children
+    // alone.
     let pinned = [
-        "a8e6f3dae1b3f5f60c0c3a043e69154fd58e6ce1f9fa3afaf3330280c61112e4",
-        "a8339a71efbc3fc3e01bd50279a8c713ef7ac9b78afc066485b5b2033de18e42",
+        "273c711fff51a7343128b00abfb8facfcf6ea2075dcb2a137bba1a19f9b937a3",
+        "1f44064ba5f830690692ab2c5d5fccb9d7a6163ae0880c64a8a5e078841e1223",
     ];
     for ((scheme, parent, empty), pinned) in PARENT_KEYS.into_iter().zip(pinned) {
         let (digest, changed) = storage_digest(scheme);
@@ -140,16 +149,16 @@ fn wal_and_snapshot_bytes_are_frozen() {
 // The committed data directories
 // ---------------------------------------------------------------------
 
-/// Where both fixtures came from: [`write_fixture_script`]'s six
+/// Where the fixtures came from: [`write_fixture_script`]'s six
 /// intervals, snapshot at epoch 4, two WAL records behind it.
 const FIXTURE_EPOCH: u64 = 6;
 const SNAPSHOT_EPOCH: u64 = 4;
 
-/// The DEK `datadir-record-v2` recovers to, at [`FIXTURE_EPOCH`].
-const FIXTURE_DEK: &str = "6400863d021abdbb38cb1b19bd4477ab562504c6bd62ef877aa33f55fc972fcc";
+/// The DEK `datadir-record-v3` recovers to, at [`FIXTURE_EPOCH`].
+const FIXTURE_DEK: &str = "eb181734e2dcc07b4185ce70e221a8deb08826512c07c2588138798dca4e7f50";
 
-/// The DEK at [`SNAPSHOT_EPOCH`] of the script as the previous planner
-/// ran it: what `datadir-pr19`'s snapshot holds.
+/// The DEK at [`SNAPSHOT_EPOCH`] of the script as the version-1
+/// planner ran it: what `datadir-pr19`'s snapshot holds.
 const PARENT_SNAPSHOT_DEK: &str =
     "ef66ffefd34afcf0631932e84050dd0acbf873d5fd00116b22fcc08852c90951";
 
@@ -194,21 +203,27 @@ fn write_fixture_script(dir: &Path) -> Box<dyn GroupKeyManager> {
     manager
 }
 
-/// The previous planner's WAL records would re-render their epochs
+/// The previous planners' WAL records would re-render their epochs
 /// from the logged nonce starts with another plan: recovery refuses
 /// them by their version, typed, instead of replaying them.
 #[test]
 fn parent_written_data_dir_still_recovers() {
-    let dir = copy_fixture("datadir-pr19", "recover", false);
-    let mut manager = fixture_manager();
-    let mut journal = Journal::new(DirStorage::open(&dir).expect("open"), 4);
-    match journal.recover(&mut *manager) {
-        Err(PersistError::PlannerChanged { found, expected }) => {
-            assert_eq!((found, expected), (1, RECORD_WIRE_VERSION));
+    for (fixture, found) in [("datadir-record-v2", 2), ("datadir-pr19", 1)] {
+        let dir = copy_fixture(fixture, "recover", false);
+        let mut manager = fixture_manager();
+        let mut journal = Journal::new(DirStorage::open(&dir).expect("open"), 4);
+        match journal.recover(&mut *manager) {
+            Err(PersistError::PlannerChanged {
+                found: got,
+                expected,
+            }) => {
+                assert_eq!((got, expected), (found, RECORD_WIRE_VERSION));
+                assert_eq!(RECORD_WIRE_VERSION, 3);
+            }
+            other => panic!("{fixture}: expected PlannerChanged, got {other:?}"),
         }
-        other => panic!("expected PlannerChanged, got {other:?}"),
+        std::fs::remove_dir_all(&dir).expect("cleanup");
     }
-    std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
 /// Drained — the WAL empty, as `Journal::snapshot` leaves it — the same
@@ -229,7 +244,7 @@ fn a_drained_parent_data_dir_recovers_its_snapshot() {
 
 #[test]
 fn this_commits_data_dir_recovers() {
-    let dir = copy_fixture("datadir-record-v2", "recover-v2", false);
+    let dir = copy_fixture("datadir-record-v3", "recover-v3", false);
     let mut manager = fixture_manager();
     let mut journal = Journal::new(DirStorage::open(&dir).expect("open"), 4);
     let recovery = journal.recover(&mut *manager).expect("recover");
@@ -249,7 +264,7 @@ fn this_commit_writes_the_parents_files() {
     for name in [WAL_FILE, SNAPSHOT_FILE] {
         assert_eq!(
             std::fs::read(dir.join(name)).expect("written"),
-            std::fs::read(fixture_dir("datadir-record-v2").join(name)).expect("fixture"),
+            std::fs::read(fixture_dir("datadir-record-v3").join(name)).expect("fixture"),
             "{name} differs from the committed file"
         );
     }

@@ -49,23 +49,33 @@ fn a_rekey_interval_hashes_nothing() {
     ] {
         assert_eq!(seen.counter(hashed), 0, "{hashed} on the interval path");
     }
+    let derivations = outcome.message.derivations.len() as u64;
+    assert!(
+        derivations > 0,
+        "a mixed batch at N = 1 024 derives nothing"
+    );
     assert_eq!(seen.counter("crypto.keywrap.wrap"), keys);
-    assert_eq!(seen.counter("crypto.poly1305"), keys);
+    // A wrap's tag, and a derivation's check over its labels.
+    assert_eq!(seen.counter("crypto.poly1305"), keys + derivations);
     // One block per wrap: its first half is the key stream, its second
     // the Poly1305 key.
     assert_eq!(seen.counter("crypto.chacha20_blocks"), keys);
-    // An advanced key is one ChaCha20 block under its own counter, not
-    // a wrap block: the equation above still describes the wraps.
+    // An advanced or derived key is one ChaCha20 block under its own
+    // counter, not a wrap block: the equation above still describes
+    // the wraps.
     assert_eq!(
         seen.counter("crypto.key_advance"),
         outcome.message.advances.len() as u64
     );
+    assert_eq!(seen.counter("crypto.key_derive"), derivations);
 }
 
 /// The two node counters split a batch's refreshed keys by what each
-/// cost: a fresh key wrapped per child (a leaver sat below it, or a
-/// leaf split made it) or an advance by F plus a wrap per changed child
-/// — and every join-only node is exactly one F.
+/// cost: a compromised key (a leaver sat below it, or a leaf split made
+/// it) wrapped per child, or an advance by F plus a wrap per changed
+/// child — and every join-only node is exactly one F. Of the
+/// compromised, `rekey.nodes.derived` counts those derived by G from a
+/// compromised child, exactly one G each and no wrap under that child.
 #[test]
 fn node_counters_say_where_a_batch_spent_its_keys() {
     use rekey_keytree::server::LkhServer;
@@ -104,6 +114,13 @@ fn node_counters_say_where_a_batch_spent_its_keys() {
     );
     assert_eq!(seen.counter("crypto.key_advance"), join_only);
     assert_eq!(join_only, stats.advanced_keys as u64);
+    let derived = seen.counter("rekey.nodes.derived");
+    assert!(
+        derived > 0 && derived < compromised,
+        "{derived} of {compromised}"
+    );
+    assert_eq!(seen.counter("crypto.key_derive"), derived);
+    assert_eq!(derived, stats.derived_keys as u64);
     assert_eq!(
         seen.counter("crypto.chacha20_blocks"),
         stats.encrypted_keys as u64

@@ -16,13 +16,24 @@
 //! message's advances before its entries, since an entry may be
 //! wrapped under an advanced key.
 //!
+//! A refreshed key one of whose children was refreshed in the same
+//! batch is not wrapped under that child either: it is the chain
+//! derivation G of the child's new key
+//! ([`rekey_crypto::keywrap::derive`]), and the message carries a
+//! [`KeyDerivation`] — target, new version, source child, check — in
+//! place of the wrap. A receiver that installs the source's new key
+//! from the message derives the target's at once, so the chain climbs
+//! as far as the member's path runs through the batch's fresh keys.
+//!
 //! Each entry also carries metadata the reliable-transport layer needs
 //! (\[SZJ02\]'s weighted key assignment): the number of members
 //! interested in the entry (`audience`) and the depth of the target
 //! key, which together determine how valuable the entry is.
 
 use crate::{MemberId, NodeId};
-use rekey_crypto::keywrap::{WrapKek, WrappedKey, ADVANCE_CHECK_LEN, NONCE_LEN};
+use rekey_crypto::keywrap::{
+    open_derive, WrapKek, WrappedKey, ADVANCE_CHECK_LEN, DERIVE_CHECK_LEN, NONCE_LEN,
+};
 use rekey_crypto::{CryptoError, Key};
 
 pub mod codec;
@@ -172,6 +183,52 @@ pub struct KeyAdvance {
     pub check: [u8; ADVANCE_CHECK_LEN],
 }
 
+/// One key derived by G from a child's new key: `target`'s key at
+/// `version` is G of `source`'s key as this same message installs it,
+/// and `check` is what G gave beside it over the record's
+/// [`binding`](Self::binding). Whoever installs `source`'s new key from
+/// the message computes the target's and compares the check
+/// ([`KeyDerivation::open`]); nobody else learns anything from the
+/// record. The source's version is left out: a
+/// record fires only for a source installed from its own message.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KeyDerivation {
+    /// The node whose new key was derived.
+    pub target: NodeId,
+    /// The version it was derived at (≥ 1).
+    pub version: u64,
+    /// The child of `target` whose new key it was derived from.
+    pub source: NodeId,
+    /// G's check over the record's binding.
+    pub check: [u8; DERIVE_CHECK_LEN],
+}
+
+/// Length of a derivation's [`binding`](KeyDerivation::binding).
+pub const DERIVATION_BINDING_LEN: usize = 24;
+
+impl KeyDerivation {
+    /// The labels G's check covers: `target:u64 ‖ version:u64 ‖
+    /// source:u64`, big-endian, independent of the wire codec.
+    pub fn binding(&self) -> [u8; DERIVATION_BINDING_LEN] {
+        let mut out = [0u8; DERIVATION_BINDING_LEN];
+        out[0..8].copy_from_slice(&self.target.0.to_be_bytes());
+        out[8..16].copy_from_slice(&self.version.to_be_bytes());
+        out[16..24].copy_from_slice(&self.source.0.to_be_bytes());
+        out
+    }
+
+    /// The target's key, derived from `source_key` — the source's new
+    /// key — and checked against the record's labels.
+    ///
+    /// # Errors
+    ///
+    /// [`CryptoError::BadTag`] if the record was not made from
+    /// `source_key` with exactly these labels.
+    pub fn open(&self, source_key: &Key) -> Result<Key, CryptoError> {
+        open_derive(source_key, &self.binding(), &self.check)
+    }
+}
+
 /// A multicast rekey message for one rekey event.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RekeyMessage {
@@ -181,6 +238,9 @@ pub struct RekeyMessage {
     pub entries: Vec<RekeyEntry>,
     /// Keys that advanced by F, ascending by node within each tree.
     pub advances: Vec<KeyAdvance>,
+    /// Keys derived by G from a child's new key, ascending by target
+    /// within each tree.
+    pub derivations: Vec<KeyDerivation>,
 }
 
 impl RekeyMessage {
@@ -190,16 +250,18 @@ impl RekeyMessage {
             epoch,
             entries: Vec::new(),
             advances: Vec::new(),
+            derivations: Vec::new(),
         }
     }
 
     /// Number of encrypted keys — the paper's key-server cost metric.
-    /// An advance encrypts nothing and is not counted.
+    /// An advance or a derivation encrypts nothing and is not counted.
     pub fn encrypted_key_count(&self) -> usize {
         self.entries.len()
     }
 
-    /// Encoded size of the entries and advances in bytes: what
+    /// Encoded size of the entries, advances and derivations in bytes:
+    /// what
     /// [`codec::encode_message`] writes behind its
     /// [`codec::MESSAGE_HEADER_LEN`]-byte head. An entry's size depends
     /// on its predecessor, so this is a sizing pass of the coder over
@@ -208,13 +270,14 @@ impl RekeyMessage {
         codec::body_len(self)
     }
 
-    /// Whether the message changes no key: no entries, no advances.
+    /// Whether the message changes no key: no entries, no advances, no
+    /// derivations.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty() && self.advances.is_empty()
+        self.entries.is_empty() && self.advances.is_empty() && self.derivations.is_empty()
     }
 
-    /// Appends all entries and advances of `other` after those of
-    /// `self`.
+    /// Appends all entries, advances and derivations of `other` after
+    /// those of `self`.
     ///
     /// Used by group-key managers that compose several trees (e.g. the
     /// two-partition schemes): sub-tree messages come first, then the
@@ -225,6 +288,7 @@ impl RekeyMessage {
     pub fn merge(&mut self, other: RekeyMessage) {
         self.entries.extend(other.entries);
         self.advances.extend(other.advances);
+        self.derivations.extend(other.derivations);
     }
 
     /// Iterates over entries together with their index (used by
@@ -276,16 +340,25 @@ mod tests {
             version: 3,
             check: [node as u8; ADVANCE_CHECK_LEN],
         };
+        let derivation = |target| KeyDerivation {
+            target: NodeId::from_parts(0, target),
+            version: 2,
+            source: NodeId::from_parts(0, target + 1),
+            check: [target as u8; DERIVE_CHECK_LEN],
+        };
         let mut a = RekeyMessage::new(1);
         a.entries.push(entry(2));
         a.advances.push(advance(4));
+        a.derivations.push(derivation(5));
         let mut b = RekeyMessage::new(1);
         b.entries.push(entry(0));
         b.advances.push(advance(9));
+        b.derivations.push(derivation(3));
         a.merge(b);
         assert_eq!(a.entries[0].target_depth, 2);
         assert_eq!(a.entries[1].target_depth, 0);
         assert_eq!(a.advances, [advance(4), advance(9)]);
+        assert_eq!(a.derivations, [derivation(5), derivation(3)]);
         assert_eq!(a.encrypted_key_count(), 2);
     }
 }

@@ -13,9 +13,10 @@
 //! [`crate::server::LkhServer`] turns those into rekey messages.
 
 use crate::message::codec::{get_u32, get_u64, get_u8, put_u32, put_u64};
+use crate::message::KeyDerivation;
 use crate::{KeyTreeError, MemberId, NodeId};
 use rand::RngCore;
-use rekey_crypto::keywrap::{advance, ADVANCE_CHECK_LEN};
+use rekey_crypto::keywrap::{advance, derive, ADVANCE_CHECK_LEN, DERIVE_CHECK_LEN};
 use rekey_crypto::Key;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -353,6 +354,34 @@ impl KeyTree {
         let replaced = (n.version, std::mem::replace(&mut n.key, key));
         n.version += 1;
         (replaced.0, replaced.1, check)
+    }
+
+    /// Installs at `node` the chain derivation G of `source`'s current
+    /// key ([`rekey_crypto::keywrap::derive`]), bumping `node`'s
+    /// version; draws no randomness. Returns the record that announces
+    /// it, whose check a holder of `source`'s key verifies.
+    ///
+    /// Every holder of `source`'s key can compute the new one, so the
+    /// server derives only from a child whose key it drew (or derived)
+    /// in the same batch (`LkhServer`'s rule).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` or `source` does not exist.
+    pub fn derive_key(&mut self, node: NodeId, source: NodeId) -> KeyDerivation {
+        let idx = self.index_of[&node];
+        let mut record = KeyDerivation {
+            target: node,
+            version: self.node(idx).version + 1,
+            source,
+            check: [0; DERIVE_CHECK_LEN],
+        };
+        let (key, check) = derive(&self.node(self.index_of[&source]).key, &record.binding());
+        record.check = check;
+        let n = self.node_mut(idx);
+        n.key = key;
+        n.version = record.version;
+        record
     }
 
     /// Inserts a new member leaf holding `individual_key`.
@@ -963,6 +992,19 @@ mod tests {
         assert_eq!((replaced_version, &replaced), (v0, &k0));
         assert_eq!(tree.root_version(), v0 + 1);
         assert_eq!(advance(&k0), (tree.root_key().clone(), check));
+    }
+
+    #[test]
+    fn derive_key_is_g_of_the_sources_key() {
+        let (mut tree, _) = build(3, 9);
+        let root = tree.root_id();
+        let child = tree.children_of(root).unwrap().next().unwrap().id;
+        let source_key = tree.key_of(child).unwrap().0.clone();
+        let v0 = tree.root_version();
+        let record = tree.derive_key(root, child);
+        assert_eq!((record.version, tree.root_version()), (v0 + 1, v0 + 1));
+        assert_eq!((record.target, record.source), (root, child));
+        assert_eq!(record.open(&source_key), Ok(tree.root_key().clone()));
     }
 
     #[test]

@@ -3,12 +3,14 @@
 //!
 //! `LkhServer` plans every batch by one rule per refreshed node (see
 //! the `server` module header): a node a leaver of the batch sat below,
-//! one the batch created, or an empty tree's root gets a fresh key
-//! wrapped under every child; any other node advances by F and is
-//! wrapped once under each changed child. The random scripts below run
-//! pure-join, pure-leave and mixed batches over trees of degree 2–4
-//! that reuse vacancies, split leaves and promote single children, and
-//! hold every message to:
+//! one the batch created, or an empty tree's root is *compromised* — it
+//! derives its new key by G from its first compromised child and is
+//! wrapped under every other child, or, with no compromised child, gets
+//! a fresh key wrapped under every child; any other node advances by F
+//! and is wrapped once under each changed child. The random scripts
+//! below run pure-join, pure-leave and mixed batches over trees of
+//! degree 2–5 that reuse vacancies, split leaves and promote single
+//! children, and hold every message to:
 //!
 //! - **forward secrecy, structurally**: no entry is wrapped under, and
 //!   no key is advanced from, a key version that a leaver of this or
@@ -23,16 +25,24 @@
 //!   two entries of a batch, so no KEK sees two nonces of a batch's run
 //!   (`rekey_crypto::keywrap`'s nonce argument needs only distinctness
 //!   across batches).
-//!
+//! - **chains start at fresh keys**: every derivation's source is a
+//!   child of its target, compromised in the same batch and never a
+//!   leaf; no entry wraps a derived target under its source; a
+//!   compromised node is derived exactly when it has a compromised
+//!   child, and the batch draws one fresh key for each that has none
+//!   (and one per interior a split makes) — no more.
 //! - **the same nodes as before**: the advanced `(node, version)`
 //!   pairs are exactly the ones the previous planner wrapped under their
 //!   own previous version (a digest of those, computed by that planner
-//!   on the same script, is pinned below), less an empty tree's root.
+//!   on the same script, is pinned below), less an empty tree's root;
+//!   and each batch's entries plus derivations are the entries of the
+//!   planner before the chain derivation (a digest of its per-batch
+//!   counts on the same script is pinned below).
 //!
 //! One bulk case pins bytes at a size where the cost shape matters.
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use rekey_crypto::{sha256, Key};
 use rekey_keytree::member::GroupMember;
 use rekey_keytree::message::codec::encode_message;
@@ -63,7 +73,8 @@ fn entitled(server: &LkhServer, member: MemberId) -> Vec<(NodeId, u64)> {
 
 /// SHA-256 over every round's pairs that only joins changed —
 /// the round's degree and number, then its `(node, new version)` pairs
-/// in ascending order, big-endian — on the script of `no_entry_is_wrapped_under_a_key_a_leaver_held`.
+/// in ascending order, big-endian — on the script of
+/// `no_entry_is_wrapped_under_a_key_a_leaver_held`, degrees 2–4.
 /// The planner before the key advance wrapped each of them under its own
 /// previous version (`under == target`), and this digest is of those
 /// self-wraps, taken with that planner; rounds that began with an empty
@@ -71,6 +82,44 @@ fn entitled(server: &LkhServer, member: MemberId) -> Vec<(NodeId, u64)> {
 /// tree's root (under the deterministic bootstrap key, held by no
 /// member), which is now a fresh key with no advance.
 const PARENT_SELF_WRAPS: &str = "0e4b9a2921c9fc33a2914dcf6ccd86492bfdeae4af47a416251d7270dcea045b";
+
+/// SHA-256 over every round's encrypted keys as the planner before the
+/// chain derivation sent them — the round's degree and number, then the
+/// count as a big-endian `u64` — on the same script, degrees 2–5. Each
+/// of those entries is now an entry or a derivation record.
+const PARENT_KEYS_PER_BATCH: &str =
+    "25b7d2b6b7fc515d6ad279fa2b5d8e3a4d12f33debe8cf0d03796ca87c9f062f";
+
+/// Counts the key-sized draws (`Key::generate`) a batch makes.
+struct KeyDraws<'a>(&'a mut StdRng, usize);
+
+impl RngCore for KeyDraws<'_> {
+    fn next_u32(&mut self) -> u32 {
+        self.0.next_u32()
+    }
+    fn next_u64(&mut self) -> u64 {
+        self.0.next_u64()
+    }
+    fn fill_bytes(&mut self, dest: &mut [u8]) {
+        self.1 += usize::from(dest.len() == 32);
+        self.0.fill_bytes(dest);
+    }
+}
+
+/// Each node's parent, read off every present member's leaf-to-root
+/// chain.
+fn parents(server: &LkhServer) -> HashMap<NodeId, NodeId> {
+    let tree = server.tree();
+    let mut parent = HashMap::new();
+    for member in tree.members() {
+        let mut below = tree.leaf_of(member).unwrap();
+        for node in tree.path_of(member).unwrap() {
+            parent.insert(below, node);
+            below = node;
+        }
+    }
+    parent
+}
 
 /// SHA-256 over every member, ascending: its id, its leaf, and each
 /// node on its path with that node's version — the tree without keys.
@@ -94,10 +143,11 @@ fn shape_digest(server: &LkhServer) -> String {
 fn no_entry_is_wrapped_under_a_key_a_leaver_held() {
     // Which tree shapes the scripts reached: splits, promotions,
     // vacancy reuse, and advanced nodes inside a batch with leavers.
-    let mut seen = [0usize; 4];
+    let mut seen = [0usize; 5];
     let mut advanced_pairs = sha256::Sha256::new();
+    let mut changed_keys = sha256::Sha256::new();
 
-    for degree in [2usize, 3, 4] {
+    for degree in [2usize, 3, 4, 5] {
         // The script draws from its own stream, so it does not depend
         // on how much randomness a planner consumes.
         let mut script = StdRng::seed_from_u64(0xBA7C4 + degree as u64);
@@ -152,9 +202,72 @@ fn no_entry_is_wrapped_under_a_key_a_leaver_held() {
                 present.remove(leaver);
                 burned.extend(held.remove(leaver).expect("leaver was present"));
             }
-            let outcome = server.apply_batch(&joins, &leavers, &mut rng);
+            let mut draws = KeyDraws(&mut rng, 0);
+            let outcome = server.apply_batch(&joins, &leavers, &mut draws);
+            let key_draws = draws.1;
             server.tree().check_invariants();
             let entries = &outcome.message.entries;
+            let derivations = &outcome.message.derivations;
+            changed_keys.update(&[degree as u8, round as u8]);
+            changed_keys.update(&((entries.len() + derivations.len()) as u64).to_be_bytes());
+
+            // Compromised: on a leaver's path, made by a split of this
+            // batch, or the root of a tree that was empty.
+            let root = server.root_node();
+            let parent = parents(&server);
+            let leaves_now: HashSet<NodeId> = server
+                .tree()
+                .members()
+                .map(|m| server.tree().leaf_of(m).unwrap())
+                .collect();
+            let created: HashSet<NodeId> = parent
+                .values()
+                .copied()
+                .filter(|node| *node != root && !old_versions.contains_key(node))
+                .collect();
+            let compromised: HashSet<NodeId> = parent
+                .values()
+                .copied()
+                .chain([root])
+                .filter(|node| {
+                    leaver_ancestors.contains(node)
+                        || created.contains(node)
+                        || (was_empty && *node == root)
+                })
+                .collect();
+            let has_compromised_child = |node: NodeId| {
+                parent
+                    .iter()
+                    .any(|(child, p)| *p == node && compromised.contains(child))
+            };
+            assert_eq!(outcome.stats.derived_keys, derivations.len());
+            let mut derived = HashSet::new();
+            for derivation in derivations {
+                let (target, source) = (derivation.target, derivation.source);
+                assert_eq!(parent.get(&source), Some(&target), "{at}: {derivation:?}");
+                assert!(compromised.contains(&target), "{at}: {derivation:?}");
+                assert!(compromised.contains(&source), "{at}: {derivation:?}");
+                assert!(!leaves_now.contains(&source), "{at}: derived from a leaf");
+                assert_eq!(
+                    server.tree().key_of(target).unwrap().1,
+                    derivation.version,
+                    "{at}: {derivation:?}"
+                );
+                assert!(derived.insert(target), "{at}: {target} derived twice");
+            }
+            let fresh = compromised
+                .iter()
+                .filter(|&&node| {
+                    let chained = has_compromised_child(node);
+                    assert_eq!(chained, derived.contains(&node), "{at}: {node}");
+                    !chained
+                })
+                .count();
+            // Split interiors draw a placeholder key when made; every
+            // compromised node over no compromised child then draws its
+            // fresh one, and nothing else draws a key.
+            assert_eq!(key_draws, created.len() + fresh, "{at}");
+            seen[4] += derivations.len();
 
             let mut wrapped_under = HashSet::new();
             for entry in entries {
@@ -164,6 +277,12 @@ fn no_entry_is_wrapped_under_a_key_a_leaver_held() {
                     "{at}: {entry:?} is wrapped under a key a leaver held"
                 );
                 assert_ne!(entry.under, entry.target, "{at}: a self-wrap");
+                assert!(
+                    !derivations
+                        .iter()
+                        .any(|d| (d.target, d.source) == (entry.target, entry.under)),
+                    "{at}: {entry:?} wraps a derived key under its source"
+                );
                 assert!(
                     wrapped_under.insert(under),
                     "{at}: {under:?} wraps two entries of one batch"
@@ -223,7 +342,7 @@ fn no_entry_is_wrapped_under_a_key_a_leaver_held() {
                 assert!(!burned.contains(&(node, advance.version - 1)), "{at}");
                 seen[3] += usize::from(!leavers.is_empty());
             }
-            if !was_empty {
+            if !was_empty && degree <= 4 {
                 let mut pairs: Vec<(NodeId, u64)> = outcome
                     .message
                     .advances
@@ -241,16 +360,17 @@ fn no_entry_is_wrapped_under_a_key_a_leaver_held() {
     }
     assert!(
         seen.iter().all(|&n| n > 0),
-        "[splits, promotions, reused vacancies, advanced nodes beside leavers] = {seen:?}"
+        "[splits, promotions, reused vacancies, advanced nodes beside leavers, derivations] \
+         = {seen:?}"
     );
     assert_eq!(hex(&advanced_pairs.finalize()), PARENT_SELF_WRAPS);
+    assert_eq!(hex(&changed_keys.finalize()), PARENT_KEYS_PER_BATCH);
 }
 
 /// sha256 over every entry's header (`RekeyEntry::binding`), nonce and
 /// ciphertext — its sealed part without the tag — and every advance
-/// record of `message`. The values pinned below were recorded at the
-/// commit before the one-block key wrap, which moved tags and nothing
-/// else; the whole-message digests were re-pinned behind them.
+/// and derivation record of `message`. A change that moves only tags
+/// leaves it where it was; the whole-message digests re-pin behind it.
 fn untagged_digest(message: &RekeyMessage) -> String {
     let mut hasher = sha256::Sha256::new();
     for entry in &message.entries {
@@ -262,6 +382,10 @@ fn untagged_digest(message: &RekeyMessage) -> String {
         hasher.update(&advance.node.0.to_be_bytes());
         hasher.update(&advance.version.to_be_bytes());
         hasher.update(&advance.check);
+    }
+    for derivation in &message.derivations {
+        hasher.update(&derivation.binding());
+        hasher.update(&derivation.check);
     }
     hex(&hasher.finalize())
 }
@@ -278,7 +402,10 @@ fn untagged_digest(message: &RekeyMessage) -> String {
 /// self-wrap — an empty tree's root under the bootstrap key — is gone.
 /// The third re-pin, of the two message digests alone, is for the
 /// one-block key wrap: only tags moved, behind the untagged digests
-/// pinned first.
+/// pinned first. The fourth is for the chain derivation, again by
+/// relation: each entry of the planner before it is now an entry or a
+/// derivation record (428 and 5 994 of them), and the shape did not
+/// move.
 #[test]
 fn bulk_pure_join_costs_one_individual_key_wrap_per_joiner() {
     let mut rng = StdRng::seed_from_u64(0x4096);
@@ -289,10 +416,13 @@ fn bulk_pure_join_costs_one_individual_key_wrap_per_joiner() {
     let founders = joiners(0..300, &mut rng);
     let bootstrap = server.apply_batch(&founders, &[], &mut rng);
     assert_eq!(bootstrap.stats.advanced_keys, 0);
-    assert_eq!(bootstrap.stats.encrypted_keys + 1, 429);
+    assert_eq!(
+        bootstrap.stats.encrypted_keys + bootstrap.stats.derived_keys,
+        428
+    );
     assert_eq!(
         untagged_digest(&bootstrap.message),
-        "7b6e4c1b70c8fcd8f84e0cc9efafcad18c9be785c4c67be5cb23e6ed1ca9b107"
+        "ab20989f99614f0e63349b66754ac8701a1b1347d026bb9b0be22ad051f1c9d9"
     );
     assert_eq!(
         (
@@ -300,8 +430,8 @@ fn bulk_pure_join_costs_one_individual_key_wrap_per_joiner() {
             hex(&sha256::digest(&encode_message(&bootstrap.message)))
         ),
         (
-            428,
-            "9b0a3562d36380e684f12cc821e946ec92eb8ba8e856afc92b5556ebbf3b4f10".to_owned()
+            363,
+            "20b9dd4a9a53c517186f8ee798bc8dace47e07c54d7d6eaca2d97eee251ee113".to_owned()
         )
     );
 
@@ -321,10 +451,14 @@ fn bulk_pure_join_costs_one_individual_key_wrap_per_joiner() {
         bulk.stats.encrypted_keys + bulk.stats.advanced_keys
             <= bulk.stats.joins + 2 * bulk.stats.refreshed_keys
     );
-    assert_eq!(bulk.stats.encrypted_keys + bulk.stats.advanced_keys, 6_110);
+    assert_eq!(
+        bulk.stats.encrypted_keys + bulk.stats.advanced_keys + bulk.stats.derived_keys,
+        6_110
+    );
+    assert_eq!(bulk.stats.encrypted_keys + bulk.stats.derived_keys, 5_994);
     assert_eq!(
         untagged_digest(&bulk.message),
-        "60d2048d9c94cbb8f3fc73e0cd290c2ef66979f80135fc4117102abf49817bde"
+        "e23dd7dc232ab27e8c40b1139e51b0e040c34e59f2197def15495a9afaac37d4"
     );
     assert_eq!(
         (
@@ -332,15 +466,15 @@ fn bulk_pure_join_costs_one_individual_key_wrap_per_joiner() {
             hex(&sha256::digest(&encode_message(&bulk.message)))
         ),
         (
-            5_994,
-            "20eb8c533e2bc26459613b0508ccc68417a19739c0835706fd393decf605f8d7".to_owned()
+            5_502,
+            "72736fc1155ac26a178a724ae9c6112fe174fa3f452c59301d57c8303730b4e0".to_owned()
         )
     );
     let mut state = Vec::new();
     server.encode_into(&mut state);
     assert_eq!(
         hex(&sha256::digest(&state)),
-        "e320439193430a9c10c520c8c62da680273bef87af36959593bce687c97fa422"
+        "42a1816c6e49eabf71811818c584c4de211cad1693ac8a7f4c7b6314246f0704"
     );
     // The keys are new (F where a random key was), the tree is not:
     // every member's path and every version on it are the ones the

@@ -1,5 +1,5 @@
-//! Property-based tests for the wire-format-3 coder
-//! (`message::codec`): whatever the entries and advances,
+//! Property-based tests for the wire-format-5 coder
+//! (`message::codec`): whatever the entries, advances and derivations,
 //! `decode(encode(x)) == x` in message and block form; whatever the bytes, the decoders are
 //! total, bounded in what they allocate, and accept one encoding only.
 
@@ -10,9 +10,10 @@ use rekey_crypto::keywrap::{self, next_nonce};
 use rekey_crypto::Key;
 use rekey_keytree::message::codec::{
     decode_block, decode_message, encode_block, encode_message, get_varint, put_varint,
-    BLOCK_HEADER_LEN, MESSAGE_HEADER_LEN, MIN_ADVANCE_LEN, MIN_ENTRY_LEN, WIRE_VERSION,
+    BLOCK_HEADER_LEN, MESSAGE_HEADER_LEN, MIN_ADVANCE_LEN, MIN_DERIVATION_LEN, MIN_ENTRY_LEN,
+    WIRE_VERSION,
 };
-use rekey_keytree::message::{KeyAdvance, RekeyEntry, RekeyMessage};
+use rekey_keytree::message::{KeyAdvance, KeyDerivation, RekeyEntry, RekeyMessage};
 use rekey_keytree::server::LkhServer;
 use rekey_keytree::{MemberId, NodeId};
 
@@ -97,12 +98,46 @@ fn arbitrary_advances(seed: u64, len: usize) -> Vec<KeyAdvance> {
     advances
 }
 
-/// An arbitrary message: `len` entries and up to `len` advances.
+/// Derivation records no key server would emit but the format must
+/// carry: any target, any version from 1 up, any source but the target
+/// itself, any check; by a coin flip a target neighbours the previous
+/// one and a source its target, as a server's mostly do.
+fn arbitrary_derivations(seed: u64, len: usize) -> Vec<KeyDerivation> {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xDE21);
+    let mut derivations: Vec<KeyDerivation> = Vec::with_capacity(len);
+    for _ in 0..len {
+        let target = match derivations.last() {
+            Some(p) if rng.gen() => NodeId(p.target.0.wrapping_add(rng.gen_range(1..9))),
+            _ => NodeId(wide(&mut rng)),
+        };
+        let source = if rng.gen() {
+            NodeId(target.0.wrapping_add(rng.gen_range(1..40)))
+        } else {
+            NodeId(wide(&mut rng))
+        };
+        let source = if source == target {
+            NodeId(target.0 ^ 1)
+        } else {
+            source
+        };
+        derivations.push(KeyDerivation {
+            target,
+            version: wide(&mut rng).max(1),
+            source,
+            check: rng.gen(),
+        });
+    }
+    derivations
+}
+
+/// An arbitrary message: `len` entries, up to `len` advances and up to
+/// `len` derivations.
 fn arbitrary_message(seed: u64, epoch: u64, len: usize) -> RekeyMessage {
     RekeyMessage {
         epoch,
         entries: arbitrary_entries(seed, len),
         advances: arbitrary_advances(seed, (seed % (len as u64 + 1)) as usize),
+        derivations: arbitrary_derivations(seed, (seed / 7 % (len as u64 + 1)) as usize),
     }
 }
 
@@ -139,11 +174,13 @@ proptest! {
         let bytes = encode_message(&message);
         prop_assert_eq!(bytes.len(), MESSAGE_HEADER_LEN + message.byte_len());
         prop_assert!(message.byte_len()
-            > len * MIN_ENTRY_LEN + message.advances.len() * MIN_ADVANCE_LEN);
+            > len * MIN_ENTRY_LEN
+                + message.advances.len() * MIN_ADVANCE_LEN
+                + message.derivations.len() * MIN_DERIVATION_LEN);
         prop_assert_eq!(decode_message(&bytes), Some(message.clone()));
 
         // The entries are written alike in both envelopes; the
-        // message's advances follow them.
+        // message's advances and derivations follow them.
         let block = block_of(message.entries.iter());
         let entries_end = MESSAGE_HEADER_LEN + block.len() - BLOCK_HEADER_LEN;
         prop_assert_eq!(&block[BLOCK_HEADER_LEN..], &bytes[MESSAGE_HEADER_LEN..entries_end]);
@@ -171,8 +208,9 @@ proptest! {
         prop_assert!(slice.is_empty());
 
         // In message order the compression fires: most entries carry
-        // neither a target nor a nonce.
-        let whole = encode_message(&message);
+        // no nonce, and siblings no target.
+        let block = block_of(message.entries.iter());
+        let whole = &block[BLOCK_HEADER_LEN..];
         prop_assert!(whole.len() < message.entries.len() * (MIN_ENTRY_LEN + 12),
             "{} bytes for {} entries", whole.len(), message.entries.len());
     }
@@ -199,6 +237,9 @@ proptest! {
             prop_assert!(message.entries.len() <= bound);
             prop_assert!(message.entries.capacity() <= bound);
             prop_assert!(message.advances.capacity() <= bytes.len() / MIN_ADVANCE_LEN + 1);
+            prop_assert!(
+                message.derivations.capacity() <= bytes.len() / MIN_DERIVATION_LEN + 1
+            );
             // An encoder may pick a shorter form than the input's
             // (say, an explicit nonce that was its neighbour's
             // successor), never a different meaning.
@@ -228,14 +269,17 @@ proptest! {
             prop_assert_ne!(&decoded, &message, "byte {} does not matter", at);
             prop_assert!(decoded.entries.capacity() <= bytes.len() / MIN_ENTRY_LEN + 1);
             prop_assert!(decoded.advances.capacity() <= bytes.len() / MIN_ADVANCE_LEN + 1);
+            prop_assert!(
+                decoded.derivations.capacity() <= bytes.len() / MIN_DERIVATION_LEN + 1
+            );
             prop_assert_eq!(decode_message(&encode_message(&decoded)), Some(decoded));
         }
     }
 
     /// Every truncation point and every trailing byte is rejected, in
     /// both envelopes; so is every version byte but the current one
-    /// (1, the fixed-width format, and 2, the one without advances,
-    /// included).
+    /// (1, the fixed-width format, 2, the one without advances, and 4,
+    /// the one without derivations, included).
     #[test]
     fn truncation_trailing_bytes_and_other_versions_are_rejected(
         seed in any::<u64>(), len in 1usize..10, version in any::<u8>(), extra in any::<u8>()) {

@@ -4,19 +4,47 @@
 //! open instead of installing the right key bytes under the wrong
 //! `(node, version)`. An advance record is authenticated by its check:
 //! altered anywhere, it names a key its reader does not hold at the
-//! previous version (and is ignored) or fails the check (`BadTag`).
+//! previous version (and is ignored) or fails the check (`BadTag`). A
+//! derivation record is authenticated by its check too, which G makes
+//! over the record's labels: altered anywhere, it names a source its
+//! reader did not just install (and is ignored) or fails the check.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rekey_crypto::{CryptoError, Key};
 use rekey_keytree::member::GroupMember;
-use rekey_keytree::message::codec::{decode_message, encode_message, MESSAGE_HEADER_LEN};
+use rekey_keytree::message::codec::{decode_message, encode_message, put_varint};
 use rekey_keytree::message::{RekeyEntry, RekeyMessage};
 use rekey_keytree::server::LkhServer;
 use rekey_keytree::{KeyTreeError, MemberId, NodeId};
 
 const BAD_TAG: KeyTreeError = KeyTreeError::Crypto(CryptoError::BadTag);
+
+/// Where the records of the advance and the derivation section sit in
+/// `encode_message(message)`: each behind its count.
+fn record_ranges(message: &RekeyMessage) -> (std::ops::Range<usize>, std::ops::Range<usize>) {
+    let count_len = |n: usize| {
+        let mut buf = Vec::new();
+        put_varint(&mut buf, n as u64);
+        buf.len()
+    };
+    let entries = RekeyMessage {
+        entries: message.entries.clone(),
+        ..RekeyMessage::new(message.epoch)
+    };
+    let advances = RekeyMessage {
+        advances: message.advances.clone(),
+        ..entries.clone()
+    };
+    // Each message ends in a one-byte zero count per empty section.
+    let entries_end = encode_message(&entries).len() - 2;
+    let advances_end = encode_message(&advances).len() - 1;
+    (
+        entries_end + count_len(message.advances.len())..advances_end,
+        advances_end + count_len(message.derivations.len())..encode_message(message).len(),
+    )
+}
 
 fn joiners(ids: std::ops::Range<u64>, rng: &mut StdRng) -> Vec<(MemberId, Key)> {
     ids.map(|i| (MemberId(i), Key::generate(rng))).collect()
@@ -73,7 +101,12 @@ fn a_relabelled_root_version_is_rejected_and_the_retransmission_installs() {
         entry.target_version = u64::MAX;
         relabelled += 1;
     }
-    assert_eq!(relabelled, 4, "the root's key goes out under each child");
+    // The leaver's quarter derives the root's key by G; the victim's
+    // gets it wrapped.
+    assert_eq!(
+        relabelled, 3,
+        "the root's key goes out under each child but its chain source"
+    );
 
     assert_eq!(victim.process(&tampered), Err(BAD_TAG));
     assert_eq!(victim.version_for(root), Some(version_before));
@@ -181,7 +214,7 @@ proptest! {
         for (m, member) in members.iter().enumerate() {
             let mut probe = member.clone();
             for (e, entry) in genuine.entries.iter().enumerate() {
-                if probe.process_entries([entry]).unwrap() == 1 {
+                if probe.process_entries([entry], &genuine.derivations).unwrap() > 0 {
                     opened.push((m, e));
                 }
             }
@@ -249,16 +282,9 @@ proptest! {
         let genuine = server.apply_batch(&joins, &leaves, &mut rng).message;
         prop_assume!(!genuine.advances.is_empty());
 
-        // The advance section ends the envelope: a count, then the
-        // records. Flip a byte of a record.
+        // Flip a byte of an advance record.
         let wire = encode_message(&genuine);
-        let section = RekeyMessage {
-            advances: genuine.advances.clone(),
-            ..RekeyMessage::new(genuine.epoch)
-        };
-        let section_len = encode_message(&section).len() - MESSAGE_HEADER_LEN;
-        let count_len = 1 + usize::from(genuine.advances.len() >= 0x80);
-        let records = wire.len() - section_len + count_len..wire.len();
+        let (records, _) = record_ranges(&genuine);
         let mut flipped = wire.clone();
         flipped[records.start + at.index(records.len())] ^= xor;
         let Some(tampered) = decode_message(&flipped) else {
@@ -266,6 +292,7 @@ proptest! {
         };
         prop_assert_ne!(&tampered.advances, &genuine.advances);
         prop_assert_eq!(&tampered.entries, &genuine.entries);
+        prop_assert_eq!(&tampered.derivations, &genuine.derivations);
         // A record whose label survived carries another check: every
         // holder of its previous key must refuse it.
         let forged_check = tampered
@@ -308,6 +335,82 @@ proptest! {
             victim.process(&genuine).unwrap();
             prop_assert_eq!(ring(&victim), after);
         }
+    }
+
+    /// Any byte of any derivation record flipped on the wire: what
+    /// still decodes is, for every member, `BadTag` or a record whose
+    /// source it does not install; no member comes away holding a
+    /// `(node, version, key)` the genuine message would not have given
+    /// it, and the genuine message afterwards leaves every member where
+    /// a twin that never saw the forgery is.
+    #[test]
+    fn a_flipped_derivation_byte_installs_nothing(
+        seed in any::<u64>(),
+        degree in 2usize..5,
+        founders in 6u64..48,
+        newcomers in 0u64..4,
+        leavers in 1usize..4,
+        at in any::<prop::sample::Index>(),
+        xor in 1u8..255,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut server = LkhServer::new(degree, 1);
+        let first = joiners(0..founders, &mut rng);
+        let bootstrap = server.apply_batch(&first, &[], &mut rng).message;
+        let joins = joiners(100..100 + newcomers, &mut rng);
+        let leaves: Vec<MemberId> = (0..leavers as u64).map(|i| MemberId(i * 2)).collect();
+        let genuine = server.apply_batch(&joins, &leaves, &mut rng).message;
+        prop_assume!(!genuine.derivations.is_empty());
+
+        let wire = encode_message(&genuine);
+        let (_, records) = record_ranges(&genuine);
+        let mut flipped = wire.clone();
+        flipped[records.start + at.index(records.len())] ^= xor;
+        let Some(tampered) = decode_message(&flipped) else {
+            return Ok(()); // refused by the codec
+        };
+        prop_assert_ne!(&tampered.derivations, &genuine.derivations);
+        prop_assert_eq!(&tampered.entries, &genuine.entries);
+        prop_assert_eq!(&tampered.advances, &genuine.advances);
+
+        let members = first
+            .iter()
+            .filter(|(id, _)| !leaves.contains(id))
+            .map(|(id, key)| {
+                let mut member = GroupMember::new(*id, key.clone());
+                member.process(&bootstrap).unwrap();
+                member
+            })
+            .chain(joins.iter().map(|(id, key)| GroupMember::new(*id, key.clone())));
+        let mut rejected = false;
+        for mut victim in members {
+            let mut twin = victim.clone();
+            twin.process(&genuine).unwrap();
+            let (before, after) = (ring(&victim), ring(&twin));
+            let outcome = victim.process(&tampered);
+            prop_assert!(
+                matches!(outcome, Ok(_) | Err(BAD_TAG)),
+                "unexpected error {:?}", outcome
+            );
+            rejected |= outcome.is_err();
+            for held in ring(&victim) {
+                prop_assert!(
+                    before.contains(&held) || after.contains(&held),
+                    "member {} installed {:?}, which the server never made",
+                    victim.id(), held
+                );
+            }
+            victim.process(&genuine).unwrap();
+            prop_assert_eq!(ring(&victim), after);
+        }
+        // A flipped check keeps every label, so whoever installs the
+        // record's source refuses it.
+        let same_labels = tampered
+            .derivations
+            .iter()
+            .zip(&genuine.derivations)
+            .all(|(t, g)| (t.target, t.version, t.source) == (g.target, g.version, g.source));
+        prop_assert!(rejected || !same_labels);
     }
 }
 

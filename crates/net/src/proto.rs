@@ -54,7 +54,11 @@ use rekey_keytree::MemberId;
 /// v6: `Rekey` payloads are `codec::WIRE_VERSION` 4 — each entry's key
 /// stream and Poly1305 key come from one ChaCha20 block — whose tags a
 /// v5 peer cannot verify (every entry would fail `BadTag`).
-pub const PROTO_VERSION: u8 = 6;
+/// v7: `Rekey` payloads are `codec::WIRE_VERSION` 5 — a refreshed key
+/// whose child was refreshed too is derived from that child's new key
+/// by G and arrives as a derivation record, which a v6 peer can
+/// neither parse nor apply.
+pub const PROTO_VERSION: u8 = 7;
 
 /// Server nonce length (the HMAC challenge).
 pub const NONCE_LEN: usize = 32;
@@ -526,9 +530,8 @@ mod tests {
         };
         for count in [0, 1, 5] {
             let message = RekeyMessage {
-                epoch: 17,
                 entries: (0..count).map(entry).collect(),
-                advances: Vec::new(),
+                ..RekeyMessage::new(17)
             };
             let stamp_unix_ns = 1_700_000_000_000_000_123;
             let layered = encode_frame(

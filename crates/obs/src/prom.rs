@@ -55,12 +55,16 @@ fn help_for(family: &str) -> &'static str {
         "net_sessions_live" => "Authenticated sessions currently connected",
         "rekey_encrypted_keys_total" => "Encrypted keys produced by the rekey engine",
         "rekey_nodes_compromised_total" => {
-            "Refreshed key nodes given a fresh key wrapped under every child (a leaver sat below, new, or an empty tree's root)"
+            "Refreshed key nodes a leaver sat below, new, or an empty tree's root: fresh and wrapped under every child, or derived by G from a compromised child and wrapped under the others"
+        }
+        "rekey_nodes_derived_total" => {
+            "Compromised key nodes derived by the one-way G from a compromised child instead of wrapped under it"
         }
         "rekey_nodes_join_only_total" => {
             "Refreshed key nodes advanced by the one-way F and wrapped under changed children only"
         }
         "crypto_key_advance_total" => "One-way key advances F computed (one ChaCha20 block each)",
+        "crypto_key_derive_total" => "One-way chain derivations G computed (one ChaCha20 block each)",
         "obs_dropped_events_total" => "Raw events discarded after the retention cap",
         _ => "rekey runtime metric",
     }

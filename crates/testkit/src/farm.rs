@@ -291,10 +291,11 @@ impl MemberFarm {
                         .iter()
                         .filter(|_| net_rng.gen::<f64>() >= loss)
                         .collect();
-                    // Advances travel with the envelope, not in packets.
+                    // Advances and derivations travel with the envelope,
+                    // not in packets.
                     member
                         .process_advances(&message.advances)
-                        .and_then(|_| member.process_entries(received))
+                        .and_then(|_| member.process_entries(received, &message.derivations))
                         .map_err(rejected(id, false))?;
                 }
                 false
@@ -327,7 +328,10 @@ impl MemberFarm {
                             .map_err(rejected(id, false))?;
                         if let Some(indices) = outcome.delivered.get(&id) {
                             member
-                                .process_entries(indices.iter().map(|&i| &message.entries[i]))
+                                .process_entries(
+                                    indices.iter().map(|&i| &message.entries[i]),
+                                    &message.derivations,
+                                )
                                 .map_err(rejected(id, false))?;
                         }
                     }

@@ -6,16 +6,21 @@
 //! corrupt the oracle's verdicts.
 //!
 //! The model: an entry `{target@tv} under@uv` lets any principal
-//! holding `under@uv` learn `target@tv`, and an advance of `node` to
-//! `v` lets any principal holding `node@(v − 1)` learn `node@v` (F is
-//! public; only its input is secret). The base case is an entry
+//! holding `under@uv` learn `target@tv`, an advance of `node` to `v`
+//! lets any principal holding `node@(v − 1)` learn `node@v` (F is
+//! public; only its input is secret), and a derivation of `target@v`
+//! from `source` lets any principal holding `source` at the newest
+//! version the wire has carried for it — the one the same message
+//! installs, from a correct server — learn `target@v` (so is G). The
+//! base case is an entry
 //! addressed to a member's individual (leaf) key — that grants the
 //! recipient both the leaf pair and the target pair. Knowledge is
 //! cumulative and never revoked: a member that once learned a key
 //! keeps it forever (members may be compromised or replay traffic
 //! after leaving). Secrecy must therefore come from *versioning*: a
-//! correct server never wraps a fresh key under, nor advances one
-//! from, a key a departed member holds, which the oracle checks by
+//! correct server never wraps a fresh key under, nor advances or
+//! derives one from, a key a departed member holds, which the oracle
+//! checks by
 //! intersecting the holder
 //! set of every newly born `(node, version)` pair with the departed
 //! set.
@@ -93,10 +98,17 @@ impl KnowledgeOracle {
         for advance in &message.advances {
             self.note_pair(advance.node, advance.version, &mut report.born);
         }
+        for derivation in &message.derivations {
+            self.note_pair(derivation.target, derivation.version, &mut report.born);
+        }
 
         // Propagate until stable along every edge: whoever holds
         // `under@uv` learns `target@tv`; whoever holds `node@(v − 1)`
-        // learns the advanced `node@v`.
+        // learns the advanced `node@v`; whoever holds the source's
+        // newest version learns the derived `target@v`. A server that
+        // derived from an older key than the message installs is
+        // modelled as deriving from the newest one the wire carried,
+        // which is where a departed holder shows up.
         let edges: Vec<((NodeId, u64), (NodeId, u64))> =
             message
                 .entries
@@ -104,6 +116,10 @@ impl KnowledgeOracle {
                 .map(|e| ((e.under, e.under_version), (e.target, e.target_version)))
                 .chain(message.advances.iter().filter_map(|a| {
                     Some(((a.node, a.version.checked_sub(1)?), (a.node, a.version)))
+                }))
+                .chain(message.derivations.iter().filter_map(|d| {
+                    let source = (d.source, self.latest(d.source)?);
+                    Some((source, (d.target, d.version)))
                 }))
                 .collect();
         loop {
@@ -240,6 +256,38 @@ mod tests {
         assert_eq!(
             entitled.iter().map(|m| m.0).collect::<Vec<_>>(),
             [0, 1, 2, 3, 9]
+        );
+    }
+
+    /// A leave derives the root from the leaver's side of the tree: the
+    /// oracle entitles the survivors below the source through the
+    /// derivation edge, the others through their wraps, and never the
+    /// leaver.
+    #[test]
+    fn a_derivation_entitles_the_holders_of_the_sources_new_version() {
+        let mut rng = StdRng::seed_from_u64(12);
+        let mut mgr = OneTreeManager::new(2);
+        let mut oracle = KnowledgeOracle::new();
+        let joins: Vec<Join> = (0..8).map(|i| join(i, &mut rng)).collect();
+        oracle.observe(&mgr.process_interval(&joins, &[], &mut rng).unwrap().message);
+        let out = mgr.process_interval(&[], &[MemberId(3)], &mut rng).unwrap();
+        let root = mgr.dek_node();
+        let derivation = *out
+            .message
+            .derivations
+            .iter()
+            .find(|d| d.target == root)
+            .expect("the root derives from the leaver's side");
+        assert!(out
+            .message
+            .entries
+            .iter()
+            .all(|e| (e.target, e.under) != (root, derivation.source)));
+        oracle.observe(&out.message);
+        let entitled = oracle.entitled(root, derivation.version).unwrap();
+        assert_eq!(
+            entitled.iter().map(|m| m.0).collect::<Vec<_>>(),
+            [0, 1, 2, 4, 5, 6, 7]
         );
     }
 

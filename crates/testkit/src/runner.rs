@@ -67,6 +67,10 @@ pub struct RunStats {
     /// Total key advances announced (keys that only joins changed,
     /// sent as advance records instead of entries).
     pub total_advances: usize,
+    /// Total key derivations announced (compromised keys derived by G
+    /// from a compromised child, sent as derivation records instead of
+    /// a wrap under that child).
+    pub total_derivations: usize,
     /// Total wire bytes multicast.
     pub total_bytes: usize,
     /// SHA-256 over the concatenated wire bytes of every interval —
@@ -116,6 +120,7 @@ pub fn drive<M: GroupKeyManager + ?Sized>(
     let mut hasher = Sha256::new();
     let mut total_entries = 0usize;
     let mut total_advances = 0usize;
+    let mut total_derivations = 0usize;
     let mut total_bytes = 0usize;
 
     for (interval, ops) in scenario.intervals.iter().enumerate() {
@@ -138,6 +143,7 @@ pub fn drive<M: GroupKeyManager + ?Sized>(
         hasher.update(&bytes);
         total_entries += outcome.message.encrypted_key_count();
         total_advances += outcome.message.advances.len();
+        total_derivations += outcome.message.derivations.len();
         total_bytes += bytes.len();
         on_interval(&Step {
             interval,
@@ -156,6 +162,7 @@ pub fn drive<M: GroupKeyManager + ?Sized>(
         final_members: manager.member_count(),
         total_entries,
         total_advances,
+        total_derivations,
         total_bytes,
         digest: hasher.finalize(),
     })

@@ -798,11 +798,13 @@ mod tests {
     /// `paper` reproduces the simulator it replaced: SHA-256 over the
     /// seven schemes' measured per-interval counts (u64 little-endian,
     /// schemes in `Scheme::ALL` order). Over encrypted keys plus
-    /// advances it is the digest that simulator's loop gave over
-    /// encrypted keys at the same defaults: every key it wrapped under
-    /// its own previous version now advances by F, and no tree is empty
-    /// in the measured intervals. Over encrypted keys alone it is this
-    /// planner's own pin.
+    /// advances plus derivations it is the digest that simulator's loop
+    /// gave over encrypted keys at the same defaults: every key it
+    /// wrapped under its own previous version now advances by F, and no
+    /// tree is empty in the measured intervals. Over encrypted keys plus
+    /// derivations it is the digest of the planner before the chain
+    /// derivation, which wrapped each derived key under its source.
+    /// Over encrypted keys alone it is this planner's own pin.
     #[test]
     fn paper_reproduces_the_simulators_key_counts() {
         use rekey_core::Scheme;
@@ -810,13 +812,17 @@ mod tests {
 
         let scenario = simulate_defaults();
         let mut changed = Sha256::new();
+        let mut wrapped = Sha256::new();
         let mut sent = Sha256::new();
         for scheme in Scheme::ALL {
             crate::drive(crate::factory_for(scheme), &scenario, |step| {
                 if step.interval > 15 {
+                    let message = &step.outcome.message;
                     let keys = step.outcome.stats.encrypted_keys as u64;
-                    let advances = step.outcome.message.advances.len() as u64;
-                    changed.update(&(keys + advances).to_le_bytes());
+                    let advances = message.advances.len() as u64;
+                    let derivations = message.derivations.len() as u64;
+                    changed.update(&(keys + advances + derivations).to_le_bytes());
+                    wrapped.update(&(keys + derivations).to_le_bytes());
                     sent.update(&keys.to_le_bytes());
                 }
                 Ok(())
@@ -835,8 +841,12 @@ mod tests {
             "8b373bab1e0d8ff8f377457487212360d75550654ff826c74ece1907621986c4"
         );
         assert_eq!(
-            hex(sent),
+            hex(wrapped),
             "9d894d28a09baf073812e6f195a6756b97ab0c902628f5c9c5d57c114291e061"
+        );
+        assert_eq!(
+            hex(sent),
+            "f85c2b422323c119ed097434c2d264f51d9f6351f41e232266997bd17cb5025d"
         );
     }
 

@@ -148,9 +148,12 @@ fn departed_member_replay_does_not_resurrect_access() {
 proptest::proptest! {
     #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
 
-    /// F is public, so a departed member may chain it from every key it
-    /// ever held. It never reaches a later version: no advance record
-    /// of any later interval carries the check F would give it, and
+    /// F and G are public, so a departed member may apply any mix of
+    /// them to every key it ever held. It never reaches a later
+    /// version: no advance or derivation record of any later interval
+    /// carries the check F or G would give it — from a held key, or
+    /// from any word of up to two steps of F and G applied to one, and
+    /// along F from a held version to the announced one — and
     /// replaying the whole tape installs none, for any of the seven
     /// schemes.
     #[test]
@@ -158,42 +161,75 @@ proptest::proptest! {
         seed in proptest::prelude::any::<u64>(),
         scheme in 0usize..Scheme::ALL.len(),
     ) {
-        use rekey_crypto::keywrap::{advance, open_advance};
+        use rekey_crypto::keywrap::{advance, derive, open_advance};
+        use rekey_crypto::Key;
         use rekey_keytree::member::GroupMember;
         use rekey_keytree::MemberId;
-        use std::collections::BTreeMap;
+        use std::collections::{BTreeMap, BTreeSet};
 
         let scheme = Scheme::ALL[scheme];
         let scenario = generate(seed, 12);
         let mut members: BTreeMap<MemberId, GroupMember> = BTreeMap::new();
-        let mut departed: Vec<MemberId> = Vec::new();
-        let mut advances = 0usize;
+        // Every key each member has held, and what a departed member
+        // computes from its own: F and G words of length ≤ 2.
+        let mut held: BTreeMap<MemberId, BTreeSet<[u8; 32]>> = BTreeMap::new();
+        let mut reachable: BTreeMap<MemberId, Vec<Key>> = BTreeMap::new();
+        let (mut advances, mut derivations) = (0usize, 0usize);
         rekey_testkit::drive(factory_for(scheme), &scenario, |step| {
             for join in step.joins {
                 members.insert(join.member, GroupMember::new(join.member, join.individual_key.clone()));
             }
-            departed.extend(step.leaves);
+            for id in step.leaves {
+                let mut keys: Vec<Key> = held[id].iter().map(|k| Key::from_bytes(*k)).collect();
+                for _ in 0..2 {
+                    let next: Vec<Key> = keys
+                        .iter()
+                        .flat_map(|k| [advance(k).0, derive(k, &[]).0])
+                        .collect();
+                    keys.extend(next);
+                }
+                reachable.insert(*id, keys);
+            }
             let message = &step.outcome.message;
             advances += message.advances.len();
+            derivations += message.derivations.len();
             for (id, member) in &mut members {
                 member.process(message).map_err(|e| format!("{id}: {e}"))?;
+                if !reachable.contains_key(id) {
+                    let keys = held.entry(*id).or_default();
+                    keys.insert(*member.individual_key().as_bytes());
+                    for (node, _) in member.held_keys() {
+                        keys.insert(*member.key_for(node).unwrap().as_bytes());
+                    }
+                }
             }
-            for id in &departed {
+            for (id, keys) in &reachable {
                 let ring = &members[id];
                 for record in &message.advances {
                     if ring.version_for(record.node).is_some_and(|v| v >= record.version) {
                         return Err(format!("{scheme}: departed {id} holds {record:?}"));
                     }
-                    let (Some(held), Some(mut key)) =
+                    if keys.iter().any(|key| open_advance(key, &record.check).is_ok()) {
+                        return Err(format!("{scheme}: departed {id} reaches {record:?}"));
+                    }
+                    let (Some(version), Some(mut key)) =
                         (ring.version_for(record.node), ring.key_for(record.node).cloned())
                     else {
                         continue;
                     };
-                    for _ in held + 1..record.version {
+                    for _ in version + 1..record.version {
                         key = advance(&key).0;
                     }
                     if open_advance(&key, &record.check).is_ok() {
                         return Err(format!("{scheme}: departed {id} chains F to {record:?}"));
+                    }
+                }
+                for record in &message.derivations {
+                    if ring.version_for(record.target).is_some_and(|v| v >= record.version) {
+                        return Err(format!("{scheme}: departed {id} holds {record:?}"));
+                    }
+                    if keys.iter().any(|key| record.open(key).is_ok()) {
+                        return Err(format!("{scheme}: departed {id} chains G to {record:?}"));
                     }
                 }
             }
@@ -201,5 +237,6 @@ proptest::proptest! {
         })
         .map_err(|v| proptest::TestCaseError::fail(v.to_string()))?;
         proptest::prop_assert!(advances > 0, "{} advanced nothing", scheme);
+        proptest::prop_assert!(derivations > 0, "{} derived nothing", scheme);
     }
 }

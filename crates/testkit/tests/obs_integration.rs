@@ -96,6 +96,8 @@ fn sim_run_exports_valid_trace_and_metrics() {
         "rekey_encrypted_keys_total",
         "rekey_nodes_compromised_total",
         "rekey_nodes_join_only_total",
+        "rekey_nodes_derived_total",
+        "crypto_key_derive_total",
         "rekey_execute_seconds",
         "sim_message_bytes",
     ] {

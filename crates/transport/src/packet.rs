@@ -154,14 +154,22 @@ mod tests {
             entries: (0..msg.entries.len()).collect(),
         };
         let block = all.to_bytes(&msg);
-        // A leave batch advances no key: the message body is the
-        // block's entries and a zero advance count.
-        assert!(msg.advances.is_empty());
+        // A leave batch advances no key and derives some: the message
+        // body is the block's entries, a zero advance count and the
+        // derivation section, which no block carries.
+        assert!(msg.advances.is_empty() && !msg.derivations.is_empty());
+        let records = codec::encode_message(&RekeyMessage {
+            derivations: msg.derivations.clone(),
+            ..RekeyMessage::new(msg.epoch)
+        });
+        let tail = &records[codec::MESSAGE_HEADER_LEN..];
+        let (body, rest) = encoded.split_at(encoded.len() - tail.len());
         assert_eq!(
             block[codec::BLOCK_HEADER_LEN..],
-            encoded[codec::MESSAGE_HEADER_LEN..encoded.len() - 1]
+            body[codec::MESSAGE_HEADER_LEN..]
         );
-        assert_eq!(encoded.last(), Some(&0));
+        assert_eq!(rest, tail);
+        assert_eq!(tail[0], 0, "no advances");
         assert!(block.len() < msg.entries.len() * (codec::MIN_ENTRY_LEN + 8));
     }
 

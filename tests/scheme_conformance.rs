@@ -14,9 +14,11 @@
 //! - **authenticated headers**: every interval, a clone of the whole
 //!   member population is shown the message with one header field of
 //!   one entry rewritten, and another clone the message with one byte
-//!   of one advance record flipped on the wire; no clone ever holds a
-//!   `(node, version, key)` its original does not, a forged advance is
-//!   answered with `BadTag` somewhere, and a rewritten DEK entry is
+//!   of one advance record flipped on the wire, and a third with one
+//!   byte of one derivation record flipped; no clone ever holds a
+//!   `(node, version, key)` its original does not, a forged advance and
+//!   a forged derivation are each answered with `BadTag` somewhere, and
+//!   a rewritten DEK entry is
 //!   rejected with `BadTag` — the DEK entries are sealed by
 //!   `rekey-core`'s `DekCtx`, not by the key trees, so this is where
 //!   they are covered;
@@ -26,9 +28,10 @@
 //!   loudly. The engine/policy split was landed against these digests;
 //! - **state digests**: a second script's `save_state` bytes and DEK
 //!   after every interval are pinned per scheme, apart from the wire,
-//!   and so is every member's ring as `(node, version)` pairs: the
-//!   planner chooses how a key changes (fresh, or advanced by F) and
-//!   which entries carry it, never who holds which version.
+//!   and so is every member's ring as `(node, version)` pairs and the
+//!   server's trees without keys: the planner chooses how a key changes
+//!   (fresh, advanced by F or derived by G) and which entries carry it,
+//!   never who holds which version.
 //!
 //! The script is shared across schemes: identical member ids, join
 //! hints, and leave picks every interval. Key material differs per
@@ -83,8 +86,9 @@ struct Script {
     /// Whether a clone ever answered a rewritten DEK entry with
     /// `BadTag`.
     dek_forgery_rejected: bool,
-    /// Whether a clone ever answered a flipped advance with `BadTag`.
-    advance_forgery_rejected: bool,
+    /// Whether a clone ever answered a flipped advance (`[0]`) or
+    /// derivation (`[1]`) with `BadTag`.
+    record_forgery_rejected: [bool; 2],
 }
 
 /// A member's whole ring, in node order.
@@ -124,23 +128,41 @@ fn relabelled(message: &RekeyMessage, step: usize, dek_node: NodeId) -> (RekeyMe
     (forged, message.entries[index].target == dek_node)
 }
 
-/// `message` with one byte of one advance record flipped on the wire,
-/// if it has advances and the flipped bytes still decode. Record and
-/// byte cycle with `step`.
-fn advance_flipped(message: &RekeyMessage, step: usize) -> Option<RekeyMessage> {
-    if message.advances.is_empty() {
-        return None;
-    }
-    let wire = codec::encode_message(message);
-    let section = RekeyMessage {
-        advances: message.advances.clone(),
+/// Where the records of the advance and the derivation section sit in
+/// `codec::encode_message(message)`: each behind its count.
+fn record_ranges(message: &RekeyMessage) -> [std::ops::Range<usize>; 2] {
+    let count_len = |n: usize| {
+        let mut buf = Vec::new();
+        codec::put_varint(&mut buf, n as u64);
+        buf.len()
+    };
+    let entries = RekeyMessage {
+        entries: message.entries.clone(),
         ..RekeyMessage::new(message.epoch)
     };
-    let section_len = codec::encode_message(&section).len() - codec::MESSAGE_HEADER_LEN;
-    let records = section_len - 1 - usize::from(message.advances.len() >= 0x80);
-    let mut flipped = wire.clone();
-    let at = wire.len() - records + step * 13 % records;
-    flipped[at] ^= 1 << (step % 8);
+    let advances = RekeyMessage {
+        advances: message.advances.clone(),
+        ..entries.clone()
+    };
+    // Each message ends in a one-byte zero count per empty section.
+    let entries_end = codec::encode_message(&entries).len() - 2;
+    let advances_end = codec::encode_message(&advances).len() - 1;
+    [
+        entries_end + count_len(message.advances.len())..advances_end,
+        advances_end + count_len(message.derivations.len())..codec::encode_message(message).len(),
+    ]
+}
+
+/// `message` with one byte of one record of `section` (0: advances,
+/// 1: derivations) flipped on the wire, if the section has records and
+/// the flipped bytes still decode. Record and byte cycle with `step`.
+fn record_flipped(message: &RekeyMessage, section: usize, step: usize) -> Option<RekeyMessage> {
+    let records = record_ranges(message)[section].clone();
+    if records.is_empty() {
+        return None;
+    }
+    let mut flipped = codec::encode_message(message);
+    flipped[records.start + step * 13 % records.len()] ^= 1 << (step % 8);
     codec::decode_message(&flipped)
 }
 
@@ -153,7 +175,7 @@ impl Script {
             old_deks: Vec::new(),
             next_id: 0,
             dek_forgery_rejected: false,
-            advance_forgery_rejected: false,
+            record_forgery_rejected: [false; 2],
         }
     }
 
@@ -203,30 +225,44 @@ impl Script {
                 self.dek_forgery_rejected |= forged_dek_entry;
             }
         }
-        let flipped = advance_flipped(message, step);
-        let mut advance_clones = self.states.clone();
-        let mut advance_rejected = false;
-        for clone in advance_clones.values_mut() {
-            if let Some(flipped) = &flipped {
-                let outcome = clone.process(flipped);
+        // One record of each section flipped: a changed check is
+        // noticed by whoever holds the key it is checked against; a
+        // changed label names a key nobody holds (ignored) or fails the
+        // check. Neither may install anything.
+        let mut record_clones = Vec::new();
+        for section in 0..2 {
+            let mut clones = self.states.clone();
+            let Some(flipped) = record_flipped(message, section, step) else {
+                record_clones.push(clones);
+                continue;
+            };
+            let mut rejected = false;
+            for clone in clones.values_mut() {
+                let outcome = clone.process(&flipped);
                 assert!(
                     outcome.is_ok() || outcome == bad_tag,
                     "[{scheme}] {outcome:?}"
                 );
-                advance_rejected |= outcome == bad_tag;
+                rejected |= outcome == bad_tag;
             }
-        }
-        if let Some(flipped) = &flipped {
-            // A changed check is noticed by every holder of the
-            // previous key; a changed node or version may name a key
-            // nobody holds, and is ignored.
-            let same_labels = flipped
-                .advances
-                .iter()
-                .zip(&message.advances)
-                .all(|(f, a)| (f.node, f.version) == (a.node, a.version));
-            assert!(advance_rejected || !same_labels, "[{scheme}] step {step}");
-            self.advance_forgery_rejected |= advance_rejected;
+            let same_labels = if section == 0 {
+                flipped
+                    .advances
+                    .iter()
+                    .zip(&message.advances)
+                    .all(|(f, a)| (f.node, f.version) == (a.node, a.version))
+            } else {
+                flipped
+                    .derivations
+                    .iter()
+                    .zip(&message.derivations)
+                    .all(|(f, d)| {
+                        (f.target, f.version, f.source) == (d.target, d.version, d.source)
+                    })
+            };
+            assert!(rejected || !same_labels, "[{scheme}] step {step}");
+            self.record_forgery_rejected[section] |= rejected;
+            record_clones.push(clones);
         }
         for (id, state) in &mut self.states {
             let before = ring(state);
@@ -234,12 +270,12 @@ impl Script {
             let after = ring(state);
             for held in ring(&clones[id])
                 .into_iter()
-                .chain(ring(&advance_clones[id]))
+                .chain(record_clones.iter().flat_map(|clones| ring(&clones[id])))
             {
                 assert!(
                     before.contains(&held) || after.contains(&held),
-                    "[{scheme}] step {step}: a forged entry or advance made member \
-                     {id} install {held:?}"
+                    "[{scheme}] step {step}: a forged entry, advance or derivation \
+                     made member {id} install {held:?}"
                 );
             }
         }
@@ -350,9 +386,9 @@ fn run_script(mut mgr: Box<dyn GroupKeyManager>) -> Vec<Vec<u8>> {
         script.dek_forgery_rejected,
         "[{scheme}] no relabelled DEK entry was ever answered with BadTag"
     );
-    assert!(
-        script.advance_forgery_rejected,
-        "[{scheme}] no flipped advance was ever answered with BadTag"
+    assert_eq!(
+        script.record_forgery_rejected, [true; 2],
+        "[{scheme}] no flipped advance or derivation was ever answered with BadTag"
     );
     wires
 }
@@ -405,71 +441,90 @@ fn run_script(mut mgr: Box<dyn GroupKeyManager>) -> Vec<Vec<u8>> {
 /// instead of from block 0. Only tags moved: [`UNTAGGED_DIGESTS`],
 /// the wire sizes, [`RING_DIGESTS`] and [`STATE_DIGESTS`] are the
 /// parent's.
+///
+/// Re-pinned a fifth time, with [`UNTAGGED_DIGESTS`] and
+/// [`STATE_DIGESTS`], when a compromised key with a compromised child
+/// began to derive from that child's new key by G instead of being
+/// wrapped under it. Per interval the parent's keys equal this
+/// planner's keys plus its derivation records
+/// ([`PARENT_KEYS_PER_INTERVAL`]); [`RING_DIGESTS`] and
+/// [`SHAPE_DIGESTS`] are the parent's. Whole-run totals, parent →
+/// change:
+///
+/// | scheme                    | keys      | derivations | bytes           |
+/// |---------------------------|-----------|-------------|-----------------|
+/// | one-keytree               | 251 → 221 | 30          | 14 145 → 12 928 |
+/// | tt-scheme                 | 407 → 367 | 40          | 23 298 → 21 781 |
+/// | qt-scheme                 | 389 → 369 | 20          | 21 848 → 21 083 |
+/// | pt-scheme                 | 285 → 253 | 32          | 16 837 → 15 618 |
+/// | loss-homogenized-forest   | 285 → 253 | 32          | 16 850 → 15 631 |
+/// | combined-partition-forest | 438 → 399 | 39          | 25 287 → 23 833 |
+/// | adaptive                  | 268 → 239 | 29          | 15 499 → 14 383 |
 const GOLDEN_DIGESTS: [(&str, &str); 7] = [
     (
         "one-keytree",
-        "269c6545936f91700458adc5722b9b7739ed47d196439af177cb0f763b2bde1a",
+        "50c31c763f197e0b4ea05646a22092fe1014d6309b4e6be2ff64c61ed12802a2",
     ),
     (
         "tt-scheme",
-        "a4a07a5effcd4d8a60a952545c0d7962f38ed0f88dc45e2c7098654676e9a4d1",
+        "91c39c09300d0e8b20649015295254f85cbbee8c5fbbe6000e2c8e99cf38e430",
     ),
     (
         "qt-scheme",
-        "80e3c37681dfc78020955ecc709225adb76df7f48bf8a6f1325f97b5efe8fd87",
+        "b728b1aade7c6935b610d33f95f1bf8bb6336f7516bcef0a93f8bd88a800f8ac",
     ),
     (
         "pt-scheme",
-        "41ed268ae17a9a7247348f6e5ba13b8ac43ae7d45df19c0e1f2f1e014ff7af62",
+        "d6409c3133a47d6aa9bdaa3f0030886ad6975ec3336e1367a76b07aa38f0bd7a",
     ),
     (
         "loss-homogenized-forest",
-        "41d1958359f2e278f21412a5ecc8e3aee55c9b798962210e07a359a9ad89a3f7",
+        "5eebf966431e98fb63859837b62ab702debcf3067b1fea3dc5409caf04fc7eb5",
     ),
     (
         "combined-partition-forest",
-        "5b61bea309660e6c5f3fda48f5330fe77b6740ae579acb1f3d5353f0d18368fa",
+        "c6e88e5b4fa035b6614736838ba12d053092529b396f6364db31edf84d727a66",
     ),
     (
         "adaptive",
-        "9891b2d7480a6b421a30bd8d3fbcfa57e6d304fa964b2218c869338224fd28e8",
+        "6348e017d90937e823250b76cdd7a81f0e61de132cb556a9b76e8e2a51808007",
     ),
 ];
 
 /// sha256 over every entry's header (`RekeyEntry::binding`), nonce
 /// and ciphertext — its sealed part without the tag — and every
-/// advance record, per scheme over the same run as [`GOLDEN_DIGESTS`].
-/// Recorded at the commit before the one-block key wrap and equal
-/// after it: that change moved tags and nothing else, and
-/// [`GOLDEN_DIGESTS`] were re-pinned behind this pin.
+/// advance and derivation record, per scheme over the same run as
+/// [`GOLDEN_DIGESTS`]. A change that moves only tags leaves it put (the
+/// one-block key wrap did); the chain derivation moved it, by the
+/// relation [`GOLDEN_DIGESTS`] states.
 const UNTAGGED_DIGESTS: [(&str, &str); 7] = [
     (
         "one-keytree",
-        "9456654bd90ac60b67ef09a31f4f13e569a7d87f03ad0fa9c5ff26c24603ce95",
+        "0c94b8dffc25de33cc6947b31b8e4a91b62bcfe6deaf64bef5233bfb03162403",
     ),
     (
         "tt-scheme",
-        "7e9c486ce67f6d73acee06a1aa9ea2f28e81622468c4c64037446503af32203b",
+        "43425244506fcc09cb5db3d4bcf8b78b61cefc8302bbb6fec8c62ca24d7ffa52",
     ),
     (
         "qt-scheme",
-        "8fac5a9c91e9125c4ea6fa006e81190ee86ccc4f78133461b21ac9fa1671a651",
+        "327eec5fffaa1cd977fafbfeffafe3b1463ea02b6e6d8c262cf8b1146d3cede4",
     ),
     (
         "pt-scheme",
-        "167401df22c5bbc832598bb600c6a94183942820cf34ac4d0830eebf06b94b66",
+        "fc9de0d3957b1d0d8a540864c8e47e95d9b65cfaed3cb1996500ca35c33b3926",
     ),
     (
         "loss-homogenized-forest",
-        "5140a86072c22d7d42391d8d20efc48a391f78eef6bd24677d0597b0dc6a603c",
+        "111183b834ae624c4925fe8c1735be0336647f2597d2a85cdb8c660146297077",
     ),
     (
         "combined-partition-forest",
-        "691bb30d03137abe486559af81aad5640a1c463c784acafb0258f6b7c08af90d",
+        "7f842f257f6a265554aa9ae0086bb31d0d77ef3163ab7280700ce70323208741",
     ),
     (
         "adaptive",
-        "d0cf053962e8981fcf138474c7837f69dcf58ac14c50f58a44c85611b50e3a72",
+        "1133f86a7a8c9a2acf18596708e648b504e62235331af8fa89b725e93d28b0c1",
     ),
 ];
 
@@ -487,9 +542,20 @@ fn untagged_digest(wires: &[Vec<u8>]) -> String {
             hasher.update(&advance.version.to_be_bytes());
             hasher.update(&advance.check);
         }
+        for derivation in &message.derivations {
+            hasher.update(&derivation.binding());
+            hasher.update(&derivation.check);
+        }
     }
     hex(&hasher.finalize())
 }
+
+/// sha256 over every interval's encrypted keys (a big-endian `u64`)
+/// of [`run_script`], schemes in [`managers`] order, as the planner
+/// before the chain derivation sent them. Each of those keys is now an
+/// entry or a derivation record.
+const PARENT_KEYS_PER_INTERVAL: &str =
+    "c62c0ac9483b94c8d217a713377c836f42c4281f9b2c35c7cc6bfe696599f722";
 
 fn managers() -> Vec<Box<dyn GroupKeyManager>> {
     vec![
@@ -541,9 +607,15 @@ fn all_schemes_satisfy_the_conformance_contract() {
 fn golden_digests_pin_every_scheme_byte_exactly() {
     let golden: BTreeMap<&str, &str> = GOLDEN_DIGESTS.into_iter().collect();
     let untagged: BTreeMap<&str, &str> = UNTAGGED_DIGESTS.into_iter().collect();
+    let mut wrapped = Sha256::new();
     for mgr in managers() {
         let scheme = mgr.scheme_name();
         let wires = run_script(mgr);
+        for wire in &wires {
+            let message = codec::decode_message(wire).expect("checked");
+            let changed = message.entries.len() + message.derivations.len();
+            wrapped.update(&(changed as u64).to_be_bytes());
+        }
         assert_eq!(
             untagged_digest(&wires),
             untagged[scheme],
@@ -561,6 +633,11 @@ fn golden_digests_pin_every_scheme_byte_exactly() {
              behaviour-preserving arguments do not apply, re-pin the digest."
         );
     }
+    assert_eq!(
+        hex(&wrapped.finalize()),
+        PARENT_KEYS_PER_INTERVAL,
+        "some interval's entries plus derivations are not its parent's entries"
+    );
 }
 
 /// A batch the engine rejects must leave no trace: no epoch consumed,
@@ -702,6 +779,43 @@ const RING_DIGESTS: [(&str, &str); 7] = [
     ),
 ];
 
+/// Per scheme, sha256 over the server's trees without their keys after
+/// every interval of [`STATE_SCRIPT`]: every node a present member
+/// holds, ascending, with its version and its audience
+/// (`members_under`, ascending) — ids, versions, members, and the
+/// parents the nested audiences fix. Recorded with the planner before
+/// the chain derivation; how a key is made never moves it.
+const SHAPE_DIGESTS: [(&str, &str); 7] = [
+    (
+        "one-keytree",
+        "539e78166063231400a34f2b10dbe8a444a8a7e8a72e4ece2267506b253845ea",
+    ),
+    (
+        "tt-scheme",
+        "a7d003f743d99db79c6b31d33bac23a2a92d831597b6508564f366289a8d96a0",
+    ),
+    (
+        "qt-scheme",
+        "0b4a4805d840fbaddb0bb38972796e1429a8e4ab36f6b892b9f0ed4f368af066",
+    ),
+    (
+        "pt-scheme",
+        "f912d5001deb679bbe52e9998b6ec8d845d7337010f15ea811f82d78d92b0805",
+    ),
+    (
+        "loss-homogenized-forest",
+        "5cfc48e9df81d47e321e2dba6eece377545f3f37c210a05f03382b686a14bff8",
+    ),
+    (
+        "combined-partition-forest",
+        "d504cd46168bca33f4406531cec6318a3521ae42533df3e0a670dad3b1dcf6e0",
+    ),
+    (
+        "adaptive",
+        "e4309a6c9ffcfe1865959f8cc7bcc9ae0e0c2e6365c4a68365f30e6420dbdd4c",
+    ),
+];
+
 /// Per scheme, sha256 over `save_state ‖ DEK` after every interval of
 /// [`STATE_SCRIPT`]. Recorded before the batch planner became one rule
 /// per dirty node and held through that change — which entries carry a
@@ -709,35 +823,37 @@ const RING_DIGESTS: [(&str, &str); 7] = [
 /// began to advance
 /// by F: the key bytes of those nodes are now F of the previous ones,
 /// and the randomness they no longer draw shifts every later draw,
-/// while [`RING_DIGESTS`] stayed put.
+/// while [`RING_DIGESTS`] stayed put. Re-pinned again for the chain
+/// derivation, for the same reasons, with [`RING_DIGESTS`] and
+/// [`SHAPE_DIGESTS`] put.
 const STATE_DIGESTS: [(&str, &str); 7] = [
     (
         "one-keytree",
-        "ef9ec2bfb5487a50e7d1e78f0066183a700f2bd590c4ac5b778d52ed08242d50",
+        "0cfd8b17449d7aec8d6b33f007c6acd7187e101e942d19b1da4edd963fe0cf70",
     ),
     (
         "tt-scheme",
-        "8a83714c662691932534c9f9bcef32e84c05817a60bb7f256491a9268550b301",
+        "a856b65d3557916baa6fa37a5230d0bda0ef176bdc07fa6f8871fa602c639dc3",
     ),
     (
         "qt-scheme",
-        "8e4ad3127f5ae22195159fbd6943b9ddb3b3b91f7d8f77e0256082a7af5896e5",
+        "b79f7c442441392c4348ce49625edc0216fc10b69eb12f2e45b418072da62805",
     ),
     (
         "pt-scheme",
-        "e6ea8ba3624a39c9890389b2f499e51d0c3336fe2e8eb167c5878e0a3b958098",
+        "cd64ec615e158ab69acb96e3aba1a371b6ca3f10474d4a72eb7038e659cffeb5",
     ),
     (
         "loss-homogenized-forest",
-        "5eac53f6a2a946a00d327bc9024a2476cf8f94c509e0a591e79913ad31b6c73a",
+        "ca2fc476b50e229c0c6975c8f05a9fadede60f1115d874c1a6be72913bfa1185",
     ),
     (
         "combined-partition-forest",
-        "0670be0013cbd9c97e89370421cc12355b10444ea228e2f618e537869f32dba1",
+        "3a57ee0352b1d66895dd918d625544059c9ef818a88674daa3ffb659db82c860",
     ),
     (
         "adaptive",
-        "c39948645b625c3f9f049a46addfaabca49e5a82c6097567102454f238db87f2",
+        "595498d34da6b65939380039861f29f8d70aa2cfbb46e44422882c747b57b7a6",
     ),
 ];
 
@@ -745,12 +861,14 @@ const STATE_DIGESTS: [(&str, &str); 7] = [
 fn the_planner_decides_keys_never_who_holds_them() {
     let golden: BTreeMap<&str, &str> = STATE_DIGESTS.into_iter().collect();
     let rings: BTreeMap<&str, &str> = RING_DIGESTS.into_iter().collect();
+    let shapes: BTreeMap<&str, &str> = SHAPE_DIGESTS.into_iter().collect();
     for mut mgr in managers() {
         let scheme = mgr.scheme_name();
         let mut rng = StdRng::seed_from_u64(0x57A7E);
         let mut script = Script::new();
         let mut hasher = Sha256::new();
         let mut ring_hasher = Sha256::new();
+        let mut shape_hasher = Sha256::new();
         let mut state = Vec::new();
         let mut migrations = 0;
         for (step, (joins, leaves)) in STATE_SCRIPT.into_iter().enumerate() {
@@ -772,6 +890,20 @@ fn the_planner_decides_keys_never_who_holds_them() {
                 }
             }
 
+            let mut nodes: BTreeMap<NodeId, u64> = BTreeMap::new();
+            for id in &script.present {
+                nodes.extend(script.states[id].held_keys());
+            }
+            for (node, version) in nodes {
+                shape_hasher.update(&node.0.to_be_bytes());
+                shape_hasher.update(&version.to_be_bytes());
+                let mut audience = mgr.members_under(node);
+                audience.sort_unstable();
+                for member in audience {
+                    shape_hasher.update(&member.0.to_be_bytes());
+                }
+            }
+
             state.clear();
             mgr.save_state(&mut state).expect("engine schemes snapshot");
             hasher.update(&state);
@@ -784,6 +916,11 @@ fn the_planner_decides_keys_never_who_holds_them() {
             hex(&ring_hasher.finalize()),
             rings[scheme],
             "[{scheme}] some member holds other versions than it did"
+        );
+        assert_eq!(
+            hex(&shape_hasher.finalize()),
+            shapes[scheme],
+            "[{scheme}] the trees are not the recorded ones"
         );
         assert_eq!(
             hex(&hasher.finalize()),

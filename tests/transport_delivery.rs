@@ -79,11 +79,14 @@ fn wka_bkr_delivered_entries_suffice_to_rekey() {
 
     // The protocol guarantees every interested member received every
     // entry it needs; members therefore decrypt from the full message
-    // restricted to their interest set.
+    // restricted to their interest set, and its derivations, which
+    // travel with the envelope.
     for (m, set) in &interest {
         let state = s.states.get_mut(m).expect("present member");
         let entries: Vec<_> = set.iter().map(|&i| &s.message.entries[i]).collect();
-        state.process_entries(entries.iter().copied()).unwrap();
+        state
+            .process_entries(entries.iter().copied(), &s.message.derivations)
+            .unwrap();
         assert_eq!(
             state.key_for(s.server.root_node()),
             Some(s.server.root_key()),
