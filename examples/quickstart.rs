@@ -19,9 +19,10 @@ use std::collections::BTreeMap;
 
 fn describe(message: &RekeyMessage) {
     println!(
-        "  multicast rekey message: {} encrypted keys, {} key advances, {} bytes",
+        "  multicast rekey message: {} encrypted keys, {} key advances, {} key derivations, {} bytes",
         message.encrypted_key_count(),
         message.advances.len(),
+        message.derivations.len(),
         message.byte_len()
     );
     for advance in &message.advances {
@@ -31,6 +32,12 @@ fn describe(message: &RekeyMessage) {
             advance.version,
             advance.node,
             advance.version - 1
+        );
+    }
+    for derivation in &message.derivations {
+        println!(
+            "    K[{}] v{} = G(new K[{}]): every holder of that child's new key computes it",
+            derivation.target, derivation.version, derivation.source
         );
     }
     for entry in &message.entries {
