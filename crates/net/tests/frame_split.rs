@@ -123,8 +123,11 @@ proptest! {
 /// paper-scale group produces have to fit the cap: the bootstrap of
 /// 65 536 founders and the interval, K later, that migrates all of them
 /// S → L. Each builds a tree out of nothing, one wrap per child of every
-/// new node — (N + N/(d−1)) × 57 B ≈ 5.0 MB, where a wrap per joiner
-/// per ancestor was ≈ 30 MB and `FrameTooLarge`.
+/// new node but the child it derives from — (N + N/(d−1)) × 57 B ≈ 5.0
+/// MB before the chain derivation, where a wrap per joiner per ancestor
+/// was ≈ 30 MB and `FrameTooLarge`. The wraps plus derivation records
+/// are the wraps the planner before the derivation sent (21 845 and
+/// 87 381).
 #[test]
 fn paper_scale_bootstrap_and_migration_epochs_fit_one_frame() {
     let mut rng = StdRng::seed_from_u64(65_536);
@@ -137,10 +140,10 @@ fn paper_scale_bootstrap_and_migration_epochs_fit_one_frame() {
     let mut small = Scheme::Tt.build(&SchemeConfig::new());
     let batch = founders(16_384, &mut rng);
     let out = small.process_interval(&batch, &[], &mut rng).unwrap();
-    assert!(
-        out.stats.encrypted_keys <= 22_000,
-        "a 16 384 bootstrap took {} wraps",
-        out.stats.encrypted_keys
+    assert_eq!(
+        out.stats.encrypted_keys + out.message.derivations.len(),
+        21_845,
+        "a 16 384 bootstrap"
     );
 
     let mut manager = Scheme::Tt.build(&SchemeConfig::new());
@@ -152,6 +155,10 @@ fn paper_scale_bootstrap_and_migration_epochs_fit_one_frame() {
         out = manager.process_interval(&[], &[], &mut rng).unwrap();
     }
     assert_eq!(out.stats.migrations, 65_536);
+    assert_eq!(
+        out.stats.encrypted_keys + out.message.derivations.len(),
+        87_381
+    );
     let frame = proto::encode_rekey_frame(0, &out.message, DEFAULT_MAX_FRAME)
         .unwrap_or_else(|e| panic!("the migration epoch: {e}"));
     assert!(frame.len() > 4_000_000, "not a paper-scale epoch");
