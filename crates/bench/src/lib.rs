@@ -17,7 +17,7 @@ pub mod figures;
 
 use std::fs;
 use std::io::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Prints a fixed-width table with a title and rule lines.
 pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
@@ -47,15 +47,14 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     }
 }
 
-/// Writes a CSV with the same data under `target/figures/<name>.csv`
-/// and returns the path.
+/// Writes a CSV with the same data to `<dir>/<name>.csv`, creating
+/// `dir`, and returns the path.
 ///
 /// # Panics
 ///
 /// Panics on I/O errors.
-pub fn write_csv(name: &str, headers: &[&str], rows: &[Vec<String>]) -> PathBuf {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/figures");
-    fs::create_dir_all(&dir).expect("create figures dir");
+pub fn write_csv(dir: &Path, name: &str, headers: &[&str], rows: &[Vec<String>]) -> PathBuf {
+    fs::create_dir_all(dir).expect("create figures dir");
     let path = dir.join(format!("{name}.csv"));
     let mut file = fs::File::create(&path).expect("create csv");
     writeln!(file, "{}", headers.join(",")).expect("write csv header");
@@ -83,12 +82,15 @@ mod tests {
 
     #[test]
     fn csv_roundtrip() {
+        let dir = std::env::temp_dir().join(format!("rekey-bench-csv-{}", std::process::id()));
         let path = write_csv(
+            &dir,
             "unit_test_csv",
             &["a", "b"],
             &[vec!["1".into(), "2".into()]],
         );
         let text = std::fs::read_to_string(path).unwrap();
         assert_eq!(text, "a,b\n1,2\n");
+        std::fs::remove_dir_all(dir).unwrap();
     }
 }

@@ -281,10 +281,11 @@ fn cmd_reproduce(args: &Args) -> CliResult {
             })
             .collect::<Result<_, _>>()?,
     };
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/figures");
     for (name, compute) in selected {
         let table = compute();
         rekey_bench::print_table(table.title, table.headers, &table.rows);
-        rekey_bench::write_csv(name, table.headers, &table.rows);
+        rekey_bench::write_csv(&dir, name, table.headers, &table.rows);
     }
     Ok(())
 }
@@ -1231,56 +1232,36 @@ fn cmd_metrics_check(args: &Args) -> CliResult {
 /// range, torn bytes, and the resulting durable epoch. CI greps the
 /// `durable epoch` line to assert monotonicity across a kill/restart.
 fn cmd_snapshot(args: &Args) -> CliResult {
-    use rekey_core::persist::{EpochRecord, RECORD_WIRE_VERSION, SNAPSHOT_WIRE_VERSION};
-    use rekey_core::PersistError;
+    use rekey_core::persist::{record_head, split_snapshot, RECORD_WIRE_VERSION};
     use rekey_storage::{DirStorage, Storage};
 
     let dir = path_flag(args, "data-dir")?.ok_or("snapshot requires --data-dir <dir>")?;
     args.finish()?;
     let mut storage = DirStorage::open(&dir)?;
 
-    let mut snapshot_epoch: Option<u64> = None;
-    match storage.load_snapshot()? {
+    let snapshot_epoch = match storage.load_snapshot()? {
         Some(blob) => {
-            if blob.first() != Some(&SNAPSHOT_WIRE_VERSION) {
-                return Err(
-                    format!("{dir}: unsupported snapshot version {:?}", blob.first()).into(),
-                );
-            }
-            let epoch_bytes: [u8; 8] = blob
-                .get(1..9)
-                .and_then(|b| b.try_into().ok())
-                .ok_or("snapshot header truncated")?;
-            let epoch = u64::from_be_bytes(epoch_bytes);
+            let (epoch, _, _) = split_snapshot(&blob)?;
             println!("snapshot: epoch {epoch}, {} bytes", blob.len());
-            snapshot_epoch = Some(epoch);
+            epoch
         }
-        None => println!("snapshot: none"),
-    }
+        None => {
+            println!("snapshot: none");
+            0
+        }
+    };
 
     let replay = storage.read_wal()?;
-    let mut epochs: Vec<u64> = Vec::new();
-    let mut versions = std::collections::BTreeSet::new();
-    for bytes in &replay.records {
-        match EpochRecord::decode(bytes) {
-            Ok(record) => {
-                versions.insert(RECORD_WIRE_VERSION);
-                epochs.push(record.epoch);
-            }
-            // Every record version so far leads with its epoch.
-            Err(PersistError::PlannerChanged { found, .. }) => {
-                versions.insert(found);
-                let epoch = bytes.get(1..9).and_then(|b| b.try_into().ok());
-                epochs.push(u64::from_be_bytes(epoch.ok_or("WAL record truncated")?));
-            }
-            Err(_) => return Err("corrupt entry inside a valid WAL frame".into()),
-        }
-    }
-    let (first_epoch, last_epoch) = (epochs.first().copied(), epochs.last().copied());
-    match (first_epoch, last_epoch) {
-        (Some(first), Some(last)) => println!(
+    let heads: Vec<(u8, u64)> = replay
+        .records
+        .iter()
+        .map(|bytes| record_head(bytes))
+        .collect::<Result<_, _>>()?;
+    let last_epoch = heads.last().map(|&(_, epoch)| epoch);
+    match (heads.first(), last_epoch) {
+        (Some((_, first)), Some(last)) => println!(
             "wal: {} record(s), epochs {first}..={last}, {} torn byte(s) dropped",
-            epochs.len(),
+            heads.len(),
             replay.dropped_bytes
         ),
         _ => println!(
@@ -1288,6 +1269,7 @@ fn cmd_snapshot(args: &Args) -> CliResult {
             replay.dropped_bytes
         ),
     }
+    let versions: std::collections::BTreeSet<u8> = heads.iter().map(|&(v, _)| v).collect();
     for version in &versions {
         let verdict = if *version == RECORD_WIRE_VERSION {
             "this build replays it"
@@ -1300,7 +1282,7 @@ fn cmd_snapshot(args: &Args) -> CliResult {
     // A crash between the snapshot write and the WAL truncation can
     // leave records the snapshot already covers; durability is the max
     // of both, exactly as recovery computes it.
-    let durable = last_epoch.unwrap_or(0).max(snapshot_epoch.unwrap_or(0));
+    let durable = last_epoch.unwrap_or(0).max(snapshot_epoch);
     println!("durable epoch: {durable}");
     Ok(())
 }

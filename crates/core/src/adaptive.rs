@@ -23,7 +23,7 @@ use crate::partition::{
 };
 use crate::Join;
 use rekey_analytic::partition::PartitionParams;
-use rekey_keytree::message::codec::{get_u32, get_u64, get_u8, put_u32, put_u64};
+use rekey_keytree::message::codec::{put_u32, put_u64, DecodeError, Reader};
 use rekey_keytree::message::RekeyMessage;
 use rekey_keytree::queue::KeyQueue;
 use rekey_keytree::server::LkhServer;
@@ -102,17 +102,17 @@ impl TraceCollector {
 
     /// Replaces the trace with the one [`TraceCollector::encode`]
     /// wrote.
-    fn decode(&mut self, buf: &mut &[u8]) -> Option<()> {
+    fn decode(&mut self, r: &mut Reader<'_>) -> Result<(), DecodeError> {
         self.active.clear();
-        for _ in 0..get_u32(buf)? {
-            let member = MemberId(get_u64(buf)?);
-            self.active.insert(member, f64::from_bits(get_u64(buf)?));
+        for _ in 0..r.u32()? {
+            let member = MemberId(r.u64()?);
+            self.active.insert(member, f64::from_bits(r.u64()?));
         }
         self.durations.clear();
-        for _ in 0..get_u32(buf)? {
-            self.durations.push_back(f64::from_bits(get_u64(buf)?));
+        for _ in 0..r.u32()? {
+            self.durations.push_back(f64::from_bits(r.u64()?));
         }
-        Some(())
+        Ok(())
     }
 
     /// Fits the two-class mixture. Returns `None` with fewer than 8
@@ -448,19 +448,19 @@ impl PlacementPolicy for AdaptivePolicy {
         // Degree, periods and `max_k` are configuration.
     }
 
-    fn load_policy_state(&mut self, buf: &mut &[u8]) -> Option<()> {
-        let mode = get_u8(buf)?;
-        let k = get_u32(buf)?;
+    fn load_policy_state(&mut self, r: &mut Reader<'_>) -> Result<(), DecodeError> {
+        let mode = r.u8()?;
+        let k = r.u32()?;
         self.choice = match mode {
             0 => SchemeChoice::OneKeytree,
             1 => SchemeChoice::Tt { k },
             2 => SchemeChoice::Qt { k },
-            _ => return None,
+            _ => return Err(DecodeError::Invalid),
         };
-        self.s_period.set_k(get_u64(buf)?);
-        self.s_period.decode(buf)?;
-        load_queue(&mut self.queue, buf)?;
-        self.collector.decode(buf)
+        self.s_period.set_k(r.u64()?);
+        self.s_period.decode(r)?;
+        load_queue(&mut self.queue, r)?;
+        self.collector.decode(r)
     }
 }
 

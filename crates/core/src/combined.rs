@@ -18,6 +18,7 @@ use crate::engine::{Migration, Placement, PlacementPolicy, RekeyEngine, Trees};
 use crate::loss_forest::{check_boundaries, class_of_loss, LossEstimator};
 use crate::partition::SPeriod;
 use crate::Join;
+use rekey_keytree::message::codec::{DecodeError, Reader};
 use rekey_keytree::server::LkhServer;
 use rekey_keytree::{KeyTreeError, MemberId};
 use std::collections::BTreeMap;
@@ -120,18 +121,15 @@ impl PlacementPolicy for CombinedPolicy {
         // Boundaries, k, and min_samples are configuration.
     }
 
-    fn load_policy_state(&mut self, buf: &mut &[u8]) -> Option<()> {
-        use rekey_keytree::message::codec::{get_u32, get_u64};
-        self.s_period.decode(buf)?;
-        let count = get_u32(buf)?;
+    fn load_policy_state(&mut self, r: &mut Reader<'_>) -> Result<(), DecodeError> {
+        self.s_period.decode(r)?;
         self.join_hints.clear();
-        for _ in 0..count {
-            let member = MemberId(get_u64(buf)?);
-            self.join_hints
-                .insert(member, f64::from_bits(get_u64(buf)?));
+        for _ in 0..r.u32()? {
+            let member = MemberId(r.u64()?);
+            self.join_hints.insert(member, f64::from_bits(r.u64()?));
         }
-        self.estimator = LossEstimator::load_from(buf)?;
-        Some(())
+        self.estimator = LossEstimator::load_from(r)?;
+        Ok(())
     }
 }
 

@@ -47,7 +47,7 @@ use crate::{check_batch, GroupKeyManager, IntervalOutcome, IntervalStats, Join};
 use rand::RngCore;
 use rekey_crypto::keywrap::NonceRun;
 use rekey_crypto::Key;
-use rekey_keytree::message::codec::{get_u32, get_u64, get_u8, put_u32, put_u64};
+use rekey_keytree::message::codec::{ensure, put_u32, put_u64, DecodeError, Reader};
 use rekey_keytree::message::{EntryMeta, RekeyEntry, RekeyMessage};
 use rekey_keytree::server::LkhServer;
 use rekey_keytree::{KeyTreeError, MemberId, NodeId};
@@ -308,10 +308,10 @@ pub trait PlacementPolicy {
 
     /// Restores bookkeeping serialized by
     /// [`PlacementPolicy::save_policy_state`], consuming exactly the
-    /// bytes it wrote from `buf`. Returns `None` if they do not parse.
-    fn load_policy_state(&mut self, buf: &mut &[u8]) -> Option<()> {
-        let _ = buf;
-        Some(())
+    /// bytes it wrote from `r`.
+    fn load_policy_state(&mut self, r: &mut Reader<'_>) -> Result<(), DecodeError> {
+        let _ = r;
+        Ok(())
     }
 }
 
@@ -442,6 +442,33 @@ impl<P: PlacementPolicy> RekeyEngine<P> {
             }
         }
         Ok((tree_joins, tree_leaves, migrations.len()))
+    }
+
+    /// [`GroupKeyManager::restore_state`] past the scheme name.
+    fn restore_body(&mut self, r: &mut Reader<'_>) -> Result<(), DecodeError> {
+        let epoch = r.u64()?;
+        // The DEK layering is configuration; the blob must agree with
+        // how this engine was built before its key material is taken.
+        match (r.u8()?, self.dek.as_mut()) {
+            (0, None) => {}
+            (1, Some(dek)) => {
+                let node = NodeId(r.u64()?);
+                let key = Key::from_bytes(*r.array()?);
+                let version = r.u64()?;
+                ensure(node == dek.node)?;
+                dek.key = key;
+                dek.version = version;
+            }
+            _ => return Err(DecodeError::Invalid),
+        }
+        ensure(r.u32()? as usize == self.trees.len())?;
+        for slot in &mut self.trees {
+            slot.server = LkhServer::decode(r)?;
+        }
+        self.policy.load_policy_state(r)?;
+        r.finish()?;
+        self.epoch = epoch;
+        Ok(())
     }
 }
 
@@ -598,17 +625,15 @@ impl<P: PlacementPolicy> GroupKeyManager for RekeyEngine<P> {
     }
 
     fn restore_state(&mut self, bytes: &[u8]) -> Result<(), PersistError> {
-        let bad = |what: &'static str| PersistError::Codec { what };
-        let mut buf = bytes;
-        if get_u8(&mut buf).ok_or(bad("engine state"))? != ENGINE_WIRE_VERSION {
-            return Err(bad("engine state version"));
-        }
-        let name_len = get_u32(&mut buf).ok_or(bad("scheme name"))? as usize;
-        if buf.len() < name_len {
-            return Err(bad("scheme name"));
-        }
-        let (name, rest) = buf.split_at(name_len);
-        buf = rest;
+        let corrupt = PersistError::codec("engine state");
+        let mut r = Reader::new(bytes);
+        let name = r
+            .expect(ENGINE_WIRE_VERSION)
+            .and_then(|()| {
+                let len = r.u32()?;
+                r.bytes(len as usize)
+            })
+            .map_err(&corrupt)?;
         let expected = self.policy.scheme_name();
         if name != expected.as_bytes() {
             return Err(PersistError::SchemeMismatch {
@@ -616,40 +641,7 @@ impl<P: PlacementPolicy> GroupKeyManager for RekeyEngine<P> {
                 found: String::from_utf8_lossy(name).into_owned(),
             });
         }
-        let epoch = get_u64(&mut buf).ok_or(bad("engine epoch"))?;
-        // The DEK layering is configuration; the blob must agree with
-        // how this engine was built before its key material is taken.
-        match get_u8(&mut buf).ok_or(bad("DEK flag"))? {
-            0 if self.dek.is_none() => {}
-            1 if self.dek.is_some() => {
-                let node = NodeId(get_u64(&mut buf).ok_or(bad("DEK node"))?);
-                let (key, rest) = buf.split_first_chunk::<32>().ok_or(bad("DEK key"))?;
-                buf = rest;
-                let version = get_u64(&mut buf).ok_or(bad("DEK version"))?;
-                let dek = self.dek.as_mut().expect("checked above");
-                if dek.node != node {
-                    return Err(bad("DEK namespace"));
-                }
-                dek.key = Key::from_bytes(*key);
-                dek.version = version;
-            }
-            _ => return Err(bad("DEK layering")),
-        }
-        let count = get_u32(&mut buf).ok_or(bad("tree count"))? as usize;
-        if count != self.trees.len() {
-            return Err(bad("tree count"));
-        }
-        for slot in &mut self.trees {
-            slot.server = LkhServer::decode(&mut buf).ok_or(bad("tree"))?;
-        }
-        self.policy
-            .load_policy_state(&mut buf)
-            .ok_or(bad("policy state"))?;
-        if !buf.is_empty() {
-            return Err(bad("trailing bytes"));
-        }
-        self.epoch = epoch;
-        Ok(())
+        self.restore_body(&mut r).map_err(corrupt)
     }
 }
 

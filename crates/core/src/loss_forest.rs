@@ -17,6 +17,7 @@
 
 use crate::engine::{Placement, PlacementPolicy, RekeyEngine, Trees};
 use crate::Join;
+use rekey_keytree::message::codec::{DecodeError, Reader};
 use rekey_keytree::server::LkhServer;
 use rekey_keytree::{KeyTreeError, MemberId};
 use std::collections::BTreeMap;
@@ -177,19 +178,15 @@ impl LossEstimator {
         }
     }
 
-    /// Decodes an estimator serialized by [`LossEstimator::save_into`],
-    /// advancing `buf` past it. Returns `None` on truncation.
-    pub fn load_from(buf: &mut &[u8]) -> Option<LossEstimator> {
-        use rekey_keytree::message::codec::{get_u32, get_u64};
-        let count = get_u32(buf)?;
+    /// Decodes an estimator serialized by [`LossEstimator::save_into`]
+    /// off the front of `r`.
+    pub fn load_from(r: &mut Reader<'_>) -> Result<LossEstimator, DecodeError> {
         let mut observed = BTreeMap::new();
-        for _ in 0..count {
-            let member = MemberId(get_u64(buf)?);
-            let lost = get_u64(buf)?;
-            let seen = get_u64(buf)?;
-            observed.insert(member, (lost, seen));
+        for _ in 0..r.u32()? {
+            let member = MemberId(r.u64()?);
+            observed.insert(member, (r.u64()?, r.u64()?));
         }
-        Some(LossEstimator { observed })
+        Ok(LossEstimator { observed })
     }
 }
 

@@ -23,7 +23,7 @@ use crate::engine::{
 };
 use crate::{DurationClass, Join};
 use rekey_crypto::Key;
-use rekey_keytree::message::codec::{get_u32, get_u64, put_u32, put_u64};
+use rekey_keytree::message::codec::{ensure, put_u32, put_u64, DecodeError, Reader};
 use rekey_keytree::message::{RekeyEntry, RekeyMessage};
 use rekey_keytree::queue::{KeyQueue, QueueSlot};
 use rekey_keytree::server::LkhServer;
@@ -130,17 +130,15 @@ impl SPeriod {
     }
 
     /// Replaces the ledger with the one [`SPeriod::encode`] wrote.
-    pub(crate) fn decode(&mut self, buf: &mut &[u8]) -> Option<()> {
-        let count = get_u32(buf)?;
+    pub(crate) fn decode(&mut self, r: &mut Reader<'_>) -> Result<(), DecodeError> {
         self.members.clear();
-        for _ in 0..count {
-            let member = MemberId(get_u64(buf)?);
-            let joined = get_u64(buf)?;
-            let (key, rest) = buf.split_first_chunk::<32>()?;
-            *buf = rest;
-            self.members.insert(member, (joined, Key::from_bytes(*key)));
+        for _ in 0..r.u32()? {
+            let member = MemberId(r.u64()?);
+            let joined = r.u64()?;
+            self.members
+                .insert(member, (joined, Key::from_bytes(*r.array()?)));
         }
-        Some(())
+        Ok(())
     }
 }
 
@@ -193,8 +191,8 @@ impl PlacementPolicy for TtPolicy {
         self.s_period.encode(buf);
     }
 
-    fn load_policy_state(&mut self, buf: &mut &[u8]) -> Option<()> {
-        self.s_period.decode(buf)
+    fn load_policy_state(&mut self, r: &mut Reader<'_>) -> Result<(), DecodeError> {
+        self.s_period.decode(r)
     }
 }
 
@@ -312,12 +310,14 @@ pub(crate) fn queue_members_under(queue: &KeyQueue, node: NodeId) -> Option<Vec<
     })
 }
 
-/// Replaces `queue` with the one serialized on `buf`. The namespace is
+/// Replaces `queue` with the one serialized on `r`. The namespace is
 /// fixed at construction; a blob from a differently-configured manager
 /// must not graft on.
-pub(crate) fn load_queue(queue: &mut KeyQueue, buf: &mut &[u8]) -> Option<()> {
-    let loaded = KeyQueue::decode(buf)?;
-    (loaded.namespace() == queue.namespace()).then(|| *queue = loaded)
+pub(crate) fn load_queue(queue: &mut KeyQueue, r: &mut Reader<'_>) -> Result<(), DecodeError> {
+    let loaded = KeyQueue::decode(r)?;
+    ensure(loaded.namespace() == queue.namespace())?;
+    *queue = loaded;
+    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -399,8 +399,8 @@ impl PlacementPolicy for QtPolicy {
         self.queue.encode_into(buf);
     }
 
-    fn load_policy_state(&mut self, buf: &mut &[u8]) -> Option<()> {
-        load_queue(&mut self.queue, buf)
+    fn load_policy_state(&mut self, r: &mut Reader<'_>) -> Result<(), DecodeError> {
+        load_queue(&mut self.queue, r)
     }
 }
 

@@ -176,28 +176,171 @@ pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
     buf.extend_from_slice(&v.to_be_bytes());
 }
 
-/// Reads a big-endian `u64`, advancing `buf`; `None` on truncation.
-#[inline]
-pub fn get_u64(buf: &mut &[u8]) -> Option<u64> {
-    let (head, rest) = buf.split_first_chunk::<8>()?;
-    *buf = rest;
-    Some(u64::from_be_bytes(*head))
+/// Why a decoder refused its input: every byte format of the workspace
+/// reads through [`Reader`], and the owner of a blob turns this into
+/// its own error once.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DecodeError {
+    /// The input ended inside a field.
+    Truncated,
+    /// Bytes were left after the value.
+    Trailing,
+    /// A field holds a value the format does not allow.
+    Invalid,
 }
 
-/// Reads a big-endian `u32`, advancing `buf`; `None` on truncation.
-#[inline]
-pub fn get_u32(buf: &mut &[u8]) -> Option<u32> {
-    let (head, rest) = buf.split_first_chunk::<4>()?;
-    *buf = rest;
-    Some(u32::from_be_bytes(*head))
+impl std::fmt::Display for DecodeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            DecodeError::Truncated => "truncated",
+            DecodeError::Trailing => "trailing bytes",
+            DecodeError::Invalid => "invalid field",
+        })
+    }
 }
 
-/// Reads one byte, advancing `buf`; `None` on truncation.
+impl std::error::Error for DecodeError {}
+
+/// `Ok` if `valid`, else [`DecodeError::Invalid`].
 #[inline]
-pub fn get_u8(buf: &mut &[u8]) -> Option<u8> {
-    let (&head, rest) = buf.split_first()?;
-    *buf = rest;
-    Some(head)
+pub fn ensure(valid: bool) -> Result<(), DecodeError> {
+    valid.then_some(()).ok_or(DecodeError::Invalid)
+}
+
+/// A cursor over the bytes of one encoded value: each read takes its
+/// field off the front or fails with [`DecodeError::Truncated`], and a
+/// count read from the input sizes an allocation only through
+/// [`Reader::bounded`].
+#[derive(Debug, Clone)]
+pub struct Reader<'a> {
+    buf: &'a [u8],
+}
+
+impl<'a> Reader<'a> {
+    /// A cursor at the start of `bytes`.
+    pub fn new(bytes: &'a [u8]) -> Self {
+        Reader { buf: bytes }
+    }
+
+    /// Bytes not read yet.
+    pub fn rest(&self) -> &'a [u8] {
+        self.buf
+    }
+
+    /// [`DecodeError::Trailing`] unless every byte has been read: the
+    /// end of a value that must fill its input.
+    pub fn finish(&self) -> Result<(), DecodeError> {
+        self.buf
+            .is_empty()
+            .then_some(())
+            .ok_or(DecodeError::Trailing)
+    }
+
+    /// The next `len` bytes.
+    #[inline]
+    pub fn bytes(&mut self, len: usize) -> Result<&'a [u8], DecodeError> {
+        let (head, rest) = self
+            .buf
+            .split_at_checked(len)
+            .ok_or(DecodeError::Truncated)?;
+        self.buf = rest;
+        Ok(head)
+    }
+
+    /// The next `N` bytes.
+    #[inline]
+    pub fn array<const N: usize>(&mut self) -> Result<&'a [u8; N], DecodeError> {
+        let (head, rest) = self
+            .buf
+            .split_first_chunk::<N>()
+            .ok_or(DecodeError::Truncated)?;
+        self.buf = rest;
+        Ok(head)
+    }
+
+    /// One byte.
+    #[inline]
+    pub fn u8(&mut self) -> Result<u8, DecodeError> {
+        self.array().map(|&[byte]| byte)
+    }
+
+    /// One byte that must equal `expected` (a version or a tag), else
+    /// [`DecodeError::Invalid`].
+    #[inline]
+    pub fn expect(&mut self, expected: u8) -> Result<(), DecodeError> {
+        ensure(self.u8()? == expected)
+    }
+
+    /// A big-endian `u16`.
+    #[inline]
+    pub fn u16(&mut self) -> Result<u16, DecodeError> {
+        self.array().map(|bytes| u16::from_be_bytes(*bytes))
+    }
+
+    /// A big-endian `u32`.
+    #[inline]
+    pub fn u32(&mut self) -> Result<u32, DecodeError> {
+        self.array().map(|bytes| u32::from_be_bytes(*bytes))
+    }
+
+    /// A big-endian `u64`.
+    #[inline]
+    pub fn u64(&mut self) -> Result<u64, DecodeError> {
+        self.array().map(|bytes| u64::from_be_bytes(*bytes))
+    }
+
+    /// An unsigned LEB128 varint. [`DecodeError::Invalid`] for a value
+    /// above `u64::MAX` or an over-long form (a trailing zero group):
+    /// every value has exactly one encoding.
+    #[inline]
+    pub fn varint(&mut self) -> Result<u64, DecodeError> {
+        // Most header fields are one byte.
+        if let Some((&byte, rest)) = self.buf.split_first() {
+            if byte < 0x80 {
+                self.buf = rest;
+                return Ok(u64::from(byte));
+            }
+        }
+        let mut v = 0u64;
+        for shift in (0..64).step_by(7) {
+            let byte = self.u8()?;
+            let group = u64::from(byte & 0x7F);
+            ensure(shift < 63 || group <= 1)?;
+            v |= group << shift;
+            if byte & 0x80 == 0 {
+                ensure(byte != 0 || shift == 0)?;
+                return Ok(v);
+            }
+        }
+        Err(DecodeError::Invalid)
+    }
+
+    /// How many of `count` items, each at least `min_len` bytes, the
+    /// unread bytes could hold: all a decoder may reserve for a count
+    /// it read from its input. The one place a decoded count meets an
+    /// allocation.
+    #[inline]
+    pub fn bounded(&self, count: u64, min_len: usize) -> usize {
+        usize::try_from(count)
+            .unwrap_or(usize::MAX)
+            .min(self.buf.len() / min_len)
+    }
+
+    /// `count` items read by `item`, each at least `min_len` bytes,
+    /// into a vector reserved by [`Reader::bounded`].
+    #[inline]
+    pub fn list<T>(
+        &mut self,
+        count: u64,
+        min_len: usize,
+        mut item: impl FnMut(&mut Self) -> Result<T, DecodeError>,
+    ) -> Result<Vec<T>, DecodeError> {
+        let mut items = Vec::with_capacity(self.bounded(count, min_len));
+        for _ in 0..count {
+            items.push(item(self)?);
+        }
+        Ok(items)
+    }
 }
 
 /// Where encoded bytes go: a buffer, or a counter for the sizing pass.
@@ -247,33 +390,6 @@ fn write_varint<S: Sink>(out: &mut S, mut v: u64) {
 #[inline]
 pub fn put_varint(buf: &mut Vec<u8>, v: u64) {
     write_varint(buf, v);
-}
-
-/// Reads an unsigned LEB128 varint, advancing `buf`. `None` on
-/// truncation, a value above `u64::MAX`, or an over-long form (a
-/// trailing zero group): every value has exactly one encoding.
-#[inline]
-pub fn get_varint(buf: &mut &[u8]) -> Option<u64> {
-    // Most header fields are one byte.
-    if let Some((&byte, rest)) = buf.split_first() {
-        if byte < 0x80 {
-            *buf = rest;
-            return Some(u64::from(byte));
-        }
-    }
-    let mut v = 0u64;
-    for shift in (0..64).step_by(7) {
-        let byte = get_u8(buf)?;
-        let group = u64::from(byte & 0x7F);
-        if shift == 63 && group > 1 {
-            return None;
-        }
-        v |= group << shift;
-        if byte & 0x80 == 0 {
-            return (byte != 0 || shift == 0).then_some(v);
-        }
-    }
-    None
 }
 
 /// Zigzag of the wrapping difference `to − from`, so that a small step
@@ -334,38 +450,33 @@ impl EntryCoder {
         self.step(entry, nonce);
     }
 
-    fn decode(&mut self, buf: &mut &[u8]) -> Option<RekeyEntry> {
-        let flags = get_u8(buf)?;
+    fn decode(&mut self, r: &mut Reader<'_>) -> Result<RekeyEntry, DecodeError> {
+        let flags = r.u8()?;
         let refers_back = flags & (SAME_TARGET | NONCE_NEXT) != 0;
-        if flags & !KNOWN_FLAGS != 0 || (refers_back && self.nonce.is_none()) {
-            return None;
-        }
+        ensure(flags & !KNOWN_FLAGS == 0 && !(refers_back && self.nonce.is_none()))?;
+        let u32_field = |v: u64| u32::try_from(v).map_err(|_| DecodeError::Invalid);
         let (target, target_version, target_depth) = if flags & SAME_TARGET != 0 {
             (self.target, self.target_version, self.target_depth)
         } else {
             (
-                apply_delta(self.target, get_varint(buf)?),
-                get_varint(buf)?,
-                u32::try_from(get_varint(buf)?).ok()?,
+                apply_delta(self.target, r.varint()?),
+                r.varint()?,
+                u32_field(r.varint()?)?,
             )
         };
-        let under = apply_delta(self.under, get_varint(buf)?);
-        let under_version = get_varint(buf)?;
+        let under = apply_delta(self.under, r.varint()?);
+        let under_version = r.varint()?;
         let recipient = if flags & HAS_RECIPIENT != 0 {
-            Some(MemberId(get_varint(buf)?))
+            Some(MemberId(r.varint()?))
         } else {
             None
         };
-        let audience = u32::try_from(get_varint(buf)?).ok()?;
-        let nonce = if flags & NONCE_NEXT != 0 {
-            next_nonce(self.nonce?)
-        } else {
-            let (nonce, rest) = buf.split_first_chunk::<NONCE_LEN>()?;
-            *buf = rest;
-            *nonce
+        let audience = u32_field(r.varint()?)?;
+        let nonce = match self.nonce {
+            Some(previous) if flags & NONCE_NEXT != 0 => next_nonce(previous),
+            _ => *r.array::<NONCE_LEN>()?,
         };
-        let (sealed, rest) = buf.split_first_chunk::<SEALED_LEN>()?;
-        *buf = rest;
+        let sealed = r.array::<SEALED_LEN>()?;
         let entry = RekeyEntry {
             target: NodeId(target),
             target_version,
@@ -378,7 +489,7 @@ impl EntryCoder {
             wrapped: WrappedKey::from_parts(nonce, sealed),
         };
         self.step(&entry, nonce);
-        Some(entry)
+        Ok(entry)
     }
 
     fn step(&mut self, entry: &RekeyEntry, nonce: [u8; NONCE_LEN]) {
@@ -397,15 +508,11 @@ fn encode_entries<'a, S: Sink>(entries: impl IntoIterator<Item = &'a RekeyEntry>
     }
 }
 
-/// Decodes `count` entries off the front of `buf`. A claimed count
-/// allocates no more than the bytes behind it could hold.
-fn decode_entries(buf: &mut &[u8], count: usize) -> Option<Vec<RekeyEntry>> {
-    let mut entries = Vec::with_capacity(count.min(buf.len() / MIN_ENTRY_LEN + 1));
+/// Decodes an entry count and that many entries.
+fn decode_entries(r: &mut Reader<'_>) -> Result<Vec<RekeyEntry>, DecodeError> {
+    let count = r.u32()?;
     let mut coder = EntryCoder::default();
-    for _ in 0..count {
-        entries.push(coder.decode(buf)?);
-    }
-    Some(entries)
+    r.list(count.into(), MIN_ENTRY_LEN, |r| coder.decode(r))
 }
 
 fn encode_advances<S: Sink>(advances: &[KeyAdvance], out: &mut S) {
@@ -419,27 +526,21 @@ fn encode_advances<S: Sink>(advances: &[KeyAdvance], out: &mut S) {
     }
 }
 
-/// Decodes the advance section of a message. A claimed count allocates
-/// no more than the bytes behind it could hold.
-fn decode_advances(buf: &mut &[u8]) -> Option<Vec<KeyAdvance>> {
-    let count = get_varint(buf)?;
-    let mut advances = Vec::with_capacity((count as usize).min(buf.len() / MIN_ADVANCE_LEN + 1));
+/// Decodes the advance section of a message.
+fn decode_advances(r: &mut Reader<'_>) -> Result<Vec<KeyAdvance>, DecodeError> {
+    let count = r.varint()?;
     let mut node = 0;
-    for _ in 0..count {
-        node = apply_delta(node, get_varint(buf)?);
-        let version = get_varint(buf)?;
-        let (check, rest) = buf.split_first_chunk::<ADVANCE_CHECK_LEN>()?;
-        *buf = rest;
-        if version == 0 {
-            return None; // nothing precedes version 0
-        }
-        advances.push(KeyAdvance {
+    r.list(count, MIN_ADVANCE_LEN, |r| {
+        node = apply_delta(node, r.varint()?);
+        let version = r.varint()?;
+        let check = *r.array()?;
+        ensure(version != 0)?; // nothing precedes version 0
+        Ok(KeyAdvance {
             node: NodeId(node),
             version,
-            check: *check,
-        });
-    }
-    Some(advances)
+            check,
+        })
+    })
 }
 
 fn encode_derivations<S: Sink>(derivations: &[KeyDerivation], out: &mut S) {
@@ -454,30 +555,24 @@ fn encode_derivations<S: Sink>(derivations: &[KeyDerivation], out: &mut S) {
     }
 }
 
-/// Decodes the derivation section of a message. A claimed count
-/// allocates no more than the bytes behind it could hold.
-fn decode_derivations(buf: &mut &[u8]) -> Option<Vec<KeyDerivation>> {
-    let count = get_varint(buf)?;
-    let mut derivations =
-        Vec::with_capacity((count as usize).min(buf.len() / MIN_DERIVATION_LEN + 1));
+/// Decodes the derivation section of a message.
+fn decode_derivations(r: &mut Reader<'_>) -> Result<Vec<KeyDerivation>, DecodeError> {
+    let count = r.varint()?;
     let mut target = 0;
-    for _ in 0..count {
-        target = apply_delta(target, get_varint(buf)?);
-        let version = get_varint(buf)?;
-        let source = apply_delta(target, get_varint(buf)?);
-        let (check, rest) = buf.split_first_chunk::<DERIVE_CHECK_LEN>()?;
-        *buf = rest;
-        if version == 0 || source == target {
-            return None; // a node is derived from a child, into a new version
-        }
-        derivations.push(KeyDerivation {
+    r.list(count, MIN_DERIVATION_LEN, |r| {
+        target = apply_delta(target, r.varint()?);
+        let version = r.varint()?;
+        let source = apply_delta(target, r.varint()?);
+        let check = *r.array()?;
+        // A node is derived from a child, into a new version.
+        ensure(version != 0 && source != target)?;
+        Ok(KeyDerivation {
             target: NodeId(target),
             version,
             source: NodeId(source),
-            check: *check,
-        });
-    }
-    Some(derivations)
+            check,
+        })
+    })
 }
 
 /// Bytes the entry coder writes for `entries`, into a counter.
@@ -523,11 +618,11 @@ where
 /// Returns `None` on a version mismatch, truncation, or a malformed
 /// entry.
 pub fn decode_block(buf: &mut &[u8]) -> Option<Vec<RekeyEntry>> {
-    if get_u8(buf)? != WIRE_VERSION {
-        return None;
-    }
-    let count = get_u32(buf)? as usize;
-    decode_entries(buf, count)
+    let mut r = Reader::new(buf);
+    r.expect(WIRE_VERSION).ok()?;
+    let entries = decode_entries(&mut r).ok()?;
+    *buf = r.rest();
+    Some(entries)
 }
 
 /// Appends a whole message to `buf`: version byte, epoch, entry count,
@@ -568,11 +663,8 @@ pub fn encode_message(message: &RekeyMessage) -> Vec<u8> {
 /// its envelope alone: nothing behind the epoch is looked at. `None`
 /// on a version mismatch or an envelope shorter than the epoch.
 pub fn message_epoch(bytes: &[u8]) -> Option<u64> {
-    let mut buf = bytes;
-    if get_u8(&mut buf)? != WIRE_VERSION {
-        return None;
-    }
-    get_u64(&mut buf)
+    let mut r = Reader::new(bytes);
+    r.expect(WIRE_VERSION).and_then(|()| r.u64()).ok()
 }
 
 /// Deserializes a message written by [`encode_message`].
@@ -580,18 +672,20 @@ pub fn message_epoch(bytes: &[u8]) -> Option<u64> {
 /// Returns `None` on a version mismatch, truncation, trailing bytes,
 /// or a malformed entry, advance or derivation.
 pub fn decode_message(bytes: &[u8]) -> Option<RekeyMessage> {
-    let epoch = message_epoch(bytes)?;
-    let mut buf = &bytes[1 + 8..];
-    let count = get_u32(&mut buf)? as usize;
-    let entries = decode_entries(&mut buf, count)?;
-    let advances = decode_advances(&mut buf)?;
-    let derivations = decode_derivations(&mut buf)?;
-    buf.is_empty().then_some(RekeyMessage {
-        epoch,
-        entries,
-        advances,
-        derivations,
-    })
+    read_message(&mut Reader::new(bytes)).ok()
+}
+
+/// [`decode_message`] with the reason it failed.
+fn read_message(r: &mut Reader<'_>) -> Result<RekeyMessage, DecodeError> {
+    r.expect(WIRE_VERSION)?;
+    let message = RekeyMessage {
+        epoch: r.u64()?,
+        entries: decode_entries(r)?,
+        advances: decode_advances(r)?,
+        derivations: decode_derivations(r)?,
+    };
+    r.finish()?;
+    Ok(message)
 }
 
 #[cfg(test)]
@@ -848,21 +942,23 @@ mod tests {
         ] {
             let mut buf = Vec::new();
             put_varint(&mut buf, v);
-            let mut slice = buf.as_slice();
-            assert_eq!(get_varint(&mut slice), Some(v));
-            assert!(slice.is_empty());
+            let mut r = Reader::new(&buf);
+            assert_eq!(r.varint(), Ok(v));
+            assert!(r.rest().is_empty());
             for cut in 0..buf.len() {
-                assert_eq!(get_varint(&mut &buf[..cut]), None, "{v} cut at {cut}");
+                let truncated = Reader::new(&buf[..cut]).varint();
+                assert_eq!(truncated, Err(DecodeError::Truncated), "{v} cut at {cut}");
             }
         }
+        let varint = |bytes: &[u8]| Reader::new(bytes).varint();
         // Over-long: a trailing zero group.
-        assert_eq!(get_varint(&mut [0x80, 0x00].as_slice()), None);
-        assert_eq!(get_varint(&mut [0xFF, 0x80, 0x00].as_slice()), None);
+        assert_eq!(varint(&[0x80, 0x00]), Err(DecodeError::Invalid));
+        assert_eq!(varint(&[0xFF, 0x80, 0x00]), Err(DecodeError::Invalid));
         // Overflow: bit 64 set, and an eleventh byte.
         let mut over = [0xFF; 10];
         over[9] = 0x02;
-        assert_eq!(get_varint(&mut over.as_slice()), None);
-        assert_eq!(get_varint(&mut [0x80; 11].as_slice()), None);
+        assert_eq!(varint(&over), Err(DecodeError::Invalid));
+        assert_eq!(varint(&[0x80; 11]), Err(DecodeError::Invalid));
         // Deltas wrap both ways.
         for (from, to) in [(0, u64::MAX), (u64::MAX, 0), (5, 3), (1 << 63, 0), (9, 9)] {
             assert_eq!(apply_delta(from, delta(from, to)), to);

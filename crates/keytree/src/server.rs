@@ -95,7 +95,7 @@
 //! traces whenever a recorder is installed — and costs one atomic load
 //! per phase when none is.
 
-use crate::message::codec::{get_u64, get_u8, put_u64};
+use crate::message::codec::{put_u64, DecodeError, Reader};
 use crate::message::{EntryMeta, KeyAdvance, KeyDerivation, RekeyEntry, RekeyMessage};
 use crate::tree::KeyTree;
 use crate::{KeyTreeError, MemberId, NodeId};
@@ -211,16 +211,14 @@ impl LkhServer {
         self.tree.encode_into(buf);
     }
 
-    /// Decodes a server serialized by [`LkhServer::encode_into`],
-    /// advancing `buf` past it. Returns `None` on truncation, an
-    /// unknown version, or an invalid embedded tree.
-    pub fn decode(buf: &mut &[u8]) -> Option<LkhServer> {
-        if get_u8(buf)? != SERVER_WIRE_VERSION {
-            return None;
-        }
-        let epoch = get_u64(buf)?;
-        let tree = KeyTree::decode(buf)?;
-        Some(LkhServer { tree, epoch })
+    /// Decodes a server serialized by [`LkhServer::encode_into`] off
+    /// the front of `r`. [`DecodeError::Invalid`] for an unknown
+    /// version or an invalid embedded tree.
+    pub fn decode(r: &mut Reader<'_>) -> Result<LkhServer, DecodeError> {
+        r.expect(SERVER_WIRE_VERSION)?;
+        let epoch = r.u64()?;
+        let tree = KeyTree::decode(r)?;
+        Ok(LkhServer { tree, epoch })
     }
 
     /// Read access to the underlying tree.

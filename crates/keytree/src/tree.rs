@@ -12,7 +12,7 @@
 //! list of surviving *dirty* ancestors whose keys must be refreshed;
 //! [`crate::server::LkhServer`] turns those into rekey messages.
 
-use crate::message::codec::{get_u32, get_u64, get_u8, put_u32, put_u64};
+use crate::message::codec::{ensure, put_u32, put_u64, DecodeError, Reader};
 use crate::message::KeyDerivation;
 use crate::{KeyTreeError, MemberId, NodeId};
 use rand::RngCore;
@@ -655,28 +655,19 @@ impl KeyTree {
         }
     }
 
-    /// Decodes a tree serialized by [`KeyTree::encode_into`],
-    /// advancing `buf` past it. Returns `None` on truncation, an
-    /// unknown version, or a structurally invalid node table (bad
-    /// parent reference, duplicate id/member, leaf with children,
-    /// root marked as a leaf).
-    pub fn decode(buf: &mut &[u8]) -> Option<KeyTree> {
-        if get_u8(buf)? != TREE_WIRE_VERSION {
-            return None;
-        }
-        let degree = get_u32(buf)? as usize;
-        if degree < 2 {
-            return None;
-        }
-        let namespace = get_u32(buf)?;
-        let next_counter = get_u64(buf)?;
-        let count = get_u32(buf)? as usize;
-        if count == 0 {
-            return None;
-        }
-        // The count is input: size the tables by what the remaining
-        // bytes can actually hold.
-        let capacity = count.min(buf.len() / NODE_RECORD_LEN);
+    /// Decodes a tree serialized by [`KeyTree::encode_into`] off the
+    /// front of `r`. [`DecodeError::Invalid`] for an unknown version or
+    /// a structurally invalid node table (bad parent reference,
+    /// duplicate id/member, leaf with children, root marked as a leaf).
+    pub fn decode(r: &mut Reader<'_>) -> Result<KeyTree, DecodeError> {
+        r.expect(TREE_WIRE_VERSION)?;
+        let degree = r.u32()? as usize;
+        ensure(degree >= 2)?;
+        let namespace = r.u32()?;
+        let next_counter = r.u64()?;
+        let count = r.u32()? as usize;
+        ensure(count > 0)?;
+        let capacity = r.bounded(count as u64, NODE_RECORD_LEN);
         let mut tree = KeyTree {
             degree,
             namespace,
@@ -688,46 +679,33 @@ impl KeyTree {
             next_counter,
         };
         for i in 0..count {
-            let id = NodeId(get_u64(buf)?);
-            let parent_pos = get_u32(buf)?;
+            let id = NodeId(r.u64()?);
+            let parent_pos = r.u32()?;
             let parent = if parent_pos == u32::MAX {
                 // Only the first record may be the root.
-                if i != 0 {
-                    return None;
-                }
+                ensure(i == 0)?;
                 None
             } else {
                 // Breadth-first order: parents strictly precede their
                 // children in the stream.
-                if parent_pos as usize >= i {
-                    return None;
-                }
+                ensure((parent_pos as usize) < i)?;
                 Some(parent_pos as usize)
             };
-            let member = match get_u8(buf)? {
+            let member = match r.u8()? {
                 0 => None,
-                1 => Some(MemberId(get_u64(buf)?)),
-                _ => return None,
+                1 => Some(MemberId(r.u64()?)),
+                _ => return Err(DecodeError::Invalid),
             };
-            if i == 0 && member.is_some() {
-                return None; // the root is never a leaf
-            }
-            let (key_bytes, rest) = buf.split_first_chunk::<32>()?;
-            *buf = rest;
-            let version = get_u64(buf)?;
-            if tree.index_of.insert(id, i).is_some() {
-                return None;
-            }
+            ensure(i != 0 || member.is_none())?; // the root is never a leaf
+            let key = Key::from_bytes(*r.array()?);
+            let version = r.u64()?;
+            ensure(tree.index_of.insert(id, i).is_none())?;
             if let Some(m) = member {
-                if tree.leaf_of.insert(m, i).is_some() {
-                    return None;
-                }
+                ensure(tree.leaf_of.insert(m, i).is_none())?;
             }
             if let Some(p) = parent {
-                let parent_node = tree.slots[p].as_mut()?;
-                if parent_node.member.is_some() {
-                    return None; // leaves have no children
-                }
+                let parent_node = tree.node_mut(p);
+                ensure(parent_node.member.is_none())?; // leaves have no children
                 parent_node.children.push(i);
             }
             tree.slots.push(Some(Node {
@@ -735,7 +713,7 @@ impl KeyTree {
                 parent,
                 children: Vec::new(),
                 member,
-                key: Key::from_bytes(*key_bytes),
+                key,
                 version,
                 leaf_count: usize::from(member.is_some()),
             }));
@@ -743,13 +721,11 @@ impl KeyTree {
         // Children appear after their parents, so one reverse sweep
         // settles every subtree leaf count.
         for i in (1..count).rev() {
-            let (leaves, parent) = {
-                let n = tree.slots[i].as_ref()?;
-                (n.leaf_count, n.parent?)
-            };
-            tree.slots[parent].as_mut()?.leaf_count += leaves;
+            let n = tree.node(i);
+            let (leaves, parent) = (n.leaf_count, n.parent.expect("only the root has no parent"));
+            tree.node_mut(parent).leaf_count += leaves;
         }
-        Some(tree)
+        Ok(tree)
     }
 
     /// Verifies internal structural invariants; used by tests.
@@ -1133,9 +1109,9 @@ mod tests {
             "d1336f381c64c37043a9ba715d7c6ff8db33e5d6c76ac75044e3c69b38ec1b6c"
         );
 
-        let mut cursor = &blob[..];
-        let decoded = KeyTree::decode(&mut cursor).expect("decodes");
-        assert!(cursor.is_empty());
+        let mut r = Reader::new(&blob);
+        let decoded = KeyTree::decode(&mut r).expect("decodes");
+        assert!(r.rest().is_empty());
         decoded.check_invariants();
         let mut again = Vec::new();
         decoded.encode_into(&mut again);

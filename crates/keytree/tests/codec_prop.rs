@@ -9,7 +9,7 @@ use rand::{Rng, SeedableRng};
 use rekey_crypto::keywrap::{self, next_nonce};
 use rekey_crypto::Key;
 use rekey_keytree::message::codec::{
-    decode_block, decode_message, encode_block, encode_message, get_varint, put_varint,
+    decode_block, decode_message, encode_block, encode_message, put_varint, DecodeError, Reader,
     BLOCK_HEADER_LEN, MESSAGE_HEADER_LEN, MIN_ADVANCE_LEN, MIN_DERIVATION_LEN, MIN_ENTRY_LEN,
     WIRE_VERSION,
 };
@@ -343,12 +343,12 @@ proptest! {
         let mut buf = Vec::new();
         put_varint(&mut buf, value);
         prop_assert!(buf.len() <= 10);
-        let mut slice = buf.as_slice();
-        prop_assert_eq!(get_varint(&mut slice), Some(value));
-        prop_assert!(slice.is_empty());
+        let mut r = Reader::new(&buf);
+        prop_assert_eq!(r.varint(), Ok(value));
+        prop_assert!(r.rest().is_empty());
         // The same value with a trailing zero group.
         *buf.last_mut().unwrap() |= 0x80;
         buf.push(0);
-        prop_assert_eq!(get_varint(&mut buf.as_slice()), None);
+        prop_assert_eq!(Reader::new(&buf).varint(), Err(DecodeError::Invalid));
     }
 }

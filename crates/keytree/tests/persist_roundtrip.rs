@@ -8,7 +8,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rekey_crypto::Key;
-use rekey_keytree::message::codec::encode_message;
+use rekey_keytree::message::codec::{encode_message, Reader};
 use rekey_keytree::queue::KeyQueue;
 use rekey_keytree::server::LkhServer;
 use rekey_keytree::MemberId;
@@ -45,9 +45,9 @@ fn decoded_server_emits_byte_identical_future() {
 
         let mut blob = Vec::new();
         original.encode_into(&mut blob);
-        let mut cursor = &blob[..];
-        let mut restored = LkhServer::decode(&mut cursor).expect("decodes");
-        assert!(cursor.is_empty(), "decode consumed the whole blob");
+        let mut r = Reader::new(&blob);
+        let mut restored = LkhServer::decode(&mut r).expect("decodes");
+        assert!(r.rest().is_empty(), "decode consumed the whole blob");
         assert_eq!(restored.epoch(), original.epoch());
         assert_eq!(restored.member_count(), original.member_count());
         restored.tree().check_invariants();
@@ -92,13 +92,13 @@ fn server_decode_rejects_tampering() {
 
     // Truncation at any point must fail cleanly, never panic.
     for cut in 0..blob.len() {
-        let mut cursor = &blob[..cut];
-        assert!(LkhServer::decode(&mut cursor).is_none(), "cut at {cut}");
+        let mut r = Reader::new(&blob[..cut]);
+        assert!(LkhServer::decode(&mut r).is_err(), "cut at {cut}");
     }
     // Unknown version bytes are rejected up front.
     let mut bad = blob.clone();
     bad[0] = 99;
-    assert!(LkhServer::decode(&mut &bad[..]).is_none());
+    assert!(LkhServer::decode(&mut Reader::new(&bad)).is_err());
 }
 
 #[test]
@@ -117,9 +117,9 @@ fn queue_round_trip_preserves_arrival_order_and_ids() {
 
     let mut blob = Vec::new();
     queue.encode_into(&mut blob);
-    let mut cursor = &blob[..];
-    let mut restored = KeyQueue::decode(&mut cursor).expect("decodes");
-    assert!(cursor.is_empty());
+    let mut r = Reader::new(&blob);
+    let mut restored = KeyQueue::decode(&mut r).expect("decodes");
+    assert!(r.rest().is_empty());
 
     assert_eq!(restored.namespace(), queue.namespace());
     assert_eq!(restored.len(), queue.len());

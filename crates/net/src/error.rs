@@ -1,5 +1,6 @@
 //! Typed errors for the network layer.
 
+use rekey_keytree::message::codec::DecodeError;
 use rekey_keytree::KeyTreeError;
 use std::error::Error;
 use std::fmt;
@@ -134,6 +135,17 @@ impl Error for NetError {
             NetError::KeyTree(e) => Some(e),
             _ => None,
         }
+    }
+}
+
+impl From<DecodeError> for NetError {
+    fn from(e: DecodeError) -> Self {
+        let what = match e {
+            DecodeError::Truncated => "truncated frame",
+            DecodeError::Trailing => "trailing bytes after frame",
+            DecodeError::Invalid => "invalid frame field",
+        };
+        NetError::Malformed { what }
     }
 }
 

@@ -11,7 +11,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rekey_core::{DurationClass, Join};
-use rekey_keytree::message::codec::{get_u32, get_u64, get_u8};
+use rekey_keytree::message::codec::{ensure, DecodeError, Reader};
 use rekey_keytree::MemberId;
 
 /// One join operation: the member, an optional duration-class hint
@@ -235,44 +235,39 @@ impl Scenario {
     }
 
     /// Deserializes a scenario written by [`Scenario::encode`].
-    /// Returns `None` on a bad magic/version, truncation, or trailing
-    /// bytes.
-    pub fn decode(bytes: &[u8]) -> Option<Scenario> {
-        let mut buf = bytes.strip_prefix(MAGIC)?;
-        if get_u8(&mut buf)? != VERSION {
-            return None;
-        }
-        let seed = get_u64(&mut buf)?;
-        let degree = get_u8(&mut buf)?;
-        let (k, rest) = buf.split_first_chunk::<2>()?;
-        let k = u16::from_be_bytes(*k);
-        buf = rest;
-        let n_intervals = get_u32(&mut buf)? as usize;
-        let mut intervals = Vec::with_capacity(n_intervals.min(buf.len()));
-        for _ in 0..n_intervals {
+    pub fn decode(bytes: &[u8]) -> Result<Scenario, DecodeError> {
+        let mut r = Reader::new(bytes);
+        ensure(r.bytes(MAGIC.len())? == MAGIC)?;
+        r.expect(VERSION)?;
+        let seed = r.u64()?;
+        let degree = r.u8()?;
+        let k = r.u16()?;
+        let n_intervals = r.u32()?;
+        // An interval is at least its three counts.
+        let intervals = r.list(n_intervals.into(), 12, |r| {
             let mut iv = IntervalOps::default();
-            for _ in 0..get_u32(&mut buf)? {
+            for _ in 0..r.u32()? {
                 iv.joins.push(JoinOp {
-                    member: get_u64(&mut buf)?,
-                    class: match get_u8(&mut buf)? {
+                    member: r.u64()?,
+                    class: match r.u8()? {
                         0 => None,
                         1 => Some(DurationClass::Short),
                         2 => Some(DurationClass::Long),
-                        _ => return None,
+                        _ => return Err(DecodeError::Invalid),
                     },
-                    loss: f64::from_bits(get_u64(&mut buf)?),
+                    loss: f64::from_bits(r.u64()?),
                 });
             }
-            for _ in 0..get_u32(&mut buf)? {
-                iv.leaves.push(get_u64(&mut buf)?);
+            for _ in 0..r.u32()? {
+                iv.leaves.push(r.u64()?);
             }
-            for _ in 0..get_u32(&mut buf)? {
-                iv.loss_changes
-                    .push((get_u64(&mut buf)?, f64::from_bits(get_u64(&mut buf)?)));
+            for _ in 0..r.u32()? {
+                iv.loss_changes.push((r.u64()?, f64::from_bits(r.u64()?)));
             }
-            intervals.push(iv);
-        }
-        buf.is_empty().then_some(Scenario {
+            Ok(iv)
+        })?;
+        r.finish()?;
+        Ok(Scenario {
             seed,
             degree,
             k,
@@ -436,7 +431,7 @@ mod tests {
         for seed in [0, 1, 7, 0xDEAD_BEEF] {
             let s = Scenario::generate(seed, 25, &GenParams::default());
             let bytes = s.encode();
-            assert_eq!(Scenario::decode(&bytes), Some(s));
+            assert_eq!(Scenario::decode(&bytes), Ok(s));
         }
     }
 
@@ -445,11 +440,11 @@ mod tests {
         let s = Scenario::generate(3, 10, &GenParams::default());
         let bytes = s.encode();
         for cut in 0..bytes.len().min(64) {
-            assert_eq!(Scenario::decode(&bytes[..cut]), None, "cut at {cut}");
+            assert!(Scenario::decode(&bytes[..cut]).is_err(), "cut at {cut}");
         }
         let mut padded = bytes.clone();
         padded.push(0);
-        assert_eq!(Scenario::decode(&padded), None);
+        assert!(Scenario::decode(&padded).is_err());
     }
 
     #[test]

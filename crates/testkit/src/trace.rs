@@ -9,7 +9,7 @@
 //! instead of panicking.
 
 use crate::scenario::Scenario;
-use rekey_keytree::message::codec::{get_u32, get_u8};
+use rekey_keytree::message::codec::{DecodeError, Reader};
 use std::fmt;
 
 const MAGIC: &[u8] = b"RKWT";
@@ -65,6 +65,13 @@ impl fmt::Display for TraceError {
 
 impl std::error::Error for TraceError {}
 
+/// Reading a trace's own fields fails only by running out of input.
+impl From<DecodeError> for TraceError {
+    fn from(_: DecodeError) -> Self {
+        TraceError::Truncated
+    }
+}
+
 impl Trace {
     /// Serializes the trace:
     /// `RKWT | version | name_len:u8 | name | scenario_len:u32 | scenario`.
@@ -89,26 +96,21 @@ impl Trace {
     /// Returns a [`TraceError`] pinning what is wrong with the input;
     /// never panics, whatever the bytes.
     pub fn decode(bytes: &[u8]) -> Result<Trace, TraceError> {
-        let mut buf = bytes.strip_prefix(MAGIC).ok_or(TraceError::BadMagic)?;
-        let version = get_u8(&mut buf).ok_or(TraceError::Truncated)?;
+        let mut r = Reader::new(bytes.strip_prefix(MAGIC).ok_or(TraceError::BadMagic)?);
+        let version = r.u8()?;
         if version != VERSION {
             return Err(TraceError::UnsupportedVersion(version));
         }
-        let name_len = get_u8(&mut buf).ok_or(TraceError::Truncated)? as usize;
-        let (name, mut buf) = buf
-            .split_at_checked(name_len)
-            .ok_or(TraceError::Truncated)?;
-        let generator = std::str::from_utf8(name)
+        let name_len = r.u8()?;
+        let generator = std::str::from_utf8(r.bytes(name_len.into())?)
             .map_err(|_| TraceError::BadGeneratorName)?
             .to_string();
-        let scenario_len = get_u32(&mut buf).ok_or(TraceError::Truncated)? as usize;
-        let (scenario_bytes, trailing) = buf
-            .split_at_checked(scenario_len)
-            .ok_or(TraceError::Truncated)?;
-        if !trailing.is_empty() {
-            return Err(TraceError::TrailingBytes(trailing.len()));
+        let scenario_len = r.u32()?;
+        let scenario_bytes = r.bytes(scenario_len as usize)?;
+        if !r.rest().is_empty() {
+            return Err(TraceError::TrailingBytes(r.rest().len()));
         }
-        let scenario = Scenario::decode(scenario_bytes).ok_or(TraceError::BadScenario)?;
+        let scenario = Scenario::decode(scenario_bytes).map_err(|_| TraceError::BadScenario)?;
         Ok(Trace {
             generator,
             scenario,
