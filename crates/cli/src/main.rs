@@ -32,9 +32,9 @@
 //!     `uniform` churn, and four trace-driven shapes), one per
 //!     generator and seed, `--n` members at bootstrap. Each cell prints
 //!     one line: peak members, encrypted keys per interval (mean, std,
-//!     min, max over the churn intervals after `--warmup`, which must
-//!     leave at least one), bytes per interval (mean, max), rekey
-//!     latency p50/p99, and last the wire digest. `--loss none` runs
+//!     min, max) and bytes per interval (mean, max), both over the
+//!     churn intervals after `--warmup`, which must leave at least one,
+//!     rekey latency p50/p99, and last the wire digest. `--loss none` runs
 //!     the schemes alone (usable at n = 16 384); any other mode also
 //!     checks every interval with the key-knowledge oracle and a farm
 //!     of real `GroupMember`s fed the wire bytes through that delivery
@@ -390,13 +390,16 @@ struct WorkloadCell {
     max_interval_bytes: usize,
     /// Encrypted keys of every churn interval after the warm-up.
     keys: Vec<f64>,
+    /// Multicast bytes of the same intervals.
+    bytes: Vec<f64>,
     /// `process_interval` wall-clock time of every interval.
     latency_ns: rekey_obs::hist::Log2Histogram,
     trace_file: Option<String>,
 }
 
 impl WorkloadCell {
-    /// Mean multicast bytes per interval, the bootstrap included.
+    /// Mean multicast bytes per interval, the bootstrap included (the
+    /// sweep report's figure; the line averages `bytes`).
     fn mean_interval_bytes(&self) -> f64 {
         self.stats.total_bytes as f64 / self.stats.intervals.max(1) as f64
     }
@@ -405,14 +408,13 @@ impl WorkloadCell {
     /// read it as `$NF`.
     fn line(&self) -> String {
         let (mean, std, min, max) = summarize(&self.keys);
+        let (bytes_mean, _, _, bytes_max) = summarize(&self.bytes);
         format!(
-            "{:<14} seed {:<4} {:<9} peak {:>6} members  {mean:.0} keys/interval (std {std:.0}, min {min:.0}, max {max:.0})  {:>9.0} B/interval (max {:>7})  latency p50 {:>8}ns p99 {:>8}ns  digest {}",
+            "{:<14} seed {:<4} {:<9} peak {:>6} members  {mean:.0} keys/interval (std {std:.0}, min {min:.0}, max {max:.0})  {bytes_mean:>9.0} B/interval (max {bytes_max:>7.0})  latency p50 {:>8}ns p99 {:>8}ns  digest {}",
             self.generator,
             self.seed,
             self.scheme,
             self.peak_members,
-            self.mean_interval_bytes(),
-            self.max_interval_bytes,
             self.latency_ns.quantile(0.5),
             self.latency_ns.quantile(0.99),
             &hex32(&self.stats.digest)[..16],
@@ -423,7 +425,7 @@ impl WorkloadCell {
 /// Runs `scheme` over `trace`: unchecked through `drive` when
 /// `delivery` is `None`, else through `run_scenario` under the oracle
 /// and the member farm. The first `warmup` churn intervals stay out of
-/// the keys/interval series.
+/// the keys and bytes per interval series.
 fn run_cell(
     trace: &rekey_testkit::Trace,
     scheme: Scheme,
@@ -432,7 +434,8 @@ fn run_cell(
 ) -> Result<WorkloadCell, rekey_testkit::Violation> {
     use rekey_testkit::{drive, factory_for, run_scenario, RunOptions, Step};
 
-    let (mut peak_members, mut max_interval_bytes, mut keys) = (0, 0, Vec::new());
+    let (mut peak_members, mut max_interval_bytes) = (0, 0);
+    let (mut keys, mut bytes) = (Vec::new(), Vec::new());
     let mut latency_ns = rekey_obs::hist::Log2Histogram::new();
     let mut observe = |step: &Step<'_, dyn rekey_core::GroupKeyManager>| {
         peak_members = peak_members.max(step.manager.member_count());
@@ -440,6 +443,7 @@ fn run_cell(
         latency_ns.record(step.process_ns);
         if step.interval > warmup {
             keys.push(step.outcome.stats.encrypted_keys as f64);
+            bytes.push(step.bytes.len() as f64);
         }
     };
     let factory = factory_for(scheme);
@@ -459,6 +463,7 @@ fn run_cell(
         peak_members,
         max_interval_bytes,
         keys,
+        bytes,
         latency_ns,
         trace_file: None,
     })

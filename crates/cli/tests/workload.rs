@@ -206,3 +206,49 @@ fn warmup_must_leave_a_churn_interval() {
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// A cell line's bytes per interval, mean and max, cover the intervals
+/// its keys per interval do: the churn after `--warmup`, not the
+/// bootstrap's bulk join.
+#[test]
+fn bytes_per_interval_skip_the_warmup_like_keys() {
+    use rekey_testkit::{drive, factory_for};
+    let dir = scratch("bytes");
+    let params = GenParams {
+        bootstrap: 200,
+        ..GenParams::default()
+    };
+    let trace = Trace {
+        generator: "paper".into(),
+        scenario: workload_by_name("paper").unwrap().compile(5, 12, &params),
+    };
+    let file = dir.join("paper.trace.bin");
+    std::fs::write(&file, trace.encode()).unwrap();
+    let line = stdout(&[
+        "workload",
+        "--trace",
+        path(&file),
+        "--scheme",
+        "tt",
+        "--warmup",
+        "3",
+        "--loss",
+        "none",
+    ]);
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    let mut steady = Vec::new();
+    let factory = factory_for(rekey_core::Scheme::Tt);
+    drive(&factory, &trace.scenario, |step| {
+        if step.interval > 3 {
+            steady.push(step.bytes.len());
+        }
+        Ok(())
+    })
+    .unwrap();
+    assert_eq!(steady.len(), 9);
+    let mean = steady.iter().sum::<usize>() as f64 / steady.len() as f64;
+    let max = steady.iter().max().unwrap();
+    let want = format!("{mean:>9.0} B/interval (max {max:>7})");
+    assert!(line.contains(&want), "want {want:?} in {line}");
+}

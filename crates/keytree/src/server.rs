@@ -61,34 +61,31 @@
 //!
 //! # Performance architecture
 //!
-//! A batch is processed in three phases:
+//! A batch is processed in three sequential phases:
 //!
-//! 1. **Mutation** (sequential): the tree structure is updated and
-//!    the dirty nodes are listed, each compromised or not. This phase
-//!    owns the caller's RNG and is inherently ordered.
-//! 2. **Planning** (sequential): compromised nodes over no compromised
-//!    child get fresh keys from the caller's RNG and join-only nodes
-//!    advance by F, in ascending node order; then the other compromised
-//!    nodes derive by G, deepest first, so every source is new before
-//!    its parent reads it; then every encryption the batch needs is
-//!    recorded as a planned wrap — KEK, payload, per-entry metadata
-//!    and a nonce: one [`NonceRun`] start is drawn from the caller's
-//!    RNG per batch and the plan is numbered from it in order. No
-//!    cryptography happens here: a KEK is its 32 bytes. The
-//!    batch owns its working memory: every buffer is a local of
-//!    [`LkhServer::try_apply_batch`] and is freed when the message is
-//!    handed back, so the server holds its state and nothing else.
-//! 3. **Execution** (sequential): the planned wraps are pure
-//!    functions of their inputs — all ordering and randomness was
-//!    fixed during planning — and are run in plan order into the
-//!    output message, each sealed with its own header as associated
-//!    data ([`EntryMeta::seal`]). The whole per-key cost sits here.
+//! 1. **Mutation**: the tree structure is updated and the dirty nodes
+//!    are listed, each compromised or not. This phase owns the
+//!    caller's RNG and is inherently ordered.
+//! 2. **Planning**: compromised nodes over no compromised child get
+//!    fresh keys from the caller's RNG and join-only nodes advance by
+//!    F, in ascending node order; then the other compromised nodes
+//!    derive by G, deepest first, so every source is new before its
+//!    parent reads it. The dirty nodes are then sorted deepest first
+//!    (stable, so ascending id within a depth), and one [`NonceRun`]
+//!    start is drawn from the caller's RNG for the batch.
+//! 3. **Execution**: that node order is walked and each wrap the node
+//!    needs is sealed straight into the output entries under the next
+//!    nonce, with its own header as associated data
+//!    ([`EntryMeta::seal`]). It draws no randomness; the whole
+//!    per-key cost sits here.
 //!
-//! The new keys → plan → sort → one nonce start → execute order is
-//! what fixes the emitted bytes (the golden digests pin it), so it
-//! stays even though nothing runs concurrently. Consecutive nonces in
-//! entry order are also what lets the wire codec leave them out
-//! (`message::codec`, `NONCE_NEXT`).
+//! A node's entries are contiguous and share its depth, so the
+//! messages list entries deepest target first and number their
+//! nonces consecutively in that order: the golden digests pin it, and
+//! it is what lets the wire codec leave the nonces out
+//! (`message::codec`, `NONCE_NEXT`). Every buffer is a local of
+//! [`LkhServer::try_apply_batch`], freed when the message is handed
+//! back, so the server holds its state and nothing else.
 //!
 //! Each phase runs under a `rekey_obs` span (`rekey.mutate`,
 //! `rekey.plan`, `rekey.execute`), so per-phase wall clock shows up in
@@ -100,7 +97,7 @@ use crate::message::{EntryMeta, KeyAdvance, KeyDerivation, RekeyEntry, RekeyMess
 use crate::tree::KeyTree;
 use crate::{KeyTreeError, MemberId, NodeId};
 use rand::RngCore;
-use rekey_crypto::keywrap::{NonceRun, NONCE_LEN};
+use rekey_crypto::keywrap::NonceRun;
 use rekey_crypto::Key;
 use std::collections::VecDeque;
 
@@ -128,38 +125,8 @@ pub struct BatchStats {
 pub struct BatchOutcome {
     /// The multicast rekey message for this epoch.
     pub message: RekeyMessage,
-    /// Leaf node assigned to each member that joined in this batch.
-    pub joined_leaves: Vec<(MemberId, NodeId)>,
     /// Statistics for this batch.
     pub stats: BatchStats,
-}
-
-/// One planned key encryption: a pure function of its fields. The KEK
-/// and the payload key are held inline (32-byte copies) — a KEK needs
-/// no preparation and wraps one entry of the batch.
-#[derive(Debug, Clone)]
-struct PlannedWrap {
-    kek: Key,
-    payload: Key,
-    nonce: [u8; NONCE_LEN],
-    meta: EntryMeta,
-}
-
-impl PlannedWrap {
-    /// A wrap of `payload` under `kek`; the nonce is assigned later, in
-    /// final plan order.
-    fn new(kek: &Key, payload: &Key, meta: EntryMeta) -> Self {
-        PlannedWrap {
-            kek: kek.clone(),
-            payload: payload.clone(),
-            nonce: [0; NONCE_LEN],
-            meta,
-        }
-    }
-
-    fn execute(self) -> RekeyEntry {
-        self.meta.seal(&self.kek, &self.payload, self.nonce)
-    }
 }
 
 /// What the mutation phase hands to planning.
@@ -170,8 +137,8 @@ struct Mutation {
     /// member does — a leaf split of this batch created the node, or it
     /// is the root of a tree that was empty.
     dirty: Vec<(NodeId, bool)>,
-    /// Leaf node assigned to each joiner, in batch order.
-    joined_leaves: Vec<(MemberId, NodeId)>,
+    /// Leaf node of each joiner of this batch, ascending.
+    joined: Vec<NodeId>,
 }
 
 /// The key server for one logical key tree.
@@ -271,7 +238,8 @@ impl LkhServer {
     /// Applies a batch of joins and leaves and returns the rekey
     /// message.
     ///
-    /// All randomness (fresh keys, then one [`NONCE_LEN`]-byte nonce
+    /// All randomness (fresh keys, then one
+    /// [`NONCE_LEN`](rekey_crypto::keywrap::NONCE_LEN)-byte nonce
     /// start from which the entries are numbered in final order) is
     /// drawn from `rng` in a fixed order, so callers composing several
     /// trees fix every emitted byte by fixing the order in which they
@@ -293,40 +261,36 @@ impl LkhServer {
     ) -> Result<BatchOutcome, KeyTreeError> {
         self.epoch += 1;
 
-        // ---- Phase 1: tree mutation + fresh key generation --------
-        let Mutation {
-            dirty,
-            joined_leaves,
-        } = {
+        // ---- Phase 1: tree mutation -------------------------------
+        let Mutation { dirty, joined } = {
             let _span = rekey_obs::span!("rekey.mutate");
             self.mutate_tree(joins, leaves, rng)?
         };
 
-        // ---- Phase 2: new keys, then every encryption they need ---
-        let (plan, advances, derivations) = {
+        // ---- Phase 2: new keys, then the order to seal them in ----
+        let (order, advances, derivations, nonces) = {
             let _span = rekey_obs::span!("rekey.plan");
             // Tree shape is fixed from here on: one depth per dirty
-            // node serves the derivation order and the entry headers.
-            let depths: Vec<u32> = dirty
+            // node serves the derivation order, the entry order and the
+            // entry headers.
+            let mut order: Vec<(u32, NodeId, bool)> = dirty
                 .iter()
-                .map(|&(node, _)| self.tree.depth_of(node).expect("dirty node is alive") as u32)
-                .collect();
-            let compromised: Vec<NodeId> = dirty
-                .iter()
-                .filter(|&&(_, compromised)| compromised)
-                .map(|&(node, _)| node)
+                .map(|&(node, compromised)| {
+                    let depth = self.tree.depth_of(node).expect("dirty node is alive");
+                    (depth as u32, node, compromised)
+                })
                 .collect();
             let mut advances = Vec::new();
             let mut chained = Vec::new();
-            for (&(node, is_compromised), &depth) in dirty.iter().zip(&depths) {
-                if !is_compromised {
+            for &(depth, node, compromised) in &order {
+                if !compromised {
                     let (version, _, check) = self.tree.advance_key(node);
                     advances.push(KeyAdvance {
                         node,
                         version: version + 1,
                         check,
                     });
-                } else if let Some(source) = self.chain_source(node, &compromised) {
+                } else if let Some(source) = self.chain_source(node, &dirty) {
                     chained.push((depth, node, source));
                 } else {
                     self.tree.refresh_key(node, rng);
@@ -342,25 +306,19 @@ impl LkhServer {
                 .collect();
             derivations.sort_unstable_by_key(|derivation| derivation.target);
             rekey_obs::count("rekey.nodes.derived", derivations.len() as u64);
-            let mut plan = self.plan_entries(&dirty, &depths, &derivations, &joined_leaves);
             // Deepest targets first => members decrypt in one pass.
-            // The sort is stable, so entries for one node keep their
-            // relative order.
-            plan.sort_by_key(|job| std::cmp::Reverse(job.meta.target_depth));
-            // One nonce start per batch, drawn after every new key;
-            // the plan is numbered from it in final order, so
-            // execution draws nothing.
-            let mut nonces = NonceRun::draw(rng);
-            for job in &mut plan {
-                job.nonce = nonces.take();
-            }
-            (plan, advances, derivations)
+            // The sort is stable, so nodes of one depth stay ascending
+            // and each node's entries stay together in child order.
+            order.sort_by_key(|&(depth, ..)| std::cmp::Reverse(depth));
+            // One nonce start per batch, drawn after every new key; the
+            // entries are numbered from it in message order.
+            (order, advances, derivations, NonceRun::draw(rng))
         };
 
-        // ---- Phase 3: run the plan into the output entries --------
-        let entries: Vec<RekeyEntry> = {
+        // ---- Phase 3: seal every wrap into the output entries -----
+        let entries = {
             let _span = rekey_obs::span!("rekey.execute");
-            plan.into_iter().map(PlannedWrap::execute).collect()
+            self.seal_entries(&order, &dirty, &joined, &derivations, nonces)
         };
         rekey_obs::count("rekey.encrypted_keys", entries.len() as u64);
 
@@ -379,14 +337,13 @@ impl LkhServer {
                 advances,
                 derivations,
             },
-            joined_leaves,
             stats,
         })
     }
 
     /// Phase 1: applies the membership changes to the tree and returns
-    /// the nodes to refresh, which of them are compromised and the leaf
-    /// assignments of this batch's joiners.
+    /// the nodes to refresh, which of them are compromised and the
+    /// leaves of this batch's joiners.
     fn mutate_tree<R: RngCore>(
         &mut self,
         joins: &[(MemberId, Key)],
@@ -417,7 +374,7 @@ impl LkhServer {
             compromised.extend(removed_dirty);
         }
 
-        let mut joined_leaves = Vec::with_capacity(joins.len());
+        let mut joined = Vec::with_capacity(joins.len());
         for (member, individual_key) in joins {
             let mut outcome = None;
             while let Some(slot) = vacancies.pop_front() {
@@ -435,7 +392,7 @@ impl LkhServer {
                     .tree
                     .insert_member(*member, individual_key.clone(), rng)?,
             };
-            joined_leaves.push((*member, outcome.leaf));
+            joined.push(outcome.leaf);
             joined_paths.extend(outcome.dirty_path);
             compromised.extend(outcome.created_interior);
         }
@@ -448,6 +405,7 @@ impl LkhServer {
         compromised.retain(|&node| self.tree.key_of(node).is_some());
         joined_paths.sort_unstable();
         joined_paths.dedup();
+        joined.sort_unstable();
 
         // Merge the two: a node on both lists is compromised.
         let mut dirty = Vec::with_capacity(compromised.len() + joined_paths.len());
@@ -460,41 +418,43 @@ impl LkhServer {
             dirty.push((node, true));
         }
         dirty.extend(join_only.map(|node| (node, false)));
-        Ok(Mutation {
-            dirty,
-            joined_leaves,
-        })
+        Ok(Mutation { dirty, joined })
     }
 
     /// The child a compromised `node` derives its new key from: its
     /// first compromised child in child order, if any (module header);
-    /// a leaf never is one. `compromised` is ascending.
-    fn chain_source(&self, node: NodeId, compromised: &[NodeId]) -> Option<NodeId> {
+    /// a leaf never is one. `dirty` is ascending.
+    fn chain_source(&self, node: NodeId, dirty: &[(NodeId, bool)]) -> Option<NodeId> {
         self.tree
             .children_of(node)
             .expect("dirty node is alive")
-            .find(|child| !child.is_leaf && compromised.binary_search(&child.id).is_ok())
+            .find(|child| {
+                !child.is_leaf
+                    && matches!(
+                        dirty.binary_search_by_key(&child.id, |&(id, _)| id),
+                        Ok(at) if dirty[at].1
+                    )
+            })
             .map(|child| child.id)
     }
 
-    /// Plans every wrap of the batch, one rule per dirty node (module
-    /// header): a compromised node's new key goes under the current
-    /// key of every child but the one it was derived from
-    /// (`derivations`, ascending by target); an advanced node's goes
-    /// under each changed child only — a dirty child's new version or
-    /// the leaf of one of this batch's joiners (`joined_leaves`).
-    /// `depths` are the dirty nodes' depths, in `dirty`'s order.
-    fn plan_entries(
+    /// Seals every wrap of the batch, node by node in `order` (depth,
+    /// id, compromised; deepest first), each under the next nonce of
+    /// `nonces`. One rule per dirty node (module header): a compromised
+    /// node's new key goes under the current key of every child but
+    /// the one it was derived from (`derivations`, ascending by
+    /// target); an advanced node's goes under each changed child only
+    /// — a dirty child's new version or the leaf of one of this
+    /// batch's joiners (`joined`). `dirty` and `joined` are ascending.
+    fn seal_entries(
         &self,
+        order: &[(u32, NodeId, bool)],
         dirty: &[(NodeId, bool)],
-        depths: &[u32],
+        joined: &[NodeId],
         derivations: &[KeyDerivation],
-        joined_leaves: &[(MemberId, NodeId)],
-    ) -> Vec<PlannedWrap> {
+        mut nonces: NonceRun,
+    ) -> Vec<RekeyEntry> {
         let tree = &self.tree;
-        let mut joined: Vec<NodeId> = joined_leaves.iter().map(|&(_, leaf)| leaf).collect();
-        joined.sort_unstable();
-
         // Where the batch's keys go: a wrap per child of a compromised
         // node but its chain source; elsewhere each dirty node or
         // joiner is some node's changed child.
@@ -505,15 +465,15 @@ impl LkhServer {
         let join_only = dirty.len() - compromised;
         rekey_obs::count("rekey.nodes.compromised", compromised as u64);
         rekey_obs::count("rekey.nodes.join_only", join_only as u64);
-        let mut plan = Vec::with_capacity(
+        let mut entries = Vec::with_capacity(
             compromised * tree.degree() - derivations.len() + join_only + joined.len(),
         );
-        let mut chained = derivations.iter().peekable();
-        for (&(node, compromised), &depth) in dirty.iter().zip(depths) {
+        for &(depth, node, compromised) in order {
             let (new_key, new_version) = tree.key_of(node).expect("dirty node is alive");
-            let source = chained
-                .next_if(|derivation| derivation.target == node)
-                .map(|derivation| derivation.source);
+            let source = derivations
+                .binary_search_by_key(&node, |derivation| derivation.target)
+                .ok()
+                .map(|at| derivations[at].source);
             for child in tree.children_of(node).expect("dirty node is alive") {
                 if Some(child.id) == source {
                     continue; // derives the new key by G: no wrap
@@ -526,23 +486,20 @@ impl LkhServer {
                 {
                     continue; // holds the previous version: advances by F
                 }
-                plan.push(PlannedWrap::new(
-                    child.key,
-                    new_key,
-                    EntryMeta {
-                        target: node,
-                        target_version: new_version,
-                        under: child.id,
-                        under_version: child.version,
-                        under_is_leaf: child.is_leaf,
-                        recipient: child.member,
-                        audience: child.audience as u32,
-                        target_depth: depth,
-                    },
-                ));
+                let meta = EntryMeta {
+                    target: node,
+                    target_version: new_version,
+                    under: child.id,
+                    under_version: child.version,
+                    under_is_leaf: child.is_leaf,
+                    recipient: child.member,
+                    audience: child.audience as u32,
+                    target_depth: depth,
+                };
+                entries.push(meta.seal(child.key, new_key, nonces.take()));
             }
         }
-        plan
+        entries
     }
 
     /// Infallible wrapper around [`LkhServer::try_apply_batch`].
@@ -596,6 +553,7 @@ mod tests {
     use crate::member::GroupMember;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use rekey_crypto::keywrap::NONCE_LEN;
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(1234)
