@@ -28,7 +28,8 @@ fn snapshot_reports_each_fixture_and_its_record_version() {
     for (fixture, version, verdict) in [
         ("datadir-pr19", 1, refused),
         ("datadir-record-v2", 2, refused),
-        ("datadir-record-v3", 3, "this build replays it"),
+        ("datadir-record-v3", 3, refused),
+        ("datadir-record-v4", 4, "this build replays it"),
     ] {
         let dir = copy_fixture(fixture);
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_rekey"))

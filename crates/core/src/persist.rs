@@ -97,11 +97,13 @@ use std::fmt;
 use std::time::Instant;
 
 /// Version byte leading a serialized [`EpochRecord`]: the record
-/// layout *and* the planner that replays it (module docs). 3 is the
-/// planner that derives a compromised key from its compromised child by
-/// G; 2 drew it fresh and wrapped it under that child, and advanced
-/// join-only keys by F, which 1 wrapped.
-pub const RECORD_WIRE_VERSION: u8 = 3;
+/// layout *and* the planner that replays it (module docs). 4 is the
+/// planner that clusters a join-only batch's joiners under the batch's
+/// own splits; 3 placed each by balanced descent, and derived a
+/// compromised key from its compromised child by G; 2 drew it fresh and
+/// wrapped it under that child, and advanced join-only keys by F, which
+/// 1 wrapped.
+pub const RECORD_WIRE_VERSION: u8 = 4;
 
 /// Smallest serialized join: member id, individual key, a class byte
 /// and a loss-rate flag.
@@ -1152,6 +1154,37 @@ mod tests {
             Err(PersistError::PlannerChanged {
                 found: 0xAB,
                 expected: RECORD_WIRE_VERSION
+            })
+        ));
+    }
+
+    /// A version-3 record was written by the planner that placed every
+    /// joiner by balanced descent: replayed here it would cluster a
+    /// join-only batch and re-render its epoch into other keys under
+    /// the logged nonce start, so it is refused, typed.
+    #[test]
+    fn a_version_3_record_is_refused_as_planner_changed() {
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut manager = TtManager::new(3, 4);
+        let mut journal = Journal::new(MemStorage::new(), 0);
+        churn(&mut journal, &mut manager, &mut rng, 1);
+        let mut storage = journal.into_storage();
+        let mut record = Vec::new();
+        EpochRecord {
+            epoch: 2,
+            rng_state: rng.state_bytes(),
+            joins: joins(5000, 3, &mut rng),
+            leaves: Vec::new(),
+        }
+        .encode_into(&mut record);
+        record[0] = 3;
+        storage.append_wal(&record).unwrap();
+        let mut rebuilt = TtManager::new(3, 4);
+        assert!(matches!(
+            Journal::new(storage, 0).recover(&mut rebuilt),
+            Err(PersistError::PlannerChanged {
+                found: 3,
+                expected: 4
             })
         ));
     }

@@ -1,23 +1,25 @@
 //! The bytes the durability path leaves behind are frozen.
 //!
-//! The digests below and `tests/fixtures/datadir-record-v3` were
-//! written by the planner that derives a compromised key from its
-//! compromised child by G; the same script must still write the same
-//! bytes, and the committed directory must still restore.
-//! `tests/fixtures/datadir-record-v2` was written by the planner before
-//! it (join-only keys advance by F, compromised ones are all fresh) and
-//! `tests/fixtures/datadir-pr19` by the one before that (version-1
-//! records). Their WAL records re-render their epochs differently:
-//! their snapshots still restore, their records are refused as
-//! `PersistError::PlannerChanged`.
+//! The digests below and `tests/fixtures/datadir-record-v4` were
+//! written by the planner that clusters a join-only batch's joiners
+//! under the batch's own splits; the same script must still write the
+//! same bytes, and the committed directory must still restore.
+//! `tests/fixtures/datadir-record-v3` was written by the planner before
+//! it (every joiner placed by balanced descent), `datadir-record-v2` by
+//! the one before that (join-only keys advance by F, compromised ones
+//! are all fresh) and `tests/fixtures/datadir-pr19` by the first one
+//! (version-1 records). Their WAL records re-render their epochs
+//! differently: their snapshots still restore, their records are
+//! refused as `PersistError::PlannerChanged`.
 //!
 //! The digests moved once for each planner: each WAL record's version
 //! byte, the randomness the planner no longer draws (every later RNG
 //! state and key), and the advanced or derived keys in the snapshots.
-//! The trees did not: per interval the script's encrypted keys before
-//! the key advance equal its encrypted keys plus its advances plus its
-//! derivations now, plus one per tree that was empty when the batch
-//! began (`PARENT_KEYS`).
+//! The trees did not until the clustering: per interval the script's
+//! encrypted keys before the key advance equal its encrypted keys plus
+//! its advances plus its derivations after it, plus one per tree that
+//! was empty when the batch began. Clustering moved those counts where
+//! a join-only batch met a live tree (`KEYS_PER_INTERVAL`).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -108,20 +110,31 @@ fn storage_digest(scheme: Scheme) -> (String, Vec<usize>) {
     (hex(&hasher.finalize()), changed)
 }
 
-/// Per interval of the script, the encrypted keys of the planner before
-/// the key advance (`.0`) and the trees that were empty when the batch
-/// began (`.1`):
-/// the S-tree at the bootstrap, and at the first S → L migration
-/// (interval 11) TT's L-tree or the combined scheme's two.
-const PARENT_KEYS: [(Scheme, [usize; 12], [usize; 12]); 2] = [
+/// Per interval of the script, the encrypted keys plus advances plus
+/// derivations (`.0`), each plus one for every tree that was empty when
+/// the batch began (`.1`): the S-tree at the bootstrap, and at the
+/// first S → L migration (interval 11) TT's L-tree or the combined
+/// scheme's two. Recorded as the encrypted keys of the planner before
+/// the key advance; re-pinned when join-only batches began to cluster,
+/// which moved interval 2 (the first join-only batch into a live
+/// S-tree), interval 3 behind it, and interval 12 (the second
+/// migration wave, join-only into the live L-trees): 15, 15 and 49 →
+/// 13, 13 and 40 for TT, 15, 15 and 47 → 13, 13 and 40 for the combined
+/// scheme. Whole-run totals over the 12 intervals, parent → change:
+///
+/// | scheme   | entries   | records | bytes           |
+/// |----------|-----------|---------|-----------------|
+/// | Tt       | 226 → 216 | 63 → 60 | 13 825 → 13 254 |
+/// | Combined | 224 → 216 | 64 → 61 | 13 798 → 13 335 |
+const KEYS_PER_INTERVAL: [(Scheme, [usize; 12], [usize; 12]); 2] = [
     (
         Scheme::Tt,
-        [8, 15, 15, 19, 23, 23, 23, 25, 25, 25, 41, 49],
+        [8, 13, 13, 19, 23, 23, 23, 25, 25, 25, 41, 40],
         [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0],
     ),
     (
         Scheme::Combined,
-        [8, 15, 15, 19, 23, 23, 23, 25, 25, 25, 43, 47],
+        [8, 13, 13, 19, 23, 23, 23, 25, 25, 25, 43, 40],
         [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0],
     ),
 ];
@@ -134,10 +147,10 @@ fn wal_and_snapshot_bytes_are_frozen() {
     // made in the batch and sent under (or derived from) its children
     // alone.
     let pinned = [
-        "273c711fff51a7343128b00abfb8facfcf6ea2075dcb2a137bba1a19f9b937a3",
-        "1f44064ba5f830690692ab2c5d5fccb9d7a6163ae0880c64a8a5e078841e1223",
+        "e66e936b0e8abf5d11b17457ae150d1231b7a9bff694f99682cb96ec4ec878bc",
+        "3b04af3443da789a5b9a54ba1f5246539852ed5c87d241834db73f2f06b51909",
     ];
-    for ((scheme, parent, empty), pinned) in PARENT_KEYS.into_iter().zip(pinned) {
+    for ((scheme, parent, empty), pinned) in KEYS_PER_INTERVAL.into_iter().zip(pinned) {
         let (digest, changed) = storage_digest(scheme);
         let relation: Vec<usize> = changed.iter().zip(empty).map(|(c, e)| c + e).collect();
         assert_eq!(relation, parent, "{scheme:?}");
@@ -154,7 +167,9 @@ fn wal_and_snapshot_bytes_are_frozen() {
 const FIXTURE_EPOCH: u64 = 6;
 const SNAPSHOT_EPOCH: u64 = 4;
 
-/// The DEK `datadir-record-v3` recovers to, at [`FIXTURE_EPOCH`].
+/// The DEK `datadir-record-v4` recovers to, at [`FIXTURE_EPOCH`]: the
+/// fixture script places no joiner differently under the clustering,
+/// so it is the DEK `datadir-record-v3` recovered to as well.
 const FIXTURE_DEK: &str = "eb181734e2dcc07b4185ce70e221a8deb08826512c07c2588138798dca4e7f50";
 
 /// The DEK at [`SNAPSHOT_EPOCH`] of the script as the version-1
@@ -208,7 +223,11 @@ fn write_fixture_script(dir: &Path) -> Box<dyn GroupKeyManager> {
 /// them by their version, typed, instead of replaying them.
 #[test]
 fn parent_written_data_dir_still_recovers() {
-    for (fixture, found) in [("datadir-record-v2", 2), ("datadir-pr19", 1)] {
+    for (fixture, found) in [
+        ("datadir-record-v3", 3),
+        ("datadir-record-v2", 2),
+        ("datadir-pr19", 1),
+    ] {
         let dir = copy_fixture(fixture, "recover", false);
         let mut manager = fixture_manager();
         let mut journal = Journal::new(DirStorage::open(&dir).expect("open"), 4);
@@ -218,7 +237,7 @@ fn parent_written_data_dir_still_recovers() {
                 expected,
             }) => {
                 assert_eq!((got, expected), (found, RECORD_WIRE_VERSION));
-                assert_eq!(RECORD_WIRE_VERSION, 3);
+                assert_eq!(RECORD_WIRE_VERSION, 4);
             }
             other => panic!("{fixture}: expected PlannerChanged, got {other:?}"),
         }
@@ -244,7 +263,7 @@ fn a_drained_parent_data_dir_recovers_its_snapshot() {
 
 #[test]
 fn this_commits_data_dir_recovers() {
-    let dir = copy_fixture("datadir-record-v3", "recover-v3", false);
+    let dir = copy_fixture("datadir-record-v4", "recover-v4", false);
     let mut manager = fixture_manager();
     let mut journal = Journal::new(DirStorage::open(&dir).expect("open"), 4);
     let recovery = journal.recover(&mut *manager).expect("recover");
@@ -264,7 +283,7 @@ fn this_commit_writes_the_parents_files() {
     for name in [WAL_FILE, SNAPSHOT_FILE] {
         assert_eq!(
             std::fs::read(dir.join(name)).expect("written"),
-            std::fs::read(fixture_dir("datadir-record-v3").join(name)).expect("fixture"),
+            std::fs::read(fixture_dir("datadir-record-v4").join(name)).expect("fixture"),
             "{name} differs from the committed file"
         );
     }

@@ -6,11 +6,13 @@
 //! key shared between one member and the server (Fig. 1 of the paper).
 //!
 //! The tree keeps itself balanced on insertion by always descending
-//! into the lightest subtree, and repairs itself on removal by
-//! promoting single children of non-root interior nodes. Structure
-//! mutation is separated from rekeying: mutating operations return the
-//! list of surviving *dirty* ancestors whose keys must be refreshed;
-//! [`crate::server::LkhServer`] turns those into rekey messages.
+//! into the lightest subtree (a join-only batch may keep a joiner
+//! beside its own splits instead, [`KeyTree::insert_member`]), and
+//! repairs itself on removal by promoting single children of non-root
+//! interior nodes. Structure mutation is separated from rekeying:
+//! mutating operations return the list of surviving *dirty* ancestors
+//! whose keys must be refreshed; [`crate::server::LkhServer`] turns
+//! those into rekey messages.
 
 use crate::message::codec::{ensure, put_u32, put_u64, DecodeError, Reader};
 use crate::message::KeyDerivation;
@@ -386,6 +388,16 @@ impl KeyTree {
 
     /// Inserts a new member leaf holding `individual_key`.
     ///
+    /// The joiner descends into the lightest subtree until it finds an
+    /// interior node with spare capacity, and goes there. Where the
+    /// descent ends at a leaf instead, a split is due; with a `cluster`
+    /// — the newest interior a split of the caller's batch made — the
+    /// joiner stays beside the batch's earlier joiners:
+    /// 1. under `cluster` itself, while it has fewer than d − 1
+    ///    children;
+    /// 2. else it splits the first leaf child of `cluster`'s parent;
+    /// 3. else it splits the leaf its descent found.
+    ///
     /// Returns the insertion outcome: the new leaf's node id, the list
     /// of surviving ancestors (from attach point up to the root) whose
     /// keys must be refreshed to preserve backward confidentiality, and
@@ -399,6 +411,7 @@ impl KeyTree {
         &mut self,
         member: MemberId,
         individual_key: Key,
+        cluster: Option<NodeId>,
         rng: &mut R,
     ) -> Result<InsertOutcome, KeyTreeError> {
         if self.contains(member) {
@@ -421,6 +434,22 @@ impl KeyTree {
                 .iter()
                 .min_by_key(|&&c| self.node(c).leaf_count)
                 .expect("full interior node has children");
+        }
+        if let Some(&cluster) = cluster.and_then(|id| self.index_of.get(&id)) {
+            if self.node(at).member.is_some() {
+                let c = self.node(cluster);
+                let parent = c.parent.expect("a split never makes the root");
+                if c.children.len() < self.degree - 1 {
+                    at = cluster;
+                } else if let Some(&leaf) = self
+                    .node(parent)
+                    .children
+                    .iter()
+                    .find(|&&sibling| self.node(sibling).member.is_some())
+                {
+                    at = leaf;
+                }
+            }
         }
 
         let leaf_id = self.fresh_id();
@@ -845,7 +874,8 @@ mod tests {
         let mut tree = KeyTree::new(degree, 0, &mut rng);
         for i in 0..n {
             let key = Key::generate(&mut rng);
-            tree.insert_member(MemberId(i), key, &mut rng).unwrap();
+            tree.insert_member(MemberId(i), key, None, &mut rng)
+                .unwrap();
         }
         (tree, rng)
     }
@@ -874,7 +904,7 @@ mod tests {
     fn insert_reports_dirty_path_to_root() {
         let (mut tree, mut rng) = build(3, 9);
         let outcome = tree
-            .insert_member(MemberId(100), Key::generate(&mut rng), &mut rng)
+            .insert_member(MemberId(100), Key::generate(&mut rng), None, &mut rng)
             .unwrap();
         assert_eq!(*outcome.dirty_path.last().unwrap(), tree.root_id());
         // The dirty list is exactly the new member's path.
@@ -889,7 +919,7 @@ mod tests {
         // split a leaf and report the created interior node.
         let (mut tree, mut rng) = build(2, 2);
         let outcome = tree
-            .insert_member(MemberId(50), Key::generate(&mut rng), &mut rng)
+            .insert_member(MemberId(50), Key::generate(&mut rng), None, &mut rng)
             .unwrap();
         let created = outcome.created_interior.expect("split expected");
         assert!(tree.key_of(created).is_some());
@@ -901,7 +931,7 @@ mod tests {
     fn duplicate_insert_rejected() {
         let (mut tree, mut rng) = build(4, 4);
         let err = tree
-            .insert_member(MemberId(0), Key::generate(&mut rng), &mut rng)
+            .insert_member(MemberId(0), Key::generate(&mut rng), None, &mut rng)
             .unwrap_err();
         assert_eq!(err, KeyTreeError::DuplicateMember(MemberId(0)));
     }
@@ -1019,7 +1049,7 @@ mod tests {
             for _ in 0..128 {
                 let m = MemberId(next_id);
                 next_id += 1;
-                tree.insert_member(m, Key::generate(&mut rng), &mut rng)
+                tree.insert_member(m, Key::generate(&mut rng), None, &mut rng)
                     .unwrap();
                 present.push_back(m);
             }
@@ -1087,7 +1117,7 @@ mod tests {
             }
             for i in 0..7 {
                 let m = MemberId(1000 + round * 7 + i);
-                tree.insert_member(m, Key::generate(&mut rng), &mut rng)
+                tree.insert_member(m, Key::generate(&mut rng), None, &mut rng)
                     .unwrap();
             }
         }

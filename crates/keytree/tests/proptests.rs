@@ -32,7 +32,7 @@ proptest! {
             if op || present.is_empty() {
                 let m = MemberId(next);
                 next += 1;
-                tree.insert_member(m, Key::generate(&mut rng), &mut rng).unwrap();
+                tree.insert_member(m, Key::generate(&mut rng), None, &mut rng).unwrap();
                 present.push(m);
             } else {
                 let m = present.remove(0);
@@ -49,7 +49,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(42);
         let mut tree = KeyTree::new(degree, 0, &mut rng);
         for i in 0..n {
-            tree.insert_member(MemberId(i as u64), Key::generate(&mut rng), &mut rng).unwrap();
+            tree.insert_member(MemberId(i as u64), Key::generate(&mut rng), None, &mut rng).unwrap();
         }
         let ideal = (n.max(2) as f64).log(degree as f64).ceil() as usize;
         prop_assert!(tree.height() <= ideal + 2,
