@@ -26,11 +26,11 @@
 //!    the source tree and a join into the destination tree.
 //! 3. **Route joins** — [`PlacementPolicy::route_join`] picks the
 //!    destination tree (or internal structure) for each joiner.
-//! 4. **Rekey every tree** — [`LkhServer::try_apply_batch`], in tree
-//!    order, against the caller's RNG, each under a
-//!    `rekey.tree.<name>` span; the messages are merged in the same
-//!    order. Tree order pins the RNG draw order, which pins every
-//!    emitted byte.
+//! 4. **Rekey every tree** — [`LkhServer::plan_batch`] for every tree
+//!    in tree order against the caller's RNG, then [`LkhServer::seal_entries`]
+//!    for each in the same order into the interval's one message, each
+//!    under a `rekey.tree.<name>` span. Tree order pins the RNG draw
+//!    order, which pins every emitted byte.
 //! 5. **Record joins** — [`PlacementPolicy::record_joins`] updates
 //!    policy bookkeeping (ages, keys, queues).
 //! 6. **Refresh + distribute the DEK** — the engine refreshes the DEK,
@@ -488,21 +488,31 @@ impl<P: PlacementPolicy> GroupKeyManager for RekeyEngine<P> {
         // Phases 1–3: routing.
         let (tree_joins, tree_leaves, migrations) = self.route_interval(joins, leaves)?;
 
-        // Phase 4: rekey every tree against the caller's RNG and merge
-        // the messages — tree order fixes the draw order, which fixes
-        // every output byte. Empty batches still run (tree epochs
-        // advance in lockstep) and draw only their nonce start.
+        // Phase 4: rekey every tree against the caller's RNG — tree
+        // order fixes the draw order, which fixes every output byte.
+        // Empty batches still run (tree epochs advance in lockstep) and
+        // draw only their nonce start. Every tree plans first (all the
+        // draws), then seals into the one message, whose entries are
+        // reserved once: the trees' exact count plus a DEK wrap per
+        // tree root.
         let mut message = RekeyMessage::new(self.epoch);
+        let mut plans = Vec::with_capacity(self.trees.len());
         for (slot, (joins_in, leaves_out)) in self
             .trees
             .iter_mut()
             .zip(tree_joins.iter().zip(&tree_leaves))
         {
             let _span = rekey_obs::span!(slot.span_name);
-            let outcome = slot
-                .server
-                .try_apply_batch(joins_in, leaves_out, &mut rng)?;
-            message.merge(outcome.message);
+            plans.push(
+                slot.server
+                    .plan_batch(joins_in, leaves_out, &mut rng, &mut message)?,
+            );
+        }
+        let keys: usize = plans.iter().map(|plan| plan.stats().encrypted_keys).sum();
+        message.entries.reserve_exact(keys + self.trees.len());
+        for (slot, plan) in self.trees.iter().zip(plans) {
+            let _span = rekey_obs::span!(slot.span_name);
+            slot.server.seal_entries(plan, &mut message.entries);
         }
 
         // Phase 5: policy bookkeeping for this interval's joins.

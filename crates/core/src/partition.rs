@@ -28,7 +28,7 @@ use rekey_keytree::message::{RekeyEntry, RekeyMessage};
 use rekey_keytree::queue::{KeyQueue, QueueSlot};
 use rekey_keytree::server::LkhServer;
 use rekey_keytree::{KeyTreeError, MemberId, NodeId};
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 
 /// DEK keys live in namespace 1, S-partition ids (tree or queue slots)
 /// in 2, L-partition ids in 3.
@@ -48,10 +48,13 @@ const L: usize = 1;
 /// Who is serving an S-period: for each current S-tree member the
 /// epoch it joined at and the individual key it registered (needed
 /// again when it migrates). Shared by the TT, combined and adaptive
-/// policies, which differ only in where survivors go.
+/// policies, which differ only in where survivors go. A hash map, so an
+/// interval's admissions and departures allocate nothing once the
+/// ledger has reached its size; whatever leaves it is put in member
+/// order first.
 #[derive(Debug, Clone)]
 pub(crate) struct SPeriod {
-    members: BTreeMap<MemberId, (u64, Key)>,
+    members: HashMap<MemberId, (u64, Key)>,
     /// S-period length in rekey intervals — configuration, not state,
     /// except under the adaptive policy, which retunes it.
     k: u64,
@@ -60,7 +63,7 @@ pub(crate) struct SPeriod {
 impl SPeriod {
     pub(crate) fn new(k: u64) -> Self {
         SPeriod {
-            members: BTreeMap::new(),
+            members: HashMap::new(),
             k,
         }
     }
@@ -78,6 +81,7 @@ impl SPeriod {
 
     /// Starts the S-period of everyone who joined at `epoch`.
     pub(crate) fn admit(&mut self, joins: &[Join], epoch: u64) {
+        self.members.reserve(joins.len());
         for j in joins {
             self.members
                 .insert(j.member, (epoch, j.individual_key.clone()));
@@ -94,10 +98,13 @@ impl SPeriod {
     /// before this interval's joins are added.
     pub(crate) fn take_survivors(&mut self, epoch: u64) -> Vec<(MemberId, Key)> {
         let deadline = epoch.saturating_sub(self.k);
-        self.members
-            .extract_if(.., |_, (joined, _)| *joined <= deadline)
+        let mut survivors: Vec<(MemberId, Key)> = self
+            .members
+            .extract_if(|_, (joined, _)| *joined <= deadline)
             .map(|(member, (_, key))| (member, key))
-            .collect()
+            .collect();
+        survivors.sort_unstable_by_key(|&(member, _)| member);
+        survivors
     }
 
     /// [`SPeriod::take_survivors`] as migrations from tree `from` to
@@ -119,10 +126,13 @@ impl SPeriod {
             .collect()
     }
 
-    /// One record per S-member: id, join epoch, individual key.
+    /// One record per S-member, in member order: id, join epoch,
+    /// individual key.
     pub(crate) fn encode(&self, buf: &mut Vec<u8>) {
-        put_u32(buf, self.members.len() as u32);
-        for (&member, (joined, key)) in &self.members {
+        let mut members: Vec<_> = self.members.iter().collect();
+        members.sort_unstable_by_key(|&(&member, _)| member);
+        put_u32(buf, members.len() as u32);
+        for (&member, (joined, key)) in members {
             put_u64(buf, member.0);
             put_u64(buf, *joined);
             buf.extend_from_slice(key.as_bytes());
@@ -131,8 +141,12 @@ impl SPeriod {
 
     /// Replaces the ledger with the one [`SPeriod::encode`] wrote.
     pub(crate) fn decode(&mut self, r: &mut Reader<'_>) -> Result<(), DecodeError> {
+        const RECORD_LEN: usize = 8 + 8 + 32;
+        let count = r.u32()?;
         self.members.clear();
-        for _ in 0..r.u32()? {
+        self.members
+            .reserve(r.bounded(u64::from(count), RECORD_LEN));
+        for _ in 0..count {
             let member = MemberId(r.u64()?);
             let joined = r.u64()?;
             self.members
@@ -509,6 +523,7 @@ mod tests {
     use rand::SeedableRng;
     use rekey_crypto::keywrap::{next_nonce, NONCE_LEN};
     use rekey_keytree::member::GroupMember;
+    use std::collections::BTreeMap;
 
     struct Fixture {
         members: BTreeMap<MemberId, GroupMember>,

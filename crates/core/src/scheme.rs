@@ -27,6 +27,7 @@ use crate::loss_forest::LossForestManager;
 use crate::one_tree::OneTreeManager;
 use crate::partition::{PtManager, QtManager, TtManager};
 use crate::GroupKeyManager;
+use rekey_keytree::tree::MAX_DEGREE;
 use std::fmt;
 use std::str::FromStr;
 
@@ -83,10 +84,10 @@ impl Scheme {
     /// Constructs the manager for this scheme from `config`.
     ///
     /// Out-of-range config values are clamped to the nearest valid
-    /// value (degree at least 2, S-period at least 1) so a scheme can
-    /// always be built.
+    /// value (degree 2 to [`MAX_DEGREE`], S-period at least 1) so a
+    /// scheme can always be built.
     pub fn build(self, config: &SchemeConfig) -> Box<dyn GroupKeyManager> {
-        let degree = config.degree.max(2);
+        let degree = config.degree.clamp(2, MAX_DEGREE);
         let k = config.s_period.max(1);
         match self {
             Scheme::OneTree => Box::new(OneTreeManager::new(degree)),
@@ -167,7 +168,8 @@ impl SchemeConfig {
         }
     }
 
-    /// Sets the key-tree degree (clamped to at least 2 at build time).
+    /// Sets the key-tree degree (clamped to 2..=[`MAX_DEGREE`] at build
+    /// time).
     pub fn degree(mut self, degree: usize) -> Self {
         self.degree = degree;
         self
@@ -230,6 +232,10 @@ mod tests {
         for scheme in Scheme::ALL {
             // Must not panic: the degenerate values are clamped.
             let _ = scheme.build(&config);
+        }
+        let wide = SchemeConfig::new().degree(usize::MAX);
+        for scheme in Scheme::ALL {
+            let _ = scheme.build(&wide);
         }
     }
 }

@@ -276,21 +276,6 @@ impl RekeyMessage {
         self.entries.is_empty() && self.advances.is_empty() && self.derivations.is_empty()
     }
 
-    /// Appends all entries, advances and derivations of `other` after
-    /// those of `self`.
-    ///
-    /// Used by group-key managers that compose several trees (e.g. the
-    /// two-partition schemes): sub-tree messages come first, then the
-    /// entries distributing the group DEK under the new sub-tree roots.
-    /// Order is preserved, keeping the single-pass decryption property
-    /// as long as `other`'s entries are only encrypted under keys
-    /// established by `self` or already held.
-    pub fn merge(&mut self, other: RekeyMessage) {
-        self.entries.extend(other.entries);
-        self.advances.extend(other.advances);
-        self.derivations.extend(other.derivations);
-    }
-
     /// Iterates over entries together with their index (used by
     /// transport packetization).
     pub fn iter(&self) -> impl Iterator<Item = (usize, &RekeyEntry)> {
@@ -331,34 +316,5 @@ mod tests {
             codec::encode_message(&msg).len() - codec::MESSAGE_HEADER_LEN
         );
         assert!(msg.byte_len() >= 2 * codec::MIN_ENTRY_LEN);
-    }
-
-    #[test]
-    fn merge_preserves_order() {
-        let advance = |node| KeyAdvance {
-            node: NodeId::from_parts(0, node),
-            version: 3,
-            check: [node as u8; ADVANCE_CHECK_LEN],
-        };
-        let derivation = |target| KeyDerivation {
-            target: NodeId::from_parts(0, target),
-            version: 2,
-            source: NodeId::from_parts(0, target + 1),
-            check: [target as u8; DERIVE_CHECK_LEN],
-        };
-        let mut a = RekeyMessage::new(1);
-        a.entries.push(entry(2));
-        a.advances.push(advance(4));
-        a.derivations.push(derivation(5));
-        let mut b = RekeyMessage::new(1);
-        b.entries.push(entry(0));
-        b.advances.push(advance(9));
-        b.derivations.push(derivation(3));
-        a.merge(b);
-        assert_eq!(a.entries[0].target_depth, 2);
-        assert_eq!(a.entries[1].target_depth, 0);
-        assert_eq!(a.advances, [advance(4), advance(9)]);
-        assert_eq!(a.derivations, [derivation(5), derivation(3)]);
-        assert_eq!(a.encrypted_key_count(), 2);
     }
 }

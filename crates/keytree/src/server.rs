@@ -18,8 +18,9 @@
 //!   - if a child C of X is compromised too (the first one in child
 //!     order), X's new key is the chain derivation G of C's new key,
 //!     `K'_X = G(K'_C)` ([`KeyTree::derive_key`]), and the message
-//!     carries a [`KeyDerivation`] in place of the wrap under C; X's
-//!     other children get a wrap each, `d − 1` encryptions;
+//!     carries a [`KeyDerivation`](crate::message::KeyDerivation) in
+//!     place of the wrap under C; X's other children get a wrap each,
+//!     `d − 1` encryptions;
 //!   - otherwise — the bottom of a leave path, an interior a split
 //!     created over leaves, an empty tree's root over leaves — X gets
 //!     a fresh random key, wrapped under the current key of *every*
@@ -27,8 +28,9 @@
 //!     of Appendix A).
 //! - **otherwise** only joins dirtied X: its key *advances* by the
 //!   one-way step F, `K' = F(K)` ([`KeyTree::advance_key`]), and the
-//!   message announces the advance ([`KeyAdvance`]) instead of
-//!   wrapping anything under X's previous version. Every member
+//!   message announces the advance
+//!   ([`KeyAdvance`](crate::message::KeyAdvance)) instead of wrapping
+//!   anything under X's previous version. Every member
 //!   already below X holds that version and computes `K'` itself; no
 //!   leaver of this batch ever held it, and no joiner does. `K'` is
 //!   then wrapped once under the current key of each *changed* child —
@@ -79,31 +81,44 @@
 //!
 //! # Performance architecture
 //!
-//! A batch is processed in three sequential phases:
+//! A batch is processed in three sequential phases, all on the tree's
+//! slot numbers (`tree` module):
 //!
-//! 1. **Mutation**: the tree structure is updated and the dirty nodes
-//!    are listed, each compromised or not. This phase owns the
-//!    caller's RNG and is inherently ordered.
-//! 2. **Planning**: compromised nodes over no compromised child get
-//!    fresh keys from the caller's RNG and join-only nodes advance by
-//!    F, in ascending node order; then the other compromised nodes
-//!    derive by G, deepest first, so every source is new before its
-//!    parent reads it. The dirty nodes are then sorted deepest first
-//!    (stable, so ascending id within a depth), and one [`NonceRun`]
-//!    start is drawn from the caller's RNG for the batch.
+//! 1. **Mutation**: the tree structure is updated, and every node the
+//!    batch touches is marked in one batch-local byte per slot:
+//!    *compromised*, *join-only*, or the leaf of one of this batch's
+//!    joiners. A leaver's path is marked compromised and a joiner's
+//!    join-only, each walk stopping at the first ancestor that already
+//!    carries that mark or a stronger one (everything above it does
+//!    too); a slot the batch frees loses its mark and a slot it fills
+//!    is marked afresh, so no node inherits the mark of one that held
+//!    its slot before. This phase owns the caller's RNG and is
+//!    inherently ordered.
+//! 2. **Planning**: the marked nodes are sorted by [`NodeId`] — a slot
+//!    number never decides anything. Compromised nodes over no
+//!    compromised child get fresh keys from the caller's RNG and
+//!    join-only nodes advance by F, in that ascending order; then the
+//!    other compromised nodes derive by G, deepest first, so every
+//!    source is new before its parent reads it. The dirty nodes are
+//!    then sorted deepest first (stable, so ascending id within a
+//!    depth), the batch's entries are counted, and one [`NonceRun`]
+//!    start is drawn from the caller's RNG for the batch
+//!    ([`LkhServer::plan_batch`]).
 //! 3. **Execution**: that node order is walked and each wrap the node
-//!    needs is sealed straight into the output entries under the next
-//!    nonce, with its own header as associated data
-//!    ([`EntryMeta::seal`]). It draws no randomness; the whole
-//!    per-key cost sits here.
+//!    needs — read off its children's marks — is sealed straight into
+//!    the output entries under the next nonce, with its own header as
+//!    associated data ([`EntryMeta::seal`]). It draws no randomness;
+//!    the whole per-key cost sits here ([`LkhServer::seal_entries`]).
 //!
 //! A node's entries are contiguous and share its depth, so the
 //! messages list entries deepest target first and number their
 //! nonces consecutively in that order: the golden digests pin it, and
 //! it is what lets the wire codec leave the nonces out
-//! (`message::codec`, `NONCE_NEXT`). Every buffer is a local of
-//! [`LkhServer::try_apply_batch`], freed when the message is handed
-//! back, so the server holds its state and nothing else.
+//! (`message::codec`, `NONCE_NEXT`). Planning counts the entries
+//! exactly, so a caller sealing several trees into one message
+//! reserves its entries once. The marks and the node order are a
+//! [`PlannedBatch`] that sealing consumes, so the server holds its
+//! state and nothing else between batches.
 //!
 //! Each phase runs under a `rekey_obs` span (`rekey.mutate`,
 //! `rekey.plan`, `rekey.execute`), so per-phase wall clock shows up in
@@ -111,8 +126,8 @@
 //! per phase when none is.
 
 use crate::message::codec::{put_u64, DecodeError, Reader};
-use crate::message::{EntryMeta, KeyAdvance, KeyDerivation, RekeyEntry, RekeyMessage};
-use crate::tree::KeyTree;
+use crate::message::{EntryMeta, RekeyEntry, RekeyMessage};
+use crate::tree::{KeyTree, Placed, NO_SLOT};
 use crate::{KeyTreeError, MemberId, NodeId};
 use rand::RngCore;
 use rekey_crypto::keywrap::NonceRun;
@@ -129,10 +144,12 @@ pub struct BatchStats {
     /// Key nodes whose keys changed: fresh or advanced.
     pub refreshed_keys: usize,
     /// Of those, the nodes that advanced by F (no leaver below, not
-    /// new): one [`KeyAdvance`] each and no wrap under the previous key.
+    /// new): one [`KeyAdvance`](crate::message::KeyAdvance) each and no
+    /// wrap under the previous key.
     pub advanced_keys: usize,
     /// Of those, the compromised nodes derived by G from a compromised
-    /// child: one [`KeyDerivation`] each and no wrap under that child.
+    /// child: one [`KeyDerivation`](crate::message::KeyDerivation) each
+    /// and no wrap under that child.
     pub derived_keys: usize,
     /// Encrypted keys emitted — the paper's bandwidth metric.
     pub encrypted_keys: usize,
@@ -147,16 +164,83 @@ pub struct BatchOutcome {
     pub stats: BatchStats,
 }
 
-/// What the mutation phase hands to planning.
-struct Mutation {
-    /// Nodes whose keys must change, ascending and deduplicated, each
-    /// with whether it is *compromised*: its previous key cannot be
-    /// advanced, because a leaver of this batch held it, or because no
-    /// member does — a leaf split of this batch created the node, or it
-    /// is the root of a tree that was empty.
-    dirty: Vec<(NodeId, bool)>,
-    /// Leaf node of each joiner of this batch, ascending.
-    joined: Vec<NodeId>,
+// Marks a batch puts on the slots it touches, weakest first (module
+// docs, "Performance architecture"); an unmarked slot holds 0.
+
+/// The leaf of one of this batch's joiners: a changed child, not dirty.
+const JOINED: u8 = 1;
+/// Dirty, with only joins below: the key advances by F.
+const JOIN_ONLY: u8 = 2;
+/// Dirty, and its previous key cannot be advanced: a leaver of this
+/// batch held it, or no member does — a leaf split of this batch
+/// created the node, or it is the root of a tree that was empty.
+const COMPROMISED: u8 = 3;
+
+/// One batch's marks: a byte per slot of the tree, and every slot that
+/// turned dirty — once per time it did, so a slot freed and filled
+/// again may be listed twice, or listed unmarked.
+struct Marks {
+    of: Vec<u8>,
+    dirty: Vec<u32>,
+}
+
+impl Marks {
+    /// Marks for a batch of `joins` joiners on `tree`: each joiner
+    /// fills at most two slots, its leaf and the interior of a split.
+    fn new(tree: &KeyTree, joins: usize) -> Self {
+        Marks {
+            of: vec![0; tree.slot_count() + 2 * joins],
+            dirty: Vec::new(),
+        }
+    }
+
+    fn of(&self, slot: u32) -> u8 {
+        self.of[slot as usize]
+    }
+
+    /// Puts `mark` on `slot`, whatever it carried before.
+    fn set(&mut self, slot: u32, mark: u8) {
+        let at = &mut self.of[slot as usize];
+        if *at < JOIN_ONLY && mark >= JOIN_ONLY {
+            self.dirty.push(slot);
+        }
+        *at = mark;
+    }
+
+    /// Raises `slot` and its ancestors to `mark`, up to the first that
+    /// already carries `mark` or a stronger one: every ancestor of a
+    /// marked node carries at least that node's path mark.
+    fn raise_path(&mut self, tree: &KeyTree, slot: u32, mark: u8) {
+        let mut walk = Some(slot);
+        while let Some(slot) = walk.filter(|&slot| self.of(slot) < mark) {
+            self.set(slot, mark);
+            walk = tree.parent(slot);
+        }
+    }
+}
+
+/// One dirty node in sealing order: its depth, its slot and the slot
+/// of the child its new key derives from ([`NO_SLOT`] if none).
+type Sealing = (u32, u32, u32);
+
+/// A batch applied to the tree and planned, waiting to be sealed by
+/// the server that planned it ([`LkhServer::seal_entries`]) before its
+/// next batch: what the planner hands to execution.
+#[derive(Debug)]
+pub struct PlannedBatch {
+    epoch: u64,
+    order: Vec<Sealing>,
+    marks: Vec<u8>,
+    nonces: NonceRun,
+    stats: BatchStats,
+}
+
+impl PlannedBatch {
+    /// The batch's statistics; `encrypted_keys` counts the entries
+    /// sealing will append.
+    pub fn stats(&self) -> BatchStats {
+        self.stats
+    }
 }
 
 /// The key server for one logical key tree.
@@ -254,7 +338,8 @@ impl LkhServer {
     }
 
     /// Applies a batch of joins and leaves and returns the rekey
-    /// message.
+    /// message: [`LkhServer::plan_batch`], then
+    /// [`LkhServer::seal_entries`].
     ///
     /// All randomness (fresh keys, then one
     /// [`NONCE_LEN`](rekey_crypto::keywrap::NONCE_LEN)-byte nonce
@@ -277,120 +362,205 @@ impl LkhServer {
         leaves: &[MemberId],
         rng: &mut R,
     ) -> Result<BatchOutcome, KeyTreeError> {
+        let mut message = RekeyMessage::new(self.epoch + 1);
+        let plan = self.plan_batch(joins, leaves, rng, &mut message)?;
+        message.entries.reserve_exact(plan.stats.encrypted_keys);
+        let stats = self.seal_entries(plan, &mut message.entries);
+        Ok(BatchOutcome { message, stats })
+    }
+
+    /// Phases 1 and 2 of a batch (module docs): applies the joins and
+    /// leaves, gives every dirty node its new key, appends the batch's
+    /// advance and derivation records onto `message`, and returns what
+    /// [`LkhServer::seal_entries`] needs to append its entries. Draws
+    /// every random byte the batch uses, as
+    /// [`LkhServer::try_apply_batch`] describes; sealing draws none, so
+    /// callers may plan several trees before sealing them.
+    ///
+    /// # Errors
+    ///
+    /// As [`LkhServer::try_apply_batch`].
+    pub fn plan_batch<R: RngCore>(
+        &mut self,
+        joins: &[(MemberId, Key)],
+        leaves: &[MemberId],
+        rng: &mut R,
+        message: &mut RekeyMessage,
+    ) -> Result<PlannedBatch, KeyTreeError> {
         self.epoch += 1;
 
         // ---- Phase 1: tree mutation -------------------------------
-        let Mutation { dirty, joined } = {
+        let marks = {
             let _span = rekey_obs::span!("rekey.mutate");
             self.mutate_tree(joins, leaves, rng)?
         };
 
         // ---- Phase 2: new keys, then the order to seal them in ----
-        let (order, advances, derivations, nonces) = {
-            let _span = rekey_obs::span!("rekey.plan");
-            // Tree shape is fixed from here on: one depth per dirty
-            // node serves the derivation order, the entry order and the
-            // entry headers.
-            let mut order: Vec<(u32, NodeId, bool)> = dirty
-                .iter()
-                .map(|&(node, compromised)| {
-                    let depth = self.tree.depth_of(node).expect("dirty node is alive");
-                    (depth as u32, node, compromised)
-                })
-                .collect();
-            let mut advances = Vec::new();
-            let mut chained = Vec::new();
-            for &(depth, node, compromised) in &order {
-                if !compromised {
-                    let (version, _, check) = self.tree.advance_key(node);
-                    advances.push(KeyAdvance {
-                        node,
-                        version: version + 1,
-                        check,
-                    });
-                } else if let Some(source) = self.chain_source(node, &dirty) {
-                    chained.push((depth, node, source));
-                } else {
-                    self.tree.refresh_key(node, rng);
+        let _span = rekey_obs::span!("rekey.plan");
+        let tree = &mut self.tree;
+        // The canonical order: ascending node id. A slot listed twice
+        // holds one node; one listed unmarked was freed.
+        let mut dirty: Vec<(NodeId, u32)> = marks
+            .dirty
+            .iter()
+            .filter(|&&slot| marks.of(slot) >= JOIN_ONLY)
+            .map(|&slot| (tree.node(slot).id, slot))
+            .collect();
+        dirty.sort_unstable();
+        dirty.dedup();
+
+        // Tree shape is fixed from here on: one depth per dirty node
+        // serves the derivation order, the entry order and the entry
+        // headers.
+        let mut order: Vec<Sealing> = Vec::with_capacity(dirty.len());
+        let mut chained = Vec::new();
+        let (mut compromised, mut entries) = (0, 0);
+        message.advances.reserve(dirty.len());
+        for &(_, slot) in &dirty {
+            let depth = tree.depth(slot);
+            let children = tree.children(slot);
+            let source = if marks.of(slot) == JOIN_ONLY {
+                // One wrap per changed child: dirty, or a joiner's leaf.
+                entries += children.iter().filter(|&&c| marks.of(c) != 0).count();
+                message.advances.push(tree.advance_at(slot));
+                NO_SLOT
+            } else {
+                // The first compromised child in child order, if any (a
+                // leaf is never marked compromised); one wrap per other
+                // child.
+                compromised += 1;
+                let source = children
+                    .iter()
+                    .copied()
+                    .find(|&c| marks.of(c) == COMPROMISED);
+                entries += children.len() - usize::from(source.is_some());
+                match source {
+                    Some(source) => chained.push((depth, slot, source)),
+                    None => {
+                        tree.refresh_at(slot, rng);
+                    }
                 }
-            }
-            // Deepest first: a source is a child of its target, so it
-            // is new (drawn above, or derived earlier here) before its
-            // target reads it. The message lists them by target.
-            chained.sort_by_key(|&(depth, ..)| std::cmp::Reverse(depth));
-            let mut derivations: Vec<KeyDerivation> = chained
-                .into_iter()
-                .map(|(_, node, source)| self.tree.derive_key(node, source))
-                .collect();
-            derivations.sort_unstable_by_key(|derivation| derivation.target);
-            rekey_obs::count("rekey.nodes.derived", derivations.len() as u64);
-            // Deepest targets first => members decrypt in one pass.
-            // The sort is stable, so nodes of one depth stay ascending
-            // and each node's entries stay together in child order.
-            order.sort_by_key(|&(depth, ..)| std::cmp::Reverse(depth));
+                source.unwrap_or(NO_SLOT)
+            };
+            order.push((depth, slot, source));
+        }
+        // Deepest first: a source is a child of its target, so it is
+        // new (drawn above, or derived earlier here) before its target
+        // reads it. The message lists them by target.
+        chained.sort_by_key(|&(depth, ..)| std::cmp::Reverse(depth));
+        let derived_from = message.derivations.len();
+        message.derivations.reserve(chained.len());
+        for &(_, slot, source) in &chained {
+            message.derivations.push(tree.derive_at(slot, source));
+        }
+        message.derivations[derived_from..].sort_unstable_by_key(|derivation| derivation.target);
+        // Deepest targets first => members decrypt in one pass. The
+        // sort is stable, so nodes of one depth stay ascending and each
+        // node's entries stay together in child order.
+        order.sort_by_key(|&(depth, ..)| std::cmp::Reverse(depth));
+        rekey_obs::count("rekey.nodes.derived", chained.len() as u64);
+        rekey_obs::count("rekey.nodes.compromised", compromised as u64);
+        rekey_obs::count("rekey.nodes.join_only", (dirty.len() - compromised) as u64);
+        Ok(PlannedBatch {
+            epoch: self.epoch,
+            order,
+            marks: marks.of,
             // One nonce start per batch, drawn after every new key; the
             // entries are numbered from it in message order.
-            (order, advances, derivations, NonceRun::draw(rng))
-        };
-
-        // ---- Phase 3: seal every wrap into the output entries -----
-        let entries = {
-            let _span = rekey_obs::span!("rekey.execute");
-            self.seal_entries(&order, &dirty, &joined, &derivations, nonces)
-        };
-        rekey_obs::count("rekey.encrypted_keys", entries.len() as u64);
-
-        let stats = BatchStats {
-            joins: joins.len(),
-            leaves: leaves.len(),
-            refreshed_keys: dirty.len(),
-            advanced_keys: advances.len(),
-            derived_keys: derivations.len(),
-            encrypted_keys: entries.len(),
-        };
-        Ok(BatchOutcome {
-            message: RekeyMessage {
-                epoch: self.epoch,
-                entries,
-                advances,
-                derivations,
+            nonces: NonceRun::draw(rng),
+            stats: BatchStats {
+                joins: joins.len(),
+                leaves: leaves.len(),
+                refreshed_keys: dirty.len(),
+                advanced_keys: dirty.len() - compromised,
+                derived_keys: chained.len(),
+                encrypted_keys: entries,
             },
-            stats,
         })
     }
 
-    /// Phase 1: applies the membership changes to the tree and returns
-    /// the nodes to refresh, which of them are compromised and the
-    /// leaves of this batch's joiners.
+    /// Phase 3 of a batch (module docs): seals every wrap `plan` names
+    /// onto `entries`, node by node deepest first, each under the next
+    /// nonce of the batch. One rule per dirty node (module header): a
+    /// compromised node's new key goes under the current key of every
+    /// child but the one it was derived from; an advanced node's goes
+    /// under each changed child only — a dirty child's new version or
+    /// the leaf of one of this batch's joiners. Returns the batch's
+    /// statistics.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `plan` is this server's latest planned batch.
+    pub fn seal_entries(&self, plan: PlannedBatch, entries: &mut Vec<RekeyEntry>) -> BatchStats {
+        assert_eq!(plan.epoch, self.epoch, "a plan is sealed by its own batch");
+        let _span = rekey_obs::span!("rekey.execute");
+        let PlannedBatch {
+            order,
+            marks,
+            mut nonces,
+            stats,
+            ..
+        } = plan;
+        let tree = &self.tree;
+        for &(depth, slot, source) in &order {
+            let node = tree.node(slot);
+            let compromised = marks[slot as usize] == COMPROMISED;
+            for &c in tree.children(slot) {
+                if c == source {
+                    continue; // derives the new key by G: no wrap
+                }
+                if !compromised && marks[c as usize] == 0 {
+                    continue; // holds the previous version: advances by F
+                }
+                let child = tree.node(c);
+                let meta = EntryMeta {
+                    target: node.id,
+                    target_version: node.version,
+                    under: child.id,
+                    under_version: child.version,
+                    under_is_leaf: child.is_leaf(),
+                    recipient: child.member(),
+                    audience: child.leaf_count(),
+                    target_depth: depth,
+                };
+                entries.push(meta.seal(&child.key, &node.key, nonces.take()));
+            }
+        }
+        rekey_obs::count("rekey.encrypted_keys", stats.encrypted_keys as u64);
+        stats
+    }
+
+    /// Phase 1: applies the membership changes to the tree and marks
+    /// every node they touch.
     fn mutate_tree<R: RngCore>(
         &mut self,
         joins: &[(MemberId, Key)],
         leaves: &[MemberId],
         rng: &mut R,
-    ) -> Result<Mutation, KeyTreeError> {
-        // Dirty nodes by cause — on a leaver's path, made by a leaf
-        // split, or an empty tree's root; on a joiner's path — sorted
-        // apart and merged below: two short sorts of bare ids cost less
-        // than one of flagged ids.
-        let mut compromised = Vec::new();
-        let mut joined_paths = Vec::new();
-        let was_empty = self.tree.member_count() == 0;
+    ) -> Result<Marks, KeyTreeError> {
+        let tree = &mut self.tree;
+        let mut marks = Marks::new(tree, joins.len());
+        let was_empty = tree.member_count() == 0;
         if was_empty && !joins.is_empty() {
             // No member holds the root key, so nothing may advance it:
             // the first key anyone receives is fresh.
-            compromised.push(self.tree.root_id());
+            marks.set(tree.root_slot(), COMPROMISED);
         }
 
         // Slots vacated by departures are re-used for joiners
         // ([YLZL01] batch rekeying): with J = L the join paths then
         // coincide with the leave paths and the batch costs Ne(N, L).
-        let mut vacancies = VecDeque::new();
+        // A vacancy whose node a later leaver's promotion freed is
+        // passed over: until the first split, a freed slot can only be
+        // refilled by a joiner's leaf, which takes no joiner.
+        let mut vacancies = VecDeque::with_capacity(leaves.len());
         for &member in leaves {
-            let removed_dirty = self.tree.remove_member(member)?;
-            if let Some(&parent) = removed_dirty.first() {
-                vacancies.push_back(parent);
+            let removed = tree.remove(member)?;
+            if let Some(freed) = removed.promoted {
+                marks.set(freed, 0);
             }
-            compromised.extend(removed_dirty);
+            marks.raise_path(tree, removed.dirty_from, COMPROMISED);
+            vacancies.push_back(removed.dirty_from);
         }
 
         // A join-only batch into a live tree keeps its joiners beside
@@ -400,135 +570,32 @@ impl LkhServer {
         // `steady-16k` and `restart-16k` keys (module docs, "Placement").
         let clusters = leaves.is_empty() && !was_empty;
         let mut cluster = None;
-        let mut joined = Vec::with_capacity(joins.len());
         for (member, individual_key) in joins {
-            let mut outcome = None;
+            let mut leaf = None;
             while let Some(slot) = vacancies.pop_front() {
-                if let Some(at_slot) =
-                    self.tree
-                        .insert_member_at(*member, individual_key.clone(), slot)?
-                {
-                    outcome = Some(at_slot);
+                leaf = tree.insert_at(*member, individual_key.clone(), slot)?;
+                if leaf.is_some() {
                     break;
                 }
             }
-            let outcome = match outcome {
-                Some(o) => o,
-                None => self
-                    .tree
-                    .insert_member(*member, individual_key.clone(), cluster, rng)?,
+            let placed = match leaf {
+                Some(leaf) => Placed { leaf, split: None },
+                None => tree.insert(*member, individual_key.clone(), cluster, rng)?,
             };
-            if clusters {
-                cluster = outcome.created_interior.or(cluster);
-            }
-            joined.push(outcome.leaf);
-            joined_paths.extend(outcome.dirty_path);
-            compromised.extend(outcome.created_interior);
-        }
-
-        // Dedup, and drop nodes that later structural repair deleted
-        // (joins delete nothing); ascending order fixes the plan's (and
-        // thus the message's) canonical node order.
-        compromised.sort_unstable();
-        compromised.dedup();
-        compromised.retain(|&node| self.tree.key_of(node).is_some());
-        joined_paths.sort_unstable();
-        joined_paths.dedup();
-        joined.sort_unstable();
-
-        // Merge the two: a node on both lists is compromised.
-        let mut dirty = Vec::with_capacity(compromised.len() + joined_paths.len());
-        let mut join_only = joined_paths.into_iter().peekable();
-        for node in compromised {
-            while let Some(below) = join_only.next_if(|&other| other < node) {
-                dirty.push((below, false));
-            }
-            join_only.next_if_eq(&node);
-            dirty.push((node, true));
-        }
-        dirty.extend(join_only.map(|node| (node, false)));
-        Ok(Mutation { dirty, joined })
-    }
-
-    /// The child a compromised `node` derives its new key from: its
-    /// first compromised child in child order, if any (module header);
-    /// a leaf never is one. `dirty` is ascending.
-    fn chain_source(&self, node: NodeId, dirty: &[(NodeId, bool)]) -> Option<NodeId> {
-        self.tree
-            .children_of(node)
-            .expect("dirty node is alive")
-            .find(|child| {
-                !child.is_leaf
-                    && matches!(
-                        dirty.binary_search_by_key(&child.id, |&(id, _)| id),
-                        Ok(at) if dirty[at].1
-                    )
-            })
-            .map(|child| child.id)
-    }
-
-    /// Seals every wrap of the batch, node by node in `order` (depth,
-    /// id, compromised; deepest first), each under the next nonce of
-    /// `nonces`. One rule per dirty node (module header): a compromised
-    /// node's new key goes under the current key of every child but
-    /// the one it was derived from (`derivations`, ascending by
-    /// target); an advanced node's goes under each changed child only
-    /// — a dirty child's new version or the leaf of one of this
-    /// batch's joiners (`joined`). `dirty` and `joined` are ascending.
-    fn seal_entries(
-        &self,
-        order: &[(u32, NodeId, bool)],
-        dirty: &[(NodeId, bool)],
-        joined: &[NodeId],
-        derivations: &[KeyDerivation],
-        mut nonces: NonceRun,
-    ) -> Vec<RekeyEntry> {
-        let tree = &self.tree;
-        // Where the batch's keys go: a wrap per child of a compromised
-        // node but its chain source; elsewhere each dirty node or
-        // joiner is some node's changed child.
-        let compromised = dirty
-            .iter()
-            .filter(|&&(_, compromised)| compromised)
-            .count();
-        let join_only = dirty.len() - compromised;
-        rekey_obs::count("rekey.nodes.compromised", compromised as u64);
-        rekey_obs::count("rekey.nodes.join_only", join_only as u64);
-        let mut entries = Vec::with_capacity(
-            compromised * tree.degree() - derivations.len() + join_only + joined.len(),
-        );
-        for &(depth, node, compromised) in order {
-            let (new_key, new_version) = tree.key_of(node).expect("dirty node is alive");
-            let source = derivations
-                .binary_search_by_key(&node, |derivation| derivation.target)
-                .ok()
-                .map(|at| derivations[at].source);
-            for child in tree.children_of(node).expect("dirty node is alive") {
-                if Some(child.id) == source {
-                    continue; // derives the new key by G: no wrap
+            marks.set(placed.leaf, JOINED);
+            if let Some(split) = placed.split {
+                // New, so compromised; the nodes above only gained a
+                // member.
+                marks.set(split, COMPROMISED);
+                if clusters {
+                    cluster = Some(split);
                 }
-                if !compromised
-                    && dirty
-                        .binary_search_by_key(&child.id, |&(id, _)| id)
-                        .is_err()
-                    && joined.binary_search(&child.id).is_err()
-                {
-                    continue; // holds the previous version: advances by F
-                }
-                let meta = EntryMeta {
-                    target: node,
-                    target_version: new_version,
-                    under: child.id,
-                    under_version: child.version,
-                    under_is_leaf: child.is_leaf,
-                    recipient: child.member,
-                    audience: child.audience as u32,
-                    target_depth: depth,
-                };
-                entries.push(meta.seal(child.key, new_key, nonces.take()));
             }
+            let above = placed.split.unwrap_or(placed.leaf);
+            let above = tree.parent(above).expect("a split never makes the root");
+            marks.raise_path(tree, above, JOIN_ONLY);
         }
-        entries
+        Ok(marks)
     }
 
     /// Infallible wrapper around [`LkhServer::try_apply_batch`].

@@ -10,25 +10,31 @@
 //! beside its own splits instead, [`KeyTree::insert_member`]), and
 //! repairs itself on removal by promoting single children of non-root
 //! interior nodes. Structure mutation is separated from rekeying:
-//! mutating operations return the list of surviving *dirty* ancestors
-//! whose keys must be refreshed; [`crate::server::LkhServer`] turns
-//! those into rekey messages.
+//! a mutation reports the lowest surviving node whose key must be
+//! refreshed — it and every ancestor above it are *dirty* —, and
+//! [`crate::server::LkhServer`] turns those into rekey messages.
+//!
+//! Nodes live in a dense slot table: one fixed-size record per node in
+//! one `Vec`, linked to its parent and children by slot number, so no
+//! node owns a heap allocation. The batch planner works on slots
+//! alone; `NodeId`s and `MemberId`s are looked up only at the public
+//! API and once per member change.
 
 use crate::message::codec::{ensure, put_u32, put_u64, DecodeError, Reader};
-use crate::message::KeyDerivation;
+use crate::message::{KeyAdvance, KeyDerivation};
 use crate::{KeyTreeError, MemberId, NodeId};
 use rand::RngCore;
 use rekey_crypto::keywrap::{advance, derive, ADVANCE_CHECK_LEN, DERIVE_CHECK_LEN};
 use rekey_crypto::Key;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::OnceLock;
 
 /// Multiply-shift hash of one `u64`, for the [`NodeId`]-keyed slot
 /// index. Node ids are counters this server assigns (a namespace over a
 /// 40-bit count), not input an adversary picks, so they need no keyed
-/// hash — and the index is consulted for every node a batch touches,
-/// where SipHash was a measurable share of the interval. Tables keyed
-/// by [`MemberId`], which clients do choose, keep the default hasher.
+/// hash. Tables keyed by [`MemberId`], which clients do choose, keep
+/// the default hasher.
 #[derive(Debug, Clone, Copy, Default)]
 struct NodeIdHasher(u64);
 
@@ -52,27 +58,89 @@ impl Hasher for NodeIdHasher {
     }
 }
 
-type SlotIndex = HashMap<NodeId, usize, BuildHasherDefault<NodeIdHasher>>;
+type SlotIndex = HashMap<NodeId, u32, BuildHasherDefault<NodeIdHasher>>;
 
 /// Version byte leading a serialized [`KeyTree`].
 pub const TREE_WIRE_VERSION: u8 = 1;
+
+/// Largest tree degree: every node reserves d child slots, so d bounds
+/// the table's size per node (and what a decoded degree may allocate).
+pub const MAX_DEGREE: usize = 256;
 
 /// Serialized size of one node: id, parent position, member flag, key
 /// and version. A leaf adds its 8-byte member id.
 const NODE_RECORD_LEN: usize = 8 + 4 + 1 + 32 + 8;
 
-/// One node of the key tree.
+/// The slot number that names no node: the root's parent.
+pub(crate) const NO_SLOT: u32 = u32::MAX;
+
+/// One node of the key tree: a fixed-size record of the slot table,
+/// one cache line.
 #[derive(Debug, Clone)]
-struct Node {
-    id: NodeId,
-    parent: Option<usize>,
-    children: Vec<usize>,
-    /// `Some` exactly for leaves.
-    member: Option<MemberId>,
-    key: Key,
-    version: u64,
+#[repr(align(64))]
+pub(crate) struct Node {
+    pub(crate) id: NodeId,
+    pub(crate) key: Key,
+    pub(crate) version: u64,
+    /// A leaf's member id; an interior node's leaf count.
+    holder: u64,
+    /// Slot of the parent; [`NO_SLOT`] for the root.
+    pub(crate) parent: u32,
+    /// Number of children, listed first in the node's child slots.
+    arity: u16,
+    /// [`LEAF`] and [`LIVE`].
+    flags: u8,
+}
+
+const _: () = assert!(std::mem::size_of::<Node>() == 64);
+
+/// [`Node::flags`]: the node is a member's leaf.
+const LEAF: u8 = 1;
+/// [`Node::flags`]: the slot holds a node; a free slot waits on the
+/// free list.
+const LIVE: u8 = 2;
+
+impl Node {
+    /// A childless live node at version 0.
+    fn new(id: NodeId, member: Option<MemberId>, parent: u32, key: Key) -> Node {
+        Node {
+            id,
+            key,
+            version: 0,
+            holder: member.map_or(0, |m| m.0),
+            parent,
+            arity: 0,
+            flags: LIVE | if member.is_some() { LEAF } else { 0 },
+        }
+    }
+
+    /// The member whose leaf this is; `None` for an interior node.
+    pub(crate) fn member(&self) -> Option<MemberId> {
+        self.is_leaf().then_some(MemberId(self.holder))
+    }
+
+    pub(crate) fn is_leaf(&self) -> bool {
+        self.flags & LEAF != 0
+    }
+
+    fn is_live(&self) -> bool {
+        self.flags & LIVE != 0
+    }
+
     /// Number of leaves in this node's subtree (1 for a leaf).
-    leaf_count: usize,
+    pub(crate) fn leaf_count(&self) -> u32 {
+        if self.is_leaf() {
+            1
+        } else {
+            self.holder as u32
+        }
+    }
+
+    /// Adds `delta` (wrapping) to an interior node's leaf count.
+    fn add_leaves(&mut self, delta: u32) {
+        debug_assert!(!self.is_leaf(), "a leaf counts itself");
+        self.holder = u64::from((self.holder as u32).wrapping_add(delta));
+    }
 }
 
 /// A balanced d-ary logical key tree.
@@ -85,14 +153,40 @@ struct Node {
 pub struct KeyTree {
     degree: usize,
     namespace: u32,
-    slots: Vec<Option<Node>>,
-    free: Vec<usize>,
-    /// Slot of every live node.
-    index_of: SlotIndex,
-    /// Slot of every member's leaf (a live node never changes slot).
-    leaf_of: HashMap<MemberId, usize>,
-    root: usize,
+    /// The slot table; a live node never changes slot.
+    nodes: Vec<Node>,
+    /// d child slots per node, in child order: slot s's children are
+    /// `children[s·d .. s·d + arity]`.
+    children: Vec<u32>,
+    /// Freed slots, reused last-freed first.
+    free: Vec<u32>,
+    /// Slot of every live node, for the `NodeId` API alone: built by
+    /// the first lookup after a change of shape, so neither a batch nor
+    /// a decode pays for it.
+    index_of: OnceLock<SlotIndex>,
+    /// Slot of every member's leaf.
+    leaf_of: HashMap<MemberId, u32>,
+    root: u32,
     next_counter: u64,
+}
+
+/// Slots a member's insertion filled (see [`KeyTree::insert_member`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Placed {
+    /// The new leaf.
+    pub(crate) leaf: u32,
+    /// The interior a leaf split interposed, if any: the leaf's parent.
+    pub(crate) split: Option<u32>,
+}
+
+/// What a member's removal did (see [`KeyTree::remove_member`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Removed {
+    /// The lowest surviving node the leaver's key path reached; it and
+    /// its ancestors must be refreshed.
+    pub(crate) dirty_from: u32,
+    /// The interior freed by promoting its single remaining child.
+    pub(crate) promoted: Option<u32>,
 }
 
 impl KeyTree {
@@ -101,29 +195,26 @@ impl KeyTree {
     ///
     /// # Panics
     ///
-    /// Panics if `degree < 2`.
+    /// Panics unless `2 <= degree <= MAX_DEGREE`.
     pub fn new<R: RngCore>(degree: usize, namespace: u32, rng: &mut R) -> Self {
         assert!(degree >= 2, "key tree degree must be at least 2");
+        assert!(
+            degree <= MAX_DEGREE,
+            "key tree degree must be at most {MAX_DEGREE}"
+        );
         let mut tree = KeyTree {
             degree,
             namespace,
-            slots: Vec::new(),
+            nodes: Vec::new(),
+            children: Vec::new(),
             free: Vec::new(),
-            index_of: SlotIndex::default(),
+            index_of: OnceLock::new(),
             leaf_of: HashMap::new(),
             root: 0,
             next_counter: 0,
         };
         let root_id = tree.fresh_id();
-        tree.root = tree.alloc(Node {
-            id: root_id,
-            parent: None,
-            children: Vec::new(),
-            member: None,
-            key: Key::generate(rng),
-            version: 0,
-            leaf_count: 0,
-        });
+        tree.root = tree.alloc(root_id, None, NO_SLOT, Key::generate(rng));
         tree
     }
 
@@ -133,32 +224,99 @@ impl KeyTree {
         id
     }
 
-    fn alloc(&mut self, node: Node) -> usize {
-        let id = node.id;
-        let idx = if let Some(idx) = self.free.pop() {
-            self.slots[idx] = Some(node);
-            idx
-        } else {
-            self.slots.push(Some(node));
-            self.slots.len() - 1
+    /// Puts a childless node into a free slot (the last one freed) or a
+    /// new one, at version 0 and with a leaf count of 1 for a leaf.
+    fn alloc(&mut self, id: NodeId, member: Option<MemberId>, parent: u32, key: Key) -> u32 {
+        let node = Node::new(id, member, parent, key);
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.nodes[slot as usize] = node;
+                slot
+            }
+            None => {
+                self.nodes.push(node);
+                self.children
+                    .resize(self.nodes.len() * self.degree, NO_SLOT);
+                (self.nodes.len() - 1) as u32
+            }
         };
-        self.index_of.insert(id, idx);
-        idx
+        self.index_of.take();
+        slot
     }
 
-    fn dealloc(&mut self, idx: usize) {
-        if let Some(node) = self.slots[idx].take() {
-            self.index_of.remove(&node.id);
-            self.free.push(idx);
-        }
+    fn dealloc(&mut self, slot: u32) {
+        let node = &mut self.nodes[slot as usize];
+        node.flags &= !LIVE;
+        self.index_of.take();
+        self.free.push(slot);
     }
 
-    fn node(&self, idx: usize) -> &Node {
-        self.slots[idx].as_ref().expect("dangling node index")
+    /// The record in `slot`.
+    pub(crate) fn node(&self, slot: u32) -> &Node {
+        &self.nodes[slot as usize]
     }
 
-    fn node_mut(&mut self, idx: usize) -> &mut Node {
-        self.slots[idx].as_mut().expect("dangling node index")
+    fn node_mut(&mut self, slot: u32) -> &mut Node {
+        &mut self.nodes[slot as usize]
+    }
+
+    /// Number of slots, live or free: every slot number is below it.
+    pub(crate) fn slot_count(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// The children of `slot`, in child order.
+    pub(crate) fn children(&self, slot: u32) -> &[u32] {
+        let at = slot as usize * self.degree;
+        &self.children[at..at + self.node(slot).arity as usize]
+    }
+
+    fn push_child(&mut self, parent: u32, child: u32) {
+        let arity = self.node(parent).arity as usize;
+        self.children[parent as usize * self.degree + arity] = child;
+        self.node_mut(parent).arity += 1;
+    }
+
+    /// Index of `child` among `parent`'s children.
+    fn child_position(&self, parent: u32, child: u32) -> usize {
+        self.children(parent)
+            .iter()
+            .position(|&c| c == child)
+            .expect("child listed under parent")
+    }
+
+    /// Puts `new` where `old` stood among `parent`'s children.
+    fn replace_child(&mut self, parent: u32, old: u32, new: u32) {
+        let pos = self.child_position(parent, old);
+        self.children[parent as usize * self.degree + pos] = new;
+    }
+
+    /// Removes `child` from `parent`'s children, keeping their order.
+    fn remove_child(&mut self, parent: u32, child: u32) {
+        let pos = self.child_position(parent, child);
+        let at = parent as usize * self.degree;
+        let arity = self.node(parent).arity as usize;
+        self.children
+            .copy_within(at + pos + 1..at + arity, at + pos);
+        self.node_mut(parent).arity -= 1;
+    }
+
+    /// `index_of`, built if a change of shape dropped it.
+    fn index(&self) -> &SlotIndex {
+        self.index_of.get_or_init(|| {
+            let mut index =
+                SlotIndex::with_capacity_and_hasher(self.node_count(), Default::default());
+            for (slot, node) in self.nodes.iter().enumerate() {
+                if node.is_live() {
+                    index.insert(node.id, slot as u32);
+                }
+            }
+            index
+        })
+    }
+
+    fn slot_of(&self, node: NodeId) -> Option<u32> {
+        self.index().get(&node).copied()
     }
 
     /// The tree degree d.
@@ -174,6 +332,11 @@ impl KeyTree {
     /// Id of the root node (stable for the lifetime of the tree).
     pub fn root_id(&self) -> NodeId {
         self.node(self.root).id
+    }
+
+    /// Slot of the root node.
+    pub(crate) fn root_slot(&self) -> u32 {
+        self.root
     }
 
     /// Current root (subgroup) key.
@@ -198,53 +361,67 @@ impl KeyTree {
 
     /// Total number of live key nodes (including the root and leaves).
     pub fn node_count(&self) -> usize {
-        self.index_of.len()
+        self.nodes.len() - self.free.len()
     }
 
     /// Height of the tree: number of edges on the longest root-to-leaf
     /// path (0 for an empty tree).
     pub fn height(&self) -> usize {
-        fn depth_of(tree: &KeyTree, idx: usize) -> usize {
-            tree.node(idx)
-                .children
+        fn depth_below(tree: &KeyTree, slot: u32) -> usize {
+            tree.children(slot)
                 .iter()
-                .map(|&c| 1 + depth_of(tree, c))
+                .map(|&c| 1 + depth_below(tree, c))
                 .max()
                 .unwrap_or(0)
         }
-        depth_of(self, self.root)
+        depth_below(self, self.root)
     }
 
     /// Key and version currently stored at `node`, if it exists.
     pub fn key_of(&self, node: NodeId) -> Option<(&Key, u64)> {
-        let idx = *self.index_of.get(&node)?;
-        let n = self.node(idx);
+        let n = self.node(self.slot_of(node)?);
         Some((&n.key, n.version))
     }
 
     /// The member's leaf node id.
     pub fn leaf_of(&self, member: MemberId) -> Option<NodeId> {
-        self.leaf_of.get(&member).map(|&idx| self.node(idx).id)
+        self.leaf_of.get(&member).map(|&slot| self.node(slot).id)
     }
 
     /// Depth of `node` (root = 0), if it exists.
     pub fn depth_of(&self, node: NodeId) -> Option<usize> {
-        let mut idx = *self.index_of.get(&node)?;
+        Some(self.depth(self.slot_of(node)?) as usize)
+    }
+
+    /// Depth of the node in `slot` (root = 0).
+    pub(crate) fn depth(&self, mut slot: u32) -> u32 {
         let mut depth = 0;
-        while let Some(parent) = self.node(idx).parent {
-            idx = parent;
+        while let Some(parent) = self.parent(slot) {
+            slot = parent;
             depth += 1;
         }
-        Some(depth)
+        depth
+    }
+
+    /// Slot of the parent of the node in `slot`; `None` for the root.
+    pub(crate) fn parent(&self, slot: u32) -> Option<u32> {
+        let parent = self.node(slot).parent;
+        (parent != NO_SLOT).then_some(parent)
     }
 
     /// Node ids on the path from the member's leaf (exclusive) to the
     /// root (inclusive) — exactly the auxiliary keys the member holds
     /// in addition to its individual key.
     pub fn path_of(&self, member: MemberId) -> Result<Vec<NodeId>, KeyTreeError> {
-        let mut path = Vec::new();
-        self.path_of_into(member, &mut path)?;
-        Ok(path)
+        let leaf = *self
+            .leaf_of
+            .get(&member)
+            .ok_or(KeyTreeError::UnknownMember(member))?;
+        Ok(
+            std::iter::successors(self.parent(leaf), |&slot| self.parent(slot))
+                .map(|slot| self.node(slot).id)
+                .collect(),
+        )
     }
 
     /// All members in the subtree rooted at `node` (empty if the node
@@ -261,16 +438,15 @@ impl KeyTree {
     /// the caller clears and reuses one `Vec` instead of allocating a
     /// fresh one per node.
     pub fn members_under_into(&self, node: NodeId, out: &mut Vec<MemberId>) {
-        let Some(&start) = self.index_of.get(&node) else {
+        let Some(start) = self.slot_of(node) else {
             return;
         };
         let mut stack = vec![start];
-        while let Some(idx) = stack.pop() {
-            let n = self.node(idx);
-            if let Some(m) = n.member {
+        while let Some(slot) = stack.pop() {
+            if let Some(m) = self.node(slot).member() {
                 out.push(m);
             }
-            stack.extend(&n.children);
+            stack.extend(self.children(slot));
         }
     }
 
@@ -279,45 +455,8 @@ impl KeyTree {
         self.leaf_of.keys().copied()
     }
 
-    /// Iterates over the children of `node` with their current keys,
-    /// versions, and subtree member counts, or `None` if the node does
-    /// not exist. Allocation-free: the rekey engine walks every dirty
-    /// node's children once per batch.
-    pub(crate) fn children_of(
-        &self,
-        node: NodeId,
-    ) -> Option<impl Iterator<Item = ChildInfo<'_>> + '_> {
-        let &idx = self.index_of.get(&node)?;
-        Some(self.node(idx).children.iter().map(move |&c| {
-            let child = self.node(c);
-            ChildInfo {
-                id: child.id,
-                key: &child.key,
-                version: child.version,
-                audience: child.leaf_count,
-                is_leaf: child.member.is_some(),
-                member: child.member,
-            }
-        }))
-    }
-
-    /// Appends the node ids on the path from the member's leaf
-    /// (exclusive) to the root (inclusive) onto `out` — the
-    /// allocation-free core of [`KeyTree::path_of`].
-    pub(crate) fn path_of_into(
-        &self,
-        member: MemberId,
-        out: &mut Vec<NodeId>,
-    ) -> Result<(), KeyTreeError> {
-        let mut idx = *self
-            .leaf_of
-            .get(&member)
-            .ok_or(KeyTreeError::UnknownMember(member))?;
-        while let Some(parent) = self.node(idx).parent {
-            idx = parent;
-            out.push(self.node(idx).id);
-        }
-        Ok(())
+    fn live_slot(&self, node: NodeId) -> u32 {
+        self.slot_of(node).expect("node is alive")
     }
 
     /// Installs a fresh random key at `node`, bumping its version.
@@ -328,9 +467,13 @@ impl KeyTree {
     /// Panics if `node` does not exist (callers refresh only nodes
     /// they just observed alive).
     pub fn refresh_key<R: RngCore>(&mut self, node: NodeId, rng: &mut R) -> (u64, Key) {
-        let idx = self.index_of[&node];
+        self.refresh_at(self.live_slot(node), rng)
+    }
+
+    /// [`KeyTree::refresh_key`] of the node in `slot`.
+    pub(crate) fn refresh_at<R: RngCore>(&mut self, slot: u32, rng: &mut R) -> (u64, Key) {
         let key = Key::generate(rng);
-        let n = self.node_mut(idx);
+        let n = self.node_mut(slot);
         let replaced = (n.version, std::mem::replace(&mut n.key, key));
         n.version += 1;
         replaced
@@ -350,12 +493,25 @@ impl KeyTree {
     ///
     /// Panics if `node` does not exist.
     pub fn advance_key(&mut self, node: NodeId) -> (u64, Key, [u8; ADVANCE_CHECK_LEN]) {
-        let idx = self.index_of[&node];
-        let n = self.node_mut(idx);
+        let slot = self.live_slot(node);
+        let n = self.node(slot);
+        let replaced = (n.version, n.key.clone());
+        let record = self.advance_at(slot);
+        (replaced.0, replaced.1, record.check)
+    }
+
+    /// [`KeyTree::advance_key`] of the node in `slot`, as the record
+    /// that announces it.
+    pub(crate) fn advance_at(&mut self, slot: u32) -> KeyAdvance {
+        let n = self.node_mut(slot);
         let (key, check) = advance(&n.key);
-        let replaced = (n.version, std::mem::replace(&mut n.key, key));
+        n.key = key;
         n.version += 1;
-        (replaced.0, replaced.1, check)
+        KeyAdvance {
+            node: n.id,
+            version: n.version,
+            check,
+        }
     }
 
     /// Installs at `node` the chain derivation G of `source`'s current
@@ -371,16 +527,21 @@ impl KeyTree {
     ///
     /// Panics if `node` or `source` does not exist.
     pub fn derive_key(&mut self, node: NodeId, source: NodeId) -> KeyDerivation {
-        let idx = self.index_of[&node];
+        self.derive_at(self.live_slot(node), self.live_slot(source))
+    }
+
+    /// [`KeyTree::derive_key`] of the node in `slot` from the one in
+    /// `source`.
+    pub(crate) fn derive_at(&mut self, slot: u32, source: u32) -> KeyDerivation {
         let mut record = KeyDerivation {
-            target: node,
-            version: self.node(idx).version + 1,
-            source,
+            target: self.node(slot).id,
+            version: self.node(slot).version + 1,
+            source: self.node(source).id,
             check: [0; DERIVE_CHECK_LEN],
         };
-        let (key, check) = derive(&self.node(self.index_of[&source]).key, &record.binding());
+        let (key, check) = derive(&self.node(source).key, &record.binding());
         record.check = check;
-        let n = self.node_mut(idx);
+        let n = self.node_mut(slot);
         n.key = key;
         n.version = record.version;
         record
@@ -398,10 +559,10 @@ impl KeyTree {
     /// 2. else it splits the first leaf child of `cluster`'s parent;
     /// 3. else it splits the leaf its descent found.
     ///
-    /// Returns the insertion outcome: the new leaf's node id, the list
-    /// of surviving ancestors (from attach point up to the root) whose
-    /// keys must be refreshed to preserve backward confidentiality, and
-    /// the interior node created if a leaf had to be split.
+    /// Returns the new leaf, its parent — the first node whose key must
+    /// be refreshed to preserve backward confidentiality; it and its
+    /// ancestors are the new member's path — and the interior node
+    /// created if a leaf had to be split.
     ///
     /// # Errors
     ///
@@ -414,6 +575,28 @@ impl KeyTree {
         cluster: Option<NodeId>,
         rng: &mut R,
     ) -> Result<InsertOutcome, KeyTreeError> {
+        let cluster = cluster.and_then(|id| self.slot_of(id));
+        let placed = self.insert(member, individual_key, cluster, rng)?;
+        Ok(self.outcome(placed))
+    }
+
+    fn outcome(&self, placed: Placed) -> InsertOutcome {
+        let leaf = self.node(placed.leaf);
+        InsertOutcome {
+            leaf: leaf.id,
+            parent: self.node(leaf.parent).id,
+            created_interior: placed.split.map(|slot| self.node(slot).id),
+        }
+    }
+
+    /// [`KeyTree::insert_member`] with the cluster as a slot.
+    pub(crate) fn insert<R: RngCore>(
+        &mut self,
+        member: MemberId,
+        individual_key: Key,
+        cluster: Option<u32>,
+        rng: &mut R,
+    ) -> Result<Placed, KeyTreeError> {
         if self.contains(member) {
             return Err(KeyTreeError::DuplicateMember(member));
         }
@@ -423,29 +606,28 @@ impl KeyTree {
         let mut at = self.root;
         loop {
             let n = self.node(at);
-            if n.member.is_some() {
+            if n.is_leaf() {
                 break; // leaf: split below
             }
-            if n.children.len() < self.degree {
+            if (n.arity as usize) < self.degree {
                 break; // interior node with spare capacity
             }
-            at = *n
-                .children
+            at = *self
+                .children(at)
                 .iter()
-                .min_by_key(|&&c| self.node(c).leaf_count)
+                .min_by_key(|&&c| self.node(c).leaf_count())
                 .expect("full interior node has children");
         }
-        if let Some(&cluster) = cluster.and_then(|id| self.index_of.get(&id)) {
-            if self.node(at).member.is_some() {
+        if let Some(cluster) = cluster {
+            if self.node(at).is_leaf() {
                 let c = self.node(cluster);
-                let parent = c.parent.expect("a split never makes the root");
-                if c.children.len() < self.degree - 1 {
+                let parent = self.parent(cluster).expect("a split never makes the root");
+                if (c.arity as usize) < self.degree - 1 {
                     at = cluster;
                 } else if let Some(&leaf) = self
-                    .node(parent)
-                    .children
+                    .children(parent)
                     .iter()
-                    .find(|&&sibling| self.node(sibling).member.is_some())
+                    .find(|&&sibling| self.node(sibling).is_leaf())
                 {
                     at = leaf;
                 }
@@ -453,62 +635,36 @@ impl KeyTree {
         }
 
         let leaf_id = self.fresh_id();
-        let leaf_key_version = 0;
-        let attach_parent;
-        let mut created_interior = None;
-        if self.node(at).member.is_some() {
+        let mut split = None;
+        if self.node(at).is_leaf() {
             // Split leaf `at`: interpose a new interior node holding
             // [old leaf, new leaf].
             let interior_id = self.fresh_id();
-            let old_parent = self.node(at).parent.expect("root is never a leaf");
-            let interior_idx = self.alloc(Node {
-                id: interior_id,
-                parent: Some(old_parent),
-                children: vec![at],
-                member: None,
-                key: Key::generate(rng),
-                version: 0,
-                leaf_count: self.node(at).leaf_count,
-            });
-            let pos = self
-                .node(old_parent)
-                .children
-                .iter()
-                .position(|&c| c == at)
-                .expect("child listed under parent");
-            self.node_mut(old_parent).children[pos] = interior_idx;
-            self.node_mut(at).parent = Some(interior_idx);
-            attach_parent = interior_idx;
-            created_interior = Some(interior_id);
-        } else {
-            attach_parent = at;
+            let old_parent = self.node(at).parent;
+            let interior = self.alloc(interior_id, None, old_parent, Key::generate(rng));
+            self.replace_child(old_parent, at, interior);
+            self.push_child(interior, at);
+            self.node_mut(interior).add_leaves(1);
+            self.node_mut(at).parent = interior;
+            split = Some(interior);
+            at = interior;
         }
+        let leaf = self.attach(member, leaf_id, individual_key, at);
+        Ok(Placed { leaf, split })
+    }
 
-        let leaf_idx = self.alloc(Node {
-            id: leaf_id,
-            parent: Some(attach_parent),
-            children: Vec::new(),
-            member: Some(member),
-            key: individual_key,
-            version: leaf_key_version,
-            leaf_count: 1,
-        });
-        self.node_mut(attach_parent).children.push(leaf_idx);
-        self.leaf_of.insert(member, leaf_idx);
-
-        // Update subtree leaf counts and collect the dirty path.
-        let mut dirty = Vec::new();
-        let mut walk = Some(attach_parent);
-        while let Some(idx) = walk {
-            self.node_mut(idx).leaf_count += 1;
-            dirty.push(self.node(idx).id);
-            walk = self.node(idx).parent;
+    /// Puts a new leaf for `member` under the interior `parent` and
+    /// counts it into every subtree above.
+    fn attach(&mut self, member: MemberId, id: NodeId, individual_key: Key, parent: u32) -> u32 {
+        let leaf = self.alloc(id, Some(member), parent, individual_key);
+        self.push_child(parent, leaf);
+        self.leaf_of.insert(member, leaf);
+        let mut walk = Some(parent);
+        while let Some(slot) = walk {
+            self.node_mut(slot).add_leaves(1);
+            walk = self.parent(slot);
         }
-        Ok(InsertOutcome {
-            leaf: leaf_id,
-            dirty_path: dirty,
-            created_interior,
-        })
+        leaf
     }
 
     /// Attaches a new member leaf directly under `parent` if that node
@@ -530,104 +686,87 @@ impl KeyTree {
         individual_key: Key,
         parent: NodeId,
     ) -> Result<Option<InsertOutcome>, KeyTreeError> {
+        let Some(parent) = self.slot_of(parent) else {
+            if self.contains(member) {
+                return Err(KeyTreeError::DuplicateMember(member));
+            }
+            return Ok(None);
+        };
+        let placed = self.insert_at(member, individual_key, parent)?;
+        Ok(placed.map(|leaf| self.outcome(Placed { leaf, split: None })))
+    }
+
+    /// [`KeyTree::insert_member_at`] under the node in `parent`, which
+    /// may be a free slot; returns the new leaf's slot.
+    pub(crate) fn insert_at(
+        &mut self,
+        member: MemberId,
+        individual_key: Key,
+        parent: u32,
+    ) -> Result<Option<u32>, KeyTreeError> {
         if self.contains(member) {
             return Err(KeyTreeError::DuplicateMember(member));
         }
-        let Some(&parent_idx) = self.index_of.get(&parent) else {
+        let p = self.node(parent);
+        if !p.is_live() || p.is_leaf() || p.arity as usize >= self.degree {
             return Ok(None);
-        };
-        {
-            let p = self.node(parent_idx);
-            if p.member.is_some() || p.children.len() >= self.degree {
-                return Ok(None);
-            }
         }
         let leaf_id = self.fresh_id();
-        let leaf_idx = self.alloc(Node {
-            id: leaf_id,
-            parent: Some(parent_idx),
-            children: Vec::new(),
-            member: Some(member),
-            key: individual_key,
-            version: 0,
-            leaf_count: 1,
-        });
-        self.node_mut(parent_idx).children.push(leaf_idx);
-        self.leaf_of.insert(member, leaf_idx);
-
-        let mut dirty = Vec::new();
-        let mut walk = Some(parent_idx);
-        while let Some(idx) = walk {
-            self.node_mut(idx).leaf_count += 1;
-            dirty.push(self.node(idx).id);
-            walk = self.node(idx).parent;
-        }
-        Ok(Some(InsertOutcome {
-            leaf: leaf_id,
-            dirty_path: dirty,
-            created_interior: None,
-        }))
+        Ok(Some(self.attach(member, leaf_id, individual_key, parent)))
     }
 
     /// Removes a member's leaf.
     ///
-    /// Returns the list of surviving ancestors whose keys must be
-    /// refreshed to preserve forward confidentiality (every key the
-    /// departed member knew that is still in use).
+    /// Returns the lowest surviving node whose key the departed member
+    /// knew: it and every ancestor above it must be refreshed to
+    /// preserve forward confidentiality.
     ///
     /// # Errors
     ///
     /// Returns [`KeyTreeError::UnknownMember`] if the member is not in
     /// the tree.
-    pub fn remove_member(&mut self, member: MemberId) -> Result<Vec<NodeId>, KeyTreeError> {
-        let leaf_idx = self
+    pub fn remove_member(&mut self, member: MemberId) -> Result<NodeId, KeyTreeError> {
+        let removed = self.remove(member)?;
+        Ok(self.node(removed.dirty_from).id)
+    }
+
+    /// [`KeyTree::remove_member`] in slots.
+    pub(crate) fn remove(&mut self, member: MemberId) -> Result<Removed, KeyTreeError> {
+        let leaf = self
             .leaf_of
             .remove(&member)
             .ok_or(KeyTreeError::UnknownMember(member))?;
-        let parent_idx = self.node(leaf_idx).parent.expect("leaf has a parent");
+        let parent = self.node(leaf).parent;
 
         // Detach and free the leaf.
-        let pos = self
-            .node(parent_idx)
-            .children
-            .iter()
-            .position(|&c| c == leaf_idx)
-            .expect("leaf listed under parent");
-        self.node_mut(parent_idx).children.remove(pos);
-        self.dealloc(leaf_idx);
+        self.remove_child(parent, leaf);
+        self.dealloc(leaf);
 
         // Decrement leaf counts up to the root.
-        let mut walk = Some(parent_idx);
-        while let Some(idx) = walk {
-            self.node_mut(idx).leaf_count -= 1;
-            walk = self.node(idx).parent;
+        let mut walk = Some(parent);
+        while let Some(slot) = walk {
+            self.node_mut(slot).add_leaves(u32::MAX);
+            walk = self.parent(slot);
         }
 
         // Repair: a non-root interior node with a single child is
         // redundant; promote the child into its place.
-        let mut dirty_start = parent_idx;
-        let parent = self.node(parent_idx);
-        if let (Some(grand), 1) = (parent.parent, parent.children.len()) {
-            let only_child = parent.children[0];
-            let pos = self
-                .node(grand)
-                .children
-                .iter()
-                .position(|&c| c == parent_idx)
-                .expect("parent listed under grandparent");
-            self.node_mut(grand).children[pos] = only_child;
-            self.node_mut(only_child).parent = Some(grand);
-            self.dealloc(parent_idx);
-            dirty_start = grand;
+        match (self.parent(parent), self.node(parent).arity) {
+            (Some(grand), 1) => {
+                let only_child = self.children(parent)[0];
+                self.replace_child(grand, parent, only_child);
+                self.node_mut(only_child).parent = grand;
+                self.dealloc(parent);
+                Ok(Removed {
+                    dirty_from: grand,
+                    promoted: Some(parent),
+                })
+            }
+            _ => Ok(Removed {
+                dirty_from: parent,
+                promoted: None,
+            }),
         }
-
-        let mut dirty = Vec::new();
-        let mut walk = Some(dirty_start);
-        while let Some(idx) = walk {
-            dirty.push(self.node(idx).id);
-            walk = self.node(idx).parent;
-        }
-        Ok(dirty)
     }
 
     /// Serializes the tree's *logical* state onto `buf`: degree,
@@ -638,8 +777,8 @@ impl KeyTree {
     /// Child order is semantically significant — insertion descends
     /// into the first lightest subtree and batch planning walks
     /// children in order, so a decoded tree reproduces the original's
-    /// future behaviour byte for byte. Physical slot indices and the
-    /// free list are *not* serialized; they never influence decisions.
+    /// future behaviour byte for byte. Slot numbers and the free list
+    /// are *not* serialized; they never influence decisions.
     ///
     /// The format follows the `message::codec` conventions: a leading
     /// version byte ([`TREE_WIRE_VERSION`]) and big-endian integers.
@@ -656,18 +795,18 @@ impl KeyTree {
         // parent's position in this stream (u32::MAX for the root).
         // Positions are looked up by slot; a free slot is never a
         // parent, so its entry is never read.
-        let mut order: Vec<usize> = Vec::with_capacity(self.node_count());
-        let mut pos_of = vec![u32::MAX; self.slots.len()];
+        let mut order: Vec<u32> = Vec::with_capacity(self.node_count());
+        let mut pos_of = vec![u32::MAX; self.nodes.len()];
         order.push(self.root);
-        pos_of[self.root] = 0;
+        pos_of[self.root as usize] = 0;
         let mut at = 0;
         while at < order.len() {
-            let idx = order[at];
-            let n = self.node(idx);
-            let parent_pos = n.parent.map_or(u32::MAX, |p| pos_of[p]);
+            let slot = order[at];
+            let n = self.node(slot);
+            let parent_pos = self.parent(slot).map_or(u32::MAX, |p| pos_of[p as usize]);
             put_u64(buf, n.id.0);
             put_u32(buf, parent_pos);
-            match n.member {
+            match n.member() {
                 Some(m) => {
                     buf.push(1);
                     put_u64(buf, m.0);
@@ -676,8 +815,8 @@ impl KeyTree {
             }
             buf.extend_from_slice(n.key.as_bytes());
             put_u64(buf, n.version);
-            for &c in &n.children {
-                pos_of[c] = order.len() as u32;
+            for &c in self.children(slot) {
+                pos_of[c as usize] = order.len() as u32;
                 order.push(c);
             }
             at += 1;
@@ -685,13 +824,17 @@ impl KeyTree {
     }
 
     /// Decodes a tree serialized by [`KeyTree::encode_into`] off the
-    /// front of `r`. [`DecodeError::Invalid`] for an unknown version or
-    /// a structurally invalid node table (bad parent reference,
-    /// duplicate id/member, leaf with children, root marked as a leaf).
+    /// front of `r`, each node into the slot of its position in the
+    /// stream. [`DecodeError::Invalid`] for an unknown version or a
+    /// structurally invalid node table (degree out of range, bad parent
+    /// reference, a parent with more than d children, an id outside
+    /// this tree's namespace and counter, duplicate member, leaf with
+    /// children, root marked as a leaf). No id is looked up: the `NodeId` index is built by
+    /// the first lookup.
     pub fn decode(r: &mut Reader<'_>) -> Result<KeyTree, DecodeError> {
         r.expect(TREE_WIRE_VERSION)?;
         let degree = r.u32()? as usize;
-        ensure(degree >= 2)?;
+        ensure((2..=MAX_DEGREE).contains(&degree))?;
         let namespace = r.u32()?;
         let next_counter = r.u64()?;
         let count = r.u32()? as usize;
@@ -700,25 +843,27 @@ impl KeyTree {
         let mut tree = KeyTree {
             degree,
             namespace,
-            slots: Vec::with_capacity(capacity),
+            nodes: Vec::with_capacity(capacity),
+            children: vec![NO_SLOT; capacity * degree],
             free: Vec::new(),
-            index_of: SlotIndex::with_capacity_and_hasher(capacity, Default::default()),
+            index_of: OnceLock::new(),
             leaf_of: HashMap::with_capacity(capacity),
             root: 0,
             next_counter,
         };
         for i in 0..count {
+            let slot = i as u32;
             let id = NodeId(r.u64()?);
             let parent_pos = r.u32()?;
             let parent = if parent_pos == u32::MAX {
                 // Only the first record may be the root.
                 ensure(i == 0)?;
-                None
+                NO_SLOT
             } else {
                 // Breadth-first order: parents strictly precede their
                 // children in the stream.
-                ensure((parent_pos as usize) < i)?;
-                Some(parent_pos as usize)
+                ensure(parent_pos < slot)?;
+                parent_pos
             };
             let member = match r.u8()? {
                 0 => None,
@@ -728,31 +873,27 @@ impl KeyTree {
             ensure(i != 0 || member.is_none())?; // the root is never a leaf
             let key = Key::from_bytes(*r.array()?);
             let version = r.u64()?;
-            ensure(tree.index_of.insert(id, i).is_none())?;
+            ensure(id.namespace() == namespace && id.counter() < next_counter)?;
             if let Some(m) = member {
-                ensure(tree.leaf_of.insert(m, i).is_none())?;
+                ensure(tree.leaf_of.insert(m, slot).is_none())?;
             }
-            if let Some(p) = parent {
-                let parent_node = tree.node_mut(p);
-                ensure(parent_node.member.is_none())?; // leaves have no children
-                parent_node.children.push(i);
+            if parent != NO_SLOT {
+                let p = tree.node(parent);
+                // Leaves have no children, interiors at most d.
+                ensure(!p.is_leaf() && (p.arity as usize) < degree)?;
+                tree.push_child(parent, slot);
             }
-            tree.slots.push(Some(Node {
-                id,
-                parent,
-                children: Vec::new(),
-                member,
-                key,
-                version,
-                leaf_count: usize::from(member.is_some()),
-            }));
+            let mut node = Node::new(id, member, parent, key);
+            node.version = version;
+            tree.nodes.push(node);
+            tree.children.resize(tree.nodes.len() * degree, NO_SLOT);
         }
         // Children appear after their parents, so one reverse sweep
         // settles every subtree leaf count.
-        for i in (1..count).rev() {
-            let n = tree.node(i);
-            let (leaves, parent) = (n.leaf_count, n.parent.expect("only the root has no parent"));
-            tree.node_mut(parent).leaf_count += leaves;
+        for slot in (1..count as u32).rev() {
+            let n = tree.node(slot);
+            let (leaves, parent) = (n.leaf_count(), n.parent);
+            tree.node_mut(parent).add_leaves(leaves);
         }
         Ok(tree)
     }
@@ -763,46 +904,49 @@ impl KeyTree {
     ///
     /// Panics (with a description) if any invariant is violated.
     pub fn check_invariants(&self) {
-        assert!(self.node(self.root).parent.is_none(), "root has a parent");
-        assert!(
-            self.node(self.root).member.is_none(),
-            "root must not be a leaf"
-        );
+        assert!(self.parent(self.root).is_none(), "root has a parent");
+        assert!(!self.node(self.root).is_leaf(), "root must not be a leaf");
         let mut seen_members = 0usize;
+        let mut seen_nodes = 0usize;
         let mut stack = vec![self.root];
-        while let Some(idx) = stack.pop() {
-            let n = self.node(idx);
+        while let Some(slot) = stack.pop() {
+            let n = self.node(slot);
+            seen_nodes += 1;
+            assert!(n.is_live(), "node {} sits in a free slot", n.id);
             assert_eq!(
-                self.index_of.get(&n.id),
-                Some(&idx),
+                self.index().get(&n.id),
+                Some(&slot),
                 "id index out of sync for {}",
                 n.id
             );
-            if let Some(m) = n.member {
-                assert!(n.children.is_empty(), "leaf {m} has children");
-                assert_eq!(n.leaf_count, 1, "leaf {m} leaf_count");
-                assert_eq!(self.leaf_of.get(&m), Some(&idx), "leaf map out of sync");
+            if let Some(m) = n.member() {
+                assert_eq!(n.arity, 0, "leaf {m} has children");
+                assert_eq!(self.leaf_of.get(&m), Some(&slot), "leaf map out of sync");
                 seen_members += 1;
             } else {
                 assert!(
-                    n.children.len() <= self.degree,
+                    n.arity as usize <= self.degree,
                     "node {} exceeds degree",
                     n.id
                 );
-                if idx != self.root {
+                if slot != self.root {
                     assert!(
-                        n.children.len() >= 2,
+                        n.arity >= 2,
                         "non-root interior node {} has {} children",
                         n.id,
-                        n.children.len()
+                        n.arity
                     );
                 }
-                let sum: usize = n.children.iter().map(|&c| self.node(c).leaf_count).sum();
-                assert_eq!(n.leaf_count, sum, "leaf_count mismatch at {}", n.id);
-                for &c in &n.children {
+                let sum: u32 = self
+                    .children(slot)
+                    .iter()
+                    .map(|&c| self.node(c).leaf_count())
+                    .sum();
+                assert_eq!(n.leaf_count(), sum, "leaf_count mismatch at {}", n.id);
+                for &c in self.children(slot) {
                     assert_eq!(
                         self.node(c).parent,
-                        Some(idx),
+                        slot,
                         "child/parent link broken at {}",
                         n.id
                     );
@@ -811,6 +955,16 @@ impl KeyTree {
             }
         }
         assert_eq!(seen_members, self.leaf_of.len(), "member count mismatch");
+        assert_eq!(seen_nodes, self.index().len(), "node count mismatch");
+        assert_eq!(
+            seen_nodes + self.free.len(),
+            self.nodes.len(),
+            "a slot is neither live nor free"
+        );
+        assert!(
+            self.free.iter().all(|&slot| !self.node(slot).is_live()),
+            "a free slot holds a node"
+        );
     }
 }
 
@@ -819,22 +973,12 @@ impl KeyTree {
 pub struct InsertOutcome {
     /// Node id of the member's new leaf.
     pub leaf: NodeId,
-    /// Surviving ancestors of the new leaf (attach point first, root
-    /// last) whose keys must be refreshed.
-    pub dirty_path: Vec<NodeId>,
+    /// The leaf's parent: the first node whose key must be refreshed.
+    /// It and its ancestors are the member's path
+    /// ([`KeyTree::path_of`]).
+    pub parent: NodeId,
     /// Interior node created if insertion split a leaf.
     pub created_interior: Option<NodeId>,
-}
-
-/// Per-child view used by the server when emitting rekey entries.
-#[derive(Debug)]
-pub(crate) struct ChildInfo<'a> {
-    pub id: NodeId,
-    pub key: &'a Key,
-    pub version: u64,
-    pub audience: usize,
-    pub is_leaf: bool,
-    pub member: Option<MemberId>,
 }
 
 #[cfg(test)]
@@ -906,10 +1050,11 @@ mod tests {
         let outcome = tree
             .insert_member(MemberId(100), Key::generate(&mut rng), None, &mut rng)
             .unwrap();
-        assert_eq!(*outcome.dirty_path.last().unwrap(), tree.root_id());
-        // The dirty list is exactly the new member's path.
+        // The dirty nodes are exactly the new member's path: its
+        // leaf's parent up to the root.
         let path = tree.path_of(MemberId(100)).unwrap();
-        assert_eq!(outcome.dirty_path, path);
+        assert_eq!(path[0], outcome.parent);
+        assert_eq!(*path.last().unwrap(), tree.root_id());
         assert_eq!(tree.leaf_of(MemberId(100)), Some(outcome.leaf));
     }
 
@@ -923,7 +1068,7 @@ mod tests {
             .unwrap();
         let created = outcome.created_interior.expect("split expected");
         assert!(tree.key_of(created).is_some());
-        assert!(outcome.dirty_path.contains(&created));
+        assert_eq!(outcome.parent, created);
         tree.check_invariants();
     }
 
@@ -971,9 +1116,7 @@ mod tests {
         let (mut tree, _) = build(2, 5);
         for i in 0..4 {
             let dirty = tree.remove_member(MemberId(i)).unwrap();
-            for node in dirty {
-                assert!(tree.key_of(node).is_some(), "dirty node {node} is dead");
-            }
+            assert!(tree.key_of(dirty).is_some(), "dirty node {dirty} is dead");
             tree.check_invariants();
         }
     }
@@ -1004,7 +1147,7 @@ mod tests {
     fn derive_key_is_g_of_the_sources_key() {
         let (mut tree, _) = build(3, 9);
         let root = tree.root_id();
-        let child = tree.children_of(root).unwrap().next().unwrap().id;
+        let child = tree.node(tree.children(tree.root_slot())[0]).id;
         let source_key = tree.key_of(child).unwrap().0.clone();
         let v0 = tree.root_version();
         let record = tree.derive_key(root, child);
@@ -1065,13 +1208,13 @@ mod tests {
         let (mut tree, mut rng) = build(4, 64);
         let parent = tree.path_of(MemberId(10)).unwrap()[0];
         let dirty = tree.remove_member(MemberId(10)).unwrap();
-        assert_eq!(dirty[0], parent);
+        assert_eq!(dirty, parent);
         let outcome = tree
             .insert_member_at(MemberId(999), Key::generate(&mut rng), parent)
             .unwrap()
             .expect("slot usable");
         // The joiner's dirty path equals the leaver's dirty path.
-        assert_eq!(outcome.dirty_path, dirty);
+        assert_eq!(outcome.parent, dirty);
         assert!(outcome.created_interior.is_none());
         tree.check_invariants();
     }
@@ -1124,7 +1267,7 @@ mod tests {
         tree.check_invariants();
         assert!(!tree.free.is_empty(), "the slot table must have holes");
         assert!(
-            tree.slots.len() > tree.node_count(),
+            tree.nodes.len() > tree.node_count(),
             "holes sit inside the table"
         );
 
@@ -1146,6 +1289,28 @@ mod tests {
         let mut again = Vec::new();
         decoded.encode_into(&mut again);
         assert_eq!(again, blob, "decode(encode(t)) re-encodes identically");
+    }
+
+    /// The free list is last-freed first: a promotion frees the
+    /// leaver's parent after its leaf, so the next split's interior
+    /// takes the parent's slot and the joiner's leaf the leaf's.
+    #[test]
+    fn a_split_refills_the_slot_a_promotion_freed_last() {
+        let (mut tree, mut rng) = build(3, 27);
+        let parent = tree.path_of(MemberId(0)).unwrap()[0];
+        let under: Vec<MemberId> = tree.members_under(parent);
+        assert_eq!(under.len(), 3);
+        let (parent_slot, leaf_slot) = (tree.slot_of(parent).unwrap(), tree.leaf_of[&under[1]]);
+        tree.remove_member(under[0]).unwrap();
+        tree.remove_member(under[1]).unwrap();
+        assert!(tree.key_of(parent).is_none(), "promoted away");
+        let outcome = tree
+            .insert_member(MemberId(99), Key::generate(&mut rng), None, &mut rng)
+            .unwrap();
+        let split = outcome.created_interior.expect("the grandparent is full");
+        assert_eq!(tree.slot_of(split), Some(parent_slot));
+        assert_eq!(tree.leaf_of[&MemberId(99)], leaf_slot);
+        tree.check_invariants();
     }
 
     #[test]

@@ -642,3 +642,46 @@ fn clustered_bursts_keep_the_height_within_one_level_of_full() {
         }
     }
 }
+
+/// A slot freed and refilled within one batch. In a full degree-3 tree
+/// of 27 members, the first leaver under a bottom node P marks P
+/// compromised; the second leaves P one child, whose promotion frees
+/// P's slot; the joiner finds P gone and its grandparent full, so it
+/// splits the promoted leaf, and the split's interior takes P's slot
+/// back (the free list is last-freed first; `tree.rs` checks that
+/// reuse). The message is the one the planner before the slot table
+/// sent, so no mark of P reached the node that took its slot.
+#[test]
+fn a_slot_freed_and_refilled_in_one_batch_keeps_no_mark_of_its_old_node() {
+    let mut rng = StdRng::seed_from_u64(0x27);
+    let mut server = LkhServer::new(3, 4);
+    server.apply_batch(&joiners(0..27, &mut rng), &[], &mut rng);
+    let tree = server.tree();
+    assert_eq!(tree.height(), 3);
+    let (first, second, third) = (MemberId(0), MemberId(9), MemberId(18));
+    let bottom = tree.path_of(first).unwrap()[0];
+    let grandparent = tree.path_of(first).unwrap()[1];
+    let mut siblings = tree.members_under(bottom);
+    siblings.sort();
+    assert_eq!(siblings, [first, second, third], "P holds three leaves");
+    assert_eq!(
+        tree.members_under(grandparent).len(),
+        9,
+        "P's parent is full"
+    );
+
+    let joiner = joiners(27..28, &mut rng);
+    let outcome = server.apply_batch(&joiner, &[first, second], &mut rng);
+    let tree = server.tree();
+    tree.check_invariants();
+    assert!(tree.key_of(bottom).is_none(), "the promotion freed P");
+    let split = tree.path_of(MemberId(27)).unwrap()[0];
+    let mut under_split = tree.members_under(split);
+    under_split.sort();
+    assert_eq!(under_split, [third, MemberId(27)]);
+    assert_eq!(tree.path_of(MemberId(27)).unwrap()[1], grandparent);
+    assert_eq!(
+        hex(&sha256::digest(&encode_message(&outcome.message))),
+        "c3f0666f38e9b9838ebcee0aa7ca6113683367caf2592462e9d30f690028f31e"
+    );
+}

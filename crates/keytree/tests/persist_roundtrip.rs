@@ -6,7 +6,7 @@
 //! every output byte.
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rekey_crypto::Key;
 use rekey_keytree::message::codec::{encode_message, Reader};
 use rekey_keytree::queue::KeyQueue;
@@ -77,6 +77,71 @@ fn decoded_server_emits_byte_identical_future() {
                 encode_message(&a.message),
                 encode_message(&b.message),
                 "degree {degree}, post-restore batch {i}"
+            );
+        }
+    }
+}
+
+/// Draws a batch of `joins` new members and `leaves` present ones.
+fn draw(
+    present: &mut Vec<MemberId>,
+    next: &mut u64,
+    (joins, leaves): (usize, usize),
+    rng: &mut StdRng,
+) -> (Vec<(MemberId, Key)>, Vec<MemberId>) {
+    let leavers = (0..leaves.min(present.len()))
+        .map(|_| present.swap_remove(rng.gen_range(0..present.len())))
+        .collect();
+    let joiners: Vec<(MemberId, Key)> = (0..joins)
+        .map(|i| (MemberId(*next + i as u64), Key::generate(rng)))
+        .collect();
+    *next += joins as u64;
+    present.extend(joiners.iter().map(|(id, _)| *id));
+    (joiners, leavers)
+}
+
+/// Slot numbers never decide anything. Drains free slots by promotion
+/// and join-only bursts refill them and form clusters, so the live
+/// server's slot table has holes and reused slots, while its decoded
+/// copy holds each node at its breadth-first position. The live server,
+/// its clone and that copy emit byte-identical messages through mixed,
+/// leave-only and join-only batches, each tree whole after every one.
+#[test]
+fn live_cloned_and_decoded_servers_agree_whatever_their_slots() {
+    const N: usize = 2_048;
+    for degree in [2usize, 3, 4] {
+        let mut rng = StdRng::seed_from_u64(0x5107 + degree as u64);
+        let mut live = LkhServer::new(degree, 5);
+        let (mut present, mut next) = (Vec::new(), 0u64);
+        let (joins, _) = draw(&mut present, &mut next, (N, 0), &mut rng);
+        live.apply_batch(&joins, &[], &mut rng);
+        for _ in 0..4 {
+            for shape in [(0, N / 3), (N / 3, 0), (40, 40), (0, 25), (25, 0)] {
+                let (joins, leaves) = draw(&mut present, &mut next, shape, &mut rng);
+                live.apply_batch(&joins, &leaves, &mut rng);
+            }
+        }
+        live.tree().check_invariants();
+
+        let mut cloned = live.clone();
+        let mut blob = Vec::new();
+        live.encode_into(&mut blob);
+        let mut decoded = LkhServer::decode(&mut Reader::new(&blob)).expect("decodes");
+        for batch in 0..40 {
+            let shape = [(30, 30), (0, 60), (60, 0)][batch % 3];
+            let (joins, leaves) = draw(&mut present, &mut next, shape, &mut rng);
+            let seed = rng.gen();
+            let [a, b, c] = [&mut live, &mut cloned, &mut decoded].map(|server| {
+                let message = server
+                    .apply_batch(&joins, &leaves, &mut StdRng::seed_from_u64(seed))
+                    .message;
+                server.tree().check_invariants();
+                encode_message(&message)
+            });
+            assert_eq!(a, b, "degree {degree}, batch {batch}: the clone differs");
+            assert_eq!(
+                a, c,
+                "degree {degree}, batch {batch}: the decoded copy differs"
             );
         }
     }
