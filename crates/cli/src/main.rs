@@ -115,8 +115,10 @@
 //!     the same series.
 //!
 //! rekey simd
-//!     Report whether the CPU has the SHA extensions and the SHA-256
-//!     backend this process runs (`sha_ni` exactly when it has them,
+//!     Report whether the CPU has the SHA extensions and AVX2, the
+//!     SHA-256 backend this process runs (`sha_ni` exactly when it has
+//!     the extensions, `scalar` otherwise) and the kernel that seals a
+//!     batch's wraps eight at a time (`avx2` exactly when it has AVX2,
 //!     `scalar` otherwise).
 //! ```
 //!
@@ -290,13 +292,19 @@ fn cmd_reproduce(args: &Args) -> CliResult {
     Ok(())
 }
 
-/// Report CPU features and the SHA-256 backend they select on this
-/// host.
+/// Report CPU features and the kernels they select on this host.
 fn cmd_simd(args: &Args) -> CliResult {
     args.finish()?;
     let feats = rekey_crypto::simd::detect();
-    println!("cpu features:     sha_ni={}", feats.sha_ni);
+    println!(
+        "cpu features:     sha_ni={} avx2={}",
+        feats.sha_ni, feats.avx2
+    );
     println!("selected backend: {}", rekey_crypto::simd::active());
+    println!(
+        "wrap lanes:       {}",
+        rekey_crypto::simd::LaneKernel::active()
+    );
     Ok(())
 }
 

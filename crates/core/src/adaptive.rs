@@ -326,25 +326,21 @@ impl PlacementPolicy for AdaptivePolicy {
         "adaptive"
     }
 
-    fn route_leave(
+    fn record_leave(
         &mut self,
         member: MemberId,
+        at: Placement,
         epoch: u64,
-        trees: &Trees,
-    ) -> Result<Placement, KeyTreeError> {
-        let placement = if self.queue.contains(member) {
-            self.queue.remove(member)?;
-            Placement::Internal
-        } else if trees.server(S).contains(member) {
-            self.s_period.forget(member);
-            Placement::Tree(S)
-        } else if trees.server(L).contains(member) {
-            Placement::Tree(L)
-        } else {
-            return Err(KeyTreeError::UnknownMember(member));
-        };
+    ) -> Result<(), KeyTreeError> {
+        match at {
+            Placement::Internal => {
+                self.queue.remove(member)?;
+            }
+            Placement::Tree(S) => self.s_period.forget(member),
+            Placement::Tree(_) => {}
+        }
         self.collector.record_leave(member, self.time_of(epoch));
-        Ok(placement)
+        Ok(())
     }
 
     fn plan_migrations(&mut self, epoch: u64, trees: &Trees) -> Vec<Migration> {

@@ -60,24 +60,17 @@ impl PlacementPolicy for CombinedPolicy {
         "combined-partition-forest"
     }
 
-    fn route_leave(
+    fn record_leave(
         &mut self,
         member: MemberId,
+        at: Placement,
         _epoch: u64,
-        trees: &Trees,
-    ) -> Result<Placement, KeyTreeError> {
-        if trees.server(S).contains(member) {
+    ) -> Result<(), KeyTreeError> {
+        if at == Placement::Tree(S) {
             self.s_period.forget(member);
-            self.join_hints.remove(&member);
-            return Ok(Placement::Tree(S));
         }
-        for i in 1..trees.len() {
-            if trees.server(i).contains(member) {
-                self.join_hints.remove(&member);
-                return Ok(Placement::Tree(i));
-            }
-        }
-        Err(KeyTreeError::UnknownMember(member))
+        self.join_hints.remove(&member);
+        Ok(())
     }
 
     fn plan_migrations(&mut self, epoch: u64, _trees: &Trees) -> Vec<Migration> {

@@ -12,14 +12,15 @@
 //! # Epoch pipeline
 //!
 //! One [`GroupKeyManager::process_interval`] call first checks the
-//! whole batch with [`crate::check_batch`] and rejects an inconsistent
+//! whole batch as [`crate::check_batch`] does, locating each leaver
+//! once, and rejects an inconsistent
 //! one before the epoch advances, any policy callback runs or any
 //! randomness is drawn, so a rejected batch leaves the engine byte for
 //! byte as it was. Then it runs:
 //!
-//! 1. **Route departures** — [`PlacementPolicy::route_leave`] assigns
-//!    each leaver to the tree (or policy-internal structure) holding
-//!    it, updating policy bookkeeping.
+//! 1. **Route departures** — each leaver goes to the tree (or
+//!    policy-internal structure) the check found it in, and
+//!    [`PlacementPolicy::record_leave`] updates policy bookkeeping.
 //! 2. **Plan migrations** — [`PlacementPolicy::plan_migrations`]
 //!    names the members whose placement changes this interval (e.g.
 //!    S-period survivors). The engine turns each into a removal from
@@ -43,12 +44,12 @@
 
 use crate::dek::DekState;
 use crate::persist::PersistError;
-use crate::{check_batch, GroupKeyManager, IntervalOutcome, IntervalStats, Join};
+use crate::{locate_batch, GroupKeyManager, IntervalOutcome, IntervalStats, Join};
 use rand::RngCore;
 use rekey_crypto::keywrap::NonceRun;
 use rekey_crypto::Key;
 use rekey_keytree::message::codec::{ensure, put_u32, put_u64, DecodeError, Reader};
-use rekey_keytree::message::{EntryMeta, RekeyEntry, RekeyMessage};
+use rekey_keytree::message::{EntryMeta, LaneSealer, RekeyEntry, RekeyMessage};
 use rekey_keytree::server::LkhServer;
 use rekey_keytree::{KeyTreeError, MemberId, NodeId};
 
@@ -149,7 +150,7 @@ pub struct DekCtx<'a> {
     nonces: NonceRun,
 }
 
-impl DekCtx<'_> {
+impl<'a> DekCtx<'a> {
     /// Entry wrapping the current DEK under an arbitrary key, with the
     /// interval's next nonce. `recipient` is set for entries addressed
     /// to one member's individual key.
@@ -162,6 +163,38 @@ impl DekCtx<'_> {
         recipient: Option<MemberId>,
         audience: u32,
     ) -> RekeyEntry {
+        let meta = self.meta_under(under, under_version, under_is_leaf, recipient, audience);
+        meta.seal(under_key, &self.dek.key, self.nonces.take())
+    }
+
+    /// [`DekCtx::wrap_under`] of each member's individual key in
+    /// `unders` — `(leaf node, member, key)`, version 0, audience 1 —
+    /// in order and with consecutive nonces, sealed eight at a time
+    /// ([`LaneSealer`]).
+    pub fn wrap_under_each<'k>(
+        &mut self,
+        unders: impl IntoIterator<Item = (NodeId, MemberId, &'k Key)>,
+        entries: &mut Vec<RekeyEntry>,
+    ) where
+        'a: 'k,
+    {
+        let mut lanes = LaneSealer::new();
+        for (node, member, key) in unders {
+            let meta = self.meta_under(node, 0, true, Some(member), 1);
+            lanes.push(meta, key, &self.dek.key, self.nonces.take(), entries);
+        }
+        lanes.finish(entries);
+    }
+
+    /// The header of an entry carrying the current DEK under `under`.
+    fn meta_under(
+        &self,
+        under: NodeId,
+        under_version: u64,
+        under_is_leaf: bool,
+        recipient: Option<MemberId>,
+        audience: u32,
+    ) -> EntryMeta {
         EntryMeta {
             target: self.dek.node,
             target_version: self.dek.version,
@@ -172,7 +205,6 @@ impl DekCtx<'_> {
             audience,
             target_depth: 0,
         }
-        .seal(under_key, &self.dek.key, self.nonces.take())
     }
 
     /// Entry wrapping the current DEK under the DEK that was current
@@ -214,20 +246,25 @@ pub trait PlacementPolicy {
     /// Short human-readable scheme name for reports.
     fn scheme_name(&self) -> &'static str;
 
-    /// Routes one member departing at `epoch`, removing any policy
-    /// bookkeeping for it. Called once per leaver, in batch order,
-    /// before any tree is touched.
+    /// Records that `member`, held at `at`, departs at `epoch`:
+    /// policy bookkeeping only. The engine found `at` when it checked
+    /// the batch, one lookup per leaver, and routes the leaver there
+    /// itself. Called once per leaver, in batch order, before any tree
+    /// is touched. The default records nothing.
     ///
     /// # Errors
     ///
-    /// [`KeyTreeError::UnknownMember`] if no tree or internal
-    /// structure holds the member.
-    fn route_leave(
+    /// [`KeyTreeError::UnknownMember`] if the policy-internal structure
+    /// at `at` does not hold the member.
+    fn record_leave(
         &mut self,
         member: MemberId,
+        at: Placement,
         epoch: u64,
-        trees: &Trees,
-    ) -> Result<Placement, KeyTreeError>;
+    ) -> Result<(), KeyTreeError> {
+        let _ = (member, at, epoch);
+        Ok(())
+    }
 
     /// Members whose placement changes this interval, in the order
     /// their tree removals/joins should be batched. Departures have
@@ -413,22 +450,35 @@ impl<P: PlacementPolicy> RekeyEngine<P> {
         self.epoch
     }
 
-    /// Routes this interval's leaves, migrations, and joins into
-    /// per-tree batches (phases 1–3 of the pipeline). Returns
-    /// per-tree join and leave lists plus the migration count.
+    /// Where `member` is held, if anywhere.
+    fn locate(&self, member: MemberId) -> Option<Placement> {
+        if self.policy.internal_contains(member) {
+            return Some(Placement::Internal);
+        }
+        Trees { slots: &self.trees }
+            .find(member)
+            .map(Placement::Tree)
+    }
+
+    /// Routes this interval's leaves (held where `located` says, in
+    /// order), migrations, and joins into per-tree batches (phases 1–3
+    /// of the pipeline). Returns per-tree join and leave lists plus the
+    /// migration count.
     fn route_interval(
         &mut self,
         joins: &[Join],
         leaves: &[MemberId],
+        located: Vec<Placement>,
     ) -> Result<(Vec<TreeBatchJoins>, Vec<TreeBatchLeaves>, usize), KeyTreeError> {
         let mut tree_joins: Vec<Vec<(MemberId, Key)>> = vec![Vec::new(); self.trees.len()];
         let mut tree_leaves: Vec<Vec<MemberId>> = vec![Vec::new(); self.trees.len()];
-        let trees = Trees { slots: &self.trees };
-        for &member in leaves {
-            if let Placement::Tree(i) = self.policy.route_leave(member, self.epoch, &trees)? {
+        for (&member, at) in leaves.iter().zip(located) {
+            self.policy.record_leave(member, at, self.epoch)?;
+            if let Placement::Tree(i) = at {
                 tree_leaves[i].push(member);
             }
         }
+        let trees = Trees { slots: &self.trees };
         let migrations = self.policy.plan_migrations(self.epoch, &trees);
         for migration in &migrations {
             if let Some(from) = migration.from {
@@ -481,12 +531,12 @@ impl<P: PlacementPolicy> GroupKeyManager for RekeyEngine<P> {
     ) -> Result<IntervalOutcome, KeyTreeError> {
         // A rejected batch must leave no trace: no epoch consumed, no
         // policy bookkeeping touched, no randomness drawn.
-        check_batch(&*self, joins, leaves)?;
+        let located = locate_batch(|member| self.locate(member), joins, leaves)?;
         self.epoch += 1;
         let _batch_span = rekey_obs::span!("rekey.batch");
 
         // Phases 1–3: routing.
-        let (tree_joins, tree_leaves, migrations) = self.route_interval(joins, leaves)?;
+        let (tree_joins, tree_leaves, migrations) = self.route_interval(joins, leaves, located)?;
 
         // Phase 4: rekey every tree against the caller's RNG — tree
         // order fixes the draw order, which fixes every output byte.

@@ -254,8 +254,9 @@ pub trait GroupKeyManager {
 /// it: every leaver present and listed once, every joiner listed once
 /// and absent unless it also leaves in this batch. Built on
 /// [`GroupKeyManager::contains`] alone, so it reads nothing a wrapper
-/// could fail to forward; the engine runs it first thing in every
-/// interval, and [`Journal::durable_interval`] before it logs one.
+/// could fail to forward; [`Journal::durable_interval`] runs it before
+/// it logs an interval, and the engine runs the same check first thing
+/// in every interval, locating each leaver as it goes.
 ///
 /// # Errors
 ///
@@ -266,18 +267,37 @@ pub fn check_batch(
     joins: &[Join],
     leaves: &[MemberId],
 ) -> Result<(), KeyTreeError> {
+    locate_batch(
+        |member| manager.contains(member).then_some(()),
+        joins,
+        leaves,
+    )
+    .map(drop)
+}
+
+/// [`check_batch`] on `locate`, which says where a member is held
+/// (`None`: absent): returns where each leaver is, in batch order, from
+/// one `locate` per leaver, so nothing after the check looks a leaver
+/// up again before its tree removes it.
+pub(crate) fn locate_batch<P>(
+    locate: impl Fn(MemberId) -> Option<P>,
+    joins: &[Join],
+    leaves: &[MemberId],
+) -> Result<Vec<P>, KeyTreeError> {
+    let mut located = Vec::with_capacity(leaves.len());
     let mut leaving = HashSet::with_capacity(leaves.len());
     for &member in leaves {
-        if !manager.contains(member) || !leaving.insert(member) {
-            return Err(KeyTreeError::UnknownMember(member));
+        match locate(member) {
+            Some(at) if leaving.insert(member) => located.push(at),
+            _ => return Err(KeyTreeError::UnknownMember(member)),
         }
     }
     let mut joining = HashSet::with_capacity(joins.len());
     for join in joins {
-        let stays = manager.contains(join.member) && !leaving.contains(&join.member);
+        let stays = !leaving.contains(&join.member) && locate(join.member).is_some();
         if stays || !joining.insert(join.member) {
             return Err(KeyTreeError::DuplicateMember(join.member));
         }
     }
-    Ok(())
+    Ok(located)
 }

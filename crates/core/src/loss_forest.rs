@@ -19,7 +19,7 @@ use crate::engine::{Placement, PlacementPolicy, RekeyEngine, Trees};
 use crate::Join;
 use rekey_keytree::message::codec::{DecodeError, Reader};
 use rekey_keytree::server::LkhServer;
-use rekey_keytree::{KeyTreeError, MemberId};
+use rekey_keytree::MemberId;
 use std::collections::BTreeMap;
 
 const NS_DEK: u32 = 1;
@@ -61,18 +61,6 @@ pub struct LossForestPolicy {
 impl PlacementPolicy for LossForestPolicy {
     fn scheme_name(&self) -> &'static str {
         "loss-homogenized-forest"
-    }
-
-    fn route_leave(
-        &mut self,
-        member: MemberId,
-        _epoch: u64,
-        trees: &Trees,
-    ) -> Result<Placement, KeyTreeError> {
-        trees
-            .find(member)
-            .map(Placement::Tree)
-            .ok_or(KeyTreeError::UnknownMember(member))
     }
 
     fn route_join(&self, join: &Join, _trees: &Trees) -> Placement {
@@ -228,7 +216,7 @@ mod tests {
         let mut mgr = LossForestManager::two_trees(4);
         assert!(matches!(
             mgr.process_interval(&[], &[MemberId(9)], &mut rng),
-            Err(KeyTreeError::UnknownMember(_))
+            Err(rekey_keytree::KeyTreeError::UnknownMember(_))
         ));
     }
 

@@ -4,7 +4,6 @@
 use crate::engine::{Placement, PlacementPolicy, RekeyEngine, Trees};
 use crate::Join;
 use rekey_keytree::server::LkhServer;
-use rekey_keytree::{KeyTreeError, MemberId};
 
 /// Placement for the baseline: everyone lives in the single tree, and
 /// its root *is* the group key (the engine runs with no DEK layer).
@@ -14,17 +13,6 @@ pub struct OneTreePolicy;
 impl PlacementPolicy for OneTreePolicy {
     fn scheme_name(&self) -> &'static str {
         "one-keytree"
-    }
-
-    fn route_leave(
-        &mut self,
-        _member: MemberId,
-        _epoch: u64,
-        _trees: &Trees,
-    ) -> Result<Placement, KeyTreeError> {
-        // The sole tree validates membership itself when the batch is
-        // planned, so routing never rejects.
-        Ok(Placement::Tree(0))
     }
 
     fn route_join(&self, _join: &Join, _trees: &Trees) -> Placement {

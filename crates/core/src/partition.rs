@@ -24,7 +24,7 @@ use crate::engine::{
 use crate::{DurationClass, Join};
 use rekey_crypto::Key;
 use rekey_keytree::message::codec::{ensure, put_u32, put_u64, DecodeError, Reader};
-use rekey_keytree::message::{RekeyEntry, RekeyMessage};
+use rekey_keytree::message::RekeyMessage;
 use rekey_keytree::queue::{KeyQueue, QueueSlot};
 use rekey_keytree::server::LkhServer;
 use rekey_keytree::{KeyTreeError, MemberId, NodeId};
@@ -172,20 +172,16 @@ impl PlacementPolicy for TtPolicy {
         "tt-scheme"
     }
 
-    fn route_leave(
+    fn record_leave(
         &mut self,
         member: MemberId,
+        at: Placement,
         _epoch: u64,
-        trees: &Trees,
-    ) -> Result<Placement, KeyTreeError> {
-        if trees.server(S).contains(member) {
+    ) -> Result<(), KeyTreeError> {
+        if at == Placement::Tree(S) {
             self.s_period.forget(member);
-            Ok(Placement::Tree(S))
-        } else if trees.server(L).contains(member) {
-            Ok(Placement::Tree(L))
-        } else {
-            Err(KeyTreeError::UnknownMember(member))
         }
+        Ok(())
     }
 
     fn plan_migrations(&mut self, epoch: u64, _trees: &Trees) -> Vec<Migration> {
@@ -264,16 +260,17 @@ pub(crate) fn queue_survivors(
         })
 }
 
-/// Entry delivering the DEK to one queued member.
-fn wrap_for_slot(dek: &mut DekCtx, slot: &QueueSlot) -> RekeyEntry {
-    dek.wrap_under(
-        slot.node,
-        0,
-        &slot.individual_key,
-        true,
-        Some(slot.member),
-        1,
-    )
+/// Entries delivering the DEK to each queued member of `slots`, in
+/// order, sealed in lanes.
+fn wrap_for_slots<'q>(
+    dek: &mut DekCtx,
+    slots: impl Iterator<Item = &'q QueueSlot>,
+    message: &mut RekeyMessage,
+) {
+    dek.wrap_under_each(
+        slots.map(|slot| (slot.node, slot.member, &slot.individual_key)),
+        &mut message.entries,
+    );
 }
 
 /// Distributes the DEK to a group held in `trees` and in `queue`.
@@ -298,17 +295,14 @@ pub(crate) fn queue_dek_entries(
                 message.entries.push(dek.wrap_tree_root(server));
             }
         }
-        for slot in interval.joins.iter().filter_map(|j| queue.slot(j.member)) {
-            message.entries.push(wrap_for_slot(dek, slot));
-        }
+        let joined = interval.joins.iter().filter_map(|j| queue.slot(j.member));
+        wrap_for_slots(dek, joined, message);
     } else {
         // Departure phase (§3.2 phase 2): the queue has no shared
         // keys, so the DEK is wrapped once per queued member
         // (Neq = Ns) plus once under every occupied tree root.
         dek_under_roots(dek, trees, message);
-        for slot in queue.iter() {
-            message.entries.push(wrap_for_slot(dek, slot));
-        }
+        wrap_for_slots(dek, queue.iter(), message);
     }
 }
 
@@ -352,20 +346,16 @@ impl PlacementPolicy for QtPolicy {
         "qt-scheme"
     }
 
-    fn route_leave(
+    fn record_leave(
         &mut self,
         member: MemberId,
+        at: Placement,
         _epoch: u64,
-        trees: &Trees,
-    ) -> Result<Placement, KeyTreeError> {
-        if self.queue.contains(member) {
+    ) -> Result<(), KeyTreeError> {
+        if at == Placement::Internal {
             self.queue.remove(member)?;
-            Ok(Placement::Internal)
-        } else if trees.server(0).contains(member) {
-            Ok(Placement::Tree(0))
-        } else {
-            Err(KeyTreeError::UnknownMember(member))
         }
+        Ok(())
     }
 
     fn plan_migrations(&mut self, epoch: u64, _trees: &Trees) -> Vec<Migration> {
@@ -459,21 +449,6 @@ pub struct PtPolicy;
 impl PlacementPolicy for PtPolicy {
     fn scheme_name(&self) -> &'static str {
         "pt-scheme"
-    }
-
-    fn route_leave(
-        &mut self,
-        member: MemberId,
-        _epoch: u64,
-        trees: &Trees,
-    ) -> Result<Placement, KeyTreeError> {
-        if trees.server(S).contains(member) {
-            Ok(Placement::Tree(S))
-        } else if trees.server(L).contains(member) {
-            Ok(Placement::Tree(L))
-        } else {
-            Err(KeyTreeError::UnknownMember(member))
-        }
     }
 
     fn route_join(&self, join: &Join, _trees: &Trees) -> Placement {

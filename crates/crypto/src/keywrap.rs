@@ -115,6 +115,7 @@
 
 use crate::chacha20;
 use crate::poly1305::{self, Poly1305};
+use crate::simd::LaneKernel;
 use crate::{ct_eq, CryptoError, Key};
 use rand::RngCore;
 
@@ -236,15 +237,29 @@ impl WrappedKey {
 /// and G keep to 2³² − 1 (module docs).
 const WRAP_COUNTER: u32 = 1;
 
+/// RFC 8439 §2.8's `mac_data` is `aad ‖ pad16 ‖ ct ‖ pad16 ‖
+/// le64(|aad|) ‖ le64(|ct|)`: the whole 16-byte blocks of `aad`, then
+/// this tail — the rest of `aad` zero-padded to a block, the 32-byte
+/// ciphertext (a multiple of 16 already) and the lengths — built on the
+/// stack. Returns the tail and its length, 48 or 64 bytes.
+fn mac_tail(aad: &[u8], ciphertext: &[u8; 32]) -> ([u8; 64], usize) {
+    let rest = &aad[aad.len() / 16 * 16..];
+    let mut tail = [0u8; 64];
+    let at = rest.len().next_multiple_of(16);
+    tail[..rest.len()].copy_from_slice(rest);
+    tail[at..at + 32].copy_from_slice(ciphertext);
+    tail[at + 32..at + 40].copy_from_slice(&(aad.len() as u64).to_le_bytes());
+    tail[at + 40..at + 48].copy_from_slice(&32u64.to_le_bytes());
+    (tail, at + 48)
+}
+
 /// The tag over `aad` and `ciphertext` under the one-time key `otk`:
-/// Poly1305 over RFC 8439 §2.8's `mac_data`.
+/// Poly1305 over `mac_data`, fed as whole blocks only.
 fn tag_of(otk: &[u8; poly1305::KEY_LEN], aad: &[u8], ciphertext: &[u8; 32]) -> [u8; TAG_LEN] {
+    let (tail, len) = mac_tail(aad, ciphertext);
     let mut mac = Poly1305::new(otk);
-    mac.update(aad);
-    mac.update(&[0u8; 15][..aad.len().wrapping_neg() % 16]);
-    mac.update(ciphertext); // 32 bytes: already a multiple of 16
-    mac.update(&(aad.len() as u64).to_le_bytes());
-    mac.update(&32u64.to_le_bytes());
+    mac.update(&aad[..aad.len() / 16 * 16]);
+    mac.update(&tail[..len]);
     mac.finalize()
 }
 
@@ -351,6 +366,98 @@ impl WrapKek {
     pub fn unwrap(&self, wrapped: &WrappedKey) -> Result<Key, CryptoError> {
         self.open(wrapped, &[])
     }
+}
+
+/// Wraps sealed together by [`seal_lanes`]: one lane group.
+pub const LANES: usize = 8;
+
+/// Eight [`WrapKek::seal`]s at once: lane `i` seals `payloads[i]` under
+/// `keks[i]` with `nonces[i]`, binding `aads[i]`, on the kernel the CPU
+/// selects ([`LaneKernel::active`]). Byte for byte the eight scalar
+/// seals, and counted as eight wraps, eight ChaCha20 blocks and eight
+/// Poly1305 tags.
+///
+/// Deterministic; callers must never reuse a nonce with the same KEK.
+///
+/// # Panics
+///
+/// Panics unless every `aads[i]` has the length of `aads[0]`.
+///
+/// # Example
+///
+/// ```
+/// use rekey_crypto::{Key, keywrap::{self, WrapKek}};
+///
+/// let keks: [Key; 8] = std::array::from_fn(|i| Key::from_bytes([i as u8; 32]));
+/// let payload = Key::from_bytes([0xAA; 32]);
+/// let nonces: [[u8; 12]; 8] = std::array::from_fn(|i| [i as u8 + 1; 12]);
+/// let sealed = keywrap::seal_lanes(
+///     std::array::from_fn(|i| &keks[i]),
+///     [&payload; 8],
+///     nonces,
+///     [b"header".as_slice(); 8],
+/// );
+/// for (i, wrapped) in sealed.iter().enumerate() {
+///     assert_eq!(*wrapped, WrapKek::new(&keks[i]).seal(&payload, nonces[i], b"header"));
+/// }
+/// ```
+pub fn seal_lanes(
+    keks: [&Key; LANES],
+    payloads: [&Key; LANES],
+    nonces: [[u8; NONCE_LEN]; LANES],
+    aads: [&[u8]; LANES],
+) -> [WrappedKey; LANES] {
+    seal_lanes_with(LaneKernel::active(), keks, payloads, nonces, aads)
+}
+
+/// [`seal_lanes`] on an explicit kernel (equivalence tests and the
+/// lane bench).
+///
+/// # Panics
+///
+/// As [`seal_lanes`].
+pub fn seal_lanes_with(
+    kernel: LaneKernel,
+    keks: [&Key; LANES],
+    payloads: [&Key; LANES],
+    nonces: [[u8; NONCE_LEN]; LANES],
+    aads: [&[u8]; LANES],
+) -> [WrappedKey; LANES] {
+    let len = aads[0].len();
+    assert!(
+        aads.iter().all(|aad| aad.len() == len),
+        "a lane group binds associated data of one length"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if let (LaneKernel::Avx2, Some(avx2)) = (kernel, crate::lanes::x86::Avx2::detect()) {
+        rekey_obs::count("crypto.keywrap.wrap", LANES as u64);
+        rekey_obs::count("crypto.chacha20_blocks", LANES as u64);
+        let blocks = avx2.chacha20_blocks(keks.map(Key::as_bytes), WRAP_COUNTER, &nonces);
+        let ciphertexts: [[u8; 32]; LANES] = std::array::from_fn(|i| {
+            xor32(
+                payloads[i].as_bytes(),
+                blocks[i].first_chunk().expect("64-byte block"),
+            )
+        });
+        let otks = blocks.map(|block| *block.last_chunk().expect("64-byte block"));
+        let tails: [([u8; 64], usize); LANES] =
+            std::array::from_fn(|i| mac_tail(aads[i], &ciphertexts[i]));
+        let tags = poly1305::mac_lanes_with(
+            kernel,
+            &otks,
+            &[
+                aads.map(|aad| &aad[..len / 16 * 16]),
+                std::array::from_fn(|i| &tails[i].0[..tails[i].1]),
+            ],
+        );
+        return std::array::from_fn(|i| WrappedKey {
+            nonce: nonces[i],
+            ciphertext: ciphertexts[i],
+            tag: tags[i],
+        });
+    }
+    let _ = kernel;
+    std::array::from_fn(|i| WrapKek::new(keks[i]).seal(payloads[i], nonces[i], aads[i]))
 }
 
 /// The nonce of the key advance: no nonce a wrap draws is special,

@@ -14,7 +14,8 @@
 //! - [`poly1305`] — the Poly1305 one-time authenticator,
 //! - [`keywrap`] — authenticated key wrapping: ChaCha20-Poly1305 in
 //!   one block keyed by the wrapping key, with the entry header as
-//!   associated data,
+//!   associated data, one at a time or eight at a time under eight
+//!   keys ([`keywrap::seal_lanes`]),
 //! - [`Key`] — a 256-bit symmetric key with constant-time equality.
 //!
 //! # Example
@@ -45,8 +46,8 @@
 //! Do not use them to protect real traffic.
 
 // Unsafe is denied crate-wide and allowed back in only inside the
-// `x86` intrinsic submodule of `sha256`, whose safety argument lives
-// next to the code (see DESIGN.md §3h).
+// `x86` intrinsic submodules of `sha256` and `lanes`, whose safety
+// arguments live next to the code (see DESIGN.md §3h).
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -54,6 +55,7 @@ pub mod chacha20;
 pub mod hkdf;
 pub mod hmac;
 pub mod keywrap;
+mod lanes;
 pub mod poly1305;
 pub mod sha256;
 pub mod simd;

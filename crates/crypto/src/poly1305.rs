@@ -16,6 +16,9 @@ pub const KEY_LEN: usize = 32;
 /// Poly1305 tag length in bytes.
 pub const TAG_LEN: usize = 16;
 
+use crate::keywrap::LANES;
+use crate::simd::LaneKernel;
+
 const BLOCK_LEN: usize = 16;
 const MASK44: u64 = (1 << 44) - 1;
 const MASK42: u64 = (1 << 42) - 1;
@@ -173,4 +176,40 @@ pub fn mac(key: &[u8; KEY_LEN], message: &[u8]) -> [u8; TAG_LEN] {
     let mut poly = Poly1305::new(key);
     poly.update(message);
     poly.finalize()
+}
+
+/// Eight one-shot MACs at once on `kernel`: lane `i` is [`mac`] under
+/// `keys[i]` of the concatenation of `parts[0][i]`, `parts[1][i]`, ….
+/// Within a part every lane's slice has one length, a multiple of 16
+/// (whole blocks: what a key wrap's `mac_data` is). Counted as
+/// [`LANES`] tags.
+///
+/// # Panics
+///
+/// Panics if a part's slices differ in length or are not whole blocks.
+pub fn mac_lanes_with(
+    kernel: LaneKernel,
+    keys: &[[u8; KEY_LEN]; LANES],
+    parts: &[[&[u8]; LANES]],
+) -> [[u8; TAG_LEN]; LANES] {
+    for part in parts {
+        let len = part[0].len();
+        assert!(
+            len % BLOCK_LEN == 0 && part.iter().all(|lane| lane.len() == len),
+            "a lane group MACs whole blocks of one length"
+        );
+    }
+    #[cfg(target_arch = "x86_64")]
+    if let (LaneKernel::Avx2, Some(avx2)) = (kernel, crate::lanes::x86::Avx2::detect()) {
+        rekey_obs::count("crypto.poly1305", LANES as u64);
+        return avx2.poly1305_tags(keys, parts);
+    }
+    let _ = kernel;
+    std::array::from_fn(|i| {
+        let mut poly = Poly1305::new(&keys[i]);
+        for part in parts {
+            poly.update(part[i]);
+        }
+        poly.finalize()
+    })
 }

@@ -32,7 +32,7 @@
 
 use crate::{MemberId, NodeId};
 use rekey_crypto::keywrap::{
-    open_derive, WrapKek, WrappedKey, ADVANCE_CHECK_LEN, DERIVE_CHECK_LEN, NONCE_LEN,
+    self, open_derive, WrapKek, WrappedKey, ADVANCE_CHECK_LEN, DERIVE_CHECK_LEN, LANES, NONCE_LEN,
 };
 use rekey_crypto::{CryptoError, Key};
 
@@ -87,6 +87,12 @@ impl EntryMeta {
     /// Deterministic; callers must never reuse a nonce with the same
     /// `kek`.
     pub fn seal(self, kek: &Key, payload: &Key, nonce: [u8; NONCE_LEN]) -> RekeyEntry {
+        self.entry(WrapKek::new(kek).seal(payload, nonce, &self.binding()))
+    }
+
+    /// The entry with this header and `wrapped`, sealed over
+    /// [`binding`](Self::binding).
+    fn entry(self, wrapped: WrappedKey) -> RekeyEntry {
         RekeyEntry {
             target: self.target,
             target_version: self.target_version,
@@ -96,7 +102,72 @@ impl EntryMeta {
             recipient: self.recipient,
             audience: self.audience,
             target_depth: self.target_depth,
-            wrapped: WrapKek::new(kek).seal(payload, nonce, &self.binding()),
+            wrapped,
+        }
+    }
+}
+
+/// One wrap waiting in a [`LaneSealer`]: its header, KEK, payload and
+/// nonce.
+type Pending<'k> = (EntryMeta, &'k Key, &'k Key, [u8; NONCE_LEN]);
+
+/// Entries sealed eight at a time ([`keywrap::seal_lanes`]).
+///
+/// [`push`](Self::push) takes an entry with its nonce already drawn and
+/// holds it; the eighth push seals all eight in one lane group and
+/// appends them to `out` in push order. [`finish`](Self::finish) seals
+/// the fewer than eight left one by one ([`EntryMeta::seal`]). So the
+/// entries and their bytes are exactly those of sealing each one as it
+/// is pushed: only the kernel differs.
+#[derive(Debug, Default)]
+pub struct LaneSealer<'k> {
+    pending: [Option<Pending<'k>>; LANES],
+    filled: usize,
+}
+
+impl<'k> LaneSealer<'k> {
+    /// An empty group.
+    pub fn new() -> Self {
+        LaneSealer::default()
+    }
+
+    /// Adds the entry `meta` with `payload` sealed under `kek` and
+    /// `nonce`, sealing the group onto `out` once it is full.
+    pub fn push(
+        &mut self,
+        meta: EntryMeta,
+        kek: &'k Key,
+        payload: &'k Key,
+        nonce: [u8; NONCE_LEN],
+        out: &mut Vec<RekeyEntry>,
+    ) {
+        self.pending[self.filled] = Some((meta, kek, payload, nonce));
+        self.filled += 1;
+        if self.filled < LANES {
+            return;
+        }
+        self.filled = 0;
+        let group = self.pending.map(|pending| pending.expect("a full group"));
+        let bindings = group.map(|(meta, ..)| meta.binding());
+        let wrapped = keywrap::seal_lanes(
+            group.map(|(_, kek, ..)| kek),
+            group.map(|(_, _, payload, _)| payload),
+            group.map(|(.., nonce)| nonce),
+            std::array::from_fn(|i| bindings[i].as_slice()),
+        );
+        out.extend(
+            group
+                .into_iter()
+                .zip(wrapped)
+                .map(|((meta, ..), wrapped)| meta.entry(wrapped)),
+        );
+    }
+
+    /// Seals what is left, fewer than eight entries, one by one onto
+    /// `out`.
+    pub fn finish(self, out: &mut Vec<RekeyEntry>) {
+        for &(meta, kek, payload, nonce) in self.pending[..self.filled].iter().flatten() {
+            out.push(meta.seal(kek, payload, nonce));
         }
     }
 }
@@ -316,5 +387,46 @@ mod tests {
             codec::encode_message(&msg).len() - codec::MESSAGE_HEADER_LEN
         );
         assert!(msg.byte_len() >= 2 * codec::MIN_ENTRY_LEN);
+    }
+
+    /// A run of 0–17 entries through [`LaneSealer`] — no group, one or
+    /// two full groups, and every tail length — is byte for byte the
+    /// run sealed one entry at a time, in order.
+    #[test]
+    fn lane_sealer_seals_every_run_like_the_per_entry_seal() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(17);
+        for n in 0..=17 {
+            let keks: Vec<Key> = (0..n).map(|_| Key::generate(&mut rng)).collect();
+            let payload = Key::generate(&mut rng);
+            let metas: Vec<(EntryMeta, [u8; NONCE_LEN])> = (0..n)
+                .map(|i| {
+                    let meta = EntryMeta {
+                        target: NodeId::from_parts(1, rng.gen_range(0..1 << 32)),
+                        target_version: rng.gen(),
+                        under: NodeId::from_parts(1, rng.gen_range(0..1 << 32)),
+                        under_version: rng.gen(),
+                        under_is_leaf: i % 2 == 0,
+                        recipient: (i % 3 == 0).then(|| MemberId(rng.gen())),
+                        audience: rng.gen(),
+                        target_depth: rng.gen(),
+                    };
+                    (meta, rng.gen())
+                })
+                .collect();
+            let mut lanes = LaneSealer::new();
+            let mut sealed = Vec::new();
+            for ((meta, nonce), kek) in metas.iter().zip(&keks) {
+                lanes.push(*meta, kek, &payload, *nonce, &mut sealed);
+            }
+            assert_eq!(sealed.len(), n / 8 * 8, "a group is sealed when full");
+            lanes.finish(&mut sealed);
+            let one_by_one: Vec<RekeyEntry> = metas
+                .iter()
+                .zip(&keks)
+                .map(|((meta, nonce), kek)| meta.seal(kek, &payload, *nonce))
+                .collect();
+            assert_eq!(sealed, one_by_one, "{n} entries");
+        }
     }
 }

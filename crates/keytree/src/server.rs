@@ -105,10 +105,12 @@
 //!    start is drawn from the caller's RNG for the batch
 //!    ([`LkhServer::plan_batch`]).
 //! 3. **Execution**: that node order is walked and each wrap the node
-//!    needs — read off its children's marks — is sealed straight into
-//!    the output entries under the next nonce, with its own header as
-//!    associated data ([`EntryMeta::seal`]). It draws no randomness;
-//!    the whole per-key cost sits here ([`LkhServer::seal_entries`]).
+//!    needs — read off its children's marks — takes the next nonce and
+//!    its own header as associated data, and is sealed eight at a time
+//!    across KEKs into the output entries ([`LaneSealer`]; the last
+//!    fewer than eight one by one, [`EntryMeta::seal`]). It draws no
+//!    randomness; the whole per-key cost sits here
+//!    ([`LkhServer::seal_entries`]).
 //!
 //! A node's entries are contiguous and share its depth, so the
 //! messages list entries deepest target first and number their
@@ -126,7 +128,7 @@
 //! per phase when none is.
 
 use crate::message::codec::{put_u64, DecodeError, Reader};
-use crate::message::{EntryMeta, RekeyEntry, RekeyMessage};
+use crate::message::{EntryMeta, LaneSealer, RekeyEntry, RekeyMessage};
 use crate::tree::{KeyTree, Placed, NO_SLOT};
 use crate::{KeyTreeError, MemberId, NodeId};
 use rand::RngCore;
@@ -481,7 +483,7 @@ impl LkhServer {
 
     /// Phase 3 of a batch (module docs): seals every wrap `plan` names
     /// onto `entries`, node by node deepest first, each under the next
-    /// nonce of the batch. One rule per dirty node (module header): a
+    /// nonce of the batch, eight at a time ([`LaneSealer`]). One rule per dirty node (module header): a
     /// compromised node's new key goes under the current key of every
     /// child but the one it was derived from; an advanced node's goes
     /// under each changed child only — a dirty child's new version or
@@ -502,6 +504,7 @@ impl LkhServer {
             ..
         } = plan;
         let tree = &self.tree;
+        let mut lanes = LaneSealer::new();
         for &(depth, slot, source) in &order {
             let node = tree.node(slot);
             let compromised = marks[slot as usize] == COMPROMISED;
@@ -523,9 +526,10 @@ impl LkhServer {
                     audience: child.leaf_count(),
                     target_depth: depth,
                 };
-                entries.push(meta.seal(&child.key, &node.key, nonces.take()));
+                lanes.push(meta, &child.key, &node.key, nonces.take(), entries);
             }
         }
+        lanes.finish(entries);
         rekey_obs::count("rekey.encrypted_keys", stats.encrypted_keys as u64);
         stats
     }

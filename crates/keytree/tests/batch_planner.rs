@@ -48,7 +48,7 @@ use rand::{Rng, RngCore, SeedableRng};
 use rekey_crypto::{sha256, Key};
 use rekey_keytree::member::GroupMember;
 use rekey_keytree::message::codec::encode_message;
-use rekey_keytree::message::RekeyMessage;
+use rekey_keytree::message::{EntryMeta, RekeyMessage};
 use rekey_keytree::server::LkhServer;
 use rekey_keytree::tree::KeyTree;
 use rekey_keytree::{MemberId, NodeId};
@@ -683,5 +683,59 @@ fn a_slot_freed_and_refilled_in_one_batch_keeps_no_mark_of_its_old_node() {
     assert_eq!(
         hex(&sha256::digest(&encode_message(&outcome.message))),
         "c3f0666f38e9b9838ebcee0aa7ca6113683367caf2592462e9d30f690028f31e"
+    );
+}
+
+/// A batch's entries are sealed eight at a time across KEKs, and every
+/// one is byte for byte what `EntryMeta::seal` makes of its header, the
+/// current keys of its target and of the key it is wrapped under, and
+/// its nonce: for batches of every size from 1 to 17 entries (no full
+/// lane group, one, two, and every tail length) and larger ones.
+#[test]
+fn lane_sealed_batches_match_the_per_entry_seal() {
+    let mut sizes = BTreeMap::new();
+    for (degree, members) in [(2, 3), (2, 40), (3, 9), (3, 40), (4, 40)] {
+        for leaves in 0..=4.min(members - 1) {
+            for joins in 0..=4u64 {
+                let mut rng = StdRng::seed_from_u64(members * 100 + leaves * 10 + joins);
+                let mut server = LkhServer::new(degree, 3);
+                server
+                    .try_apply_batch(&joiners(0..members, &mut rng), &[], &mut rng)
+                    .unwrap();
+                let leaving: Vec<MemberId> =
+                    (0..leaves).map(|i| MemberId(i * 7 % members)).collect();
+                let message = server
+                    .try_apply_batch(&joiners(100..100 + joins, &mut rng), &leaving, &mut rng)
+                    .unwrap()
+                    .message;
+                let tree = server.tree();
+                for entry in &message.entries {
+                    let (kek, version) = tree.key_of(entry.under).expect("a current KEK");
+                    assert_eq!(entry.under_version, version);
+                    let meta = EntryMeta {
+                        target: entry.target,
+                        target_version: entry.target_version,
+                        under: entry.under,
+                        under_version: entry.under_version,
+                        under_is_leaf: entry.under_is_leaf,
+                        recipient: entry.recipient,
+                        audience: entry.audience,
+                        target_depth: entry.target_depth,
+                    };
+                    let payload = tree.key_of(entry.target).expect("a current key").0;
+                    assert_eq!(
+                        meta.seal(kek, payload, entry.wrapped.nonce()),
+                        *entry,
+                        "degree {degree}, {leaves} leaves, {joins} joins"
+                    );
+                }
+                *sizes.entry(message.entries.len()).or_insert(0) += 1;
+            }
+        }
+    }
+    let missing: Vec<usize> = (1..=17).filter(|n| !sizes.contains_key(n)).collect();
+    assert!(
+        missing.is_empty(),
+        "no batch of {missing:?} entries: {sizes:?}"
     );
 }
