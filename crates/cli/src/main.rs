@@ -1242,7 +1242,8 @@ fn cmd_metrics_check(args: &Args) -> CliResult {
 }
 
 /// Offline inspection of a `--data-dir`: snapshot epoch, WAL record
-/// range, torn bytes, and the resulting durable epoch. CI greps the
+/// range across both segments, torn bytes, and the resulting durable
+/// epoch. CI greps the
 /// `durable epoch` line to assert monotonicity across a kill/restart.
 fn cmd_snapshot(args: &Args) -> CliResult {
     use rekey_core::persist::{record_head, split_snapshot, RECORD_WIRE_VERSION};
@@ -1292,7 +1293,8 @@ fn cmd_snapshot(args: &Args) -> CliResult {
         println!("wal: record version {version} ({verdict})");
     }
 
-    // A crash between the snapshot write and the WAL truncation can
+    // The records are both WAL segments', oldest first. A crash between
+    // the snapshot write and the emptying of the segment it covers can
     // leave records the snapshot already covers; durability is the max
     // of both, exactly as recovery computes it.
     let durable = last_epoch.unwrap_or(0).max(snapshot_epoch);

@@ -28,10 +28,13 @@
 //! the call starts — the epoch is the journal's own count plus one —
 //! so a backend that writes behind its caller
 //! ([`rekey_storage::DirStorage`]) does the append and the fsync while
-//! the engine computes, and the barrier finds them done. What is
-//! ordered is the record against the *sink*: if the append or the
-//! barrier fails, the frame is never released, so a frame a client may
-//! have seen is always re-derivable from disk.
+//! the engine computes, and the barrier finds them done. The barrier
+//! waits for the log alone: a snapshot handed over before the record is
+//! written on a thread of its own, and the records it would cover stay
+//! in a log segment of their own until it is durable. What is ordered
+//! is the record against the *sink*: if the append or the barrier
+//! fails, the frame is never released, so a frame a client may have
+//! seen is always re-derivable from disk.
 //!
 //! It is safe because a batch is checked before it is logged: the
 //! journal runs [`crate::check_batch`] first, and a batch it rejects (an
@@ -75,17 +78,22 @@
 //!
 //! Every `snapshot_every` intervals the journal serializes the whole
 //! manager (trees, policy bookkeeping, DEK, epoch) together with the
-//! *post*-interval RNG state and hands the blob to the backend, which
-//! atomically replaces the snapshot and then truncates the WAL — behind
-//! the next interval's computation where the backend can, and before
-//! that interval's record is durable in any case. A failure there
-//! surfaces at the next barrier, ahead of the next sink call.
+//! *post*-interval RNG state and hands the blob to the backend, then
+//! resets the log ([`Storage::reset_wal`]). [`rekey_storage::DirStorage`]
+//! writes the snapshot behind the next intervals on its own thread and
+//! makes the reset a switch to its second log segment; the segment the
+//! snapshot covers is emptied only once the snapshot is durable. A
+//! failure there surfaces at the first barrier after it, and at the
+//! latest when the next snapshot is handed over (before the switch that
+//! would reuse the segment): every frame released before that is
+//! re-derivable from the old snapshot and the kept segment.
 //! [`Journal::snapshot`] called directly (drain, shutdown) ends with a
-//! barrier of its own. Recovery is then: restore the snapshot,
-//! re-run the WAL tail (at most `snapshot_every` intervals), resume. A
-//! crash between the snapshot write and the WAL truncation leaves
-//! records the snapshot already covers; recovery skips any record
-//! whose epoch is not past the snapshot's.
+//! barrier that returns only once the snapshot is durable. Recovery is
+//! then: restore the snapshot, re-run the log (at most two segments,
+//! each up to `snapshot_every` intervals), resume. A crash between the
+//! snapshot write and the emptying of the segment it covers leaves
+//! records the snapshot already covers; recovery skips any record whose
+//! epoch is not past the snapshot's.
 
 use crate::{GroupKeyManager, IntervalOutcome, Join};
 use rand::rngs::StdRng;
@@ -462,9 +470,10 @@ impl<S: Storage> Journal<S> {
     }
 
     /// Serializes the manager + the RNG's current position, atomically
-    /// replaces the snapshot, and truncates the WAL it subsumes,
-    /// returning once all of it is durable. The drain-time flush: call
-    /// on shutdown so restart replays nothing.
+    /// replaces the snapshot, and resets the WAL it subsumes, returning
+    /// once the snapshot is durable (a backend may empty the log behind
+    /// it). The drain-time flush: call on shutdown so restart replays
+    /// nothing.
     ///
     /// # Errors
     ///
@@ -480,14 +489,21 @@ impl<S: Storage> Journal<S> {
 
     /// [`Journal::snapshot`] without the closing barrier: the backend
     /// may still be writing when this returns, and reports a failure at
-    /// the next barrier.
+    /// the first barrier after it — at the latest when the next snapshot
+    /// is handed over.
     fn hand_off_snapshot(
         &mut self,
         manager: &dyn GroupKeyManager,
         rng: &StdRng,
     ) -> Result<(), PersistError> {
+        // The previous snapshot's buffer, once it is written, where the
+        // backend keeps it: one snapshot-sized buffer cycles between the
+        // journal and the backend.
+        let take_start = Instant::now();
+        let mut blob = self.storage.take_snapshot_buffer()?;
         let serialize_start = Instant::now();
-        let mut blob = Vec::with_capacity(self.snapshot_len);
+        blob.clear();
+        blob.reserve(self.snapshot_len);
         blob.push(SNAPSHOT_WIRE_VERSION);
         put_u64(&mut blob, self.epoch);
         blob.extend_from_slice(&rng.state_bytes());
@@ -498,14 +514,14 @@ impl<S: Storage> Journal<S> {
             "persist.snapshot.serialize",
             (write_start - serialize_start).as_nanos() as u64,
         );
-        self.storage.write_snapshot(&blob)?;
+        self.storage.hand_over_snapshot(blob)?;
         self.storage.reset_wal()?;
         rekey_obs::time_ns(
             "persist.snapshot.write",
-            write_start.elapsed().as_nanos() as u64,
+            (write_start.elapsed() + (serialize_start - take_start)).as_nanos() as u64,
         );
         rekey_obs::count("persist.snapshot.writes", 1);
-        rekey_obs::count("persist.snapshot.bytes", blob.len() as u64);
+        rekey_obs::count("persist.snapshot.bytes", self.snapshot_len as u64);
         self.since_snapshot = 0;
         Ok(())
     }
@@ -615,8 +631,19 @@ mod tests {
         rng: &mut StdRng,
         intervals: u64,
     ) -> Vec<Vec<u8>> {
+        churn_from(journal, manager, rng, 0, intervals)
+    }
+
+    /// [`churn`] as if `first` intervals had run before.
+    fn churn_from(
+        journal: &mut Journal<impl Storage>,
+        manager: &mut dyn GroupKeyManager,
+        rng: &mut StdRng,
+        first: u64,
+        intervals: u64,
+    ) -> Vec<Vec<u8>> {
         let mut frames = Vec::new();
-        for i in 0..intervals {
+        for i in first..first + intervals {
             let js = joins(1000 * (i + 1), 3, rng);
             let leaves: Vec<MemberId> = if i > 1 {
                 vec![MemberId(1000 * i)]
@@ -1189,23 +1216,41 @@ mod tests {
         ));
     }
 
-    /// A snapshot that fails behind the journal's back (here: the data
-    /// directory removed under a real `DirStorage`) stops the very next
-    /// interval before its sink, and every call after it.
+    fn scratch_dir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("rekey-persist-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    fn encoded(messages: &[RekeyMessage]) -> Vec<Vec<u8>> {
+        messages
+            .iter()
+            .map(rekey_keytree::message::codec::encode_message)
+            .collect()
+    }
+
+    /// A snapshot that fails behind the journal's back (here: a
+    /// directory stands where `DirStorage` creates the snapshot's temp
+    /// file) surfaces at the first barrier after the failure, and at the
+    /// latest when the next snapshot is handed over, before the switch
+    /// that would reuse the segment it was meant to cover. Every frame
+    /// released before that is re-derivable: the store reopened over the
+    /// same fault recovers each of them byte for byte.
     #[test]
     fn a_failed_background_snapshot_withholds_the_next_frame() {
-        let dir = std::env::temp_dir().join(format!("rekey-persist-poison-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = scratch_dir("poison");
         let mut rng = StdRng::seed_from_u64(15);
         let mut manager = TtManager::new(3, 4);
         let mut journal = Journal::new(rekey_storage::DirStorage::open(&dir).unwrap(), 2);
-        churn(&mut journal, &mut manager, &mut rng, 1);
-        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::create_dir(dir.join("snapshot.tmp")).unwrap();
 
-        let mut delivered = 0usize;
-        for i in 1..4u64 {
-            let js = joins(1000 * (i + 1), 2, &mut rng);
-            let mut sink = |_: &RekeyMessage| delivered += 1;
+        let mut frames = Vec::new();
+        let mut failed_at = None;
+        for epoch in 1..=6u64 {
+            let js = joins(1000 * epoch, 2, &mut rng);
+            let mut sink = |m: &RekeyMessage| {
+                frames.push(rekey_keytree::message::codec::encode_message(m));
+            };
             let result = journal.durable_interval(&mut manager, &js, &[], &mut rng, &mut sink);
             let snapshot_failed = matches!(
                 result,
@@ -1214,22 +1259,97 @@ mod tests {
                     ..
                 }))
             );
-            if i == 1 {
-                // The open log still takes the record and the frame is
-                // released; the snapshot handed off *after* the sink is
-                // what cannot land. Whether this call already hears of
-                // it (at the reset it queues behind the snapshot) is the
-                // writer's pace.
-                assert!(result.is_ok() || snapshot_failed);
-                assert_eq!(delivered, 1);
-            } else {
-                assert!(snapshot_failed);
+            assert!(
+                result.is_ok() || snapshot_failed,
+                "epoch {epoch}: {result:?}"
+            );
+            if snapshot_failed {
+                failed_at.get_or_insert(epoch);
             }
         }
-        assert_eq!(delivered, 1, "nothing released past the failed snapshot");
+        // The first snapshot is handed over after epoch 2's sink, which
+        // hears of its failure at the reset behind it if the snapshot
+        // writer is that quick. Epoch 3's barrier does if it has come
+        // back by then; epoch 4 does in any case, at its barrier or when
+        // it hands over the next snapshot. Nothing is released after.
+        let failed_at = failed_at.expect("the failure surfaced");
+        assert!(
+            (2..=4).contains(&failed_at),
+            "surfaced at epoch {failed_at}"
+        );
+        assert!((2..=4).contains(&frames.len()), "{} frames", frames.len());
         assert!(matches!(
             journal.snapshot(&manager, &rng),
             Err(PersistError::Storage(StorageError::Io { .. }))
         ));
+        drop(journal);
+
+        let mut rebuilt = TtManager::new(3, 4);
+        let mut recovered = Journal::new(rekey_storage::DirStorage::open(&dir).unwrap(), 2);
+        let recovery = recovered.recover(&mut rebuilt).unwrap();
+        assert!(!recovery.snapshot_loaded, "no snapshot ever landed");
+        assert!(recovery.epoch as usize >= frames.len());
+        assert_eq!(encoded(&recovery.messages)[..frames.len()], frames[..]);
+        drop(recovered);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A snapshot asked for directly (drain, shutdown) is durable when
+    /// [`Journal::snapshot`] returns: `snapshot.bin` read from outside
+    /// the live store already holds it.
+    #[test]
+    fn a_direct_snapshot_is_durable_when_it_returns() {
+        let dir = scratch_dir("drain");
+        let mut rng = StdRng::seed_from_u64(18);
+        let mut manager = TtManager::new(3, 4);
+        let mut journal = Journal::new(rekey_storage::DirStorage::open(&dir).unwrap(), 0);
+        for round in 1..=3u64 {
+            churn_from(&mut journal, &mut manager, &mut rng, 2 * (round - 1), 2);
+            journal.snapshot(&manager, &rng).unwrap();
+            let sealed = std::fs::read(dir.join(rekey_storage::SNAPSHOT_FILE)).unwrap();
+            let blob = rekey_storage::wal::unseal_snapshot(&sealed).unwrap();
+            let (epoch, rng_state, _) = split_snapshot(blob).unwrap();
+            assert_eq!((epoch, rng_state), (2 * round, rng.state_bytes()));
+        }
+        drop(journal);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A crash after the switch but before the snapshot handed over with
+    /// it is durable leaves the old snapshot and two non-empty segments:
+    /// the first holds the epochs the lost snapshot would have covered,
+    /// the second those after it. Recovery reads them in generation order
+    /// and re-derives every frame past the old snapshot byte for byte.
+    /// (The state is made by a switch no snapshot was handed over for —
+    /// the snapshot that never landed.)
+    #[test]
+    fn a_crash_between_the_switch_and_the_snapshot_recovers_byte_identically() {
+        let dir = scratch_dir("switch");
+        let mut rng = StdRng::seed_from_u64(19);
+        let mut manager = TtManager::new(3, 4);
+        let mut reference = Vec::new();
+        {
+            let mut journal = Journal::new(rekey_storage::DirStorage::open(&dir).unwrap(), 0);
+            reference.extend(churn(&mut journal, &mut manager, &mut rng, 4));
+            journal.snapshot(&manager, &rng).unwrap();
+            reference.extend(churn_from(&mut journal, &mut manager, &mut rng, 4, 4));
+            journal.storage_mut().reset_wal().unwrap();
+            reference.extend(churn_from(&mut journal, &mut manager, &mut rng, 8, 2));
+        }
+        for segment in rekey_storage::WAL_SEGMENTS {
+            let len = std::fs::metadata(dir.join(segment)).unwrap().len();
+            assert!(len > 0, "{segment} is empty");
+        }
+
+        let mut rebuilt = TtManager::new(3, 4);
+        let mut recovered = Journal::new(rekey_storage::DirStorage::open(&dir).unwrap(), 0);
+        let recovery = recovered.recover(&mut rebuilt).unwrap();
+        assert!(recovery.snapshot_loaded);
+        assert_eq!((recovery.epoch, recovery.replayed), (10, 6));
+        assert_eq!(encoded(&recovery.messages), reference[4..]);
+        assert_eq!(recovery.rng.unwrap().state_bytes(), rng.state_bytes());
+        assert_eq!(rebuilt.dek(), manager.dek());
+        drop(recovered);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

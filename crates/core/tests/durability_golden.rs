@@ -32,7 +32,8 @@ use rekey_crypto::sha256::Sha256;
 use rekey_crypto::Key;
 use rekey_keytree::message::RekeyMessage;
 use rekey_keytree::MemberId;
-use rekey_storage::{DirStorage, MemStorage, Storage, SNAPSHOT_FILE, WAL_FILE};
+use rekey_storage::wal::segment_header;
+use rekey_storage::{DirStorage, MemStorage, Storage, SNAPSHOT_FILE, WAL_FILE, WAL_SEGMENTS};
 use std::path::{Path, PathBuf};
 
 fn hex(bytes: &[u8]) -> String {
@@ -275,17 +276,33 @@ fn this_commits_data_dir_recovers() {
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
+/// The same script writes the same snapshot and the same records. The
+/// records now lie in the second WAL segment, behind its generation-1
+/// header: the switch at the epoch-4 snapshot moved the log there, and
+/// `wal.log`, whose epochs 1–4 the snapshot covers, was emptied once it
+/// was durable.
 #[test]
 fn this_commit_writes_the_parents_files() {
     let dir = scratch_dir("rewrite");
     let manager = write_fixture_script(&dir);
     assert_eq!(hex(manager.dek().as_bytes()), FIXTURE_DEK);
-    for name in [WAL_FILE, SNAPSHOT_FILE] {
-        assert_eq!(
-            std::fs::read(dir.join(name)).expect("written"),
-            std::fs::read(fixture_dir("datadir-record-v4").join(name)).expect("fixture"),
-            "{name} differs from the committed file"
-        );
-    }
+    let read = |dir: &Path, name: &str| std::fs::read(dir.join(name)).expect(name);
+    let fixture = fixture_dir("datadir-record-v4");
+    assert_eq!(
+        read(&dir, SNAPSHOT_FILE),
+        read(&fixture, SNAPSHOT_FILE),
+        "{SNAPSHOT_FILE} differs from the committed file"
+    );
+    assert_eq!(
+        read(&dir, WAL_SEGMENTS[0]),
+        b"",
+        "the covered segment was emptied"
+    );
+    let records = [&segment_header(1)[..], &read(&fixture, WAL_FILE)].concat();
+    assert_eq!(
+        read(&dir, WAL_SEGMENTS[1]),
+        records,
+        "the records differ from the committed {WAL_FILE}'s"
+    );
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }

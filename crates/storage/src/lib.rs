@@ -6,8 +6,9 @@
 //! - a **write-ahead log** of opaque records, appended one per rekey
 //!   epoch *before* the epoch's frame is released to the fan-out, and
 //! - a **snapshot** slot holding one opaque full-state blob, replaced
-//!   atomically every few epochs, after which the WAL is reset so its
-//!   length stays bounded by the snapshot cadence.
+//!   atomically every few epochs, after which the WAL is reset (once the
+//!   snapshot is durable) so its length stays bounded by the snapshot
+//!   cadence.
 //!
 //! Two backends ship here: [`MemStorage`] (tests, benches, and the
 //! crash-simulation harness) and [`DirStorage`] (a directory of real
@@ -132,25 +133,33 @@ pub struct WalReplay {
 /// Contract required of every implementation:
 ///
 /// - Writes take effect in call order. A backend may buffer them and
-///   return before the bytes are written ([`DirStorage`] does, on a
-///   writer thread; the in-memory backends do not): a write's `Ok`
+///   return before the bytes are written ([`DirStorage`] does, on
+///   writer threads; the in-memory backends do not): a write's `Ok`
 ///   means *accepted*, not *durable*.
 /// - [`Storage::sync_wal`] is the barrier: once it returns `Ok`, every
-///   write accepted before it survives a crash — an
+///   record appended before it survives a crash — an
 ///   [`Storage::append_wal`] followed by [`Storage::sync_wal`] makes the
-///   record durable. It also reports what buffering deferred: the first
-///   failure of a buffered write is returned by the next barrier and by
-///   every call after it, and the writes behind the failed one are
+///   record durable — and so does the state the log and the snapshots
+///   describe together. A snapshot handed over with nothing appended
+///   after it is durable too when the barrier returns (a drain ends that
+///   way). One with records behind it may still be being written: until
+///   it is durable, the log keeps every record it covers. The barrier
+///   also reports what buffering deferred: the first failure of a
+///   buffered write is returned by the first barrier after it and by
+///   every call after that, and the writes behind the failed one are
 ///   dropped.
 /// - [`Storage::write_snapshot`] replaces the snapshot atomically: a
 ///   crash during the write leaves either the old blob or the new one,
-///   never a mix. [`Storage::reset_wal`] empties the log (called after
-///   a snapshot covers everything the log held). Both complete, in
-///   order, before any record appended after them is durable — so a
-///   durable record is never one the reset will still swallow.
+///   never a mix. [`Storage::reset_wal`] tells the log that the last
+///   snapshot handed over covers every record appended before it: the
+///   log may discard them, but only once that snapshot is durable. A
+///   durable record is never one the reset will still swallow, and a
+///   record the snapshot covers is never discarded before the snapshot
+///   is durable.
 /// - Reads are barriers too: [`Storage::read_wal`] and
 ///   [`Storage::load_snapshot`] see every write accepted before them.
-///   [`Storage::read_wal`] returns every valid record in order,
+///   [`Storage::read_wal`] returns every valid record in order (records
+///   a durable snapshot covers may still be among them),
 ///   *repairs* the log by discarding any invalid tail (so subsequent
 ///   appends land after the last valid record), and never fails on a
 ///   torn tail — torn tails are an expected crash artifact, reported
@@ -167,9 +176,9 @@ pub trait Storage: Send {
     /// field, [`StorageError::Injected`] under fault injection.
     fn append_wal(&mut self, record: &[u8]) -> Result<(), StorageError>;
 
-    /// The barrier: returns once every write handed to the store so
-    /// far — appended records, and a snapshot or reset before them — is
-    /// on durable media.
+    /// The barrier: returns once every record handed to the store so
+    /// far is on durable media, the switch of a reset before them too,
+    /// and the last snapshot if nothing was appended after it.
     ///
     /// # Errors
     ///
@@ -193,7 +202,10 @@ pub trait Storage: Send {
     /// [`StorageError::Io`] on an OS failure (not on a torn tail).
     fn read_wal(&mut self) -> Result<WalReplay, StorageError>;
 
-    /// Empties the log. Called after a snapshot subsumes its contents.
+    /// Lets the log discard every record appended so far, once the last
+    /// snapshot handed over (which covers them) is durable. Called right
+    /// after [`Storage::write_snapshot`]. The in-memory backends empty
+    /// the log at once; [`DirStorage`] switches to its other segment.
     ///
     /// # Errors
     ///
@@ -208,6 +220,33 @@ pub trait Storage: Send {
     /// [`StorageError::RecordTooLarge`] past the framing's length
     /// field.
     fn write_snapshot(&mut self, blob: &[u8]) -> Result<(), StorageError>;
+
+    /// A buffer to serialize the next snapshot into, for
+    /// [`Storage::hand_over_snapshot`]: a backend that keeps the last
+    /// snapshot's buffer hands it back — once that snapshot is written —
+    /// so a caller that serializes every snapshot this way holds one
+    /// snapshot-sized buffer and allocates none past the first. Empty
+    /// from a backend that keeps none (the default).
+    ///
+    /// # Errors
+    ///
+    /// [`StorageError::Io`] if an earlier, buffered write failed.
+    fn take_snapshot_buffer(&mut self) -> Result<Vec<u8>, StorageError> {
+        Ok(Vec::new())
+    }
+
+    /// [`Storage::write_snapshot`] of a blob handed over by value: a
+    /// backend that writes behind its caller keeps the buffer instead of
+    /// copying it, and hands it back from
+    /// [`Storage::take_snapshot_buffer`]. The default writes the blob
+    /// through [`Storage::write_snapshot`] and drops it.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Storage::write_snapshot`].
+    fn hand_over_snapshot(&mut self, blob: Vec<u8>) -> Result<(), StorageError> {
+        self.write_snapshot(&blob)
+    }
 
     /// Loads the snapshot blob, `None` if none was ever written.
     ///
@@ -309,6 +348,8 @@ pub const WAL_FILE: &str = "wal.log";
 /// See [`WAL_FILE`].
 pub const SNAPSHOT_FILE: &str = "snapshot.bin";
 const SNAPSHOT_TMP: &str = "snapshot.tmp";
+/// The two WAL segments of a [`DirStorage`]: the legacy log first.
+pub const WAL_SEGMENTS: [&str; 2] = [WAL_FILE, "wal.1.log"];
 
 /// Largest append buffer kept between appends. A steady epoch record
 /// is tens of kilobytes; a bootstrap epoch's megabytes are handed back
@@ -317,96 +358,191 @@ const FRAME_KEEP: usize = 64 * 1024;
 
 /// A [`Storage`] backed by a directory of real files:
 ///
-/// - `wal.log` — framed records, appended and fsynced per epoch;
+/// - `wal.log` and `wal.1.log` — two WAL segments of framed records,
+///   appended and fsynced per epoch. Records go to one segment at a
+///   time; [`Storage::reset_wal`] switches to the other. A segment
+///   starts with a header carrying its generation
+///   ([`wal::segment_header`]); a `wal.log` without one is generation
+///   0, so a data directory written before segments reads as before;
 /// - `snapshot.bin` — the sealed snapshot blob, replaced via
 ///   write-temp + fsync + rename (+ directory fsync), so a crash never
 ///   leaves a half-written snapshot under the live name.
 ///
-/// # One writer thread behind the caller
+/// # Two writer threads behind the caller
 ///
-/// Every write — append, snapshot, reset — is handed to one FIFO writer
-/// thread (spawned by the first write; a store that is only opened and
-/// read never has one) and the call returns; the caller computes while
-/// the disk works. The writer issues the same system calls in the same
-/// order a synchronous store would, so every state a crash can leave is
-/// one a crash of the synchronous store could leave too:
+/// Appends and switches go to a FIFO WAL writer, snapshots to a
+/// snapshot writer of their own (each thread spawned by the first write
+/// it takes; a store that is only opened and read has neither), and
+/// the call returns; the caller computes while the disk works. The WAL
+/// never waits behind a snapshot's fsync chain:
 ///
 /// ```text
-/// caller  append_wal ─┐  (computes)  ┌ sync_wal   write_snapshot, reset_wal ─┐  (computes) …
-///         frames      │              │ waits, if   copies the blob            │
-/// writer              └ write, fsync ┘ at all                                 └ crc, tmp, fsync, rename,
-///                                                                               dir fsync, truncate, fsync
+/// caller    append ─┐ (computes) ┌ sync_wal   hand over the blob, reset_wal ─┐   append ─┐ (computes) ┌ sync_wal
+///                   │            │ waits, if                                  │           │            │
+/// WAL               └ write, ────┘ at all                       switch ───────┘ header + write, fdatasync┘
+///                     fdatasync                                   (seal the old segment)
+/// snapshot                                          crc, tmp, fsync, rename, dir fsync, empty the old segment
 /// ```
 ///
-/// Appended records are `sync_data`ed as soon as the queue runs dry,
-/// [`Storage::sync_wal`] is the barrier that returns once everything
-/// handed over is on disk, and reads are barriers too. The first write
-/// that fails is reported by the next barrier and by every call after
-/// it; the writes queued behind it are dropped, not attempted. Dropping
-/// the store drains the queue and joins the writer.
+/// A segment is emptied, or reused, only once a snapshot that covers
+/// every record in it is durable: the snapshot writer empties it right
+/// after the rename is durable, and a switch back to a segment that is
+/// not yet empty waits for that. The segment kept until then holds
+/// every record the pending snapshot would cover, so a crash at any
+/// point leaves either the new snapshot, or the old one and both
+/// segments: recovery reads the segments in generation order. A
+/// segment left by a crash with records of unknown coverage waits for
+/// the first snapshot handed over after [`DirStorage::open`].
+///
+/// At most one snapshot is in flight: a snapshot handed over while the
+/// previous one is still being written waits for it (the next switch
+/// would wait for it anyway, since the segment it frees is the one the
+/// switch needs). Its buffer comes back from
+/// [`Storage::take_snapshot_buffer`], and
+/// [`Storage::hand_over_snapshot`] takes the next one without a copy:
+/// a caller that uses both holds one snapshot-sized buffer, and
+/// [`Storage::write_snapshot`] copies into that same buffer.
+///
+/// Appended records are `sync_data`ed as soon as the WAL queue runs
+/// dry. [`Storage::sync_wal`] returns once every record handed over is
+/// on disk — and a snapshot too, when nothing was appended after it
+/// (a drain); reads wait for both threads. The first write that fails
+/// is reported by the first barrier after it and by every call after
+/// that; the writes queued behind it are dropped, not attempted, and no
+/// segment is emptied after it. Dropping the store drains both threads
+/// and joins them. Neither thread allocates: the buffers go back to the
+/// caller, and the snapshot's paths are joined at `open`.
 #[derive(Debug)]
 pub struct DirStorage {
-    dir: PathBuf,
-    /// Shared with the writer thread, which does all the writing; this
-    /// handle reads and repairs, and only behind a barrier.
-    wal: Arc<File>,
-    writer: Option<Writer>,
-    /// Writes handed to the writer so far.
+    shared: Arc<Shared>,
+    wal_writer: Option<JoinHandle<()>>,
+    snapshot_writer: Option<JoinHandle<()>>,
+    /// WAL jobs (appends and switches) handed over so far.
     submitted: u64,
+    /// Snapshots handed over so far; the first is number 1.
+    snapshots: u64,
+    /// Whether a record was handed over after the last snapshot (or
+    /// since `open`, before any).
+    appended_since_snapshot: bool,
+    /// The segment records go to once the WAL writer has taken every
+    /// job handed over. The caller decides every switch, so it knows.
+    active: usize,
+    /// Per segment: the number of the snapshot that must be durable
+    /// before it is reused, 0 once nothing has to be.
+    covered_by: [u64; 2],
+    /// The active segment's generation at `open`, where the WAL writer
+    /// starts counting.
+    open_generation: u64,
 }
 
-/// A write handed to the writer thread.
+/// A write handed to the WAL writer.
 #[derive(Debug)]
-enum Job {
+enum WalJob {
     /// One framed record, and when it was handed over.
     Append(Vec<u8>, Instant),
-    /// An owned copy of a snapshot blob, unsealed.
-    Snapshot(Vec<u8>),
-    Reset,
+    /// Seal the active segment — it may be emptied once snapshot
+    /// number `.0` is durable — and go on in the other one.
+    Switch(u64),
 }
 
+/// What the caller and both writer threads share.
 #[derive(Debug)]
-struct Writer {
-    shared: Arc<WriterShared>,
-    thread: JoinHandle<()>,
-}
-
-#[derive(Debug, Default)]
-struct WriterShared {
-    state: Mutex<WriterState>,
-    /// Signalled when a job is queued or the store is closed.
-    work: Condvar,
-    /// Signalled when `WriterState::durable` advances.
+struct Shared {
+    segments: [File; 2],
+    /// The data directory and its two snapshot names, joined once.
+    dir: PathBuf,
+    tmp: PathBuf,
+    live: PathBuf,
+    state: Mutex<State>,
+    /// Signalled for the WAL writer: a job is queued, a segment was
+    /// emptied, the store is closed, or a write failed.
+    wal_work: Condvar,
+    /// Signalled for the snapshot writer: a snapshot is queued, a
+    /// segment was sealed, the WAL writer exited, or a write failed.
+    snapshot_work: Condvar,
+    /// Signalled for callers: either thread made progress.
     progress: Condvar,
 }
 
 #[derive(Debug, Default)]
-struct WriterState {
-    queue: VecDeque<Job>,
-    /// How many of the jobs handed over are on disk (or, after a
-    /// failure, dropped).
-    durable: u64,
+struct State {
+    queue: VecDeque<WalJob>,
+    /// How many WAL jobs are on disk (or, after a failure, dropped).
+    wal_done: u64,
+    /// The snapshot handed over and not yet taken by its writer.
+    snapshot: Option<Vec<u8>>,
+    /// Snapshots written, or dropped after a failure.
+    snapshots_done: u64,
+    /// Snapshots written and durable.
+    snapshots_durable: u64,
+    /// Per segment, once the WAL writer has switched away from it: the
+    /// snapshot that covers it. Emptied and `None` once that snapshot
+    /// is durable.
+    sealed: [Option<u64>; 2],
     /// The first failure; everything after it is dropped unattempted.
     failed: Option<StorageError>,
     closed: bool,
+    wal_running: bool,
+    snapshot_running: bool,
     /// Hand-off → durable of the oldest record the last fsync covered.
     inflight_ns: Option<u64>,
     /// Buffers on their way back to the caller: frames up to
-    /// [`FRAME_KEEP`], and the one snapshot copy.
+    /// [`FRAME_KEEP`], and the last snapshot's.
     spare_frames: Vec<Vec<u8>>,
     spare_blob: Vec<u8>,
-    /// Test hook: the writer exits, abandoning its queue, once it has
-    /// taken this many jobs — a process killed at that queue position.
     #[cfg(test)]
-    die_after: Option<u64>,
+    hooks: Hooks,
 }
 
-impl WriterShared {
-    fn lock(&self) -> MutexGuard<'_, WriterState> {
-        // Every update under this lock is a single field store or a
-        // queue push/pop, so the state is valid even if a holder
+/// Test hooks: a writer thread killed at a position (the process dies
+/// there), and the snapshot writer held between two steps.
+#[cfg(test)]
+#[derive(Debug, Default)]
+struct Hooks {
+    /// The WAL writer exits, abandoning its queue, once it has taken
+    /// this many jobs.
+    wal_dies_after: Option<u64>,
+    /// Records the WAL writer has written.
+    appended: u64,
+    /// Steps the snapshot writer has completed: a snapshot's temp file
+    /// written, the snapshot renamed into place, a segment emptied.
+    snapshot_steps: u64,
+    /// The snapshot writer exits once it has completed this many steps.
+    snapshot_dies_after: Option<u64>,
+    /// The snapshot writer waits once it has completed this many steps.
+    snapshot_held_after: Option<u64>,
+}
+
+impl Shared {
+    fn lock(&self) -> MutexGuard<'_, State> {
+        // Nothing under this lock can panic between two stores that
+        // belong together, so the state is valid even if a holder
         // panicked.
         self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn wait<'a>(&self, cv: &Condvar, state: MutexGuard<'a, State>) -> MutexGuard<'a, State> {
+        cv.wait(state).unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Keeps the first failure and wakes everyone: both writers drop
+    /// their work, callers hear of it.
+    fn fail(&self, state: &mut State, e: StorageError) {
+        state.failed.get_or_insert(e);
+        self.notify_all();
+    }
+
+    fn notify_all(&self) {
+        self.wal_work.notify_all();
+        self.snapshot_work.notify_all();
+        self.progress.notify_all();
+    }
+}
+
+impl State {
+    /// A sealed segment whose covering snapshot is durable.
+    fn coverable(&self) -> Option<usize> {
+        (0..2).find(|&i| matches!(self.sealed[i], Some(n) if n <= self.snapshots_durable))
     }
 }
 
@@ -414,9 +550,9 @@ fn io_err(op: &'static str) -> impl FnOnce(std::io::Error) -> StorageError {
     move |source| StorageError::Io { op, source }
 }
 
-/// Opens the WAL for read + append, creating it if absent; the flag
-/// says whether this call created it (its directory entry is then not
-/// yet durable).
+/// Opens a WAL segment for read + append, creating it if absent; the
+/// flag says whether this call created it (its directory entry is then
+/// not yet durable).
 fn open_or_create_wal(path: &Path) -> Result<(File, bool), StorageError> {
     let mut options = OpenOptions::new();
     options.read(true).append(true);
@@ -430,187 +566,444 @@ fn open_or_create_wal(path: &Path) -> Result<(File, bool), StorageError> {
     }
 }
 
-/// Best-effort directory fsync so renames/creates are durable.
+/// Directory fsync, so renames and creates are durable.
 fn sync_dir(dir: &Path) -> Result<(), StorageError> {
     File::open(dir)
         .and_then(|d| d.sync_all())
         .map_err(io_err("sync data dir"))
 }
 
-/// The writer thread's half of [`Storage::write_snapshot`].
-fn replace_snapshot(dir: &Path, blob: &[u8]) -> Result<(), StorageError> {
+/// Reads a whole segment from its start.
+fn read_segment(mut file: &File) -> Result<Vec<u8>, StorageError> {
+    let mut bytes = Vec::new();
+    file.seek(SeekFrom::Start(0)).map_err(io_err("wal seek"))?;
+    file.read_to_end(&mut bytes).map_err(io_err("wal read"))?;
+    Ok(bytes)
+}
+
+/// What the first bytes of a segment just opened (so read from its
+/// start) say about it.
+fn segment_start(mut file: &File) -> Result<wal::SegmentStart, StorageError> {
+    let mut head = [0u8; wal::SEGMENT_HEADER_LEN];
+    let mut len = 0;
+    while len < head.len() {
+        match file.read(&mut head[len..]).map_err(io_err("wal read"))? {
+            0 => break,
+            n => len += n,
+        }
+    }
+    Ok(wal::SegmentStart::of(&head[..len]))
+}
+
+/// Empties a segment whose records a durable snapshot covers.
+fn empty_segment(file: &File) -> Result<(), StorageError> {
+    file.set_len(0).map_err(io_err("wal truncate"))?;
+    file.sync_data().map_err(io_err("wal fsync"))
+}
+
+/// The snapshot writer's first half: the sealed blob, durable under
+/// the temp name.
+fn write_snapshot_tmp(shared: &Shared, blob: &[u8]) -> Result<(), StorageError> {
     let header = wal::frame_header(blob.len(), wal::crc32(blob))?;
-    let tmp = dir.join(SNAPSHOT_TMP);
-    let live = dir.join(SNAPSHOT_FILE);
-    let mut f = File::create(&tmp).map_err(io_err("snapshot create"))?;
+    let mut f = File::create(&shared.tmp).map_err(io_err("snapshot create"))?;
     f.write_all(&header).map_err(io_err("snapshot write"))?;
     f.write_all(blob).map_err(io_err("snapshot write"))?;
-    f.sync_all().map_err(io_err("snapshot fsync"))?;
-    drop(f);
-    std::fs::rename(&tmp, &live).map_err(io_err("snapshot rename"))?;
-    sync_dir(dir)
+    f.sync_all().map_err(io_err("snapshot fsync"))
 }
 
-/// The writer thread's half of [`Storage::reset_wal`].
-fn truncate_wal(mut wal: &File) -> Result<(), StorageError> {
-    wal.set_len(0).map_err(io_err("wal truncate"))?;
-    wal.seek(SeekFrom::Start(0)).map_err(io_err("wal seek"))?;
-    wal.sync_data().map_err(io_err("wal fsync"))
+/// The snapshot writer's second half: the temp file renamed into
+/// place, durably.
+fn publish_snapshot(shared: &Shared) -> Result<(), StorageError> {
+    std::fs::rename(&shared.tmp, &shared.live).map_err(io_err("snapshot rename"))?;
+    sync_dir(&shared.dir)
 }
 
-/// The writer thread: takes jobs in order, fsyncs appended records when
+/// The WAL writer: takes jobs in order, fsyncs appended records when
 /// the queue runs dry, and publishes how far the disk has got. Returns
 /// once the store is closed and the queue is empty.
-fn writer_main(shared: &WriterShared, dir: &Path, wal: &File) {
-    // Jobs taken off the queue, and the hand-off time of the oldest
-    // appended record no fsync has covered yet.
+fn wal_main(shared: &Shared, mut active: usize, mut generation: u64) {
+    // Jobs taken off the queue, the hand-off time of the oldest
+    // appended record no fsync has covered yet, and whether the next
+    // append opens a segment and writes its header first.
     let mut taken = 0u64;
     let mut unsynced: Option<Instant> = None;
+    let mut header_due = false;
     let mut state = shared.lock();
-    loop {
+    'jobs: loop {
         #[cfg(test)]
-        if state.die_after == Some(taken) {
-            return;
+        if state.hooks.wal_dies_after == Some(taken) {
+            break;
         }
         if let Some(job) = state.queue.pop_front() {
             let skip = state.failed.is_some();
             drop(state);
             taken += 1;
+            let mut file = &shared.segments[active];
             let result = match &job {
                 _ if skip => Ok(()),
-                Job::Append(frame, handed_over) => {
+                WalJob::Append(frame, handed_over) => {
                     unsynced.get_or_insert(*handed_over);
-                    let mut file = wal;
-                    file.write_all(frame).map_err(io_err("wal append"))
+                    let opened = if header_due {
+                        file.write_all(&wal::segment_header(generation))
+                    } else {
+                        Ok(())
+                    };
+                    opened
+                        .and_then(|()| file.write_all(frame))
+                        .map_err(io_err("wal append"))
+                        .map(|()| header_due = false)
                 }
-                Job::Snapshot(blob) => replace_snapshot(dir, blob),
-                Job::Reset => truncate_wal(wal).map(|()| {
-                    // Its own fsync covered the file, now empty.
-                    unsynced = None;
-                }),
+                // Every record in the old segment is durable before any
+                // in the new one is: recovery finds no gap between them.
+                WalJob::Switch(_) => match unsynced.take() {
+                    Some(_) => file.sync_data().map_err(io_err("wal fsync")),
+                    None => Ok(()),
+                },
             };
             state = shared.lock();
             match job {
-                Job::Append(frame, _) if frame.capacity() <= FRAME_KEEP => {
-                    state.spare_frames.push(frame);
+                WalJob::Append(frame, _) => {
+                    #[cfg(test)]
+                    {
+                        state.hooks.appended += u64::from(result.is_ok() && !skip);
+                    }
+                    if frame.capacity() <= FRAME_KEEP {
+                        state.spare_frames.push(frame);
+                    }
                 }
-                Job::Snapshot(blob) => state.spare_blob = blob,
-                _ => {}
+                WalJob::Switch(covered_by) if result.is_ok() && state.failed.is_none() => {
+                    state.sealed[active] = Some(covered_by);
+                    shared.snapshot_work.notify_one();
+                    let next = 1 - active;
+                    // Reuse waits for coverage: the snapshot writer
+                    // empties the segment once its snapshot is durable.
+                    while state.sealed[next].is_some() && state.failed.is_none() {
+                        if !state.snapshot_running {
+                            // Only a killed snapshot writer leaves a
+                            // switch nobody will free: the process died.
+                            break 'jobs;
+                        }
+                        state = shared.wait(&shared.wal_work, state);
+                    }
+                    if state.failed.is_none() {
+                        active = next;
+                        generation += 1;
+                        header_due = true;
+                    }
+                }
+                WalJob::Switch(_) => {}
             }
             if let Err(e) = result {
-                state.failed.get_or_insert(e);
+                shared.fail(&mut state, e);
             }
         } else if let (Some(handed_over), None) = (unsynced, &state.failed) {
             drop(state);
-            let synced = wal.sync_data().map_err(io_err("wal fsync"));
+            let synced = shared.segments[active]
+                .sync_data()
+                .map_err(io_err("wal fsync"));
             unsynced = None;
             state = shared.lock();
             match synced {
                 Ok(()) => state.inflight_ns = Some(handed_over.elapsed().as_nanos() as u64),
-                Err(e) => state.failed = Some(e),
+                Err(e) => shared.fail(&mut state, e),
             }
         } else {
-            state.durable = taken;
+            state.wal_done = taken;
             shared.progress.notify_all();
             if state.closed {
-                return;
+                break;
             }
-            state = shared.work.wait(state).unwrap_or_else(|e| e.into_inner());
+            state = shared.wait(&shared.wal_work, state);
         }
     }
+    state.wal_running = false;
+    shared.notify_all();
+}
+
+/// The snapshot writer: empties a sealed segment as soon as its
+/// snapshot is durable, otherwise writes the snapshot handed over.
+/// Returns once the store is closed, the WAL writer gone and nothing
+/// is left to do.
+fn snapshot_main(shared: &Shared) {
+    let mut state = shared.lock();
+    loop {
+        #[cfg(test)]
+        if state.hooks.snapshot_dies_after == Some(state.hooks.snapshot_steps) {
+            break;
+        }
+        if state.failed.is_some() {
+            if let Some(blob) = state.snapshot.take() {
+                state.spare_blob = blob;
+                state.snapshots_done += 1;
+                shared.progress.notify_all();
+            }
+        } else if let Some(i) = state.coverable() {
+            drop(state);
+            let emptied = empty_segment(&shared.segments[i]);
+            state = shared.lock();
+            match emptied {
+                Ok(()) => {
+                    state.sealed[i] = None;
+                    #[cfg(test)]
+                    {
+                        state.hooks.snapshot_steps += 1;
+                    }
+                    shared.wal_work.notify_all();
+                    shared.progress.notify_all();
+                }
+                Err(e) => shared.fail(&mut state, e),
+            }
+            continue;
+        } else if let Some(blob) = state.snapshot.take() {
+            drop(state);
+            let written = write_snapshot_tmp(shared, &blob);
+            #[cfg(test)]
+            if written.is_ok() && !snapshot_step(shared) {
+                state = shared.lock();
+                break;
+            }
+            let result = written.and_then(|()| publish_snapshot(shared));
+            state = shared.lock();
+            state.spare_blob = blob;
+            state.snapshots_done += 1;
+            match result {
+                Ok(()) => {
+                    state.snapshots_durable += 1;
+                    #[cfg(test)]
+                    {
+                        state.hooks.snapshot_steps += 1;
+                    }
+                    shared.progress.notify_all();
+                }
+                Err(e) => shared.fail(&mut state, e),
+            }
+            continue;
+        }
+        if state.closed && !state.wal_running {
+            break;
+        }
+        state = shared.wait(&shared.snapshot_work, state);
+    }
+    state.snapshot_running = false;
+    shared.notify_all();
+}
+
+/// Counts the step the snapshot writer just completed, waits while it
+/// is held there, and says whether it lives on.
+#[cfg(test)]
+fn snapshot_step(shared: &Shared) -> bool {
+    let mut state = shared.lock();
+    state.hooks.snapshot_steps += 1;
+    shared.progress.notify_all();
+    while state.hooks.snapshot_held_after == Some(state.hooks.snapshot_steps) {
+        state = shared.wait(&shared.snapshot_work, state);
+    }
+    state.hooks.snapshot_dies_after != Some(state.hooks.snapshot_steps)
+}
+
+/// What a barrier waits for besides the WAL writer's queue.
+#[derive(Clone, Copy, PartialEq)]
+enum Barrier {
+    /// The appended records only.
+    Wal,
+    /// The last snapshot too.
+    Snapshot,
+    /// Both threads idle: no snapshot in flight, no covered segment
+    /// left to empty.
+    Idle,
 }
 
 impl DirStorage {
     /// Opens (creating if needed) the data directory at `dir`. A WAL
-    /// file this call had to create gets its directory entry fsynced
+    /// segment this call had to create gets its directory entry fsynced
     /// before anything is appended — otherwise the first epochs' records
-    /// could be fsynced into a file a power loss then unlinks.
+    /// could be fsynced into a file a power loss then unlinks. Records go
+    /// on into the segment of the newest generation; a segment whose
+    /// header a crash tore holds no record and is emptied here.
     ///
     /// # Errors
     ///
-    /// [`StorageError::Io`] if the directory or WAL file cannot be
-    /// created/opened.
+    /// [`StorageError::Io`] if the directory or a WAL segment cannot be
+    /// created, opened or read.
     pub fn open<P: AsRef<Path>>(dir: P) -> Result<Self, StorageError> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir).map_err(io_err("create data dir"))?;
-        let (wal, created) = open_or_create_wal(&dir.join(WAL_FILE))?;
-        if created {
+        let (first, created_first) = open_or_create_wal(&dir.join(WAL_SEGMENTS[0]))?;
+        let (second, created_second) = open_or_create_wal(&dir.join(WAL_SEGMENTS[1]))?;
+        if created_first || created_second {
             sync_dir(&dir)?;
         }
-        Ok(DirStorage {
+        let segments = [first, second];
+        let mut generations = [None; 2];
+        for (generation, file) in generations.iter_mut().zip(&segments) {
+            let start = segment_start(file)?;
+            if start == wal::SegmentStart::Torn {
+                empty_segment(file)?;
+            }
+            *generation = start.generation();
+        }
+        // The newest segment takes the records; an older one that still
+        // holds some waits for the first snapshot handed over from now.
+        let (active, generation, older) = match generations {
+            [Some(a), Some(b)] if b > a => (1, b, true),
+            [Some(a), Some(_)] => (0, a, true),
+            [None, Some(b)] => (1, b, false),
+            [Some(a), None] => (0, a, false),
+            [None, None] => (0, 0, false),
+        };
+        let mut covered_by = [0; 2];
+        let mut sealed = [None; 2];
+        if older {
+            covered_by[1 - active] = 1;
+            sealed[1 - active] = Some(1);
+        }
+        let shared = Arc::new(Shared {
+            segments,
+            tmp: dir.join(SNAPSHOT_TMP),
+            live: dir.join(SNAPSHOT_FILE),
             dir,
-            wal: Arc::new(wal),
-            writer: None,
+            state: Mutex::new(State {
+                sealed,
+                ..State::default()
+            }),
+            wal_work: Condvar::new(),
+            snapshot_work: Condvar::new(),
+            progress: Condvar::new(),
+        });
+        Ok(DirStorage {
+            shared,
+            wal_writer: None,
+            snapshot_writer: None,
             submitted: 0,
+            snapshots: 0,
+            appended_since_snapshot: true,
+            active,
+            covered_by,
+            open_generation: generation,
         })
     }
 
     /// The data directory this store writes into.
     pub fn dir(&self) -> &Path {
-        &self.dir
+        &self.shared.dir
     }
 
-    /// The writer's shared state, spawning the thread on first use.
-    fn writer(&mut self) -> Result<&Arc<WriterShared>, StorageError> {
-        if self.writer.is_none() {
-            let shared = Arc::new(WriterShared::default());
-            let (for_thread, dir, wal) = (shared.clone(), self.dir.clone(), self.wal.clone());
-            let thread = std::thread::Builder::new()
-                .name("rekey-storage-writer".into())
-                .spawn(move || writer_main(&for_thread, &dir, &wal))
-                .map_err(io_err("spawn storage writer"))?;
-            self.writer = Some(Writer { shared, thread });
-        }
-        Ok(&self.writer.as_ref().expect("just spawned").shared)
-    }
-
-    /// The writer's state, for taking a handed-back buffer before a
-    /// write is built. Refused once a write has failed.
-    fn writer_state(&mut self) -> Result<MutexGuard<'_, WriterState>, StorageError> {
-        let state = self.writer()?.lock();
+    /// The shared state, refused once a write has failed.
+    fn state(&self) -> Result<MutexGuard<'_, State>, StorageError> {
+        let state = self.shared.lock();
         match &state.failed {
             Some(e) => Err(e.replica()),
             None => Ok(state),
         }
     }
 
-    /// Queues `job` behind everything handed over so far.
-    fn submit(&mut self, job: Job) -> Result<(), StorageError> {
-        let shared = self.writer()?;
-        shared.lock().queue.push_back(job);
-        shared.work.notify_one();
+    /// Spawns a writer thread running `main`, its `running` flag raised
+    /// first (and lowered again if the spawn fails).
+    fn spawn_writer(
+        &self,
+        name: &str,
+        running: fn(&mut State) -> &mut bool,
+        main: impl FnOnce(&Shared) + Send + 'static,
+    ) -> Result<JoinHandle<()>, StorageError> {
+        *running(&mut self.shared.lock()) = true;
+        let shared = self.shared.clone();
+        std::thread::Builder::new()
+            .name(name.into())
+            .spawn(move || main(&shared))
+            .map_err(|e| {
+                *running(&mut self.shared.lock()) = false;
+                io_err("spawn storage writer")(e)
+            })
+    }
+
+    /// Spawns the WAL writer on first use.
+    fn spawn_wal_writer(&mut self) -> Result<(), StorageError> {
+        if self.wal_writer.is_none() {
+            let (active, generation) = (self.active, self.open_generation);
+            let main = move |shared: &Shared| wal_main(shared, active, generation);
+            let thread = self.spawn_writer("rekey-storage-wal", |s| &mut s.wal_running, main)?;
+            self.wal_writer = Some(thread);
+        }
+        Ok(())
+    }
+
+    /// Spawns the snapshot writer on first use.
+    fn spawn_snapshot_writer(&mut self) -> Result<(), StorageError> {
+        if self.snapshot_writer.is_none() {
+            let thread = self.spawn_writer(
+                "rekey-storage-snapshot",
+                |s| &mut s.snapshot_running,
+                snapshot_main,
+            )?;
+            self.snapshot_writer = Some(thread);
+        }
+        Ok(())
+    }
+
+    /// The shared state once the previous snapshot is written — at most
+    /// one is in flight — spawning the snapshot writer on first use;
+    /// refused once a write has failed.
+    fn previous_snapshot(&mut self) -> Result<MutexGuard<'_, State>, StorageError> {
+        self.spawn_snapshot_writer()?;
+        let mut state = self.shared.lock();
+        while state.snapshots_done < self.snapshots
+            && state.failed.is_none()
+            && state.snapshot_running
+        {
+            state = self.shared.wait(&self.shared.progress, state);
+        }
+        match &state.failed {
+            Some(e) => Err(e.replica()),
+            None => Ok(state),
+        }
+    }
+
+    /// Queues `job` behind everything handed to the WAL writer so far.
+    fn submit(&mut self, job: WalJob) -> Result<(), StorageError> {
+        self.spawn_wal_writer()?;
+        self.shared.lock().queue.push_back(job);
+        self.shared.wal_work.notify_one();
         self.submitted += 1;
         Ok(())
     }
 
-    /// Returns once every write handed over so far is on disk; reports
-    /// the failure, from then on, if one of them was not. Without a
-    /// writer there is nothing in flight.
-    fn barrier(&self) -> Result<(), StorageError> {
-        let Some(writer) = &self.writer else {
-            return Ok(());
-        };
-        let mut state = writer.shared.lock();
-        while state.durable < self.submitted {
-            state = writer
-                .shared
-                .progress
-                .wait(state)
-                .unwrap_or_else(|e| e.into_inner());
+    /// Returns once every WAL job handed over so far is on disk, and
+    /// whatever else `until` names; reports the failure, from then on,
+    /// if one of them was not. A thread that is gone has nothing in
+    /// flight.
+    fn barrier(&self, until: Barrier) -> Result<(), StorageError> {
+        let mut state = self.shared.lock();
+        loop {
+            let wal = state.wal_done >= self.submitted || !state.wal_running;
+            let snapshot = until == Barrier::Wal
+                || state.snapshots_done >= self.snapshots
+                || !state.snapshot_running;
+            let idle = until != Barrier::Idle
+                || state.failed.is_some()
+                || state.coverable().is_none()
+                || !state.snapshot_running;
+            if wal && snapshot && idle {
+                break;
+            }
+            state = self.shared.wait(&self.shared.progress, state);
         }
         state.failed.as_ref().map_or(Ok(()), |e| Err(e.replica()))
     }
 }
 
 impl Drop for DirStorage {
-    /// Drains the queue — a drained daemon's last snapshot is on disk
-    /// when its store goes away — and joins the writer. A failure among
-    /// the drained writes has nowhere to go from here: a caller that
-    /// needs to know ends with [`Storage::sync_wal`].
+    /// Drains both threads — a drained daemon's last snapshot is on
+    /// disk, and the segment it covers empty, when its store goes away —
+    /// and joins them. A failure among the drained writes has nowhere to
+    /// go from here: a caller that needs to know ends with
+    /// [`Storage::sync_wal`].
     fn drop(&mut self) {
-        if let Some(Writer { shared, thread }) = self.writer.take() {
-            shared.lock().closed = true;
-            shared.work.notify_one();
+        self.shared.lock().closed = true;
+        self.shared.notify_all();
+        for thread in [self.wal_writer.take(), self.snapshot_writer.take()]
+            .into_iter()
+            .flatten()
+        {
             let _ = thread.join();
         }
     }
@@ -618,62 +1011,99 @@ impl Drop for DirStorage {
 
 impl Storage for DirStorage {
     fn append_wal(&mut self, record: &[u8]) -> Result<(), StorageError> {
-        let mut frame = self.writer_state()?.spare_frames.pop().unwrap_or_default();
+        let mut frame = self.state()?.spare_frames.pop().unwrap_or_default();
         frame.clear();
         wal::frame_record(record, &mut frame)?;
-        self.submit(Job::Append(frame, Instant::now()))
+        self.submit(WalJob::Append(frame, Instant::now()))?;
+        self.appended_since_snapshot = true;
+        Ok(())
     }
 
     fn sync_wal(&mut self) -> Result<(), StorageError> {
-        self.barrier()
+        self.barrier(if self.appended_since_snapshot {
+            Barrier::Wal
+        } else {
+            Barrier::Snapshot
+        })
     }
 
     fn wal_inflight_ns(&mut self) -> Option<u64> {
-        self.writer.as_ref()?.shared.lock().inflight_ns.take()
+        self.shared.lock().inflight_ns.take()
     }
 
     fn read_wal(&mut self) -> Result<WalReplay, StorageError> {
-        self.barrier()?;
-        let mut wal = &*self.wal;
-        let mut bytes = Vec::new();
-        wal.seek(SeekFrom::Start(0)).map_err(io_err("wal seek"))?;
-        wal.read_to_end(&mut bytes).map_err(io_err("wal read"))?;
-        let (records, valid_len) = wal::parse_records(&bytes);
-        let dropped = bytes.len() - valid_len;
-        if dropped > 0 {
-            // Repair: discard the torn tail so new appends follow the
-            // last valid record instead of hiding behind garbage.
-            wal.set_len(valid_len as u64)
-                .map_err(io_err("wal repair truncate"))?;
-            wal.sync_data().map_err(io_err("wal fsync"))?;
+        self.barrier(Barrier::Idle)?;
+        // The other segment is older, or free and so empty: its records
+        // come first.
+        let mut records = Vec::new();
+        let mut dropped_bytes = 0;
+        let other = 1 - self.active;
+        for i in [other, self.active] {
+            if i == other && self.covered_by[other] == 0 {
+                continue;
+            }
+            let file = &self.shared.segments[i];
+            let bytes = read_segment(file)?;
+            let start = wal::SegmentStart::of(&bytes).records_at().min(bytes.len());
+            let (mut segment, valid) = wal::parse_records(&bytes[start..]);
+            records.append(&mut segment);
+            let dropped = bytes.len() - start - valid;
+            dropped_bytes += dropped;
+            if dropped > 0 && i == self.active {
+                // Repair: discard the torn tail so new appends follow the
+                // last valid record instead of hiding behind garbage.
+                file.set_len((start + valid) as u64)
+                    .map_err(io_err("wal repair truncate"))?;
+                file.sync_data().map_err(io_err("wal fsync"))?;
+            }
         }
-        wal.seek(SeekFrom::End(0)).map_err(io_err("wal seek"))?;
         Ok(WalReplay {
             records,
-            dropped_bytes: dropped,
+            dropped_bytes,
         })
     }
 
     fn reset_wal(&mut self) -> Result<(), StorageError> {
         // Refused, like every write, once one has failed.
-        drop(self.writer_state()?);
-        self.submit(Job::Reset)
+        drop(self.state()?);
+        let other = 1 - self.active;
+        if self.covered_by[other] > self.snapshots {
+            // No snapshot handed over covers the other segment yet: the
+            // records go on here, and a later snapshot covers both.
+            return Ok(());
+        }
+        let covered_by = self.snapshots + u64::from(self.appended_since_snapshot);
+        self.covered_by[self.active] = covered_by;
+        self.covered_by[other] = 0;
+        self.active = other;
+        self.submit(WalJob::Switch(covered_by))
     }
 
     fn write_snapshot(&mut self, blob: &[u8]) -> Result<(), StorageError> {
+        let mut copy = self.take_snapshot_buffer()?;
+        copy.clear();
+        copy.extend_from_slice(blob);
+        self.hand_over_snapshot(copy)
+    }
+
+    fn take_snapshot_buffer(&mut self) -> Result<Vec<u8>, StorageError> {
+        Ok(std::mem::take(&mut self.previous_snapshot()?.spare_blob))
+    }
+
+    fn hand_over_snapshot(&mut self, blob: Vec<u8>) -> Result<(), StorageError> {
         // The length check is the caller's to hear about now; the CRC is
         // the writer's to compute.
         wal::frame_header(blob.len(), 0)?;
-        let mut copy = std::mem::take(&mut self.writer_state()?.spare_blob);
-        copy.clear();
-        copy.extend_from_slice(blob);
-        self.submit(Job::Snapshot(copy))
+        self.previous_snapshot()?.snapshot = Some(blob);
+        self.shared.snapshot_work.notify_one();
+        self.snapshots += 1;
+        self.appended_since_snapshot = false;
+        Ok(())
     }
 
     fn load_snapshot(&mut self) -> Result<Option<Vec<u8>>, StorageError> {
-        self.barrier()?;
-        let live = self.dir.join(SNAPSHOT_FILE);
-        let mut sealed = match std::fs::read(&live) {
+        self.barrier(Barrier::Idle)?;
+        let mut sealed = match std::fs::read(&self.shared.live) {
             Ok(bytes) => bytes,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
             Err(e) => {
@@ -988,13 +1418,40 @@ mod tests {
         dir
     }
 
+    /// A snapshot blob standing for the state at `epoch`.
+    fn snapshot_at(epoch: u8) -> Vec<u8> {
+        vec![0xEE, epoch]
+    }
+
+    /// What a store recovers to: the snapshot's epoch, then each record
+    /// past it in order — one-byte records carrying their epoch. A gap
+    /// is a lost record.
+    fn recovered_epoch(storage: &mut DirStorage, context: &str) -> u8 {
+        let snapshot = storage.load_snapshot().unwrap().expect("a snapshot");
+        let mut epoch = snapshot[1];
+        let wal = storage.read_wal().unwrap();
+        assert_eq!(wal.dropped_bytes, 0, "{context}");
+        for record in wal.records {
+            if record[0] <= epoch {
+                continue;
+            }
+            assert_eq!(record[0], epoch + 1, "{context}: a record is missing");
+            epoch = record[0];
+        }
+        epoch
+    }
+
     impl DirStorage {
-        /// Makes the writer exit, its queue abandoned, once it has taken
-        /// `jobs` writes: the process killed at that queue position.
-        fn kill_writer_after(&mut self, jobs: u64) {
-            let shared = self.writer().unwrap();
-            shared.lock().die_after = Some(jobs);
-            shared.work.notify_one();
+        fn hooks(&self) -> MutexGuard<'_, State> {
+            self.shared.lock()
+        }
+
+        /// Waits until the snapshot writer has completed `steps` steps.
+        fn await_snapshot_steps(&self, steps: u64) {
+            let mut state = self.shared.lock();
+            while state.hooks.snapshot_steps < steps {
+                state = self.shared.wait(&self.shared.progress, state);
+            }
         }
     }
 
@@ -1009,8 +1466,10 @@ mod tests {
         storage.append_wal(b"after-reset").unwrap();
     }
 
-    /// No barrier anywhere: dropping the store is what drains the queue
-    /// and joins the writer, and everything handed over is then on disk.
+    /// No barrier anywhere: dropping the store is what drains both
+    /// threads and joins them. Everything handed over is then on disk,
+    /// and the segment the new snapshot covers is empty, so a reopened
+    /// store has nothing left to wait for.
     #[test]
     fn drop_drains_the_queue_and_joins_the_writer() {
         let dir = temp_dir("drop");
@@ -1020,7 +1479,9 @@ mod tests {
             snapshot_cycle(&mut storage);
         }
         assert!(!dir.join(SNAPSHOT_TMP).exists());
+        assert_eq!(std::fs::metadata(dir.join(WAL_FILE)).unwrap().len(), 0);
         let mut reopened = DirStorage::open(&dir).unwrap();
+        assert_eq!(reopened.covered_by, [0, 0], "nothing waits for coverage");
         assert_eq!(
             reopened.read_wal().unwrap().records,
             vec![b"after-reset".to_vec()]
@@ -1032,65 +1493,149 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// Kill the writer at every position of the queue: what a reopened
-    /// store finds is what a store that writes inside each call leaves
-    /// when its process dies between two calls — a prefix of the calls,
-    /// never a reordering.
+    /// While the snapshot writer is held between its temp file and the
+    /// rename, the log goes on: `append_wal` + `sync_wal` return. A
+    /// crash there leaves the old snapshot and both segments non-empty,
+    /// and every record recovers.
+    #[test]
+    fn a_held_snapshot_writer_does_not_stall_the_log() {
+        let dir = temp_dir("held");
+        let mut storage = DirStorage::open(&dir).unwrap();
+        storage.write_snapshot(&snapshot_at(0)).unwrap();
+        storage.sync_wal().unwrap();
+        // Two steps done (temp file, rename); the next snapshot stops
+        // after its temp file.
+        storage.hooks().hooks.snapshot_held_after = Some(3);
+        for epoch in 1..=3 {
+            storage.append_wal(&[epoch]).unwrap();
+        }
+        storage.sync_wal().unwrap();
+        storage.write_snapshot(&snapshot_at(3)).unwrap();
+        storage.reset_wal().unwrap();
+        storage.await_snapshot_steps(3);
+
+        let shared = storage.shared.clone();
+        let (done, returned) = std::sync::mpsc::channel();
+        let caller = std::thread::spawn(move || {
+            storage.append_wal(&[4]).unwrap();
+            storage.sync_wal().unwrap();
+            let _ = done.send(());
+            storage
+        });
+        let returned = returned
+            .recv_timeout(std::time::Duration::from_secs(20))
+            .is_ok();
+        let live = std::fs::read(dir.join(SNAPSHOT_FILE)).unwrap();
+        // The process dies here: the snapshot writer where it is held,
+        // the WAL writer after its five jobs.
+        {
+            let mut state = shared.lock();
+            state.hooks.wal_dies_after = Some(5);
+            state.hooks.snapshot_dies_after = Some(3);
+            state.hooks.snapshot_held_after = None;
+            shared.notify_all();
+        }
+        drop(caller.join().unwrap());
+        assert!(
+            returned,
+            "append_wal + sync_wal waited for the held snapshot"
+        );
+        assert_eq!(wal::unseal_snapshot(&live).unwrap(), snapshot_at(0));
+
+        for segment in WAL_SEGMENTS {
+            assert!(std::fs::metadata(dir.join(segment)).unwrap().len() > 0);
+        }
+        let mut reopened = DirStorage::open(&dir).unwrap();
+        assert_eq!(reopened.covered_by, [1, 0], "wal.log waits for coverage");
+        let wal = reopened.read_wal().unwrap();
+        assert_eq!(wal.records, vec![vec![1], vec![2], vec![3], vec![4]]);
+        assert_eq!(reopened.load_snapshot().unwrap(), Some(snapshot_at(0)));
+        drop(reopened);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Kill either writer thread, or both, at every position: what a
+    /// reopened store finds is a prefix of the calls — the newest durable
+    /// snapshot and every record written past it, never a gap — so no
+    /// segment was reused before the snapshot covering it was durable.
+    /// Two cycles, so the second switch reuses the first segment.
     #[test]
     fn a_writer_killed_at_any_queue_position_leaves_a_prefix_of_the_calls() {
-        let rs = records(3);
-        for taken in 0..=6u64 {
-            let dir = temp_dir(&format!("kill-{taken}"));
-            {
-                let mut storage = DirStorage::open(&dir).unwrap();
-                storage.write_snapshot(b"old snapshot").unwrap();
-                storage.sync_wal().unwrap();
-                // One write is done; the writer dies `taken` into the
-                // cycle, and the drop below joins it.
-                storage.kill_writer_after(1 + taken);
-                snapshot_cycle(&mut storage);
+        // Jobs: 3 appends, switch, 3 appends, switch, 1 append. Steps
+        // per snapshot: temp file, rename, the covered segment emptied.
+        for wal_jobs in 0..=9u64 {
+            for snapshot_steps in 0..=6u64 {
+                let context = format!(
+                    "WAL writer killed after {wal_jobs}, snapshot writer after {snapshot_steps}"
+                );
+                let dir = temp_dir(&format!("kill-{wal_jobs}-{snapshot_steps}"));
+                let shared = {
+                    let mut storage = DirStorage::open(&dir).unwrap();
+                    storage.write_snapshot(&snapshot_at(0)).unwrap();
+                    storage.sync_wal().unwrap();
+                    {
+                        let mut state = storage.hooks();
+                        state.hooks.wal_dies_after = Some(wal_jobs);
+                        state.hooks.snapshot_dies_after = Some(2 + snapshot_steps);
+                    }
+                    for epoch in 1..=7 {
+                        storage.append_wal(&[epoch]).unwrap();
+                        if epoch % 3 == 0 {
+                            storage.write_snapshot(&snapshot_at(epoch)).unwrap();
+                            storage.reset_wal().unwrap();
+                        }
+                    }
+                    storage.shared.clone()
+                };
+                let appended = shared.lock().hooks.appended;
+                let mut reopened = DirStorage::open(&dir).unwrap();
+                let epoch = recovered_epoch(&mut reopened, &context);
+                assert!(
+                    u64::from(epoch) >= appended,
+                    "{context}: a written record lost"
+                );
+                assert!(epoch <= 7, "{context}");
+                drop(reopened);
+                std::fs::remove_dir_all(&dir).unwrap();
             }
-            let mut reopened = DirStorage::open(&dir).unwrap();
-            let wal = reopened.read_wal().unwrap();
-            assert_eq!(wal.dropped_bytes, 0, "killed after {taken}");
-            let expected_wal: Vec<Vec<u8>> = match taken {
-                0..=3 => rs[..taken as usize].to_vec(),
-                4 => rs.clone(), // snapshot replaced, log not yet reset
-                5 => Vec::new(),
-                _ => vec![b"after-reset".to_vec()],
-            };
-            assert_eq!(wal.records, expected_wal, "killed after {taken}");
-            let expected_snapshot: &[u8] = if taken >= 4 {
-                b"new snapshot"
-            } else {
-                b"old snapshot"
-            };
-            assert_eq!(
-                reopened.load_snapshot().unwrap().as_deref(),
-                Some(expected_snapshot),
-                "killed after {taken}"
-            );
-            drop(reopened);
-            std::fs::remove_dir_all(&dir).unwrap();
         }
     }
 
+    /// Until a snapshot is handed over that covers the segment a switch
+    /// would reuse, a reset keeps the log where it is: no record is lost
+    /// and nothing waits for a snapshot that may never come.
+    #[test]
+    fn a_reset_no_snapshot_covers_keeps_every_record() {
+        let dir = temp_dir("uncovered");
+        {
+            let mut storage = DirStorage::open(&dir).unwrap();
+            for record in [b"one", b"two", b"six"] {
+                storage.append_wal(record).unwrap();
+                storage.reset_wal().unwrap();
+            }
+            storage.sync_wal().unwrap();
+            let records = vec![b"one".to_vec(), b"two".to_vec(), b"six".to_vec()];
+            assert_eq!(storage.read_wal().unwrap().records, records);
+        }
+        let mut reopened = DirStorage::open(&dir).unwrap();
+        assert_eq!(reopened.read_wal().unwrap().records.len(), 3);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     /// A snapshot that fails behind the caller's back is reported by the
-    /// next barrier and by every call after it; the reset queued behind
-    /// it is dropped, so the log still holds what the snapshot would
-    /// have covered.
+    /// first barrier after the failure and by every call after it. The
+    /// segment it was meant to cover is kept, so a reopened store still
+    /// has every record.
     #[test]
     fn a_failed_background_snapshot_poisons_the_store() {
         let dir = temp_dir("poison");
         let mut storage = DirStorage::open(&dir).unwrap();
         storage.append_wal(b"covered by no snapshot").unwrap();
         storage.sync_wal().unwrap();
-        let wal_len = |storage: &DirStorage| storage.wal.metadata().unwrap().len();
-        let len_before = wal_len(&storage);
 
-        // The directory goes away under the open store: the snapshot's
-        // temp file can no longer be created.
-        std::fs::remove_dir_all(&dir).unwrap();
+        // A directory under the temp file's name: the snapshot's temp
+        // file can no longer be created.
+        std::fs::create_dir(dir.join(SNAPSHOT_TMP)).unwrap();
         let is_create_failure = |r: Result<(), StorageError>| {
             matches!(
                 r,
@@ -1101,18 +1646,36 @@ mod tests {
             )
         };
         storage.write_snapshot(b"never lands").unwrap();
-        // Queued behind the snapshot and dropped, or refused outright if
-        // the writer has failed already: never run.
-        let reset = storage.reset_wal();
-        assert!(reset.is_ok() || is_create_failure(reset));
+        // The switch needs no snapshot (the other segment is free), and
+        // the log goes on, unless the failure has come back already.
+        for result in [
+            storage.reset_wal(),
+            storage.append_wal(b"after the switch"),
+            storage.sync_wal(),
+        ] {
+            assert!(result.is_ok() || is_create_failure(result));
+        }
+        // Reads wait for the snapshot writer: the failure is back.
+        assert!(is_create_failure(storage.load_snapshot().map(drop)));
         assert!(is_create_failure(storage.sync_wal()), "the next barrier");
-        assert_eq!(wal_len(&storage), len_before, "the reset was dropped");
         assert!(is_create_failure(storage.append_wal(b"refused")));
         assert!(is_create_failure(storage.write_snapshot(b"refused")));
         assert!(is_create_failure(storage.reset_wal()));
         assert!(is_create_failure(storage.sync_wal()), "and every one after");
         assert!(is_create_failure(storage.read_wal().map(drop)));
-        assert!(is_create_failure(storage.load_snapshot().map(drop)));
+        drop(storage);
+
+        assert!(
+            std::fs::metadata(dir.join(WAL_FILE)).unwrap().len() > 0,
+            "kept"
+        );
+        let mut reopened = DirStorage::open(&dir).unwrap();
+        let records = reopened.read_wal().unwrap().records;
+        assert_eq!(records[0], b"covered by no snapshot");
+        assert!(records.len() <= 2);
+        assert_eq!(reopened.load_snapshot().unwrap(), None);
+        drop(reopened);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1122,10 +1685,11 @@ mod tests {
         storage.sync_wal().unwrap();
         assert_eq!(storage.read_wal().unwrap().records.len(), 0);
         assert_eq!(storage.load_snapshot().unwrap(), None);
-        assert!(storage.writer.is_none());
+        assert!(storage.wal_writer.is_none() && storage.snapshot_writer.is_none());
         assert_eq!(storage.wal_inflight_ns(), None);
         storage.append_wal(b"first write").unwrap();
-        assert!(storage.writer.is_some());
+        assert!(storage.wal_writer.is_some());
+        assert!(storage.snapshot_writer.is_none(), "no snapshot yet");
         storage.sync_wal().unwrap();
         assert!(
             storage.wal_inflight_ns().is_some(),

@@ -14,6 +14,12 @@
 //! before that point is returned; everything after is a torn tail to
 //! be discarded. Big-endian integers and a leading version byte follow
 //! the `rekey_keytree::message::codec` conventions.
+//!
+//! A [`crate::DirStorage`] WAL segment opens with a segment header of
+//! the same layout, led by [`SEGMENT_TAG`] instead of the version, whose
+//! payload is the segment's generation ([`segment_header`]); a segment
+//! without one (every log written before there were two) is generation
+//! 0.
 
 use crate::StorageError;
 
@@ -141,6 +147,83 @@ pub fn parse_records(bytes: &[u8]) -> (Vec<Vec<u8>>, usize) {
         at = payload_end;
     }
     (records, at)
+}
+
+/// Leading byte of a WAL segment header. It is no framing version, so
+/// a reader of one plain record stream stops at it.
+pub const SEGMENT_TAG: u8 = 0x53;
+
+/// Bytes of a segment header: a record header led by [`SEGMENT_TAG`]
+/// instead of the version, around the 8-byte generation.
+pub const SEGMENT_HEADER_LEN: usize = RECORD_HEADER_LEN + 8;
+
+/// The header that opens a WAL segment of `generation`:
+/// `[SEGMENT_TAG][len: u32 BE = 8][crc32][generation: u64 BE]`.
+pub fn segment_header(generation: u64) -> [u8; SEGMENT_HEADER_LEN] {
+    let payload = generation.to_be_bytes();
+    let mut header = [0; SEGMENT_HEADER_LEN];
+    header[..RECORD_HEADER_LEN]
+        .copy_from_slice(&frame_header(payload.len(), crc32(&payload)).expect("8 bytes fit"));
+    header[0] = SEGMENT_TAG;
+    header[RECORD_HEADER_LEN..].copy_from_slice(&payload);
+    header
+}
+
+/// What the first bytes of a WAL segment say about it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SegmentStart {
+    /// No bytes at all.
+    Empty,
+    /// Records from the first byte: a log written before segments had
+    /// headers (or a fresh store's first segment), generation 0.
+    Legacy,
+    /// A header of this generation, records behind it.
+    Generation(u64),
+    /// A header cut short or failing its checksum: a switch to this
+    /// segment that a crash interrupted before its first record was
+    /// durable. It holds no record.
+    Torn,
+}
+
+impl SegmentStart {
+    /// Reads a segment's first bytes (at least [`SEGMENT_HEADER_LEN`]
+    /// of them, or all it has).
+    pub fn of(bytes: &[u8]) -> SegmentStart {
+        match bytes.first() {
+            None => SegmentStart::Empty,
+            Some(&tag) if tag != SEGMENT_TAG => SegmentStart::Legacy,
+            Some(_) => match bytes.get(..SEGMENT_HEADER_LEN) {
+                Some(header) => {
+                    let generation = u64::from_be_bytes(
+                        header[RECORD_HEADER_LEN..].try_into().expect("8 bytes"),
+                    );
+                    if *header == segment_header(generation) {
+                        SegmentStart::Generation(generation)
+                    } else {
+                        SegmentStart::Torn
+                    }
+                }
+                None => SegmentStart::Torn,
+            },
+        }
+    }
+
+    /// The generation, if the segment holds records.
+    pub fn generation(self) -> Option<u64> {
+        match self {
+            SegmentStart::Legacy => Some(0),
+            SegmentStart::Generation(generation) => Some(generation),
+            SegmentStart::Empty | SegmentStart::Torn => None,
+        }
+    }
+
+    /// Where the segment's records start.
+    pub fn records_at(self) -> usize {
+        match self {
+            SegmentStart::Generation(_) => SEGMENT_HEADER_LEN,
+            _ => 0,
+        }
+    }
 }
 
 /// Seals a snapshot blob with the same version/length/CRC header, as
@@ -297,6 +380,41 @@ mod tests {
         let (records, valid) = parse_records(&stream);
         assert_eq!(records, vec![b"ok".to_vec()]);
         assert_eq!(valid, tail_start);
+    }
+
+    #[test]
+    fn segment_headers_round_trip_and_every_tear_is_torn() {
+        let header = segment_header(0x0102_0304_0506_0708);
+        assert_eq!(header[0], SEGMENT_TAG);
+        assert_eq!(&header[1..5], &8u32.to_be_bytes());
+        let mut segment = header.to_vec();
+        frame_record(b"first", &mut segment).unwrap();
+        assert_eq!(
+            SegmentStart::of(&segment),
+            SegmentStart::Generation(0x0102_0304_0506_0708)
+        );
+        let start = SegmentStart::of(&segment);
+        let (records, valid) = parse_records(&segment[start.records_at()..]);
+        assert_eq!((records, valid), (vec![b"first".to_vec()], 14));
+        for cut in 1..SEGMENT_HEADER_LEN {
+            assert_eq!(
+                SegmentStart::of(&header[..cut]),
+                SegmentStart::Torn,
+                "{cut}"
+            );
+        }
+        for flip in 1..SEGMENT_HEADER_LEN {
+            let mut bad = header;
+            bad[flip] ^= 0x10;
+            assert_eq!(SegmentStart::of(&bad), SegmentStart::Torn, "{flip}");
+        }
+        assert_eq!(SegmentStart::of(&[]), SegmentStart::Empty);
+        assert_eq!(
+            SegmentStart::of(&segment[SEGMENT_HEADER_LEN..]),
+            SegmentStart::Legacy
+        );
+        assert_eq!(SegmentStart::Legacy.generation(), Some(0));
+        assert_eq!(SegmentStart::Torn.generation(), None);
     }
 
     #[test]
